@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -208,7 +209,17 @@ func pjsbench(args []string, stdout, stderr *cli.W) int {
 
 	// The matrix is enumerated in flag order — policies outermost, fault
 	// axis innermost — so scenario IDs land in the same order every run
-	// and compare never has to re-sort.
+	// and compare never has to re-sort. It is validated whole before the
+	// first measurement: a repeated entry would write two scenarios
+	// under one ID, which compare cannot tell apart.
+	type cell struct {
+		spec, modelName string
+		m               workload.Model
+		load            float64
+		mode            string
+	}
+	var cells []cell
+	seen := map[string]bool{}
 	for _, spec := range strings.Split(*policies, ",") {
 		spec = strings.TrimSpace(spec)
 		for _, modelName := range strings.Split(*models, ",") {
@@ -219,18 +230,26 @@ func pjsbench(args []string, stdout, stderr *cli.W) int {
 			}
 			for _, load := range loadVals {
 				for _, mode := range faultAxis {
+					id := scenarioID(spec, modelName, load, mode)
+					if seen[id] {
+						return fail(fmt.Errorf("duplicate scenario %s: a -policies, -models or -loads entry repeats", id))
+					}
+					seen[id] = true
 					mm := m
 					mm.OfferedLoad *= load
-					sc, err := measure(spec, modelName, mm, load, mode, *jobs, *samples, *seed)
-					if err != nil {
-						return fail(err)
-					}
-					bench.Scenarios = append(bench.Scenarios, *sc)
-					med := median(sc.EventsPerSec)
-					stderr.Printf("pjsbench: %-32s events=%-8d median %.0f events/sec\n", sc.ID, sc.Events, med)
+					cells = append(cells, cell{spec, modelName, mm, load, mode})
 				}
 			}
 		}
+	}
+	for _, c := range cells {
+		sc, err := measure(c.spec, c.modelName, c.m, c.load, c.mode, *jobs, *samples, *seed)
+		if err != nil {
+			return fail(err)
+		}
+		bench.Scenarios = append(bench.Scenarios, *sc)
+		med := median(sc.EventsPerSec)
+		stderr.Printf("pjsbench: %-32s events=%-8d median %.0f events/sec\n", sc.ID, sc.Events, med)
 	}
 
 	err = ckpt.WriteAtomic(*out, func(w io.Writer) error {
@@ -246,12 +265,13 @@ func pjsbench(args []string, stdout, stderr *cli.W) int {
 	return 0
 }
 
-// parseLoads parses the comma-separated load multipliers.
+// parseLoads parses the comma-separated load multipliers, each a finite
+// positive number.
 func parseLoads(s string) ([]float64, error) {
 	var out []float64
 	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v <= 0 {
+		if err != nil || !(v > 0) || math.IsInf(v, 1) {
 			return nil, fmt.Errorf("bad -loads entry %q", f)
 		}
 		out = append(out, v)
@@ -260,9 +280,11 @@ func parseLoads(s string) ([]float64, error) {
 }
 
 // scenarioID names one matrix cell, stable across runs and flags. The
-// mode string is the ID suffix, so pre-transient IDs are unchanged.
+// load is rendered in the shortest form that round-trips, so distinct
+// loads get distinct IDs (1.0 is "load1"). The mode string is the ID
+// suffix, so pre-transient IDs are unchanged.
 func scenarioID(policy, model string, load float64, mode string) string {
-	return fmt.Sprintf("%s/%s/load%.2g/%s", policy, model, load, mode)
+	return policy + "/" + model + "/load" + strconv.FormatFloat(load, 'g', -1, 64) + "/" + mode
 }
 
 // measure times one scenario: the trace is generated once (identical

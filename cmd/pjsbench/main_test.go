@@ -230,3 +230,91 @@ func TestMedianIQR(t *testing.T) {
 		t.Errorf("iqr single = %v, want 0", got)
 	}
 }
+
+// TestScenarioIDLoads pins the load rendering: distinct loads get
+// distinct IDs, and 1.0 keeps the "load1" of existing BENCH files.
+func TestScenarioIDLoads(t *testing.T) {
+	for _, tc := range []struct {
+		load float64
+		want string
+	}{
+		{1.0, "ns/CTC/load1/nofault"},
+		{1.2, "ns/CTC/load1.2/nofault"},
+		{1.21, "ns/CTC/load1.21/nofault"},
+		{1.24, "ns/CTC/load1.24/nofault"},
+		{1.25, "ns/CTC/load1.25/nofault"},
+		{0.5, "ns/CTC/load0.5/nofault"},
+	} {
+		if got := scenarioID("ns", "CTC", tc.load, faultNone); got != tc.want {
+			t.Errorf("scenarioID(load %v) = %q, want %q", tc.load, got, tc.want)
+		}
+	}
+}
+
+// TestParseLoads: every entry must be a finite positive number.
+func TestParseLoads(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []float64 // nil: rejected
+	}{
+		{"1.0", []float64{1}},
+		{"0.8, 1.2", []float64{0.8, 1.2}},
+		{"zero", nil},
+		{"0", nil},
+		{"-1", nil},
+		{"NaN", nil},
+		{"Inf", nil},
+		{"+Inf", nil},
+		{"-Inf", nil},
+		{"1,NaN", nil},
+		{"", nil},
+	} {
+		got, err := parseLoads(tc.in)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("parseLoads(%q) = %v, want an error", tc.in, got)
+			}
+			continue
+		}
+		if err != nil || len(got) != len(tc.want) {
+			t.Errorf("parseLoads(%q) = %v, %v, want %v", tc.in, got, err, tc.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("parseLoads(%q) = %v, want %v", tc.in, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestDuplicateScenariosRejected: a matrix that names one scenario
+// twice fails before anything is measured or written.
+func TestDuplicateScenariosRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		dup  string
+	}{
+		{"repeated load", []string{"-loads", "1,1"}, "ns/CTC/load1/nofault"},
+		{"same load spelled twice", []string{"-loads", "1,1.0"}, "ns/CTC/load1/nofault"},
+		{"repeated policy", []string{"-policies", "ns, ns"}, "ns/CTC/load1/nofault"},
+		{"repeated model", []string{"-models", "CTC,CTC"}, "ns/CTC/load1/nofault"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "BENCH.json")
+			args := append([]string{"-policies", "ns", "-models", "CTC", "-fault", "off",
+				"-jobs", "20", "-samples", "1", "-out", out}, tc.args...)
+			code, _, stderr := runBench(t, args...)
+			if code != 1 || !strings.Contains(stderr, "duplicate scenario "+tc.dup) {
+				t.Errorf("exit %d, stderr %q; want exit 1 naming duplicate %s", code, stderr, tc.dup)
+			}
+			if strings.Contains(stderr, "events/sec") {
+				t.Errorf("measured before rejecting the matrix:\n%s", stderr)
+			}
+			if _, err := os.Stat(out); err == nil {
+				t.Errorf("wrote %s for a rejected matrix", out)
+			}
+		})
+	}
+}

@@ -320,19 +320,15 @@ func psim(args []string, stdout, stderr *cli.W) int {
 		trace.Name, trace.Procs, len(trace.Jobs), s.Name(), estShown, loadShown)
 	stdout.Printf("makespan=%ds utilization=%.1f%% suspensions=%d\n",
 		res.Makespan(), 100*res.Utilization, res.Suspensions)
+	resubmits := 0
+	for _, j := range res.Jobs {
+		resubmits += j.Resubmits
+	}
 	if optSpec.MTBF > 0 {
-		resubmits := 0
-		for _, j := range res.Jobs {
-			resubmits += j.Resubmits
-		}
 		stdout.Printf("faults: failures=%d repairs=%d fail-kills=%d images-lost=%d resubmissions=%d lost-work=%ds\n",
 			res.Failures, res.Repairs, res.FailKills, res.ImagesLost, resubmits, res.LostWorkSeconds)
 	}
 	if optSpec.IOWriteFail > 0 || optSpec.IOReadFail > 0 {
-		resubmits := 0
-		for _, j := range res.Jobs {
-			resubmits += j.Resubmits
-		}
 		stdout.Printf("transient-io: retries=%d exhausted=%d degradations=%d restores=%d resubmissions=%d lost-work=%ds\n",
 			res.IORetries, res.IOExhaustions, res.IODegradations, res.IORestores, resubmits, res.LostWorkSeconds)
 	}

@@ -81,24 +81,16 @@ type memoJob struct {
 
 // memoFile is the JSON payload inside the sealed container.
 type memoFile struct {
-	Key               memoKey   `json:"key"`
-	Trace             string    `json:"trace"`
-	Scheduler         string    `json:"scheduler"`
-	Utilization       float64   `json:"utilization"`
-	UtilizationLoaded float64   `json:"utilization_loaded"`
-	Start             int64     `json:"start"`
-	End               int64     `json:"end"`
-	Suspensions       int       `json:"suspensions"`
-	Failures          int       `json:"failures,omitempty"`
-	Repairs           int       `json:"repairs,omitempty"`
-	FailKills         int       `json:"fail_kills,omitempty"`
-	ImagesLost        int       `json:"images_lost,omitempty"`
-	LostWorkSeconds   int64     `json:"lost_work_seconds,omitempty"`
-	IORetries         int       `json:"io_retries,omitempty"`
-	IOExhaustions     int       `json:"io_exhaustions,omitempty"`
-	IODegradations    int       `json:"io_degradations,omitempty"`
-	IORestores        int       `json:"io_restores,omitempty"`
-	Jobs              []memoJob `json:"jobs"`
+	Key               memoKey `json:"key"`
+	Trace             string  `json:"trace"`
+	Scheduler         string  `json:"scheduler"`
+	Utilization       float64 `json:"utilization"`
+	UtilizationLoaded float64 `json:"utilization_loaded"`
+	Start             int64   `json:"start"`
+	End               int64   `json:"end"`
+	Suspensions       int     `json:"suspensions"`
+	sched.Tally
+	Jobs []memoJob `json:"jobs"`
 }
 
 func (r *Runner) memoKey(rk runKey) memoKey {
@@ -196,15 +188,7 @@ func (r *Runner) loadMemo(mk memoKey) (*sched.Result, bool) {
 		Start:             m.Start,
 		End:               m.End,
 		Suspensions:       m.Suspensions,
-		Failures:          m.Failures,
-		Repairs:           m.Repairs,
-		FailKills:         m.FailKills,
-		ImagesLost:        m.ImagesLost,
-		LostWorkSeconds:   m.LostWorkSeconds,
-		IORetries:         m.IORetries,
-		IOExhaustions:     m.IOExhaustions,
-		IODegradations:    m.IODegradations,
-		IORestores:        m.IORestores,
+		Tally:             m.Tally,
 		Jobs:              make([]*job.Job, len(m.Jobs)),
 	}
 	for i, mj := range m.Jobs {
@@ -237,15 +221,7 @@ func (r *Runner) saveMemo(mk memoKey, res *sched.Result) {
 		Start:             res.Start,
 		End:               res.End,
 		Suspensions:       res.Suspensions,
-		Failures:          res.Failures,
-		Repairs:           res.Repairs,
-		FailKills:         res.FailKills,
-		ImagesLost:        res.ImagesLost,
-		LostWorkSeconds:   res.LostWorkSeconds,
-		IORetries:         res.IORetries,
-		IOExhaustions:     res.IOExhaustions,
-		IODegradations:    res.IODegradations,
-		IORestores:        res.IORestores,
+		Tally:             res.Tally,
 		Jobs:              make([]memoJob, len(res.Jobs)),
 	}
 	for i, j := range res.Jobs {

@@ -116,15 +116,16 @@ func isTimingCall(p *Package, call *ast.CallExpr) bool {
 	return false
 }
 
-// auditEmitSink matches the audit-log emission funnel: a method named
-// add, Add or addProc on a named type AuditLog.
+// auditEmitSink matches the audit-log append: a method named add or Add
+// on a named type AuditLog. The driver's record funnel reaches it, so
+// the taint summaries carry the sink up to record's callers.
 func auditEmitSink(p *Package, call *ast.CallExpr) (string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
 	switch sel.Sel.Name {
-	case "add", "Add", "addProc":
+	case "add", "Add":
 	default:
 		return "", false
 	}

@@ -46,18 +46,11 @@ type Counters struct {
 	// by suspensions (MemPerProc × width per suspension).
 	SuspendedImageBytes int64
 
-	// Fault-injection counts: processor fail/repair events, suspended
-	// images stranded on failed processors, and the compute seconds
-	// discarded by failure kills and stranded images. All stay zero
-	// without a fault model, and the canonical String render omits them
-	// then, keeping no-fault output byte-identical.
-	ProcFails, ProcRepairs, ImageLosses, LostWorkSeconds int64
-
-	// Transient-I/O counts: retried and terminally exhausted
-	// suspend-write/restart-read operations, and processor health
-	// degradation/recovery transitions. All stay zero without transient
-	// fault injection, and the canonical String render omits them then.
-	IORetries, IOExhaustions, IODegradations, IORestores int64
+	// Tally counts the fault and transient-I/O actions by the same rule
+	// as the run's sched.Result. It stays zero without fault injection,
+	// and the canonical String render then omits it, keeping no-fault
+	// output byte-identical.
+	sched.Tally
 
 	// PerCategory breaks starts/resumes/suspensions/kills/finishes down
 	// by the job's 16-way category.
@@ -69,6 +62,8 @@ type Counters struct {
 	chainTime int64
 	chainLen  int64
 	inChain   bool
+	// prev is the last observed action, for Tally.Count.
+	prev sched.Action
 }
 
 type queuedJob struct {
@@ -98,6 +93,9 @@ func (c *Counters) Observe(ev sched.Event) {
 		c.inChain = false
 	}
 
+	c.Tally.Count(ev.Action, c.prev, ev.LostWork)
+	c.prev = ev.Action
+
 	j := ev.Job
 	switch ev.Action {
 	case sched.ActArrive:
@@ -124,26 +122,14 @@ func (c *Counters) Observe(ev sched.Event) {
 	case sched.ActKill:
 		c.Kills++
 		c.PerCategory[j.Category().Index()].Kills++
-		c.LostWorkSeconds += ev.LostWork
 		// The killed job returns to the queue as if never run.
 		c.queued = append(c.queued, queuedJob{j.SubmitTime, j.ID})
 	case sched.ActImageLost:
-		c.ImageLosses++
-		c.LostWorkSeconds += ev.LostWork
 		// The stranded job restarts from scratch: back in the queue.
 		c.queued = append(c.queued, queuedJob{j.SubmitTime, j.ID})
-	case sched.ActProcFail:
-		c.ProcFails++
-	case sched.ActProcRepair:
-		c.ProcRepairs++
-	case sched.ActIORetry:
-		c.IORetries++
-	case sched.ActIOExhausted:
-		c.IOExhaustions++
-	case sched.ActIODegraded:
-		c.IODegradations++
-	case sched.ActIORestored:
-		c.IORestores++
+	case sched.ActProcFail, sched.ActProcRepair, sched.ActIORetry,
+		sched.ActIOExhausted, sched.ActIODegraded, sched.ActIORestored:
+		// Counted only in c.Tally.
 	case sched.ActTick:
 		c.Ticks++
 	}
@@ -175,6 +161,7 @@ func (c *Counters) Snapshot() Counters {
 	cp.queued = nil
 	cp.inChain = false
 	cp.chainLen, cp.chainTime = 0, 0
+	cp.prev = 0
 	return cp
 }
 
@@ -194,14 +181,7 @@ func (c Counters) Minus(prev Counters) Counters {
 	d.BackfillStarts -= prev.BackfillStarts
 	d.PreemptionWaves -= prev.PreemptionWaves
 	d.SuspendedImageBytes -= prev.SuspendedImageBytes
-	d.ProcFails -= prev.ProcFails
-	d.ProcRepairs -= prev.ProcRepairs
-	d.ImageLosses -= prev.ImageLosses
-	d.LostWorkSeconds -= prev.LostWorkSeconds
-	d.IORetries -= prev.IORetries
-	d.IOExhaustions -= prev.IOExhaustions
-	d.IODegradations -= prev.IODegradations
-	d.IORestores -= prev.IORestores
+	d.Tally = c.Tally.Minus(prev.Tally)
 	for i := range d.PerCategory {
 		d.PerCategory[i].Starts -= prev.PerCategory[i].Starts
 		d.PerCategory[i].Resumes -= prev.PerCategory[i].Resumes
@@ -221,9 +201,7 @@ func (c Counters) IsZero() bool {
 		c.SuspendBegins == 0 && c.SuspendDones == 0 && c.Finishes == 0 &&
 		c.Kills == 0 && c.Ticks == 0 && c.BackfillStarts == 0 &&
 		c.PreemptionWaves == 0 && c.SuspendedImageBytes == 0 &&
-		c.ProcFails == 0 && c.ProcRepairs == 0 && c.ImageLosses == 0 &&
-		c.LostWorkSeconds == 0 && c.IORetries == 0 && c.IOExhaustions == 0 &&
-		c.IODegradations == 0 && c.IORestores == 0
+		c.Tally == sched.Tally{}
 }
 
 // String renders the counters in a canonical one-value-per-token form.
@@ -236,11 +214,11 @@ func (c *Counters) String() string {
 		c.Arrivals, c.Starts, c.Resumes, c.SuspendBegins, c.SuspendDones, c.Finishes, c.Kills, c.Ticks)
 	fmt.Fprintf(&b, "backfill-starts=%d preemption-waves=%d max-chain-depth=%d suspended-image-bytes=%d\n",
 		c.BackfillStarts, c.PreemptionWaves, c.MaxChainDepth, c.SuspendedImageBytes)
-	if c.ProcFails != 0 || c.ProcRepairs != 0 || c.ImageLosses != 0 || c.LostWorkSeconds != 0 {
+	if c.Failures != 0 || c.Repairs != 0 || c.ImagesLost != 0 || c.LostWorkSeconds != 0 {
 		// Rendered only when fault injection produced activity, so
 		// no-fault runs stay byte-identical to pre-fault builds.
 		fmt.Fprintf(&b, "proc-fails=%d proc-repairs=%d image-losses=%d lost-work-seconds=%d\n",
-			c.ProcFails, c.ProcRepairs, c.ImageLosses, c.LostWorkSeconds)
+			c.Failures, c.Repairs, c.ImagesLost, c.LostWorkSeconds)
 	}
 	if c.IORetries != 0 || c.IOExhaustions != 0 || c.IODegradations != 0 || c.IORestores != 0 {
 		// Rendered only when transient I/O faults produced activity, so

@@ -121,8 +121,8 @@ func TestSinksConsistentWhenAllProcessorsFail(t *testing.T) {
 	if counters.Starts < 1 {
 		t.Fatal("job never started before the machine died")
 	}
-	if counters.ProcFails < 1 {
-		t.Fatalf("permanent-failure run recorded %d processor failures", counters.ProcFails)
+	if counters.Failures < 1 {
+		t.Fatalf("permanent-failure run recorded %d processor failures", counters.Failures)
 	}
 	if counters.Kills < 1 {
 		t.Fatal("failure under a running job recorded no kill")

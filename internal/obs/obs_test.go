@@ -12,7 +12,7 @@ import (
 
 // ev builds a minimal event for the synthetic-stream tests.
 func ev(t int64, act sched.Action, j *job.Job) sched.Event {
-	return sched.Event{Time: t, Action: act, Job: j}
+	return sched.Event{Entry: sched.Entry{Time: t, Action: act}, Job: j}
 }
 
 func TestCountersBackfillDetection(t *testing.T) {
@@ -130,9 +130,9 @@ func TestRegistryOrderAndReuse(t *testing.T) {
 
 func TestSamplerCoalescesInstants(t *testing.T) {
 	s := NewSampler(8)
-	s.Observe(sched.Event{Time: 10, Busy: 2, Queued: 1})
-	s.Observe(sched.Event{Time: 10, Busy: 4, Queued: 0}) // same instant: overwrite
-	s.Observe(sched.Event{Time: 20, Busy: 4})
+	s.Observe(sched.Event{Entry: sched.Entry{Time: 10}, Busy: 2, Queued: 1})
+	s.Observe(sched.Event{Entry: sched.Entry{Time: 10}, Busy: 4, Queued: 0}) // same instant: overwrite
+	s.Observe(sched.Event{Entry: sched.Entry{Time: 20}, Busy: 4})
 	if len(s.Samples) != 2 {
 		t.Fatalf("%d samples, want 2 (coalesced)", len(s.Samples))
 	}
@@ -143,7 +143,7 @@ func TestSamplerCoalescesInstants(t *testing.T) {
 
 func TestSamplerWriteCSV(t *testing.T) {
 	s := NewSampler(4)
-	s.Observe(sched.Event{Time: 0, Busy: 2, Queued: 1, Running: 1, MaxQueuedXFactor: 1.5})
+	s.Observe(sched.Event{Entry: sched.Entry{Time: 0}, Busy: 2, Queued: 1, Running: 1, MaxQueuedXFactor: 1.5})
 	var b bytes.Buffer
 	if err := s.WriteCSV(&b); err != nil {
 		t.Fatal(err)
@@ -170,8 +170,8 @@ func (f *failAfter) Write(p []byte) (int, error) {
 
 func TestSamplerWriteCSVPropagatesErrors(t *testing.T) {
 	s := NewSampler(4)
-	s.Observe(sched.Event{Time: 0, Busy: 1})
-	s.Observe(sched.Event{Time: 5, Busy: 2})
+	s.Observe(sched.Event{Entry: sched.Entry{Time: 0}, Busy: 1})
+	s.Observe(sched.Event{Entry: sched.Entry{Time: 5}, Busy: 2})
 	for n := 0; n <= 2; n++ {
 		if err := s.WriteCSV(&failAfter{n: n}); !errors.Is(err, errSink) {
 			t.Errorf("write failing at chunk %d: err = %v, want errSink", n, err)

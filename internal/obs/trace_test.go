@@ -18,15 +18,15 @@ func buildTrace() *TraceBuilder {
 	j := job.New(1, 0, 500, 500, 2)
 	k := job.New(2, 0, 500, 500, 1)
 
-	b.Observe(sched.Event{Time: 0, Action: sched.ActArrive, Job: j})
-	b.Observe(sched.Event{Time: 0, Action: sched.ActStart, Job: j, Procs: []int{0, 1}, Busy: 2, Running: 1})
-	b.Observe(sched.Event{Time: 100, Action: sched.ActSuspendBegin, Job: j, Procs: []int{0, 1}, Busy: 2, Suspended: 1})
-	b.Observe(sched.Event{Time: 150, Action: sched.ActSuspendDone, Job: j, Procs: []int{0, 1}})
-	b.Observe(sched.Event{Time: 150, Action: sched.ActStart, Job: k, Procs: []int{2}, Busy: 1, Running: 1})
+	b.Observe(sched.Event{Entry: sched.Entry{Time: 0, Action: sched.ActArrive}, Job: j})
+	b.Observe(sched.Event{Entry: sched.Entry{Time: 0, Action: sched.ActStart, Procs: []int{0, 1}}, Job: j, Busy: 2, Running: 1})
+	b.Observe(sched.Event{Entry: sched.Entry{Time: 100, Action: sched.ActSuspendBegin, Procs: []int{0, 1}}, Job: j, Busy: 2, Suspended: 1})
+	b.Observe(sched.Event{Entry: sched.Entry{Time: 150, Action: sched.ActSuspendDone, Procs: []int{0, 1}}, Job: j})
+	b.Observe(sched.Event{Entry: sched.Entry{Time: 150, Action: sched.ActStart, Procs: []int{2}}, Job: k, Busy: 1, Running: 1})
 	j.PendingRead = 50
-	b.Observe(sched.Event{Time: 200, Action: sched.ActResume, Job: j, Procs: []int{0, 1}, Busy: 3})
-	b.Observe(sched.Event{Time: 400, Action: sched.ActKill, Job: k, Procs: []int{2}})
-	b.Observe(sched.Event{Time: 650, Action: sched.ActFinish, Job: j, Procs: []int{0, 1}})
+	b.Observe(sched.Event{Entry: sched.Entry{Time: 200, Action: sched.ActResume, Procs: []int{0, 1}}, Job: j, Busy: 3})
+	b.Observe(sched.Event{Entry: sched.Entry{Time: 400, Action: sched.ActKill, Procs: []int{2}}, Job: k})
+	b.Observe(sched.Event{Entry: sched.Entry{Time: 650, Action: sched.ActFinish, Procs: []int{0, 1}}, Job: j})
 	return b
 }
 
@@ -87,9 +87,9 @@ func TestTraceBuilderRestartReadClamped(t *testing.T) {
 	b := NewTraceBuilder(2)
 	j := job.New(1, 0, 500, 500, 1)
 	j.PendingRead = 100
-	b.Observe(sched.Event{Time: 0, Action: sched.ActResume, Job: j, Procs: []int{0}})
-	b.Observe(sched.Event{Time: 30, Action: sched.ActSuspendBegin, Job: j, Procs: []int{0}})
-	b.Observe(sched.Event{Time: 60, Action: sched.ActSuspendDone, Job: j, Procs: []int{0}})
+	b.Observe(sched.Event{Entry: sched.Entry{Time: 0, Action: sched.ActResume, Procs: []int{0}}, Job: j})
+	b.Observe(sched.Event{Entry: sched.Entry{Time: 30, Action: sched.ActSuspendBegin, Procs: []int{0}}, Job: j})
+	b.Observe(sched.Event{Entry: sched.Entry{Time: 60, Action: sched.ActSuspendDone, Procs: []int{0}}, Job: j})
 
 	var buf bytes.Buffer
 	if err := b.WriteJSON(&buf); err != nil {

@@ -3,8 +3,6 @@ package sched
 import (
 	"fmt"
 	"strings"
-
-	"pjs/internal/job"
 )
 
 // Action is the kind of an audit-log entry.
@@ -138,25 +136,9 @@ func (l *AuditLog) String() string {
 	return b.String()
 }
 
-func (l *AuditLog) add(now int64, a Action, j *job.Job, procs []int) {
-	l.Entries = append(l.Entries, Entry{
-		Time:    now,
-		Action:  a,
-		JobID:   j.ID,
-		Procs:   append([]int(nil), procs...),
-		Width:   j.Procs,
-		RunTime: j.RunTime,
-		Submit:  j.SubmitTime,
-	})
-}
-
-// addProc records a processor-level action (fail/repair) with no job
-// subject: JobID is -1 and Procs holds just the processor.
-func (l *AuditLog) addProc(now int64, a Action, p int) {
-	l.Entries = append(l.Entries, Entry{
-		Time:   now,
-		Action: a,
-		JobID:  -1,
-		Procs:  []int{p},
-	})
+// add appends one entry, copying its processor set (an Event's set
+// aliases live state).
+func (l *AuditLog) add(ent Entry) {
+	ent.Procs = append([]int(nil), ent.Procs...)
+	l.Entries = append(l.Entries, ent)
 }

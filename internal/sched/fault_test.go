@@ -107,12 +107,8 @@ func TestFailureKillsRequeuesAndFinishes(t *testing.T) {
 		t.Errorf("resubmits = %d, want FailKills+ImagesLost = %d+%d",
 			resubmits, res.FailKills, res.ImagesLost)
 	}
-	if int(counters.ProcFails) != res.Failures || int(counters.ProcRepairs) != res.Repairs {
-		t.Errorf("counters saw %d/%d fail/repair events, result says %d/%d",
-			counters.ProcFails, counters.ProcRepairs, res.Failures, res.Repairs)
-	}
-	if counters.LostWorkSeconds != res.LostWorkSeconds {
-		t.Errorf("counters lost-work %d, result %d", counters.LostWorkSeconds, res.LostWorkSeconds)
+	if counters.Tally != res.Tally {
+		t.Errorf("counters tally %+v, result tally %+v", counters.Tally, res.Tally)
 	}
 	if err := check.Check(res.Audit, check.Options{ZeroOverhead: true}); err != nil {
 		t.Errorf("audit replay: %v", err)

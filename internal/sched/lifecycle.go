@@ -120,66 +120,26 @@ func mix64(h, v uint64) uint64 {
 	return h
 }
 
-// mixEntry advances the audit-prefix hash by one audit-equivalent
-// entry. The mix covers exactly what AuditLog canonical rendering is
-// keyed on — time, action, job identity and processor set — so equal
-// hashes over equal entry counts imply byte-identical audit prefixes
-// for the same workload.
+// mixEntry advances the audit-prefix hash by one audit entry. The mix
+// covers exactly what AuditLog canonical rendering is keyed on — time,
+// action, job identity and processor set — so equal hashes over equal
+// entry counts imply byte-identical audit prefixes for the same
+// workload.
 //
 //lint:allocfree hashing disabled
-func (e *Env) mixEntry(act Action, id int, procs []int) {
+func (e *Env) mixEntry(ent *Entry) {
 	if !e.hashOn {
 		return
 	}
-	h := mix64(e.hash, uint64(e.engine.Now()))
-	h = mix64(h, uint64(act))
-	h = mix64(h, uint64(int64(id)))
-	h = mix64(h, uint64(len(procs)))
-	for _, p := range procs {
+	h := mix64(e.hash, uint64(ent.Time))
+	h = mix64(h, uint64(ent.Action))
+	h = mix64(h, uint64(int64(ent.JobID)))
+	h = mix64(h, uint64(len(ent.Procs)))
+	for _, p := range ent.Procs {
 		h = mix64(h, uint64(p))
 	}
 	e.hash = h
 	e.hashEntries++
-}
-
-// audit records one job action: watermark hash, audit log, observer.
-// Every audit-equivalent emission site in the driver goes through here
-// (or auditLost/auditProc), so the hash and the log can never drift
-// apart.
-func (e *Env) audit(act Action, j *job.Job, procs []int) {
-	e.mixEntry(act, j.ID, procs)
-	if e.Audit != nil {
-		e.Audit.add(e.engine.Now(), act, j, procs)
-	}
-	if e.obs != nil {
-		e.emit(act, j, procs)
-	}
-}
-
-// auditLost is audit for work-discarding actions, carrying the lost
-// compute seconds to observers (the audit log and hash ignore lost —
-// it is derivable from the entry itself).
-func (e *Env) auditLost(act Action, j *job.Job, procs []int, lost int64) {
-	e.mixEntry(act, j.ID, procs)
-	if e.Audit != nil {
-		e.Audit.add(e.engine.Now(), act, j, procs)
-	}
-	if e.obs != nil {
-		e.emitLost(act, j, procs, lost)
-	}
-}
-
-// auditProc records a processor-level action (fail/repair): JobID -1,
-// the processor as the set.
-func (e *Env) auditProc(act Action, p int) {
-	set := [1]int{p}
-	e.mixEntry(act, -1, set[:])
-	if e.Audit != nil {
-		e.Audit.addProc(e.engine.Now(), act, p)
-	}
-	if e.obs != nil {
-		e.emit(act, nil, []int{p})
-	}
 }
 
 // snapshot captures the current watermark.
@@ -364,22 +324,14 @@ func RunContext(ctx context.Context, t *workload.Trace, s Scheduler, opt Options
 	}
 
 	res := &Result{
-		Trace:           t.Name,
-		Scheduler:       s.Name(),
-		Jobs:            jobs,
-		Start:           jobs[0].SubmitTime,
-		End:             end,
-		Failures:        env.failures,
-		Repairs:         env.repairs,
-		FailKills:       env.failKills,
-		ImagesLost:      env.imagesLost,
-		LostWorkSeconds: env.lostWork,
-		IORetries:       env.ioRetries,
-		IOExhaustions:   env.ioExhaustions,
-		IODegradations:  env.ioDegradations,
-		IORestores:      env.ioRestores,
-		Events:          env.engine.Steps(),
-		Audit:           env.Audit,
+		Trace:     t.Name,
+		Scheduler: s.Name(),
+		Jobs:      jobs,
+		Start:     jobs[0].SubmitTime,
+		End:       end,
+		Tally:     env.tally,
+		Events:    env.engine.Steps(),
+		Audit:     env.Audit,
 	}
 	for _, j := range jobs {
 		if j.State != job.Finished {

@@ -13,18 +13,21 @@ import "pjs/internal/job"
 // Procs slice aliases the job's live processor set, so a sink that
 // keeps it beyond the Observe call must copy it.
 type Event struct {
-	// Time is the virtual time of the action.
-	Time int64
-	// Action is the audit-log action kind (ActArrive … ActKill), or
-	// ActTick for the periodic scheduler tick.
-	Action Action
+	// Entry is the action as the audit log records it: Time, Action,
+	// JobID (-1 for processor-level actions and ticks), the static job
+	// attributes, and Procs — the job's processor set at the action
+	// (shared, do not retain); nil for arrivals and ticks. For
+	// processor-level actions (ActProcFail, ActProcRepair,
+	// ActIODegraded, ActIORestored) it holds the one affected processor.
+	Entry
 	// Job is the subject of the action; nil for ActTick and the
-	// processor-level ActProcFail/ActProcRepair.
+	// processor-level actions.
 	Job *job.Job
-	// Procs is the job's processor set at the action (shared, do not
-	// retain); nil for arrivals and ticks. For ActProcFail/ActProcRepair
-	// it holds the one affected processor.
-	Procs []int
+	// LostWork is the compute seconds discarded by this action: set for
+	// failure-induced ActKill and for ActImageLost, zero otherwise
+	// (including speculative-backfilling kills, which only ever discard
+	// work the gamble knowingly risked).
+	LostWork int64
 	// Busy is the number of processors owned by jobs after the action
 	// (Suspending jobs still hold theirs).
 	Busy int
@@ -32,11 +35,6 @@ type Event struct {
 	// machine size minus failed processors. Always Procs-count without
 	// fault injection.
 	Up int
-	// LostWork is the compute seconds discarded by this action: set for
-	// failure-induced ActKill and for ActImageLost, zero otherwise
-	// (including speculative-backfilling kills, which only ever discard
-	// work the gamble knowingly risked).
-	LostWork int64
 	// Queued counts jobs that have arrived and hold no processors and
 	// no suspended image (state Queued).
 	Queued int
@@ -52,9 +50,10 @@ type Event struct {
 }
 
 // Observer receives engine events. Set one via Options.Observer; nil
-// (the default) costs nothing — every emission site is guarded by a
-// nil check and the nil path performs no allocations (asserted by
-// TestNilObserverEmitZeroAllocs and BenchmarkRunObserverNil).
+// (the default) costs nothing — the driver's record funnel skips the
+// census and the call, and its nil path performs no allocations
+// (asserted by TestNilObserverEmitZeroAllocs and
+// BenchmarkRunObserverNil).
 //
 // Determinism contract: an Observer must be a pure sink in virtual
 // time. It must not mutate jobs or scheduler state, read the wall
@@ -66,46 +65,4 @@ type Event struct {
 // to compose them.
 type Observer interface {
 	Observe(ev Event)
-}
-
-// emit publishes one event to the observer. The nil guard is first so
-// that an unobserved run pays only a predicted branch; the snapshot
-// scan (O(jobs) for the max queued xfactor) runs only when a sink is
-// attached.
-//
-//lint:allocfree nil observer
-func (e *Env) emit(act Action, j *job.Job, procs []int) {
-	e.emitLost(act, j, procs, 0)
-}
-
-// emitLost is emit with an explicit lost-work annotation, used by the
-// failure paths; the common emit wrapper passes zero.
-//
-//lint:allocfree nil observer
-func (e *Env) emitLost(act Action, j *job.Job, procs []int, lost int64) {
-	if e.obs == nil {
-		return
-	}
-	now := e.engine.Now()
-	maxXF := 0.0
-	for _, q := range e.jobs {
-		if q.State == job.Queued && q.SubmitTime <= now {
-			if xf := q.XFactor(now); xf > maxXF {
-				maxXF = xf
-			}
-		}
-	}
-	e.obs.Observe(Event{
-		Time:             now,
-		Action:           act,
-		Job:              j,
-		Procs:            procs,
-		Busy:             e.Cluster.Busy(),
-		Up:               e.Cluster.UpCount(),
-		LostWork:         lost,
-		Queued:           e.nQueued,
-		Running:          e.nRunning,
-		Suspended:        e.nSuspended,
-		MaxQueuedXFactor: maxXF,
-	})
 }

@@ -1,20 +1,28 @@
 package sched
 
-import "testing"
+import (
+	"testing"
+
+	"pjs/internal/job"
+	"pjs/internal/sim"
+)
 
 // TestNilObserverEmitZeroAllocs pins the cost of running uninstrumented:
-// with Options.Observer nil, the observation path must not allocate. The
-// call sites additionally guard each emit behind `if e.obs != nil`, so
-// an uninstrumented run never even builds an Event; this test drives
-// emit directly to prove the hook itself is free, and
+// with no observer and no audit log, the record funnel — tally, hash
+// guard, and the skipped census and observer call — must not allocate,
+// for job actions and processor-level actions alike.
 // BenchmarkRunObserverNil (package sched_test) pins the end-to-end
 // throughput claim.
 func TestNilObserverEmitZeroAllocs(t *testing.T) {
-	e := &Env{} // obs nil: emit must return before touching the engine
+	e := &Env{}
+	e.engine = sim.New(e, 0)
+	j := job.New(1, 0, 100, 100, 2)
+	j.ProcSet = []int{0, 1}
 	if n := testing.AllocsPerRun(1000, func() {
-		e.emit(ActStart, nil, nil)
+		e.record(jobEvent(ActStart, j, j.ProcSet))
+		e.record(e.procEvent(ActProcFail, 1))
 	}); n != 0 {
-		t.Fatalf("emit with nil observer allocated %v times per event, want 0", n)
+		t.Fatalf("record with nil observer allocated %v times per event, want 0", n)
 	}
 }
 
@@ -31,7 +39,7 @@ func (c *countingObserver) Observe(ev Event) { c.n += ev.Busy }
 func TestObserverEventZeroAllocs(t *testing.T) {
 	c := &countingObserver{}
 	var obs Observer = c
-	ev := Event{Time: 42, Action: ActStart, Busy: 3}
+	ev := Event{Entry: Entry{Time: 42, Action: ActStart}, Busy: 3}
 	if n := testing.AllocsPerRun(1000, func() {
 		obs.Observe(ev)
 	}); n != 0 {

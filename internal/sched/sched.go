@@ -142,24 +142,8 @@ type Result struct {
 	Start, End int64
 	// Suspensions is the total number of preemptions performed.
 	Suspensions int
-	// Failures and Repairs count injected processor fail/repair events.
-	Failures, Repairs int
-	// FailKills counts running/suspending jobs killed by a processor
-	// failure; ImagesLost counts suspended jobs invalidated because
-	// their memory image sat on a failed processor.
-	FailKills, ImagesLost int
-	// LostWorkSeconds totals the compute seconds discarded by failure
-	// kills, stranded images, and exhausted I/O retries.
-	LostWorkSeconds int64
-	// IORetries counts transient suspend-write/restart-read failures
-	// that were retried after backoff; IOExhaustions counts operations
-	// that failed on their final permitted attempt (the job was killed
-	// back to the queue).
-	IORetries, IOExhaustions int
-	// IODegradations counts processors crossing the windowed I/O
-	// failure threshold (excluded from victim selection); IORestores
-	// counts recoveries once the window cleared.
-	IODegradations, IORestores int
+	// Tally counts the run's fault and transient-I/O actions.
+	Tally
 	// Events is the number of engine events the run processed — the
 	// denominator for throughput metrics (events/sec, ns/event).
 	Events int64
@@ -227,14 +211,12 @@ type Env struct {
 	// iterated, so it cannot leak ordering into the run.
 	ioAttempts map[int]int
 
-	// Failure tallies for the Result.
-	failures, repairs     int
-	failKills, imagesLost int
-	lostWork              int64
-
-	// Transient-I/O tallies for the Result.
-	ioRetries, ioExhaustions   int
-	ioDegradations, ioRestores int
+	// tally counts the fault and I/O actions record has seen; prevAct
+	// is the action it saw last, and procBuf backs a processor-level
+	// action's one-processor set.
+	tally   Tally
+	prevAct Action
+	procBuf [1]int
 
 	// Job-state census for observer snapshots, maintained on every
 	// transition (a handful of integer ops — cheap enough to keep
@@ -364,7 +346,7 @@ func (e *Env) dispatch(j *job.Job, readOH int64) {
 	if wasSuspended {
 		act = ActResume
 	}
-	e.audit(act, j, j.ProcSet)
+	e.record(jobEvent(act, j, j.ProcSet))
 }
 
 // PreemptAndStart suspends the victim jobs and commits j to start on
@@ -400,7 +382,7 @@ func (e *Env) Kill(j *job.Job) {
 	e.Cluster.Release(e.Now(), j.ID, set)
 	e.nRunning--
 	e.nQueued++
-	e.audit(ActKill, j, set)
+	e.record(jobEvent(ActKill, j, set))
 	e.activatePending()
 }
 
@@ -419,7 +401,7 @@ func (e *Env) beginSuspend(v *job.Job) {
 	v.Preempt(e.Now())
 	e.nRunning--
 	e.nSuspended++
-	e.audit(ActSuspendBegin, v, v.ProcSet)
+	e.record(jobEvent(ActSuspendBegin, v, v.ProcSet))
 	if e.trans != nil {
 		e.ioAttempts[v.ID] = 1
 	}
@@ -452,7 +434,7 @@ func (e *Env) HandleArrival(j *job.Job) {
 	e.lastArrival = e.Now()
 	e.busyAtLastArrival = e.Cluster.BusyIntegral(e.Now())
 	e.nQueued++
-	e.audit(ActArrive, j, nil)
+	e.record(jobEvent(ActArrive, j, nil))
 	e.sched.OnArrival(j)
 }
 
@@ -463,7 +445,7 @@ func (e *Env) HandleCompletion(j *job.Job) {
 	j.Complete(e.Now())
 	e.Cluster.Release(e.Now(), j.ID, j.ProcSet)
 	e.nRunning--
-	e.audit(ActFinish, j, j.ProcSet)
+	e.record(jobEvent(ActFinish, j, j.ProcSet))
 	e.engine.JobFinished()
 	e.activatePending()
 	e.sched.OnCompletion(j)
@@ -480,13 +462,11 @@ func (e *Env) HandleSuspendDone(j *job.Job) {
 		if failing := e.trans.FailingWrite(j.ProcSet); len(failing) > 0 {
 			e.recordIOFailures(failing)
 			if attempt := e.ioAttempts[j.ID]; attempt < e.trans.Config().Attempts() {
-				e.ioRetries++
-				e.audit(ActIORetry, j, j.ProcSet)
+				e.record(jobEvent(ActIORetry, j, j.ProcSet))
 				e.ioAttempts[j.ID] = attempt + 1
 				e.engine.ScheduleIORetry(j, e.Now()+e.trans.Config().Backoff(attempt))
 			} else {
-				e.ioExhaustions++
-				e.audit(ActIOExhausted, j, j.ProcSet)
+				e.record(jobEvent(ActIOExhausted, j, j.ProcSet))
 				e.failIOTerminal(j, failing[0])
 			}
 			return
@@ -494,7 +474,7 @@ func (e *Env) HandleSuspendDone(j *job.Job) {
 	}
 	j.SuspendDone()
 	e.Cluster.Release(e.Now(), j.ID, j.ProcSet)
-	e.audit(ActSuspendDone, j, j.ProcSet)
+	e.record(jobEvent(ActSuspendDone, j, j.ProcSet))
 	e.activatePending()
 	e.sched.OnSuspendDone(j)
 }
@@ -508,8 +488,7 @@ func (e *Env) HandleReadDone(j *job.Job) {
 	if failing := e.trans.FailingRead(j.ProcSet); len(failing) > 0 {
 		e.recordIOFailures(failing)
 		if attempt := e.ioAttempts[j.ID]; attempt < e.trans.Config().Attempts() {
-			e.ioRetries++
-			e.audit(ActIORetry, j, j.ProcSet)
+			e.record(jobEvent(ActIORetry, j, j.ProcSet))
 			backoff := e.trans.Config().Backoff(attempt)
 			// The backoff wait plus the repeated read occupy the
 			// processors without compute progress.
@@ -517,8 +496,7 @@ func (e *Env) HandleReadDone(j *job.Job) {
 			e.ioAttempts[j.ID] = attempt + 1
 			e.engine.ScheduleIORetry(j, e.Now()+backoff)
 		} else {
-			e.ioExhaustions++
-			e.audit(ActIOExhausted, j, j.ProcSet)
+			e.record(jobEvent(ActIOExhausted, j, j.ProcSet))
 			e.failIOTerminal(j, failing[0])
 		}
 		return
@@ -558,8 +536,9 @@ func (e *Env) failIOTerminal(j *job.Job, p int) {
 		e.nRunning--
 	}
 	e.nQueued++
-	e.lostWork += lost
-	e.auditLost(ActKill, j, set, lost)
+	ev := jobEvent(ActKill, j, set)
+	ev.LostWork = lost
+	e.record(ev)
 	e.activatePending()
 	e.sched.OnFailure(p, []*job.Job{j})
 }
@@ -570,8 +549,7 @@ func (e *Env) recordIOFailures(failing []int) {
 	now := e.Now()
 	for _, p := range failing {
 		if e.health.RecordFailure(now, p) {
-			e.ioDegradations++
-			e.auditProc(ActIODegraded, p)
+			e.record(e.procEvent(ActIODegraded, p))
 		}
 	}
 }
@@ -585,8 +563,7 @@ func (e *Env) sweepIOHealth() {
 		return
 	}
 	for _, p := range e.health.Sweep(e.Now()) {
-		e.ioRestores++
-		e.auditProc(ActIORestored, p)
+		e.record(e.procEvent(ActIORestored, p))
 	}
 }
 
@@ -617,8 +594,7 @@ func (e *Env) SetIOHealthy(set []int) bool {
 func (e *Env) HandleProcFail(p int) {
 	now := e.Now()
 	e.Cluster.Fail(now, p)
-	e.failures++
-	e.auditProc(ActProcFail, p)
+	e.record(e.procEvent(ActProcFail, p))
 
 	var requeued []*job.Job
 	// Abort pending starts whose claimed set includes p. The claim can
@@ -650,9 +626,9 @@ func (e *Env) HandleProcFail(p int) {
 			e.nRunning--
 		}
 		e.nQueued++
-		e.failKills++
-		e.lostWork += lost
-		e.auditLost(ActKill, v, set, lost)
+		ev := jobEvent(ActKill, v, set)
+		ev.LostWork = lost
+		e.record(ev)
 		requeued = append(requeued, v)
 	}
 
@@ -668,9 +644,9 @@ func (e *Env) HandleProcFail(p int) {
 		j.ProcSet = nil
 		e.nSuspended--
 		e.nQueued++
-		e.imagesLost++
-		e.lostWork += lost
-		e.auditLost(ActImageLost, j, set, lost)
+		ev := jobEvent(ActImageLost, j, set)
+		ev.LostWork = lost
+		e.record(ev)
 		requeued = append(requeued, j)
 	}
 	requeued = dedupeJobs(requeued)
@@ -701,8 +677,7 @@ func (e *Env) HandleProcFail(p int) {
 func (e *Env) HandleProcRepair(p int) {
 	now := e.Now()
 	e.Cluster.Repair(now, p)
-	e.repairs++
-	e.auditProc(ActProcRepair, p)
+	e.record(e.procEvent(ActProcRepair, p))
 	e.engine.ScheduleProcFail(p, now+e.faults.FailDelay(p))
 	e.sched.OnRepair(p)
 }
@@ -742,9 +717,7 @@ func dedupeJobs(jobs []*job.Job) []*job.Job {
 // preemption routine is about to act on.
 func (e *Env) HandleTick() {
 	e.sweepIOHealth()
-	if e.obs != nil {
-		e.emit(ActTick, nil, nil)
-	}
+	e.record(Event{Entry: Entry{Action: ActTick, JobID: -1}})
 	e.sched.OnTick()
 }
 

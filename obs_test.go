@@ -10,76 +10,105 @@ import (
 )
 
 // TestCountersMatchAuditLog cross-validates the observer path against
-// the audit path: for every registered policy, one instrumented audited
-// run, then a replay of AuditLog.Entries must reproduce the observer's
-// action counts exactly. The two records are produced by independent
-// code paths off the same engine events, so any drift (a missed emit
-// call site, a double count) shows up as a mismatch here.
+// the audit path: for every registered policy under each fault mode,
+// one instrumented audited run, then a replay of AuditLog.Entries must
+// reproduce the observer's action counts exactly, and the observer's
+// fault/IO tally must equal the run's. The two records are produced by
+// independent code paths off the same engine events, so any drift (a
+// missed emit call site, a double count) shows up as a mismatch here.
 func TestCountersMatchAuditLog(t *testing.T) {
 	trace := pjs.Generate(pjs.SDSC(), pjs.GenOptions{Jobs: 300, Seed: 7})
 	for _, spec := range pjs.SchedulerSpecs() {
 		t.Run(spec, func(t *testing.T) {
-			s, err := pjs.NewScheduler(spec)
-			if err != nil {
-				t.Fatalf("NewScheduler(%q): %v", spec, err)
-			}
-			c := obs.NewCounters(s.Name(), trace.Procs)
-			opt := pjs.DiskOverhead()
-			opt.Audit = true
-			opt.MaxSteps = 10_000_000
-			opt.Observer = c
-			res := pjs.Simulate(trace, s, opt)
-
-			var want obs.Counters
-			for _, e := range res.Audit.Entries {
-				switch e.Action {
-				case sched.ActArrive:
-					want.Arrivals++
-				case sched.ActStart:
-					want.Starts++
-				case sched.ActResume:
-					want.Resumes++
-				case sched.ActSuspendBegin:
-					want.SuspendBegins++
-				case sched.ActSuspendDone:
-					want.SuspendDones++
-				case sched.ActFinish:
-					want.Finishes++
-				case sched.ActKill:
-					want.Kills++
-				default:
-					t.Fatalf("unexpected audit action %v", e.Action)
-				}
-			}
-
-			got := c.Snapshot()
-			type pair struct {
-				name      string
-				got, want int64
-			}
-			for _, p := range []pair{
-				{"arrivals", got.Arrivals, want.Arrivals},
-				{"starts", got.Starts, want.Starts},
-				{"resumes", got.Resumes, want.Resumes},
-				{"suspend-begins", got.SuspendBegins, want.SuspendBegins},
-				{"suspend-dones", got.SuspendDones, want.SuspendDones},
-				{"finishes", got.Finishes, want.Finishes},
-				{"kills", got.Kills, want.Kills},
-			} {
-				if p.got != p.want {
-					t.Errorf("%s: observer counted %d %s, audit log has %d",
-						spec, p.got, p.name, p.want)
-				}
-			}
-			if got.Arrivals != int64(len(trace.Jobs)) {
-				t.Errorf("%s: observer counted %d arrivals, trace has %d jobs",
-					spec, got.Arrivals, len(trace.Jobs))
-			}
-			if got.Finishes != int64(len(trace.Jobs)) {
-				t.Errorf("%s: observer counted %d finishes, trace has %d jobs",
-					spec, got.Finishes, len(trace.Jobs))
+			for _, mode := range goldenModes {
+				t.Run(mode.name, func(t *testing.T) {
+					countersMatchAuditLog(t, trace, spec, mode.faults, mode.transient)
+				})
 			}
 		})
+	}
+}
+
+func countersMatchAuditLog(t *testing.T, trace *pjs.Trace, spec string, faults pjs.FaultConfig, transient pjs.TransientFaultConfig) {
+	s, err := pjs.NewScheduler(spec)
+	if err != nil {
+		t.Fatalf("NewScheduler(%q): %v", spec, err)
+	}
+	c := obs.NewCounters(s.Name(), trace.Procs)
+	opt := pjs.DiskOverhead()
+	opt.Audit = true
+	opt.MaxSteps = 50_000_000
+	opt.Observer = c
+	opt.Faults = faults
+	opt.Transient = transient
+	res, err := pjs.SimulateChecked(trace, s, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var want obs.Counters
+	var replay sched.Tally
+	prev := sched.ActArrive
+	for _, e := range res.Audit.Entries {
+		replay.Count(e.Action, prev, 0)
+		prev = e.Action
+		switch e.Action {
+		case sched.ActArrive:
+			want.Arrivals++
+		case sched.ActStart:
+			want.Starts++
+		case sched.ActResume:
+			want.Resumes++
+		case sched.ActSuspendBegin:
+			want.SuspendBegins++
+		case sched.ActSuspendDone:
+			want.SuspendDones++
+		case sched.ActFinish:
+			want.Finishes++
+		case sched.ActKill:
+			want.Kills++
+		case sched.ActImageLost, sched.ActProcFail, sched.ActProcRepair, sched.ActIORetry,
+			sched.ActIOExhausted, sched.ActIODegraded, sched.ActIORestored:
+			// Tallied by the replay above.
+		default:
+			t.Fatalf("unexpected audit action %v", e.Action)
+		}
+	}
+
+	got := c.Snapshot()
+	type pair struct {
+		name      string
+		got, want int64
+	}
+	for _, p := range []pair{
+		{"arrivals", got.Arrivals, want.Arrivals},
+		{"starts", got.Starts, want.Starts},
+		{"resumes", got.Resumes, want.Resumes},
+		{"suspend-begins", got.SuspendBegins, want.SuspendBegins},
+		{"suspend-dones", got.SuspendDones, want.SuspendDones},
+		{"finishes", got.Finishes, want.Finishes},
+		{"kills", got.Kills, want.Kills},
+	} {
+		if p.got != p.want {
+			t.Errorf("%s: observer counted %d %s, audit log has %d",
+				spec, p.got, p.name, p.want)
+		}
+	}
+	if got.Tally != res.Tally {
+		t.Errorf("%s: observer tally %+v, result tally %+v", spec, got.Tally, res.Tally)
+	}
+	// Audit entries carry no lost work; every other tally replays.
+	replay.LostWorkSeconds = res.LostWorkSeconds
+	if replay != res.Tally {
+		t.Errorf("%s: audit replay tally %+v, result tally %+v", spec, replay, res.Tally)
+	}
+	if got.Arrivals != int64(len(trace.Jobs)) {
+		t.Errorf("%s: observer counted %d arrivals, trace has %d jobs",
+			spec, got.Arrivals, len(trace.Jobs))
+	}
+	if got.Finishes != int64(len(trace.Jobs)) {
+		t.Errorf("%s: observer counted %d finishes, trace has %d jobs",
+			spec, got.Finishes, len(trace.Jobs))
 	}
 }
 
