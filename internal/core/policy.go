@@ -12,8 +12,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pjs/internal/job"
 )
@@ -28,7 +29,9 @@ type LimitSource interface {
 	Limit(c job.Category) (limit float64, ok bool)
 }
 
-// Policy holds the tunables of the SS/TSS preemption rule.
+// Policy holds the tunables of the SS/TSS preemption rule. The victim
+// selectors reuse scratch held in the value, so one Policy must not be
+// used from several goroutines at once.
 type Policy struct {
 	// SF is the suspension factor: the minimum ratio of the idle job's
 	// priority to the running job's priority for preemption (the paper
@@ -49,6 +52,12 @@ type Policy struct {
 	// at most once" (MaxVictimSuspensions = 1), whereas SS controls the
 	// *rate* of suspensions without limiting their number.
 	MaxVictimSuspensions int
+
+	// Scratch reused across calls so that victim selection allocates
+	// only for the victims it returns.
+	order job.Order
+	cands []*job.Job
+	seen  []*job.Job
 }
 
 // Validate reports whether the policy parameters are usable.
@@ -98,19 +107,14 @@ func (p *Policy) SelectVictims(now int64, idle *job.Job, running []*job.Job, fre
 		return nil, true // nothing to suspend
 	}
 	// Ascending suspension priority, deterministic ties.
-	cands := make([]*job.Job, 0, len(running))
+	cands := p.cands[:0]
 	for _, r := range running {
 		if r.State == job.Running {
 			cands = append(cands, r)
 		}
 	}
-	sort.SliceStable(cands, func(i, k int) bool {
-		xi, xk := cands[i].XFactor(now), cands[k].XFactor(now)
-		if xi != xk {
-			return xi < xk
-		}
-		return cands[i].ID < cands[k].ID
-	})
+	p.cands = cands
+	p.order.Sort(cands, func(j *job.Job) (float64, int64) { return j.XFactor(now), 0 })
 	avail := freeProcs
 	chosen := cands[:0]
 	for _, v := range cands {
@@ -127,11 +131,11 @@ func (p *Policy) SelectVictims(now int64, idle *job.Job, running []*job.Job, fre
 		return nil, false
 	}
 	// Largest width first; suspend only until the request is covered.
-	sort.SliceStable(chosen, func(i, k int) bool {
-		if chosen[i].Procs != chosen[k].Procs {
-			return chosen[i].Procs > chosen[k].Procs
+	slices.SortFunc(chosen, func(a, b *job.Job) int {
+		if c := cmp.Compare(b.Procs, a.Procs); c != 0 {
+			return c
 		}
-		return chosen[i].ID < chosen[k].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	avail = freeProcs
 	for _, v := range chosen {
@@ -164,10 +168,13 @@ const (
 // set back, so every processor must be either free or held by a running
 // job that the SF condition (without the half-width rule) allows
 // suspending. classify reports each processor's status and, for
-// preemptible ones, its holder. It returns the distinct victims and
-// ok=false if any processor is hard-blocked.
+// preemptible ones, its holder. It returns the distinct victims in order
+// of first appearance and ok=false if any processor is hard-blocked.
+//
+// A holder spanning several processors is judged once: CanPreempt is a
+// pure function of (now, idle, holder), so its first answer stands.
 func (p *Policy) SelectReentryVictims(now int64, idle *job.Job, classify func(proc int) (ReentryBlocked, *job.Job)) (victims []*job.Job, ok bool) {
-	seen := make(map[int]bool)
+	p.seen = p.seen[:0]
 	for _, proc := range idle.ProcSet {
 		status, holder := classify(proc)
 		switch status {
@@ -176,17 +183,20 @@ func (p *Policy) SelectReentryVictims(now int64, idle *job.Job, classify func(pr
 		case ReentryHard:
 			return nil, false
 		case ReentryPreemptible:
+			if slices.Contains(p.seen, holder) {
+				continue
+			}
 			if holder == nil || holder.State != job.Running {
 				return nil, false
 			}
 			if !p.CanPreempt(now, idle, holder, true) {
 				return nil, false
 			}
-			if !seen[holder.ID] {
-				seen[holder.ID] = true
-				victims = append(victims, holder)
-			}
+			p.seen = append(p.seen, holder)
 		}
 	}
-	return victims, true
+	if len(p.seen) == 0 {
+		return nil, true
+	}
+	return slices.Clone(p.seen), true
 }

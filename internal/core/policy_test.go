@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -236,6 +237,92 @@ func TestSelectReentryVictimsDedupes(t *testing.T) {
 	victims, ok := p.SelectReentryVictims(0, idle, classify)
 	if !ok || len(victims) != 1 {
 		t.Errorf("victims=%v, want deduped single holder", victims)
+	}
+}
+
+// mapReentryVictims is the map-based SelectReentryVictims that the
+// scratch-slice version replaced, kept as the reference: it re-ran
+// CanPreempt for every processor of a holder and deduplicated by ID.
+func mapReentryVictims(p *Policy, now int64, idle *job.Job, classify func(proc int) (ReentryBlocked, *job.Job)) (victims []*job.Job, ok bool) {
+	seen := make(map[int]bool)
+	for _, proc := range idle.ProcSet {
+		status, holder := classify(proc)
+		switch status {
+		case ReentryFree:
+			continue
+		case ReentryHard:
+			return nil, false
+		case ReentryPreemptible:
+			if holder == nil || holder.State != job.Running {
+				return nil, false
+			}
+			if !p.CanPreempt(now, idle, holder, true) {
+				return nil, false
+			}
+			if !seen[holder.ID] {
+				seen[holder.ID] = true
+				victims = append(victims, holder)
+			}
+		}
+	}
+	return victims, true
+}
+
+// TestSelectReentryVictimsTable pins each case against both its expected
+// answer and the map-based reference: the same victims in order of first
+// appearance, and the same ok. One Policy value serves every case of a
+// configuration, so its scratch is reused between calls as in a run.
+func TestSelectReentryVictimsTable(t *testing.T) {
+	const now = 500
+	var limits StaticLimits
+	limits[job.Category{Length: job.Short, Width: job.Narrow}.Index()] = 3.0
+	plain := &Policy{SF: 2}
+	tss := &Policy{SF: 2, Limits: &limits}
+	capped := &Policy{SF: 2, MaxVictimSuspensions: 1}
+
+	a := runningJob(1, 4, 1000) // xf 1 at now
+	b := runningJob(2, 4, 1000)
+	hot := job.New(3, -3000, 1000, 1000, 4) // waited 3000 s: xf 4 > TSS limit 3
+	hot.Dispatch(0, 0)
+	once := runningJob(4, 4, 1000)
+	once.Suspensions = 1 // at the MaxVictimSuspensions cap
+	idle := waitingJob(9, 8, 100, 100000)
+
+	F := func() (ReentryBlocked, *job.Job) { return ReentryFree, nil }
+	H := func() (ReentryBlocked, *job.Job) { return ReentryHard, nil }
+	P := func(h *job.Job) func() (ReentryBlocked, *job.Job) {
+		return func() (ReentryBlocked, *job.Job) { return ReentryPreemptible, h }
+	}
+	cases := []struct {
+		name  string
+		pol   *Policy
+		procs []func() (ReentryBlocked, *job.Job)
+		want  []*job.Job
+		ok    bool
+	}{
+		{"holder on non-contiguous processors", plain, []func() (ReentryBlocked, *job.Job){P(a), P(b), P(a), F, P(b)}, []*job.Job{a, b}, true},
+		{"holder reappears after a free processor", plain, []func() (ReentryBlocked, *job.Job){P(a), F, P(a)}, []*job.Job{a}, true},
+		{"all free", plain, []func() (ReentryBlocked, *job.Job){F, F}, nil, true},
+		{"hard block after a preemptible processor", plain, []func() (ReentryBlocked, *job.Job){P(a), H, P(b)}, nil, false},
+		{"TSS limit refuses the second holder", tss, []func() (ReentryBlocked, *job.Job){P(a), P(a), P(hot)}, nil, false},
+		{"TSS limit admits holders below it", tss, []func() (ReentryBlocked, *job.Job){P(b), P(a), P(b)}, []*job.Job{b, a}, true},
+		{"MaxVictimSuspensions refuses a capped holder", capped, []func() (ReentryBlocked, *job.Job){P(a), P(once)}, nil, false},
+		{"MaxVictimSuspensions admits uncapped holders", capped, []func() (ReentryBlocked, *job.Job){P(b), P(a)}, []*job.Job{b, a}, true},
+	}
+	for _, tc := range cases {
+		idle.ProcSet = make([]int, len(tc.procs))
+		for i := range idle.ProcSet {
+			idle.ProcSet[i] = 10 + 3*i
+		}
+		classify := func(proc int) (ReentryBlocked, *job.Job) { return tc.procs[(proc-10)/3]() }
+		got, ok := tc.pol.SelectReentryVictims(now, idle, classify)
+		ref, refOK := mapReentryVictims(tc.pol, now, idle, classify)
+		if ok != tc.ok || !slices.Equal(got, tc.want) {
+			t.Errorf("%s: got %v ok=%v, want %v ok=%v", tc.name, got, ok, tc.want, tc.ok)
+		}
+		if ok != refOK || !slices.Equal(got, ref) {
+			t.Errorf("%s: got %v ok=%v, map-based reference %v ok=%v", tc.name, got, ok, ref, refOK)
+		}
 	}
 }
 

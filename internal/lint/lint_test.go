@@ -245,6 +245,73 @@ func shadow(rels []rel) {
 	}
 }
 
+// TestStablesortCatchesDroppedIDClause is a seeded deletion against the
+// real tree: each unstable slices.SortFunc comparator of the scheduling
+// code, copied with its final job-ID clause removed, must yield a
+// stablesort finding, and the unmodified copy must yield none.
+func TestStablesortCatchesDroppedIDClause(t *testing.T) {
+	cases := []struct {
+		pkg, file, asPath string
+		clause, without   string
+	}{
+		{
+			pkg: "job", file: "order.go", asPath: "pjs/internal/job",
+			clause: "\t\tif c := cmp.Compare(a.tie, b.tie); c != 0 {\n\t\t\treturn c\n\t\t}\n" +
+				"\t\treturn cmp.Compare(a.j.ID, b.j.ID)\n",
+			without: "\t\treturn cmp.Compare(a.tie, b.tie)\n",
+		},
+		{
+			pkg: "core", file: "policy.go", asPath: "pjs/internal/core",
+			clause: "\t\tif c := cmp.Compare(b.Procs, a.Procs); c != 0 {\n\t\t\treturn c\n\t\t}\n" +
+				"\t\treturn cmp.Compare(a.ID, b.ID)\n",
+			without: "\t\treturn cmp.Compare(b.Procs, a.Procs)\n",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.pkg, func(t *testing.T) {
+			for _, drop := range []bool{false, true} {
+				dir := t.TempDir()
+				src := filepath.Join("..", tc.pkg)
+				entries, err := os.ReadDir(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range entries {
+					name := e.Name()
+					if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+						continue
+					}
+					b, err := os.ReadFile(filepath.Join(src, name))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if name == tc.file && drop {
+						if strings.Count(string(b), tc.clause) != 1 {
+							t.Fatalf("%s no longer holds exactly one copy of the ID clause; update the seed", name)
+						}
+						b = []byte(strings.Replace(string(b), tc.clause, tc.without, 1))
+					}
+					if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				p, err := newTestLoader(t).LoadDir(dir, tc.asPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check, _ := CheckByName("stablesort")
+				diags := Run(p, []Check{check})
+				switch {
+				case !drop && len(diags) != 0:
+					t.Errorf("clean copy: want no findings, got %v", diags)
+				case drop && (len(diags) != 1 || !strings.Contains(diags[0].Message, "slices.SortFunc is unstable")):
+					t.Errorf("ID clause dropped: want one slices.SortFunc finding, got %v", diags)
+				}
+			}
+		})
+	}
+}
+
 // TestWallclockCatchesBareTimeNowInSched reproduces the acceptance
 // criterion end-to-end in miniature: a bare time.Now() introduced under
 // a pjs/internal/sched path — the exact regression the perf-clock

@@ -1,6 +1,7 @@
-// Package fixture exercises the stablesort check: sort.Slice in
-// scheduler scope is flagged unless its comparator ends with a job-ID
-// tie-break; sort.SliceStable is always accepted.
+// Package fixture exercises the stablesort check: sort.Slice and
+// slices.SortFunc in scheduler scope are flagged unless their comparator
+// ends with a job-ID tie-break, slices.Sort unless its elements are
+// integers or strings; the stable sorts are always accepted.
 package fixture
 
 import "sort"

@@ -14,8 +14,6 @@
 package is
 
 import (
-	"sort"
-
 	"pjs/internal/job"
 	"pjs/internal/sched"
 )
@@ -29,6 +27,12 @@ type Sched struct {
 	queue    []*job.Job // idle: fresh and suspended, excluding pending
 	running  []*job.Job // running or committed-to-run (pending)
 	sliceEnd map[int]int64
+
+	// Scratch reused across passes: the idle queue in serving order, the
+	// victim candidates, and the sort that orders both.
+	idle  []*job.Job
+	cands []*job.Job
+	ord   job.Order
 }
 
 // New returns an Immediate Service scheduler.
@@ -111,15 +115,9 @@ func (s *Sched) markStarted(j *job.Job, now int64) {
 // lowest-ixf unprotected running jobs.
 func (s *Sched) schedule() {
 	now := s.env.Now()
-	idle := append([]*job.Job(nil), s.queue...)
-	sort.SliceStable(idle, func(i, k int) bool {
-		xi, xk := idle[i].InstantaneousXFactor(now), idle[k].InstantaneousXFactor(now)
-		if xi != xk {
-			return xi > xk
-		}
-		return idle[i].ID < idle[k].ID
-	})
-	for _, j := range idle {
+	s.idle = append(s.idle[:0], s.queue...)
+	s.ord.Sort(s.idle, func(j *job.Job) (float64, int64) { return -j.InstantaneousXFactor(now), 0 })
+	for _, j := range s.idle {
 		switch {
 		case j.State == job.Suspended:
 			if s.env.Resume(j) {
@@ -148,22 +146,16 @@ func (s *Sched) tryImmediate(j *job.Job, now int64) {
 	// processors are not candidates — their suspension write would
 	// likely fail — so under rising transient-fault rates IS degrades
 	// toward serving only what fits the free processors.
-	var cands []*job.Job
+	s.cands = s.cands[:0]
 	for _, r := range s.running {
 		if r.State == job.Running && !s.protected(r, now) && s.env.SetIOHealthy(r.ProcSet) {
-			cands = append(cands, r)
+			s.cands = append(s.cands, r)
 		}
 	}
-	sort.SliceStable(cands, func(i, k int) bool {
-		xi, xk := cands[i].InstantaneousXFactor(now), cands[k].InstantaneousXFactor(now)
-		if xi != xk {
-			return xi < xk
-		}
-		return cands[i].ID < cands[k].ID
-	})
+	s.ord.Sort(s.cands, func(j *job.Job) (float64, int64) { return j.InstantaneousXFactor(now), 0 })
 	var victims []*job.Job
 	avail := free
-	for _, v := range cands {
+	for _, v := range s.cands {
 		if avail >= j.Procs {
 			break
 		}

@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"pjs/internal/cluster"
 	"pjs/internal/fault"
@@ -722,18 +721,16 @@ func (e *Env) HandleTick() {
 }
 
 // SortByXFactor sorts jobs by descending xfactor at time now, breaking
-// ties by earlier submission then lower ID for determinism.
+// ties by earlier submission then lower ID for determinism. Policies
+// that sort on every pass call OrderByXFactor with scratch they keep.
 func SortByXFactor(jobs []*job.Job, now int64) {
-	sort.SliceStable(jobs, func(i, k int) bool {
-		xi, xk := jobs[i].XFactor(now), jobs[k].XFactor(now)
-		if xi != xk {
-			return xi > xk
-		}
-		if jobs[i].SubmitTime != jobs[k].SubmitTime {
-			return jobs[i].SubmitTime < jobs[k].SubmitTime
-		}
-		return jobs[i].ID < jobs[k].ID
-	})
+	OrderByXFactor(new(job.Order), jobs, now)
+}
+
+// OrderByXFactor is SortByXFactor reusing ord's scratch: each job's
+// xfactor is computed once, not once per comparison.
+func OrderByXFactor(ord *job.Order, jobs []*job.Job, now int64) {
+	ord.Sort(jobs, func(j *job.Job) (float64, int64) { return -j.XFactor(now), j.SubmitTime })
 }
 
 // Contains reports whether queue holds j — used by failure hooks to

@@ -59,6 +59,12 @@ type Sched struct {
 	cfg     Config
 	queue   []*job.Job // idle (fresh + suspended), excluding pending
 	running []*job.Job // running or committed (pending starts)
+
+	// idle is the queue in serving order (descending xfactor), rebuilt
+	// by sortIdle. ord and healthy are scratch reused across passes.
+	idle    []*job.Job
+	ord     job.Order
+	healthy []*job.Job
 }
 
 // New returns an SS or TSS scheduler for the given configuration.
@@ -127,10 +133,17 @@ func (s *Sched) OnSuspendDone(j *job.Job) {
 	s.schedulePass()
 }
 
-// OnTick implements sched.Scheduler: the periodic preemption routine.
+// OnTick implements sched.Scheduler: the periodic preemption routine,
+// then a schedule pass over what it left idle. Both passes share one
+// xfactor order: an idle job's key is fixed at a fixed now, and the
+// queue only shrinks during the tick — the preemption pass commits jobs
+// out of it, and its victims rejoin it only at their later SuspendDone.
 func (s *Sched) OnTick() {
+	s.sortIdle()
 	s.preemptionPass()
-	s.schedulePass()
+	span := s.env.Probe().Begin()
+	s.serveIdle()
+	s.env.Probe().End(perf.PhaseQueueScan, span)
 }
 
 // OnFailure implements sched.Scheduler: displaced jobs (killed victims,
@@ -159,10 +172,20 @@ func (s *Sched) OnRepair(int) { s.schedulePass() }
 func (s *Sched) schedulePass() {
 	span := s.env.Probe().Begin()
 	defer s.env.Probe().End(perf.PhaseQueueScan, span)
-	now := s.env.Now()
-	idle := append([]*job.Job(nil), s.queue...)
-	sched.SortByXFactor(idle, now)
-	for _, j := range idle {
+	s.sortIdle()
+	s.serveIdle()
+}
+
+// sortIdle rebuilds s.idle as the queue in descending xfactor order.
+func (s *Sched) sortIdle() {
+	s.idle = append(s.idle[:0], s.queue...)
+	sched.OrderByXFactor(&s.ord, s.idle, s.env.Now())
+}
+
+// serveIdle starts every job of s.idle, in order, that fits without
+// preemption.
+func (s *Sched) serveIdle() {
+	for _, j := range s.idle {
 		started := false
 		switch {
 		case j.State != job.Suspended:
@@ -179,32 +202,38 @@ func (s *Sched) schedulePass() {
 	}
 }
 
-// preemptionPass is the paper's periodic preemption routine: idle jobs
-// in descending suspension priority each attempt to obtain processors by
-// suspending sufficiently lower-priority running jobs.
+// preemptionPass is the paper's periodic preemption routine: the jobs
+// of s.idle, in descending suspension priority, each attempt to obtain
+// processors by suspending sufficiently lower-priority running jobs.
+// Committed jobs are dropped from s.idle, which leaves it in serving
+// order for the schedule pass that follows.
 func (s *Sched) preemptionPass() {
 	now := s.env.Now()
-	idle := append([]*job.Job(nil), s.queue...)
-	sched.SortByXFactor(idle, now)
-	for _, j := range idle {
+	kept := s.idle[:0]
+	for _, j := range s.idle {
+		var committed bool
 		if j.State == job.Suspended && !s.cfg.Migration {
-			s.tryReentry(j, now)
+			committed = s.tryReentry(j, now)
 		} else {
 			// Under migration a suspended job competes for any
 			// processors, exactly like a fresh one (the half-width
 			// rule applies again — it exists to protect wide jobs and
 			// the exact-set justification for waiving it is gone).
-			s.tryPreempt(j, now)
+			committed = s.tryPreempt(j, now)
+		}
+		if !committed {
+			kept = append(kept, j)
 		}
 	}
+	s.idle = kept
 }
 
 // tryPreempt attempts to start fresh idle job j by suspending victims
-// (the pseudocode's suspend_jobs_1 path).
-func (s *Sched) tryPreempt(j *job.Job, now int64) {
+// (the pseudocode's suspend_jobs_1 path) and reports whether it did.
+func (s *Sched) tryPreempt(j *job.Job, now int64) bool {
 	free := s.env.Cluster.FreeUnclaimed()
 	if free >= j.Procs {
-		return // schedulePass will start it without suspending anyone
+		return false // schedulePass will start it without suspending anyone
 	}
 	span := s.env.Probe().Begin()
 	cands := s.running
@@ -213,18 +242,18 @@ func (s *Sched) tryPreempt(j *job.Job, now int64) {
 		// transient-I/O failure threshold are not victim candidates —
 		// their image write would likely fail. As failure rates rise the
 		// candidate pool empties and SS degrades toward pure backfilling.
-		healthy := make([]*job.Job, 0, len(cands))
+		s.healthy = s.healthy[:0]
 		for _, r := range cands {
 			if s.env.SetIOHealthy(r.ProcSet) {
-				healthy = append(healthy, r)
+				s.healthy = append(s.healthy, r)
 			}
 		}
-		cands = healthy
+		cands = s.healthy
 	}
 	victims, ok := s.pol.SelectVictims(now, j, cands, free)
 	s.env.Probe().End(perf.PhaseVictimSelect, span)
 	if !ok || len(victims) == 0 {
-		return
+		return false
 	}
 	claim := s.env.Cluster.ListFreeUnclaimed(j.Procs)
 	for _, v := range victims {
@@ -236,11 +265,13 @@ func (s *Sched) tryPreempt(j *job.Job, now int64) {
 		}
 	}
 	s.commit(j, victims, claim)
+	return true
 }
 
 // tryReentry attempts to restart suspended job j on its remembered set
-// by suspending the set's current holders (suspend_jobs_2).
-func (s *Sched) tryReentry(j *job.Job, now int64) {
+// by suspending the set's current holders (suspend_jobs_2) and reports
+// whether it did.
+func (s *Sched) tryReentry(j *job.Job, now int64) bool {
 	cl := s.env.Cluster
 	classify := func(proc int) (core.ReentryBlocked, *job.Job) {
 		owner := cl.Owner(proc)
@@ -266,9 +297,10 @@ func (s *Sched) tryReentry(j *job.Job, now int64) {
 	victims, ok := s.pol.SelectReentryVictims(now, j, classify)
 	s.env.Probe().End(perf.PhaseVictimSelect, span)
 	if !ok || len(victims) == 0 {
-		return // fully free sets are handled by schedulePass
+		return false // fully free sets are handled by schedulePass
 	}
 	s.commit(j, victims, j.ProcSet)
+	return true
 }
 
 // commit removes j from the idle queue, books the victims out of the
