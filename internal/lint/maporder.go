@@ -136,8 +136,8 @@ func orderSensitiveBody(p *Package, rs *ast.RangeStmt, auditors map[*types.Func]
 				}
 			}
 		case *ast.CallExpr:
-			if isAuditEmit(p, n) {
-				reason = "the audit log"
+			if desc, ok := auditEmitSink(p, n); ok {
+				reason = desc
 				return false
 			}
 			if isWriterCall(p, n) {
@@ -169,32 +169,6 @@ func identDeclaredBefore(p *Package, e ast.Expr, rs *ast.RangeStmt) bool {
 	return obj != nil && obj.Pos() < rs.Pos()
 }
 
-// isAuditEmit reports whether the call records an audit-log entry: a
-// method named add/Add on a value whose named type is AuditLog. The
-// driver's record funnel calls it, so auditCallers marks record and
-// every function that reaches it.
-func isAuditEmit(p *Package, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	switch sel.Sel.Name {
-	case "add", "Add":
-	default:
-		return false
-	}
-	tv, ok := p.Info.Types[sel.X]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "AuditLog"
-}
-
 // isWriterCall reports whether the call writes output directly: the
 // fmt.Fprint family aimed at an io.Writer.
 func isWriterCall(p *Package, call *ast.CallExpr) bool {
@@ -210,9 +184,11 @@ func auditCallers(p *Package) map[*types.Func]bool {
 	seed := map[*types.Func]bool{}
 	g.Nodes(func(node *CallNode) {
 		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok && isAuditEmit(p, call) {
-				seed[node.Fn] = true
-				return false
+			if call, ok := n.(*ast.CallExpr); ok {
+				if _, emit := auditEmitSink(p, call); emit {
+					seed[node.Fn] = true
+					return false
+				}
 			}
 			return true
 		})
@@ -475,7 +451,8 @@ func escapesUnsorted(p *Package, cfg *CFG, stmt ast.Stmt, obj types.Object) bool
 			if !ok {
 				return true
 			}
-			sink := isAuditEmit(p, call) || isWriterCall(p, call)
+			_, sink := auditEmitSink(p, call)
+			sink = sink || isWriterCall(p, call)
 			if fn, ok := call.Fun.(*ast.Ident); ok && fn.Name == "append" {
 				sink = true
 			}

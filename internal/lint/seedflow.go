@@ -48,9 +48,6 @@ var seedflowSinks = map[string][]int{
 // origins, sinks are RNG seed positions.
 var seedflowSpec = &TaintSpec{
 	CallSource: func(p *Package, call *ast.CallExpr) Taint {
-		if path, name, ok := pkgFunc(p, call); ok && path == "time" && wallclockBanned[name] {
-			return TaintTime
-		}
 		if isTimingCall(p, call) {
 			return TaintTime
 		}

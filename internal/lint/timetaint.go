@@ -91,7 +91,7 @@ var timetaintSpec = &TaintSpec{
 // isTimingCall classifies timing sources: the banned time-package
 // readers, a call of any value whose type is a named func type "Clock",
 // and the Begin/Snapshot methods of a type named "Probe". Name-based
-// resolution (like the audit-sink rule in maporder) keeps fixtures
+// resolution (like the audit-sink rule, auditEmitSink) keeps fixtures
 // self-contained and survives package moves.
 func isTimingCall(p *Package, call *ast.CallExpr) bool {
 	if path, name, ok := pkgFunc(p, call); ok && path == "time" && wallclockBanned[name] {
@@ -117,8 +117,10 @@ func isTimingCall(p *Package, call *ast.CallExpr) bool {
 }
 
 // auditEmitSink matches the audit-log append: a method named add or Add
-// on a named type AuditLog. The driver's record funnel reaches it, so
-// the taint summaries carry the sink up to record's callers.
+// on a value whose named type is AuditLog. The driver's record funnel
+// makes that call, so the taint summaries carry the sink up to
+// record's callers, and maporder's auditCallers marks record and every
+// function that reaches it.
 func auditEmitSink(p *Package, call *ast.CallExpr) (string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {

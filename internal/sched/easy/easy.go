@@ -60,7 +60,7 @@ func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 	for _, j := range requeued {
 		s.running = sched.Remove(s.running, j)
 		if !sched.Contains(s.queue, j) {
-			s.insert(j)
+			s.queue = sched.InsertBySubmit(s.queue, j)
 		}
 	}
 	s.schedule()
@@ -69,20 +69,6 @@ func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 // OnRepair implements sched.Scheduler: recovered capacity may admit the
 // head or open new backfill holes.
 func (s *Sched) OnRepair(int) { s.schedule() }
-
-// insert places j back into the queue in (submit, id) order.
-func (s *Sched) insert(j *job.Job) {
-	at := len(s.queue)
-	for i, q := range s.queue {
-		if j.SubmitTime < q.SubmitTime || (j.SubmitTime == q.SubmitTime && j.ID < q.ID) {
-			at = i
-			break
-		}
-	}
-	s.queue = append(s.queue, nil)
-	copy(s.queue[at+1:], s.queue[at:])
-	s.queue[at] = j
-}
 
 // start launches j and tracks it.
 func (s *Sched) start(j *job.Job) bool {

@@ -303,7 +303,7 @@ func RunContext(ctx context.Context, t *workload.Trace, s Scheduler, opt Options
 		// and subsequent failures chain one event at a time, so at most
 		// one fault event per processor is ever pending.
 		for p := 0; p < t.Procs; p++ {
-			env.engine.ScheduleProcFail(p, env.faults.FailDelay(p))
+			env.engine.Schedule(sim.Event{Time: env.faults.FailDelay(p), Kind: sim.ProcFail, Proc: p})
 		}
 	}
 	end, err := runEngine(env, s)

@@ -34,7 +34,7 @@ type Tally struct {
 // Count adds one recorded action, which discarded lost compute seconds,
 // to the tally. prev is the action recorded just before it: a kill that
 // directly follows a processor failure is that failure's kill, because
-// HandleProcFail records the failure and then kills at most one owner
+// procFail records the failure and then kills at most one owner
 // before recording anything else.
 func (t *Tally) Count(act, prev Action, lost int64) {
 	t.LostWorkSeconds += lost

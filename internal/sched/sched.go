@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"pjs/internal/cluster"
 	"pjs/internal/fault"
@@ -184,9 +185,9 @@ func RunChecked(t *workload.Trace, s Scheduler, opt Options) (*Result, error) {
 }
 
 // Env is the execution environment handed to a policy: the cluster, the
-// clock, and the state-changing primitives. It also implements
-// sim.Handler, doing the mechanical bookkeeping before delegating the
-// decision to the policy.
+// clock, and the state-changing primitives. It is also the engine's
+// sim.Handler (Handle), doing the mechanical bookkeeping before
+// delegating the decision to the policy.
 type Env struct {
 	Cluster  *cluster.Cluster
 	Overhead overhead.Model
@@ -328,9 +329,9 @@ func (e *Env) dispatch(j *job.Job, readOH int64) {
 	done := j.Dispatch(e.Now(), readOH)
 	if e.trans != nil && wasSuspended {
 		e.ioAttempts[j.ID] = 1
-		e.engine.ScheduleReadDone(j, e.Now()+readOH)
+		e.engine.Schedule(sim.Event{Time: e.Now() + readOH, Kind: sim.ReadDone, Job: j})
 	} else {
-		e.engine.ScheduleCompletion(j, done)
+		e.engine.Schedule(sim.Event{Time: done, Kind: sim.Completion, Job: j})
 	}
 	if wasSuspended {
 		e.nSuspended--
@@ -404,7 +405,7 @@ func (e *Env) beginSuspend(v *job.Job) {
 	if e.trans != nil {
 		e.ioAttempts[v.ID] = 1
 	}
-	e.engine.ScheduleSuspendDone(v, e.Now()+e.Overhead.WriteTime(v))
+	e.engine.Schedule(sim.Event{Time: e.Now() + e.Overhead.WriteTime(v), Kind: sim.SuspendDone, Job: v})
 }
 
 // activatePending starts every pending job whose claimed set is fully
@@ -427,8 +428,31 @@ func (e *Env) activatePending() {
 	e.pending = kept
 }
 
-// HandleArrival implements sim.Handler.
-func (e *Env) HandleArrival(j *job.Job) {
+// Handle implements sim.Handler: it routes each engine event to the
+// driver step of its kind.
+func (e *Env) Handle(ev sim.Event) {
+	switch ev.Kind {
+	case sim.Arrival:
+		e.arrive(ev.Job)
+	case sim.Completion:
+		e.complete(ev.Job)
+	case sim.SuspendDone:
+		e.suspendDone(ev.Job)
+	case sim.ReadDone:
+		e.readDone(ev.Job)
+	case sim.IORetry:
+		e.ioRetry(ev.Job)
+	case sim.ProcFail:
+		e.procFail(ev.Proc)
+	case sim.ProcRepair:
+		e.procRepair(ev.Proc)
+	case sim.Tick:
+		e.tick()
+	}
+}
+
+// arrive queues a submitted job and hands it to the policy.
+func (e *Env) arrive(j *job.Job) {
 	e.sweepIOHealth()
 	e.lastArrival = e.Now()
 	e.busyAtLastArrival = e.Cluster.BusyIntegral(e.Now())
@@ -437,25 +461,25 @@ func (e *Env) HandleArrival(j *job.Job) {
 	e.sched.OnArrival(j)
 }
 
-// HandleCompletion implements sim.Handler: finish bookkeeping, processor
-// release and pending activation happen before the policy reacts.
-func (e *Env) HandleCompletion(j *job.Job) {
+// complete finishes j: finish bookkeeping, processor release and
+// pending activation happen before the policy reacts. The engine counts
+// the job finished once this delivery returns.
+func (e *Env) complete(j *job.Job) {
 	e.sweepIOHealth()
 	j.Complete(e.Now())
 	e.Cluster.Release(e.Now(), j.ID, j.ProcSet)
 	e.nRunning--
 	e.record(jobEvent(ActFinish, j, j.ProcSet))
-	e.engine.JobFinished()
 	e.activatePending()
 	e.sched.OnCompletion(j)
 }
 
-// HandleSuspendDone implements sim.Handler. Under transient I/O faults
+// suspendDone ends j's suspension write. Under transient I/O faults
 // the image write can fail at this point: the job stays Suspending on
 // its processors and the write is retried after backoff, or — on the
 // final permitted attempt — the job is killed back to the queue (its
 // partial image is worthless, like a crashed image write).
-func (e *Env) HandleSuspendDone(j *job.Job) {
+func (e *Env) suspendDone(j *job.Job) {
 	e.sweepIOHealth()
 	if e.trans != nil {
 		if failing := e.trans.FailingWrite(j.ProcSet); len(failing) > 0 {
@@ -463,7 +487,7 @@ func (e *Env) HandleSuspendDone(j *job.Job) {
 			if attempt := e.ioAttempts[j.ID]; attempt < e.trans.Config().Attempts() {
 				e.record(jobEvent(ActIORetry, j, j.ProcSet))
 				e.ioAttempts[j.ID] = attempt + 1
-				e.engine.ScheduleIORetry(j, e.Now()+e.trans.Config().Backoff(attempt))
+				e.engine.Schedule(sim.Event{Time: e.Now() + e.trans.Config().Backoff(attempt), Kind: sim.IORetry, Job: j})
 			} else {
 				e.record(jobEvent(ActIOExhausted, j, j.ProcSet))
 				e.failIOTerminal(j, failing[0])
@@ -478,12 +502,12 @@ func (e *Env) HandleSuspendDone(j *job.Job) {
 	e.sched.OnSuspendDone(j)
 }
 
-// HandleReadDone implements sim.Handler: a restart-image read finished
-// (transient-fault runs only — otherwise reads fold into completions).
-// On success the compute burst's completion is scheduled; on transient
-// failure the read is retried after backoff, the wait charged to the
-// job; on the final failed attempt the job is killed back to the queue.
-func (e *Env) HandleReadDone(j *job.Job) {
+// readDone ends j's restart-image read (transient-fault runs only —
+// otherwise reads fold into completions). On success the compute
+// burst's completion is scheduled; on transient failure the read is
+// retried after backoff, the wait charged to the job; on the final
+// failed attempt the job is killed back to the queue.
+func (e *Env) readDone(j *job.Job) {
 	if failing := e.trans.FailingRead(j.ProcSet); len(failing) > 0 {
 		e.recordIOFailures(failing)
 		if attempt := e.ioAttempts[j.ID]; attempt < e.trans.Config().Attempts() {
@@ -493,25 +517,25 @@ func (e *Env) HandleReadDone(j *job.Job) {
 			// processors without compute progress.
 			j.ExtendRead(backoff + e.Overhead.ReadTime(j))
 			e.ioAttempts[j.ID] = attempt + 1
-			e.engine.ScheduleIORetry(j, e.Now()+backoff)
+			e.engine.Schedule(sim.Event{Time: e.Now() + backoff, Kind: sim.IORetry, Job: j})
 		} else {
 			e.record(jobEvent(ActIOExhausted, j, j.ProcSet))
 			e.failIOTerminal(j, failing[0])
 		}
 		return
 	}
-	e.engine.ScheduleCompletion(j, e.Now()+j.Remaining())
+	e.engine.Schedule(sim.Event{Time: e.Now() + j.Remaining(), Kind: sim.Completion, Job: j})
 }
 
-// HandleIORetry implements sim.Handler: a backed-off I/O attempt is
-// due. The operation restarts from scratch — a suspending job re-runs
-// its full image write, a restarting job its full image read.
-func (e *Env) HandleIORetry(j *job.Job) {
+// ioRetry starts j's backed-off I/O attempt. The operation restarts
+// from scratch — a suspending job re-runs its full image write, a
+// restarting job its full image read.
+func (e *Env) ioRetry(j *job.Job) {
 	switch j.State {
 	case job.Suspending:
-		e.engine.ScheduleSuspendDone(j, e.Now()+e.Overhead.WriteTime(j))
+		e.engine.Schedule(sim.Event{Time: e.Now() + e.Overhead.WriteTime(j), Kind: sim.SuspendDone, Job: j})
 	case job.Running:
-		e.engine.ScheduleReadDone(j, e.Now()+e.Overhead.ReadTime(j))
+		e.engine.Schedule(sim.Event{Time: e.Now() + e.Overhead.ReadTime(j), Kind: sim.ReadDone, Job: j})
 	default:
 		// Unreachable: the engine drops IORetry events for any other
 		// state as stale.
@@ -525,6 +549,15 @@ func (e *Env) HandleIORetry(j *job.Job) {
 // same displaced-job path a processor failure uses, with p as the
 // summary processor handed to the policy's OnFailure hook.
 func (e *Env) failIOTerminal(j *job.Job, p int) {
+	e.failKill(j)
+	e.activatePending()
+	e.sched.OnFailure(p, []*job.Job{j})
+}
+
+// failKill kills j, Running or Suspending, back to the queue: its
+// processors are released and the work it loses is recorded with the
+// kill.
+func (e *Env) failKill(j *job.Job) {
 	wasSuspending := j.State == job.Suspending
 	set := j.ProcSet
 	lost := j.Fail(e.Now())
@@ -538,8 +571,6 @@ func (e *Env) failIOTerminal(j *job.Job, p int) {
 	ev := jobEvent(ActKill, j, set)
 	ev.LostWork = lost
 	e.record(ev)
-	e.activatePending()
-	e.sched.OnFailure(p, []*job.Job{j})
 }
 
 // recordIOFailures charges one transient I/O failure per affected
@@ -581,16 +612,16 @@ func (e *Env) SetIOHealthy(set []int) bool {
 	return e.health == nil || e.health.Healthy(set)
 }
 
-// HandleProcFail implements sim.Handler: processor p fails. The driver
-// performs the mechanical fallout in a fixed order before the policy
-// reacts — (1) the cluster marks p down, (2) pending preemptive starts
-// claiming p are aborted, (3) the job owning p (Running or Suspending)
-// is killed back to the queue with its work discarded, (4) suspended
-// jobs whose remembered image sat on p are invalidated back to the
-// queue (the stranded-image cost of local restart), (5) the repair or,
-// under permanent failures, the unfinishable check is scheduled, and
-// finally the policy's OnFailure hook receives every displaced job.
-func (e *Env) HandleProcFail(p int) {
+// procFail takes processor p down. The driver performs the mechanical
+// fallout in a fixed order before the policy reacts — (1) the cluster
+// marks p down, (2) pending preemptive starts claiming p are aborted,
+// (3) the job owning p (Running or Suspending) is killed back to the
+// queue with its work discarded, (4) suspended jobs whose remembered
+// image sat on p are invalidated back to the queue (the stranded-image
+// cost of local restart), (5) the repair or, under permanent failures,
+// the unfinishable check is scheduled, and finally the policy's
+// OnFailure hook receives every displaced job.
+func (e *Env) procFail(p int) {
 	now := e.Now()
 	e.Cluster.Fail(now, p)
 	e.record(e.procEvent(ActProcFail, p))
@@ -615,19 +646,7 @@ func (e *Env) HandleProcFail(p int) {
 	// Kill the job computing (or writing its suspension image) on p.
 	if id := e.Cluster.Owner(p); id != -1 {
 		v := e.byID[id]
-		set := v.ProcSet
-		wasSuspending := v.State == job.Suspending
-		lost := v.Fail(now)
-		e.Cluster.Release(now, v.ID, set)
-		if wasSuspending {
-			e.nSuspended--
-		} else {
-			e.nRunning--
-		}
-		e.nQueued++
-		ev := jobEvent(ActKill, v, set)
-		ev.LostWork = lost
-		e.record(ev)
+		e.failKill(v)
 		requeued = append(requeued, v)
 	}
 
@@ -663,7 +682,7 @@ func (e *Env) HandleProcFail(p int) {
 			}
 		}
 	} else {
-		e.engine.ScheduleProcRepair(p, now+e.faults.RepairDelay(p))
+		e.engine.Schedule(sim.Event{Time: now + e.faults.RepairDelay(p), Kind: sim.ProcRepair, Proc: p})
 	}
 	// The kills above released processors; pending starts not touching
 	// p may have become ready.
@@ -671,13 +690,13 @@ func (e *Env) HandleProcFail(p int) {
 	e.sched.OnFailure(p, requeued)
 }
 
-// HandleProcRepair implements sim.Handler: processor p returns to
-// service and its next failure is scheduled.
-func (e *Env) HandleProcRepair(p int) {
+// procRepair returns processor p to service and schedules its next
+// failure.
+func (e *Env) procRepair(p int) {
 	now := e.Now()
 	e.Cluster.Repair(now, p)
 	e.record(e.procEvent(ActProcRepair, p))
-	e.engine.ScheduleProcFail(p, now+e.faults.FailDelay(p))
+	e.engine.Schedule(sim.Event{Time: now + e.faults.FailDelay(p), Kind: sim.ProcFail, Proc: p})
 	e.sched.OnRepair(p)
 }
 
@@ -711,10 +730,10 @@ func dedupeJobs(jobs []*job.Job) []*job.Job {
 	return out
 }
 
-// HandleTick implements sim.Handler. The tick heartbeat is emitted
-// before the policy reacts, so time-series sinks sample the state the
-// preemption routine is about to act on.
-func (e *Env) HandleTick() {
+// tick runs the policy's periodic routine. The tick heartbeat is
+// emitted before the policy reacts, so time-series sinks sample the
+// state the preemption routine is about to act on.
+func (e *Env) tick() {
 	e.sweepIOHealth()
 	e.record(Event{Entry: Entry{Action: ActTick, JobID: -1}})
 	e.sched.OnTick()
@@ -742,6 +761,21 @@ func Contains(queue []*job.Job, j *job.Job) bool {
 		}
 	}
 	return false
+}
+
+// InsertBySubmit inserts j into queue before the first job that comes
+// after it in (submit time, ID) order and returns the grown slice. It
+// scans from the head, so a queue that keeps arrivals in delivery order
+// keeps that order even where same-submit IDs arrived out of order.
+func InsertBySubmit(queue []*job.Job, j *job.Job) []*job.Job {
+	at := len(queue)
+	for i, q := range queue {
+		if j.SubmitTime < q.SubmitTime || (j.SubmitTime == q.SubmitTime && j.ID < q.ID) {
+			at = i
+			break
+		}
+	}
+	return slices.Insert(queue, at, j)
 }
 
 // Remove deletes j from queue, preserving order, and returns the

@@ -198,6 +198,38 @@ func TestRemove(t *testing.T) {
 	}
 }
 
+// TestInsertBySubmit: a job goes before the first queued job that
+// follows it in (submit, ID) order, scanning from the head — so an
+// out-of-order run of same-submit arrivals ahead of it is left alone.
+func TestInsertBySubmit(t *testing.T) {
+	j := func(id int, submit int64) *job.Job { return job.New(id, submit, 1, 1, 1) }
+	ids := func(q []*job.Job) []int {
+		out := make([]int, len(q))
+		for i, x := range q {
+			out[i] = x.ID
+		}
+		return out
+	}
+	cases := []struct {
+		name  string
+		queue []*job.Job
+		add   *job.Job
+		want  []int
+	}{
+		{"empty", nil, j(1, 0), []int{1}},
+		{"tail", []*job.Job{j(1, 0), j(2, 5)}, j(3, 9), []int{1, 2, 3}},
+		{"head", []*job.Job{j(1, 5), j(2, 9)}, j(3, 0), []int{3, 1, 2}},
+		{"submit before ID", []*job.Job{j(1, 0), j(2, 5)}, j(9, 3), []int{1, 9, 2}},
+		{"ID breaks submit ties", []*job.Job{j(1, 5), j(4, 5)}, j(3, 5), []int{1, 3, 4}},
+		{"first later job wins", []*job.Job{j(5, 0), j(2, 0), j(7, 0)}, j(4, 0), []int{4, 5, 2, 7}},
+	}
+	for _, c := range cases {
+		if got := ids(sched.InsertBySubmit(c.queue, c.add)); fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s: queue %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestResultMakespan(t *testing.T) {
 	tr := smallTrace(8, 50)
 	res := sched.Run(tr, easy.New(), sched.Options{})

@@ -63,7 +63,7 @@ func (s *Sched) TickInterval() int64 { return 60 }
 
 // OnArrival implements sched.Scheduler.
 func (s *Sched) OnArrival(j *job.Job) {
-	s.enqueue(j)
+	s.queue = sched.InsertBySubmit(s.queue, j)
 	s.schedule()
 }
 
@@ -86,13 +86,13 @@ func (s *Sched) OnTick() {
 // OnFailure implements sched.Scheduler: a failure-killed job rejoins
 // the queue at its submission-order position; any speculative deadline
 // dies with the run (the kill was the machine's, not a lost gamble —
-// Kills is not charged, see Env.HandleProcFail).
+// Kills is not charged, see Env.procFail).
 func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 	for _, j := range requeued {
 		s.running = sched.Remove(s.running, j)
 		delete(s.deadline, j.ID)
 		if !sched.Contains(s.queue, j) {
-			s.enqueue(j)
+			s.queue = sched.InsertBySubmit(s.queue, j)
 		}
 	}
 	s.schedule()
@@ -101,20 +101,6 @@ func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 // OnRepair implements sched.Scheduler: recovered capacity may admit the
 // head or open new (speculative) holes.
 func (s *Sched) OnRepair(int) { s.schedule() }
-
-// enqueue inserts j in submit-time order (killed jobs keep their
-// original queue position).
-func (s *Sched) enqueue(j *job.Job) {
-	i := sort.Search(len(s.queue), func(i int) bool {
-		if s.queue[i].SubmitTime != j.SubmitTime {
-			return s.queue[i].SubmitTime > j.SubmitTime
-		}
-		return s.queue[i].ID > j.ID
-	})
-	s.queue = append(s.queue, nil)
-	copy(s.queue[i+1:], s.queue[i:])
-	s.queue[i] = j
-}
 
 // enforceDeadlines kills speculative runs that outlived their hole while
 // the queue head is still waiting for processors.
@@ -131,7 +117,7 @@ func (s *Sched) enforceDeadlines() {
 		s.env.Kill(r)
 		s.running = sched.Remove(s.running, r)
 		delete(s.deadline, r.ID)
-		s.enqueue(r)
+		s.queue = sched.InsertBySubmit(s.queue, r)
 	}
 }
 

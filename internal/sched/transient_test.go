@@ -9,6 +9,7 @@ import (
 	"pjs/internal/job"
 	"pjs/internal/overhead"
 	"pjs/internal/sched"
+	"pjs/internal/sched/ss"
 	"pjs/internal/workload"
 )
 
@@ -208,4 +209,48 @@ func firstDiff(a, b string) string {
 		}
 	}
 	return "logs diverge only in length"
+}
+
+// TestIORestoredFollowsDegraded runs SS:2 under transient I/O faults
+// with a finite health window, so processors degraded by a failure are
+// restored once the window passes: every io-restored entry must follow
+// an io-degraded entry for the same processor, the IORestores tally
+// must count them, and the checker must accept the log.
+func TestIORestoredFollowsDegraded(t *testing.T) {
+	res, err := sched.RunChecked(smallTrace(1, 300), ss.New(ss.Config{SF: 2}), sched.Options{
+		Audit:    true,
+		Overhead: overhead.Disk{},
+		MaxSteps: 5_000_000,
+		Transient: fault.TransientConfig{
+			WriteFailProb: 0.3, ReadFailProb: 0.3, Seed: 9,
+			HealthWindow: 3600, HealthThreshold: 1,
+		},
+	})
+	if err != nil {
+		t.Fatalf("RunChecked: %v", err)
+	}
+	degraded := map[int]bool{}
+	restored := 0
+	for _, e := range res.Audit.Entries {
+		switch e.Action {
+		case sched.ActIODegraded:
+			degraded[e.Procs[0]] = true
+		case sched.ActIORestored:
+			p := e.Procs[0]
+			if !degraded[p] {
+				t.Errorf("t=%d: io-restored of processor %d without a preceding io-degraded", e.Time, p)
+			}
+			degraded[p] = false
+			restored++
+		}
+	}
+	if restored == 0 {
+		t.Fatal("no io-restored entry: the run never cleared a degraded processor")
+	}
+	if res.IORestores != restored {
+		t.Errorf("IORestores = %d, want %d io-restored entries", res.IORestores, restored)
+	}
+	if err := check.Check(res.Audit, check.Options{}); err != nil {
+		t.Errorf("audit replay: %v", err)
+	}
 }

@@ -94,27 +94,12 @@ type Event struct {
 	seq   int64 // insertion order, final tie-break for determinism
 }
 
-// Handler receives simulation events in virtual-time order.
+// Handler receives simulation events in virtual-time order: one call
+// per delivered event. Job events whose job has moved on (see stale)
+// never reach Handle, and a Tick arrives every tick interval while the
+// simulation has unfinished jobs, if the interval is non-zero.
 type Handler interface {
-	// HandleArrival is called when j is submitted.
-	HandleArrival(j *job.Job)
-	// HandleCompletion is called when j's compute finishes. The handler
-	// is responsible for releasing processors and marking the job done.
-	HandleCompletion(j *job.Job)
-	// HandleSuspendDone is called when j's suspension write completes.
-	HandleSuspendDone(j *job.Job)
-	// HandleReadDone is called when j's restart-image read completes
-	// (transient-fault runs only).
-	HandleReadDone(j *job.Job)
-	// HandleIORetry is called when a backed-off I/O attempt for j is due.
-	HandleIORetry(j *job.Job)
-	// HandleProcFail is called when processor p fails.
-	HandleProcFail(p int)
-	// HandleProcRepair is called when processor p returns to service.
-	HandleProcRepair(p int)
-	// HandleTick is called every TickInterval seconds while the
-	// simulation has unfinished jobs, if the interval is non-zero.
-	HandleTick()
+	Handle(ev Event)
 }
 
 // Engine owns the virtual clock and the pending-event heap.
@@ -124,7 +109,6 @@ type Engine struct {
 	heap         eventHeap
 	handler      Handler
 	tickInterval int64
-	nextTick     int64
 	totalJobs    int
 	finishedJobs int
 	steps        int64
@@ -138,7 +122,7 @@ type Engine struct {
 // New returns an engine delivering events to h. tickInterval of 0
 // disables ticks.
 func New(h Handler, tickInterval int64) *Engine {
-	return &Engine{handler: h, tickInterval: tickInterval, nextTick: -1}
+	return &Engine{handler: h, tickInterval: tickInterval}
 }
 
 // Now returns the current virtual time.
@@ -200,63 +184,23 @@ func (e *Engine) AddJob(j *job.Job) {
 	e.push(&Event{Time: j.SubmitTime, Kind: Arrival, Job: j})
 }
 
-// ScheduleCompletion schedules j's completion at time at, bound to the
-// job's current epoch. Preempting the job invalidates the event.
-func (e *Engine) ScheduleCompletion(j *job.Job, at int64) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: completion for %v scheduled in the past (%d < %d)", j, at, e.now))
+// Schedule queues ev for delivery at ev.Time. A job event is bound to
+// the job's current epoch, so preempting, killing or failing the job
+// before ev.Time makes it stale. Ticks belong to the engine; a job's
+// first arrival is added with AddJob, which also counts the job.
+func (e *Engine) Schedule(ev Event) {
+	if ev.Time < e.now {
+		panic(fmt.Sprintf("sim: %v for %v (proc %d) scheduled in the past (%d < %d)",
+			ev.Kind, ev.Job, ev.Proc, ev.Time, e.now))
 	}
-	e.push(&Event{Time: at, Kind: Completion, Job: j, Epoch: j.Epoch})
-}
-
-// ScheduleSuspendDone schedules the end of j's suspension write at time
-// at, bound to the job's current epoch.
-func (e *Engine) ScheduleSuspendDone(j *job.Job, at int64) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: suspend-done for %v scheduled in the past (%d < %d)", j, at, e.now))
+	if ev.Kind == Tick {
+		panic("sim: ticks are scheduled by the engine")
 	}
-	e.push(&Event{Time: at, Kind: SuspendDone, Job: j, Epoch: j.Epoch})
-}
-
-// ScheduleReadDone schedules the end of j's restart-image read at time
-// at, bound to the job's current epoch. Preempting or killing the job
-// invalidates the event.
-func (e *Engine) ScheduleReadDone(j *job.Job, at int64) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: read-done for %v scheduled in the past (%d < %d)", j, at, e.now))
+	if ev.Job != nil {
+		ev.Epoch = ev.Job.Epoch
 	}
-	e.push(&Event{Time: at, Kind: ReadDone, Job: j, Epoch: j.Epoch})
+	e.push(&ev)
 }
-
-// ScheduleIORetry schedules a backed-off I/O retry for j at time at,
-// bound to the job's current epoch. Any epoch change (preemption, kill,
-// processor failure) invalidates the pending retry.
-func (e *Engine) ScheduleIORetry(j *job.Job, at int64) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: io-retry for %v scheduled in the past (%d < %d)", j, at, e.now))
-	}
-	e.push(&Event{Time: at, Kind: IORetry, Job: j, Epoch: j.Epoch})
-}
-
-// ScheduleProcFail schedules the failure of processor p at time at.
-func (e *Engine) ScheduleProcFail(p int, at int64) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: proc-fail for %d scheduled in the past (%d < %d)", p, at, e.now))
-	}
-	e.push(&Event{Time: at, Kind: ProcFail, Proc: p})
-}
-
-// ScheduleProcRepair schedules the repair of processor p at time at.
-func (e *Engine) ScheduleProcRepair(p int, at int64) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: proc-repair for %d scheduled in the past (%d < %d)", p, at, e.now))
-	}
-	e.push(&Event{Time: at, Kind: ProcRepair, Proc: p})
-}
-
-// JobFinished must be called by the handler once per job, from
-// HandleCompletion; Run returns when every added job has finished.
-func (e *Engine) JobFinished() { e.finishedJobs++ }
 
 func (e *Engine) push(ev *Event) {
 	ev.seq = e.seq
@@ -286,16 +230,15 @@ func stale(ev *Event) bool {
 }
 
 // Run processes events until all jobs have finished and returns the
-// finish time of the last job (the makespan end). It fails with a
-// wrapped ErrDeadlock when the queue drains early, a wrapped
-// ErrMaxSteps when the safety valve trips, a wrapped ErrCanceled when
-// the SetContext context is done, the step hook's error, or the
-// handler's Abort error; on error the returned time is the time
-// reached so far.
+// finish time of the last job (the makespan end). A job finishes when
+// its Completion is delivered. Run fails with a wrapped ErrDeadlock
+// when the queue drains early, a wrapped ErrMaxSteps when the safety
+// valve trips, a wrapped ErrCanceled when the SetContext context is
+// done, the step hook's error, or the handler's Abort error; on error
+// the returned time is the time reached so far.
 func (e *Engine) Run() (int64, error) {
 	if e.tickInterval > 0 && e.heap.len() > 0 {
-		e.nextTick = e.heap.min().Time + e.tickInterval
-		e.push(&Event{Time: e.nextTick, Kind: Tick})
+		e.push(&Event{Time: e.heap.min().Time + e.tickInterval, Kind: Tick})
 	}
 	for e.finishedJobs < e.totalJobs {
 		if e.ctx != nil && e.steps&ctxCheckMask == 0 {
@@ -318,34 +261,17 @@ func (e *Engine) Run() (int64, error) {
 				ErrMaxSteps, e.maxSteps, e.now)
 		}
 		span := e.probe.Begin()
-		switch ev.Kind {
-		case Arrival:
-			e.handler.HandleArrival(ev.Job)
-		case Completion:
-			if !stale(ev) {
-				e.handler.HandleCompletion(ev.Job)
-			}
-		case SuspendDone:
-			if !stale(ev) {
-				e.handler.HandleSuspendDone(ev.Job)
-			}
-		case ReadDone:
-			if !stale(ev) {
-				e.handler.HandleReadDone(ev.Job)
-			}
-		case IORetry:
-			if !stale(ev) {
-				e.handler.HandleIORetry(ev.Job)
-			}
-		case ProcFail:
-			e.handler.HandleProcFail(ev.Proc)
-		case ProcRepair:
-			e.handler.HandleProcRepair(ev.Proc)
-		case Tick:
-			if e.finishedJobs < e.totalJobs {
-				e.handler.HandleTick()
-				e.nextTick = e.now + e.tickInterval
-				e.push(&Event{Time: e.nextTick, Kind: Tick})
+		switch {
+		case ev.Kind == Tick:
+			// The loop runs only while jobs remain, so every tick it
+			// pops is delivered and re-armed.
+			e.handler.Handle(*ev)
+			ev.Time += e.tickInterval
+			e.push(ev)
+		case !stale(ev):
+			e.handler.Handle(*ev)
+			if ev.Kind == Completion {
+				e.finishedJobs++
 			}
 		}
 		e.probe.End(perf.PhaseEventDispatch, span)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -20,34 +21,21 @@ type recordingHandler struct {
 	ticks  int
 }
 
-func (h *recordingHandler) HandleArrival(j *job.Job) {
-	h.events = append(h.events, "arrive")
-	done := j.Dispatch(h.eng.Now(), 0)
-	h.eng.ScheduleCompletion(j, done)
+func (h *recordingHandler) Handle(ev Event) {
+	switch ev.Kind {
+	case Arrival:
+		h.events = append(h.events, "arrive")
+		done := ev.Job.Dispatch(h.eng.Now(), 0)
+		h.eng.Schedule(Event{Time: done, Kind: Completion, Job: ev.Job})
+	case Completion:
+		h.events = append(h.events, "complete")
+		ev.Job.Complete(h.eng.Now())
+	case Tick:
+		h.ticks++
+	default:
+		h.events = append(h.events, ev.Kind.String())
+	}
 }
-
-func (h *recordingHandler) HandleCompletion(j *job.Job) {
-	h.events = append(h.events, "complete")
-	j.Complete(h.eng.Now())
-	h.eng.JobFinished()
-}
-
-func (h *recordingHandler) HandleSuspendDone(j *job.Job) {
-	h.events = append(h.events, "suspend-done")
-}
-
-func (h *recordingHandler) HandleReadDone(j *job.Job) {
-	h.events = append(h.events, "read-done")
-}
-
-func (h *recordingHandler) HandleIORetry(j *job.Job) {
-	h.events = append(h.events, "io-retry")
-}
-
-func (h *recordingHandler) HandleProcFail(p int)   { h.events = append(h.events, "fail") }
-func (h *recordingHandler) HandleProcRepair(p int) { h.events = append(h.events, "repair") }
-
-func (h *recordingHandler) HandleTick() { h.ticks++ }
 
 func TestEngineRunsJobsToCompletion(t *testing.T) {
 	h := &recordingHandler{}
@@ -124,30 +112,23 @@ type staleHandler struct {
 	completions int
 }
 
-func (h *staleHandler) HandleArrival(j *job.Job) {
-	done := j.Dispatch(h.eng.Now(), 0)
-	h.eng.ScheduleCompletion(j, done) // will become stale
-	j.Preempt(h.eng.Now())
-	h.eng.ScheduleSuspendDone(j, h.eng.Now()+5)
+func (h *staleHandler) Handle(ev Event) {
+	j, now := ev.Job, h.eng.Now()
+	switch ev.Kind {
+	case Arrival:
+		done := j.Dispatch(now, 0)
+		h.eng.Schedule(Event{Time: done, Kind: Completion, Job: j}) // will become stale
+		j.Preempt(now)
+		h.eng.Schedule(Event{Time: now + 5, Kind: SuspendDone, Job: j})
+	case Completion:
+		h.completions++
+		j.Complete(now)
+	case SuspendDone:
+		j.SuspendDone()
+		done := j.Dispatch(now, 0)
+		h.eng.Schedule(Event{Time: done, Kind: Completion, Job: j})
+	}
 }
-
-func (h *staleHandler) HandleCompletion(j *job.Job) {
-	h.completions++
-	j.Complete(h.eng.Now())
-	h.eng.JobFinished()
-}
-
-func (h *staleHandler) HandleSuspendDone(j *job.Job) {
-	j.SuspendDone()
-	done := j.Dispatch(h.eng.Now(), 0)
-	h.eng.ScheduleCompletion(j, done)
-}
-
-func (h *staleHandler) HandleReadDone(j *job.Job) {}
-func (h *staleHandler) HandleIORetry(j *job.Job)  {}
-func (h *staleHandler) HandleProcFail(p int)      {}
-func (h *staleHandler) HandleProcRepair(p int)    {}
-func (h *staleHandler) HandleTick()               {}
 
 func TestStaleCompletionDropped(t *testing.T) {
 	h := &staleHandler{}
@@ -167,17 +148,179 @@ func TestStaleCompletionDropped(t *testing.T) {
 	}
 }
 
+// mustPanic runs f and returns its panic message, failing t when f
+// returns normally.
+func mustPanic(t *testing.T, f func()) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("expected a panic")
+		}
+		msg = fmt.Sprint(r)
+	}()
+	f()
+	return ""
+}
+
+// TestScheduleInPastPanics: Schedule refuses an event earlier than the
+// clock, whatever its kind.
 func TestScheduleInPastPanics(t *testing.T) {
-	h := &recordingHandler{}
+	for _, k := range []Kind{Completion, SuspendDone, ReadDone, IORetry, ProcFail, ProcRepair, Arrival} {
+		t.Run(k.String(), func(t *testing.T) {
+			e := New(dropHandler{}, 0)
+			e.now = 100
+			ev := Event{Time: 50, Kind: k, Job: job.New(1, 0, 10, 10, 1)}
+			if k == ProcFail || k == ProcRepair {
+				ev.Job, ev.Proc = nil, 3
+			}
+			msg := mustPanic(t, func() { e.Schedule(ev) })
+			if !strings.Contains(msg, k.String()) || !strings.Contains(msg, "scheduled in the past (50 < 100)") {
+				t.Errorf("panic = %q", msg)
+			}
+			if e.heap.len() != 0 {
+				t.Errorf("refused event was queued")
+			}
+		})
+	}
+}
+
+// TestScheduleRefusesTicks: ticks are the engine's own, so a second
+// chain cannot be started through Schedule.
+func TestScheduleRefusesTicks(t *testing.T) {
+	e := New(dropHandler{}, 60)
+	if msg := mustPanic(t, func() { e.Schedule(Event{Time: 10, Kind: Tick}) }); !strings.Contains(msg, "ticks") {
+		t.Errorf("panic = %q", msg)
+	}
+}
+
+// TestScheduleBindsJobEpoch: a job event carries the job's epoch at
+// scheduling time, whatever Epoch the caller passed; a processor event
+// carries none.
+func TestScheduleBindsJobEpoch(t *testing.T) {
+	e := New(dropHandler{}, 0)
+	j := job.New(1, 0, 10, 10, 1)
+	j.Dispatch(0, 0)
+	e.Schedule(Event{Time: 10, Kind: Completion, Job: j, Epoch: 99})
+	e.Schedule(Event{Time: 20, Kind: ProcFail, Proc: 2, Epoch: 99})
+	if ev := e.heap.pop(); ev.Epoch != j.Epoch {
+		t.Errorf("completion epoch = %d, want the job's %d", ev.Epoch, j.Epoch)
+	}
+	if ev := e.heap.pop(); ev.Epoch != 99 || ev.Proc != 2 {
+		t.Errorf("proc-fail event = %+v, want it passed through", ev)
+	}
+}
+
+// epochHandler leaves a job event of kind stale queued at t=10: the
+// job is dispatched, the event scheduled, and the job killed and
+// re-dispatched, so at t=10 it is again in the state the event expects
+// (Running, or Suspending for SuspendDone) but in a later epoch. The
+// job then runs to completion through fresh events.
+type epochHandler struct {
+	eng       *Engine
+	stale     Kind
+	delivered []string
+}
+
+func (h *epochHandler) Handle(ev Event) {
+	h.delivered = append(h.delivered, fmt.Sprintf("%v@%d", ev.Kind, ev.Time))
+	j, now := ev.Job, h.eng.Now()
+	switch ev.Kind {
+	case Arrival:
+		j.Dispatch(now, 0)
+		h.eng.Schedule(Event{Time: 10, Kind: h.stale, Job: j})
+		j.Kill(now)
+		done := j.Dispatch(now, 0)
+		if h.stale != SuspendDone {
+			h.eng.Schedule(Event{Time: done, Kind: Completion, Job: j})
+			return
+		}
+		j.Preempt(now)
+		h.eng.Schedule(Event{Time: 20, Kind: SuspendDone, Job: j})
+	case SuspendDone:
+		j.SuspendDone()
+		h.eng.Schedule(Event{Time: j.Dispatch(now, 0), Kind: Completion, Job: j})
+	case Completion:
+		j.Complete(now)
+	}
+}
+
+// TestStaleJobEventsNeverDelivered: an event whose job's epoch moved
+// on is dropped by Run — Handle never sees it, and a stale Completion
+// does not count its job finished.
+func TestStaleJobEventsNeverDelivered(t *testing.T) {
+	cases := []struct {
+		kind Kind
+		want []string
+		end  int64
+	}{
+		{Completion, []string{"arrival@0", "completion@100"}, 100},
+		{SuspendDone, []string{"arrival@0", "suspend-done@20", "completion@120"}, 120},
+		{ReadDone, []string{"arrival@0", "completion@100"}, 100},
+		{IORetry, []string{"arrival@0", "completion@100"}, 100},
+	}
+	for _, c := range cases {
+		t.Run(c.kind.String(), func(t *testing.T) {
+			h := &epochHandler{stale: c.kind}
+			e := New(h, 0)
+			h.eng = e
+			e.AddJob(job.New(1, 0, 100, 100, 1))
+			end, err := e.Run()
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if fmt.Sprint(h.delivered) != fmt.Sprint(c.want) {
+				t.Errorf("delivered %v, want %v", h.delivered, c.want)
+			}
+			if end != c.end {
+				t.Errorf("end = %d, want %d", end, c.end)
+			}
+		})
+	}
+}
+
+// completeOnlyHandler starts each job on arrival and, on its
+// completion, only marks the job done — no bookkeeping call back into
+// the engine.
+type completeOnlyHandler struct {
+	eng       *Engine
+	delivered []Kind
+}
+
+func (h *completeOnlyHandler) Handle(ev Event) {
+	h.delivered = append(h.delivered, ev.Kind)
+	switch ev.Kind {
+	case Arrival:
+		h.eng.Schedule(Event{Time: ev.Job.Dispatch(h.eng.Now(), 0), Kind: Completion, Job: ev.Job})
+	case Completion:
+		ev.Job.Complete(h.eng.Now())
+	}
+}
+
+// TestRunEndsAfterLastCompletion: the engine counts delivered
+// completions itself, so Run returns at the last job's completion and
+// delivers nothing queued after it.
+func TestRunEndsAfterLastCompletion(t *testing.T) {
+	h := &completeOnlyHandler{}
 	e := New(h, 0)
 	h.eng = e
-	e.now = 100
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for past completion")
-		}
-	}()
-	e.ScheduleCompletion(job.New(1, 0, 10, 10, 1), 50)
+	e.AddJob(job.New(1, 0, 30, 30, 1))
+	e.AddJob(job.New(2, 5, 50, 50, 1))
+	e.Schedule(Event{Time: 1000, Kind: ProcFail, Proc: 0})
+	end, err := e.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if end != 55 {
+		t.Errorf("end = %d, want 55", end)
+	}
+	want := []Kind{Arrival, Arrival, Completion, Completion}
+	if fmt.Sprint(h.delivered) != fmt.Sprint(want) {
+		t.Errorf("delivered %v, want %v", h.delivered, want)
+	}
+	if e.Steps() != 4 {
+		t.Errorf("steps = %d, want 4", e.Steps())
+	}
 }
 
 func TestMaxStepsReturnsError(t *testing.T) {
@@ -195,14 +338,7 @@ func TestMaxStepsReturnsError(t *testing.T) {
 // unfinished: Run must report a deadlock instead of looping or lying.
 type dropHandler struct{}
 
-func (dropHandler) HandleArrival(*job.Job)     {}
-func (dropHandler) HandleCompletion(*job.Job)  {}
-func (dropHandler) HandleSuspendDone(*job.Job) {}
-func (dropHandler) HandleReadDone(*job.Job)    {}
-func (dropHandler) HandleIORetry(*job.Job)     {}
-func (dropHandler) HandleProcFail(int)         {}
-func (dropHandler) HandleProcRepair(int)       {}
-func (dropHandler) HandleTick()                {}
+func (dropHandler) Handle(Event) {}
 
 func TestDeadlockReturnsError(t *testing.T) {
 	e := New(dropHandler{}, 0)
@@ -218,14 +354,11 @@ type abortHandler struct {
 	err error
 }
 
-func (h *abortHandler) HandleArrival(*job.Job)     { h.eng.Abort(h.err) }
-func (h *abortHandler) HandleCompletion(*job.Job)  {}
-func (h *abortHandler) HandleSuspendDone(*job.Job) {}
-func (h *abortHandler) HandleReadDone(*job.Job)    {}
-func (h *abortHandler) HandleIORetry(*job.Job)     {}
-func (h *abortHandler) HandleProcFail(int)         {}
-func (h *abortHandler) HandleProcRepair(int)       {}
-func (h *abortHandler) HandleTick()                {}
+func (h *abortHandler) Handle(ev Event) {
+	if ev.Kind == Arrival {
+		h.eng.Abort(h.err)
+	}
+}
 
 func TestAbortStopsRunWithError(t *testing.T) {
 	want := errors.New("unfinishable")
@@ -244,12 +377,15 @@ type faultHandler struct {
 	faults []string
 }
 
-func (h *faultHandler) HandleProcFail(p int) {
-	h.faults = append(h.faults, fmt.Sprintf("fail:%d@%d", p, h.eng.Now()))
-}
-
-func (h *faultHandler) HandleProcRepair(p int) {
-	h.faults = append(h.faults, fmt.Sprintf("repair:%d@%d", p, h.eng.Now()))
+func (h *faultHandler) Handle(ev Event) {
+	switch ev.Kind {
+	case ProcFail:
+		h.faults = append(h.faults, fmt.Sprintf("fail:%d@%d", ev.Proc, h.eng.Now()))
+	case ProcRepair:
+		h.faults = append(h.faults, fmt.Sprintf("repair:%d@%d", ev.Proc, h.eng.Now()))
+	default:
+		h.recordingHandler.Handle(ev)
+	}
 }
 
 func TestProcFailRepairDelivery(t *testing.T) {
@@ -257,8 +393,8 @@ func TestProcFailRepairDelivery(t *testing.T) {
 	e := New(h, 0)
 	h.eng = e
 	e.AddJob(job.New(1, 0, 100, 100, 1))
-	e.ScheduleProcFail(3, 10)
-	e.ScheduleProcRepair(3, 20)
+	e.Schedule(Event{Time: 10, Kind: ProcFail, Proc: 3})
+	e.Schedule(Event{Time: 20, Kind: ProcRepair, Proc: 3})
 	if _, err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -278,37 +414,28 @@ type readRetryHandler struct {
 	finished bool
 }
 
-func (h *readRetryHandler) HandleArrival(j *job.Job) {
-	j.Dispatch(h.eng.Now(), 10)
-	h.eng.ScheduleReadDone(j, h.eng.Now()+10)
-}
-
-func (h *readRetryHandler) HandleCompletion(j *job.Job) {
-	j.Complete(h.eng.Now())
-	h.finished = true
-	h.eng.JobFinished()
-}
-
-func (h *readRetryHandler) HandleSuspendDone(j *job.Job) {}
-
-func (h *readRetryHandler) HandleReadDone(j *job.Job) {
-	h.reads++
-	if h.reads == 1 {
-		j.ExtendRead(5 + 10)
-		h.eng.ScheduleIORetry(j, h.eng.Now()+5)
-		return
+func (h *readRetryHandler) Handle(ev Event) {
+	j, now := ev.Job, h.eng.Now()
+	switch ev.Kind {
+	case Arrival:
+		j.Dispatch(now, 10)
+		h.eng.Schedule(Event{Time: now + 10, Kind: ReadDone, Job: j})
+	case Completion:
+		j.Complete(now)
+		h.finished = true
+	case ReadDone:
+		h.reads++
+		if h.reads == 1 {
+			j.ExtendRead(5 + 10)
+			h.eng.Schedule(Event{Time: now + 5, Kind: IORetry, Job: j})
+			return
+		}
+		h.eng.Schedule(Event{Time: now + j.Remaining(), Kind: Completion, Job: j})
+	case IORetry:
+		h.retries++
+		h.eng.Schedule(Event{Time: now + 10, Kind: ReadDone, Job: j})
 	}
-	h.eng.ScheduleCompletion(j, h.eng.Now()+j.Remaining())
 }
-
-func (h *readRetryHandler) HandleIORetry(j *job.Job) {
-	h.retries++
-	h.eng.ScheduleReadDone(j, h.eng.Now()+10)
-}
-
-func (h *readRetryHandler) HandleProcFail(p int)   {}
-func (h *readRetryHandler) HandleProcRepair(p int) {}
-func (h *readRetryHandler) HandleTick()            {}
 
 func TestReadDoneRetryCycle(t *testing.T) {
 	h := &readRetryHandler{}
