@@ -3,6 +3,7 @@ package pjs_test
 import (
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"testing"
 
 	"pjs"
@@ -122,4 +123,86 @@ func fnv64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
 	return h.Sum64()
+}
+
+// timeSeriesDigests are the FNV-64a digests of each cell's Sampler
+// CSV, keyed "<spec>/<mode>" like goldenDigests.
+var timeSeriesDigests = map[string]uint64{
+	"fcfs/nofault":           0xea7b1c62ecd72176,
+	"fcfs/fault":             0xa15e503646f1f944,
+	"fcfs/transient":         0xea7b1c62ecd72176,
+	"fcfs/both":              0xa15e503646f1f944,
+	"conservative/nofault":   0xb8c9c833a140106a,
+	"conservative/fault":     0xbbd91ddac003ae76,
+	"conservative/transient": 0xb8c9c833a140106a,
+	"conservative/both":      0xbbd91ddac003ae76,
+	"ns/nofault":             0xb8c9c833a140106a,
+	"ns/fault":               0x6eac653eff50b8e4,
+	"ns/transient":           0xb8c9c833a140106a,
+	"ns/both":                0x6eac653eff50b8e4,
+	"is/nofault":             0x5c236add0673a4e2,
+	"is/fault":               0x8b6ac3129be6fb4b,
+	"is/transient":           0x2c789ec530953ae1,
+	"is/both":                0xe19ab532bd23c3c8,
+	"ss:2/nofault":           0x648a2071ee3b426e,
+	"ss:2/fault":             0x932e5d072d9c27c3,
+	"ss:2/transient":         0x11ec3804c1444dee,
+	"ss:2/both":              0xef5cd5ef50adaa8a,
+	"tss:2/nofault":          0x648a2071ee3b426e,
+	"tss:2/fault":            0x932e5d072d9c27c3,
+	"tss:2/transient":        0x11ec3804c1444dee,
+	"tss:2/both":             0xef5cd5ef50adaa8a,
+	"ssmig:2/nofault":        0x6cfb25ed68e028fc,
+	"ssmig:2/fault":          0xc2699699b2c523e1,
+	"ssmig:2/transient":      0x47f026ab31f13cf9,
+	"ssmig:2/both":           0xea37db44a876967c,
+	"gang/nofault":           0x1f21a34acf714ffc,
+	"gang/fault":             0x3777a6e5674fbb14,
+	"gang/transient":         0xb4d0400d673b550e,
+	"gang/both":              0x83aca0296ca6852,
+	"spec/nofault":           0xdb702e7750baf9da,
+	"spec/fault":             0x2ec537dee88561cc,
+	"spec/transient":         0xdb702e7750baf9da,
+	"spec/both":              0x2ec537dee88561cc,
+	"depth:2/nofault":        0xb8c9c833a140106a,
+	"depth:2/fault":          0xbbd91ddac003ae76,
+	"depth:2/transient":      0xb8c9c833a140106a,
+	"depth:2/both":           0xbbd91ddac003ae76,
+}
+
+// TestTimeSeriesGolden pins the bytes of every registry policy's
+// time-series CSV across builds, as TestActionStreamGolden does for
+// the action stream. It guards the census (queue depth and max queued
+// xfactor per instant) and the CSV rendering together.
+func TestTimeSeriesGolden(t *testing.T) {
+	trace := pjs.Generate(pjs.SDSC(), pjs.GenOptions{Jobs: 200, Seed: 21})
+	for _, spec := range pjs.SchedulerSpecs() {
+		for _, mode := range goldenModes {
+			key := spec + "/" + mode.name
+			t.Run(key, func(t *testing.T) {
+				s, err := pjs.NewScheduler(spec)
+				if err != nil {
+					t.Fatalf("NewScheduler(%q): %v", spec, err)
+				}
+				sm := obs.NewSampler(trace.Procs)
+				opt := pjs.DiskOverhead()
+				opt.MaxSteps = 50_000_000
+				opt.Observer = sm
+				opt.Faults = mode.faults
+				opt.Transient = mode.transient
+				if _, err := pjs.SimulateChecked(trace, s, opt); err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				var b strings.Builder
+				if err := sm.WriteCSV(&b); err != nil {
+					t.Fatal(err)
+				}
+				got := fnv64(b.String())
+				if want, ok := timeSeriesDigests[key]; !ok || got != want {
+					t.Errorf("%s: time-series digest = %#x, want %#x (%d rows)\n\t%q: %#x,",
+						key, got, want, len(sm.Samples), key, got)
+				}
+			})
+		}
+	}
 }

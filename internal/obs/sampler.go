@@ -1,8 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"io"
+	"strconv"
 
 	"pjs/internal/sched"
 )
@@ -51,21 +51,35 @@ func (s *Sampler) Observe(ev sched.Event) {
 	s.Samples = append(s.Samples, smp)
 }
 
-// WriteCSV emits the series as CSV. Every write error is propagated:
-// a truncated time series must fail loudly, not plot plausibly.
+// WriteCSV emits the series as CSV, one Write per row. Every write
+// error is propagated: a truncated time series must fail loudly, not
+// plot plausibly.
 func (s *Sampler) WriteCSV(w io.Writer) error {
 	if _, err := io.WriteString(w,
 		"time,busy,utilization,queued,running,suspended,max_queued_xfactor\n"); err != nil {
 		return err
 	}
+	row := make([]byte, 0, 128)
 	for _, smp := range s.Samples {
 		u := 0.0
 		if s.Procs > 0 {
 			u = float64(smp.Busy) / float64(s.Procs)
 		}
-		if _, err := fmt.Fprintf(w, "%d,%d,%.6f,%d,%d,%d,%.6f\n",
-			smp.Time, smp.Busy, u, smp.Queued, smp.Running, smp.Suspended,
-			smp.MaxQueuedXFactor); err != nil {
+		row = strconv.AppendInt(row[:0], smp.Time, 10)
+		row = append(row, ',')
+		row = strconv.AppendInt(row, int64(smp.Busy), 10)
+		row = append(row, ',')
+		row = strconv.AppendFloat(row, u, 'f', 6, 64)
+		row = append(row, ',')
+		row = strconv.AppendInt(row, int64(smp.Queued), 10)
+		row = append(row, ',')
+		row = strconv.AppendInt(row, int64(smp.Running), 10)
+		row = append(row, ',')
+		row = strconv.AppendInt(row, int64(smp.Suspended), 10)
+		row = append(row, ',')
+		row = strconv.AppendFloat(row, smp.MaxQueuedXFactor, 'f', 6, 64)
+		row = append(row, '\n')
+		if _, err := w.Write(row); err != nil {
 			return err
 		}
 	}

@@ -1,0 +1,134 @@
+package obs
+
+import (
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// fmtCSV is the reference rendering WriteCSV must reproduce byte for
+// byte: the header and one fmt.Fprintf of "%d,%d,%.6f,%d,%d,%d,%.6f"
+// per row.
+func fmtCSV(s *Sampler) string {
+	var b strings.Builder
+	b.WriteString("time,busy,utilization,queued,running,suspended,max_queued_xfactor\n")
+	for _, smp := range s.Samples {
+		u := 0.0
+		if s.Procs > 0 {
+			u = float64(smp.Busy) / float64(s.Procs)
+		}
+		fmt.Fprintf(&b, "%d,%d,%.6f,%d,%d,%d,%.6f\n",
+			smp.Time, smp.Busy, u, smp.Queued, smp.Running, smp.Suspended,
+			smp.MaxQueuedXFactor)
+	}
+	return b.String()
+}
+
+func requireFmtCSV(t *testing.T, s *Sampler) {
+	t.Helper()
+	var b strings.Builder
+	if err := s.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmtCSV(s); b.String() != want {
+		got, ref := strings.Split(b.String(), "\n"), strings.Split(want, "\n")
+		for i := range min(len(got), len(ref)) {
+			if got[i] != ref[i] {
+				t.Fatalf("line %d = %q, fmt reference %q", i, got[i], ref[i])
+			}
+		}
+		t.Fatalf("CSV has %d lines, fmt reference %d", len(got), len(ref))
+	}
+}
+
+func TestSamplerWriteCSVMatchesFmt(t *testing.T) {
+	t.Run("no procs", func(t *testing.T) {
+		requireFmtCSV(t, &Sampler{Procs: 0, Samples: []Sample{
+			{Time: 0, Busy: 3, Queued: 2, MaxQueuedXFactor: 1},
+			{Time: 7, Busy: 0},
+		}})
+	})
+	t.Run("large values", func(t *testing.T) {
+		requireFmtCSV(t, &Sampler{Procs: 1 << 20, Samples: []Sample{
+			{Time: math.MaxInt64, Busy: math.MaxInt32, Queued: 1 << 40,
+				Running: 123456789, Suspended: 987654321, MaxQueuedXFactor: 1e15},
+			{Time: math.MinInt64, Busy: -1, MaxQueuedXFactor: math.MaxFloat64},
+			{Time: 1 << 53, Busy: 1, MaxQueuedXFactor: math.SmallestNonzeroFloat64},
+		}})
+	})
+	t.Run("rounding boundaries", func(t *testing.T) {
+		s := &Sampler{Procs: 2_000_000}
+		// Busy/Procs lands on k·5e-7, the halfway points of the sixth
+		// decimal; the xfactor column walks x.yyyyyy5 in both directions.
+		for k := range 40 {
+			x := 1 + float64(k)*1e-6 + 5e-7
+			s.Samples = append(s.Samples,
+				Sample{Time: int64(k), Busy: k, MaxQueuedXFactor: x},
+				Sample{Time: int64(k) + 100, Busy: 2*k + 1, MaxQueuedXFactor: math.Nextafter(x, 0)},
+				Sample{Time: int64(k) + 200, Busy: 2*k + 1, MaxQueuedXFactor: math.Nextafter(x, 2)},
+				Sample{Time: int64(k) + 300, Busy: k, MaxQueuedXFactor: float64(2*k+1) * 5e-7},
+				Sample{Time: int64(k) + 400, Busy: k, MaxQueuedXFactor: float64(k) + 0.9999995},
+			)
+		}
+		requireFmtCSV(t, s)
+	})
+	t.Run("random", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1))
+		s := &Sampler{Procs: 1 + rng.Intn(1024)}
+		for i := range 20_000 {
+			xf := 1 + rng.ExpFloat64()*float64(int64(1)<<rng.Intn(30))
+			if i%7 == 0 {
+				xf = 0
+			}
+			s.Samples = append(s.Samples, Sample{
+				Time: rng.Int63n(1 << 40), Busy: rng.Intn(s.Procs + 1),
+				Queued: rng.Intn(5000), Running: rng.Intn(500), Suspended: rng.Intn(500),
+				MaxQueuedXFactor: xf,
+			})
+		}
+		requireFmtCSV(t, s)
+	})
+}
+
+// csvSampler is a sampler of n rows with values of realistic width.
+func csvSampler(n int) *Sampler {
+	s := &Sampler{Procs: 128}
+	for i := range n {
+		s.Samples = append(s.Samples, Sample{
+			Time: int64(i) * 61, Busy: i % 129, Queued: i % 300,
+			Running: i % 40, Suspended: i % 9, MaxQueuedXFactor: 1 + float64(i)/7,
+		})
+	}
+	return s
+}
+
+// TestSamplerWriteCSVAllocsFlat pins WriteCSV's allocations to a
+// constant: the row buffer is reused, so 10,000 rows allocate no more
+// than 10.
+func TestSamplerWriteCSVAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		s := csvSampler(n)
+		return testing.AllocsPerRun(5, func() {
+			if err := s.WriteCSV(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(10), allocs(10_000); small != large {
+		t.Fatalf("WriteCSV allocs: %v for 10 rows, %v for 10000 rows; want equal", small, large)
+	}
+}
+
+func BenchmarkSamplerWriteCSV(b *testing.B) {
+	s := csvSampler(10_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.WriteCSV(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

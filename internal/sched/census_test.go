@@ -1,0 +1,167 @@
+package sched_test
+
+import (
+	"testing"
+
+	"pjs"
+	"pjs/internal/job"
+	"pjs/internal/sched"
+	"pjs/internal/workload"
+)
+
+// censusOracle recomputes each event's queue census from the event
+// stream alone: the jobs whose ActArrive it has seen and that are still
+// Queued. It checks the driver's Queued and MaxQueuedXFactor against
+// that recomputation at every event.
+type censusOracle struct {
+	t       *testing.T
+	arrived map[int]*job.Job
+	events  int // events observed
+	busy    int // events observed with a non-empty queue
+}
+
+func newCensusOracle(t *testing.T) *censusOracle {
+	return &censusOracle{t: t, arrived: make(map[int]*job.Job)}
+}
+
+func (o *censusOracle) Observe(ev sched.Event) {
+	if ev.Action == sched.ActArrive {
+		o.arrived[ev.Job.ID] = ev.Job
+	}
+	n, max := 0, 0.0
+	for _, j := range o.arrived {
+		if j.State != job.Queued {
+			continue
+		}
+		n++
+		if xf := j.XFactor(ev.Time); xf > max {
+			max = xf
+		}
+	}
+	o.events++
+	if n > 0 {
+		o.busy++
+	}
+	if ev.Queued != n || ev.MaxQueuedXFactor != max {
+		o.t.Fatalf("event %d (%v job %d at t=%d): census Queued=%d MaxQueuedXFactor=%v, recomputed %d and %v",
+			o.events, ev.Action, ev.JobID, ev.Time, ev.Queued, ev.MaxQueuedXFactor, n, max)
+	}
+	if (ev.Queued == 0) != (ev.MaxQueuedXFactor == 0) {
+		o.t.Fatalf("event %d (%v at t=%d): Queued=%d but MaxQueuedXFactor=%v",
+			o.events, ev.Action, ev.Time, ev.Queued, ev.MaxQueuedXFactor)
+	}
+}
+
+// arrivalTap forwards to a policy and also hands every arrival to the
+// oracle. A resumed run mutes its observer until the watermark, so the
+// oracle learns of the jobs that arrived before it from the policy's
+// side of the driver instead.
+type arrivalTap struct {
+	sched.Scheduler
+	oracle *censusOracle
+}
+
+func (a arrivalTap) OnArrival(j *job.Job) {
+	a.oracle.arrived[j.ID] = j
+	a.Scheduler.OnArrival(j)
+}
+
+var censusModes = []struct {
+	name      string
+	faults    pjs.FaultConfig
+	transient pjs.TransientFaultConfig
+}{
+	{name: "nofault"},
+	{name: "fault", faults: pjs.FaultConfig{MTBF: 500 * 3600, MTTR: 2 * 3600, Seed: 17}},
+	{name: "transient", transient: pjs.TransientFaultConfig{
+		WriteFailProb: 0.3, ReadFailProb: 0.3, Seed: 9,
+		HealthThreshold: 1, HealthWindow: 1 << 40,
+	}},
+}
+
+func newSpec(t *testing.T, spec string) sched.Scheduler {
+	t.Helper()
+	s, err := pjs.NewScheduler(spec)
+	if err != nil {
+		t.Fatalf("NewScheduler(%q): %v", spec, err)
+	}
+	return s
+}
+
+// TestQueuedCensusMatchesRecomputation is the differential test of the
+// driver's queued set: for every registry policy, with and without
+// processor and transient I/O faults, each event's Queued and
+// MaxQueuedXFactor equal the oracle's recomputation.
+func TestQueuedCensusMatchesRecomputation(t *testing.T) {
+	trace := pjs.Generate(pjs.SDSC(), pjs.GenOptions{Jobs: 200, Seed: 21})
+	for _, spec := range pjs.SchedulerSpecs() {
+		for _, mode := range censusModes {
+			t.Run(spec+"/"+mode.name, func(t *testing.T) {
+				o := newCensusOracle(t)
+				opt := pjs.DiskOverhead()
+				opt.MaxSteps = 50_000_000
+				opt.Observer = o
+				opt.Faults = mode.faults
+				opt.Transient = mode.transient
+				if _, err := sched.RunChecked(trace, newSpec(t, spec), opt); err != nil {
+					t.Fatal(err)
+				}
+				if o.busy == 0 {
+					t.Fatalf("no event of %d had a queued job; the test lost its bite", o.events)
+				}
+			})
+		}
+	}
+}
+
+// TestQueuedCensusAfterResume checks the census of a run resumed from
+// an interior watermark: the driver's queued set is kept while the
+// observer is muted, so the continuation's census is already right at
+// the first event the observer sees.
+func TestQueuedCensusAfterResume(t *testing.T) {
+	trace := pjs.Generate(pjs.SDSC(), pjs.GenOptions{Jobs: 200, Seed: 21})
+	opt := pjs.DiskOverhead()
+	opt.Faults = censusModes[1].faults
+	var snaps []sched.Snapshot
+	ref := opt
+	ref.Checkpoint = &sched.CheckpointConfig{
+		Every: 100,
+		Save:  func(s sched.Snapshot) error { snaps = append(snaps, s); return nil },
+	}
+	if _, err := sched.RunChecked(trace, newSpec(t, "ss:2"), ref); err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) < 3 {
+		t.Fatalf("reference run took %d checkpoints, want at least 3", len(snaps))
+	}
+	snap := snaps[len(snaps)/2]
+	o := newCensusOracle(t)
+	opt.Observer = o
+	opt.Resume = &sched.ResumeSpec{
+		Events: snap.Events, AuditHash: snap.AuditHash, AuditEntries: snap.AuditEntries,
+	}
+	if _, err := sched.RunChecked(trace, arrivalTap{newSpec(t, "ss:2"), o}, opt); err != nil {
+		t.Fatal(err)
+	}
+	if o.busy == 0 {
+		t.Fatalf("no resumed event of %d had a queued job; the test lost its bite", o.events)
+	}
+}
+
+// TestQueuedCensusExcludesUndeliveredArrivals pins the census at an
+// instant where a completion is delivered before a same-instant
+// arrival: the job not yet delivered is not queued, so the finish event
+// reports an empty queue and no xfactor.
+func TestQueuedCensusExcludesUndeliveredArrivals(t *testing.T) {
+	trace := &workload.Trace{Name: "t", Procs: 1, Jobs: []*job.Job{
+		job.New(1, 0, 100, 100, 1),
+		job.New(2, 100, 10, 10, 1),
+	}}
+	o := newCensusOracle(t)
+	if _, err := sched.RunChecked(trace, newSpec(t, "fcfs"), sched.Options{Observer: o}); err != nil {
+		t.Fatal(err)
+	}
+	if o.busy == 0 {
+		t.Fatalf("no event of %d had a queued job; the test lost its bite", o.events)
+	}
+}

@@ -43,9 +43,9 @@ type Event struct {
 	// Suspended counts preempted jobs: state Suspending (image still
 	// being written) plus state Suspended.
 	Suspended int
-	// MaxQueuedXFactor is the largest expansion factor (Eq. 2) over the
-	// queued jobs at Time, or 0 when the queue is empty — the pressure
-	// signal the SS/TSS preemption routine acts on.
+	// MaxQueuedXFactor is the largest expansion factor (Eq. 2) at Time
+	// over the jobs counted by Queued, or 0 when Queued is 0 — the
+	// pressure signal the SS/TSS preemption routine acts on.
 	MaxQueuedXFactor float64
 }
 

@@ -118,18 +118,16 @@ func (e *Env) record(ev Event) {
 		e.Audit.add(ev.Entry)
 	}
 	if e.obs != nil {
-		// The census scan (O(jobs) for the max queued xfactor) runs
+		// The census scan (O(queued) for the max queued xfactor) runs
 		// only when a sink is attached.
-		for _, q := range e.jobs {
-			if q.State == job.Queued && q.SubmitTime <= ev.Time {
-				if xf := q.XFactor(ev.Time); xf > ev.MaxQueuedXFactor {
-					ev.MaxQueuedXFactor = xf
-				}
+		for _, q := range e.queued {
+			if xf := q.XFactor(ev.Time); xf > ev.MaxQueuedXFactor {
+				ev.MaxQueuedXFactor = xf
 			}
 		}
 		ev.Busy = e.Cluster.Busy()
 		ev.Up = e.Cluster.UpCount()
-		ev.Queued, ev.Running, ev.Suspended = e.nQueued, e.nRunning, e.nSuspended
+		ev.Queued, ev.Running, ev.Suspended = len(e.queued), e.nRunning, e.nSuspended
 		e.obs.Observe(ev)
 	}
 }

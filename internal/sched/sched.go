@@ -219,9 +219,12 @@ type Env struct {
 	procBuf [1]int
 
 	// Job-state census for observer snapshots, maintained on every
-	// transition (a handful of integer ops — cheap enough to keep
-	// unconditionally). nSuspended counts Suspending and Suspended.
-	nQueued, nRunning, nSuspended int
+	// transition whether or not an observer is attached (a resumed run
+	// unmutes its observer mid-run). queued holds the arrived jobs in
+	// state Queued, in no particular order; nSuspended counts
+	// Suspending and Suspended.
+	queued               []*job.Job
+	nRunning, nSuspended int
 
 	// Snapshot of the busy-time integral at the most recent arrival,
 	// for the loaded-period utilization metric.
@@ -336,7 +339,7 @@ func (e *Env) dispatch(j *job.Job, readOH int64) {
 	if wasSuspended {
 		e.nSuspended--
 	} else {
-		e.nQueued--
+		e.dequeue(j)
 	}
 	e.nRunning++
 	// A dispatch out of Suspended is a resume; out of Queued it is a
@@ -347,6 +350,16 @@ func (e *Env) dispatch(j *job.Job, readOH int64) {
 		act = ActResume
 	}
 	e.record(jobEvent(act, j, j.ProcSet))
+}
+
+// dequeue removes j, which is leaving state Queued, from the queued
+// set by swapping the last member into its place.
+func (e *Env) dequeue(j *job.Job) {
+	i := slices.Index(e.queued, j)
+	last := len(e.queued) - 1
+	e.queued[i] = e.queued[last]
+	e.queued[last] = nil
+	e.queued = e.queued[:last]
 }
 
 // PreemptAndStart suspends the victim jobs and commits j to start on
@@ -381,7 +394,7 @@ func (e *Env) Kill(j *job.Job) {
 	j.Kill(e.Now())
 	e.Cluster.Release(e.Now(), j.ID, set)
 	e.nRunning--
-	e.nQueued++
+	e.queued = append(e.queued, j)
 	e.record(jobEvent(ActKill, j, set))
 	e.activatePending()
 }
@@ -456,7 +469,7 @@ func (e *Env) arrive(j *job.Job) {
 	e.sweepIOHealth()
 	e.lastArrival = e.Now()
 	e.busyAtLastArrival = e.Cluster.BusyIntegral(e.Now())
-	e.nQueued++
+	e.queued = append(e.queued, j)
 	e.record(jobEvent(ActArrive, j, nil))
 	e.sched.OnArrival(j)
 }
@@ -567,7 +580,7 @@ func (e *Env) failKill(j *job.Job) {
 	} else {
 		e.nRunning--
 	}
-	e.nQueued++
+	e.queued = append(e.queued, j)
 	ev := jobEvent(ActKill, j, set)
 	ev.LostWork = lost
 	e.record(ev)
@@ -661,7 +674,7 @@ func (e *Env) procFail(p int) {
 		lost := j.Fail(now)
 		j.ProcSet = nil
 		e.nSuspended--
-		e.nQueued++
+		e.queued = append(e.queued, j)
 		ev := jobEvent(ActImageLost, j, set)
 		ev.LostWork = lost
 		e.record(ev)
