@@ -313,7 +313,7 @@ func TestPerfFlag(t *testing.T) {
 		t.Error("-perf changed stdout; profiling must stay out of the report stream")
 	}
 	es := perfErr.String()
-	for _, want := range []string{"perf summary", "events/sec=", "event-dispatch", "queue-scan"} {
+	for _, want := range []string{"perf summary", "events/sec=", "queue-scan"} {
 		if !strings.Contains(es, want) {
 			t.Errorf("-perf stderr missing %q:\n%s", want, es)
 		}

@@ -33,7 +33,7 @@ func TestEnabledProbeZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		start := p.Begin()
 		c.Advance(5)
-		p.End(PhaseEventDispatch, start)
+		p.End(PhaseVictimSelect, start)
 	}); n != 0 {
 		t.Fatalf("enabled probe Begin/End allocated %v times per span, want 0", n)
 	}
@@ -79,13 +79,12 @@ func TestMonotonicClockNeverRegresses(t *testing.T) {
 	}
 }
 
-// TestPhaseStrings pins the phase names BENCH.json keys on.
+// TestPhaseStrings pins the phase names the psim -perf summary prints.
 func TestPhaseStrings(t *testing.T) {
 	want := map[Phase]string{
 		PhaseQueueScan:      "queue-scan",
 		PhaseBackfillWindow: "backfill-window",
 		PhaseVictimSelect:   "victim-select",
-		PhaseEventDispatch:  "event-dispatch",
 	}
 	for ph, name := range want {
 		if got := ph.String(); got != name {

@@ -5,12 +5,12 @@ import (
 	"io"
 )
 
-// Phase names one instrumented region of the scheduler hot path. The
-// phases nest: EventDispatch is the envelope around one engine event's
-// handler (driver bookkeeping plus the policy's reaction), QueueScan
-// covers a policy's pass over its idle queue, and BackfillWindow /
-// VictimSelect time the expensive inner decisions a scan makes. Their
-// durations therefore overlap and do not sum to the run's wall time.
+// Phase names one instrumented region of a policy's hot path. The
+// phases are inclusive: QueueScan covers a policy's pass over its idle
+// queue, and BackfillWindow / VictimSelect time the expensive inner
+// decisions a scan may make (a backfill window opens inside a queue
+// scan). Their durations can therefore overlap, and their shares of a
+// run's wall time need not add up to 100%.
 type Phase uint8
 
 const (
@@ -25,17 +25,12 @@ const (
 	// PhaseVictimSelect is the preemption-victim selection of the
 	// SS/TSS preemption routine (SelectVictims/SelectReentryVictims).
 	PhaseVictimSelect
-	// PhaseEventDispatch is the per-event envelope in the engine loop:
-	// one handler invocation including driver bookkeeping and the
-	// policy's reaction.
-	PhaseEventDispatch
 
 	// NumPhases is the sentinel counting the phases above.
 	NumPhases
 )
 
-// String names the phase as it appears in probe summaries and
-// BENCH.json phase keys.
+// String names the phase as it appears in probe summaries.
 func (p Phase) String() string {
 	switch p {
 	case PhaseQueueScan:
@@ -44,8 +39,6 @@ func (p Phase) String() string {
 		return "backfill-window"
 	case PhaseVictimSelect:
 		return "victim-select"
-	case PhaseEventDispatch:
-		return "event-dispatch"
 	case NumPhases:
 		// Sentinel, never a real phase; fall through to the panic.
 	}

@@ -279,7 +279,6 @@ func RunContext(ctx context.Context, t *workload.Trace, s Scheduler, opt Options
 	}
 	env.engine = sim.New(env, s.TickInterval())
 	env.engine.SetContext(ctx)
-	env.engine.SetProbe(opt.Probe)
 	if opt.MaxSteps > 0 {
 		env.engine.SetMaxSteps(opt.MaxSteps)
 	}

@@ -5,64 +5,62 @@ import (
 
 	"pjs/internal/perf"
 	"pjs/internal/sched"
+	"pjs/internal/sched/conservative"
+	"pjs/internal/sched/depthbf"
+	"pjs/internal/sched/easy"
 	"pjs/internal/sched/ss"
 	"pjs/internal/workload"
 )
 
-// probeTrace is a small synthetic workload that exercises every
-// instrumented phase under SS: queue scans on each event, victim
-// selection in the tick-driven preemption routine, event dispatch
-// throughout.
+// probeTrace is a small synthetic workload under overload, so that
+// queues build up: SS's tick-driven preemption routine finds victims
+// and the backfilling policies compute reservation windows.
 func probeTrace() *workload.Trace {
 	m := workload.CTC()
-	m.OfferedLoad = 1.2 // overload so the preemption routine has victims
+	m.OfferedLoad = 1.2
 	return workload.Generate(m, workload.GenOptions{Jobs: 120, Seed: 7})
 }
 
-// TestProbeDoesNotPerturbRun is the determinism acceptance criterion:
-// the audit log of a run with a probe attached is byte-identical to the
-// unprobed run's, and two probed runs agree with each other. Timing
-// lives strictly outside the audit log, the watermark hash and the
-// observer stream, so profiling can never change what a run computes.
-func TestProbeDoesNotPerturbRun(t *testing.T) {
-	tr := probeTrace()
-	opt := sched.Options{Audit: true}
-	plain := sched.Run(tr, ss.New(ss.Config{SF: 2}), opt)
-
-	opt.Probe = perf.NewProbe(nil)
-	probed1 := sched.Run(tr, ss.New(ss.Config{SF: 2}), opt)
-	opt.Probe = perf.NewProbe(nil)
-	probed2 := sched.Run(tr, ss.New(ss.Config{SF: 2}), opt)
-
-	if plain.Audit.String() != probed1.Audit.String() {
-		t.Fatal("audit log diverges when a probe is attached")
-	}
-	if probed1.Audit.String() != probed2.Audit.String() {
-		t.Fatal("two probed runs produced different audit logs")
-	}
-	if plain.Events != probed1.Events || plain.Events == 0 {
-		t.Fatalf("event counts diverge: plain=%d probed=%d", plain.Events, probed1.Events)
-	}
-}
-
-// TestProbeObservesAllPhases proves the wiring reaches every phase: a
-// probed SS run under overload must record spans for event dispatch,
-// queue scans and victim selection (backfill windows belong to the
-// backfilling policies and stay idle here).
+// TestProbeObservesAllPhases proves the probe wiring reaches every
+// phase, and is the determinism acceptance criterion for profiling.
+// Each row runs one policy probed and plain: the probed run must record
+// spans for the phases the policy instruments, and its audit log must
+// be byte-identical to the plain run's. Timing lives strictly outside
+// the audit log, the watermark hash and the observer stream, so
+// profiling can never change what a run computes.
 func TestProbeObservesAllPhases(t *testing.T) {
-	p := perf.NewProbe(nil)
-	res := sched.Run(probeTrace(), ss.New(ss.Config{SF: 2}), sched.Options{Probe: p})
-	s := p.Snapshot()
-	for _, ph := range []perf.Phase{perf.PhaseEventDispatch, perf.PhaseQueueScan, perf.PhaseVictimSelect} {
-		if s[ph].Calls == 0 {
-			t.Errorf("phase %s recorded no spans", ph)
-		}
-	}
-	if s[perf.PhaseEventDispatch].Calls != res.Events {
-		t.Errorf("dispatch spans = %d, want one per event (%d)",
-			s[perf.PhaseEventDispatch].Calls, res.Events)
-	}
-	if res.Suspensions == 0 {
-		t.Error("overload trace produced no preemptions; victim-select phase untested")
+	tr := probeTrace()
+	for _, tc := range []struct {
+		name   string
+		new    func() sched.Scheduler
+		phases []perf.Phase
+	}{
+		{"ss:2", func() sched.Scheduler { return ss.New(ss.Config{SF: 2}) },
+			[]perf.Phase{perf.PhaseQueueScan, perf.PhaseVictimSelect}},
+		{"ns", func() sched.Scheduler { return easy.New() },
+			[]perf.Phase{perf.PhaseQueueScan, perf.PhaseBackfillWindow}},
+		{"conservative", func() sched.Scheduler { return conservative.New() },
+			[]perf.Phase{perf.PhaseQueueScan, perf.PhaseBackfillWindow}},
+		{"depth:2", func() sched.Scheduler { return depthbf.New(2) },
+			[]perf.Phase{perf.PhaseQueueScan, perf.PhaseBackfillWindow}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plain := sched.Run(tr, tc.new(), sched.Options{Audit: true})
+			p := perf.NewProbe(nil)
+			probed := sched.Run(tr, tc.new(), sched.Options{Audit: true, Probe: p})
+
+			if plain.Audit.String() != probed.Audit.String() {
+				t.Fatal("audit log diverges when a probe is attached")
+			}
+			if plain.Events != probed.Events || plain.Events == 0 {
+				t.Fatalf("event counts diverge: plain=%d probed=%d", plain.Events, probed.Events)
+			}
+			s := p.Snapshot()
+			for _, ph := range tc.phases {
+				if s[ph].Calls == 0 {
+					t.Errorf("phase %s recorded no spans", ph)
+				}
+			}
+		})
 	}
 }

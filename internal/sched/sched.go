@@ -93,10 +93,10 @@ type Options struct {
 	// observation at zero cost: every emission site is nil-guarded and
 	// allocates nothing.
 	Observer Observer
-	// Probe accumulates per-phase wall-clock timing of the scheduler hot
-	// path (event dispatch, queue scans, backfill windows, victim
-	// selection). nil — the default — disables profiling at zero cost:
-	// span calls on a nil probe are allocation-free no-ops. Timing never
+	// Probe accumulates per-phase wall-clock timing of the policies'
+	// hot regions (queue scans, backfill windows, victim selection).
+	// nil — the default — disables profiling at zero cost: span calls
+	// on a nil probe are allocation-free no-ops. Timing never
 	// enters the audit log, the watermark hash or the observer stream,
 	// so an attached probe cannot perturb a run's deterministic outputs.
 	Probe *perf.Probe

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"pjs/internal/job"
-	"pjs/internal/perf"
 )
 
 // Kind discriminates event types. The numeric order doubles as the
@@ -116,7 +115,6 @@ type Engine struct {
 	abortErr     error
 	ctx          context.Context
 	stepHook     func(steps int64) error
-	probe        *perf.Probe
 }
 
 // New returns an engine delivering events to h. tickInterval of 0
@@ -152,14 +150,6 @@ const ctxCheckMask = 255
 // what it computes: every event processed before the stop is identical
 // to the uninterrupted run's.
 func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
-
-// SetProbe attaches a performance probe timing each event dispatch
-// (the handler invocation envelope). A nil probe — the default — keeps
-// the loop on the zero-cost path: Begin/End on a nil *perf.Probe are
-// allocation-free no-ops. The probe observes wall time only; it never
-// reads or influences simulation state, so enabling it cannot change a
-// run's outcome.
-func (e *Engine) SetProbe(p *perf.Probe) { e.probe = p }
 
 // SetStepHook installs fn, invoked after every processed event with
 // the cumulative event count; a non-nil return stops Run with that
@@ -260,7 +250,6 @@ func (e *Engine) Run() (int64, error) {
 			return e.now, fmt.Errorf("%w: %d steps at t=%d (livelock?)",
 				ErrMaxSteps, e.maxSteps, e.now)
 		}
-		span := e.probe.Begin()
 		switch {
 		case ev.Kind == Tick:
 			// The loop runs only while jobs remain, so every tick it
@@ -274,7 +263,6 @@ func (e *Engine) Run() (int64, error) {
 				e.finishedJobs++
 			}
 		}
-		e.probe.End(perf.PhaseEventDispatch, span)
 		if e.abortErr != nil {
 			return e.now, e.abortErr
 		}

@@ -1,9 +1,9 @@
 #!/bin/sh
 # Tier-1 verification gate. CI runs exactly this; run it locally before
-# pushing. The pjslint step enforces the determinism invariants
-# (wallclock/detrand/stablesort/maporder/errwrite — see DESIGN.md,
-# "Determinism invariants & static analysis"); the -race test run
-# includes the double-run audit-log determinism regression for every
+# pushing. The pjslint step enforces the determinism and invariant
+# checks described in DESIGN.md ("Determinism invariants & static
+# analysis"; `go run ./cmd/pjslint -list` prints them); the -race test
+# run includes the double-run audit-log determinism regression for every
 # scheduler in the registry. The pjsperf benchmark harness is its own
 # module (go.mod with a replace of the root), which the ./... patterns
 # above skip, so it is vetted and tested in its own step: its seed-1
