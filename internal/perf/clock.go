@@ -6,7 +6,7 @@
 // Probes read the wall clock and accumulate timing into their own
 // state; the audit log, the audit-prefix hash and the observer stream
 // never see a probe value, so a probed run is byte-identical to an
-// unprobed one (pinned by TestProbeObservesAllPhases). The
+// unprobed one (pinned by TestProbeDoesNotPerturbRun). The
 // reverse direction is enforced statically: this package is the only
 // place under pjs/internal/ where the pjslint wallclock check accepts
 // a wall-clock read, and each such site must carry a justified

@@ -21,40 +21,59 @@ func probeTrace() *workload.Trace {
 	return workload.Generate(m, workload.GenOptions{Jobs: 120, Seed: 7})
 }
 
-// TestProbeObservesAllPhases proves the probe wiring reaches every
-// phase, and is the determinism acceptance criterion for profiling.
-// Each row runs one policy probed and plain: the probed run must record
-// spans for the phases the policy instruments, and its audit log must
-// be byte-identical to the plain run's. Timing lives strictly outside
-// the audit log, the watermark hash and the observer stream, so
-// profiling can never change what a run computes.
-func TestProbeObservesAllPhases(t *testing.T) {
+// probePolicies are the policies that instrument probe phases, each
+// with the phases it is expected to record under probeTrace.
+var probePolicies = []struct {
+	name   string
+	new    func() sched.Scheduler
+	phases []perf.Phase
+}{
+	{"ss:2", func() sched.Scheduler { return ss.New(ss.Config{SF: 2}) },
+		[]perf.Phase{perf.PhaseQueueScan, perf.PhaseVictimSelect}},
+	{"ns", func() sched.Scheduler { return easy.New() },
+		[]perf.Phase{perf.PhaseQueueScan, perf.PhaseBackfillWindow}},
+	{"conservative", func() sched.Scheduler { return conservative.New() },
+		[]perf.Phase{perf.PhaseQueueScan, perf.PhaseBackfillWindow}},
+	{"depth:2", func() sched.Scheduler { return depthbf.New(2) },
+		[]perf.Phase{perf.PhaseQueueScan, perf.PhaseBackfillWindow}},
+}
+
+// TestProbeDoesNotPerturbRun is the determinism acceptance criterion:
+// for every instrumented policy, the audit log of a run with a probe
+// attached is byte-identical to the unprobed run's, and two probed runs
+// agree with each other. Timing lives strictly outside the audit log,
+// the watermark hash and the observer stream, so profiling can never
+// change what a run computes.
+func TestProbeDoesNotPerturbRun(t *testing.T) {
 	tr := probeTrace()
-	for _, tc := range []struct {
-		name   string
-		new    func() sched.Scheduler
-		phases []perf.Phase
-	}{
-		{"ss:2", func() sched.Scheduler { return ss.New(ss.Config{SF: 2}) },
-			[]perf.Phase{perf.PhaseQueueScan, perf.PhaseVictimSelect}},
-		{"ns", func() sched.Scheduler { return easy.New() },
-			[]perf.Phase{perf.PhaseQueueScan, perf.PhaseBackfillWindow}},
-		{"conservative", func() sched.Scheduler { return conservative.New() },
-			[]perf.Phase{perf.PhaseQueueScan, perf.PhaseBackfillWindow}},
-		{"depth:2", func() sched.Scheduler { return depthbf.New(2) },
-			[]perf.Phase{perf.PhaseQueueScan, perf.PhaseBackfillWindow}},
-	} {
+	for _, tc := range probePolicies {
 		t.Run(tc.name, func(t *testing.T) {
 			plain := sched.Run(tr, tc.new(), sched.Options{Audit: true})
-			p := perf.NewProbe(nil)
-			probed := sched.Run(tr, tc.new(), sched.Options{Audit: true, Probe: p})
+			probed1 := sched.Run(tr, tc.new(), sched.Options{Audit: true, Probe: perf.NewProbe(nil)})
+			probed2 := sched.Run(tr, tc.new(), sched.Options{Audit: true, Probe: perf.NewProbe(nil)})
 
-			if plain.Audit.String() != probed.Audit.String() {
+			if plain.Audit.String() != probed1.Audit.String() {
 				t.Fatal("audit log diverges when a probe is attached")
 			}
-			if plain.Events != probed.Events || plain.Events == 0 {
-				t.Fatalf("event counts diverge: plain=%d probed=%d", plain.Events, probed.Events)
+			if probed1.Audit.String() != probed2.Audit.String() {
+				t.Fatal("two probed runs produced different audit logs")
 			}
+			if plain.Events != probed1.Events || plain.Events == 0 {
+				t.Fatalf("event counts diverge: plain=%d probed=%d", plain.Events, probed1.Events)
+			}
+		})
+	}
+}
+
+// TestProbeObservesAllPhases proves the probe wiring reaches every
+// phase: each policy, probed under overload, must record spans for the
+// phases it instruments.
+func TestProbeObservesAllPhases(t *testing.T) {
+	tr := probeTrace()
+	for _, tc := range probePolicies {
+		t.Run(tc.name, func(t *testing.T) {
+			p := perf.NewProbe(nil)
+			sched.Run(tr, tc.new(), sched.Options{Probe: p})
 			s := p.Snapshot()
 			for _, ph := range tc.phases {
 				if s[ph].Calls == 0 {
