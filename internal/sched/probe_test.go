@@ -22,20 +22,22 @@ func probeTrace() *workload.Trace {
 }
 
 // probePolicies are the policies that instrument probe phases, each
-// with the phases it is expected to record under probeTrace.
+// with the phases it is expected to record under probeTrace and
+// whether it must suspend jobs there.
 var probePolicies = []struct {
-	name   string
-	new    func() sched.Scheduler
-	phases []perf.Phase
+	name     string
+	new      func() sched.Scheduler
+	phases   []perf.Phase
+	preempts bool
 }{
 	{"ss:2", func() sched.Scheduler { return ss.New(ss.Config{SF: 2}) },
-		[]perf.Phase{perf.PhaseQueueScan, perf.PhaseVictimSelect}},
+		[]perf.Phase{perf.PhaseQueueScan, perf.PhaseVictimSelect}, true},
 	{"ns", func() sched.Scheduler { return easy.New() },
-		[]perf.Phase{perf.PhaseQueueScan, perf.PhaseBackfillWindow}},
+		[]perf.Phase{perf.PhaseQueueScan, perf.PhaseBackfillWindow}, false},
 	{"conservative", func() sched.Scheduler { return conservative.New() },
-		[]perf.Phase{perf.PhaseQueueScan, perf.PhaseBackfillWindow}},
+		[]perf.Phase{perf.PhaseQueueScan, perf.PhaseBackfillWindow}, false},
 	{"depth:2", func() sched.Scheduler { return depthbf.New(2) },
-		[]perf.Phase{perf.PhaseQueueScan, perf.PhaseBackfillWindow}},
+		[]perf.Phase{perf.PhaseQueueScan, perf.PhaseBackfillWindow}, false},
 }
 
 // TestProbeDoesNotPerturbRun is the determinism acceptance criterion:
@@ -67,18 +69,22 @@ func TestProbeDoesNotPerturbRun(t *testing.T) {
 
 // TestProbeObservesAllPhases proves the probe wiring reaches every
 // phase: each policy, probed under overload, must record spans for the
-// phases it instruments.
+// phases it instruments, and a preemptive policy must actually suspend
+// jobs, so victim selection is exercised with victims found.
 func TestProbeObservesAllPhases(t *testing.T) {
 	tr := probeTrace()
 	for _, tc := range probePolicies {
 		t.Run(tc.name, func(t *testing.T) {
 			p := perf.NewProbe(nil)
-			sched.Run(tr, tc.new(), sched.Options{Probe: p})
+			res := sched.Run(tr, tc.new(), sched.Options{Probe: p})
 			s := p.Snapshot()
 			for _, ph := range tc.phases {
 				if s[ph].Calls == 0 {
 					t.Errorf("phase %s recorded no spans", ph)
 				}
+			}
+			if tc.preempts && res.Suspensions == 0 {
+				t.Error("overload trace produced no preemptions; victim-select phase untested")
 			}
 		})
 	}
