@@ -300,7 +300,11 @@ func psim(args []string, stdout, stderr *cli.W) int {
 		// Transient read retries pad run segments with backoff time, so
 		// exact work conservation only holds without them.
 		zeroOH := !optSpec.Overhead && optSpec.IOWriteFail == 0 && optSpec.IOReadFail == 0
-		if err := check.Check(res.Audit, check.Options{ZeroOverhead: zeroOH}); err != nil {
+		// A migratable scheduler resumes jobs on other processors by
+		// design, so the local-restart invariant does not hold for it.
+		m, ok := s.(interface{ Migrates() bool })
+		copt := check.Options{ZeroOverhead: zeroOH, AllowMigration: ok && m.Migrates()}
+		if err := check.Check(res.Audit, copt); err != nil {
 			return fail(fmt.Errorf("invariant check failed: %v", err))
 		}
 		occ, _ := res.UtilizationIntegral()

@@ -90,6 +90,19 @@ func TestRunHappyPath(t *testing.T) {
 	}
 }
 
+// TestVerifyMigratable checks that -verify accepts the migratable SS
+// variant, whose resumes leave the remembered processor set by design.
+func TestVerifyMigratable(t *testing.T) {
+	var stdout, stderr strings.Builder
+	code := run([]string{"-jobs", "300", "-sched", "ssmig:2", "-overhead", "-verify", "-counters"}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit code = %d, stderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "invariants: ok") {
+		t.Errorf("no invariants line:\n%s", stdout.String())
+	}
+}
+
 // TestInterruptCheckpointResume is the CLI-level crash-equivalence
 // check: a run killed by the -max-wall watchdog exits 3 with a saved
 // checkpoint, and resuming it reproduces the uninterrupted run's

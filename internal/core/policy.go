@@ -14,6 +14,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"pjs/internal/job"
@@ -75,6 +76,20 @@ func (p *Policy) Validate() error {
 // reentering job might otherwise wait for the full completion of a
 // narrow job sitting on one of its processors.
 func (p *Policy) CanPreempt(now int64, idle, victim *job.Job, reentry bool) bool {
+	vx := victim.XFactor(now)
+	if !p.Suspendable(victim, vx) {
+		return false
+	}
+	if !reentry && !p.DisableHalfWidthRule && victim.Procs > 2*idle.Procs {
+		return false
+	}
+	return idle.XFactor(now) >= p.SF*vx
+}
+
+// Suspendable reports whether the running victim, whose xfactor is xf,
+// may be suspended by any idle job: it is under MaxVictimSuspensions
+// and, under TSS, within its category's limit.
+func (p *Policy) Suspendable(victim *job.Job, xf float64) bool {
 	if p.MaxVictimSuspensions > 0 && victim.Suspensions >= p.MaxVictimSuspensions {
 		return false
 	}
@@ -83,14 +98,37 @@ func (p *Policy) CanPreempt(now int64, idle, victim *job.Job, reentry bool) bool
 		// exceeds 1.5× the average slowdown of its category. The
 		// scheduler has no oracle for the true run time, so the
 		// category is the one implied by the user estimate.
-		if lim, ok := p.Limits.Limit(victim.EstimateCategory()); ok && victim.XFactor(now) > lim {
+		if lim, ok := p.Limits.Limit(victim.EstimateCategory()); ok && xf > lim {
 			return false
 		}
 	}
-	if !reentry && !p.DisableHalfWidthRule && victim.Procs > 2*idle.Procs {
-		return false
+	return true
+}
+
+// Crossing returns how many seconds after now the xfactor of idle — a
+// Queued or Suspended job, whose wait grows one second per second —
+// reaches SF·need, the point from which the SF condition of CanPreempt
+// can hold against a victim whose xfactor is need:
+//
+//	d = ceil(SF·need·est) − Wait(now) − est
+//
+// with est the estimate clamped to at least one second, as in XFactor.
+// d ≤ 0 means idle is already there; an infinite need gives
+// math.MaxInt64. SF·need·est is rounded in floating point, which can
+// make d a second late, so a caller that skips work before the crossing
+// keeps a margin. The ceiling is clamped to 2^52 s, where a float stops
+// resolving single seconds; the clamp only makes d earlier.
+func (p *Policy) Crossing(now int64, idle *job.Job, need float64) int64 {
+	est := idle.Estimate
+	if est < 1 {
+		est = 1
 	}
-	return idle.XFactor(now) >= p.SF*victim.XFactor(now)
+	f := math.Ceil(p.SF * need * float64(est))
+	if math.IsInf(f, 1) {
+		return math.MaxInt64
+	}
+	f = min(f, 1<<52)
+	return int64(f) - idle.Wait(now) - est
 }
 
 // SelectVictims implements the fresh-idle-job branch of the paper's

@@ -211,6 +211,13 @@ type Env struct {
 	// iterated, so it cannot leak ordering into the run.
 	ioAttempts map[int]int
 
+	// quiet is the virtual time before which the policy's tick routine
+	// cannot act (QuietUntil); every non-tick event and every processor
+	// restored to I/O health clears it. tickAlways ignores it, for tests
+	// that compare a run against one calling OnTick on every tick.
+	quiet      int64
+	tickAlways bool
+
 	// tally counts the fault and I/O actions record has seen; prevAct
 	// is the action it saw last, and procBuf backs a processor-level
 	// action's one-processor set.
@@ -258,6 +265,20 @@ func (e *Env) Now() int64 { return e.engine.Now() }
 // Probe().Begin()/End(...) — both are nil-safe no-ops, so call sites
 // need no guards.
 func (e *Env) Probe() *perf.Probe { return e.probe }
+
+// QuietUntil tells the driver that the policy's tick routine cannot act
+// before virtual time t, so ticks before t skip OnTick; they still
+// record their heartbeat. The promise only covers the state the policy
+// saw: the driver forgets it at the next non-tick event and whenever a
+// processor is restored to I/O health. A policy calls it from OnTick,
+// after proving that nothing it would do at a tick before t could start,
+// resume or suspend a job, and skips its routine if QuietUntil reports
+// true; false means the driver delivers every tick and the routine
+// must run.
+func (e *Env) QuietUntil(t int64) bool {
+	e.quiet = t
+	return !e.tickAlways
+}
 
 // JobByID returns the job with the given ID, or nil.
 func (e *Env) JobByID(id int) *job.Job { return e.byID[id] }
@@ -442,8 +463,12 @@ func (e *Env) activatePending() {
 }
 
 // Handle implements sim.Handler: it routes each engine event to the
-// driver step of its kind.
+// driver step of its kind. Every event but a tick can change what the
+// policy's tick routine would do, so it ends any QuietUntil promise.
 func (e *Env) Handle(ev sim.Event) {
+	if ev.Kind != sim.Tick {
+		e.quiet = 0
+	}
 	switch ev.Kind {
 	case sim.Arrival:
 		e.arrive(ev.Job)
@@ -606,6 +631,7 @@ func (e *Env) sweepIOHealth() {
 		return
 	}
 	for _, p := range e.health.Sweep(e.Now()) {
+		e.quiet = 0 // a healthy processor can offer a victim again
 		e.record(e.procEvent(ActIORestored, p))
 	}
 }
@@ -743,12 +769,16 @@ func dedupeJobs(jobs []*job.Job) []*job.Job {
 	return out
 }
 
-// tick runs the policy's periodic routine. The tick heartbeat is
-// emitted before the policy reacts, so time-series sinks sample the
-// state the preemption routine is about to act on.
+// tick runs the policy's periodic routine unless the policy declared it
+// quiet until a later time. The tick heartbeat is emitted either way,
+// and before the policy reacts, so time-series sinks sample the state
+// the preemption routine is about to act on.
 func (e *Env) tick() {
 	e.sweepIOHealth()
 	e.record(Event{Entry: Entry{Action: ActTick, JobID: -1}})
+	if e.Now() < e.quiet && !e.tickAlways {
+		return
+	}
 	e.sched.OnTick()
 }
 

@@ -19,14 +19,23 @@ func ctcAtLoad(n int, seed int64, load float64) *workload.Trace {
 // tickAllocs wraps an SS scheduler and, after each real tick that
 // committed nothing, measures the allocations of repeating that tick.
 // A tick that commits nothing changes no state, so the repeats see the
-// same queue, running set and cluster as the real one.
+// same queue, running set and cluster as the real one. Quiet ticks —
+// those that only compute the horizon — are measured apart.
 type tickAllocs struct {
 	*Sched
 	measured, withSuspended, withQueued int
 	worst                               float64
+	quiet                               int
+	worstQuiet                          float64
 }
 
 func (w *tickAllocs) OnTick() {
+	if now := w.env.Now(); w.horizon(now) > now {
+		w.quiet++
+		w.Sched.OnTick()
+		w.worstQuiet = max(w.worstQuiet, testing.AllocsPerRun(5, w.Sched.OnTick))
+		return
+	}
 	queued, running := len(w.queue), len(w.running)
 	w.Sched.OnTick()
 	if len(w.queue) != queued || len(w.running) != running || queued == 0 {
@@ -50,19 +59,60 @@ func (w *tickAllocs) OnTick() {
 
 // TestTickWithoutCommitAllocatesNothing pins the per-tick scratch reuse:
 // once warmed, an SS tick whose preemption routine and schedule pass
-// commit nothing — the common tick on a loaded machine — allocates 0.
-// The measured ticks must include reentry attempts by suspended jobs and
-// victim searches for fresh jobs that do not fit.
+// commit nothing allocates 0, and so does a quiet tick, which computes
+// the horizon and returns — the common tick on a loaded machine. The
+// measured full ticks must include reentry attempts by suspended jobs
+// and victim searches for fresh jobs that do not fit.
 func TestTickWithoutCommitAllocatesNothing(t *testing.T) {
 	w := &tickAllocs{Sched: New(Config{SF: 2})}
 	sched.Run(ctcAtLoad(300, 1, 2), w, sched.Options{})
-	if w.measured == 0 || w.withSuspended == 0 || w.withQueued == 0 {
-		t.Fatalf("measured %d idle ticks (%d with suspended jobs, %d with blocked fresh jobs); the trace no longer exercises the tick path",
-			w.measured, w.withSuspended, w.withQueued)
+	if w.measured == 0 || w.withSuspended == 0 || w.withQueued == 0 || w.quiet == 0 {
+		t.Fatalf("measured %d idle ticks (%d with suspended jobs, %d with blocked fresh jobs) and %d quiet ticks; the trace no longer exercises the tick path",
+			w.measured, w.withSuspended, w.withQueued, w.quiet)
 	}
-	t.Logf("measured %d idle ticks: %d with suspended jobs, %d with blocked fresh jobs", w.measured, w.withSuspended, w.withQueued)
+	t.Logf("measured %d idle ticks: %d with suspended jobs, %d with blocked fresh jobs; %d quiet ticks", w.measured, w.withSuspended, w.withQueued, w.quiet)
 	if w.worst != 0 {
 		t.Fatalf("a tick that commits nothing allocated %v times, want 0", w.worst)
+	}
+	if w.worstQuiet != 0 {
+		t.Fatalf("a quiet tick allocated %v times, want 0", w.worstQuiet)
+	}
+}
+
+// tickCount counts the OnTick calls the driver makes and, as an
+// observer, the tick heartbeats it records.
+type tickCount struct {
+	*Sched
+	calls, heartbeats int
+}
+
+func (c *tickCount) OnTick() {
+	c.calls++
+	c.Sched.OnTick()
+}
+
+func (c *tickCount) Observe(ev sched.Event) {
+	if ev.Action == sched.ActTick {
+		c.heartbeats++
+	}
+}
+
+// TestQuietTicksSkipMost pins how tight the quiet-tick horizon is: on a
+// preempt-ctc-shaped run, the driver calls the SS tick routine on at
+// most a quarter of the ticks. A horizon that only compared SF times
+// the smallest running xfactor with the idle xfactors let about half of
+// them through, because most ticks fail on width coverage or the
+// half-width rule rather than on the SF ratio.
+func TestQuietTicksSkipMost(t *testing.T) {
+	c := &tickCount{Sched: New(Config{SF: 2})}
+	sched.Run(ctcAtLoad(1000, 1, 2), c, sched.Options{Observer: c})
+	if c.heartbeats == 0 {
+		t.Fatal("the run recorded no tick")
+	}
+	frac := float64(c.calls) / float64(c.heartbeats)
+	t.Logf("OnTick called on %d of %d ticks (%.1f%%)", c.calls, c.heartbeats, 100*frac)
+	if frac > 0.25 {
+		t.Errorf("OnTick called on %d of %d ticks (%.1f%%), want at most 25%%", c.calls, c.heartbeats, 100*frac)
 	}
 }
 

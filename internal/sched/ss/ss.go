@@ -16,7 +16,10 @@
 package ss
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"pjs/internal/core"
 	"pjs/internal/job"
@@ -65,6 +68,21 @@ type Sched struct {
 	idle    []*job.Job
 	ord     job.Order
 	healthy []*job.Job
+
+	// Quiet-tick scratch, rebuilt by scanRunning for each horizon:
+	// victims are the suspendable running jobs in ascending xfactor,
+	// holderX maps each processor to the xfactor of its Running holder
+	// (+Inf when that holder is not suspendable, -1 when there is
+	// none), and needByWidth memoizes freshNeed (-1 = not computed).
+	victims     []victimX
+	holderX     []float64
+	needByWidth []float64
+}
+
+// victimX is a suspendable running job with its xfactor at the horizon.
+type victimX struct {
+	x float64
+	j *job.Job
 }
 
 // New returns an SS or TSS scheduler for the given configuration.
@@ -98,6 +116,10 @@ func (s *Sched) Name() string {
 	}
 	return fmt.Sprintf("%s(SF=%g)", kind, s.cfg.SF)
 }
+
+// Migrates reports whether s resumes suspended jobs on any free
+// processors (the migratable model) instead of their remembered set.
+func (s *Sched) Migrates() bool { return s.cfg.Migration }
 
 // Init implements sched.Scheduler.
 func (s *Sched) Init(env *sched.Env) { s.env = env }
@@ -138,7 +160,15 @@ func (s *Sched) OnSuspendDone(j *job.Job) {
 // xfactor order: an idle job's key is fixed at a fixed now, and the
 // queue only shrinks during the tick — the preemption pass commits jobs
 // out of it, and its victims rejoin it only at their later SuspendDone.
+//
+// The routine runs only once some idle job could commit a preemption:
+// before that, OnTick asks the driver to skip ticks until the horizon
+// (see horizon) and returns.
 func (s *Sched) OnTick() {
+	now := s.env.Now()
+	if h := s.horizon(now); now < h && s.env.QuietUntil(h) {
+		return
+	}
 	s.sortIdle()
 	s.preemptionPass()
 	span := s.env.Probe().Begin()
@@ -301,6 +331,153 @@ func (s *Sched) tryReentry(j *job.Job, now int64) bool {
 	}
 	s.commit(j, victims, j.ProcSet)
 	return true
+}
+
+// horizon returns a virtual time before which no tick's preemption
+// routine can commit a preemption, or now when this tick's may. The
+// state it reads — the running jobs and their suspension counts, TSS
+// limits, claims, ownership and I/O health — changes only at events,
+// and the driver forgets the horizon at each. Meanwhile idle xfactors
+// grow with time, and running ones stay put or grow (a restart read),
+// which only makes them harder to preempt. So no tick before the
+// earliest crossing, over the idle jobs, of SF times the xfactor each
+// needs can act. The schedule pass that follows the routine has nothing
+// to start either: the pass after the last event started all that fit.
+//
+// The horizon is one tick before that crossing, so float rounding in
+// CanPreempt can never make a skipped tick one that would have acted.
+func (s *Sched) horizon(now int64) int64 {
+	if len(s.queue) == 0 {
+		return math.MaxInt64 // nothing idle until an event
+	}
+	s.scanRunning(now)
+	if len(s.victims) == 0 {
+		return math.MaxInt64 // nothing to preempt until an event
+	}
+	tick := s.TickInterval()
+	free := s.env.Cluster.FreeUnclaimed()
+	minX := s.victims[0].x // no idle job needs less
+	best := int64(math.MaxInt64)
+	for _, j := range s.queue {
+		reentry := j.State == job.Suspended && !s.cfg.Migration
+		if !reentry && j.Procs <= free {
+			continue // fits without preemption, so takes no victims
+		}
+		if s.pol.Crossing(now, j, minX) >= best {
+			continue // cannot beat the best crossing so far
+		}
+		var need float64
+		if reentry {
+			need = s.reentryNeed(j, now, best)
+		} else {
+			need = s.freshNeed(j.Procs, free)
+		}
+		if d := s.pol.Crossing(now, j, need); d < best {
+			if d <= tick {
+				return now
+			}
+			best = d
+		}
+	}
+	if best == math.MaxInt64 {
+		return best
+	}
+	return now + best - tick
+}
+
+// scanRunning rebuilds the quiet-tick scratch from the running jobs at
+// time now.
+func (s *Sched) scanRunning(now int64) {
+	n := s.env.Cluster.Size()
+	if len(s.holderX) != n {
+		s.holderX = make([]float64, n)
+		s.needByWidth = make([]float64, n+1)
+	}
+	for p := range s.holderX {
+		s.holderX[p] = -1
+	}
+	for w := range s.needByWidth {
+		s.needByWidth[w] = -1
+	}
+	s.victims = s.victims[:0]
+	for _, r := range s.running {
+		if r.State != job.Running {
+			continue // a committed pending start holds nothing yet
+		}
+		x := r.XFactor(now)
+		hx := math.Inf(1)
+		if s.pol.Suspendable(r, x) && s.env.SetIOHealthy(r.ProcSet) {
+			hx = x
+			s.victims = append(s.victims, victimX{x: x, j: r})
+		}
+		for _, p := range r.ProcSet {
+			s.holderX[p] = hx
+		}
+	}
+	slices.SortFunc(s.victims, func(a, b victimX) int {
+		if c := cmp.Compare(a.x, b.x); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.j.ID, b.j.ID)
+	})
+}
+
+// freshNeed returns the xfactor an idle job of width w that does not
+// fit in the free processors needs to commit a preemption: that of the
+// victim at which, in ascending xfactor, the free processors plus the
+// victims the half-width rule lets it suspend first cover w; +Inf when
+// they never do.
+func (s *Sched) freshNeed(w, free int) float64 {
+	if need := s.needByWidth[w]; need >= 0 {
+		return need
+	}
+	need := math.Inf(1)
+	avail := free
+	for _, v := range s.victims {
+		if !s.cfg.DisableHalfWidthRule && v.j.Procs > 2*w {
+			continue
+		}
+		avail += v.j.Procs
+		if avail >= w {
+			need = v.x
+			break
+		}
+	}
+	s.needByWidth[w] = need
+	return need
+}
+
+// reentryNeed returns the xfactor suspended job j needs to reclaim its
+// remembered set: the largest xfactor among the set's holders; +Inf when
+// a processor of the set is claimed by another job or held by a job
+// that is not Running or not suspendable, or when nothing holds the set.
+// need only grows along the walk, so it stops early, returning the need
+// so far, once that alone puts the crossing no sooner than best.
+func (s *Sched) reentryNeed(j *job.Job, now, best int64) float64 {
+	cl := s.env.Cluster
+	need := 0.0
+	for _, p := range j.ProcSet {
+		x := s.holderX[p]
+		if x < 0 {
+			if cl.Owner(p) != -1 {
+				return math.Inf(1) // held by a job that is not Running
+			}
+			if c := cl.Claimant(p); c != -1 && c != j.ID {
+				return math.Inf(1) // reserved for a pending start
+			}
+			continue
+		}
+		if x > need {
+			need = x
+			if s.pol.Crossing(now, j, need) >= best {
+				return need
+			}
+		}
+	}
+	if need == 0 {
+		return math.Inf(1)
+	}
+	return need
 }
 
 // commit removes j from the idle queue, books the victims out of the
