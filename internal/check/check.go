@@ -7,6 +7,7 @@
 //   - each job's run segments sum to its run time (work conservation;
 //     with zero overhead the equality is exact);
 //   - no job starts before it is submitted;
+//   - a processor failure invalidates every suspended image on it;
 //   - every job follows the legal lifecycle
 //     arrive → start → (suspend-begin → suspend-done → resume)* → finish.
 //
@@ -16,6 +17,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"pjs/internal/sched"
@@ -78,6 +80,12 @@ func Check(log *sched.AuditLog, opt Options) error {
 		}
 		return t
 	}
+	// stranded lists the suspended jobs whose image sat on the processor
+	// that failed last (strandedOn). The failure's fallout — the kill of
+	// the processor's owner, then one image-lost entry per stranded job —
+	// must invalidate every one before any other entry.
+	var stranded []int
+	strandedOn := -1
 	prevTime := int64(-1 << 62)
 	for i, e := range log.Entries {
 		if e.Time < prevTime {
@@ -87,6 +95,9 @@ func Check(log *sched.AuditLog, opt Options) error {
 		fail := func(format string, args ...interface{}) error {
 			return fmt.Errorf("check: entry %d (t=%d %v job %d): %s",
 				i, e.Time, e.Action, e.JobID, fmt.Sprintf(format, args...))
+		}
+		if len(stranded) > 0 && e.Action != sched.ActKill && e.Action != sched.ActImageLost {
+			return fail("job %d kept its suspended image on failed processor %d", stranded[0], strandedOn)
 		}
 		// Processor-level entries carry no job; handle them before the
 		// job-track lookup so JobID -1 never creates a phantom track.
@@ -104,6 +115,7 @@ func Check(log *sched.AuditLog, opt Options) error {
 					return fail("processor %d failed while already down", p)
 				}
 				down[p] = true
+				stranded, strandedOn = strandedOnProc(jobs, p), p
 			} else if e.Action == sched.ActProcRepair {
 				if !down[p] {
 					return fail("processor %d repaired while up", p)
@@ -238,6 +250,9 @@ func Check(log *sched.AuditLog, opt Options) error {
 			t.ran = 0
 			t.procs = nil
 			t.state = stArrived
+			if k := slices.Index(stranded, e.JobID); k >= 0 {
+				stranded = slices.Delete(stranded, k, k+1)
+			}
 
 		case sched.ActFinish:
 			if t.state != stRunning {
@@ -265,6 +280,9 @@ func Check(log *sched.AuditLog, opt Options) error {
 		}
 	}
 	// Terminal conditions.
+	if len(stranded) > 0 {
+		return fmt.Errorf("check: job %d kept its suspended image on failed processor %d", stranded[0], strandedOn)
+	}
 	for id, t := range jobs {
 		if t.state != stFinished {
 			return fmt.Errorf("check: job %d ended in state %d, want finished", id, t.state)
@@ -276,6 +294,19 @@ func Check(log *sched.AuditLog, opt Options) error {
 		}
 	}
 	return nil
+}
+
+// strandedOnProc returns, in ID order, the suspended jobs whose image
+// includes processor p.
+func strandedOnProc(jobs map[int]*jobTrack, p int) []int {
+	var ids []int
+	for id, t := range jobs {
+		if t.state == stSuspended && slices.Contains(t.procs, p) {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // validSet verifies processor indices are unique and in range.

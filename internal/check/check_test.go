@@ -137,6 +137,39 @@ func TestCheckIllegalTransitions(t *testing.T) {
 	mustFail(t, b, Options{}, "duplicate arrival")
 }
 
+// strandedLog suspends job 1 on {0,1} while job 2 runs on {2}, then
+// fails processor 1, under job 1's image; lost says whether the log
+// records the image-lost entry the failure owes.
+func strandedLog(lost bool) *logBuilder {
+	b := newLog(4)
+	b.add(0, sched.ActArrive, 1, nil, 2, 100, 0)
+	b.add(0, sched.ActArrive, 2, nil, 1, 100, 0)
+	b.add(0, sched.ActStart, 1, []int{0, 1}, 2, 100, 0)
+	b.add(0, sched.ActStart, 2, []int{2}, 1, 100, 0)
+	b.add(10, sched.ActSuspendBegin, 1, []int{0, 1}, 2, 100, 0)
+	b.add(10, sched.ActSuspendDone, 1, []int{0, 1}, 2, 100, 0)
+	b.add(20, sched.ActProcFail, -1, []int{1}, 0, 0, 0)
+	if lost {
+		b.add(20, sched.ActImageLost, 1, []int{0, 1}, 2, 100, 0)
+	}
+	b.add(100, sched.ActFinish, 2, []int{2}, 1, 100, 0)
+	b.add(110, sched.ActProcRepair, -1, []int{1}, 0, 0, 0)
+	b.add(110, sched.ActStart, 1, []int{0, 1}, 2, 100, 0)
+	b.add(210, sched.ActFinish, 1, []int{0, 1}, 2, 100, 0)
+	return b
+}
+
+func TestCheckStrandedImage(t *testing.T) {
+	if err := Check(&strandedLog(true).log, Options{ZeroOverhead: true}); err != nil {
+		t.Fatalf("image lost on failure: %v", err)
+	}
+	mustFail(t, strandedLog(false), Options{}, "kept its suspended image on failed processor 1")
+	// A failure at the end of the log still owes its image-lost entries.
+	b := strandedLog(true)
+	b.log.Entries = b.log.Entries[:7]
+	mustFail(t, b, Options{}, "kept its suspended image on failed processor 1")
+}
+
 func TestCheckUnfinishedJob(t *testing.T) {
 	b := newLog(4)
 	b.add(0, sched.ActArrive, 1, nil, 2, 100, 0)

@@ -109,6 +109,11 @@ func (j *Job) EstimatedRemaining() int64 {
 	return r
 }
 
+// ProjectedEnd returns the completion time a scheduler projects for a
+// running job from its user estimate: the last dispatch, plus the
+// restart read still owed, plus the estimate.
+func (j *Job) ProjectedEnd() int64 { return j.LastDispatch + j.PendingRead + j.Estimate }
+
 // Wait returns the total time the job has spent without making compute
 // progress up to time now: queued, suspended, or paying suspend/restart
 // overhead. While the job is running, Wait stays constant; while it

@@ -166,7 +166,7 @@ func (s *Sched) rebuild(extra []*job.Job) {
 func (s *Sched) profile(now int64) *sched.Profile {
 	p := sched.NewProfile(now, s.env.Cluster.UpCount())
 	for _, r := range s.running {
-		end := r.LastDispatch + r.PendingRead + r.Estimate
+		end := r.ProjectedEnd()
 		if end > now {
 			p.Sub(now, end, r.Procs)
 		}

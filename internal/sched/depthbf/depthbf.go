@@ -116,7 +116,7 @@ const farFuture = int64(1) << 60
 func (s *Sched) profile(now int64) *sched.Profile {
 	p := sched.NewProfile(now, s.env.Cluster.UpCount())
 	for _, r := range s.running {
-		end := r.LastDispatch + r.PendingRead + r.Estimate
+		end := r.ProjectedEnd()
 		if end > now {
 			p.Sub(now, end, r.Procs)
 		}

@@ -8,8 +8,6 @@
 package easy
 
 import (
-	"sort"
-
 	"pjs/internal/job"
 	"pjs/internal/perf"
 	"pjs/internal/sched"
@@ -17,9 +15,14 @@ import (
 
 // Sched is the aggressive-backfilling policy.
 type Sched struct {
-	env     *sched.Env
-	queue   []*job.Job
-	running []*job.Job
+	env   *sched.Env
+	queue []*job.Job
+	// running lists the started jobs in release order, each under the
+	// ProjectedEnd it had at its start. That end cannot change while the
+	// job is listed: EASY never suspends, so every start is fresh with
+	// PendingRead 0, and ExtendRead is only ever called on the retried
+	// restart read of a resumed job.
+	running sched.Releases
 }
 
 // New returns an EASY backfilling scheduler.
@@ -43,7 +46,7 @@ func (s *Sched) OnArrival(j *job.Job) {
 
 // OnCompletion implements sched.Scheduler.
 func (s *Sched) OnCompletion(j *job.Job) {
-	s.running = sched.Remove(s.running, j)
+	s.running.Remove(j, j.ProjectedEnd())
 	s.schedule()
 }
 
@@ -58,7 +61,7 @@ func (s *Sched) OnTick() {}
 // reservation included) is recomputed against the surviving machine.
 func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 	for _, j := range requeued {
-		s.running = sched.Remove(s.running, j)
+		s.running.Remove(j, j.ProjectedEnd())
 		if !sched.Contains(s.queue, j) {
 			s.queue = sched.InsertBySubmit(s.queue, j)
 		}
@@ -75,7 +78,7 @@ func (s *Sched) start(j *job.Job) bool {
 	if !s.env.StartFresh(j) {
 		return false
 	}
-	s.running = append(s.running, j)
+	s.running.Insert(j, j.ProjectedEnd())
 	return true
 }
 
@@ -124,44 +127,5 @@ func (s *Sched) schedule() {
 func (s *Sched) shadow(head *job.Job) (shadowTime int64, extraNodes int) {
 	span := s.env.Probe().Begin()
 	defer s.env.Probe().End(perf.PhaseBackfillWindow, span)
-	type rel struct {
-		end   int64
-		procs int
-		id    int
-	}
-	rels := make([]rel, 0, len(s.running))
-	for _, r := range s.running {
-		rels = append(rels, rel{end: projectedEnd(r), procs: r.Procs, id: r.ID})
-	}
-	// Equal projected ends must release in a reproducible order or the
-	// shadow time (and with it every backfill decision) depends on
-	// sort-internal pivot choices; break ties by job ID.
-	sort.SliceStable(rels, func(i, k int) bool {
-		if rels[i].end != rels[k].end {
-			return rels[i].end < rels[k].end
-		}
-		return rels[i].id < rels[k].id
-	})
-	free := s.env.Cluster.FreeUnclaimed()
-	for _, r := range rels {
-		if free >= head.Procs {
-			break
-		}
-		free += r.procs
-		shadowTime = r.end
-	}
-	if free < head.Procs {
-		// With fault injection the head may be wider than the surviving
-		// machine even after every running job releases (the run aborts
-		// with ErrUnfinishable only if the outage is permanent). Treat
-		// the last release as the shadow and leave no extra nodes, so
-		// backfill stays conservative until capacity returns.
-		return shadowTime, 0
-	}
-	return shadowTime, free - head.Procs
-}
-
-// projectedEnd is the scheduler's estimate-based completion projection.
-func projectedEnd(r *job.Job) int64 {
-	return r.LastDispatch + r.PendingRead + r.Estimate
+	return s.running.Shadow(s.env.Cluster.FreeUnclaimed(), head.Procs)
 }

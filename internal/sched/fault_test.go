@@ -149,6 +149,56 @@ func TestStrandedImageInvalidation(t *testing.T) {
 	}
 }
 
+// TestStrandedImageUnderSS runs SS where failures strand one image at a
+// time, with and without other suspended jobs elsewhere and with other
+// jobs running. The checker's replay requires every image on a failed
+// processor to be lost in that failure's fallout, so a stranded-image
+// scan skipped on the wrong count of suspended or running jobs fails it.
+func TestStrandedImageUnderSS(t *testing.T) {
+	tr := workload.Generate(workload.SDSC(), workload.GenOptions{Jobs: 300, Seed: 2})
+	res, err := sched.RunChecked(tr, ss.New(ss.Config{SF: 2}), sched.Options{
+		Audit:    true,
+		MaxSteps: 50_000_000,
+		Faults:   fault.Config{MTBF: 50 * 3600, MTTR: 2 * 3600, Seed: 7},
+	})
+	if err != nil {
+		t.Fatalf("RunChecked: %v", err)
+	}
+	if err := check.Check(res.Audit, check.Options{ZeroOverhead: true}); err != nil {
+		t.Fatalf("audit replay: %v", err)
+	}
+	// Classify the failures that lost exactly one image by how many
+	// jobs were suspended when the processor failed.
+	suspended := map[int]bool{}
+	var alone, among int
+	entries := res.Audit.Entries
+	for i, e := range entries {
+		switch e.Action {
+		case sched.ActSuspendDone:
+			suspended[e.JobID] = true
+		case sched.ActResume, sched.ActImageLost:
+			delete(suspended, e.JobID)
+		case sched.ActProcFail:
+			lost := 0
+			for _, f := range entries[i+1:] {
+				if f.Action == sched.ActImageLost {
+					lost++
+				} else if f.Action != sched.ActKill {
+					break
+				}
+			}
+			if lost == 1 && len(suspended) == 1 {
+				alone++
+			} else if lost == 1 {
+				among++
+			}
+		}
+	}
+	if alone == 0 || among == 0 {
+		t.Fatalf("failures losing one image: %d with it the only suspended job, %d among others; want both", alone, among)
+	}
+}
+
 // TestPreemptivePolicyUnderFailures runs SS (claims, pending starts,
 // suspend/resume) with the disk overhead model and transient failures:
 // the full displacement surface — aborted pending claims, kills during

@@ -691,8 +691,13 @@ func (e *Env) procFail(p int) {
 
 	// Invalidate suspended jobs whose memory image sat on p: local
 	// restart needs the exact remembered set, and the image on p's disk
-	// is gone, so the job restarts from scratch.
+	// is gone, so the job restarts from scratch. The scan stops as soon
+	// as no job is left suspending or suspended, so under a policy that
+	// never suspends a failure does not walk the run's jobs at all.
 	for _, j := range e.jobs {
+		if e.nSuspended == 0 {
+			break
+		}
 		if j.State != job.Suspended || !containsProc(j.ProcSet, p) {
 			continue
 		}

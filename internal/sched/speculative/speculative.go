@@ -14,8 +14,6 @@
 package speculative
 
 import (
-	"sort"
-
 	"pjs/internal/job"
 	"pjs/internal/sched"
 )
@@ -33,10 +31,16 @@ type Config struct {
 
 // Sched is the speculative-backfilling policy.
 type Sched struct {
-	env      *sched.Env
-	cfg      Config
-	queue    []*job.Job
-	running  []*job.Job
+	env   *sched.Env
+	cfg   Config
+	queue []*job.Job
+	// running holds the started jobs in start order, the order in which
+	// enforceDeadlines kills expired gambles; each kill is an audit
+	// entry, so this order cannot become the release order of rels.
+	running []*job.Job
+	// rels lists the same jobs in release order for the head's
+	// reservation, each under its releaseEnd at start.
+	rels     sched.Releases
 	deadline map[int]int64 // jobID → must-vacate time for spec runs
 }
 
@@ -69,8 +73,7 @@ func (s *Sched) OnArrival(j *job.Job) {
 
 // OnCompletion implements sched.Scheduler.
 func (s *Sched) OnCompletion(j *job.Job) {
-	s.running = sched.Remove(s.running, j)
-	delete(s.deadline, j.ID)
+	s.stop(j)
 	s.schedule()
 }
 
@@ -89,8 +92,7 @@ func (s *Sched) OnTick() {
 // Kills is not charged, see Env.procFail).
 func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 	for _, j := range requeued {
-		s.running = sched.Remove(s.running, j)
-		delete(s.deadline, j.ID)
+		s.stop(j)
 		if !sched.Contains(s.queue, j) {
 			s.queue = sched.InsertBySubmit(s.queue, j)
 		}
@@ -115,8 +117,7 @@ func (s *Sched) enforceDeadlines() {
 			continue
 		}
 		s.env.Kill(r)
-		s.running = sched.Remove(s.running, r)
-		delete(s.deadline, r.ID)
+		s.stop(r)
 		s.queue = sched.InsertBySubmit(s.queue, r)
 	}
 }
@@ -131,7 +132,29 @@ func (s *Sched) start(j *job.Job, specDeadline int64) bool {
 	if specDeadline > 0 {
 		s.deadline[j.ID] = specDeadline
 	}
+	s.rels.Insert(j, s.releaseEnd(j))
 	return true
+}
+
+// stop forgets j, which left the machine: completed, killed, or
+// displaced by a failure.
+func (s *Sched) stop(j *job.Job) {
+	s.running = sched.Remove(s.running, j)
+	s.rels.Remove(j, s.releaseEnd(j))
+	delete(s.deadline, j.ID)
+}
+
+// releaseEnd is when running job j is expected to vacate its
+// processors: by its speculation deadline (finish or kill) if it
+// gambles and that comes first, otherwise by its ProjectedEnd. Both are
+// fixed from its start on, because SpecBF never suspends and so never
+// gives a job a restart read to extend.
+func (s *Sched) releaseEnd(j *job.Job) int64 {
+	end := j.ProjectedEnd()
+	if dl, spec := s.deadline[j.ID]; spec && dl < end {
+		end = dl
+	}
+	return end
 }
 
 // schedule is EASY backfilling plus the speculative rule.
@@ -142,7 +165,8 @@ func (s *Sched) schedule() {
 		if len(s.queue) == 0 {
 			return
 		}
-		shadow, extra := s.shadow(s.queue[0])
+		// The head's reservation, as in EASY.
+		shadow, extra := s.rels.Shadow(s.env.Cluster.FreeUnclaimed(), s.queue[0].Procs)
 		now := s.env.Now()
 		started := false
 		for i := 1; i < len(s.queue); i++ {
@@ -174,47 +198,4 @@ func (s *Sched) schedule() {
 			return
 		}
 	}
-}
-
-// shadow mirrors the EASY computation: the head's projected start and
-// the processors left over at that time.
-func (s *Sched) shadow(head *job.Job) (shadowTime int64, extraNodes int) {
-	type rel struct {
-		end   int64
-		procs int
-		id    int
-	}
-	rels := make([]rel, 0, len(s.running))
-	for _, r := range s.running {
-		end := r.LastDispatch + r.PendingRead + r.Estimate
-		// A speculative run vacates by its deadline (finish or kill),
-		// not by its inflated estimate.
-		if dl, spec := s.deadline[r.ID]; spec && dl < end {
-			end = dl
-		}
-		rels = append(rels, rel{end: end, procs: r.Procs, id: r.ID})
-	}
-	// Ties on the projected release time must resolve reproducibly (see
-	// the same fix in easy.shadow); break them by job ID.
-	sort.SliceStable(rels, func(i, k int) bool {
-		if rels[i].end != rels[k].end {
-			return rels[i].end < rels[k].end
-		}
-		return rels[i].id < rels[k].id
-	})
-	free := s.env.Cluster.FreeUnclaimed()
-	for _, r := range rels {
-		if free >= head.Procs {
-			break
-		}
-		free += r.procs
-		shadowTime = r.end
-	}
-	if free < head.Procs {
-		// Failures can leave the head wider than the surviving machine;
-		// treat the last release as the shadow with no extra nodes (see
-		// the same tolerance in easy.shadow).
-		return shadowTime, 0
-	}
-	return shadowTime, free - head.Procs
 }
