@@ -2,6 +2,8 @@ package obs
 
 import (
 	"io"
+	"math"
+	"math/bits"
 	"strconv"
 
 	"pjs/internal/sched"
@@ -69,7 +71,7 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 		row = append(row, ',')
 		row = strconv.AppendInt(row, int64(smp.Busy), 10)
 		row = append(row, ',')
-		row = strconv.AppendFloat(row, u, 'f', 6, 64)
+		row = appendFixed6(row, u)
 		row = append(row, ',')
 		row = strconv.AppendInt(row, int64(smp.Queued), 10)
 		row = append(row, ',')
@@ -77,11 +79,67 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 		row = append(row, ',')
 		row = strconv.AppendInt(row, int64(smp.Suspended), 10)
 		row = append(row, ',')
-		row = strconv.AppendFloat(row, smp.MaxQueuedXFactor, 'f', 6, 64)
+		row = appendFixed6(row, smp.MaxQueuedXFactor)
 		row = append(row, '\n')
 		if _, err := w.Write(row); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// appendFixed6 appends v with six decimals, byte-identical to
+// strconv.AppendFloat(dst, v, 'f', 6, 64), which sends every fixed
+// precision to its big-decimal path. For positive normal v below 2⁵² it
+// splits v = mant/2^s into integer and fractional bits, multiplies the
+// fraction by 10⁶ in 128 bits and rounds half to even on the exact
+// remainder. Negative numbers, zeros, subnormals, NaN, ±Inf and values
+// from 2⁵² up go to strconv.
+func appendFixed6(dst []byte, v float64) []byte {
+	b := math.Float64bits(v)
+	e := uint(b>>52) & 0x7ff
+	if b>>63 != 0 || e == 0 || e >= 1023+52 {
+		return strconv.AppendFloat(dst, v, 'f', 6, 64)
+	}
+	mant := b&(1<<52-1) | 1<<52
+	s := 1023 + 52 - e // v = mant / 2^s, 1 <= s <= 1074
+	var ip, q uint64
+	switch {
+	case s < 64:
+		ip = mant >> s
+		q = roundShift(mant&(1<<s-1), s)
+	case s < 74:
+		q = roundShift(mant, s)
+	default:
+		// v < 2⁵³/2⁷⁴, so v·10⁶ < 0.48 rounds to 0.
+	}
+	if q == 1_000_000 {
+		ip, q = ip+1, 0
+	}
+	dst = strconv.AppendUint(dst, ip, 10)
+	dst = append(dst, '.', '0', '0', '0', '0', '0', '0')
+	for i := len(dst) - 1; q > 0; i-- {
+		dst[i] = byte('0' + q%10)
+		q /= 10
+	}
+	return dst
+}
+
+// roundShift returns frac·10⁶ / 2^s rounded half to even, for
+// frac < 2⁵³ and 1 <= s < 74. The product has at most 73 bits; when s
+// is 64 or more it is first narrowed by 10 bits into one word, keeping
+// the dropped bits as a sticky flag so that ties stay exact.
+func roundShift(frac uint64, s uint) uint64 {
+	hi, lo := bits.Mul64(frac, 1_000_000)
+	sticky := false
+	if s >= 64 {
+		sticky = lo&(1<<10-1) != 0
+		hi, lo, s = 0, hi<<54|lo>>10, s-10
+	}
+	q := hi<<(64-s) | lo>>s
+	r, half := lo&(1<<s-1), uint64(1)<<(s-1)
+	if r > half || r == half && (sticky || q&1 == 1) {
+		q++
+	}
+	return q
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -75,6 +76,30 @@ func TestSamplerWriteCSVMatchesFmt(t *testing.T) {
 		}
 		requireFmtCSV(t, s)
 	})
+	t.Run("near ties and edges", func(t *testing.T) {
+		s := &Sampler{Procs: 7}
+		add := func(x float64) {
+			s.Samples = append(s.Samples, Sample{Time: int64(len(s.Samples)), Busy: len(s.Samples) % 8, MaxQueuedXFactor: x})
+		}
+		for _, k := range []float64{0, 1, 2, 3, 7, 999_999, 1_000_000, 1_234_567, 4_503_599_627} {
+			for _, d := range []float64{-5e-7, 5e-7} {
+				x := k/1e6 + d
+				add(x)
+				add(math.Nextafter(x, 0))
+				add(math.Nextafter(x, math.Inf(1)))
+			}
+		}
+		for _, x := range []float64{
+			9.9999995, 99.9999995, 0.0078125, 0.0234375, 1.0000005, 4.76837158203125e-7,
+			1 << 52, math.Nextafter(1<<52, 0), math.Nextafter(1<<52, math.Inf(1)), 1<<52 - 0.5, 1<<52 + 1,
+			math.SmallestNonzeroFloat64, 0x1p-1022, math.Nextafter(0x1p-1022, 0), 0x1p-1023,
+			0x1p-63, 0x1p-64, 0x1p-73, 0x1p-74, math.Copysign(0, -1), -1.5, math.NaN(),
+			math.Inf(1), math.Inf(-1),
+		} {
+			add(x)
+		}
+		requireFmtCSV(t, s)
+	})
 	t.Run("random", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
 		s := &Sampler{Procs: 1 + rng.Intn(1024)}
@@ -91,6 +116,34 @@ func TestSamplerWriteCSVMatchesFmt(t *testing.T) {
 		}
 		requireFmtCSV(t, s)
 	})
+}
+
+// FuzzAppendFixed6 checks appendFixed6 against strconv over raw float64
+// bit patterns, so every exponent and tie is reachable.
+func FuzzAppendFixed6(f *testing.F) {
+	for _, v := range []float64{0, 1, 0.5e-6, 9.9999995, 0.0078125, 1 << 52, math.SmallestNonzeroFloat64, math.NaN()} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, b uint64) {
+		v := math.Float64frombits(b)
+		if got, want := appendFixed6(nil, v), strconv.AppendFloat(nil, v, 'f', 6, 64); string(got) != string(want) {
+			t.Fatalf("appendFixed6(%b) = %s, strconv %s", b, got, want)
+		}
+	})
+}
+
+// TestAppendFixed6AllocatesNothing pins the fast path at zero
+// allocations when the buffer has room.
+func TestAppendFixed6AllocatesNothing(t *testing.T) {
+	buf := make([]byte, 0, 64)
+	vals := []float64{0.5, 1, 1.0000005, 123456.789, 0x1p-70, 1<<52 - 1}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, v := range vals {
+			buf = appendFixed6(buf[:0], v)
+		}
+	}); n != 0 {
+		t.Fatalf("appendFixed6 allocated %v times per run, want 0", n)
+	}
 }
 
 // csvSampler is a sampler of n rows with values of realistic width.

@@ -14,7 +14,10 @@
 package is
 
 import (
+	"math"
+
 	"pjs/internal/job"
+	"pjs/internal/perf"
 	"pjs/internal/sched"
 )
 
@@ -70,8 +73,15 @@ func (s *Sched) OnSuspendDone(j *job.Job) {
 	s.schedule()
 }
 
-// OnTick implements sched.Scheduler.
-func (s *Sched) OnTick() { s.schedule() }
+// OnTick implements sched.Scheduler. Ticks before the horizon skip the
+// pass, which could not start, resume or suspend anything there.
+func (s *Sched) OnTick() {
+	now := s.env.Now()
+	if h := s.horizon(now); now < h && s.env.QuietUntil(h) {
+		return
+	}
+	s.schedule()
+}
 
 // OnFailure implements sched.Scheduler: displaced jobs leave the running
 // list (their protected slice, if any, is forfeit) and rejoin the idle
@@ -92,6 +102,59 @@ func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 // OnRepair implements sched.Scheduler: recovered capacity is offered to
 // the idle queue immediately.
 func (s *Sched) OnRepair(int) { s.schedule() }
+
+// horizon returns the first time at which schedule() could start,
+// resume or suspend a job if no event arrives before then. Between
+// events the only input of schedule() that changes with time is which
+// running jobs are protected, and a slice ends at an integer sliceEnd
+// compared as now < end. So the horizon is now if some idle job could
+// act now: a suspended job's set is free, a queued job fits, or a
+// never-run job fits into the free processors plus the unprotected
+// running jobs it may suspend. Otherwise it is the earliest end of a
+// protected slice, when that capacity grows, or never. The last test
+// matters right after an acting pass too: a job resumed late in it runs
+// unprotected, so a never-run job served before it can preempt it at
+// the next tick.
+func (s *Sched) horizon(now int64) int64 {
+	c := s.env.Cluster
+	free := c.FreeUnclaimed()
+	minQueued, minFresh := math.MaxInt, math.MaxInt
+	for _, j := range s.queue {
+		switch {
+		case j.State == job.Suspended:
+			if c.SetFree(j.ID, j.ProcSet) {
+				return now // resumes
+			}
+		case j.FirstStart < 0:
+			minFresh = min(minFresh, j.Procs)
+			fallthrough
+		default:
+			minQueued = min(minQueued, j.Procs)
+		}
+	}
+	if minQueued <= free {
+		return now // starts without preemption
+	}
+	if minFresh == math.MaxInt {
+		return math.MaxInt64 // only a never-run job preempts
+	}
+	h := int64(math.MaxInt64)
+	avail := free
+	for _, r := range s.running {
+		if r.State != job.Running {
+			continue // pending: only an event can make it Running
+		}
+		if end, ok := s.sliceEnd[r.ID]; ok && now < end {
+			h = min(h, end)
+		} else if s.env.SetIOHealthy(r.ProcSet) {
+			avail += r.Procs
+		}
+	}
+	if minFresh <= avail {
+		return now // gets its immediate slice by preemption
+	}
+	return h
+}
 
 // protected reports whether v is inside its initial timeslice.
 func (s *Sched) protected(v *job.Job, now int64) bool {
@@ -114,6 +177,8 @@ func (s *Sched) markStarted(j *job.Job, now int64) {
 // fit, and give never-run jobs their immediate slice by suspending the
 // lowest-ixf unprotected running jobs.
 func (s *Sched) schedule() {
+	span := s.env.Probe().Begin()
+	defer s.env.Probe().End(perf.PhaseQueueScan, span)
 	now := s.env.Now()
 	s.idle = append(s.idle[:0], s.queue...)
 	s.ord.Sort(s.idle, func(j *job.Job) (float64, int64) { return -j.InstantaneousXFactor(now), 0 })
@@ -146,6 +211,7 @@ func (s *Sched) tryImmediate(j *job.Job, now int64) {
 	// processors are not candidates — their suspension write would
 	// likely fail — so under rising transient-fault rates IS degrades
 	// toward serving only what fits the free processors.
+	span := s.env.Probe().Begin()
 	s.cands = s.cands[:0]
 	for _, r := range s.running {
 		if r.State == job.Running && !s.protected(r, now) && s.env.SetIOHealthy(r.ProcSet) {
@@ -162,6 +228,7 @@ func (s *Sched) tryImmediate(j *job.Job, now int64) {
 		victims = append(victims, v)
 		avail += v.Procs
 	}
+	s.env.Probe().End(perf.PhaseVictimSelect, span)
 	if avail < j.Procs {
 		return // not enough suspendable capacity; retry on later events
 	}

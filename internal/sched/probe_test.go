@@ -8,13 +8,15 @@ import (
 	"pjs/internal/sched/conservative"
 	"pjs/internal/sched/depthbf"
 	"pjs/internal/sched/easy"
+	"pjs/internal/sched/is"
 	"pjs/internal/sched/ss"
 	"pjs/internal/workload"
 )
 
 // probeTrace is a small synthetic workload under overload, so that
-// queues build up: SS's tick-driven preemption routine finds victims
-// and the backfilling policies compute reservation windows.
+// queues build up: SS's tick-driven preemption routine and IS's
+// immediate service find victims and the backfilling policies compute
+// reservation windows.
 func probeTrace() *workload.Trace {
 	m := workload.CTC()
 	m.OfferedLoad = 1.2
@@ -31,6 +33,8 @@ var probePolicies = []struct {
 	preempts bool
 }{
 	{"ss:2", func() sched.Scheduler { return ss.New(ss.Config{SF: 2}) },
+		[]perf.Phase{perf.PhaseQueueScan, perf.PhaseVictimSelect}, true},
+	{"is", func() sched.Scheduler { return is.New() },
 		[]perf.Phase{perf.PhaseQueueScan, perf.PhaseVictimSelect}, true},
 	{"ns", func() sched.Scheduler { return easy.New() },
 		[]perf.Phase{perf.PhaseQueueScan, perf.PhaseBackfillWindow}, false},

@@ -11,6 +11,7 @@ import (
 	"pjs/internal/job"
 	"pjs/internal/overhead"
 	"pjs/internal/sched"
+	"pjs/internal/sched/is"
 	"pjs/internal/sched/ss"
 	"pjs/internal/workload"
 )
@@ -38,7 +39,7 @@ var (
 	}
 	// quietRestore is TestIORestoredFollowsDegraded's configuration: a
 	// finite health window, so degraded processors are restored while
-	// the run goes on. Only the SS family converges under it.
+	// the run goes on. Only the SS family and IS converge under it.
 	quietRestore = quietMode{name: "restore", transient: fault.TransientConfig{
 		WriteFailProb: 0.3, ReadFailProb: 0.3, Seed: 9,
 		HealthWindow: 3600, HealthThreshold: 1,
@@ -128,8 +129,10 @@ func quietCase(t *testing.T, tr *workload.Trace, newSched func() sched.Scheduler
 // not change a single audit entry. It covers every registry policy
 // under every fault mode, SS configurations outside the registry, the
 // finite-health-window transient configuration — the only one that
-// restores degraded processors mid-run — and a trace of equal estimates
-// under one-second ticks, where crossings fall exactly on ticks.
+// restores degraded processors mid-run — a trace of equal estimates
+// under one-second ticks, where crossings fall exactly on ticks, and a
+// sparse trace of wide jobs, where IS's protected slices expire between
+// events.
 func TestQuietTicksMatchEveryTick(t *testing.T) {
 	tr := pjs.Generate(pjs.SDSC(), pjs.GenOptions{Jobs: 200, Seed: 21})
 	for _, spec := range pjs.SchedulerSpecs() {
@@ -142,14 +145,20 @@ func TestQuietTicksMatchEveryTick(t *testing.T) {
 		}
 		modes := quietModes
 		switch spec {
-		case "ss:2", "tss:2", "ssmig:2":
+		case "ss:2", "tss:2", "ssmig:2", "is":
 			modes = append(modes[:len(modes):len(modes)], quietRestore)
 		}
 		for _, mode := range modes {
 			t.Run(spec+"/"+mode.name, func(t *testing.T) {
 				calls, beats := quietCase(t, tr, newSched, mode)
-				if spec == "ss:2" && mode.name == "nofault" && 2*calls > beats {
+				if mode.name != "nofault" {
+					return
+				}
+				switch {
+				case spec == "ss:2" && 2*calls > beats:
 					t.Errorf("SS:2 ran its tick routine on %d of %d ticks; the horizon skips too little for this test to mean anything", calls, beats)
+				case spec == "is" && 4*calls > beats:
+					t.Errorf("IS ran its tick routine on %d of %d ticks, more than 25%%", calls, beats)
 				}
 			})
 		}
@@ -161,6 +170,11 @@ func TestQuietTicksMatchEveryTick(t *testing.T) {
 			})
 		}
 	}
+	sparse := sparseWideTrace(3, 150)
+	t.Run("sparse-wide/is", func(t *testing.T) {
+		calls, beats := quietCase(t, sparse, func() sched.Scheduler { return is.New() }, quietModes[0])
+		t.Logf("OnTick on %d of %d ticks", calls, beats)
+	})
 	eq := equalEstimateTrace(2, 200)
 	for _, sf := range []float64{1.5, 2} {
 		t.Run(fmt.Sprintf("equal-estimates/ss-tick1:%g", sf), func(t *testing.T) {
@@ -180,6 +194,22 @@ func equalEstimateTrace(seed uint64, n int) *workload.Trace {
 	for i := 1; i <= n; i++ {
 		at += rng.Int64N(20)
 		tr.Jobs = append(tr.Jobs, job.New(i, at, 5+rng.Int64N(45), 49, 1+rng.IntN(16)))
+	}
+	return tr
+}
+
+// sparseWideTrace returns n wide jobs on 8 processors with arrival gaps
+// of up to 900 s and run times of 300–20,000 s. Protected slices then
+// often expire with no event nearby, so a tick the IS horizon skips by
+// mistake shows as a later start or suspension.
+func sparseWideTrace(seed uint64, n int) *workload.Trace {
+	rng := rand.New(rand.NewPCG(seed, 0))
+	tr := &workload.Trace{Name: "sparse-wide", Procs: 8}
+	var at int64
+	for i := 1; i <= n; i++ {
+		at += rng.Int64N(901)
+		run := 300 + rng.Int64N(19_701)
+		tr.Jobs = append(tr.Jobs, job.New(i, at, run, run+rng.Int64N(run), 2+rng.IntN(7)))
 	}
 	return tr
 }
