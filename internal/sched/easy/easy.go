@@ -38,10 +38,30 @@ func (s *Sched) Init(env *sched.Env) { s.env = env }
 // TickInterval implements sched.Scheduler: purely event-driven.
 func (s *Sched) TickInterval() int64 { return 0 }
 
-// OnArrival implements sched.Scheduler.
+// OnArrival implements sched.Scheduler. Every other hook ends in a full
+// schedule, so the queue ahead of j already holds no job that can
+// start: its head does not fit, and nothing behind it passes the
+// backfill test. Free processors and the release list have not changed
+// since, and a later now only makes the shadow-time test harder. So
+// the pass is run only when j itself may start.
 func (s *Sched) OnArrival(j *job.Job) {
 	s.queue = append(s.queue, j)
+	if len(s.queue) > 1 && !s.mayBackfill(j) {
+		return
+	}
 	s.schedule()
+}
+
+// mayBackfill reports whether queued job j passes the backfill test
+// against the reservation of the head, which does not fit.
+func (s *Sched) mayBackfill(j *job.Job) bool {
+	if j.Procs > s.env.Cluster.FreeUnclaimed() {
+		return false
+	}
+	span := s.env.Probe().Begin()
+	defer s.env.Probe().End(perf.PhaseQueueScan, span)
+	shadow, extra := s.shadow(s.queue[0])
+	return s.backfills(j, s.env.Now(), shadow, extra)
 }
 
 // OnCompletion implements sched.Scheduler.
@@ -91,8 +111,8 @@ func (s *Sched) schedule() {
 		for len(s.queue) > 0 && s.start(s.queue[0]) {
 			s.queue = s.queue[1:]
 		}
-		if len(s.queue) == 0 {
-			return
+		if len(s.queue) == 0 || s.env.Cluster.FreeUnclaimed() == 0 {
+			return // every job needs a processor
 		}
 		// The head does not fit: compute its reservation.
 		shadow, extra := s.shadow(s.queue[0])
@@ -102,23 +122,24 @@ func (s *Sched) schedule() {
 		now := s.env.Now()
 		for i := 1; i < len(s.queue); i++ {
 			j := s.queue[i]
-			if j.Procs > s.env.Cluster.FreeUnclaimed() {
-				continue
-			}
-			// Either finish before the head starts, or fit in the
-			// processors the head leaves unused.
-			if now+j.Estimate <= shadow || j.Procs <= extra {
-				if s.start(j) {
-					s.queue = append(s.queue[:i], s.queue[i+1:]...)
-					started = true
-					break
-				}
+			if s.backfills(j, now, shadow, extra) && s.start(j) {
+				s.queue = append(s.queue[:i], s.queue[i+1:]...)
+				started = true
+				break
 			}
 		}
 		if !started {
 			return
 		}
 	}
+}
+
+// backfills reports whether queued job j may start now ahead of a head
+// whose reservation is (shadow, extra): it fits in the free processors
+// and either finishes before the head starts or fits in the processors
+// the head leaves unused.
+func (s *Sched) backfills(j *job.Job, now, shadow int64, extra int) bool {
+	return j.Procs <= s.env.Cluster.FreeUnclaimed() && (now+j.Estimate <= shadow || j.Procs <= extra)
 }
 
 // shadow computes the head job's reservation: the earliest time enough

@@ -1,0 +1,99 @@
+package easy
+
+import (
+	"testing"
+
+	"pjs/internal/fault"
+	"pjs/internal/job"
+	"pjs/internal/overhead"
+	"pjs/internal/sched"
+	"pjs/internal/workload"
+)
+
+// loadedCTC is a 1500-job CTC trace at twice its nominal load, so that
+// queues build up behind heads that do not fit.
+func loadedCTC() *workload.Trace {
+	return workload.Generate(workload.CTC(), workload.GenOptions{Jobs: 1500, Seed: 1}).ScaleLoad(2)
+}
+
+// TestPassMaximal runs NS without faults, under the processor failures
+// of the faults-ns benchmark workload, and under the SS tests' transient
+// I/O faults with a finite health window (which stay silent, as NS never
+// suspends), and checks after every hook that the queue holds no job
+// that could start (checked.checkMaximal).
+func TestPassMaximal(t *testing.T) {
+	tr := loadedCTC()
+	modes := []struct {
+		name      string
+		faults    fault.Config
+		transient fault.TransientConfig
+	}{
+		{name: "nofault"},
+		{name: "fault", faults: fault.Config{MTBF: 500 * 3600, MTTR: 2 * 3600, Seed: 17}},
+		{name: "restore", transient: fault.TransientConfig{
+			WriteFailProb: 0.3, ReadFailProb: 0.3, Seed: 9,
+			HealthWindow: 3600, HealthThreshold: 1,
+		}},
+	}
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			c := &checked{Sched: New(), t: t}
+			res, err := sched.RunChecked(tr, c, sched.Options{
+				Overhead:  overhead.Disk{},
+				MaxSteps:  10_000_000,
+				Faults:    mode.faults,
+				Transient: mode.transient,
+			})
+			if err != nil {
+				t.Fatalf("RunChecked: %v", err)
+			}
+			if mode.faults.Enabled() && res.FailKills == 0 {
+				t.Fatal("no failure killed a running job; failure passes are untested")
+			}
+			t.Logf("%d hooks checked", c.hooks)
+		})
+	}
+}
+
+// arrivalAllocs wraps the policy and, after each arrival that leaves the
+// arriving job queued behind the head, measures the allocations of
+// repeating that arrival: the job is taken off the queue's tail and
+// delivered again, which restores the same state.
+type arrivalAllocs struct {
+	*Sched
+	measured, withFree int
+	worst              float64
+}
+
+func (w *arrivalAllocs) OnArrival(j *job.Job) {
+	w.Sched.OnArrival(j)
+	n := len(w.queue)
+	if n < 2 || w.queue[n-1] != j {
+		return
+	}
+	w.measured++
+	if j.Procs <= w.env.Cluster.FreeUnclaimed() {
+		w.withFree++
+	}
+	w.worst = max(w.worst, testing.AllocsPerRun(5, func() {
+		w.queue = w.queue[:n-1]
+		w.Sched.OnArrival(j)
+	}))
+}
+
+// TestArrivalWithoutBackfillAllocatesNothing pins that an arrival that
+// cannot backfill — most arrivals on a loaded machine — allocates 0,
+// including those that fit in the free processors and so compute the
+// head's reservation.
+func TestArrivalWithoutBackfillAllocatesNothing(t *testing.T) {
+	w := &arrivalAllocs{Sched: New()}
+	sched.Run(loadedCTC(), w, sched.Options{})
+	if w.measured == 0 || w.withFree == 0 {
+		t.Fatalf("measured %d arrivals, %d of them with enough free processors; the trace no longer exercises the arrival test",
+			w.measured, w.withFree)
+	}
+	t.Logf("measured %d arrivals, %d with enough free processors", w.measured, w.withFree)
+	if w.worst != 0 {
+		t.Fatalf("an arrival that cannot backfill allocated %v times, want 0", w.worst)
+	}
+}

@@ -74,7 +74,8 @@ func TestProbeDoesNotPerturbRun(t *testing.T) {
 // TestProbeObservesAllPhases proves the probe wiring reaches every
 // phase: each policy, probed under overload, must record spans for the
 // phases it instruments, and a preemptive policy must actually suspend
-// jobs, so victim selection is exercised with victims found.
+// jobs, so victim selection is exercised with victims found. Under NS
+// the backfill windows must nest in the queue scans.
 func TestProbeObservesAllPhases(t *testing.T) {
 	tr := probeTrace()
 	for _, tc := range probePolicies {
@@ -89,6 +90,12 @@ func TestProbeObservesAllPhases(t *testing.T) {
 			}
 			if tc.preempts && res.Suspensions == 0 {
 				t.Error("overload trace produced no preemptions; victim-select phase untested")
+			}
+			// Phases are inclusive: EASY computes each backfill window
+			// inside a queue scan, so the window cannot outlast the scans.
+			if tc.name == "ns" && s[perf.PhaseBackfillWindow].Nanos > s[perf.PhaseQueueScan].Nanos {
+				t.Errorf("backfill-window spans took %d ns, more than the queue scans that contain them (%d ns)",
+					s[perf.PhaseBackfillWindow].Nanos, s[perf.PhaseQueueScan].Nanos)
 			}
 		})
 	}

@@ -1,0 +1,171 @@
+package ss
+
+import (
+	"errors"
+	"testing"
+
+	"pjs/internal/check"
+	"pjs/internal/core"
+	"pjs/internal/fault"
+	"pjs/internal/job"
+	"pjs/internal/overhead"
+	"pjs/internal/sched"
+	"pjs/internal/sim"
+	"pjs/internal/workload"
+)
+
+// passMaximal wraps an SS scheduler and, after every hook that ends in
+// a schedule pass, fails t if the pass left an idle job that can start
+// without preemption: a suspended job under local restart whose whole
+// remembered set is free, any other job that fits in the free
+// processors. The rule is written out here rather than shared with the
+// policy, so that a wrong filter in the pass cannot agree with itself.
+type passMaximal struct {
+	*Sched
+	t     testing.TB
+	hooks int
+}
+
+func (m *passMaximal) OnArrival(j *job.Job)     { m.Sched.OnArrival(j); m.check("arrival") }
+func (m *passMaximal) OnCompletion(j *job.Job)  { m.Sched.OnCompletion(j); m.check("completion") }
+func (m *passMaximal) OnSuspendDone(j *job.Job) { m.Sched.OnSuspendDone(j); m.check("suspend-done") }
+func (m *passMaximal) OnRepair(p int)           { m.Sched.OnRepair(p); m.check("repair") }
+func (m *passMaximal) OnFailure(p int, requeued []*job.Job) {
+	m.Sched.OnFailure(p, requeued)
+	m.check("failure")
+}
+
+func (m *passMaximal) check(hook string) {
+	m.t.Helper()
+	m.hooks++
+	cl := m.env.Cluster
+	for _, j := range m.queue {
+		fits := j.Procs <= cl.FreeUnclaimed()
+		if j.State == job.Suspended && !m.cfg.Migration {
+			fits = cl.SetFree(j.ID, j.ProcSet)
+		}
+		if fits {
+			m.t.Fatalf("at %d after %s: idle %v can start without preemption (%d processors free)",
+				m.env.Now(), hook, j, cl.FreeUnclaimed())
+		}
+	}
+}
+
+// maximalModes are the fault settings the maximality test runs under:
+// none, the processor failures of the faults-ns benchmark workload, and
+// transient I/O faults with a finite health window, the one setting
+// that restores degraded processors mid-run.
+var maximalModes = []struct {
+	name      string
+	faults    fault.Config
+	transient fault.TransientConfig
+}{
+	{name: "nofault"},
+	{name: "fault", faults: fault.Config{MTBF: 500 * 3600, MTTR: 2 * 3600, Seed: 17}},
+	{name: "restore", transient: fault.TransientConfig{
+		WriteFailProb: 0.3, ReadFailProb: 0.3, Seed: 9,
+		HealthWindow: 3600, HealthThreshold: 1,
+	}},
+}
+
+// TestPassMaximal checks, after every hook of SS:2, TSS:2 and the
+// migratable SS:2 under each fault mode, that the event's schedule pass
+// started every idle job that fits: the pass sorts and serves only the
+// jobs that fit when it begins, and this is the property that makes
+// that exact.
+func TestPassMaximal(t *testing.T) {
+	tr := ctcAtLoad(1000, 1, 2)
+	configs := []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"ss:2", func() Config { return Config{SF: 2} }},
+		{"tss:2", func() Config { return Config{SF: 2, Adaptive: &core.AdaptiveLimits{}} }},
+		{"ssmig:2", func() Config { return Config{SF: 2, Migration: true} }},
+	}
+	for _, c := range configs {
+		for _, mode := range maximalModes {
+			t.Run(c.name+"/"+mode.name, func(t *testing.T) {
+				m := &passMaximal{Sched: New(c.cfg()), t: t}
+				res, err := sched.RunChecked(tr, m, sched.Options{
+					Overhead:  overhead.Disk{},
+					MaxSteps:  20_000_000,
+					Faults:    mode.faults,
+					Transient: mode.transient,
+				})
+				if err != nil {
+					t.Fatalf("RunChecked: %v", err)
+				}
+				if res.Suspensions == 0 {
+					t.Fatal("no job was suspended; suspend-done passes are untested")
+				}
+				if mode.faults.Enabled() && res.Tally.Failures == 0 {
+					t.Fatal("no processor failed; failure and repair passes are untested")
+				}
+				if mode.transient.HealthWindow != 0 && res.IORestores == 0 {
+					t.Fatal("no processor was restored to I/O health")
+				}
+				t.Logf("%d hooks checked", m.hooks)
+			})
+		}
+	}
+}
+
+// FuzzPassMaximal runs an SS variant over a small trace decoded from
+// the input, optionally under processor failures, and requires that the
+// run finishes within its step bound, that its audit log passes the
+// invariant checker, and that every event's schedule pass is maximal
+// (passMaximal).
+//
+// The input is a header of three bytes — machine size (1..16), variant
+// (kind in the low two bits, suspension factor above them), and fault
+// setting (odd enables failures; the rest scales MTBF and suspension
+// overhead) — then four bytes per job: submit gap, run time, estimate
+// slack and width. At most 48 jobs are decoded.
+func FuzzPassMaximal(f *testing.F) {
+	f.Add([]byte{4, 0, 0, 0, 100, 0, 3, 1, 9, 0, 3})
+	f.Add([]byte{8, 1, 0x47, 0, 200, 50, 7, 2, 10, 0, 2, 0, 30, 10, 5, 1, 5, 0, 8})
+	f.Add([]byte{6, 2, 0x80, 0, 90, 0, 5, 1, 10, 20, 4, 0, 1, 0, 6, 3, 20, 5, 1})
+	f.Add([]byte{16, 7, 33, 0, 250, 0, 16, 0, 2, 2, 3, 0, 2, 2, 13, 9, 90, 0, 7, 1, 40, 40, 16})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3+4 {
+			return
+		}
+		procs := 1 + int(data[0]%16)
+		variant, faults := data[1], data[2]
+		cfg := Config{SF: []float64{1.5, 2, 5}[int(variant>>2)%3]}
+		switch variant & 3 {
+		case 1:
+			cfg.Adaptive = &core.AdaptiveLimits{}
+		case 2:
+			cfg.Migration = true
+		case 3:
+			cfg.MaxSuspensions = 1
+		}
+		opt := sched.Options{Audit: true, Overhead: overhead.Disk{}, MaxSteps: 2_000_000}
+		if faults&1 != 0 {
+			opt.Faults = fault.Config{MTBF: int64(100+int(faults>>1)) * 3600, MTTR: 3600, Seed: int64(faults)}
+		}
+		mem := int64(faults>>6) * 20 * overhead.PaperRateBps // up to 60 s of suspension write
+		tr := &workload.Trace{Name: "fuzz", Procs: procs}
+		submit := int64(0)
+		for b := data[3:]; len(b) >= 4 && len(tr.Jobs) < 48; b = b[4:] {
+			submit += int64(b[0]) * 30
+			run := int64(1+int(b[1])) * 60
+			j := job.New(len(tr.Jobs)+1, submit, run, run+int64(b[2])*60, 1+int(b[3])%procs)
+			j.MemPerProc = mem
+			tr.Jobs = append(tr.Jobs, j)
+		}
+		m := &passMaximal{Sched: New(cfg), t: t}
+		res, err := sched.RunChecked(tr, m, opt)
+		if errors.Is(err, sim.ErrMaxSteps) {
+			t.Fatalf("run did not finish within %d steps", opt.MaxSteps)
+		}
+		if err != nil {
+			t.Fatalf("RunChecked: %v", err)
+		}
+		if err := check.Check(res.Audit, check.Options{AllowMigration: cfg.Migration}); err != nil {
+			t.Fatalf("audit log: %v", err)
+		}
+	})
+}

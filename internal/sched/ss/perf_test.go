@@ -79,6 +79,45 @@ func TestTickWithoutCommitAllocatesNothing(t *testing.T) {
 	}
 }
 
+// passAllocs wraps an SS scheduler and, after each arrival, completion
+// and suspend-done hook that leaves jobs idle, measures the allocations
+// of repeating the hook's schedule pass. The hook's own pass left no
+// idle job that fits (TestPassMaximal), so the repeat starts nothing
+// and changes no state.
+type passAllocs struct {
+	*Sched
+	measured int
+	worst    float64
+}
+
+func (w *passAllocs) OnArrival(j *job.Job)     { w.Sched.OnArrival(j); w.measure() }
+func (w *passAllocs) OnCompletion(j *job.Job)  { w.Sched.OnCompletion(j); w.measure() }
+func (w *passAllocs) OnSuspendDone(j *job.Job) { w.Sched.OnSuspendDone(j); w.measure() }
+
+func (w *passAllocs) measure() {
+	if len(w.queue) == 0 {
+		return
+	}
+	w.measured++
+	w.worst = max(w.worst, testing.AllocsPerRun(5, w.schedulePass))
+}
+
+// TestPassWithoutStartAllocatesNothing pins the event pass's scratch
+// reuse: once warmed, a schedule pass that starts nothing — the common
+// one on a loaded machine, run at nearly every arrival, completion and
+// suspend-done — allocates 0.
+func TestPassWithoutStartAllocatesNothing(t *testing.T) {
+	w := &passAllocs{Sched: New(Config{SF: 2})}
+	sched.Run(ctcAtLoad(300, 1, 2), w, sched.Options{})
+	if w.measured == 0 {
+		t.Fatal("no hook left a job idle; the trace no longer exercises the pass")
+	}
+	t.Logf("measured %d passes", w.measured)
+	if w.worst != 0 {
+		t.Fatalf("a schedule pass that starts nothing allocated %v times, want 0", w.worst)
+	}
+}
+
 // tickCount counts the OnTick calls the driver makes and, as an
 // observer, the tick heartbeats it records.
 type tickCount struct {

@@ -63,18 +63,22 @@ type Sched struct {
 	queue   []*job.Job // idle (fresh + suspended), excluding pending
 	running []*job.Job // running or committed (pending starts)
 
-	// idle is the queue in serving order (descending xfactor), rebuilt
-	// by sortIdle. ord and healthy are scratch reused across passes.
+	// idle holds the jobs a pass serves, in serving order (descending
+	// xfactor): the whole queue at a tick (sortIdle), the jobs that fit
+	// at an event (schedulePass). ord and healthy are scratch reused
+	// across passes.
 	idle    []*job.Job
 	ord     job.Order
 	healthy []*job.Job
 
 	// Quiet-tick scratch, rebuilt by scanRunning for each horizon:
-	// victims are the suspendable running jobs in ascending xfactor,
-	// holderX maps each processor to the xfactor of its Running holder
-	// (+Inf when that holder is not suspendable, -1 when there is
-	// none), and needByWidth memoizes freshNeed (-1 = not computed).
+	// victims are the suspendable running jobs, in ascending xfactor
+	// once sorted is set, holderX maps each processor to the xfactor of
+	// its Running holder (+Inf when that holder is not suspendable, -1
+	// when there is none), and needByWidth memoizes freshNeed (-1 = not
+	// computed) while sorted is set.
 	victims     []victimX
+	sorted      bool
 	holderX     []float64
 	needByWidth []float64
 }
@@ -199,14 +203,40 @@ func (s *Sched) OnRepair(int) { s.schedulePass() }
 // scanned in descending xfactor and started whenever they fit without
 // preemption — fresh jobs on any free processors, suspended jobs on
 // their remembered set.
+//
+// Only the jobs that fit when the pass begins are sorted and served.
+// Capacity only shrinks during the pass, so a job that does not fit at
+// its start never fits later in it; and the xfactor order is total, so
+// the jobs that do fit keep the relative order of a sort of the whole
+// queue.
 func (s *Sched) schedulePass() {
 	span := s.env.Probe().Begin()
 	defer s.env.Probe().End(perf.PhaseQueueScan, span)
-	s.sortIdle()
+	s.idle = s.idle[:0]
+	for _, j := range s.queue {
+		if s.fits(j) {
+			s.idle = append(s.idle, j)
+		}
+	}
+	if len(s.idle) == 0 {
+		return
+	}
+	sched.OrderByXFactor(&s.ord, s.idle, s.env.Now())
 	s.serveIdle()
 }
 
-// sortIdle rebuilds s.idle as the queue in descending xfactor order.
+// fits reports whether idle job j can start now without preemption: a
+// suspended job under local restart on its whole remembered set, any
+// other on that many free processors.
+func (s *Sched) fits(j *job.Job) bool {
+	if j.State == job.Suspended && !s.cfg.Migration {
+		return s.env.Cluster.SetFree(j.ID, j.ProcSet)
+	}
+	return j.Procs <= s.env.Cluster.FreeUnclaimed()
+}
+
+// sortIdle rebuilds s.idle as the whole queue in descending xfactor
+// order, which the tick's preemption routine walks.
 func (s *Sched) sortIdle() {
 	s.idle = append(s.idle[:0], s.queue...)
 	sched.OrderByXFactor(&s.ord, s.idle, s.env.Now())
@@ -356,7 +386,10 @@ func (s *Sched) horizon(now int64) int64 {
 	}
 	tick := s.TickInterval()
 	free := s.env.Cluster.FreeUnclaimed()
-	minX := s.victims[0].x // no idle job needs less
+	minX := math.Inf(1) // no idle job needs less than the least victim xfactor
+	for _, v := range s.victims {
+		minX = min(minX, v.x)
+	}
 	best := int64(math.MaxInt64)
 	for _, j := range s.queue {
 		reentry := j.State == job.Suspended && !s.cfg.Migration
@@ -386,7 +419,8 @@ func (s *Sched) horizon(now int64) int64 {
 }
 
 // scanRunning rebuilds the quiet-tick scratch from the running jobs at
-// time now.
+// time now, leaving the victims unsorted: only freshNeed reads their
+// order, and most horizons never call it.
 func (s *Sched) scanRunning(now int64) {
 	n := s.env.Cluster.Size()
 	if len(s.holderX) != n {
@@ -396,10 +430,8 @@ func (s *Sched) scanRunning(now int64) {
 	for p := range s.holderX {
 		s.holderX[p] = -1
 	}
-	for w := range s.needByWidth {
-		s.needByWidth[w] = -1
-	}
 	s.victims = s.victims[:0]
+	s.sorted = false
 	for _, r := range s.running {
 		if r.State != job.Running {
 			continue // a committed pending start holds nothing yet
@@ -414,20 +446,26 @@ func (s *Sched) scanRunning(now int64) {
 			s.holderX[p] = hx
 		}
 	}
-	slices.SortFunc(s.victims, func(a, b victimX) int {
-		if c := cmp.Compare(a.x, b.x); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.j.ID, b.j.ID)
-	})
 }
 
 // freshNeed returns the xfactor an idle job of width w that does not
 // fit in the free processors needs to commit a preemption: that of the
 // victim at which, in ascending xfactor, the free processors plus the
 // victims the half-width rule lets it suspend first cover w; +Inf when
-// they never do.
+// they never do. The first call of a horizon sorts the victims.
 func (s *Sched) freshNeed(w, free int) float64 {
+	if !s.sorted {
+		slices.SortFunc(s.victims, func(a, b victimX) int {
+			if c := cmp.Compare(a.x, b.x); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.j.ID, b.j.ID)
+		})
+		for i := range s.needByWidth {
+			s.needByWidth[i] = -1
+		}
+		s.sorted = true
+	}
 	if need := s.needByWidth[w]; need >= 0 {
 		return need
 	}
