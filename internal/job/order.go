@@ -28,23 +28,30 @@ type keyedJob struct {
 //
 // Job IDs are unique, so the order is total and the unstable sort yields
 // the same permutation as a stable sort on the same comparator would.
+//
+//lint:allocfree scratch already holds len(jobs) entries
 func (o *Order) Sort(jobs []*Job, key func(*Job) (key float64, tie int64)) {
-	keyed := o.keyed[:0]
-	for _, j := range jobs {
+	keyed := slices.Grow(o.keyed[:0], len(jobs))[:len(jobs)]
+	for i, j := range jobs {
 		k, t := key(j)
-		keyed = append(keyed, keyedJob{key: k, tie: t, j: j})
+		keyed[i] = keyedJob{key: k, tie: t, j: j}
 	}
-	slices.SortFunc(keyed, func(a, b keyedJob) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.tie, b.tie); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.j.ID, b.j.ID)
-	})
+	slices.SortFunc(keyed, compareKeyed)
 	for i, kj := range keyed {
 		jobs[i] = kj.j
 	}
 	o.keyed = keyed
+}
+
+// compareKeyed orders decorated jobs by key, then tie, then job ID.
+//
+//lint:allocfree always, three comparisons
+func compareKeyed(a, b keyedJob) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.tie, b.tie); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.j.ID, b.j.ID)
 }

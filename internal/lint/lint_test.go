@@ -256,9 +256,9 @@ func TestStablesortCatchesDroppedIDClause(t *testing.T) {
 	}{
 		{
 			pkg: "job", file: "order.go", asPath: "pjs/internal/job",
-			clause: "\t\tif c := cmp.Compare(a.tie, b.tie); c != 0 {\n\t\t\treturn c\n\t\t}\n" +
-				"\t\treturn cmp.Compare(a.j.ID, b.j.ID)\n",
-			without: "\t\treturn cmp.Compare(a.tie, b.tie)\n",
+			clause: "\tif c := cmp.Compare(a.tie, b.tie); c != 0 {\n\t\treturn c\n\t}\n" +
+				"\treturn cmp.Compare(a.j.ID, b.j.ID)\n",
+			without: "\treturn cmp.Compare(a.tie, b.tie)\n",
 		},
 		{
 			pkg: "core", file: "policy.go", asPath: "pjs/internal/core",

@@ -23,9 +23,10 @@ import (
 // slices.SortFunc call is accepted when its comparator ends in one of
 // the three-way forms over an ID: a difference (a.ID - b.ID), a
 // cmp.Compare call, or an if/return chain whose last condition compares
-// IDs. slices.Sort has no comparator; it is accepted only on integer and
-// string elements, where equal elements are indistinguishable. Anything
-// else is reported.
+// IDs. The comparator is a func literal or a function of the same
+// package named by a plain identifier. slices.Sort has no comparator;
+// it is accepted only on integer and string elements, where equal
+// elements are indistinguishable. Anything else is reported.
 type StablesortCheck struct{}
 
 // stablesortScopes are the import-path prefixes where scheduling
@@ -66,7 +67,7 @@ func (*StablesortCheck) Run(p *Package, rep *Reporter) {
 			}
 			switch {
 			case path == "sort" && name == "Slice":
-				if len(call.Args) == 2 && lessBreaksTiesByID(call.Args[1]) {
+				if len(call.Args) == 2 && lessBreaksTiesByID(p, call.Args[1]) {
 					return true
 				}
 				rep.Reportf(call.Pos(),
@@ -90,12 +91,12 @@ func (*StablesortCheck) Run(p *Package, rep *Reporter) {
 }
 
 // lessBreaksTiesByID reports whether the sort.Slice less-function
-// argument is a func literal whose final clause — the expression of its
+// argument is a comparator whose final clause — the expression of its
 // last return statement — is a strict comparison involving an ID field
 // or variable. That shape means equal keys cannot compare equal, so the
 // sort order is total and instability cannot reorder anything.
-func lessBreaksTiesByID(arg ast.Expr) bool {
-	ret := finalReturn(arg)
+func lessBreaksTiesByID(p *Package, arg ast.Expr) bool {
+	ret := finalReturn(comparatorBody(p, arg))
 	if ret == nil {
 		return false
 	}
@@ -107,11 +108,12 @@ func lessBreaksTiesByID(arg ast.Expr) bool {
 }
 
 // cmpBreaksTiesByID is lessBreaksTiesByID for a three-way comparator:
-// the func literal must end in `return a.ID - b.ID`, in
+// the comparator must end in `return a.ID - b.ID`, in
 // `return cmp.Compare(a.ID, b.ID)`, or in an if/return chain whose last
 // if compares IDs (`if a.ID < b.ID { return -1 }; return 1`).
 func cmpBreaksTiesByID(p *Package, arg ast.Expr) bool {
-	ret := finalReturn(arg)
+	body := comparatorBody(p, arg)
+	ret := finalReturn(body)
 	if ret == nil {
 		return false
 	}
@@ -126,7 +128,6 @@ func cmpBreaksTiesByID(p *Package, arg ast.Expr) bool {
 			return true
 		}
 	}
-	body := arg.(*ast.FuncLit).Body.List
 	if len(body) < 2 {
 		return false
 	}
@@ -141,14 +142,30 @@ func cmpBreaksTiesByID(p *Package, arg ast.Expr) bool {
 	return ok && cond.Op != token.LAND && cond.Op != token.LOR && (mentionsID(cond.X) || mentionsID(cond.Y))
 }
 
-// finalReturn returns the comparator's last statement when arg is a
-// func literal ending in a single-result return, else nil.
-func finalReturn(arg ast.Expr) *ast.ReturnStmt {
-	lit, ok := arg.(*ast.FuncLit)
-	if !ok || len(lit.Body.List) == 0 {
+// comparatorBody returns the statements of a sort comparator: the body
+// of a func literal, or of the in-package function a plain identifier
+// names. Any other comparator cannot be inspected and yields nil.
+func comparatorBody(p *Package, arg ast.Expr) []ast.Stmt {
+	switch e := ast.Unparen(arg).(type) {
+	case *ast.FuncLit:
+		return e.Body.List
+	case *ast.Ident:
+		if fn, ok := p.Info.Uses[e].(*types.Func); ok {
+			if n := p.CallGraph().Node(fn); n != nil {
+				return n.Decl.Body.List
+			}
+		}
+	}
+	return nil
+}
+
+// finalReturn returns the comparator's last statement when body ends in
+// a single-result return, else nil.
+func finalReturn(body []ast.Stmt) *ast.ReturnStmt {
+	if len(body) == 0 {
 		return nil
 	}
-	ret, ok := lit.Body.List[len(lit.Body.List)-1].(*ast.ReturnStmt)
+	ret, ok := body[len(body)-1].(*ast.ReturnStmt)
 	if !ok || len(ret.Results) != 1 {
 		return nil
 	}

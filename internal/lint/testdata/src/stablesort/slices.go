@@ -26,12 +26,18 @@ func BadChainWithoutID(rels []rel) {
 	})
 }
 
-// BadNamedComparator cannot be inspected, so it is reported.
+// BadNamedComparator names an in-package comparator with no ID clause.
 func BadNamedComparator(rels []rel) {
 	slices.SortFunc(rels, byEnd) // want "slices.SortFunc is unstable"
 }
 
 func byEnd(a, b rel) int { return cmp.Compare(a.end, b.end) }
+
+// BadForeignComparator names a comparator of another package, which
+// cannot be inspected, so it is reported.
+func BadForeignComparator(xs []float64) {
+	slices.SortFunc(xs, cmp.Compare[float64]) // want "slices.SortFunc is unstable"
+}
 
 // BadFloats: -0 and +0 compare equal but differ.
 func BadFloats(xs []float64) {
@@ -69,6 +75,19 @@ func GoodChain(rels []rel) {
 		}
 		return 1
 	})
+}
+
+// GoodNamedComparator names an in-package comparator that ends in the
+// job-ID clause.
+func GoodNamedComparator(rels []rel) {
+	slices.SortFunc(rels, byEndThenID)
+}
+
+func byEndThenID(a, b rel) int {
+	if c := cmp.Compare(a.end, b.end); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // GoodStableFunc is stable; ties keep insertion order.

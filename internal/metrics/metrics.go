@@ -6,6 +6,8 @@
 package metrics
 
 import (
+	"sort"
+
 	"pjs/internal/job"
 	"pjs/internal/sched"
 	"pjs/internal/stats"
@@ -106,12 +108,14 @@ func (a *catAcc) add(j *job.Job) {
 	a.kills += j.Kills
 }
 
+// stats sorts the slowdown samples in place, once, for both percentiles.
 func (a *catAcc) stats() CatStats {
+	sort.Float64s(a.sdSamples)
 	return CatStats{
 		Count:           a.sd.N(),
 		MeanSlowdown:    a.sd.Mean(),
-		MedianSlowdown:  stats.Median(a.sdSamples),
-		P95Slowdown:     stats.Percentile(a.sdSamples, 95),
+		MedianSlowdown:  stats.SortedPercentile(a.sdSamples, 50),
+		P95Slowdown:     stats.SortedPercentile(a.sdSamples, 95),
 		WorstSlowdown:   a.sd.Max(),
 		MeanTurnaround:  a.tat.Mean(),
 		WorstTurnaround: a.tat.Max(),

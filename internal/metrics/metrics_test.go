@@ -1,7 +1,10 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -215,5 +218,82 @@ func TestEmptySummary(t *testing.T) {
 	s := Summarize(nil, 0, 0, All)
 	if s.Overall.Count != 0 || s.Overall.MeanSlowdown != 0 {
 		t.Error("empty summary should be all zeros")
+	}
+}
+
+// randomFinished returns n finished jobs with random shapes and waits,
+// spread over every category.
+func randomFinished(n int, seed int64) []*job.Job {
+	rng := rand.New(rand.NewSource(seed))
+	jobs := make([]*job.Job, n)
+	for i := range jobs {
+		run := 1 + rng.Int63n(100_000)
+		submit := rng.Int63n(10_000_000)
+		jobs[i] = finished(i+1, submit, submit+rng.Int63n(200_000), run, run+rng.Int63n(4*run), 1+rng.Intn(430))
+	}
+	return jobs
+}
+
+// copySortPercentile is the percentile every summary cell used before
+// catAcc sorted its samples once: copy, sort, interpolate.
+func copySortPercentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	rank := p / 100 * float64(len(s)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return s[lo]
+	}
+	frac := rank - float64(lo)
+	return s[lo]*(1-frac) + s[hi]*frac
+}
+
+// TestSummaryPercentilesMatchCopySort holds the sort-once summary to
+// the copy-and-sort percentile bit for bit, at all three granularities.
+func TestSummaryPercentilesMatchCopySort(t *testing.T) {
+	jobs := randomFinished(50_000, 1)
+	for _, f := range []Filter{All, WellEstimated, BadlyEstimated} {
+		s := Summarize(jobs, 0, 0, f)
+		var by [16][]float64
+		var by4 [4][]float64
+		var all []float64
+		for _, j := range jobs {
+			if !f.keep(j) {
+				continue
+			}
+			sd := BoundedSlowdown(j)
+			by[j.Category().Index()] = append(by[j.Category().Index()], sd)
+			by4[j.Category4().Index()] = append(by4[j.Category4().Index()], sd)
+			all = append(all, sd)
+		}
+		same := func(cell string, got CatStats, xs []float64) {
+			t.Helper()
+			med, p95 := copySortPercentile(xs, 50), copySortPercentile(xs, 95)
+			if math.Float64bits(got.MedianSlowdown) != math.Float64bits(med) ||
+				math.Float64bits(got.P95Slowdown) != math.Float64bits(p95) {
+				t.Errorf("%v %s: median/p95 = %v/%v, copy-and-sort gives %v/%v",
+					f, cell, got.MedianSlowdown, got.P95Slowdown, med, p95)
+			}
+		}
+		for i := range by {
+			same(fmt.Sprintf("category %d", i), s.ByCategory[i], by[i])
+		}
+		for i := range by4 {
+			same(fmt.Sprintf("category4 %d", i), s.ByCategory4[i], by4[i])
+		}
+		same("overall", s.Overall, all)
+	}
+}
+
+func BenchmarkSummarize(b *testing.B) {
+	jobs := randomFinished(50_000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Summarize(jobs, 0, 0, All)
 	}
 }

@@ -190,9 +190,16 @@ func (s *Sched) OnRepair(int) {
 	}
 }
 
-// rotate switches to the next non-empty row, if any.
+// rotate switches to the next non-empty row, if any. A lone row has
+// nothing to switch to, but it may hold an idle job: one a drain left
+// Suspended after the drain's target row emptied, or one a narrow or
+// busy machine turned away. Nothing else would ever launch it, so the
+// rotation relaunches the row in place.
 func (s *Sched) rotate() {
 	if len(s.rows) < 2 {
+		if len(s.rows) == 1 {
+			s.relaunch()
+		}
 		return
 	}
 	next := (s.active + 1) % len(s.rows)

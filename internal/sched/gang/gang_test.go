@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pjs/internal/check"
+	"pjs/internal/fault"
 	"pjs/internal/job"
 	"pjs/internal/overhead"
 	"pjs/internal/sched"
@@ -165,5 +166,34 @@ func TestName(t *testing.T) {
 	}
 	if got := gang.New(gang.Config{Quantum: 300}).Name(); got != "Gang(Q=300s)" {
 		t.Errorf("Name = %q", got)
+	}
+}
+
+// TestLoneRowRelaunchesSuspendedJob pins the one-row strand. A job on
+// I/O-degraded processors keeps running through its row's rotation; it
+// then completes while the next rotation drains the other row, and its
+// row, the drain's target, is removed. The drained row is left alone
+// with Suspended jobs that no hook resumes, so before rotate relaunched
+// a lone row the run only ticked until MaxSteps. This SDSC trace and
+// transient-I/O stream hit that state at t = 91,938 s.
+func TestLoneRowRelaunchesSuspendedJob(t *testing.T) {
+	tr := workload.Generate(workload.SDSC(), workload.GenOptions{Jobs: 80, Seed: 4})
+	res, err := sched.RunChecked(tr, gang.New(gang.Config{}), sched.Options{
+		Audit:    true,
+		Overhead: overhead.Disk{},
+		Transient: fault.TransientConfig{
+			WriteFailProb: 0.05, ReadFailProb: 0.05, Seed: 1,
+			HealthWindow: 1 << 40, HealthThreshold: 1,
+		},
+		MaxSteps: 1_000_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Makespan(); got != 120875 {
+		t.Errorf("makespan = %d, want 120875", got)
+	}
+	if err := check.Check(res.Audit, check.Options{}); err != nil {
+		t.Fatal(err)
 	}
 }

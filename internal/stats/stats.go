@@ -114,6 +114,15 @@ func Max(xs []float64) float64 {
 // linear interpolation between closest ranks. It copies xs, leaving the
 // input unmodified, and returns 0 for an empty slice.
 func Percentile(xs []float64, p float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return SortedPercentile(s, p)
+}
+
+// SortedPercentile is Percentile for xs already in ascending order: it
+// neither copies nor sorts, so a caller that needs several percentiles
+// of one sample sorts it once.
+func SortedPercentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -123,16 +132,14 @@ func Percentile(xs []float64, p float64) float64 {
 	if p > 100 {
 		p = 100
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	rank := p / 100 * float64(len(s)-1)
+	rank := p / 100 * float64(len(xs)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return s[lo]
+		return xs[lo]
 	}
 	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return xs[lo]*(1-frac) + xs[hi]*frac
 }
 
 // Median returns the 50th percentile of xs.

@@ -34,42 +34,45 @@ const swfFields = 18
 // int64(±Inf) is outright undefined behavior per the Go spec).
 const maxSWFValue = int64(1) << 53
 
+// maxSWFDigits is the longest digit run the byte fast path parses as an
+// integer. 10^15 - 1 < 2^53, so every value it accepts is within the
+// ±2^53 bound the string path enforces, and that bound check can be
+// skipped on the fast path without changing what is accepted.
+const maxSWFDigits = 15
+
 // ReadSWF parses an SWF trace from r. Records that cannot be simulated
 // (cancelled jobs with non-positive run time or processor count) are
 // skipped, mirroring the preprocessing of trace-driven studies. The
 // machine size is taken from the `; MaxProcs:` header if present, else
 // from the widest job. Memory requirements are not part of most logs;
 // MemPerProc is left zero (the overhead model or caller assigns it).
+//
+// A line whose first 18 fields are plain integers takes the byte fast
+// path (parseSWFRecord); every other line — comments, blank or short
+// lines, floats, inf/nan, 16+ digits, non-ASCII bytes — takes the
+// string path (parseSWFLine), so headers and error messages are those
+// of the string parser alone.
 func ReadSWF(r io.Reader, name string) (*Trace, error) {
 	t := &Trace{Name: name}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	lineNo := 0
 	maxSeen := 0
+	var vals [swfFields]int64
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, ";") {
-			parseSWFHeader(t, line)
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) < swfFields {
-			return nil, fmt.Errorf("workload: %s:%d: %d fields, want %d", name, lineNo, len(f), swfFields)
-		}
-		vals := make([]int64, swfFields)
-		for i := 0; i < swfFields; i++ {
-			v, err := strconv.ParseFloat(f[i], 64)
-			if err != nil {
-				return nil, fmt.Errorf("workload: %s:%d: field %d: %v", name, lineNo, i, err)
+		if !parseSWFRecord(sc.Bytes(), &vals) {
+			line := strings.TrimSpace(sc.Text())
+			if line == "" {
+				continue
 			}
-			if math.IsNaN(v) || v > float64(maxSWFValue) || v < -float64(maxSWFValue) {
-				return nil, fmt.Errorf("workload: %s:%d: field %d: value %v outside ±2^53", name, lineNo, i, v)
+			if strings.HasPrefix(line, ";") {
+				parseSWFHeader(t, line)
+				continue
 			}
-			vals[i] = int64(v)
+			if err := parseSWFLine(line, &vals); err != nil {
+				return nil, fmt.Errorf("workload: %s:%d: %v", name, lineNo, err)
+			}
 		}
 		id := int(vals[0])
 		submit := vals[1]
@@ -107,6 +110,74 @@ func ReadSWF(r io.Reader, name string) (*Trace, error) {
 	}
 	t.SortBySubmit()
 	return t, nil
+}
+
+// parseSWFRecord is the byte fast path of ReadSWF. It splits line in
+// place on the six ASCII spaces strings.Fields uses and, when each of
+// the first swfFields fields is [+-]digits with at most maxSWFDigits
+// digits, stores them in vals and reports true. Fields past the last
+// one it needs are not looked at, as the string path ignores them too.
+// Any other line reports false and must go to the string path; vals is
+// then partly overwritten. A byte >= 0x80 is neither a space nor a
+// digit here, so a line with one before the end of its 18th field —
+// a Unicode space such as U+00A0 included — always falls back.
+//
+//lint:allocfree always, an in-place scan of the line
+func parseSWFRecord(line []byte, vals *[swfFields]int64) bool {
+	i := 0
+	for f := range vals {
+		for i < len(line) && isSWFSpace(line[i]) {
+			i++
+		}
+		neg := false
+		if i < len(line) && (line[i] == '+' || line[i] == '-') {
+			neg = line[i] == '-'
+			i++
+		}
+		start := i
+		var v int64
+		for i < len(line) && '0' <= line[i] && line[i] <= '9' {
+			v = v*10 + int64(line[i]-'0')
+			i++
+		}
+		if n := i - start; n == 0 || n > maxSWFDigits {
+			return false
+		}
+		if i < len(line) && !isSWFSpace(line[i]) {
+			return false
+		}
+		if neg {
+			v = -v
+		}
+		vals[f] = v
+	}
+	return true
+}
+
+// isSWFSpace reports the ASCII bytes strings.Fields splits on.
+func isSWFSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
+}
+
+// parseSWFLine is the string path of ReadSWF for a trimmed, non-blank,
+// non-comment line: every field goes through strconv.ParseFloat and is
+// truncated to an integer after the ±2^53 check.
+func parseSWFLine(line string, vals *[swfFields]int64) error {
+	f := strings.Fields(line)
+	if len(f) < swfFields {
+		return fmt.Errorf("%d fields, want %d", len(f), swfFields)
+	}
+	for i := range vals {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return fmt.Errorf("field %d: %v", i, err)
+		}
+		if math.IsNaN(v) || v > float64(maxSWFValue) || v < -float64(maxSWFValue) {
+			return fmt.Errorf("field %d: value %v outside ±2^53", i, v)
+		}
+		vals[i] = int64(v)
+	}
+	return nil
 }
 
 // parseSWFHeader extracts the directives we care about from a comment

@@ -165,3 +165,24 @@ func TestSWFRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestReadSWFAllocs pins the byte fast path: past the jobs themselves,
+// parsing a generated trace allocates only a small constant (the
+// scanner buffer, the header lines, the growth of the job slice).
+func TestReadSWFAllocs(t *testing.T) {
+	tr := Generate(SDSC(), GenOptions{Jobs: 1000, Seed: 1})
+	var buf bytes.Buffer
+	if err := WriteSWF(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	got := testing.AllocsPerRun(10, func() {
+		if _, err := ReadSWF(bytes.NewReader(raw), "allocs"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(len(tr.Jobs) + 32); got > limit {
+		t.Errorf("ReadSWF of %d jobs: %v allocations, want at most %v", len(tr.Jobs), got, limit)
+	}
+	t.Logf("ReadSWF of %d jobs: %v allocations", len(tr.Jobs), got)
+}

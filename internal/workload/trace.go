@@ -22,11 +22,14 @@ type Trace struct {
 
 // CloneJobs returns fresh Job values with the same static attributes and
 // reset dynamic state. Simulations mutate jobs, so every run must work
-// on its own copies.
+// on its own copies. The copies share one backing slab: two allocations
+// per call instead of one per job.
 func (t *Trace) CloneJobs() []*job.Job {
 	out := make([]*job.Job, len(t.Jobs))
+	slab := make([]job.Job, len(t.Jobs))
 	for i, j := range t.Jobs {
-		c := job.New(j.ID, j.SubmitTime, j.RunTime, j.Estimate, j.Procs)
+		c := &slab[i]
+		*c = *job.New(j.ID, j.SubmitTime, j.RunTime, j.Estimate, j.Procs)
 		c.MemPerProc = j.MemPerProc
 		out[i] = c
 	}
@@ -39,11 +42,25 @@ func (t *Trace) Clone() *Trace {
 }
 
 // SortBySubmit orders jobs by submit time (stable, ties keep input
-// order) and is idempotent.
+// order) and is idempotent. Already sorted jobs are left as they are
+// without sorting: a stable sort of sorted input is the identity.
 func (t *Trace) SortBySubmit() {
+	if t.submitSorted() {
+		return
+	}
 	sort.SliceStable(t.Jobs, func(i, k int) bool {
 		return t.Jobs[i].SubmitTime < t.Jobs[k].SubmitTime
 	})
+}
+
+// submitSorted reports whether the jobs are in submit-time order.
+func (t *Trace) submitSorted() bool {
+	for i := 1; i < len(t.Jobs); i++ {
+		if t.Jobs[i].SubmitTime < t.Jobs[i-1].SubmitTime {
+			return false
+		}
+	}
+	return true
 }
 
 // Validate checks that the trace can be simulated: non-empty, jobs
@@ -95,6 +112,8 @@ func (t *Trace) ScaleLoad(factor float64) *Trace {
 	for _, j := range out.Jobs {
 		j.SubmitTime = int64(float64(j.SubmitTime) / factor)
 	}
+	// Division by a positive factor is monotone, so a sorted trace stays
+	// sorted and this returns at once; only an unsorted input re-sorts.
 	out.SortBySubmit()
 	return out
 }

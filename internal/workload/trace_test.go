@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"pjs/internal/job"
@@ -144,5 +145,23 @@ func TestSortBySubmitStable(t *testing.T) {
 	tr.SortBySubmit()
 	if tr.Jobs[0].ID != 3 || tr.Jobs[1].ID != 1 || tr.Jobs[2].ID != 2 {
 		t.Errorf("order = %d,%d,%d", tr.Jobs[0].ID, tr.Jobs[1].ID, tr.Jobs[2].ID)
+	}
+}
+
+// TestCloneJobsAllocs pins the job slab: cloning makes the pointer slice
+// and one backing array, whatever the trace length, and every clone is
+// a fresh job.New with the original's memory size.
+func TestCloneJobsAllocs(t *testing.T) {
+	tr := Generate(SDSC(), GenOptions{Jobs: 1000, Seed: 1})
+	if got := testing.AllocsPerRun(20, func() { tr.CloneJobs() }); got != 2 {
+		t.Errorf("CloneJobs of %d jobs: %v allocations, want 2", len(tr.Jobs), got)
+	}
+	for i, c := range tr.CloneJobs() {
+		j := tr.Jobs[i]
+		want := job.New(j.ID, j.SubmitTime, j.RunTime, j.Estimate, j.Procs)
+		want.MemPerProc = j.MemPerProc
+		if !reflect.DeepEqual(c, want) {
+			t.Fatalf("clone %d = %+v, want %+v", i, *c, *want)
+		}
 	}
 }
