@@ -93,10 +93,14 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 // precision to its big-decimal path. For positive normal v below 2⁵² it
 // splits v = mant/2^s into integer and fractional bits, multiplies the
 // fraction by 10⁶ in 128 bits and rounds half to even on the exact
-// remainder. Negative numbers, zeros, subnormals, NaN, ±Inf and values
-// from 2⁵² up go to strconv.
+// remainder. +0, the value of every idle or empty-queue sample, is
+// written directly. Negative numbers, −0, subnormals, NaN, ±Inf and
+// values from 2⁵² up go to strconv.
 func appendFixed6(dst []byte, v float64) []byte {
 	b := math.Float64bits(v)
+	if b == 0 {
+		return append(dst, "0.000000"...)
+	}
 	e := uint(b>>52) & 0x7ff
 	if b>>63 != 0 || e == 0 || e >= 1023+52 {
 		return strconv.AppendFloat(dst, v, 'f', 6, 64)

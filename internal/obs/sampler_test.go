@@ -52,6 +52,15 @@ func TestSamplerWriteCSVMatchesFmt(t *testing.T) {
 			{Time: 7, Busy: 0},
 		}})
 	})
+	t.Run("zeros", func(t *testing.T) {
+		// An idle machine with an empty queue: utilization and max
+		// queued xfactor both +0.
+		requireFmtCSV(t, &Sampler{Procs: 4, Samples: []Sample{
+			{Time: 0},
+			{Time: 60, Busy: 2, Queued: 1, MaxQueuedXFactor: 1},
+			{Time: 120, MaxQueuedXFactor: math.Copysign(0, -1)},
+		}})
+	})
 	t.Run("large values", func(t *testing.T) {
 		requireFmtCSV(t, &Sampler{Procs: 1 << 20, Samples: []Sample{
 			{Time: math.MaxInt64, Busy: math.MaxInt32, Queued: 1 << 40,
@@ -121,7 +130,7 @@ func TestSamplerWriteCSVMatchesFmt(t *testing.T) {
 // FuzzAppendFixed6 checks appendFixed6 against strconv over raw float64
 // bit patterns, so every exponent and tie is reachable.
 func FuzzAppendFixed6(f *testing.F) {
-	for _, v := range []float64{0, 1, 0.5e-6, 9.9999995, 0.0078125, 1 << 52, math.SmallestNonzeroFloat64, math.NaN()} {
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, 0.5e-6, 9.9999995, 0.0078125, 1 << 52, math.SmallestNonzeroFloat64, math.NaN()} {
 		f.Add(math.Float64bits(v))
 	}
 	f.Fuzz(func(t *testing.T, b uint64) {
@@ -136,7 +145,7 @@ func FuzzAppendFixed6(f *testing.F) {
 // allocations when the buffer has room.
 func TestAppendFixed6AllocatesNothing(t *testing.T) {
 	buf := make([]byte, 0, 64)
-	vals := []float64{0.5, 1, 1.0000005, 123456.789, 0x1p-70, 1<<52 - 1}
+	vals := []float64{0, 0.5, 1, 1.0000005, 123456.789, 0x1p-70, 1<<52 - 1}
 	if n := testing.AllocsPerRun(100, func() {
 		for _, v := range vals {
 			buf = appendFixed6(buf[:0], v)

@@ -251,7 +251,7 @@ func RunContext(ctx context.Context, t *workload.Trace, s Scheduler, opt Options
 		Cluster:  cluster.New(t.Procs),
 		Overhead: oh,
 		sched:    s,
-		byID:     make(map[int]*job.Job),
+		byID:     make(map[int]*job.Job, len(t.Jobs)),
 		obs:      opt.Observer,
 		probe:    opt.Probe,
 	}

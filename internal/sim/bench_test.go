@@ -16,13 +16,14 @@ func BenchmarkHeapPushPop(b *testing.B) {
 	var h eventHeap
 	// Steady-state churn at depth ~1024.
 	for i := 0; i < 1024; i++ {
-		h.push(&Event{Time: int64(rng.Intn(1 << 20))})
+		h.push(Event{Time: int64(rng.Intn(1 << 20)), seq: int64(i)})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev := h.pop()
 		ev.Time += int64(rng.Intn(1024))
+		ev.seq = int64(1024 + i)
 		h.push(ev)
 	}
 }

@@ -3,12 +3,22 @@
 // events, and periodic scheduler ticks (the paper's one-minute preemption
 // routine). The engine knows nothing about scheduling policy; a Handler
 // (the scheduler driver) receives the events.
+//
+// Events come from three sources, merged by time: a min-heap of the
+// events the run schedules (Completion through ProcRepair), the jobs'
+// arrivals in submit order, and the tick clock. At equal times the heap
+// goes first, then arrivals, then the tick, which is the Kind order, so
+// the delivered sequence is that of one queue ordered by (Time, Kind,
+// insertion order).
 package sim
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"pjs/internal/job"
 )
@@ -94,18 +104,23 @@ type Event struct {
 }
 
 // Handler receives simulation events in virtual-time order: one call
-// per delivered event. Job events whose job has moved on (see stale)
-// never reach Handle, and a Tick arrives every tick interval while the
-// simulation has unfinished jobs, if the interval is non-zero.
+// per delivered event. Each job added with AddJob arrives once, at its
+// SubmitTime. Job events whose job has moved on (see stale) never reach
+// Handle, and a Tick arrives every tick interval while the simulation
+// has unfinished jobs, if the interval is non-zero.
 type Handler interface {
 	Handle(ev Event)
 }
 
-// Engine owns the virtual clock and the pending-event heap.
+// Engine owns the virtual clock and the three event sources.
 type Engine struct {
-	now          int64
-	seq          int64
-	heap         eventHeap
+	now         int64
+	seq         int64
+	heap        eventHeap  // scheduled events, never an Arrival or a Tick
+	arrivals    []*job.Job // added jobs; sorted by SubmitTime when Run starts
+	nextArrival int        // index of the next job to arrive
+	// nextTick is the time of the next Tick while tickInterval > 0.
+	nextTick     int64
 	handler      Handler
 	tickInterval int64
 	totalJobs    int
@@ -168,16 +183,19 @@ func (e *Engine) Abort(err error) {
 	}
 }
 
-// AddJob schedules the arrival of j. All jobs must be added before Run.
+// AddJob schedules the arrival of j at its SubmitTime, which must not
+// change before Run delivers it. All jobs must be added before Run;
+// arrivals never enter the heap (Schedule refuses them). Jobs with equal
+// submit times arrive in AddJob order.
 func (e *Engine) AddJob(j *job.Job) {
 	e.totalJobs++
-	e.push(&Event{Time: j.SubmitTime, Kind: Arrival, Job: j})
+	e.arrivals = append(e.arrivals, j)
 }
 
 // Schedule queues ev for delivery at ev.Time. A job event is bound to
 // the job's current epoch, so preempting, killing or failing the job
-// before ev.Time makes it stale. Ticks belong to the engine; a job's
-// first arrival is added with AddJob, which also counts the job.
+// before ev.Time makes it stale. Ticks belong to the engine, and
+// arrivals to AddJob, which also counts the job: Schedule refuses both.
 func (e *Engine) Schedule(ev Event) {
 	if ev.Time < e.now {
 		panic(fmt.Sprintf("sim: %v for %v (proc %d) scheduled in the past (%d < %d)",
@@ -186,13 +204,12 @@ func (e *Engine) Schedule(ev Event) {
 	if ev.Kind == Tick {
 		panic("sim: ticks are scheduled by the engine")
 	}
+	if ev.Kind == Arrival {
+		panic("sim: arrivals are added with AddJob")
+	}
 	if ev.Job != nil {
 		ev.Epoch = ev.Job.Epoch
 	}
-	e.push(&ev)
-}
-
-func (e *Engine) push(ev *Event) {
 	ev.seq = e.seq
 	e.seq++
 	e.heap.push(ev)
@@ -222,13 +239,26 @@ func stale(ev *Event) bool {
 // Run processes events until all jobs have finished and returns the
 // finish time of the last job (the makespan end). A job finishes when
 // its Completion is delivered. Run fails with a wrapped ErrDeadlock
-// when the queue drains early, a wrapped ErrMaxSteps when the safety
-// valve trips, a wrapped ErrCanceled when the SetContext context is
-// done, the step hook's error, or the handler's Abort error; on error
-// the returned time is the time reached so far.
+// when no event, arrival or tick is left with jobs unfinished, a
+// wrapped ErrMaxSteps when the safety valve trips, a wrapped
+// ErrCanceled when the SetContext context is done, the step hook's
+// error, or the handler's Abort error; on error the returned time is
+// the time reached so far.
 func (e *Engine) Run() (int64, error) {
-	if e.tickInterval > 0 && e.heap.len() > 0 {
-		e.push(&Event{Time: e.heap.min().Time + e.tickInterval, Kind: Tick})
+	byTime := func(a, b *job.Job) int { return cmp.Compare(a.SubmitTime, b.SubmitTime) }
+	if !slices.IsSortedFunc(e.arrivals, byTime) {
+		// Stable, so equal submit times keep AddJob order.
+		slices.SortStableFunc(e.arrivals, byTime)
+	}
+	if e.tickInterval > 0 && (e.heap.len() > 0 || len(e.arrivals) > 0) {
+		first := int64(math.MaxInt64)
+		if e.heap.len() > 0 {
+			first = e.heap.a[0].Time
+		}
+		if len(e.arrivals) > 0 {
+			first = min(first, e.arrivals[0].SubmitTime)
+		}
+		e.nextTick = first + e.tickInterval
 	}
 	for e.finishedJobs < e.totalJobs {
 		if e.ctx != nil && e.steps&ctxCheckMask == 0 {
@@ -236,11 +266,11 @@ func (e *Engine) Run() (int64, error) {
 				return e.now, fmt.Errorf("%w after %d events at t=%d: %w", ErrCanceled, e.steps, e.now, err)
 			}
 		}
-		if e.heap.len() == 0 {
+		ev, ok := e.next()
+		if !ok {
 			return e.now, fmt.Errorf("%w at t=%d with %d/%d jobs finished",
 				ErrDeadlock, e.now, e.finishedJobs, e.totalJobs)
 		}
-		ev := e.heap.pop()
 		if ev.Time < e.now {
 			panic(fmt.Sprintf("sim: time moved backwards %d -> %d", e.now, ev.Time))
 		}
@@ -253,12 +283,11 @@ func (e *Engine) Run() (int64, error) {
 		switch {
 		case ev.Kind == Tick:
 			// The loop runs only while jobs remain, so every tick it
-			// pops is delivered and re-armed.
-			e.handler.Handle(*ev)
-			ev.Time += e.tickInterval
-			e.push(ev)
-		case !stale(ev):
-			e.handler.Handle(*ev)
+			// takes is delivered and advanced.
+			e.handler.Handle(ev)
+			e.nextTick += e.tickInterval
+		case !stale(&ev):
+			e.handler.Handle(ev)
 			if ev.Kind == Completion {
 				e.finishedJobs++
 			}
@@ -273,4 +302,34 @@ func (e *Engine) Run() (int64, error) {
 		}
 	}
 	return e.now, nil
+}
+
+// next takes the earliest event from the three sources: the heap, then
+// the next arrival, then the tick, on equal times. The heap's kinds all
+// sort before Arrival, and Arrival before Tick, so this is the (Time,
+// Kind, insertion) order of a single queue. It reports false when no
+// source has an event left. A Tick it returns is still pending: Run
+// advances the clock field after delivering it.
+//
+//lint:allocfree always, the heap pops in place
+func (e *Engine) next() (Event, bool) {
+	ticking := e.tickInterval > 0
+	var arrival *job.Job
+	if e.nextArrival < len(e.arrivals) {
+		arrival = e.arrivals[e.nextArrival]
+	}
+	if e.heap.len() > 0 {
+		t := e.heap.a[0].Time
+		if (arrival == nil || t <= arrival.SubmitTime) && (!ticking || t <= e.nextTick) {
+			return e.heap.pop(), true
+		}
+	}
+	if arrival != nil && (!ticking || arrival.SubmitTime <= e.nextTick) {
+		e.nextArrival++
+		return Event{Time: arrival.SubmitTime, Kind: Arrival, Job: arrival}, true
+	}
+	if ticking {
+		return Event{Time: e.nextTick, Kind: Tick}, true
+	}
+	return Event{}, false
 }

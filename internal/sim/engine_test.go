@@ -194,6 +194,47 @@ func TestScheduleRefusesTicks(t *testing.T) {
 	}
 }
 
+// TestScheduleRefusesArrivals: arrivals belong to AddJob, and the merge
+// of the three event sources relies on no arrival entering the heap.
+func TestScheduleRefusesArrivals(t *testing.T) {
+	e := New(dropHandler{}, 0)
+	ev := Event{Time: 10, Kind: Arrival, Job: job.New(1, 10, 10, 10, 1)}
+	if msg := mustPanic(t, func() { e.Schedule(ev) }); !strings.Contains(msg, "AddJob") {
+		t.Errorf("panic = %q", msg)
+	}
+	if e.heap.len() != 0 || e.totalJobs != 0 {
+		t.Errorf("refused arrival was queued or counted")
+	}
+}
+
+// TestScheduleZeroAllocs: once the heap has grown, scheduling an event
+// and taking it for delivery allocates nothing.
+func TestScheduleZeroAllocs(t *testing.T) {
+	e := New(dropHandler{}, 60)
+	e.nextTick = 1 << 40 // a tick source in the merge that never wins
+	j := job.New(1, 0, 10, 10, 1)
+	for i := 0; i < 64; i++ {
+		e.Schedule(Event{Time: int64(i), Kind: ProcFail, Proc: i})
+	}
+	for e.heap.len() > 0 {
+		e.heap.pop()
+	}
+	var h Handler = dropHandler{}
+	if n := testing.AllocsPerRun(1000, func() {
+		e.Schedule(Event{Time: e.now, Kind: Completion, Job: j})
+		e.Schedule(Event{Time: e.now + 1, Kind: ProcFail, Proc: 3})
+		for i := 0; i < 2; i++ {
+			ev, ok := e.next()
+			if !ok || ev.Kind == Tick {
+				t.Fatalf("next = %+v, %v", ev, ok)
+			}
+			h.Handle(ev)
+		}
+	}); n != 0 {
+		t.Errorf("Schedule plus delivery allocated %v times per run, want 0", n)
+	}
+}
+
 // TestScheduleBindsJobEpoch: a job event carries the job's epoch at
 // scheduling time, whatever Epoch the caller passed; a processor event
 // carries none.
@@ -474,65 +515,116 @@ func TestReadDoneIORetryStaleOnEpochChange(t *testing.T) {
 }
 
 func TestHeapOrdering(t *testing.T) {
-	var h eventHeap
+	e := New(dropHandler{}, 0)
 	rng := rand.New(rand.NewSource(42))
 	const n = 500
-	times := make([]int64, n)
-	for i := range times {
-		times[i] = int64(rng.Intn(100))
-		h.push(&Event{Time: times[i], Kind: Kind(rng.Intn(4))})
+	for i := 0; i < n; i++ {
+		e.Schedule(Event{Time: int64(rng.Intn(100)), Kind: Kind(rng.Intn(4))})
 	}
-	var prev *Event
-	for h.len() > 0 {
-		ev := h.pop()
-		if prev != nil && eventLess(ev, prev) {
-			t.Fatalf("heap order violated: %v after %v", ev, prev)
+	var prev Event
+	for i := 0; e.heap.len() > 0; i++ {
+		ev := e.heap.pop()
+		if i > 0 && eventLess(&ev, &prev) {
+			t.Fatalf("heap order violated: %+v after %+v", ev, prev)
 		}
 		prev = ev
 	}
 }
 
 func TestHeapTieBreakByKindThenSeq(t *testing.T) {
-	var h eventHeap
-	e := &Engine{}
-	e.heap = h
-	// Same time, different kinds, inserted in reverse priority order.
-	e.push(&Event{Time: 10, Kind: Tick})
-	e.push(&Event{Time: 10, Kind: Arrival})
-	e.push(&Event{Time: 10, Kind: ProcRepair})
-	e.push(&Event{Time: 10, Kind: ProcFail})
-	e.push(&Event{Time: 10, Kind: IORetry})
-	e.push(&Event{Time: 10, Kind: ReadDone})
-	e.push(&Event{Time: 10, Kind: SuspendDone})
-	e.push(&Event{Time: 10, Kind: Completion})
-	want := []Kind{Completion, SuspendDone, ReadDone, IORetry, ProcFail, ProcRepair, Arrival, Tick}
+	e := New(dropHandler{}, 10)
+	// Same time, every heap kind, scheduled in reverse priority order.
+	for k := ProcRepair; k >= Completion; k-- {
+		e.Schedule(Event{Time: 10, Kind: k})
+	}
+	want := []Kind{Completion, SuspendDone, ReadDone, IORetry, ProcFail, ProcRepair}
 	for i, k := range want {
 		if got := e.heap.pop().Kind; got != k {
 			t.Fatalf("pop %d = %v, want %v", i, got, k)
 		}
 	}
 	// Same time and kind: FIFO by insertion.
-	a := &Event{Time: 5, Kind: Arrival}
-	b := &Event{Time: 5, Kind: Arrival}
-	e.push(a)
-	e.push(b)
-	if e.heap.pop() != a || e.heap.pop() != b {
-		t.Error("equal events should pop in insertion order")
+	e.Schedule(Event{Time: 5, Kind: ProcFail, Proc: 1})
+	e.Schedule(Event{Time: 5, Kind: ProcFail, Proc: 2})
+	if a, b := e.heap.pop(), e.heap.pop(); a.Proc != 1 || b.Proc != 2 {
+		t.Errorf("equal events popped procs %d,%d, want insertion order 1,2", a.Proc, b.Proc)
+	}
+	// Across the three sources at one instant: heap kinds, then the
+	// arrival, then the tick.
+	e.AddJob(job.New(1, 10, 5, 5, 1))
+	e.Schedule(Event{Time: 10, Kind: ProcRepair})
+	e.Schedule(Event{Time: 10, Kind: Completion})
+	e.nextTick = 10
+	want = []Kind{Completion, ProcRepair, Arrival, Tick}
+	for i, k := range want {
+		if ev, ok := e.next(); !ok || ev.Kind != k || ev.Time != 10 {
+			t.Fatalf("next %d = %+v, %v, want %v at 10", i, ev, ok, k)
+		}
+	}
+}
+
+// arrivalOrderHandler records arrival job IDs and completes each job at
+// once.
+type arrivalOrderHandler struct {
+	eng *Engine
+	ids []int
+}
+
+func (h *arrivalOrderHandler) Handle(ev Event) {
+	switch ev.Kind {
+	case Arrival:
+		h.ids = append(h.ids, ev.Job.ID)
+		ev.Job.Dispatch(h.eng.Now(), 0)
+		h.eng.Schedule(Event{Time: h.eng.Now(), Kind: Completion, Job: ev.Job})
+	case Completion:
+		ev.Job.Complete(h.eng.Now())
+	}
+}
+
+// TestArrivalsFIFOOnEqualSubmit: Run sorts the arrivals by submit time
+// and keeps AddJob order among equal ones. The list is long enough for
+// the sort to leave insertion sort, so an unstable sort shows.
+func TestArrivalsFIFOOnEqualSubmit(t *testing.T) {
+	h := &arrivalOrderHandler{}
+	e := New(h, 0)
+	h.eng = e
+	rng := rand.New(rand.NewSource(3))
+	for id := 1; id <= 200; id++ {
+		e.AddJob(job.New(id, int64(rng.Intn(8)), 1, 1, 1))
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(h.ids) != 200 {
+		t.Fatalf("%d arrivals, want 200", len(h.ids))
+	}
+	for i := 1; i < len(h.ids); i++ {
+		a, b := e.arrivals[i-1], e.arrivals[i]
+		if a.ID != h.ids[i-1] || b.ID != h.ids[i] {
+			t.Fatalf("arrival %d is job %d, the sorted list has %d", i, h.ids[i], b.ID)
+		}
+		if a.SubmitTime > b.SubmitTime || (a.SubmitTime == b.SubmitTime && a.ID > b.ID) {
+			t.Fatalf("job %d (submit %d) arrived before job %d (submit %d)", a.ID, a.SubmitTime, b.ID, b.SubmitTime)
+		}
 	}
 }
 
 // Property: the heap pops any random sequence of events in sorted order.
 func TestHeapSortProperty(t *testing.T) {
-	f := func(ts []int16) bool {
-		e := &Engine{}
-		for _, ti := range ts {
-			e.push(&Event{Time: int64(ti), Kind: Arrival})
+	f := func(ts []uint16, kinds []uint8) bool {
+		e := New(dropHandler{}, 0)
+		for i, ti := range ts {
+			k := Completion
+			if i < len(kinds) {
+				k = Kind(kinds[i] % uint8(Arrival))
+			}
+			e.Schedule(Event{Time: int64(ti), Kind: k})
 		}
 		got := make([]int64, 0, len(ts))
 		for e.heap.len() > 0 {
 			got = append(got, e.heap.pop().Time)
 		}
-		return sort.SliceIsSorted(got, func(i, k int) bool { return got[i] < got[k] })
+		return len(got) == len(ts) && sort.SliceIsSorted(got, func(i, k int) bool { return got[i] < got[k] })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -1,13 +1,16 @@
 package sim
 
 // eventHeap is a binary min-heap of events ordered by (Time, Kind, seq).
-// Ordering by Kind at equal times makes completions visible to arrivals
-// and ticks at the same instant; seq keeps the order deterministic. A
-// hand-rolled heap (rather than container/heap) avoids the interface
-// boxing on the hot path — the event queue is the simulator's innermost
-// data structure.
+// It holds only the events a run creates (Completion through
+// ProcRepair): arrivals stream from the engine's sorted job list and the
+// tick is a clock field, so the heap stays as small as the set of
+// in-flight events and can store them by value. Ordering by Kind at
+// equal times makes completions visible to later kinds at the same
+// instant; seq keeps the order deterministic. A hand-rolled heap (rather
+// than container/heap) avoids the interface boxing on the hot path, and
+// both sifts move a hole instead of swapping whole events.
 type eventHeap struct {
-	a []*Event
+	a []Event
 }
 
 func eventLess(x, y *Event) bool {
@@ -22,47 +25,51 @@ func eventLess(x, y *Event) bool {
 
 func (h *eventHeap) len() int { return len(h.a) }
 
-// min returns the earliest event without removing it.
-func (h *eventHeap) min() *Event { return h.a[0] }
-
-func (h *eventHeap) push(ev *Event) {
+func (h *eventHeap) push(ev Event) {
 	h.a = append(h.a, ev)
-	i := len(h.a) - 1
+	a := h.a
+	i := len(a) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventLess(h.a[i], h.a[parent]) {
+		if !eventLess(&ev, &a[parent]) {
 			break
 		}
-		h.a[i], h.a[parent] = h.a[parent], h.a[i]
+		a[i] = a[parent]
 		i = parent
 	}
+	a[i] = ev
 }
 
-func (h *eventHeap) pop() *Event {
-	top := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a[last] = nil // let the GC reclaim the event
-	h.a = h.a[:last]
-	h.siftDown(0)
-	return top
-}
-
-func (h *eventHeap) siftDown(i int) {
-	n := len(h.a)
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && eventLess(h.a[l], h.a[small]) {
-			small = l
-		}
-		if r < n && eventLess(h.a[r], h.a[small]) {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		h.a[i], h.a[small] = h.a[small], h.a[i]
-		i = small
+// pop removes and returns the earliest event.
+//
+//lint:allocfree always, moves within the slice
+func (h *eventHeap) pop() Event {
+	a := h.a
+	top := a[0]
+	last := len(a) - 1
+	x := a[last]
+	a[last] = Event{} // drop the job pointer from the spare slot
+	a = a[:last]
+	h.a = a
+	if last == 0 {
+		return top
 	}
+	// Sift x down from the root's hole.
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if r := c + 1; r < last && eventLess(&a[r], &a[c]) {
+			c = r
+		}
+		if !eventLess(&a[c], &x) {
+			break
+		}
+		a[i] = a[c]
+		i = c
+	}
+	a[i] = x
+	return top
 }
