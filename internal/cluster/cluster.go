@@ -9,7 +9,10 @@
 // third job while the victims' memory images are still being written out.
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 const (
 	none = -1 // owner/claim sentinel: no job
@@ -38,6 +41,11 @@ type Cluster struct {
 	owner  []int  // processor -> owning job ID, or none
 	claim  []int  // processor -> claiming job ID, or none
 	down   []bool // processor -> failed (out of service)
+	// free has bit p%64 of word p/64 set iff processor p is up, unowned
+	// and unclaimed; bits at and beyond n are always clear. Placement and
+	// listing walk its words lowest index first, skipping taken
+	// processors 64 at a time.
+	free []uint64
 
 	upCount       int // processors in service
 	freeUnclaimed int // up processors with neither owner nor claim
@@ -55,12 +63,42 @@ func New(n int) *Cluster {
 		panic("cluster: need at least one processor")
 	}
 	c := &Cluster{n: n, owner: make([]int, n), claim: make([]int, n),
-		down: make([]bool, n), upCount: n, freeUnclaimed: n}
+		down: make([]bool, n), free: make([]uint64, (n+63)/64), upCount: n, freeUnclaimed: n}
 	for i := range c.owner {
 		c.owner[i] = none
 		c.claim[i] = none
+		c.setFree(i)
 	}
 	return c
+}
+
+// setFree and clearFree set and clear processor p's bit in the
+// free-unclaimed bitmap.
+func (c *Cluster) setFree(p int)   { c.free[p>>6] |= 1 << (p & 63) }
+func (c *Cluster) clearFree(p int) { c.free[p>>6] &^= 1 << (p & 63) }
+
+// isFree reports whether processor p is up, unowned and unclaimed.
+func (c *Cluster) isFree(p int) bool { return c.free[p>>6]&(1<<(p&63)) != 0 }
+
+// next returns the lowest processor at or after p that is
+// free-unclaimed, or with taken set the lowest that is down, owned or
+// claimed; n when there is none. The bits from n on are clear, so a
+// walk for a taken processor stops at n at the latest.
+func (c *Cluster) next(p int, taken bool) int {
+	var flip uint64
+	if taken {
+		flip = ^flip
+	}
+	for i := p >> 6; i < len(c.free); i++ {
+		w := c.free[i] ^ flip
+		if i == p>>6 {
+			w &= ^uint64(0) << (p & 63)
+		}
+		if w != 0 {
+			return i<<6 + bits.TrailingZeros64(w)
+		}
+	}
+	return c.n
 }
 
 // Size returns the number of processors in the machine.
@@ -110,8 +148,9 @@ func (c *Cluster) Fail(now int64, p int) {
 	c.advance(now)
 	c.down[p] = true
 	c.upCount--
-	if c.owner[p] == none && c.claim[p] == none {
+	if c.isFree(p) {
 		c.freeUnclaimed--
+		c.clearFree(p)
 	}
 }
 
@@ -128,6 +167,7 @@ func (c *Cluster) Repair(now int64, p int) {
 	c.down[p] = false
 	c.upCount++
 	c.freeUnclaimed++
+	c.setFree(p)
 }
 
 // AllocFree allocates k processors for job id from the free-unclaimed
@@ -138,23 +178,21 @@ func (c *Cluster) AllocFree(now int64, id, k int) []int {
 		panic(fmt.Sprintf("cluster: job %d wants %d processors, %d free", id, k, c.freeUnclaimed))
 	}
 	c.advance(now)
-	procs := make([]int, 0, k)
+	var procs []int
 	if c.policy == BestFitContiguous {
 		if start := c.bestFitRun(k); start >= 0 {
-			for p := start; len(procs) < k; p++ {
-				c.owner[p] = id
-				procs = append(procs, p)
+			procs = make([]int, k)
+			for i := range procs {
+				procs[i] = start + i
 			}
-			c.freeUnclaimed -= k
-			c.busyCount += k
-			return procs
 		}
 	}
-	for p := 0; p < c.n && len(procs) < k; p++ {
-		if c.owner[p] == none && c.claim[p] == none && !c.down[p] {
-			c.owner[p] = id
-			procs = append(procs, p)
-		}
+	if procs == nil {
+		procs = c.ListFreeUnclaimed(k)
+	}
+	for _, p := range procs {
+		c.owner[p] = id
+		c.clearFree(p)
 	}
 	c.freeUnclaimed -= k
 	c.busyCount += k
@@ -165,27 +203,13 @@ func (c *Cluster) AllocFree(now int64, id, k int) []int {
 // run of length ≥ k, or -1 when none exists.
 func (c *Cluster) bestFitRun(k int) int {
 	bestStart, bestLen := -1, c.n+1
-	runStart := -1
-	flush := func(end int) {
-		if runStart < 0 {
-			return
+	for start := c.next(0, false); start < c.n; {
+		end := c.next(start, true)
+		if l := end - start; l >= k && l < bestLen {
+			bestStart, bestLen = start, l
 		}
-		l := end - runStart
-		if l >= k && l < bestLen {
-			bestStart, bestLen = runStart, l
-		}
-		runStart = -1
+		start = c.next(end, false)
 	}
-	for p := 0; p < c.n; p++ {
-		if c.owner[p] == none && c.claim[p] == none && !c.down[p] {
-			if runStart < 0 {
-				runStart = p
-			}
-		} else {
-			flush(p)
-		}
-	}
-	flush(c.n)
 	return bestStart
 }
 
@@ -211,6 +235,7 @@ func (c *Cluster) AllocSet(now int64, id int, set []int) {
 			c.claim[p] = none
 		} else {
 			c.freeUnclaimed--
+			c.clearFree(p)
 		}
 		c.owner[p] = id
 	}
@@ -229,6 +254,7 @@ func (c *Cluster) Release(now int64, id int, set []int) {
 		c.owner[p] = none
 		if c.claim[p] == none && !c.down[p] {
 			c.freeUnclaimed++
+			c.setFree(p)
 		}
 	}
 	c.busyCount -= len(set)
@@ -251,6 +277,7 @@ func (c *Cluster) Claim(id int, set []int) {
 		c.claim[p] = id
 		if c.owner[p] == none {
 			c.freeUnclaimed--
+			c.clearFree(p)
 		}
 	}
 }
@@ -265,6 +292,7 @@ func (c *Cluster) Unclaim(id int, set []int) {
 		c.claim[p] = none
 		if c.owner[p] == none && !c.down[p] {
 			c.freeUnclaimed++
+			c.setFree(p)
 		}
 	}
 }
@@ -301,9 +329,9 @@ func (c *Cluster) SetFree(id int, set []int) bool {
 // unclaimed, lowest indices first, without allocating them.
 func (c *Cluster) ListFreeUnclaimed(k int) []int {
 	out := make([]int, 0, k)
-	for p := 0; p < c.n && len(out) < k; p++ {
-		if c.owner[p] == none && c.claim[p] == none && !c.down[p] {
-			out = append(out, p)
+	for i := 0; i < len(c.free) && len(out) < k; i++ {
+		for w := c.free[i]; w != 0 && len(out) < k; w &= w - 1 {
+			out = append(out, i<<6+bits.TrailingZeros64(w))
 		}
 	}
 	return out
@@ -343,8 +371,12 @@ func (c *Cluster) CheckInvariants() error {
 	busy := 0
 	up := 0
 	for p := 0; p < c.n; p++ {
-		if c.owner[p] == none && c.claim[p] == none && !c.down[p] {
+		want := c.owner[p] == none && c.claim[p] == none && !c.down[p]
+		if want {
 			free++
+		}
+		if c.isFree(p) != want {
+			return fmt.Errorf("cluster: free bit of processor %d is %v, want %v", p, !want, want)
 		}
 		if c.owner[p] != none {
 			busy++
@@ -352,6 +384,9 @@ func (c *Cluster) CheckInvariants() error {
 		if !c.down[p] {
 			up++
 		}
+	}
+	if tail := c.n & 63; tail != 0 && c.free[len(c.free)-1]>>tail != 0 {
+		return fmt.Errorf("cluster: free bitmap has bits set beyond processor %d", c.n-1)
 	}
 	if free != c.freeUnclaimed {
 		return fmt.Errorf("cluster: freeUnclaimed=%d, recount=%d", c.freeUnclaimed, free)

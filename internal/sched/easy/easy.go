@@ -8,6 +8,8 @@
 package easy
 
 import (
+	"slices"
+
 	"pjs/internal/job"
 	"pjs/internal/perf"
 	"pjs/internal/sched"
@@ -17,6 +19,10 @@ import (
 type Sched struct {
 	env   *sched.Env
 	queue []*job.Job
+	// widths[i] is queue[i].Procs, kept in step with queue so that the
+	// backfill scan passes over jobs wider than the free processors
+	// without loading them.
+	widths []int32
 	// running lists the started jobs in release order, each under the
 	// ProjectedEnd it had at its start. That end cannot change while the
 	// job is listed: EASY never suspends, so every start is fresh with
@@ -46,22 +52,25 @@ func (s *Sched) TickInterval() int64 { return 0 }
 // the pass is run only when j itself may start.
 func (s *Sched) OnArrival(j *job.Job) {
 	s.queue = append(s.queue, j)
-	if len(s.queue) > 1 && !s.mayBackfill(j) {
+	s.widths = append(s.widths, int32(j.Procs))
+	if len(s.queue) > 1 && !s.mayBackfill() {
 		return
 	}
 	s.schedule()
 }
 
-// mayBackfill reports whether queued job j passes the backfill test
-// against the reservation of the head, which does not fit.
-func (s *Sched) mayBackfill(j *job.Job) bool {
-	if j.Procs > s.env.Cluster.FreeUnclaimed() {
+// mayBackfill reports whether the job at the tail of the queue passes
+// the backfill test against the reservation of the head, which does
+// not fit.
+func (s *Sched) mayBackfill() bool {
+	last, free := len(s.queue)-1, s.env.Cluster.FreeUnclaimed()
+	if int(s.widths[last]) > free {
 		return false
 	}
 	span := s.env.Probe().Begin()
 	defer s.env.Probe().End(perf.PhaseQueueScan, span)
 	shadow, extra := s.shadow(s.queue[0])
-	return s.backfills(j, s.env.Now(), shadow, extra)
+	return s.backfills(last, s.env.Now(), free, shadow, extra)
 }
 
 // OnCompletion implements sched.Scheduler.
@@ -79,12 +88,14 @@ func (s *Sched) OnTick() {}
 // OnFailure implements sched.Scheduler: displaced jobs rejoin the queue
 // at their submission-order position and the whole schedule (head
 // reservation included) is recomputed against the surviving machine.
+// Each displaced job was running (Remove panics otherwise), so none is
+// queued yet.
 func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 	for _, j := range requeued {
 		s.running.Remove(j, j.ProjectedEnd())
-		if !sched.Contains(s.queue, j) {
-			s.queue = sched.InsertBySubmit(s.queue, j)
-		}
+		at := sched.SubmitIndex(s.queue, j)
+		s.queue = slices.Insert(s.queue, at, j)
+		s.widths = slices.Insert(s.widths, at, int32(j.Procs))
 	}
 	s.schedule()
 }
@@ -102,44 +113,73 @@ func (s *Sched) start(j *job.Job) bool {
 	return true
 }
 
-// schedule starts queue heads while they fit, then backfills.
+// dequeue deletes queue positions [i, k) in place, keeping the
+// backing arrays' capacity for later arrivals.
+func (s *Sched) dequeue(i, k int) {
+	s.queue = slices.Delete(s.queue, i, k)
+	s.widths = slices.Delete(s.widths, i, k)
+}
+
+// schedule starts queue heads while they fit, then backfills in one
+// pass over the rest of the queue. After each backfill start the head's
+// reservation is walked again. Every job the pass has left behind
+// failed the backfill test, and still fails it when the shadow time is
+// unchanged and the extra processors did not grow, since the free
+// processors only shrank: the pass then goes on where it stopped.
+// Otherwise it restarts behind the head. The extra processors can grow
+// at an unchanged shadow time: a started job that ends exactly at the
+// shadow leaves fewer processors free, so the walk, which takes equal
+// release times in job-ID order, may go on past the release it used to
+// stop at and take a larger one before it reaches the started job's.
 func (s *Sched) schedule() {
 	span := s.env.Probe().Begin()
 	defer s.env.Probe().End(perf.PhaseQueueScan, span)
-	for {
-		// Start from the head while possible.
-		for len(s.queue) > 0 && s.start(s.queue[0]) {
-			s.queue = s.queue[1:]
+	heads := 0
+	for heads < len(s.queue) && s.start(s.queue[heads]) {
+		heads++
+	}
+	s.dequeue(0, heads)
+	free := s.env.Cluster.FreeUnclaimed()
+	if len(s.queue) == 0 || free == 0 {
+		return // every job needs a processor
+	}
+	// The head does not fit: compute its reservation.
+	shadow, extra := s.shadow(s.queue[0])
+	now := s.env.Now()
+	for i := fitting(s.widths, 1, free); i < len(s.queue); i = fitting(s.widths, i, free) {
+		if !s.backfills(i, now, free, shadow, extra) || !s.start(s.queue[i]) {
+			i++
+			continue
 		}
-		if len(s.queue) == 0 || s.env.Cluster.FreeUnclaimed() == 0 {
-			return // every job needs a processor
-		}
-		// The head does not fit: compute its reservation.
-		shadow, extra := s.shadow(s.queue[0])
-		// Backfill the first eligible job, then recompute everything —
-		// the conservative way to keep the legality conditions exact.
-		started := false
-		now := s.env.Now()
-		for i := 1; i < len(s.queue); i++ {
-			j := s.queue[i]
-			if s.backfills(j, now, shadow, extra) && s.start(j) {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				started = true
-				break
-			}
-		}
-		if !started {
+		s.dequeue(i, i+1) // the next job moves into position i
+		if free = s.env.Cluster.FreeUnclaimed(); free == 0 {
 			return
 		}
+		nextShadow, nextExtra := s.shadow(s.queue[0])
+		if nextShadow != shadow || nextExtra > extra {
+			i = 1
+		}
+		shadow, extra = nextShadow, nextExtra
 	}
 }
 
-// backfills reports whether queued job j may start now ahead of a head
-// whose reservation is (shadow, extra): it fits in the free processors
-// and either finishes before the head starts or fits in the processors
-// the head leaves unused.
-func (s *Sched) backfills(j *job.Job, now, shadow int64, extra int) bool {
-	return j.Procs <= s.env.Cluster.FreeUnclaimed() && (now+j.Estimate <= shadow || j.Procs <= extra)
+// fitting returns the first index from i on whose width is at most
+// free, or len(widths). Most queued jobs are wider than the free
+// processors, and this loop passes over them.
+func fitting(widths []int32, i, free int) int {
+	for i < len(widths) && int(widths[i]) > free {
+		i++
+	}
+	return i
+}
+
+// backfills reports whether the queued job at index i may start now
+// ahead of a head whose reservation is (shadow, extra): it fits in the
+// free processors and either finishes before the head starts or fits
+// in the processors the head leaves unused.
+func (s *Sched) backfills(i int, now int64, free int, shadow int64, extra int) bool {
+	w := int(s.widths[i])
+	return w <= free && (now+s.queue[i].Estimate <= shadow || w <= extra)
 }
 
 // shadow computes the head job's reservation: the earliest time enough

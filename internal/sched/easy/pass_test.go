@@ -1,6 +1,7 @@
 package easy
 
 import (
+	"math/bits"
 	"testing"
 
 	"pjs/internal/fault"
@@ -76,7 +77,7 @@ func (w *arrivalAllocs) OnArrival(j *job.Job) {
 		w.withFree++
 	}
 	w.worst = max(w.worst, testing.AllocsPerRun(5, func() {
-		w.queue = w.queue[:n-1]
+		w.queue, w.widths = w.queue[:n-1], w.widths[:n-1]
 		w.Sched.OnArrival(j)
 	}))
 }
@@ -95,5 +96,46 @@ func TestArrivalWithoutBackfillAllocatesNothing(t *testing.T) {
 	t.Logf("measured %d arrivals, %d with enough free processors", w.measured, w.withFree)
 	if w.worst != 0 {
 		t.Fatalf("an arrival that cannot backfill allocated %v times, want 0", w.worst)
+	}
+}
+
+// queueGrowth wraps the policy and counts the hooks after which the
+// queue's or the widths' backing array had grown.
+type queueGrowth struct {
+	*Sched
+	peak, grows int
+}
+
+func (g *queueGrowth) OnArrival(j *job.Job)    { g.hook(func() { g.Sched.OnArrival(j) }) }
+func (g *queueGrowth) OnCompletion(j *job.Job) { g.hook(func() { g.Sched.OnCompletion(j) }) }
+func (g *queueGrowth) OnRepair(p int)          { g.hook(func() { g.Sched.OnRepair(p) }) }
+func (g *queueGrowth) OnFailure(p int, requeued []*job.Job) {
+	g.hook(func() { g.Sched.OnFailure(p, requeued) })
+}
+
+func (g *queueGrowth) hook(call func()) {
+	capQ, capW := cap(g.queue), cap(g.widths)
+	call()
+	if cap(g.queue) > capQ || cap(g.widths) > capW {
+		g.grows++
+	}
+	g.peak = max(g.peak, len(g.queue))
+}
+
+// TestQueueKeepsCapacity pins that started jobs leave the queue in
+// place: on a loaded 10k-job CTC run, with and without processor
+// failures, the queue reallocates only as its length reaches new
+// peaks, a number of times logarithmic in the peak length, not every
+// time it drains and refills.
+func TestQueueKeepsCapacity(t *testing.T) {
+	tr := workload.Generate(workload.CTC(), workload.GenOptions{Jobs: 10000, Seed: 1}).ScaleLoad(1.5)
+	for _, faults := range []fault.Config{{}, {MTBF: 500 * 3600, MTTR: 2 * 3600, Seed: 17}} {
+		g := &queueGrowth{Sched: New()}
+		sched.Run(tr, g, sched.Options{Faults: faults})
+		if limit := 2 * bits.Len(uint(g.peak)); g.grows > limit {
+			t.Errorf("faults %v: the queue grew its backing array after %d hooks, want at most %d for a peak length of %d",
+				faults.Enabled(), g.grows, limit, g.peak)
+		}
+		t.Logf("faults %v: %d growths, peak length %d", faults.Enabled(), g.grows, g.peak)
 	}
 }

@@ -811,19 +811,23 @@ func Contains(queue []*job.Job, j *job.Job) bool {
 	return false
 }
 
-// InsertBySubmit inserts j into queue before the first job that comes
-// after it in (submit time, ID) order and returns the grown slice. It
-// scans from the head, so a queue that keeps arrivals in delivery order
-// keeps that order even where same-submit IDs arrived out of order.
+// InsertBySubmit inserts j into queue at SubmitIndex and returns the
+// grown slice.
 func InsertBySubmit(queue []*job.Job, j *job.Job) []*job.Job {
-	at := len(queue)
+	return slices.Insert(queue, SubmitIndex(queue, j), j)
+}
+
+// SubmitIndex returns the position of the first job in queue that comes
+// after j in (submit time, ID) order, or len(queue). It scans from the
+// head, so a queue that keeps arrivals in delivery order keeps that
+// order even where same-submit IDs arrived out of order.
+func SubmitIndex(queue []*job.Job, j *job.Job) int {
 	for i, q := range queue {
 		if j.SubmitTime < q.SubmitTime || (j.SubmitTime == q.SubmitTime && j.ID < q.ID) {
-			at = i
-			break
+			return i
 		}
 	}
-	return slices.Insert(queue, at, j)
+	return len(queue)
 }
 
 // Remove deletes j from queue, preserving order, and returns the
