@@ -62,7 +62,7 @@ func (in *Injector) Permanent() bool { return in.cfg.Permanent() }
 func (in *Injector) stream(p int) *rand.Rand {
 	for len(in.streams) <= p {
 		in.streams = append(in.streams,
-			rand.New(rand.NewSource(mix(in.cfg.Seed, int64(len(in.streams))))))
+			rand.New(newLazySource(mix(in.cfg.Seed, int64(len(in.streams))))))
 	}
 	return in.streams[p]
 }

@@ -108,6 +108,13 @@ func (a *catAcc) add(j *job.Job) {
 	a.kills += j.Kills
 }
 
+// carve gives the accumulator room for exactly n slowdown samples at the
+// front of buf and returns the rest of buf.
+func (a *catAcc) carve(buf []float64, n int) []float64 {
+	a.sdSamples = buf[:0:n]
+	return buf[n:]
+}
+
 // stats sorts the slowdown samples in place, once, for both percentiles.
 func (a *catAcc) stats() CatStats {
 	sort.Float64s(a.sdSamples)
@@ -153,6 +160,26 @@ func Summarize(jobs []*job.Job, utilization float64, makespan int64, f Filter) *
 	var by [16]catAcc
 	var by4 [4]catAcc
 	var all catAcc
+	// Count each cell's kept jobs first, so that every cell's slowdown
+	// samples fit, exactly, in one backing array shared by all cells.
+	var n16 [16]int
+	var n4 [4]int
+	kept := 0
+	for _, j := range jobs {
+		if f.keep(j) {
+			n16[j.Category().Index()]++
+			n4[j.Category4().Index()]++
+			kept++
+		}
+	}
+	samples := make([]float64, 3*kept)
+	for i := range by {
+		samples = by[i].carve(samples, n16[i])
+	}
+	for i := range by4 {
+		samples = by4[i].carve(samples, n4[i])
+	}
+	all.carve(samples, kept)
 	for _, j := range jobs {
 		if !f.keep(j) {
 			continue

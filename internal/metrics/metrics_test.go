@@ -289,6 +289,17 @@ func TestSummaryPercentilesMatchCopySort(t *testing.T) {
 	}
 }
 
+// Summarize allocates the Summary and one backing array for every
+// cell's slowdown samples, whatever the trace size and filter.
+func TestSummarizeAllocs(t *testing.T) {
+	jobs := randomFinished(5_000, 2)
+	for _, f := range []Filter{All, WellEstimated, BadlyEstimated} {
+		if n := testing.AllocsPerRun(10, func() { Summarize(jobs, 0, 0, f) }); n != 2 {
+			t.Errorf("%v: Summarize made %v allocations, want 2", f, n)
+		}
+	}
+}
+
 func BenchmarkSummarize(b *testing.B) {
 	jobs := randomFinished(50_000, 1)
 	b.ReportAllocs()

@@ -165,3 +165,62 @@ func TestQueuedCensusExcludesUndeliveredArrivals(t *testing.T) {
 		t.Fatalf("no event of %d had a queued job; the test lost its bite", o.events)
 	}
 }
+
+// countTap forwards to a policy and, at every arrival, recounts the
+// arrived jobs still Queued and compares the driver's count.
+type countTap struct {
+	sched.Scheduler
+	t       *testing.T
+	env     *sched.Env
+	arrived []*job.Job
+	busy    int // arrivals that found another job queued
+}
+
+func (c *countTap) Init(env *sched.Env) {
+	c.env = env
+	c.Scheduler.Init(env)
+}
+
+func (c *countTap) OnArrival(j *job.Job) {
+	c.arrived = append(c.arrived, j)
+	n := 0
+	for _, a := range c.arrived {
+		if a.State == job.Queued {
+			n++
+		}
+	}
+	got, listed := sched.QueuedCount(c.env)
+	if got != n || listed {
+		c.t.Fatalf("arrival of job %d: driver counts %d queued (list kept: %v), recounted %d",
+			j.ID, got, listed, n)
+	}
+	if n > 1 {
+		c.busy++
+	}
+	c.Scheduler.OnArrival(j)
+}
+
+// TestQueuedCountWithoutObserver covers the driver's unobserved path:
+// without an observer it keeps no queued list, only the count that the
+// postmortem reports, and the count stays right through starts, kills,
+// failures and requeues.
+func TestQueuedCountWithoutObserver(t *testing.T) {
+	trace := pjs.Generate(pjs.SDSC(), pjs.GenOptions{Jobs: 200, Seed: 21})
+	for _, spec := range pjs.SchedulerSpecs() {
+		for _, mode := range censusModes {
+			t.Run(spec+"/"+mode.name, func(t *testing.T) {
+				tap := &countTap{Scheduler: newSpec(t, spec), t: t}
+				opt := pjs.DiskOverhead()
+				opt.MaxSteps = 50_000_000
+				opt.Faults = mode.faults
+				opt.Transient = mode.transient
+				if _, err := sched.RunChecked(trace, tap, opt); err != nil {
+					t.Fatal(err)
+				}
+				if tap.busy == 0 {
+					t.Fatal("no arrival found another job queued; the test lost its bite")
+				}
+			})
+		}
+	}
+}

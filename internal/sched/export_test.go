@@ -11,3 +11,7 @@ func (t tickAlways) Init(env *Env) {
 	env.tickAlways = true
 	t.Scheduler.Init(env)
 }
+
+// QueuedCount returns the driver's count of jobs in state Queued and
+// whether it also keeps the census list of them.
+func QueuedCount(e *Env) (n int, listed bool) { return e.nQueued, e.queued != nil }

@@ -188,7 +188,7 @@ func (e *Env) postmortem() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  t=%d events=%d\n", e.engine.Now(), e.engine.Steps())
 	fmt.Fprintf(&b, "  jobs: %d queued, %d running, %d suspended/suspending, %d pending starts\n",
-		len(e.queued), e.nRunning, e.nSuspended, len(e.pending))
+		e.nQueued, e.nRunning, e.nSuspended, len(e.pending))
 	fmt.Fprintf(&b, "  cluster: %d/%d processors up, %d free+unclaimed, %d busy\n",
 		e.Cluster.UpCount(), e.Cluster.Size(), e.Cluster.FreeUnclaimed(), e.Cluster.Busy())
 	if e.hashOn {
@@ -253,6 +253,7 @@ func RunContext(ctx context.Context, t *workload.Trace, s Scheduler, opt Options
 		sched:    s,
 		byID:     make(map[int]*job.Job, len(t.Jobs)),
 		obs:      opt.Observer,
+		census:   opt.Observer != nil,
 		probe:    opt.Probe,
 	}
 	if opt.ContiguousAlloc {
@@ -290,6 +291,15 @@ func RunContext(ctx context.Context, t *workload.Trace, s Scheduler, opt Options
 	for _, j := range jobs {
 		env.engine.AddJob(j)
 		env.byID[j.ID] = j
+	}
+	if len(env.byID) != len(jobs) {
+		// A later job under a reused ID replaced an earlier one in byID:
+		// name the first job that lost its entry.
+		for _, j := range jobs {
+			if env.byID[j.ID] != j {
+				return nil, fmt.Errorf("sched: invalid trace: trace %q has more than one job with ID %d", t.Name, j.ID)
+			}
+		}
 	}
 	if opt.Transient.Enabled() {
 		env.trans = fault.NewTransientInjector(opt.Transient)

@@ -127,7 +127,7 @@ func (e *Env) record(ev Event) {
 		}
 		ev.Busy = e.Cluster.Busy()
 		ev.Up = e.Cluster.UpCount()
-		ev.Queued, ev.Running, ev.Suspended = len(e.queued), e.nRunning, e.nSuspended
+		ev.Queued, ev.Running, ev.Suspended = e.nQueued, e.nRunning, e.nSuspended
 		e.obs.Observe(ev)
 	}
 }

@@ -225,13 +225,16 @@ type Env struct {
 	prevAct Action
 	procBuf [1]int
 
-	// Job-state census for observer snapshots, maintained on every
-	// transition whether or not an observer is attached (a resumed run
-	// unmutes its observer mid-run). queued holds the arrived jobs in
-	// state Queued, in no particular order; nSuspended counts
-	// Suspending and Suspended.
-	queued               []*job.Job
-	nRunning, nSuspended int
+	// Job-state census for observer snapshots and the postmortem,
+	// maintained on every transition. nQueued counts the arrived jobs
+	// in state Queued; nSuspended counts Suspending and Suspended.
+	// queued lists the nQueued jobs, in no particular order, for the
+	// observer's max-xfactor scan; only a run with an observer keeps it
+	// (census), whether the observer is attached or muted until a
+	// resume watermark, since removing a job from it is a linear search.
+	queued                        []*job.Job
+	census                        bool
+	nQueued, nRunning, nSuspended int
 
 	// Snapshot of the busy-time integral at the most recent arrival,
 	// for the loaded-period utilization metric.
@@ -373,9 +376,22 @@ func (e *Env) dispatch(j *job.Job, readOH int64) {
 	e.record(jobEvent(act, j, j.ProcSet))
 }
 
-// dequeue removes j, which is leaving state Queued, from the queued
-// set by swapping the last member into its place.
+// enqueue counts j, which is entering state Queued, and adds it to the
+// census list when the run keeps one.
+func (e *Env) enqueue(j *job.Job) {
+	e.nQueued++
+	if e.census {
+		e.queued = append(e.queued, j)
+	}
+}
+
+// dequeue counts j out of state Queued and, when the run keeps the
+// census list, removes it by swapping the last member into its place.
 func (e *Env) dequeue(j *job.Job) {
+	e.nQueued--
+	if !e.census {
+		return
+	}
 	i := slices.Index(e.queued, j)
 	last := len(e.queued) - 1
 	e.queued[i] = e.queued[last]
@@ -415,7 +431,7 @@ func (e *Env) Kill(j *job.Job) {
 	j.Kill(e.Now())
 	e.Cluster.Release(e.Now(), j.ID, set)
 	e.nRunning--
-	e.queued = append(e.queued, j)
+	e.enqueue(j)
 	e.record(jobEvent(ActKill, j, set))
 	e.activatePending()
 }
@@ -494,7 +510,7 @@ func (e *Env) arrive(j *job.Job) {
 	e.sweepIOHealth()
 	e.lastArrival = e.Now()
 	e.busyAtLastArrival = e.Cluster.BusyIntegral(e.Now())
-	e.queued = append(e.queued, j)
+	e.enqueue(j)
 	e.record(jobEvent(ActArrive, j, nil))
 	e.sched.OnArrival(j)
 }
@@ -605,7 +621,7 @@ func (e *Env) failKill(j *job.Job) {
 	} else {
 		e.nRunning--
 	}
-	e.queued = append(e.queued, j)
+	e.enqueue(j)
 	ev := jobEvent(ActKill, j, set)
 	ev.LostWork = lost
 	e.record(ev)
@@ -705,7 +721,7 @@ func (e *Env) procFail(p int) {
 		lost := j.Fail(now)
 		j.ProcSet = nil
 		e.nSuspended--
-		e.queued = append(e.queued, j)
+		e.enqueue(j)
 		ev := jobEvent(ActImageLost, j, set)
 		ev.LostWork = lost
 		e.record(ev)

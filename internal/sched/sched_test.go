@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"pjs/internal/check"
@@ -157,6 +158,23 @@ func TestRunPanicsOnInvalidTrace(t *testing.T) {
 	}()
 	bad := &workload.Trace{Name: "bad", Procs: 4}
 	sched.Run(bad, fcfs.New(), sched.Options{})
+}
+
+// A job ID used twice must be rejected even when the two jobs are not
+// adjacent in submit order: the driver resolves failure owners and SS
+// reentries by ID, and a shared ID would resolve to the later job.
+func TestRunRejectsDuplicateIDs(t *testing.T) {
+	tr := &workload.Trace{Name: "dup", Procs: 4, Jobs: []*job.Job{
+		job.New(1, 0, 100, 100, 2),
+		job.New(2, 10, 100, 100, 2),
+		job.New(1, 20, 100, 100, 2),
+	}}
+	for _, s := range []sched.Scheduler{easy.New(), ss.New(ss.Config{SF: 2})} {
+		_, err := sched.RunChecked(tr, s, sched.Options{})
+		if err == nil || !strings.Contains(err.Error(), "more than one job with ID 1") {
+			t.Errorf("%s: RunChecked error %v, want one naming duplicate ID 1", s.Name(), err)
+		}
+	}
 }
 
 func TestSortByXFactor(t *testing.T) {
