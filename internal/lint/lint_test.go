@@ -160,6 +160,61 @@ diag:
 	}
 }
 
+// fixtureGolden is the byte-level oracle of the fixture corpus: every
+// diagnostic of the full suite over every fixture case, one per line.
+// It is edited together with the fixtures it records; there is no flag
+// that rewrites it.
+const fixtureGolden = "testdata/fixtures.golden"
+
+// TestFixtureCorpusGolden pins the complete output of Run(p,
+// AllChecks()) over fixtureCases: path relative to this package,
+// line:col, check and the full message. The want comments match part
+// of one check's messages; this catches any other change of text,
+// column or count, so an engine rewrite can be shown to change no
+// output at all.
+func TestFixtureCorpusGolden(t *testing.T) {
+	l := newTestLoader(t)
+	var b strings.Builder
+	for _, tc := range fixtureCases {
+		p, err := l.LoadDir(filepath.Join("testdata", "src", tc.dir), tc.asPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range Run(p, AllChecks()) {
+			path := d.Pos.Filename
+			if abs, err := filepath.Abs(path); err == nil {
+				if wd, err := os.Getwd(); err == nil {
+					if rel, err := filepath.Rel(wd, abs); err == nil {
+						path = rel
+					}
+				}
+			}
+			fmt.Fprintf(&b, "%s:%d:%d: %s: %s\n",
+				filepath.ToSlash(path), d.Pos.Line, d.Pos.Column, d.Check, d.Message)
+		}
+	}
+	want, err := os.ReadFile(fixtureGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("%s differs at line %d:\n got: %s\nwant: %s\nfull output:\n%s",
+					fixtureGolden, i+1, g, w, got)
+			}
+		}
+	}
+}
+
 // TestFixturesCleanUnderRemainingChecks cross-applies the full suite to
 // every fixture: a fixture written for one check must not trip another
 // (so the corpus stays a precise specification of each rule).
