@@ -7,8 +7,8 @@ import (
 )
 
 // BenchmarkLintRepo pins the wall time of a full-repository pjslint run
-// — exactly what the tier-1 gate executes — so the CFG and call-graph
-// passes cannot silently regress verify latency. Each iteration builds
+// — exactly what the tier-1 gate executes — so the flow-graph, call-graph
+// and taint passes cannot silently regress verify latency. Each iteration builds
 // a fresh Loader (the per-run cost a CI invocation pays); the stdlib
 // type-check is shared process-wide and amortizes across iterations the
 // same way it amortizes across the test suite.

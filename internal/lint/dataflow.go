@@ -7,12 +7,11 @@ import (
 )
 
 // This file is the intraprocedural dataflow substrate the taint checks
-// (timetaint, seedflow) are built on: a per-function basic-block flow
-// graph, a generic forward worklist solver over a client-supplied join
-// lattice, and def-use chains over AST identifiers. The CFG in cfg.go
-// answers a different question (statement-level "reachable after" for
-// the sort-after-range rule) and stays as is; the flow graph here is the
-// block-granular structure a fixpoint solver needs.
+// (timetaint, seedflow, maporder) are built on: a per-function
+// basic-block flow graph, a generic forward worklist solver over a
+// client-supplied join lattice, and def-use chains over AST
+// identifiers. The flow graph is the package's only control-flow
+// structure; maporder's "sort reachable after" walks it too.
 
 // Block is one basic block: a maximal run of nodes executed in order,
 // with edges to every possible successor block. Nodes are plain

@@ -10,12 +10,12 @@
 // The suite is built on go/parser, go/ast and go/types with a
 // module-aware loader (see Loader) so that go.mod stays dependency-free.
 // On top of the loader sit shared whole-program structures — a
-// per-function control-flow summary (CFG, cfg.go), a type-resolved
-// call graph (CallGraph, callgraph.go), and a dataflow framework
-// (dataflow.go: basic-block flow graphs, a generic forward worklist
-// solver, def-use chains) carrying a taint engine with interprocedural
-// function summaries (taint.go) — built lazily per package and
-// memoized, so every check analyzes the same type-checked artifacts.
+// type-resolved call graph (CallGraph, callgraph.go) and a dataflow
+// framework (dataflow.go: basic-block flow graphs, a generic forward
+// worklist solver, def-use chains) carrying a taint engine with
+// interprocedural function summaries (taint.go) — built lazily per
+// package and memoized, so every check analyzes the same type-checked
+// artifacts.
 //
 // Each rule is a Check. The shipped checks are wallclock, detrand,
 // stablesort, maporder (interprocedural), errwrite, exhaustive,

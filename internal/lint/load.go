@@ -15,8 +15,8 @@ import (
 
 // Package is one loaded, type-checked package ready for analysis. A
 // package is type-checked exactly once per loader and the result —
-// including the lazily built call graph and per-function CFGs — is
-// shared by every check that inspects it.
+// including the lazily built call graph and per-function flow graphs —
+// is shared by every check that inspects it.
 type Package struct {
 	// Path is the import path the checks scope on. For fixture packages
 	// it is a synthetic path chosen by the harness.
@@ -32,10 +32,9 @@ type Package struct {
 	// mu guards the lazily built per-package structures below. Checks
 	// running in parallel workers may touch a foreign package (actparity
 	// imports sched from check/obs) while its own worker analyzes it.
-	mu   sync.Mutex
-	cg   *CallGraph
-	cfgs map[*ast.FuncDecl]*CFG
-	fgs  map[*ast.FuncDecl]*FlowGraph
+	mu  sync.Mutex
+	cg  *CallGraph
+	fgs map[*ast.FuncDecl]*FlowGraph
 }
 
 // Import resolves another module package through the loader that built

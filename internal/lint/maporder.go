@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -14,29 +15,43 @@ import (
 // audit-log entries (directly or through any helper that transitively
 // reaches the audit log), or writes output. The accepted fix is to
 // collect and then sort with a deterministic comparator before use — a
-// sort call reachable after the loop (CFG continuation, not merely the
-// same block) silences the finding.
+// sort call reachable after the loop in the function's flow graph (not
+// merely in the same block) silences the finding.
 //
-// The check is interprocedural in two directions, both over the
-// package-local call graph:
+// The check is interprocedural in two directions:
 //
 //   - audit sinks: a call inside a map-range body to a function that
 //     transitively records audit entries is as order-sensitive as a
-//     direct AuditLog.add;
-//   - carriers: a helper that returns a slice accumulated in map
+//     direct AuditLog.add (auditCallers);
+//   - carriers: a helper whose single slice result carries map
 //     iteration order taints its call sites — each caller must sort the
 //     result before it escapes (return, append, audit, writer). The
 //     helper's own range is also flagged and needs a justified
 //     lint:ignore acknowledging that callers sort or are themselves
-//     checked.
+//     checked. Carriers come from the taint engine's summaries under
+//     maporderSpec, so a result forwarded through locals or through
+//     other helpers is followed like any other value flow.
 //
-// Both propagations follow only static in-package edges (see CallGraph);
-// order leaks through function values or interfaces are out of reach and
-// remain the code reviewer's job.
+// Both follow only static in-package edges (see CallGraph); order leaks
+// through function values or interfaces are out of reach and remain the
+// code reviewer's job.
 type MaporderCheck struct{}
 
 // maporderScopes mirror the stablesort scope: the decision paths.
 var maporderScopes = []string{"pjs/internal/sched", "pjs/internal/sim"}
+
+// maporderSpec makes map order a taint: a map range yields
+// TaintMapIter, and a sort call cleans the variables its first argument
+// names (through a conversion too, as in sort.Sort(byVal(ks))).
+var maporderSpec = &TaintSpec{
+	RangeSource: mapRangeSource,
+	Sanitize: func(p *Package, call *ast.CallExpr) ast.Expr {
+		if !isSorter(p, call) || len(call.Args) == 0 {
+			return nil
+		}
+		return call.Args[0]
+	},
+}
 
 // Name implements Check.
 func (*MaporderCheck) Name() string { return "maporder" }
@@ -56,38 +71,42 @@ func (*MaporderCheck) Applies(pkgPath string) bool {
 	return false
 }
 
-// Run implements Check.
+// Run implements Check. A map range is the only source of map order,
+// so a package without one has neither a finding nor a carrier, and
+// the analysis is not built.
 func (*MaporderCheck) Run(p *Package, rep *Reporter) {
+	if !hasMapRange(p) {
+		return
+	}
 	auditors := auditCallers(p)
-	carriers := sliceCarriers(p)
+	ta := NewTaintAnalysis(p, maporderSpec)
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			cfg := p.FuncCFG(fd)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.RangeStmt:
-					if !rangesOverMap(p, n) {
+					if mapRangeSource(p, n) == 0 {
 						return true
 					}
 					reason := orderSensitiveBody(p, n, auditors)
-					if reason == "" || sortReachableAfter(p, cfg, n, nil) {
+					if reason == "" || sortReachableAfter(p, fd, n, nil) {
 						return true
 					}
 					rep.Reportf(n.Pos(),
 						"map iteration order leaks into %s; sort deterministically before use or iterate sorted keys", reason)
 				case *ast.AssignStmt:
-					callee, obj := carrierAssign(p, n, carriers)
+					callee, obj := carrierAssign(p, ta, n)
 					if callee == nil {
 						return true
 					}
-					if sortReachableAfter(p, cfg, n, obj) {
+					if sortReachableAfter(p, fd, n, obj) {
 						return true
 					}
-					if escapesUnsorted(p, cfg, n, obj) {
+					if escapesUnsorted(p, fd, n, obj) {
 						rep.Reportf(n.Pos(),
 							"helper %s returns a slice in map-iteration order; sort it before use", callee.Name())
 					}
@@ -98,14 +117,22 @@ func (*MaporderCheck) Run(p *Package, rep *Reporter) {
 	}
 }
 
-// rangesOverMap reports whether the range statement iterates a map.
-func rangesOverMap(p *Package, rs *ast.RangeStmt) bool {
-	tv, ok := p.Info.Types[rs.X]
-	if !ok || tv.Type == nil {
-		return false
+// hasMapRange reports whether any function of the package ranges over
+// a map.
+func hasMapRange(p *Package) bool {
+	found := false
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if rs, ok := n.(*ast.RangeStmt); ok && mapRangeSource(p, rs) != 0 {
+				found = true
+			}
+			return !found
+		})
+		if found {
+			return true
+		}
 	}
-	_, isMap := tv.Type.Underlying().(*types.Map)
-	return isMap
+	return false
 }
 
 // orderSensitiveBody reports what the loop body does that is sensitive
@@ -178,7 +205,10 @@ func isWriterCall(p *Package, call *ast.CallExpr) bool {
 
 // auditCallers returns the set of package functions from which an
 // audit-log emit is statically reachable (the emitting functions
-// themselves included).
+// themselves included). It is a call-graph closure rather than a taint
+// sink: taint SinkParams follow argument flow, but a map-range body that
+// calls an auditing helper is order-sensitive whatever it passes — the
+// helper may record an entry built from receiver state alone.
 func auditCallers(p *Package) map[*types.Func]bool {
 	g := p.CallGraph()
 	seed := map[*types.Func]bool{}
@@ -196,46 +226,6 @@ func auditCallers(p *Package) map[*types.Func]bool {
 	return g.transitiveClosure(seed)
 }
 
-// sliceCarriers returns the package functions that hand a slice built in
-// map-iteration order to their caller: a single slice result, a
-// map-range in the body accumulating into a function-local variable
-// with no sort reachable afterwards, and a return of that variable —
-// plus, by fixpoint, any function that returns a carrier's result
-// directly.
-func sliceCarriers(p *Package) map[*types.Func]bool {
-	g := p.CallGraph()
-	carriers := map[*types.Func]bool{}
-	g.Nodes(func(node *CallNode) {
-		if isBaseCarrier(p, node) {
-			carriers[node.Fn] = true
-		}
-	})
-	for changed := true; changed; {
-		changed = false
-		g.Nodes(func(node *CallNode) {
-			if carriers[node.Fn] || !returnsSingleSlice(node.Fn) {
-				return
-			}
-			ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-				ret, ok := n.(*ast.ReturnStmt)
-				if !ok || len(ret.Results) != 1 {
-					return true
-				}
-				call, ok := ast.Unparen(ret.Results[0]).(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if callee := p.CalleeOf(call); callee != nil && carriers[callee] {
-					carriers[node.Fn] = true
-					changed = true
-				}
-				return true
-			})
-		})
-	}
-	return carriers
-}
-
 // returnsSingleSlice reports whether the function's signature has
 // exactly one result and it is a slice.
 func returnsSingleSlice(fn *types.Func) bool {
@@ -247,82 +237,10 @@ func returnsSingleSlice(fn *types.Func) bool {
 	return isSlice
 }
 
-// isBaseCarrier reports whether the function directly builds and returns
-// a map-ordered slice.
-func isBaseCarrier(p *Package, node *CallNode) bool {
-	if !returnsSingleSlice(node.Fn) {
-		return false
-	}
-	fd := node.Decl
-	cfg := p.FuncCFG(fd)
-	carrier := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if carrier {
-			return false
-		}
-		rs, ok := n.(*ast.RangeStmt)
-		if !ok || !rangesOverMap(p, rs) {
-			return true
-		}
-		acc := accumulatedVar(p, rs, fd)
-		if acc == nil || sortReachableAfter(p, cfg, rs, acc) {
-			return true
-		}
-		// Is the accumulated variable what the function returns?
-		ast.Inspect(fd.Body, func(m ast.Node) bool {
-			ret, ok := m.(*ast.ReturnStmt)
-			if !ok || len(ret.Results) != 1 {
-				return true
-			}
-			if id, ok := ast.Unparen(ret.Results[0]).(*ast.Ident); ok && p.Info.Uses[id] == acc {
-				carrier = true
-			}
-			return true
-		})
-		return true
-	})
-	return carrier
-}
-
-// accumulatedVar returns the object of a function-local slice variable
-// that the range body appends into, or nil.
-func accumulatedVar(p *Package, rs *ast.RangeStmt, fd *ast.FuncDecl) types.Object {
-	var acc types.Object
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for _, rhs := range as.Rhs {
-			call, ok := rhs.(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			if fn, ok := call.Fun.(*ast.Ident); !ok || fn.Name != "append" {
-				continue
-			}
-			for _, lhs := range as.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := p.Info.Uses[id]
-				if obj == nil {
-					obj = p.Info.Defs[id]
-				}
-				if obj != nil && obj.Pos() > fd.Pos() && obj.Pos() < rs.Pos() {
-					acc = obj
-				}
-			}
-		}
-		return true
-	})
-	return acc
-}
-
 // carrierAssign recognizes `x := f(...)` / `x = f(...)` where f is a
-// carrier, returning the callee and x's object.
-func carrierAssign(p *Package, as *ast.AssignStmt, carriers map[*types.Func]bool) (*types.Func, types.Object) {
+// carrier — a single slice result whose summary carries map order —
+// returning the callee and x's object.
+func carrierAssign(p *Package, ta *TaintAnalysis, as *ast.AssignStmt) (*types.Func, types.Object) {
 	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
 		return nil, nil
 	}
@@ -331,7 +249,10 @@ func carrierAssign(p *Package, as *ast.AssignStmt, carriers map[*types.Func]bool
 		return nil, nil
 	}
 	callee := p.CalleeOf(call)
-	if callee == nil || !carriers[callee] {
+	if callee == nil || !returnsSingleSlice(callee) {
+		return nil, nil
+	}
+	if sum := ta.Summary(callee); sum == nil || sum.Ret&TaintMapIter == 0 {
 		return nil, nil
 	}
 	id, ok := as.Lhs[0].(*ast.Ident)
@@ -348,39 +269,67 @@ func carrierAssign(p *Package, as *ast.AssignStmt, carriers map[*types.Func]bool
 	return callee, obj
 }
 
-// sortReachableAfter reports whether a deterministic sort runs in the
-// continuation of stmt. With obj == nil any sorter call counts; with an
-// object, the sort's arguments must mention it.
-func sortReachableAfter(p *Package, cfg *CFG, stmt ast.Stmt, obj types.Object) bool {
-	found := false
-	cfg.ReachableAfter(stmt, func(s ast.Stmt) {
-		if found {
+// reachableAfter hands visit every expression root that may be
+// evaluated after stmt completes: the rest of stmt's block in fd's flow
+// graph, then every block reachable from it, control headers through
+// evaluatedExprs only. A range header completes into the block after
+// its loop, so the loop's own body is visited only when an enclosing
+// loop re-enters it. visit returns false to stop the walk.
+func reachableAfter(p *Package, fd *ast.FuncDecl, stmt ast.Stmt, visit func(ast.Node) bool) {
+	walk := func(nodes []ast.Node) bool {
+		for _, n := range nodes {
+			for _, root := range evaluatedExprs(n) {
+				if root != nil && !visit(root) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	var work []*Block
+	for _, blk := range p.FlowGraph(fd).Blocks {
+		if i := slices.Index(blk.Nodes, ast.Node(stmt)); i >= 0 {
+			if !walk(blk.Nodes[i+1:]) {
+				return
+			}
+			work = blk.Succs
+			if _, ok := stmt.(*ast.RangeStmt); ok {
+				work = work[1:] // Succs[0] is the loop body (see fgBuilder.stmt)
+			}
+			break
+		}
+	}
+	seen := map[*Block]bool{}
+	for len(work) > 0 {
+		blk := work[len(work)-1]
+		work = work[:len(work)-1]
+		if seen[blk] {
+			continue
+		}
+		seen[blk] = true
+		if !walk(blk.Nodes) {
 			return
 		}
-		call := callOfStmt(s)
-		if call == nil || !isSorter(p, call) {
-			return
-		}
-		if obj == nil || mentionsObject(p, call.Args, obj) {
-			found = true
-		}
-	})
-	return found
+		work = append(work, blk.Succs...)
+	}
 }
 
-// callOfStmt extracts the call expression of an expression, defer or go
-// statement.
-func callOfStmt(s ast.Stmt) *ast.CallExpr {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		call, _ := ast.Unparen(s.X).(*ast.CallExpr)
-		return call
-	case *ast.DeferStmt:
-		return s.Call
-	case *ast.GoStmt:
-		return s.Call
-	}
-	return nil
+// sortReachableAfter reports whether a deterministic sort runs after
+// stmt. With obj == nil any sorter call counts; with an object, the
+// sort's arguments must mention it.
+func sortReachableAfter(p *Package, fd *ast.FuncDecl, stmt ast.Stmt, obj types.Object) bool {
+	found := false
+	reachableAfter(p, fd, stmt, func(root ast.Node) bool {
+		ast.Inspect(root, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && isSorter(p, call) &&
+				(obj == nil || mentionsObject(p, call.Args, obj)) {
+				found = true
+			}
+			return !found
+		})
+		return !found
+	})
+	return found
 }
 
 // isSorter reports whether the call actually sorts: the sort package's
@@ -424,49 +373,36 @@ func mentionsObject(p *Package, exprs []ast.Expr, obj types.Object) bool {
 }
 
 // escapesUnsorted reports whether the carrier result obj leaves the
-// function (or feeds an order-sensitive sink) somewhere in the
-// continuation of its defining statement: returned directly, appended
-// onward, handed to an audit emit, or written out. A keyed or reduced
-// use (len(x), x[i]) is not an escape.
-func escapesUnsorted(p *Package, cfg *CFG, stmt ast.Stmt, obj types.Object) bool {
-	escapes := false
+// function (or feeds an order-sensitive sink) after its defining
+// statement: returned directly, appended onward, handed to an audit
+// emit, or written out. A keyed or reduced use (len(x), x[i]) is not an
+// escape.
+func escapesUnsorted(p *Package, fd *ast.FuncDecl, stmt ast.Stmt, obj types.Object) bool {
 	directIdent := func(e ast.Expr) bool {
 		id, ok := ast.Unparen(e).(*ast.Ident)
 		return ok && p.Info.Uses[id] == obj
 	}
-	cfg.ReachableAfter(stmt, func(s ast.Stmt) {
-		if escapes {
-			return
-		}
-		if ret, ok := s.(*ast.ReturnStmt); ok {
-			for _, r := range ret.Results {
-				if directIdent(r) {
+	escapes := false
+	reachableAfter(p, fd, stmt, func(root ast.Node) bool {
+		ast.Inspect(root, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.ReturnStmt:
+				if slices.ContainsFunc(n.Results, directIdent) {
 					escapes = true
-					return
+				}
+			case *ast.CallExpr:
+				_, sink := auditEmitSink(p, n)
+				sink = sink || isWriterCall(p, n)
+				if fn, ok := n.Fun.(*ast.Ident); ok && fn.Name == "append" {
+					sink = true
+				}
+				if sink && slices.ContainsFunc(n.Args, directIdent) {
+					escapes = true
 				}
 			}
-		}
-		ast.Inspect(s, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			_, sink := auditEmitSink(p, call)
-			sink = sink || isWriterCall(p, call)
-			if fn, ok := call.Fun.(*ast.Ident); ok && fn.Name == "append" {
-				sink = true
-			}
-			if !sink {
-				return true
-			}
-			for _, a := range call.Args {
-				if directIdent(a) {
-					escapes = true
-					return false
-				}
-			}
-			return true
+			return !escapes
 		})
+		return !escapes
 	})
 	return escapes
 }

@@ -56,14 +56,7 @@ var seedflowSpec = &TaintSpec{
 		}
 		return 0
 	},
-	RangeSource: func(p *Package, rng *ast.RangeStmt) Taint {
-		if tv, ok := p.Info.Types[rng.X]; ok && tv.Type != nil {
-			if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-				return TaintMapIter
-			}
-		}
-		return 0
-	},
+	RangeSource: mapRangeSource,
 	SinkCall: func(p *Package, call *ast.CallExpr) ([]int, string) {
 		path, name, ok := pkgFunc(p, call)
 		if !ok {

@@ -98,6 +98,21 @@ type TaintSpec struct {
 	SinkCall func(p *Package, call *ast.CallExpr) (args []int, desc string)
 	// SinkComposite identifies composite-literal sinks.
 	SinkComposite func(p *Package, lit *ast.CompositeLit) (desc string, ok bool)
+	// Sanitize identifies calls that clean values in place: it returns
+	// an expression every variable of which the call leaves clean, or
+	// nil. It applies to calls made as statements.
+	Sanitize func(p *Package, call *ast.CallExpr) ast.Expr
+}
+
+// mapRangeSource is the RangeSource of the checks that police map
+// order: a range over a map yields TaintMapIter.
+func mapRangeSource(p *Package, rng *ast.RangeStmt) Taint {
+	if tv, ok := p.Info.Types[rng.X]; ok && tv.Type != nil {
+		if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+			return TaintMapIter
+		}
+	}
+	return 0
 }
 
 // TaintSummary is the interprocedural behavior of one function, in the
@@ -479,6 +494,20 @@ func (ta *TaintAnalysis) transfer(env taintEnv, n ast.Node) {
 		}
 	case *ast.TypeSwitchStmt:
 		ta.transferTypeSwitch(env, n)
+	case *ast.ExprStmt:
+		call, ok := ast.Unparen(n.X).(*ast.CallExpr)
+		if !ok || ta.spec.Sanitize == nil {
+			return
+		}
+		if clean := ta.spec.Sanitize(ta.p, call); clean != nil {
+			ast.Inspect(clean, func(nn ast.Node) bool {
+				if id, ok := nn.(*ast.Ident); ok {
+					ta.bind(env, id, 0)
+				}
+				_, lit := nn.(*ast.FuncLit)
+				return !lit
+			})
+		}
 	}
 }
 
