@@ -114,10 +114,11 @@ func (r *Reporter) Reportf(pos token.Pos, format string, args ...any) {
 
 // Run applies every in-scope check to the package, filters findings
 // through lint:ignore directives, and returns the surviving diagnostics
-// sorted by position. Malformed directives are reported under the
-// synthetic check name "directive". When the staleignore check is part
-// of the run, well-formed directives that suppressed nothing — and name
-// a check that actually ran — become findings themselves.
+// sorted by position, then check, then message. Malformed directives
+// are reported under the synthetic check name "directive". When the
+// staleignore check is part of the run, well-formed directives that
+// suppressed nothing — and name a check that actually ran — become
+// findings themselves.
 func Run(p *Package, checks []Check) []Diagnostic {
 	var diags []Diagnostic
 	for _, c := range checks {
@@ -166,7 +167,10 @@ func Run(p *Package, checks []Check) []Diagnostic {
 		if kept[i].Pos.Column != kept[k].Pos.Column {
 			return kept[i].Pos.Column < kept[k].Pos.Column
 		}
-		return kept[i].Check < kept[k].Check
+		if kept[i].Check != kept[k].Check {
+			return kept[i].Check < kept[k].Check
+		}
+		return kept[i].Message < kept[k].Message
 	})
 	return kept
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -131,6 +132,9 @@ type TaintAnalysis struct {
 	p    *Package
 	spec *TaintSpec
 	sums map[*types.Func]*TaintSummary
+	// sunk holds the call-sink arguments reported in the node being
+	// scanned, so a literal among them is not reported again.
+	sunk []ast.Expr
 }
 
 // taintEnv maps in-scope objects to their current taint. Absent = clean.
@@ -322,6 +326,7 @@ func (ta *TaintAnalysis) returnTaint(env taintEnv, ret *ast.ReturnStmt, named []
 // evaluated by one block node, using the environment as it stands when
 // the node executes.
 func (ta *TaintAnalysis) scanNode(env taintEnv, n ast.Node, onSink func(token.Pos, Taint, string)) {
+	ta.sunk = ta.sunk[:0]
 	for _, root := range evaluatedExprs(n) {
 		if root == nil {
 			continue
@@ -333,7 +338,9 @@ func (ta *TaintAnalysis) scanNode(env taintEnv, n ast.Node, onSink func(token.Po
 			case *ast.CallExpr:
 				ta.sinkCheck(env, nn, onSink)
 			case *ast.CompositeLit:
-				if ta.spec.SinkComposite != nil {
+				// A literal passed straight to a call sink is one leak,
+				// already reported at the argument.
+				if ta.spec.SinkComposite != nil && !slices.Contains(ta.sunk, ast.Expr(nn)) {
 					if desc, ok := ta.spec.SinkComposite(ta.p, nn); ok {
 						if t := ta.exprTaint(env, nn); t != 0 {
 							onSink(nn.Pos(), t, desc)
@@ -375,7 +382,8 @@ func evaluatedExprs(n ast.Node) []ast.Node {
 }
 
 // sinkCheck tests one call against the spec's call sinks and against the
-// sink-parameter summaries of in-package callees.
+// sink-parameter summaries of in-package callees, recording the
+// arguments it reports in ta.sunk.
 func (ta *TaintAnalysis) sinkCheck(env taintEnv, call *ast.CallExpr, onSink func(token.Pos, Taint, string)) {
 	if ta.spec.SinkCall != nil {
 		if idx, desc := ta.spec.SinkCall(ta.p, call); idx != nil {
@@ -385,6 +393,7 @@ func (ta *TaintAnalysis) sinkCheck(env taintEnv, call *ast.CallExpr, onSink func
 				}
 				if t := ta.exprTaint(env, call.Args[i]); t != 0 {
 					onSink(call.Args[i].Pos(), t, desc)
+					ta.sunk = append(ta.sunk, ast.Unparen(call.Args[i]))
 				}
 			}
 			// A direct sink subsumes its own summary; reporting both
@@ -406,6 +415,7 @@ func (ta *TaintAnalysis) sinkCheck(env taintEnv, call *ast.CallExpr, onSink func
 			pos := call.Pos()
 			if ai := i - paramOffset(callee); ai >= 0 && ai < len(call.Args) {
 				pos = call.Args[ai].Pos()
+				ta.sunk = append(ta.sunk, ast.Unparen(call.Args[ai]))
 			}
 			onSink(pos, at, "a sink reached through "+callee.Name())
 		}
@@ -500,6 +510,7 @@ func (ta *TaintAnalysis) transfer(env taintEnv, n ast.Node) {
 			return
 		}
 		if clean := ta.spec.Sanitize(ta.p, call); clean != nil {
+			// Cleaning is a strong update, like a plain reassignment.
 			ast.Inspect(clean, func(nn ast.Node) bool {
 				if id, ok := nn.(*ast.Ident); ok {
 					ta.bind(env, id, 0)

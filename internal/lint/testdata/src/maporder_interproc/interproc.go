@@ -1,7 +1,7 @@
 // Package fixture exercises the interprocedural maporder rules: audit
 // emits reached through helper calls, carrier helpers that return
-// map-ordered slices, and the CFG-based sort detection that accepts a
-// sort anywhere in the continuation rather than only in the same block.
+// map-ordered slices, and the flow-graph sort detection that accepts a
+// sort anywhere after the loop rather than only in the same block.
 package fixture
 
 import (
@@ -58,7 +58,7 @@ func keysOf(m map[int]int) []int {
 	return ks
 }
 
-// wrapKeys forwards a carrier's result: itself a carrier by fixpoint.
+// wrapKeys forwards a carrier's result: itself a carrier by summary.
 func wrapKeys(m map[int]int) []int { return keysOf(m) }
 
 // BadUnsortedReturn lets a carrier's result escape unsorted.
@@ -88,8 +88,8 @@ func GoodLocalCount(m map[int]int) int {
 }
 
 // GoodNestedSort accumulates inside a conditional and sorts after it:
-// the block-local heuristic of maporder v1 flagged this shape, the CFG
-// continuation accepts it.
+// the block-local heuristic of maporder v1 flagged this shape, the
+// flow-graph walk accepts it.
 func GoodNestedSort(m map[int]int, keep bool) []int {
 	var ks []int
 	if keep {

@@ -376,6 +376,10 @@ func (s *Sched) tryReentry(j *job.Job, now int64) bool {
 //
 // The horizon is one tick before that crossing, so float rounding in
 // CanPreempt can never make a skipped tick one that would have acted.
+//
+// horizon carries no //lint:allocfree contract: scanRunning sizes its
+// scratch with make and append, and freshNeed builds a comparator
+// closure for its sort. Of its helpers only reentryNeed is marked.
 func (s *Sched) horizon(now int64) int64 {
 	if len(s.queue) == 0 {
 		return math.MaxInt64 // nothing idle until an event
@@ -491,6 +495,8 @@ func (s *Sched) freshNeed(w, free int) float64 {
 // that is not Running or not suspendable, or when nothing holds the set.
 // need only grows along the walk, so it stops early, returning the need
 // so far, once that alone puts the crossing no sooner than best.
+//
+//lint:allocfree always, a walk over the remembered set
 func (s *Sched) reentryNeed(j *job.Job, now, best int64) float64 {
 	cl := s.env.Cluster
 	need := 0.0
