@@ -20,7 +20,10 @@ import (
 // operand and bind the iteration variables"; the bodies of control
 // statements live in their own blocks. Clients consuming header nodes
 // must only look at the header's evaluated parts (Cond/Tag/X), never
-// descend into the body.
+// descend into the body. A loop header (*ast.ForStmt, *ast.RangeStmt) is
+// alone in its block, whose Succs are [body, after]: Succs[0] enters the
+// body, Succs[1] leaves the loop (a for loop without a condition has no
+// Succs[1]).
 type Block struct {
 	// Index is the creation order, stable across runs for a given
 	// function (the builder walks the AST deterministically).

@@ -6,6 +6,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -189,6 +190,89 @@ func h(a int) int {
 	live := blockAtLine(t, p, g, 4)
 	if _, visited := res[live]; !visited {
 		t.Error("solver missed the reachable return block")
+	}
+}
+
+// TestLoopHeaderSuccs pins the layout Block documents and maporder's
+// "after this range" walk reads: a loop header is alone in its block,
+// Succs[0] enters the body and Succs[1] leaves the loop.
+func TestLoopHeaderSuccs(t *testing.T) {
+	p := loadSrc(t, `package s
+
+func l(m map[int]int, n int) int {
+	s := 0
+	for k := range m {
+		s += k
+	}
+	s++
+	for i := 0; i < n; i++ {
+		s += i
+	}
+	return s
+}
+`, "pjs/fixture/solver")
+	fd := fnDecl(t, p, "l")
+	g := p.FlowGraph(fd)
+	for _, c := range []struct{ head, body, after int }{{5, 6, 8}, {9, 10, 12}} {
+		var head *Block
+		for _, blk := range g.Blocks {
+			for _, n := range blk.Nodes {
+				switch n.(type) {
+				case *ast.ForStmt, *ast.RangeStmt:
+					if p.Fset.Position(n.Pos()).Line == c.head {
+						head = blk
+					}
+				}
+			}
+		}
+		if head == nil || len(head.Nodes) != 1 || len(head.Succs) != 2 {
+			t.Fatalf("line %d: want a one-node header block with 2 successors, got %+v", c.head, head)
+		}
+		if head.Succs[0] != blockAtLine(t, p, g, c.body) {
+			t.Errorf("line %d: Succs[0] is not the loop body", c.head)
+		}
+		if head.Succs[1] != blockAtLine(t, p, g, c.after) {
+			t.Errorf("line %d: Succs[1] is not the block after the loop", c.head)
+		}
+	}
+}
+
+// TestReachableAfterLeavesGraph pins that maporder's walks leave the
+// shared flow graph as they found it: every check of a package reads
+// the one memoized graph, and an edge rewritten by one walk would hide
+// a return from the taint analyses that run after it.
+func TestReachableAfterLeavesGraph(t *testing.T) {
+	p := loadSrc(t, `package s
+
+func r(m map[int]int, c bool) []int {
+	var out []int
+	for k := range m {
+		out = append(out, k)
+	}
+	if c {
+		out = nil
+	} else {
+		out = out[:1]
+	}
+	return out
+}
+`, "pjs/fixture/solver")
+	fd := fnDecl(t, p, "r")
+	g := p.FlowGraph(fd)
+	before := map[*Block][]*Block{}
+	for _, blk := range g.Blocks {
+		before[blk] = append([]*Block(nil), blk.Succs...)
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if s, ok := n.(ast.Stmt); ok {
+			sortReachableAfter(p, fd, s, nil)
+		}
+		return true
+	})
+	for _, blk := range g.Blocks {
+		if !slices.Equal(blk.Succs, before[blk]) {
+			t.Errorf("block %d: successors changed by the walk", blk.Index)
+		}
 	}
 }
 

@@ -40,17 +40,29 @@ type MaporderCheck struct{}
 // maporderScopes mirror the stablesort scope: the decision paths.
 var maporderScopes = []string{"pjs/internal/sched", "pjs/internal/sim"}
 
-// maporderSpec makes map order a taint: a map range yields
-// TaintMapIter, and a sort call cleans the variables its first argument
-// names (through a conversion too, as in sort.Sort(byVal(ks))).
-var maporderSpec = &TaintSpec{
-	RangeSource: mapRangeSource,
-	Sanitize: func(p *Package, call *ast.CallExpr) ast.Expr {
-		if !isSorter(p, call) || len(call.Args) == 0 {
-			return nil
-		}
-		return call.Args[0]
-	},
+// maporderSpec makes the order of appends a taint. An append in a map
+// range to a slice that outlives the loop (one of accs, see
+// orderSensitiveBody) gives the slice TaintMapIter: its order is the map's
+// whatever the elements are, so out = append(out, vals[k]) is a source
+// like appending k itself, while a scatter by key (out[k] = v) or a
+// reduction (total += v) is none. A sort call cleans the variables its
+// first argument names (through a conversion too, as in
+// sort.Sort(byVal(ks))).
+func maporderSpec(accs map[ast.Expr]bool) *TaintSpec {
+	return &TaintSpec{
+		AssignSource: func(_ *Package, lhs ast.Expr) Taint {
+			if accs[lhs] {
+				return TaintMapIter
+			}
+			return 0
+		},
+		Sanitize: func(p *Package, call *ast.CallExpr) ast.Expr {
+			if !isSorter(p, call) || len(call.Args) == 0 {
+				return nil
+			}
+			return call.Args[0]
+		},
+	}
 }
 
 // Name implements Check.
@@ -71,114 +83,101 @@ func (*MaporderCheck) Applies(pkgPath string) bool {
 	return false
 }
 
-// Run implements Check. A map range is the only source of map order,
-// so a package without one has neither a finding nor a carrier, and
-// the analysis is not built.
+// Run implements Check. Map ranges are the only source of map order:
+// they are checked first, and the taint analysis that finds carriers is
+// built only when some range accumulates a slice.
 func (*MaporderCheck) Run(p *Package, rep *Reporter) {
-	if !hasMapRange(p) {
+	var auditors map[*types.Func]bool
+	accs := map[ast.Expr]bool{}
+	inspectFuncs(p, func(fd *ast.FuncDecl, n ast.Node) {
+		rs, ok := n.(*ast.RangeStmt)
+		if !ok || mapRangeSource(p, rs) == 0 {
+			return
+		}
+		if auditors == nil {
+			auditors = auditCallers(p)
+		}
+		if reason := orderSensitiveBody(p, rs, auditors, accs); reason != "" && !sortReachableAfter(p, fd, rs, nil) {
+			rep.Reportf(rs.Pos(),
+				"map iteration order leaks into %s; sort deterministically before use or iterate sorted keys", reason)
+		}
+	})
+	if len(accs) == 0 {
 		return
 	}
-	auditors := auditCallers(p)
-	ta := NewTaintAnalysis(p, maporderSpec)
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.RangeStmt:
-					if mapRangeSource(p, n) == 0 {
-						return true
-					}
-					reason := orderSensitiveBody(p, n, auditors)
-					if reason == "" || sortReachableAfter(p, fd, n, nil) {
-						return true
-					}
-					rep.Reportf(n.Pos(),
-						"map iteration order leaks into %s; sort deterministically before use or iterate sorted keys", reason)
-				case *ast.AssignStmt:
-					callee, obj := carrierAssign(p, ta, n)
-					if callee == nil {
-						return true
-					}
-					if sortReachableAfter(p, fd, n, obj) {
-						return true
-					}
-					if escapesUnsorted(p, fd, n, obj) {
-						rep.Reportf(n.Pos(),
-							"helper %s returns a slice in map-iteration order; sort it before use", callee.Name())
-					}
-				}
-				return true
-			})
+	ta := NewTaintAnalysis(p, maporderSpec(accs))
+	inspectFuncs(p, func(fd *ast.FuncDecl, n ast.Node) {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return
 		}
-	}
+		if callee, obj := carrierAssign(p, ta, as); callee != nil &&
+			!sortReachableAfter(p, fd, as, obj) && escapesUnsorted(p, fd, as, obj) {
+			rep.Reportf(as.Pos(),
+				"helper %s returns a slice in map-iteration order; sort it before use", callee.Name())
+		}
+	})
 }
 
-// hasMapRange reports whether any function of the package ranges over
-// a map.
-func hasMapRange(p *Package) bool {
-	found := false
+// inspectFuncs calls visit for every node of every function body in the
+// package, with the function's declaration.
+func inspectFuncs(p *Package, visit func(fd *ast.FuncDecl, n ast.Node)) {
 	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if rs, ok := n.(*ast.RangeStmt); ok && mapRangeSource(p, rs) != 0 {
-				found = true
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					visit(fd, n)
+					return true
+				})
 			}
-			return !found
-		})
-		if found {
-			return true
 		}
 	}
-	return false
 }
 
 // orderSensitiveBody reports what the loop body does that is sensitive
 // to iteration order: appending to a slice declared outside the loop,
 // recording audit-log entries (directly or through a helper that
 // transitively audits), or writing output. It returns "" when the body
-// is order-insensitive.
-func orderSensitiveBody(p *Package, rs *ast.RangeStmt, auditors map[*types.Func]bool) string {
+// is order-insensitive. Every slice the body accumulates is added to
+// accs.
+func orderSensitiveBody(p *Package, rs *ast.RangeStmt, auditors map[*types.Func]bool, accs map[ast.Expr]bool) string {
 	reason := ""
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		if reason != "" {
-			return false
+	because := func(r string) {
+		if reason == "" {
+			reason = r
 		}
+	}
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			for _, rhs := range n.Rhs {
-				call, ok := rhs.(*ast.CallExpr)
-				if !ok {
-					continue
-				}
-				if fn, ok := call.Fun.(*ast.Ident); !ok || fn.Name != "append" {
-					continue
-				}
-				for _, lhs := range n.Lhs {
-					if identDeclaredBefore(p, lhs, rs) {
-						reason = "a slice accumulated across iterations"
-					}
+			for _, lhs := range n.Lhs {
+				if slices.ContainsFunc(n.Rhs, isAppend) && identDeclaredBefore(p, lhs, rs) {
+					accs[lhs] = true
+					because("a slice accumulated across iterations")
 				}
 			}
 		case *ast.CallExpr:
 			if desc, ok := auditEmitSink(p, n); ok {
-				reason = desc
-				return false
-			}
-			if isWriterCall(p, n) {
-				reason = "a writer"
-				return false
-			}
-			if callee := p.CalleeOf(n); callee != nil && auditors[callee] {
-				reason = "the audit log via call to " + callee.Name()
-				return false
+				because(desc)
+			} else if isWriterCall(p, n) {
+				because("a writer")
+			} else if callee := p.CalleeOf(n); callee != nil && auditors[callee] {
+				because("the audit log via call to " + callee.Name())
 			}
 		}
 		return true
 	})
 	return reason
+}
+
+// isAppend reports whether e is a call of append.
+func isAppend(e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := call.Fun.(*ast.Ident)
+	return ok && fn.Name == "append"
 }
 
 // identDeclaredBefore reports whether e is an identifier whose
@@ -189,10 +188,7 @@ func identDeclaredBefore(p *Package, e ast.Expr, rs *ast.RangeStmt) bool {
 	if !ok {
 		return false
 	}
-	obj := p.Info.Uses[ident]
-	if obj == nil {
-		obj = p.Info.Defs[ident]
-	}
+	obj := p.Info.ObjectOf(ident)
 	return obj != nil && obj.Pos() < rs.Pos()
 }
 
@@ -259,10 +255,7 @@ func carrierAssign(p *Package, ta *TaintAnalysis, as *ast.AssignStmt) (*types.Fu
 	if !ok || id.Name == "_" {
 		return nil, nil
 	}
-	obj := p.Info.Defs[id]
-	if obj == nil {
-		obj = p.Info.Uses[id]
-	}
+	obj := p.Info.ObjectOf(id)
 	if obj == nil {
 		return nil, nil
 	}
@@ -292,9 +285,9 @@ func reachableAfter(p *Package, fd *ast.FuncDecl, stmt ast.Stmt, visit func(ast.
 			if !walk(blk.Nodes[i+1:]) {
 				return
 			}
-			work = blk.Succs
+			work = slices.Clone(blk.Succs) // the walk appends to work; the graph is shared
 			if _, ok := stmt.(*ast.RangeStmt); ok {
-				work = work[1:] // Succs[0] is the loop body (see fgBuilder.stmt)
+				work = work[1:] // a loop header's Succs are [body, after] (see Block)
 			}
 			break
 		}
@@ -393,9 +386,7 @@ func escapesUnsorted(p *Package, fd *ast.FuncDecl, stmt ast.Stmt, obj types.Obje
 			case *ast.CallExpr:
 				_, sink := auditEmitSink(p, n)
 				sink = sink || isWriterCall(p, n)
-				if fn, ok := n.Fun.(*ast.Ident); ok && fn.Name == "append" {
-					sink = true
-				}
+				sink = sink || isAppend(n)
 				if sink && slices.ContainsFunc(n.Args, directIdent) {
 					escapes = true
 				}

@@ -13,7 +13,8 @@ import (
 // taint domain, a flow-sensitive intraprocedural propagation built on
 // Solve, and interprocedural function summaries computed to fixpoint
 // over the package call graph. The timetaint and seedflow checks are
-// thin configurations of this engine (a TaintSpec each).
+// thin configurations of this engine (a TaintSpec each); maporder takes
+// its carriers from the summaries under its own spec.
 //
 // Soundness posture: propagation over-approximates value flow (an
 // unknown call taints its results with the union of its argument
@@ -93,6 +94,9 @@ type TaintSpec struct {
 	// RangeSource classifies the taint a range statement adds to its
 	// iteration variables beyond the taint of the ranged operand.
 	RangeSource func(p *Package, rng *ast.RangeStmt) Taint
+	// AssignSource classifies the taint an assignment statement adds to
+	// one of its targets beyond the taint of the value assigned.
+	AssignSource func(p *Package, lhs ast.Expr) Taint
 	// SinkCall identifies call-shaped sinks: args lists the argument
 	// positions whose values must stay clean (nil = not a sink), desc
 	// names the sink for diagnostics.
@@ -105,8 +109,8 @@ type TaintSpec struct {
 	Sanitize func(p *Package, call *ast.CallExpr) ast.Expr
 }
 
-// mapRangeSource is the RangeSource of the checks that police map
-// order: a range over a map yields TaintMapIter.
+// mapRangeSource yields TaintMapIter for a range over a map: seedflow's
+// RangeSource, and maporder's test for a map range.
 func mapRangeSource(p *Package, rng *ast.RangeStmt) Taint {
 	if tv, ok := p.Info.Types[rng.X]; ok && tv.Type != nil {
 		if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
@@ -132,9 +136,6 @@ type TaintAnalysis struct {
 	p    *Package
 	spec *TaintSpec
 	sums map[*types.Func]*TaintSummary
-	// sunk holds the call-sink arguments reported in the node being
-	// scanned, so a literal among them is not reported again.
-	sunk []ast.Expr
 }
 
 // taintEnv maps in-scope objects to their current taint. Absent = clean.
@@ -271,6 +272,10 @@ func (ta *TaintAnalysis) scan(fd *ast.FuncDecl, init taintEnv,
 	}
 	in := Solve(g, init, cloneEnv, joinEnv, transfer)
 	results := ta.namedResults(fd)
+	var sinks *sinkScan
+	if onSink != nil {
+		sinks = &sinkScan{ta: ta, onSink: onSink}
+	}
 	for _, blk := range g.Blocks {
 		env, reachable := in[blk]
 		if !reachable {
@@ -278,8 +283,8 @@ func (ta *TaintAnalysis) scan(fd *ast.FuncDecl, init taintEnv,
 		}
 		env = cloneEnv(env)
 		for _, n := range blk.Nodes {
-			if onSink != nil {
-				ta.scanNode(env, n, onSink)
+			if sinks != nil {
+				sinks.node(env, n)
 			}
 			if onReturn != nil {
 				if ret, ok := n.(*ast.ReturnStmt); ok {
@@ -322,35 +327,46 @@ func (ta *TaintAnalysis) returnTaint(env taintEnv, ret *ast.ReturnStmt, named []
 	return t
 }
 
-// scanNode fires sink callbacks for every call-shaped or composite sink
-// evaluated by one block node, using the environment as it stands when
-// the node executes.
-func (ta *TaintAnalysis) scanNode(env taintEnv, n ast.Node, onSink func(token.Pos, Taint, string)) {
-	ta.sunk = ta.sunk[:0]
+// sinkScan is one scan's sink walker: node fires onSink for every
+// call-shaped or composite sink a block node evaluates, under env, the
+// environment as it stands when the node executes. sunk holds the
+// call-sink arguments reported in the current node.
+type sinkScan struct {
+	ta     *TaintAnalysis
+	onSink func(token.Pos, Taint, string)
+	env    taintEnv
+	sunk   []ast.Expr
+}
+
+func (s *sinkScan) node(env taintEnv, n ast.Node) {
+	s.env, s.sunk = env, s.sunk[:0]
 	for _, root := range evaluatedExprs(n) {
-		if root == nil {
-			continue
+		if root != nil {
+			ast.Walk(s, root)
 		}
-		ast.Inspect(root, func(nn ast.Node) bool {
-			switch nn := nn.(type) {
-			case *ast.FuncLit:
-				return false // executes later; not analyzed here
-			case *ast.CallExpr:
-				ta.sinkCheck(env, nn, onSink)
-			case *ast.CompositeLit:
-				// A literal passed straight to a call sink is one leak,
-				// already reported at the argument.
-				if ta.spec.SinkComposite != nil && !slices.Contains(ta.sunk, ast.Expr(nn)) {
-					if desc, ok := ta.spec.SinkComposite(ta.p, nn); ok {
-						if t := ta.exprTaint(env, nn); t != 0 {
-							onSink(nn.Pos(), t, desc)
-						}
-					}
+	}
+}
+
+// Visit implements ast.Visitor.
+func (s *sinkScan) Visit(n ast.Node) ast.Visitor {
+	ta := s.ta
+	switch n := n.(type) {
+	case *ast.FuncLit:
+		return nil // executes later; not analyzed here
+	case *ast.CallExpr:
+		s.sunk = append(s.sunk, ta.sinkCheck(s.env, n, s.onSink)...)
+	case *ast.CompositeLit:
+		// A literal passed straight to a call sink is one leak, already
+		// reported at the argument.
+		if ta.spec.SinkComposite != nil && !slices.Contains(s.sunk, ast.Expr(n)) {
+			if desc, ok := ta.spec.SinkComposite(ta.p, n); ok {
+				if t := ta.exprTaint(s.env, n); t != 0 {
+					s.onSink(n.Pos(), t, desc)
 				}
 			}
-			return true
-		})
+		}
 	}
+	return s
 }
 
 // evaluatedExprs returns the expression roots a block node evaluates:
@@ -382,9 +398,9 @@ func evaluatedExprs(n ast.Node) []ast.Node {
 }
 
 // sinkCheck tests one call against the spec's call sinks and against the
-// sink-parameter summaries of in-package callees, recording the
-// arguments it reports in ta.sunk.
-func (ta *TaintAnalysis) sinkCheck(env taintEnv, call *ast.CallExpr, onSink func(token.Pos, Taint, string)) {
+// sink-parameter summaries of in-package callees, and returns the
+// arguments it reported.
+func (ta *TaintAnalysis) sinkCheck(env taintEnv, call *ast.CallExpr, onSink func(token.Pos, Taint, string)) (sunk []ast.Expr) {
 	if ta.spec.SinkCall != nil {
 		if idx, desc := ta.spec.SinkCall(ta.p, call); idx != nil {
 			for _, i := range idx {
@@ -393,21 +409,21 @@ func (ta *TaintAnalysis) sinkCheck(env taintEnv, call *ast.CallExpr, onSink func
 				}
 				if t := ta.exprTaint(env, call.Args[i]); t != 0 {
 					onSink(call.Args[i].Pos(), t, desc)
-					ta.sunk = append(ta.sunk, ast.Unparen(call.Args[i]))
+					sunk = append(sunk, ast.Unparen(call.Args[i]))
 				}
 			}
 			// A direct sink subsumes its own summary; reporting both
 			// would double-count the same arguments.
-			return
+			return sunk
 		}
 	}
 	callee := ta.p.CalleeOf(call)
 	if callee == nil {
-		return
+		return nil
 	}
 	sum := ta.sums[callee]
 	if sum == nil || sum.SinkParams == 0 {
-		return
+		return nil
 	}
 	args := ta.callParamTaints(env, call, callee)
 	for i, at := range args {
@@ -415,11 +431,12 @@ func (ta *TaintAnalysis) sinkCheck(env taintEnv, call *ast.CallExpr, onSink func
 			pos := call.Pos()
 			if ai := i - paramOffset(callee); ai >= 0 && ai < len(call.Args) {
 				pos = call.Args[ai].Pos()
-				ta.sunk = append(ta.sunk, ast.Unparen(call.Args[ai]))
+				sunk = append(sunk, ast.Unparen(call.Args[ai]))
 			}
 			onSink(pos, at, "a sink reached through "+callee.Name())
 		}
 	}
+	return sunk
 }
 
 // paramOffset is 1 for methods (the receiver occupies index 0).
@@ -561,14 +578,23 @@ func (ta *TaintAnalysis) transferAssign(env taintEnv, a *ast.AssignStmt) {
 			ts[i] = ta.exprTaint(env, r)
 		}
 		for i, l := range a.Lhs {
-			ta.assignTo(env, l, ts[i], a.Tok)
+			ta.assignTo(env, l, ts[i]|ta.assignSource(l), a.Tok)
 		}
 	case len(a.Rhs) == 1: // v, ok := ... / multi-value call
 		t := ta.exprTaint(env, a.Rhs[0])
 		for _, l := range a.Lhs {
-			ta.assignTo(env, l, t, a.Tok)
+			ta.assignTo(env, l, t|ta.assignSource(l), a.Tok)
 		}
 	}
+}
+
+// assignSource is the taint the spec's AssignSource adds to one
+// assignment target.
+func (ta *TaintAnalysis) assignSource(lhs ast.Expr) Taint {
+	if ta.spec.AssignSource == nil {
+		return 0
+	}
+	return ta.spec.AssignSource(ta.p, lhs)
 }
 
 // bind strong-updates an identifier's object to taint t.
