@@ -369,7 +369,7 @@ func psim(args []string, stdout, stderr *cli.W) int {
 		if err := ckpt.WriteAtomic(*tsOut, sampler.WriteCSV); err != nil {
 			return fail(err)
 		}
-		stderr.Printf("psim: wrote %d time-series samples to %s\n", len(sampler.Samples), *tsOut)
+		stderr.Printf("psim: wrote %d time-series samples to %s\n", sampler.Len(), *tsOut)
 	}
 	if traceB != nil {
 		if err := ckpt.WriteAtomic(*traceOut, traceB.WriteJSON); err != nil {

@@ -200,7 +200,7 @@ func TestTimeSeriesGolden(t *testing.T) {
 				got := fnv64(b.String())
 				if want, ok := timeSeriesDigests[key]; !ok || got != want {
 					t.Errorf("%s: time-series digest = %#x, want %#x (%d rows)\n\t%q: %#x,",
-						key, got, want, len(sm.Samples), key, got)
+						key, got, want, sm.Len(), key, got)
 				}
 			})
 		}

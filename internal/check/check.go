@@ -18,7 +18,6 @@ package check
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"pjs/internal/sched"
 )
@@ -52,7 +51,7 @@ type jobTrack struct {
 	submit   int64
 	width    int
 	runTime  int64
-	procs    []int // current set
+	procs    []int // current set, aliasing the log entry that dispatched it
 	lastGo   int64 // last start/resume time
 	ran      int64 // accumulated segment time
 	suspends int
@@ -60,7 +59,8 @@ type jobTrack struct {
 }
 
 // Check replays the audit log and returns the first invariant violation,
-// or nil.
+// or nil. The log must not change while Check runs: job tracks alias
+// its processor sets.
 func Check(log *sched.AuditLog, opt Options) error {
 	if log == nil {
 		return fmt.Errorf("check: nil audit log (run with Options.Audit)")
@@ -71,11 +71,24 @@ func Check(log *sched.AuditLog, opt Options) error {
 	}
 	down := make([]bool, log.Procs)
 	iodegraded := make([]bool, log.Procs)
-	jobs := make(map[int]*jobTrack)
+	sets := stamp{mark: make([]uint32, log.Procs)}
+	arrivals := 0
+	for i := range log.Entries {
+		if log.Entries[i].Action == sched.ActArrive {
+			arrivals++
+		}
+	}
+	// Tracks come from one slab sized for the arriving jobs; an entry of
+	// a job that never arrived takes one from a small extra slab.
+	jobs := make(map[int]*jobTrack, arrivals)
+	slab := make([]jobTrack, arrivals)
 	get := func(id int) *jobTrack {
 		t, ok := jobs[id]
 		if !ok {
-			t = &jobTrack{}
+			if len(slab) == 0 {
+				slab = make([]jobTrack, 16)
+			}
+			t, slab = &slab[0], slab[1:]
 			jobs[id] = t
 		}
 		return t
@@ -159,11 +172,11 @@ func Check(log *sched.AuditLog, opt Options) error {
 			if len(e.Procs) != t.width {
 				return fail("dispatched on %d processors, width %d", len(e.Procs), t.width)
 			}
-			if err := validSet(e.Procs, log.Procs); err != nil {
+			if err := sets.validSet(e.Procs); err != nil {
 				return fail("%v", err)
 			}
 			if resume && !opt.AllowMigration {
-				if !sameSet(e.Procs, t.procs) {
+				if !sets.sameSet(e.Procs, t.procs) {
 					return fail("local-restart violation: resumed on %v, suspended on %v", e.Procs, t.procs)
 				}
 			}
@@ -176,7 +189,7 @@ func Check(log *sched.AuditLog, opt Options) error {
 				}
 				owner[p] = e.JobID
 			}
-			t.procs = append([]int(nil), e.Procs...)
+			t.procs = e.Procs
 			t.lastGo = e.Time
 			t.state = stRunning
 
@@ -228,7 +241,7 @@ func Check(log *sched.AuditLog, opt Options) error {
 			if t.state != stRunning && t.state != stSuspending {
 				return fail("%v from state %d", e.Action, t.state)
 			}
-			if !sameSet(e.Procs, t.procs) {
+			if !sets.sameSet(e.Procs, t.procs) {
 				return fail("%v on set %v, job holds %v", e.Action, e.Procs, t.procs)
 			}
 			for _, p := range t.procs {
@@ -244,7 +257,7 @@ func Check(log *sched.AuditLog, opt Options) error {
 			if t.state != stSuspended {
 				return fail("image-lost from state %d", t.state)
 			}
-			if !sameSet(e.Procs, t.procs) {
+			if !sets.sameSet(e.Procs, t.procs) {
 				return fail("image-lost set %v, suspended on %v", e.Procs, t.procs)
 			}
 			t.ran = 0
@@ -309,34 +322,55 @@ func strandedOnProc(jobs map[int]*jobTrack, p int) []int {
 	return ids
 }
 
+// stamp marks processors with the generation of the set being
+// checked, one reused array in place of a map per dispatch and two
+// sorted copies per comparison. Generation 0 is never current.
+type stamp struct {
+	mark []uint32 // per processor
+	gen  uint32
+}
+
+// next starts a generation; on wrap-around it clears every mark.
+func (s *stamp) next() uint32 {
+	s.gen++
+	if s.gen == 0 {
+		clear(s.mark)
+		s.gen = 1
+	}
+	return s.gen
+}
+
 // validSet verifies processor indices are unique and in range.
-func validSet(procs []int, n int) error {
-	seen := make(map[int]bool, len(procs))
+func (s *stamp) validSet(procs []int) error {
+	g, n := s.next(), len(s.mark)
 	for _, p := range procs {
 		if p < 0 || p >= n {
 			return fmt.Errorf("processor %d out of range [0,%d)", p, n)
 		}
-		if seen[p] {
+		if s.mark[p] == g {
 			return fmt.Errorf("duplicate processor %d in set", p)
 		}
-		seen[p] = true
+		s.mark[p] = g
 	}
 	return nil
 }
 
-// sameSet compares processor sets regardless of order.
-func sameSet(a, b []int) bool {
+// sameSet compares processor sets regardless of order. b must be a set
+// validSet accepted: a then matches it exactly when each of its
+// elements claims a distinct processor of b.
+func (s *stamp) sameSet(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	as := append([]int(nil), a...)
-	bs := append([]int(nil), b...)
-	sort.Ints(as)
-	sort.Ints(bs)
-	for i := range as {
-		if as[i] != bs[i] {
+	g := s.next()
+	for _, p := range b {
+		s.mark[p] = g
+	}
+	for _, p := range a {
+		if p < 0 || p >= len(s.mark) || s.mark[p] != g {
 			return false
 		}
+		s.mark[p] = 0 // claimed
 	}
 	return true
 }

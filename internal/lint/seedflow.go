@@ -105,6 +105,9 @@ func isPointerExtraction(p *Package, call *ast.CallExpr) bool {
 
 // Run implements Check.
 func (*SeedflowCheck) Run(p *Package, rep *Reporter) {
+	if !seedflowSpec.canFind(p) {
+		return // no nondeterministic origin or no RNG seed
+	}
 	ta := NewTaintAnalysis(p, seedflowSpec)
 	ta.Findings(TaintTime|TaintMapIter|TaintPointer, func(pos token.Pos, t Taint, sink string) {
 		rep.Reportf(pos,

@@ -160,6 +160,39 @@ func joinEnv(dst, src taintEnv) (taintEnv, bool) {
 	return dst, changed
 }
 
+// canFind reports whether the package holds both a taint source (a
+// call or range statement the spec classifies; any package, if the
+// spec has an AssignSource, which this scan does not try) and a sink.
+// Summaries are per package, so without a source no value carries a
+// taint kind, and without a sink nothing is reported: Findings can
+// find nothing.
+func (spec *TaintSpec) canFind(p *Package) bool {
+	source, sink := spec.AssignSource != nil, false
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				source = source || spec.CallSource != nil && spec.CallSource(p, n) != 0
+				if !sink && spec.SinkCall != nil {
+					args, _ := spec.SinkCall(p, n)
+					sink = args != nil
+				}
+			case *ast.RangeStmt:
+				source = source || spec.RangeSource != nil && spec.RangeSource(p, n) != 0
+			case *ast.CompositeLit:
+				if !sink && spec.SinkComposite != nil {
+					_, sink = spec.SinkComposite(p, n)
+				}
+			}
+			return !(source && sink)
+		})
+		if source && sink {
+			return true
+		}
+	}
+	return false
+}
+
 // NewTaintAnalysis computes interprocedural summaries for every function
 // in the package under the given spec.
 func NewTaintAnalysis(p *Package, spec *TaintSpec) *TaintAnalysis {

@@ -167,6 +167,9 @@ func allArgs(call *ast.CallExpr) []int {
 
 // Run implements Check.
 func (*TimetaintCheck) Run(p *Package, rep *Reporter) {
+	if !timetaintSpec.canFind(p) {
+		return // no timing read or no run-identity sink: nothing can leak
+	}
 	ta := NewTaintAnalysis(p, timetaintSpec)
 	ta.Findings(TaintTime, func(pos token.Pos, t Taint, sink string) {
 		rep.Reportf(pos,

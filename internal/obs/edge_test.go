@@ -18,10 +18,10 @@ import (
 // same-instant burst into one settled row.
 func requireMonotoneSamples(t *testing.T, s *Sampler) {
 	t.Helper()
-	for i := 1; i < len(s.Samples); i++ {
-		if s.Samples[i].Time <= s.Samples[i-1].Time {
+	for i := 1; i < s.Len(); i++ {
+		if s.At(i).Time <= s.At(i-1).Time {
 			t.Fatalf("samples not strictly increasing: sample %d at t=%d after t=%d",
-				i, s.Samples[i].Time, s.Samples[i-1].Time)
+				i, s.At(i).Time, s.At(i-1).Time)
 		}
 	}
 }
@@ -79,11 +79,11 @@ func TestSinksOnSingleJobRun(t *testing.T) {
 			counters.String())
 	}
 	requireMonotoneSamples(t, sampler)
-	if len(sampler.Samples) < 2 {
+	if sampler.Len() < 2 {
 		t.Fatalf("sampler recorded %d samples, want at least start and finish instants",
-			len(sampler.Samples))
+			sampler.Len())
 	}
-	first, last := sampler.Samples[0], sampler.Samples[len(sampler.Samples)-1]
+	first, last := sampler.At(0), sampler.At(sampler.Len()-1)
 	if first.Time != 0 || first.Busy != 2 || first.Running != 1 {
 		t.Fatalf("first sample %+v, want job running on 2 processors at t=0", first)
 	}
@@ -94,8 +94,8 @@ func TestSinksOnSingleJobRun(t *testing.T) {
 	if err := sampler.WriteCSV(&buf); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
 	}
-	if lines := strings.Count(buf.String(), "\n"); lines != len(sampler.Samples)+1 {
-		t.Fatalf("CSV has %d lines for %d samples", lines, len(sampler.Samples))
+	if lines := strings.Count(buf.String(), "\n"); lines != sampler.Len()+1 {
+		t.Fatalf("CSV has %d lines for %d samples", lines, sampler.Len())
 	}
 }
 
@@ -131,8 +131,8 @@ func TestSinksConsistentWhenAllProcessorsFail(t *testing.T) {
 		t.Fatalf("unfinishable run recorded %d finishes", counters.Finishes)
 	}
 	requireMonotoneSamples(t, sampler)
-	for i, smp := range sampler.Samples {
-		if smp.Busy < 0 || smp.Busy > tr.Procs {
+	for i := range sampler.Len() {
+		if smp := sampler.At(i); smp.Busy < 0 || smp.Busy > tr.Procs {
 			t.Fatalf("sample %d busy=%d outside machine of %d", i, smp.Busy, tr.Procs)
 		}
 	}

@@ -133,11 +133,11 @@ func TestSamplerCoalescesInstants(t *testing.T) {
 	s.Observe(sched.Event{Entry: sched.Entry{Time: 10}, Busy: 2, Queued: 1})
 	s.Observe(sched.Event{Entry: sched.Entry{Time: 10}, Busy: 4, Queued: 0}) // same instant: overwrite
 	s.Observe(sched.Event{Entry: sched.Entry{Time: 20}, Busy: 4})
-	if len(s.Samples) != 2 {
-		t.Fatalf("%d samples, want 2 (coalesced)", len(s.Samples))
+	if s.Len() != 2 {
+		t.Fatalf("%d samples, want 2 (coalesced)", s.Len())
 	}
-	if s.Samples[0].Busy != 4 || s.Samples[0].Queued != 0 {
-		t.Fatalf("instant 10 kept %+v, want the settled state", s.Samples[0])
+	if s.At(0).Busy != 4 || s.At(0).Queued != 0 {
+		t.Fatalf("instant 10 kept %+v, want the settled state", s.At(0))
 	}
 }
 

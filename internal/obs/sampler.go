@@ -1,11 +1,13 @@
 package obs
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"math/bits"
 	"strconv"
 
+	"pjs/internal/decimal"
 	"pjs/internal/sched"
 )
 
@@ -20,15 +22,31 @@ type Sample struct {
 	MaxQueuedXFactor float64
 }
 
+// row is a Sample as the Sampler stores it: 32 bytes, the counts as
+// int32.
+type row struct {
+	time                             int64
+	busy, queued, running, suspended int32
+	xfactor                          float64
+}
+
+// chunkRows is the number of rows in one chunk: 1024 rows of 32 bytes,
+// the largest small-object size.
+const chunkRows = 1024
+
 // Sampler records a Sample at every engine event, coalescing events
 // that share a virtual instant into the last (settled) state of that
 // instant. It implements sched.Observer.
+//
+// The rows live in fixed-size chunks that are allocated as the series
+// grows and never copied.
 type Sampler struct {
 	// Procs is the machine size, the denominator of the utilization
 	// column.
 	Procs int
-	// Samples is the recorded series, strictly increasing in Time.
-	Samples []Sample
+
+	chunks []*[chunkRows]row
+	n      int // rows recorded
 }
 
 // NewSampler returns an empty sampler for a machine of the given size.
@@ -36,78 +54,161 @@ func NewSampler(procs int) *Sampler {
 	return &Sampler{Procs: procs}
 }
 
-// Observe implements sched.Observer.
-func (s *Sampler) Observe(ev sched.Event) {
-	smp := Sample{
-		Time:             ev.Time,
-		Busy:             ev.Busy,
-		Queued:           ev.Queued,
-		Running:          ev.Running,
-		Suspended:        ev.Suspended,
-		MaxQueuedXFactor: ev.MaxQueuedXFactor,
+// Len returns the number of recorded rows.
+func (s *Sampler) Len() int { return s.n }
+
+// At returns row i of the series, which is strictly increasing in Time.
+func (s *Sampler) At(i int) Sample {
+	if i < 0 || i >= s.n {
+		panic(fmt.Sprintf("obs: Sampler.At(%d) out of range [0,%d)", i, s.n))
 	}
-	if n := len(s.Samples); n > 0 && s.Samples[n-1].Time == ev.Time {
-		s.Samples[n-1] = smp
-		return
+	r := s.slot(i)
+	return Sample{
+		Time: r.time, Busy: int(r.busy), Queued: int(r.queued), Running: int(r.running),
+		Suspended: int(r.suspended), MaxQueuedXFactor: r.xfactor,
 	}
-	s.Samples = append(s.Samples, smp)
 }
 
-// WriteCSV emits the series as CSV, one Write per row. Every write
-// error is propagated: a truncated time series must fail loudly, not
-// plot plausibly.
+// slot returns the storage of row i.
+func (s *Sampler) slot(i int) *row {
+	return &s.chunks[i/chunkRows][i%chunkRows]
+}
+
+// Observe implements sched.Observer. It panics on a count that does
+// not fit in int32 rather than record a wrong one.
+func (s *Sampler) Observe(ev sched.Event) {
+	r := row{
+		time:      ev.Time,
+		busy:      count("busy", ev.Busy),
+		queued:    count("queued", ev.Queued),
+		running:   count("running", ev.Running),
+		suspended: count("suspended", ev.Suspended),
+		xfactor:   ev.MaxQueuedXFactor,
+	}
+	if s.n > 0 && s.slot(s.n-1).time == ev.Time {
+		*s.slot(s.n - 1) = r
+		return
+	}
+	if s.n%chunkRows == 0 {
+		s.chunks = append(s.chunks, new([chunkRows]row))
+	}
+	*s.slot(s.n) = r
+	s.n++
+}
+
+// count narrows a census count to the row's int32.
+func count(name string, v int) int32 {
+	if v > math.MaxInt32 || v < math.MinInt32 {
+		panic(fmt.Sprintf("obs: Sampler %s count %d does not fit in int32", name, v))
+	}
+	return int32(v)
+}
+
+// csvHeader is the first line of WriteCSV's output.
+const csvHeader = "time,busy,utilization,queued,running,suspended,max_queued_xfactor\n"
+
+// WriteCSV emits the series as CSV, one Write per row. A writer with a
+// Grow(int) method (bytes.Buffer, strings.Builder) is first grown by
+// the exact byte count. Every write error is propagated: a truncated
+// time series must fail loudly, not plot plausibly.
 func (s *Sampler) WriteCSV(w io.Writer) error {
-	if _, err := io.WriteString(w,
-		"time,busy,utilization,queued,running,suspended,max_queued_xfactor\n"); err != nil {
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(s.csvLen())
+	}
+	if _, err := io.WriteString(w, csvHeader); err != nil {
 		return err
 	}
-	row := make([]byte, 0, 128)
-	for _, smp := range s.Samples {
-		u := 0.0
-		if s.Procs > 0 {
-			u = float64(smp.Busy) / float64(s.Procs)
-		}
-		row = strconv.AppendInt(row[:0], smp.Time, 10)
-		row = append(row, ',')
-		row = strconv.AppendInt(row, int64(smp.Busy), 10)
-		row = append(row, ',')
-		row = appendFixed6(row, u)
-		row = append(row, ',')
-		row = strconv.AppendInt(row, int64(smp.Queued), 10)
-		row = append(row, ',')
-		row = strconv.AppendInt(row, int64(smp.Running), 10)
-		row = append(row, ',')
-		row = strconv.AppendInt(row, int64(smp.Suspended), 10)
-		row = append(row, ',')
-		row = appendFixed6(row, smp.MaxQueuedXFactor)
-		row = append(row, '\n')
-		if _, err := w.Write(row); err != nil {
+	line := make([]byte, 0, 128)
+	for i := range s.n {
+		r := s.slot(i)
+		line = strconv.AppendInt(line[:0], r.time, 10)
+		line = append(line, ',')
+		line = strconv.AppendInt(line, int64(r.busy), 10)
+		line = append(line, ',')
+		line = appendFixed6(line, s.utilization(r))
+		line = append(line, ',')
+		line = strconv.AppendInt(line, int64(r.queued), 10)
+		line = append(line, ',')
+		line = strconv.AppendInt(line, int64(r.running), 10)
+		line = append(line, ',')
+		line = strconv.AppendInt(line, int64(r.suspended), 10)
+		line = append(line, ',')
+		line = appendFixed6(line, r.xfactor)
+		line = append(line, '\n')
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// utilization is row r's busy share of the machine, 0 without a
+// machine size.
+func (s *Sampler) utilization(r *row) float64 {
+	if s.Procs > 0 {
+		return float64(r.busy) / float64(s.Procs)
+	}
+	return 0
+}
+
+// csvLen is the byte count of WriteCSV's output.
+func (s *Sampler) csvLen() int {
+	n := len(csvHeader)
+	for i := range s.n {
+		r := s.slot(i)
+		n += len(",,,,,,\n") + decimal.Len(r.time) + decimal.Len(int64(r.busy)) +
+			fixed6Len(s.utilization(r)) + decimal.Len(int64(r.queued)) +
+			decimal.Len(int64(r.running)) + decimal.Len(int64(r.suspended)) + fixed6Len(r.xfactor)
+	}
+	return n
+}
+
 // appendFixed6 appends v with six decimals, byte-identical to
 // strconv.AppendFloat(dst, v, 'f', 6, 64), which sends every fixed
-// precision to its big-decimal path. For positive normal v below 2⁵² it
-// splits v = mant/2^s into integer and fractional bits, multiplies the
-// fraction by 10⁶ in 128 bits and rounds half to even on the exact
-// remainder. +0, the value of every idle or empty-queue sample, is
-// written directly. Negative numbers, −0, subnormals, NaN, ±Inf and
-// values from 2⁵² up go to strconv.
+// precision to its big-decimal path. The values fixed6 splits are
+// written from their parts; the others go to strconv.
 func appendFixed6(dst []byte, v float64) []byte {
+	ip, q, ok := fixed6(v)
+	if !ok {
+		return strconv.AppendFloat(dst, v, 'f', 6, 64)
+	}
+	dst = strconv.AppendUint(dst, ip, 10)
+	dst = append(dst, '.', '0', '0', '0', '0', '0', '0')
+	for i := len(dst) - 1; q > 0; i-- {
+		dst[i] = byte('0' + q%10)
+		q /= 10
+	}
+	return dst
+}
+
+// fixed6Len is len(appendFixed6(nil, v)).
+func fixed6Len(v float64) int {
+	ip, _, ok := fixed6(v)
+	if !ok {
+		var buf [32]byte
+		return len(strconv.AppendFloat(buf[:0], v, 'f', 6, 64))
+	}
+	return decimal.ULen(ip) + len(".000000")
+}
+
+// fixed6 splits v into its integer part ip and its six decimals q,
+// rounded half to even, with ok true, for +0 and for positive normal v
+// below 2⁵². It splits v = mant/2^s into integer and fractional bits,
+// multiplies the fraction by 10⁶ in 128 bits and rounds on the exact
+// remainder. +0 is the value of every idle or empty-queue sample.
+// Negative numbers, −0, subnormals, NaN, ±Inf and values from 2⁵² up
+// give ok false.
+func fixed6(v float64) (ip, q uint64, ok bool) {
 	b := math.Float64bits(v)
 	if b == 0 {
-		return append(dst, "0.000000"...)
+		return 0, 0, true
 	}
 	e := uint(b>>52) & 0x7ff
 	if b>>63 != 0 || e == 0 || e >= 1023+52 {
-		return strconv.AppendFloat(dst, v, 'f', 6, 64)
+		return 0, 0, false
 	}
 	mant := b&(1<<52-1) | 1<<52
 	s := 1023 + 52 - e // v = mant / 2^s, 1 <= s <= 1074
-	var ip, q uint64
 	switch {
 	case s < 64:
 		ip = mant >> s
@@ -120,13 +221,7 @@ func appendFixed6(dst []byte, v float64) []byte {
 	if q == 1_000_000 {
 		ip, q = ip+1, 0
 	}
-	dst = strconv.AppendUint(dst, ip, 10)
-	dst = append(dst, '.', '0', '0', '0', '0', '0', '0')
-	for i := len(dst) - 1; q > 0; i-- {
-		dst[i] = byte('0' + q%10)
-		q /= 10
-	}
-	return dst
+	return ip, q, true
 }
 
 // roundShift returns frac·10⁶ / 2^s rounded half to even, for

@@ -260,7 +260,8 @@ func RunContext(ctx context.Context, t *workload.Trace, s Scheduler, opt Options
 		env.Cluster.SetAllocPolicy(cluster.BestFitContiguous)
 	}
 	if opt.Audit {
-		env.Audit = &AuditLog{Procs: t.Procs}
+		// A finished job logs at least its arrival, start and finish.
+		env.Audit = &AuditLog{Procs: t.Procs, Entries: make([]Entry, 0, 3*len(t.Jobs))}
 	}
 	if opt.Checkpoint != nil || opt.Resume != nil {
 		env.hashOn = true

@@ -56,7 +56,9 @@ type Scheduler interface {
 	// pending resumes whose image survives elsewhere, which stay
 	// Suspended. The policy must take these jobs back into its own
 	// bookkeeping — for a policy that tracks no per-job state, treating
-	// them like fresh arrivals is the correct default.
+	// them like fresh arrivals is the correct default. The slice is the
+	// driver's reused buffer, valid only during the call: a policy that
+	// keeps the jobs copies them out.
 	OnFailure(p int, requeued []*job.Job)
 	// OnRepair is called after processor p returned to service, so the
 	// policy can schedule onto the recovered capacity.
@@ -224,6 +226,10 @@ type Env struct {
 	tally   Tally
 	prevAct Action
 	procBuf [1]int
+
+	// requeued backs the displaced-job list handed to OnFailure, reused
+	// from one failure to the next.
+	requeued []*job.Job
 
 	// Job-state census for observer snapshots and the postmortem,
 	// maintained on every transition. nQueued counts the arrived jobs
@@ -605,7 +611,8 @@ func (e *Env) ioRetry(j *job.Job) {
 func (e *Env) failIOTerminal(j *job.Job, p int) {
 	e.failKill(j)
 	e.activatePending()
-	e.sched.OnFailure(p, []*job.Job{j})
+	e.requeued = append(e.requeued[:0], j)
+	e.sched.OnFailure(p, e.requeued)
 }
 
 // failKill kills j, Running or Suspending, back to the queue: its
@@ -681,7 +688,7 @@ func (e *Env) procFail(p int) {
 	e.Cluster.Fail(now, p)
 	e.record(e.procEvent(ActProcFail, p))
 
-	var requeued []*job.Job
+	requeued := e.requeued[:0]
 	// Abort pending starts whose claimed set includes p. The claim can
 	// never be satisfied while p is down (ClaimReady refuses down
 	// processors), and after a repair the machine state has moved on —
@@ -728,6 +735,7 @@ func (e *Env) procFail(p int) {
 		requeued = append(requeued, j)
 	}
 	requeued = dedupeJobs(requeued)
+	e.requeued = requeued
 
 	if e.faults.Permanent() {
 		// The machine never recovers: a job wider than the survivors can
