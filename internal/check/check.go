@@ -296,10 +296,16 @@ func Check(log *sched.AuditLog, opt Options) error {
 	if len(stranded) > 0 {
 		return fmt.Errorf("check: job %d kept its suspended image on failed processor %d", stranded[0], strandedOn)
 	}
+	// Name the lowest unfinished ID, so that the message does not depend
+	// on the map's order.
+	unfinished := -1
 	for id, t := range jobs {
-		if t.state != stFinished {
-			return fmt.Errorf("check: job %d ended in state %d, want finished", id, t.state)
+		if t.state != stFinished && (unfinished == -1 || id < unfinished) {
+			unfinished = id
 		}
+	}
+	if unfinished != -1 {
+		return fmt.Errorf("check: job %d ended in state %d, want finished", unfinished, jobs[unfinished].state)
 	}
 	for p, o := range owner {
 		if o != -1 {

@@ -64,6 +64,23 @@ func mustFail(t *testing.T, b *logBuilder, opt Options, substr string) {
 	}
 }
 
+// TestCheckUnfinishedNamesLowestID pins the end-of-log error on a log
+// with several unfinished jobs: it must name the lowest unfinished ID
+// on every check, not whichever job the map's order yields first.
+func TestCheckUnfinishedNamesLowestID(t *testing.T) {
+	b := newLog(4)
+	for _, id := range []int{9, 4, 17, 6, 12, 5} {
+		b.add(0, sched.ActArrive, id, nil, 2, 100, 0)
+	}
+	const want = "check: job 4 ended in state 1, want finished"
+	for i := 0; i < 50; i++ {
+		err := Check(&b.log, Options{})
+		if err == nil || err.Error() != want {
+			t.Fatalf("check %d: error %v, want %q", i, err, want)
+		}
+	}
+}
+
 func TestCheckOversubscription(t *testing.T) {
 	b := newLog(4)
 	b.add(0, sched.ActArrive, 1, nil, 2, 100, 0)

@@ -20,10 +20,52 @@ import (
 // remembered set is free, any other job that fits in the free
 // processors. The rule is written out here rather than shared with the
 // policy, so that a wrong filter in the pass cannot agree with itself.
+//
+// At every tick it also checks the kept quiet-tick state: the horizon
+// must equal the one refHorizon computes from nothing, and no idle job
+// that the preemption routine's precheck (shortOf) rejects may be one
+// whose victim selection would commit.
 type passMaximal struct {
 	*Sched
-	t     testing.TB
-	hooks int
+	t      testing.TB
+	hooks  int
+	ticks  int
+	shorts int
+	ref    refHorizon
+}
+
+func (m *passMaximal) OnTick() {
+	m.ticks++
+	now := m.env.Now()
+	want := m.ref.horizon(m.Sched, now)
+	if got := m.horizon(now); got != want {
+		m.t.Fatalf("at %d: horizon %d, reference %d", now, got, want)
+	}
+	m.checkShort(now)
+	m.Sched.OnTick()
+}
+
+// checkShort fails t if the precheck rejects an idle job for which the
+// victim selection of the preemption routine, run now, would commit.
+func (m *passMaximal) checkShort(now int64) {
+	free := m.env.Cluster.FreeUnclaimed()
+	for _, j := range m.queue {
+		reentry := m.reenters(j)
+		if (!reentry && j.Procs <= free) || !m.shortOf(j, now) {
+			continue
+		}
+		m.shorts++
+		var victims []*job.Job
+		var ok bool
+		if reentry {
+			victims, ok = m.reentryVictims(j, now)
+		} else {
+			victims, ok = m.freshVictims(j, now, free)
+		}
+		if ok && len(victims) > 0 {
+			m.t.Fatalf("at %d: precheck rejects %v, but its selection would suspend %d jobs", now, j, len(victims))
+		}
+	}
 }
 
 func (m *passMaximal) OnArrival(j *job.Job)     { m.Sched.OnArrival(j); m.check("arrival") }
@@ -72,7 +114,8 @@ var maximalModes = []struct {
 // migratable SS:2 under each fault mode, that the event's schedule pass
 // started every idle job that fits: the pass sorts and serves only the
 // jobs that fit when it begins, and this is the property that makes
-// that exact.
+// that exact. At every tick it checks the kept horizon against the
+// reference and the precheck against the victim selection.
 func TestPassMaximal(t *testing.T) {
 	tr := ctcAtLoad(1000, 1, 2)
 	configs := []struct {
@@ -105,7 +148,10 @@ func TestPassMaximal(t *testing.T) {
 				if mode.transient.HealthWindow != 0 && res.IORestores == 0 {
 					t.Fatal("no processor was restored to I/O health")
 				}
-				t.Logf("%d hooks checked", m.hooks)
+				if m.shorts == 0 {
+					t.Fatal("the precheck rejected no job; it is untested")
+				}
+				t.Logf("%d hooks and %d ticks checked, %d precheck rejections", m.hooks, m.ticks, m.shorts)
 			})
 		}
 	}
@@ -114,7 +160,8 @@ func TestPassMaximal(t *testing.T) {
 // FuzzPassMaximal runs an SS variant over a small trace decoded from
 // the input, optionally under processor failures, and requires that the
 // run finishes within its step bound, that its audit log passes the
-// invariant checker, and that every event's schedule pass is maximal
+// invariant checker, that every event's schedule pass is maximal, and
+// that every tick's horizon and precheck agree with the reference
 // (passMaximal).
 //
 // The input is a header of three bytes — machine size (1..16), variant

@@ -118,6 +118,62 @@ func TestPassWithoutStartAllocatesNothing(t *testing.T) {
 	}
 }
 
+// cycleAllocs wraps an SS scheduler and, after each suspend-done hook
+// that leaves the job suspended and idle beside other idle jobs,
+// measures the allocations of the kept quiet-tick state's part of a
+// resume and suspend-done cycle of that job: a horizon after the job
+// resumed, which drops its reentry need and unlinks it from the cover
+// index, then a horizon after it is suspended again, which adds the
+// need back. The job's state is switched by hand, and restored, so the
+// run goes on unchanged.
+type cycleAllocs struct {
+	*Sched
+	without  []*job.Job
+	measured int
+	dropped  bool
+	worst    float64
+}
+
+func (w *cycleAllocs) OnSuspendDone(j *job.Job) {
+	w.Sched.OnSuspendDone(j)
+	if j.State != job.Suspended || !sched.Contains(w.queue, j) || len(w.queue) < 2 {
+		return
+	}
+	now := w.env.Now()
+	w.horizon(now) // j's need now exists
+	queue := w.queue
+	w.without = sched.Remove(append(w.without[:0], queue...), j)
+	cycle := func() {
+		w.queue, j.State = w.without, job.Running // resumed
+		w.horizon(now)
+		w.dropped = w.dropped || w.hz.find(j) < 0
+		w.queue, j.State = queue, job.Suspended // suspended again
+		w.enteredIdle(j)
+		w.horizon(now)
+	}
+	w.measured++
+	w.worst = max(w.worst, testing.AllocsPerRun(5, cycle))
+	if w.hz.find(j) < 0 {
+		panic("the cycle lost the job's reentry need")
+	}
+}
+
+// TestSuspendResumeCycleAllocatesNothing pins the storage reuse of the
+// kept reentry needs: once warmed, a suspended job's resume and next
+// suspend-done allocate nothing in the horizon, so a need and its cover
+// links come from storage that an earlier need freed.
+func TestSuspendResumeCycleAllocatesNothing(t *testing.T) {
+	w := &cycleAllocs{Sched: New(Config{SF: 2})}
+	sched.Run(ctcAtLoad(300, 1, 2), w, sched.Options{})
+	if w.measured == 0 || !w.dropped {
+		t.Fatalf("measured %d cycles (need dropped: %v); the trace no longer exercises the cycle", w.measured, w.dropped)
+	}
+	t.Logf("measured %d cycles", w.measured)
+	if w.worst != 0 {
+		t.Fatalf("a suspend-done and resume cycle allocated %v times, want 0", w.worst)
+	}
+}
+
 // tickCount counts the OnTick calls the driver makes and, as an
 // observer, the tick heartbeats it records.
 type tickCount struct {

@@ -16,10 +16,7 @@
 package ss
 
 import (
-	"cmp"
 	"fmt"
-	"math"
-	"slices"
 
 	"pjs/internal/core"
 	"pjs/internal/job"
@@ -71,22 +68,8 @@ type Sched struct {
 	ord     job.Order
 	healthy []*job.Job
 
-	// Quiet-tick scratch, rebuilt by scanRunning for each horizon:
-	// victims are the suspendable running jobs, in ascending xfactor
-	// once sorted is set, holderX maps each processor to the xfactor of
-	// its Running holder (+Inf when that holder is not suspendable, -1
-	// when there is none), and needByWidth memoizes freshNeed (-1 = not
-	// computed) while sorted is set.
-	victims     []victimX
-	sorted      bool
-	holderX     []float64
-	needByWidth []float64
-}
-
-// victimX is a suspendable running job with its xfactor at the horizon.
-type victimX struct {
-	x float64
-	j *job.Job
+	// hz is the quiet-tick state kept between horizons (horizon.go).
+	hz horizonState
 }
 
 // New returns an SS or TSS scheduler for the given configuration.
@@ -125,8 +108,12 @@ func (s *Sched) Name() string {
 // processors (the migratable model) instead of their remembered set.
 func (s *Sched) Migrates() bool { return s.cfg.Migration }
 
-// Init implements sched.Scheduler.
-func (s *Sched) Init(env *sched.Env) { s.env = env }
+// Init implements sched.Scheduler. It drops any state kept from an
+// earlier run.
+func (s *Sched) Init(env *sched.Env) {
+	s.env = env
+	s.hz = horizonState{}
+}
 
 // TickInterval implements sched.Scheduler: the preemption routine runs
 // every minute (Section IV-B).
@@ -156,6 +143,7 @@ func (s *Sched) OnCompletion(j *job.Job) {
 // queue and will reenter via the preemption routine or a free set.
 func (s *Sched) OnSuspendDone(j *job.Job) {
 	s.queue = append(s.queue, j)
+	s.enteredIdle(j)
 	s.schedulePass()
 }
 
@@ -189,9 +177,19 @@ func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 		s.running = sched.Remove(s.running, j)
 		if !sched.Contains(s.queue, j) {
 			s.queue = append(s.queue, j)
+			s.enteredIdle(j)
 		}
 	}
 	s.schedulePass()
+}
+
+// enteredIdle notes idle job j for the next horizon when it is a
+// suspended job under local restart, whose reentry need the horizon
+// keeps.
+func (s *Sched) enteredIdle(j *job.Job) {
+	if s.reenters(j) {
+		s.hz.entered = append(s.hz.entered, j)
+	}
 }
 
 // OnRepair implements sched.Scheduler: recovered capacity is offered to
@@ -272,7 +270,7 @@ func (s *Sched) preemptionPass() {
 	kept := s.idle[:0]
 	for _, j := range s.idle {
 		var committed bool
-		if j.State == job.Suspended && !s.cfg.Migration {
+		if s.reenters(j) {
 			committed = s.tryReentry(j, now)
 		} else {
 			// Under migration a suspended job competes for any
@@ -295,22 +293,11 @@ func (s *Sched) tryPreempt(j *job.Job, now int64) bool {
 	if free >= j.Procs {
 		return false // schedulePass will start it without suspending anyone
 	}
-	span := s.env.Probe().Begin()
-	cands := s.running
-	if s.env.IOHealthActive() {
-		// Degraded-mode preemption: jobs on processors over the
-		// transient-I/O failure threshold are not victim candidates —
-		// their image write would likely fail. As failure rates rise the
-		// candidate pool empties and SS degrades toward pure backfilling.
-		s.healthy = s.healthy[:0]
-		for _, r := range cands {
-			if s.env.SetIOHealthy(r.ProcSet) {
-				s.healthy = append(s.healthy, r)
-			}
-		}
-		cands = s.healthy
+	if s.shortOf(j, now) {
+		return false // no victims this tick can cover j
 	}
-	victims, ok := s.pol.SelectVictims(now, j, cands, free)
+	span := s.env.Probe().Begin()
+	victims, ok := s.freshVictims(j, now, free)
 	s.env.Probe().End(perf.PhaseVictimSelect, span)
 	if !ok || len(victims) == 0 {
 		return false
@@ -328,10 +315,46 @@ func (s *Sched) tryPreempt(j *job.Job, now int64) bool {
 	return true
 }
 
+// freshVictims selects the victims whose suspension, with the free
+// processors, starts idle job j.
+func (s *Sched) freshVictims(j *job.Job, now int64, free int) ([]*job.Job, bool) {
+	cands := s.running
+	if s.env.IOHealthActive() {
+		// Degraded-mode preemption: jobs on processors over the
+		// transient-I/O failure threshold are not victim candidates —
+		// their image write would likely fail. As failure rates rise the
+		// candidate pool empties and SS degrades toward pure backfilling.
+		s.healthy = s.healthy[:0]
+		for _, r := range cands {
+			if s.env.SetIOHealthy(r.ProcSet) {
+				s.healthy = append(s.healthy, r)
+			}
+		}
+		cands = s.healthy
+	}
+	return s.pol.SelectVictims(now, j, cands, free)
+}
+
 // tryReentry attempts to restart suspended job j on its remembered set
 // by suspending the set's current holders (suspend_jobs_2) and reports
 // whether it did.
 func (s *Sched) tryReentry(j *job.Job, now int64) bool {
+	if s.shortOf(j, now) {
+		return false // a holder of j's set is out of its reach this tick
+	}
+	span := s.env.Probe().Begin()
+	victims, ok := s.reentryVictims(j, now)
+	s.env.Probe().End(perf.PhaseVictimSelect, span)
+	if !ok || len(victims) == 0 {
+		return false // fully free sets are handled by schedulePass
+	}
+	s.commit(j, victims, j.ProcSet)
+	return true
+}
+
+// reentryVictims selects the holders of suspended job j's remembered
+// set to suspend so that j can restart on it.
+func (s *Sched) reentryVictims(j *job.Job, now int64) ([]*job.Job, bool) {
 	cl := s.env.Cluster
 	classify := func(proc int) (core.ReentryBlocked, *job.Job) {
 		owner := cl.Owner(proc)
@@ -353,183 +376,19 @@ func (s *Sched) tryReentry(j *job.Job, now int64) bool {
 		}
 		return core.ReentryPreemptible, holder
 	}
-	span := s.env.Probe().Begin()
-	victims, ok := s.pol.SelectReentryVictims(now, j, classify)
-	s.env.Probe().End(perf.PhaseVictimSelect, span)
-	if !ok || len(victims) == 0 {
-		return false // fully free sets are handled by schedulePass
-	}
-	s.commit(j, victims, j.ProcSet)
-	return true
-}
-
-// horizon returns a virtual time before which no tick's preemption
-// routine can commit a preemption, or now when this tick's may. The
-// state it reads — the running jobs and their suspension counts, TSS
-// limits, claims, ownership and I/O health — changes only at events,
-// and the driver forgets the horizon at each. Meanwhile idle xfactors
-// grow with time, and running ones stay put or grow (a restart read),
-// which only makes them harder to preempt. So no tick before the
-// earliest crossing, over the idle jobs, of SF times the xfactor each
-// needs can act. The schedule pass that follows the routine has nothing
-// to start either: the pass after the last event started all that fit.
-//
-// The horizon is one tick before that crossing, so float rounding in
-// CanPreempt can never make a skipped tick one that would have acted.
-//
-// horizon carries no //lint:allocfree contract: scanRunning sizes its
-// scratch with make and append, and freshNeed builds a comparator
-// closure for its sort. Of its helpers only reentryNeed is marked.
-func (s *Sched) horizon(now int64) int64 {
-	if len(s.queue) == 0 {
-		return math.MaxInt64 // nothing idle until an event
-	}
-	s.scanRunning(now)
-	if len(s.victims) == 0 {
-		return math.MaxInt64 // nothing to preempt until an event
-	}
-	tick := s.TickInterval()
-	free := s.env.Cluster.FreeUnclaimed()
-	minX := math.Inf(1) // no idle job needs less than the least victim xfactor
-	for _, v := range s.victims {
-		minX = min(minX, v.x)
-	}
-	best := int64(math.MaxInt64)
-	for _, j := range s.queue {
-		reentry := j.State == job.Suspended && !s.cfg.Migration
-		if !reentry && j.Procs <= free {
-			continue // fits without preemption, so takes no victims
-		}
-		if s.pol.Crossing(now, j, minX) >= best {
-			continue // cannot beat the best crossing so far
-		}
-		var need float64
-		if reentry {
-			need = s.reentryNeed(j, now, best)
-		} else {
-			need = s.freshNeed(j.Procs, free)
-		}
-		if d := s.pol.Crossing(now, j, need); d < best {
-			if d <= tick {
-				return now
-			}
-			best = d
-		}
-	}
-	if best == math.MaxInt64 {
-		return best
-	}
-	return now + best - tick
-}
-
-// scanRunning rebuilds the quiet-tick scratch from the running jobs at
-// time now, leaving the victims unsorted: only freshNeed reads their
-// order, and most horizons never call it.
-func (s *Sched) scanRunning(now int64) {
-	n := s.env.Cluster.Size()
-	if len(s.holderX) != n {
-		s.holderX = make([]float64, n)
-		s.needByWidth = make([]float64, n+1)
-	}
-	for p := range s.holderX {
-		s.holderX[p] = -1
-	}
-	s.victims = s.victims[:0]
-	s.sorted = false
-	for _, r := range s.running {
-		if r.State != job.Running {
-			continue // a committed pending start holds nothing yet
-		}
-		x := r.XFactor(now)
-		hx := math.Inf(1)
-		if s.pol.Suspendable(r, x) && s.env.SetIOHealthy(r.ProcSet) {
-			hx = x
-			s.victims = append(s.victims, victimX{x: x, j: r})
-		}
-		for _, p := range r.ProcSet {
-			s.holderX[p] = hx
-		}
-	}
-}
-
-// freshNeed returns the xfactor an idle job of width w that does not
-// fit in the free processors needs to commit a preemption: that of the
-// victim at which, in ascending xfactor, the free processors plus the
-// victims the half-width rule lets it suspend first cover w; +Inf when
-// they never do. The first call of a horizon sorts the victims.
-func (s *Sched) freshNeed(w, free int) float64 {
-	if !s.sorted {
-		slices.SortFunc(s.victims, func(a, b victimX) int {
-			if c := cmp.Compare(a.x, b.x); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.j.ID, b.j.ID)
-		})
-		for i := range s.needByWidth {
-			s.needByWidth[i] = -1
-		}
-		s.sorted = true
-	}
-	if need := s.needByWidth[w]; need >= 0 {
-		return need
-	}
-	need := math.Inf(1)
-	avail := free
-	for _, v := range s.victims {
-		if !s.cfg.DisableHalfWidthRule && v.j.Procs > 2*w {
-			continue
-		}
-		avail += v.j.Procs
-		if avail >= w {
-			need = v.x
-			break
-		}
-	}
-	s.needByWidth[w] = need
-	return need
-}
-
-// reentryNeed returns the xfactor suspended job j needs to reclaim its
-// remembered set: the largest xfactor among the set's holders; +Inf when
-// a processor of the set is claimed by another job or held by a job
-// that is not Running or not suspendable, or when nothing holds the set.
-// need only grows along the walk, so it stops early, returning the need
-// so far, once that alone puts the crossing no sooner than best.
-//
-//lint:allocfree always, a walk over the remembered set
-func (s *Sched) reentryNeed(j *job.Job, now, best int64) float64 {
-	cl := s.env.Cluster
-	need := 0.0
-	for _, p := range j.ProcSet {
-		x := s.holderX[p]
-		if x < 0 {
-			if cl.Owner(p) != -1 {
-				return math.Inf(1) // held by a job that is not Running
-			}
-			if c := cl.Claimant(p); c != -1 && c != j.ID {
-				return math.Inf(1) // reserved for a pending start
-			}
-			continue
-		}
-		if x > need {
-			need = x
-			if s.pol.Crossing(now, j, need) >= best {
-				return need
-			}
-		}
-	}
-	if need == 0 {
-		return math.Inf(1)
-	}
-	return need
+	return s.pol.SelectReentryVictims(now, j, classify)
 }
 
 // commit removes j from the idle queue, books the victims out of the
-// running list and hands the preemption to the environment.
+// running list and hands the preemption to the environment. The claim
+// and the victims block their sets until the start and the suspensions
+// end; the next horizon writes them into the block map.
 func (s *Sched) commit(j *job.Job, victims []*job.Job, claim []int) {
 	for _, v := range victims {
 		s.running = sched.Remove(s.running, v)
+		s.hz.hard = append(s.hz.hard, hardRec{j: v, set: v.ProcSet})
 	}
+	s.hz.hard = append(s.hz.hard, hardRec{j: j, set: claim, claim: true})
 	s.queue = sched.Remove(s.queue, j)
 	s.running = append(s.running, j)
 	s.env.PreemptAndStart(j, victims, claim)
