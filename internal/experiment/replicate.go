@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"pjs/internal/metrics"
+	"pjs/internal/obs"
 	"pjs/internal/sched"
 	"pjs/internal/workload"
 )
@@ -45,13 +46,20 @@ func Replicate(base Config, seeds []int64, model string, est workload.EstimateMo
 	loadPct int, sc Scheme, oh bool, metric Metric) Replication {
 
 	values := make([]float64, len(seeds))
+	// Each seed's runner observes into a registry of its own; they are
+	// folded into base.Counters in seed order once all have finished.
+	regs := make([]*obs.Registry, len(seeds))
 	var wg sync.WaitGroup
 	for i, seed := range seeds {
+		if base.Counters != nil {
+			regs[i] = obs.NewRegistry()
+		}
 		wg.Add(1)
 		go func(i int, seed int64) {
 			defer wg.Done()
 			cfg := base
 			cfg.Seed = seed
+			cfg.Counters = regs[i]
 			r := NewRunner(cfg)
 			res := r.Result(model, est, loadPct, sc, oh)
 			sum := r.Summary(model, est, loadPct, sc, oh, metrics.All)
@@ -59,6 +67,11 @@ func Replicate(base Config, seeds []int64, model string, est workload.EstimateMo
 		}(i, seed)
 	}
 	wg.Wait()
+	for _, reg := range regs {
+		if reg != nil {
+			base.Counters.Merge(reg)
+		}
+	}
 
 	rep := Replication{Values: values}
 	n := float64(len(values))

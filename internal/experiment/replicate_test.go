@@ -2,8 +2,10 @@ package experiment
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"pjs/internal/obs"
 	"pjs/internal/workload"
 )
 
@@ -52,6 +54,34 @@ func TestReplicateAggregates(t *testing.T) {
 	empty := Replicate(Config{Jobs: 200}, nil, "SDSC", workload.EstimateAccurate, 100, NS(), false, OverallMeanSlowdown)
 	if empty.Mean != 0 || len(empty.Values) != 0 {
 		t.Error("empty seeds should aggregate to zero")
+	}
+}
+
+// TestReplicateCountersDeterministic runs Replicate twice with engine
+// counters on: the seeds run concurrently, each observed into a
+// registry of its own, so both snapshots must be equal, and each
+// scheme's arrivals must be seeds × jobs.
+func TestReplicateCountersDeterministic(t *testing.T) {
+	seeds := []int64{1, 2, 3, 4}
+	const jobs = 300
+	snapshot := func() []obs.Counters {
+		reg := obs.NewRegistry()
+		for _, sc := range []Scheme{NS(), IS(), SS(2)} {
+			Replicate(Config{Jobs: jobs, Counters: reg}, seeds, "SDSC", workload.EstimateAccurate, 100, sc, false, OverallMeanSlowdown)
+		}
+		return reg.Snapshot()
+	}
+	a, b := snapshot(), snapshot()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("counters differ between identical replications:\n%+v\n%+v", a, b)
+	}
+	if len(a) != 3 {
+		t.Fatalf("%d counter sets, want one per scheme", len(a))
+	}
+	for _, c := range a {
+		if c.Arrivals != int64(len(seeds)*jobs) {
+			t.Errorf("%s: %d arrivals, want %d", c.Scheduler, c.Arrivals, len(seeds)*jobs)
+		}
 	}
 }
 

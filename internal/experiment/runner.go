@@ -44,7 +44,8 @@ type Config struct {
 	// run's counts land on the first experiment that actually executes
 	// it; later experiments recalling the memoized result add nothing
 	// — and a run recalled from the MemoDir disk cache adds nothing
-	// either.
+	// either. Replicate gives each seed's runner a registry of its own
+	// and merges them into this one in seed order.
 	Counters *obs.Registry
 	// Faults enables deterministic processor fault injection for every
 	// simulation the runner executes (the zero value disables it). Part

@@ -192,6 +192,34 @@ func (c Counters) Minus(prev Counters) Counters {
 	return d
 }
 
+// Plus returns the count-wise sum c + o, for folding together the
+// counters of runs observed apart. MaxChainDepth is a high-water mark,
+// so the sum keeps the larger; the detection state is c's.
+func (c Counters) Plus(o Counters) Counters {
+	d := c
+	d.Arrivals += o.Arrivals
+	d.Starts += o.Starts
+	d.Resumes += o.Resumes
+	d.SuspendBegins += o.SuspendBegins
+	d.SuspendDones += o.SuspendDones
+	d.Finishes += o.Finishes
+	d.Kills += o.Kills
+	d.Ticks += o.Ticks
+	d.BackfillStarts += o.BackfillStarts
+	d.PreemptionWaves += o.PreemptionWaves
+	d.MaxChainDepth = max(c.MaxChainDepth, o.MaxChainDepth)
+	d.SuspendedImageBytes += o.SuspendedImageBytes
+	d.Tally = c.Tally.Plus(o.Tally)
+	for i := range d.PerCategory {
+		d.PerCategory[i].Starts += o.PerCategory[i].Starts
+		d.PerCategory[i].Resumes += o.PerCategory[i].Resumes
+		d.PerCategory[i].Suspensions += o.PerCategory[i].Suspensions
+		d.PerCategory[i].Kills += o.PerCategory[i].Kills
+		d.PerCategory[i].Finishes += o.PerCategory[i].Finishes
+	}
+	return d
+}
+
 // IsZero reports whether every count (ignoring the machine size and the
 // MaxChainDepth high-water mark) is zero — true for a scheduler a
 // snapshot delta did not touch. The per-category cells need no separate
@@ -283,7 +311,8 @@ func CountersTable(title string, cs []Counters) *report.Table {
 }
 
 // Registry keys one Counters per scheduler, in first-use order — the
-// shape the experiment harness needs when many runs share policies.
+// shape the experiment harness needs when many runs share policies. A
+// Registry must not be shared between concurrent runs (see Merge).
 type Registry struct {
 	order  []string
 	byName map[string]*Counters
@@ -304,6 +333,19 @@ func (r *Registry) For(scheduler string, procs int) *Counters {
 	r.byName[scheduler] = c
 	r.order = append(r.order, scheduler)
 	return c
+}
+
+// Merge adds the counts of every counter set of o to r's set for the
+// same scheduler, registering the scheduler on first use, in o's
+// registration order. Runs observed concurrently each get a registry of
+// their own and are merged in a fixed order afterwards, so the sums do
+// not depend on the schedule of the goroutines.
+func (r *Registry) Merge(o *Registry) {
+	for _, name := range o.order {
+		oc := o.byName[name]
+		c := r.For(name, oc.Procs)
+		*c = c.Plus(*oc)
+	}
 }
 
 // Snapshot returns copies of every counter set in registration order.

@@ -3,11 +3,15 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"pjs/internal/job"
 	"pjs/internal/sched"
+	"pjs/internal/sched/is"
+	"pjs/internal/sched/ss"
+	"pjs/internal/workload"
 )
 
 // ev builds a minimal event for the synthetic-stream tests.
@@ -126,6 +130,41 @@ func TestRegistryOrderAndReuse(t *testing.T) {
 		t.Fatalf("snapshot order %v, want registration order", snap)
 	}
 	_ = b
+}
+
+// TestRegistryMergeMatchesSerial observes runs of two policies on two
+// traces, once one after another into a single registry and once each
+// trace into a registry of its own, merged in trace order afterwards:
+// the snapshots must be equal, and the arrivals must add up.
+func TestRegistryMergeMatchesSerial(t *testing.T) {
+	policies := []func() sched.Scheduler{
+		func() sched.Scheduler { return ss.New(ss.Config{SF: 2}) },
+		func() sched.Scheduler { return is.New() },
+	}
+	serial, merged := NewRegistry(), NewRegistry()
+	arrivals := int64(0)
+	for seed := int64(1); seed <= 2; seed++ {
+		tr := workload.Generate(workload.SDSC(), workload.GenOptions{Jobs: 200, Seed: seed}).ScaleLoad(1.5)
+		arrivals += int64(len(tr.Jobs))
+		own := NewRegistry()
+		for _, p := range policies {
+			for _, reg := range []*Registry{serial, own} {
+				s := p()
+				sched.Run(tr, s, sched.Options{Observer: reg.For(s.Name(), tr.Procs)})
+			}
+		}
+		merged.Merge(own)
+	}
+	got, want := merged.Snapshot(), serial.Snapshot()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged counters %+v, serial %+v", got, want)
+	}
+	for _, c := range got {
+		if c.Arrivals != arrivals || c.SuspendBegins == 0 {
+			t.Fatalf("%s: %d arrivals and %d suspensions, want %d arrivals and some suspensions",
+				c.Scheduler, c.Arrivals, c.SuspendBegins, arrivals)
+		}
+	}
 }
 
 func TestSamplerCoalescesInstants(t *testing.T) {

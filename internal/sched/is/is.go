@@ -15,6 +15,7 @@ package is
 
 import (
 	"math"
+	"slices"
 
 	"pjs/internal/job"
 	"pjs/internal/perf"
@@ -31,8 +32,9 @@ type Sched struct {
 	running  []*job.Job // running or committed-to-run (pending)
 	sliceEnd map[int]int64
 
-	// Scratch reused across passes: the idle queue in serving order, the
-	// victim candidates, and the sort that orders both.
+	// Scratch reused across passes: the jobs a pass serves (the actors,
+	// in serving order), the victim candidates, and the sort that orders
+	// both.
 	idle  []*job.Job
 	cands []*job.Job
 	ord   job.Order
@@ -73,14 +75,16 @@ func (s *Sched) OnSuspendDone(j *job.Job) {
 	s.schedule()
 }
 
-// OnTick implements sched.Scheduler. Ticks before the horizon skip the
-// pass, which could not start, resume or suspend anything there.
+// OnTick implements sched.Scheduler. A tick whose pass has no actor
+// skips it until the horizon, before which none can appear.
 func (s *Sched) OnTick() {
 	now := s.env.Now()
-	if h := s.horizon(now); now < h && s.env.QuietUntil(h) {
+	if h := s.actors(now); now < h && s.env.QuietUntil(h) {
 		return
 	}
-	s.schedule()
+	span := s.env.Probe().Begin()
+	s.serve(now)
+	s.env.Probe().End(perf.PhaseQueueScan, span)
 }
 
 // OnFailure implements sched.Scheduler: displaced jobs leave the running
@@ -103,57 +107,81 @@ func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 // the idle queue immediately.
 func (s *Sched) OnRepair(int) { s.schedule() }
 
-// horizon returns the first time at which schedule() could start,
-// resume or suspend a job if no event arrives before then. Between
-// events the only input of schedule() that changes with time is which
-// running jobs are protected, and a slice ends at an integer sliceEnd
-// compared as now < end. So the horizon is now if some idle job could
-// act now: a suspended job's set is free, a queued job fits, or a
-// never-run job fits into the free processors plus the unprotected
-// running jobs it may suspend. Otherwise it is the earliest end of a
-// protected slice, when that capacity grows, or never. The last test
-// matters right after an acting pass too: a job resumed late in it runs
-// unprotected, so a never-run job served before it can preempt it at
-// the next tick.
-func (s *Sched) horizon(now int64) int64 {
+// actors collects into s.idle the idle jobs that can act now, in queue
+// order, and returns the horizon: the first time at which a pass could
+// start, resume or suspend a job if no event arrives before then. A job
+// acts when
+//
+//   - it is suspended and its remembered set is free (it resumes);
+//   - it is queued and fits in the free processors (it starts);
+//   - it has never run and fits into avail, the free processors plus
+//     the Running, unprotected, I/O-healthy jobs it may suspend (it
+//     gets its immediate slice by preemption).
+//
+// Capacity only shrinks during a pass: a resume moves its width from
+// free to unprotected running, a start or a commit takes processors
+// and protects them, and processors are freed only at events. So a job
+// that cannot act when the pass begins cannot act later in it, and the
+// pass serves only the actors.
+//
+// The horizon is now when some job acts. Otherwise the only input of
+// the pass that changes with time is which running jobs are protected,
+// and a slice ends at an integer sliceEnd compared as now < end: the
+// horizon is the earliest end of a protected slice, when avail grows,
+// or never when no never-run job waits (only those preempt).
+//
+//lint:allocfree scratch already holds len(queue) entries
+func (s *Sched) actors(now int64) int64 {
 	c := s.env.Cluster
 	free := c.FreeUnclaimed()
-	minQueued, minFresh := math.MaxInt, math.MaxInt
+	avail, end := -1, int64(math.MaxInt64) // avail < 0: not yet computed
+	idle := slices.Grow(s.idle[:0], len(s.queue))[:len(s.queue)]
+	n := 0
 	for _, j := range s.queue {
+		acts := false
 		switch {
 		case j.State == job.Suspended:
-			if c.SetFree(j.ID, j.ProcSet) {
-				return now // resumes
-			}
+			acts = c.SetFree(j.ID, j.ProcSet)
+		case j.Procs <= free:
+			acts = true
 		case j.FirstStart < 0:
-			minFresh = min(minFresh, j.Procs)
-			fallthrough
-		default:
-			minQueued = min(minQueued, j.Procs)
+			if avail < 0 {
+				avail, end = s.capacity(now, free)
+			}
+			acts = j.Procs <= avail
+		}
+		if acts {
+			idle[n] = j
+			n++
 		}
 	}
-	if minQueued <= free {
-		return now // starts without preemption
+	s.idle = idle[:n]
+	switch {
+	case n > 0:
+		return now
+	case avail < 0:
+		return math.MaxInt64 // no never-run job waits
 	}
-	if minFresh == math.MaxInt {
-		return math.MaxInt64 // only a never-run job preempts
-	}
-	h := int64(math.MaxInt64)
-	avail := free
+	return end
+}
+
+// capacity returns avail, the free processors plus the widths of the
+// Running, unprotected, I/O-healthy jobs a never-run job may suspend,
+// and the earliest end of a protected slice (math.MaxInt64 if none).
+// Pending starts are skipped: only an event can make them Running.
+func (s *Sched) capacity(now int64, free int) (avail int, end int64) {
+	avail, end = free, math.MaxInt64
 	for _, r := range s.running {
 		if r.State != job.Running {
-			continue // pending: only an event can make it Running
+			continue
 		}
-		if end, ok := s.sliceEnd[r.ID]; ok && now < end {
-			h = min(h, end)
+		if e, ok := s.sliceEnd[r.ID]; ok && now < e {
+			end = min(end, e)
 		} else if s.env.SetIOHealthy(r.ProcSet) {
 			avail += r.Procs
 		}
 	}
-	if minFresh <= avail {
-		return now // gets its immediate slice by preemption
-	}
-	return h
+	return avail, end
 }
 
 // protected reports whether v is inside its initial timeslice.
@@ -172,15 +200,26 @@ func (s *Sched) markStarted(j *job.Job, now int64) {
 	}
 }
 
-// schedule serves the idle queue in descending instantaneous-xfactor
-// order: resume suspended jobs whose set is free, start fresh jobs that
-// fit, and give never-run jobs their immediate slice by suspending the
-// lowest-ixf unprotected running jobs.
+// schedule is the pass of an event hook: it collects the actors and
+// serves them.
 func (s *Sched) schedule() {
 	span := s.env.Probe().Begin()
 	defer s.env.Probe().End(perf.PhaseQueueScan, span)
 	now := s.env.Now()
-	s.idle = append(s.idle[:0], s.queue...)
+	s.actors(now)
+	s.serve(now)
+}
+
+// serve serves s.idle in descending instantaneous-xfactor order:
+// resume suspended jobs whose set is free, start fresh jobs that fit,
+// and give never-run jobs their immediate slice by suspending the
+// lowest-ixf unprotected running jobs. The order is total, so serving
+// only the actors keeps the relative order a sort of the whole queue
+// gives them.
+func (s *Sched) serve(now int64) {
+	if len(s.idle) == 0 {
+		return
+	}
 	s.ord.Sort(s.idle, func(j *job.Job) (float64, int64) { return -j.InstantaneousXFactor(now), 0 })
 	for _, j := range s.idle {
 		switch {

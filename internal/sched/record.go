@@ -77,6 +77,21 @@ func (t Tally) Minus(prev Tally) Tally {
 	}
 }
 
+// Plus returns the count-wise sum t + o.
+func (t Tally) Plus(o Tally) Tally {
+	return Tally{
+		Failures:        t.Failures + o.Failures,
+		Repairs:         t.Repairs + o.Repairs,
+		FailKills:       t.FailKills + o.FailKills,
+		ImagesLost:      t.ImagesLost + o.ImagesLost,
+		LostWorkSeconds: t.LostWorkSeconds + o.LostWorkSeconds,
+		IORetries:       t.IORetries + o.IORetries,
+		IOExhaustions:   t.IOExhaustions + o.IOExhaustions,
+		IODegradations:  t.IODegradations + o.IODegradations,
+		IORestores:      t.IORestores + o.IORestores,
+	}
+}
+
 // jobEvent builds the record of action act on job j over procs.
 func jobEvent(act Action, j *job.Job, procs []int) Event {
 	return Event{

@@ -2,6 +2,7 @@ package ss
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"pjs/internal/check"
@@ -23,15 +24,15 @@ import (
 //
 // At every tick it also checks the kept quiet-tick state: the horizon
 // must equal the one refHorizon computes from nothing, and no idle job
-// that the preemption routine's precheck (shortOf) rejects may be one
-// whose victim selection would commit.
+// that the tick's filter drops may be one that can start without
+// preemption or whose victim selection would commit.
 type passMaximal struct {
 	*Sched
-	t      testing.TB
-	hooks  int
-	ticks  int
-	shorts int
-	ref    refHorizon
+	t     testing.TB
+	hooks int
+	ticks int
+	drops int
+	ref   refHorizon
 }
 
 func (m *passMaximal) OnTick() {
@@ -41,31 +42,47 @@ func (m *passMaximal) OnTick() {
 	if got := m.horizon(now); got != want {
 		m.t.Fatalf("at %d: horizon %d, reference %d", now, got, want)
 	}
-	m.checkShort(now)
+	m.checkDropped(now)
 	m.Sched.OnTick()
 }
 
-// checkShort fails t if the precheck rejects an idle job for which the
-// victim selection of the preemption routine, run now, would commit.
-func (m *passMaximal) checkShort(now int64) {
+// checkDropped runs the tick's filter (sortIdle) and fails t if it
+// drops an idle job that can start without preemption, or one for
+// which the victim selection of the preemption routine, run now, would
+// commit.
+func (m *passMaximal) checkDropped(now int64) {
+	m.sortIdle()
 	free := m.env.Cluster.FreeUnclaimed()
 	for _, j := range m.queue {
-		reentry := m.reenters(j)
-		if (!reentry && j.Procs <= free) || !m.shortOf(j, now) {
+		if slices.Contains(m.idle, j) {
 			continue
 		}
-		m.shorts++
+		m.drops++
+		if m.canStart(j) {
+			m.t.Fatalf("at %d: the tick drops %v, which can start without preemption", now, j)
+		}
 		var victims []*job.Job
 		var ok bool
-		if reentry {
+		if m.reenters(j) {
 			victims, ok = m.reentryVictims(j, now)
 		} else {
 			victims, ok = m.freshVictims(j, now, free)
 		}
 		if ok && len(victims) > 0 {
-			m.t.Fatalf("at %d: precheck rejects %v, but its selection would suspend %d jobs", now, j, len(victims))
+			m.t.Fatalf("at %d: the tick drops %v, but its selection would suspend %d jobs", now, j, len(victims))
 		}
 	}
+}
+
+// canStart reports whether idle job j can start without preemption: a
+// suspended job under local restart when its whole remembered set is
+// free, any other job when it fits in the free processors.
+func (m *passMaximal) canStart(j *job.Job) bool {
+	cl := m.env.Cluster
+	if j.State == job.Suspended && !m.cfg.Migration {
+		return cl.SetFree(j.ID, j.ProcSet)
+	}
+	return j.Procs <= cl.FreeUnclaimed()
 }
 
 func (m *passMaximal) OnArrival(j *job.Job)     { m.Sched.OnArrival(j); m.check("arrival") }
@@ -80,15 +97,10 @@ func (m *passMaximal) OnFailure(p int, requeued []*job.Job) {
 func (m *passMaximal) check(hook string) {
 	m.t.Helper()
 	m.hooks++
-	cl := m.env.Cluster
 	for _, j := range m.queue {
-		fits := j.Procs <= cl.FreeUnclaimed()
-		if j.State == job.Suspended && !m.cfg.Migration {
-			fits = cl.SetFree(j.ID, j.ProcSet)
-		}
-		if fits {
+		if m.canStart(j) {
 			m.t.Fatalf("at %d after %s: idle %v can start without preemption (%d processors free)",
-				m.env.Now(), hook, j, cl.FreeUnclaimed())
+				m.env.Now(), hook, j, m.env.Cluster.FreeUnclaimed())
 		}
 	}
 }
@@ -115,7 +127,8 @@ var maximalModes = []struct {
 // started every idle job that fits: the pass sorts and serves only the
 // jobs that fit when it begins, and this is the property that makes
 // that exact. At every tick it checks the kept horizon against the
-// reference and the precheck against the victim selection.
+// reference and runs the victim selection on every job the tick drops;
+// it fails if the tick drops none.
 func TestPassMaximal(t *testing.T) {
 	tr := ctcAtLoad(1000, 1, 2)
 	configs := []struct {
@@ -148,10 +161,10 @@ func TestPassMaximal(t *testing.T) {
 				if mode.transient.HealthWindow != 0 && res.IORestores == 0 {
 					t.Fatal("no processor was restored to I/O health")
 				}
-				if m.shorts == 0 {
-					t.Fatal("the precheck rejected no job; it is untested")
+				if m.drops == 0 {
+					t.Fatal("the tick dropped no job; its filter is untested")
 				}
-				t.Logf("%d hooks and %d ticks checked, %d precheck rejections", m.hooks, m.ticks, m.shorts)
+				t.Logf("%d hooks and %d ticks checked, %d jobs dropped at ticks", m.hooks, m.ticks, m.drops)
 			})
 		}
 	}
@@ -161,8 +174,8 @@ func TestPassMaximal(t *testing.T) {
 // the input, optionally under processor failures, and requires that the
 // run finishes within its step bound, that its audit log passes the
 // invariant checker, that every event's schedule pass is maximal, and
-// that every tick's horizon and precheck agree with the reference
-// (passMaximal).
+// that every tick's horizon agrees with the reference and drops no job
+// whose victim selection would commit (passMaximal).
 //
 // The input is a header of three bytes — machine size (1..16), variant
 // (kind in the low two bits, suspension factor above them), and fault

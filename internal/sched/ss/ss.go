@@ -61,8 +61,8 @@ type Sched struct {
 	running []*job.Job // running or committed (pending starts)
 
 	// idle holds the jobs a pass serves, in serving order (descending
-	// xfactor): the whole queue at a tick (sortIdle), the jobs that fit
-	// at an event (schedulePass). ord and healthy are scratch reused
+	// xfactor): the jobs that fit or pass the precheck at a tick
+	// (sortIdle), the jobs that fit at an event (schedulePass). ord and healthy are scratch reused
 	// across passes.
 	idle    []*job.Job
 	ord     job.Order
@@ -233,11 +233,23 @@ func (s *Sched) fits(j *job.Job) bool {
 	return j.Procs <= s.env.Cluster.FreeUnclaimed()
 }
 
-// sortIdle rebuilds s.idle as the whole queue in descending xfactor
-// order, which the tick's preemption routine walks.
+// sortIdle rebuilds s.idle as the idle jobs the tick can act on, in
+// descending xfactor order: those that fit, which the schedule pass may
+// start, and those shortOf does not reject, which the preemption
+// routine may commit. The rest can do neither during the tick. Capacity
+// only shrinks during it, so a job that does not fit at its start never
+// fits later; and shortOf reads only the state the horizon kept and the
+// job's own xfactor, so it rejects the job in the routine too. The
+// xfactor order is total, so the jobs kept keep their relative order.
 func (s *Sched) sortIdle() {
-	s.idle = append(s.idle[:0], s.queue...)
-	sched.OrderByXFactor(&s.ord, s.idle, s.env.Now())
+	now := s.env.Now()
+	s.idle = s.idle[:0]
+	for _, j := range s.queue {
+		if s.fits(j) || !s.shortOf(j, now) {
+			s.idle = append(s.idle, j)
+		}
+	}
+	sched.OrderByXFactor(&s.ord, s.idle, now)
 }
 
 // serveIdle starts every job of s.idle, in order, that fits without
