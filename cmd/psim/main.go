@@ -43,6 +43,7 @@ import (
 	"pjs/internal/metrics"
 	"pjs/internal/obs"
 	"pjs/internal/perf"
+	"pjs/internal/policy"
 	"pjs/internal/report"
 	"pjs/internal/sched"
 )
@@ -71,7 +72,7 @@ func psim(args []string, stdout, stderr *cli.W) int {
 		traceFile = fs.String("trace", "", "SWF trace file (overrides -model)")
 		jobs      = fs.Int("jobs", 5000, "jobs to generate (synthetic only)")
 		seed      = fs.Int64("seed", 1, "generator seed")
-		schedSpec = fs.String("sched", "tss:2", "scheduler: fcfs|conservative|ns|is|ss:SF|tss:SF")
+		schedSpec = fs.String("sched", policy.TSS.Spec, "scheduler spec, one of:\n"+policy.Usage())
 		estimates = fs.String("estimates", "accurate", "user estimates: accurate or inaccurate")
 		loadF     = fs.Float64("load", 1.0, "load factor (arrival times divided by this)")
 		oh        = fs.Bool("overhead", false, "model suspension/restart overhead (Section V-A)")
@@ -297,14 +298,7 @@ func psim(args []string, stdout, stderr *cli.W) int {
 		}
 	}
 	if *verify {
-		// Transient read retries pad run segments with backoff time, so
-		// exact work conservation only holds without them.
-		zeroOH := !optSpec.Overhead && optSpec.IOWriteFail == 0 && optSpec.IOReadFail == 0
-		// A migratable scheduler resumes jobs on other processors by
-		// design, so the local-restart invariant does not hold for it.
-		m, ok := s.(interface{ Migrates() bool })
-		copt := check.Options{ZeroOverhead: zeroOH, AllowMigration: ok && m.Migrates()}
-		if err := check.Check(res.Audit, copt); err != nil {
+		if err := check.Check(res.Audit, check.OptionsFor(s, opt)); err != nil {
 			return fail(fmt.Errorf("invariant check failed: %v", err))
 		}
 		occ, _ := res.UtilizationIntegral()

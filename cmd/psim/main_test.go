@@ -9,6 +9,7 @@ import (
 	"pjs"
 	"pjs/internal/ckpt"
 	"pjs/internal/metrics"
+	"pjs/internal/policy"
 )
 
 // TestRunErrorPaths drives every user-input failure through run() and
@@ -27,6 +28,7 @@ func TestRunErrorPaths(t *testing.T) {
 		{"unknown model", []string{"-model", "LANL"}, 1, `unknown model "LANL"`},
 		{"unknown scheduler", []string{"-sched", "lottery"}, 1, "unknown scheduler"},
 		{"bad suspension factor", []string{"-sched", "ss:0.5"}, 1, "must be ≥ 1"},
+		{"argument to a policy without one", []string{"-sched", "fcfs:3"}, 1, "fcfs takes no argument"},
 		{"unknown filter", []string{"-filter", "great"}, 1, `unknown -filter "great"`},
 		{"unknown estimates", []string{"-estimates", "psychic"}, 1, `unknown estimate mode "psychic"`},
 		{"negative mtbf", []string{"-mtbf", "-1"}, 1, "-mtbf and -mttr must be"},
@@ -219,6 +221,20 @@ func TestTransientFlagsSummaryLine(t *testing.T) {
 	}
 	if code := run([]string{"-jobs", "50", "-sched", "ns", "-io-write-fail", "1.5"}, &stdout, &stderr); code != 1 {
 		t.Errorf("out-of-range -io-write-fail accepted (exit %d)", code)
+	}
+}
+
+// TestSchedUsageListsTable checks that -h renders every policy row in
+// the -sched help, with psim's default spec.
+func TestSchedUsageListsTable(t *testing.T) {
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-h exit code = %d", code)
+	}
+	want := "scheduler spec, one of:\n    \t" + strings.ReplaceAll(policy.Usage(), "\n", "\n    \t") +
+		" (default \"tss:2\")"
+	if !strings.Contains(stderr.String(), want) {
+		t.Errorf("-sched help is not the rendered table:\n%s\nwant:\n%s", stderr.String(), want)
 	}
 }
 

@@ -104,19 +104,12 @@ func TestFaultInjectionDoubleRunDeterminism(t *testing.T) {
 					t.Fatalf("NewScheduler(%q): %v", spec, err)
 				}
 				c := obs.NewCounters(s.Name(), trace.Procs)
-				res, err := pjs.SimulateChecked(trace, s, pjs.Options{
-					Audit:    true,
-					MaxSteps: 50_000_000,
-					Observer: c,
-					Faults:   faults,
-				})
+				opt := pjs.Options{Audit: true, MaxSteps: 50_000_000, Observer: c, Faults: faults}
+				res, err := pjs.SimulateChecked(trace, s, opt)
 				if err != nil {
 					t.Fatalf("%s: %v", spec, err)
 				}
-				if cerr := check.Check(res.Audit, check.Options{
-					ZeroOverhead:   true,
-					AllowMigration: strings.HasPrefix(spec, "ssmig"),
-				}); cerr != nil {
+				if cerr := check.Check(res.Audit, check.OptionsFor(s, opt)); cerr != nil {
 					t.Fatalf("%s: faulty audit replay: %v", spec, cerr)
 				}
 				return res.Audit.String(), c.String(), res.Failures
@@ -175,9 +168,7 @@ func TestTransientFaultDoubleRunDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", spec, err)
 				}
-				if cerr := check.Check(res.Audit, check.Options{
-					AllowMigration: strings.HasPrefix(spec, "ssmig"),
-				}); cerr != nil {
+				if cerr := check.Check(res.Audit, check.OptionsFor(s, opt)); cerr != nil {
 					t.Fatalf("%s: transient-faulty audit replay: %v", spec, cerr)
 				}
 				var buf strings.Builder

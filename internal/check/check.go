@@ -35,6 +35,17 @@ type Options struct {
 	AllowMigration bool
 }
 
+// OptionsFor returns the options to check a run of s under opt with:
+// exact work conservation unless overhead or transient read retries pad
+// run segments, and no local-restart invariant if s migrates jobs.
+func OptionsFor(s sched.Scheduler, opt sched.Options) Options {
+	m, ok := s.(interface{ Migrates() bool })
+	return Options{
+		ZeroOverhead:   opt.Overhead == nil && !opt.Transient.Enabled(),
+		AllowMigration: ok && m.Migrates(),
+	}
+}
+
 type jobState int
 
 const (

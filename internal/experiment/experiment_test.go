@@ -233,19 +233,37 @@ func TestColumnLabels(t *testing.T) {
 	}
 }
 
+// TestSchemeLabels pins every scheme's figure label, which keys the
+// memo files and the pexp table columns, and the policy it builds.
 func TestSchemeLabels(t *testing.T) {
-	cases := map[string]Scheme{
-		"No Suspension":   NS(),
-		"IS":              IS(),
-		"FCFS":            FCFS(),
-		"Conservative":    Conservative(),
-		"SF = 2":          SS(2),
-		"SF = 1.5 Tuned":  TSS(1.5),
-		"SF = 2 Adaptive": TSSAdaptive(2),
+	cases := []struct {
+		sc          Scheme
+		label, name string
+	}{
+		{NS(), "No Suspension", "NS"},
+		{IS(), "IS", "IS"},
+		{FCFS(), "FCFS", "FCFS"},
+		{Conservative(), "Conservative", "Conservative"},
+		{SS(2), "SF = 2", "SS(SF=2)"},
+		{SS(1.5), "SF = 1.5", "SS(SF=1.5)"},
+		{TSS(1.5), "SF = 1.5 Tuned", "TSS(SF=1.5)"},
+		{TSSFromNS(2), "SF = 2 Tuned(NS)", "TSS(SF=2)"},
+		{TSSAdaptive(2), "SF = 2 Adaptive", "TSS(SF=2)"},
+		{SSMig(2), "SF = 2 Migratable", "SS-mig(SF=2)"},
+		{Gang(600), "Gang Q=600s", "Gang(Q=600s)"},
+		{Gang(3600), "Gang Q=3600s", "Gang(Q=3600s)"},
+		{DepthBF(2), "Depth 2", "DepthBF(2)"},
+		{SSOnce(2), "SF = 2 Once", "SS(SF=2)"},
+		{SSNoWidthRule(2), "SF = 2 NoWidthRule", "SS(SF=2)"},
 	}
-	for want, sc := range cases {
-		if sc.Label != want {
-			t.Errorf("label = %q, want %q", sc.Label, want)
+	r := NewRunner(Config{Jobs: 100})
+	tk := traceKey{"SDSC", workload.EstimateAccurate, 100}
+	for _, c := range cases {
+		if c.sc.Label != c.label {
+			t.Errorf("label = %q, want %q", c.sc.Label, c.label)
+		}
+		if got := c.sc.make(r, tk).Name(); got != c.name {
+			t.Errorf("%s builds %q, want %q", c.label, got, c.name)
 		}
 	}
 }

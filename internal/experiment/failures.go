@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"pjs/internal/check"
 	"pjs/internal/fault"
 	"pjs/internal/metrics"
 	"pjs/internal/report"
@@ -42,38 +41,35 @@ var sweepPoints = []int64{0, 4000, 1000, 250}
 // failureTable sweeps one scheme across the MTBF points.
 func failureTable(r *Runner, sc Scheme) Renderable {
 	rows := make([]string, len(sweepPoints))
+	opts := make([]sched.Options, len(sweepPoints))
 	for i, m := range sweepPoints {
-		if m == 0 {
-			rows[i] = "no failures"
-		} else {
+		rows[i] = "no failures"
+		if m > 0 {
 			rows[i] = fmt.Sprintf("MTBF %d h", m)
+			opts[i].Faults = fault.Config{MTBF: m * 3600, MTTR: 2 * 3600, Seed: faultSweepSeed}
 		}
 	}
-	title := fmt.Sprintf("failure-rate sweep: %s (SDSC, MTTR 2 h)", sc.Label)
-	t := report.NewTable(title, rows,
-		[]string{"mean sd", "worst sd", "util %", "failures", "fail-kills",
-			"images lost", "resubmits", "lost work h"})
+	return sweepTable(r, sc, fmt.Sprintf("failure-rate sweep: %s (SDSC, MTTR 2 h)", sc.Label),
+		fmt.Sprintf("per-processor exponential fail/repair, fault seed %d, jobs=%d", faultSweepSeed, r.Config().Jobs),
+		rows, []string{"failures", "fail-kills", "images lost", "resubmits", "lost work h"}, opts,
+		func(res *sched.Result, resubmits int) []float64 {
+			return []float64{float64(res.Failures), float64(res.FailKills), float64(res.ImagesLost),
+				float64(resubmits), float64(res.LostWorkSeconds) / 3600}
+		})
+}
+
+// sweepTable runs sc on the SDSC trace once per row, under opts[i], and
+// fills the row with the overall mean and worst slowdown, utilization %
+// and the extra columns. A point that cannot finish (thrash, step
+// limit) ends the sweep with its error instead of aborting the suite.
+func sweepTable(r *Runner, sc Scheme, title, note string, rows, extra []string, opts []sched.Options,
+	cells func(res *sched.Result, resubmits int) []float64) Renderable {
+	t := report.NewTable(title, rows, append([]string{"mean sd", "worst sd", "util %"}, extra...))
 	tk := traceKey{"SDSC", workload.EstimateAccurate, 100}
-	trace := r.Trace(tk.model, tk.est, tk.loadPct)
-	for i, mtbf := range sweepPoints {
-		opt := sched.Options{MaxSteps: r.Config().MaxSteps, Audit: r.Config().Verify}
-		if mtbf > 0 {
-			opt.Faults = fault.Config{MTBF: mtbf * 3600, MTTR: 2 * 3600, Seed: faultSweepSeed}
-		}
-		if reg := r.Config().Counters; reg != nil {
-			opt.Observer = reg.For(fmt.Sprintf("%s %s", sc.Label, rows[i]), trace.Procs)
-		}
-		res, err := sched.RunChecked(trace, sc.make(r, tk), opt)
+	for i, opt := range opts {
+		res, err := r.run(sc, tk, sc.Label+" "+rows[i], opt)
 		if err != nil {
-			// Degrade gracefully: a point that cannot finish (thrash,
-			// step-limit) reports itself instead of aborting the suite.
 			return Text(fmt.Sprintf("%s\n  %s: %v\n", title, rows[i], err))
-		}
-		if r.Config().Verify {
-			if cerr := check.Check(res.Audit, check.Options{ZeroOverhead: true}); cerr != nil {
-				panic(fmt.Sprintf("experiment: %s under faults: %v", sc.Label, cerr))
-			}
-			res.Audit = nil
 		}
 		sum := metrics.FromResult(res, metrics.All)
 		resubmits := 0
@@ -83,13 +79,10 @@ func failureTable(r *Runner, sc Scheme) Renderable {
 		t.Set(i, 0, sum.Overall.MeanSlowdown)
 		t.Set(i, 1, sum.Overall.WorstSlowdown)
 		t.Set(i, 2, 100*res.Utilization)
-		t.Set(i, 3, float64(res.Failures))
-		t.Set(i, 4, float64(res.FailKills))
-		t.Set(i, 5, float64(res.ImagesLost))
-		t.Set(i, 6, float64(resubmits))
-		t.Set(i, 7, float64(res.LostWorkSeconds)/3600)
+		for c, v := range cells(res, resubmits) {
+			t.Set(i, 3+c, v)
+		}
 	}
-	t.Note = fmt.Sprintf("per-processor exponential fail/repair, fault seed %d, jobs=%d",
-		faultSweepSeed, r.Config().Jobs)
+	t.Note = note
 	return t
 }

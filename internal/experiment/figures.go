@@ -3,14 +3,11 @@ package experiment
 import (
 	"fmt"
 
-	"pjs/internal/core"
 	"pjs/internal/job"
 	"pjs/internal/metrics"
+	"pjs/internal/policy"
 	"pjs/internal/report"
 	"pjs/internal/sched"
-	"pjs/internal/sched/easy"
-	"pjs/internal/sched/speculative"
-	"pjs/internal/sched/ss"
 	"pjs/internal/stats"
 	"pjs/internal/workload"
 )
@@ -178,7 +175,7 @@ func registerAblations() {
 			[]string{"overall mean slowdown", "loaded utilization %", "full-span utilization %", "suspensions"},
 			[]string{"first-fit", "best-fit contiguous"})
 		for col, contig := range []bool{false, true} {
-			res := sched.Run(tr, ss.New(ss.Config{SF: 2}), sched.Options{
+			res := sched.Run(tr, policy.SS.New(2), sched.Options{
 				MaxSteps: r.Config().MaxSteps, ContiguousAlloc: contig,
 			})
 			sum := metrics.FromResult(res, metrics.All)
@@ -200,8 +197,9 @@ func registerAblations() {
 		base := r.Config()
 		base.Seed = 0 // replaced per seed
 		for col, sc := range schemes {
-			sd := Replicate(base, seeds, "SDSC", workload.EstimateAccurate, 100, sc, false, OverallMeanSlowdown)
-			ut := Replicate(base, seeds, "SDSC", workload.EstimateAccurate, 100, sc, false, LoadedUtilizationPct)
+			reps := Replicate(base, seeds, "SDSC", workload.EstimateAccurate, 100, sc, false,
+				OverallMeanSlowdown, LoadedUtilizationPct)
+			sd, ut := reps[0], reps[1]
 			t.Set(0, col, sd.Mean)
 			t.Set(1, col, sd.CI95)
 			t.Set(2, col, ut.Mean)
@@ -286,8 +284,14 @@ func registerAblations() {
 	})
 	register("ablation-speculative", "Extension: speculative backfilling and the aborted-job metric skew (Section V)", func(r *Runner) Renderable {
 		tr := workload.AbortStress(40)
-		type rowStat struct{ abortSD, normalSD, overallSD float64 }
-		stat := func(s sched.Scheduler) rowStat {
+		t := report.NewTable(
+			"Speculative backfilling on the abort-stress workload (mean bounded slowdown)",
+			[]string{"aborting jobs", "normal jobs", "whole trace"},
+			[]string{"EASY", "SpecBF", "TSS(SF=2 adaptive)"},
+		)
+		for col, s := range []sched.Scheduler{
+			policy.NS.New(0), policy.SpecBF.New(policy.SpecBF.Arg.Default), policy.TSS.New(2),
+		} {
 			res := sched.Run(tr, s, sched.Options{MaxSteps: 20_000_000})
 			var a, n stats.Acc
 			for _, j := range res.Jobs {
@@ -299,22 +303,9 @@ func registerAblations() {
 				}
 			}
 			all := a.Mean()*float64(a.N()) + n.Mean()*float64(n.N())
-			return rowStat{a.Mean(), n.Mean(), all / float64(a.N()+n.N())}
-		}
-		t := report.NewTable(
-			"Speculative backfilling on the abort-stress workload (mean bounded slowdown)",
-			[]string{"aborting jobs", "normal jobs", "whole trace"},
-			[]string{"EASY", "SpecBF", "TSS(SF=2 adaptive)"},
-		)
-		for col, mk := range []func() sched.Scheduler{
-			func() sched.Scheduler { return easy.New() },
-			func() sched.Scheduler { return speculative.New(speculative.Config{}) },
-			func() sched.Scheduler { return ss.New(ss.Config{SF: 2, Adaptive: &core.AdaptiveLimits{}}) },
-		} {
-			st := stat(mk())
-			t.Set(0, col, st.abortSD)
-			t.Set(1, col, st.normalSD)
-			t.Set(2, col, st.overallSD)
+			t.Set(0, col, a.Mean())
+			t.Set(1, col, n.Mean())
+			t.Set(2, col, all/float64(a.N()+n.N()))
 		}
 		t.Note = "the whole-trace average moves almost entirely through the aborting jobs — " +
 			"the paper's Section V argument for splitting metrics by estimate quality"

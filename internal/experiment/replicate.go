@@ -41,11 +41,15 @@ func LoadedUtilizationPct(_ *metrics.Summary, r *sched.Result) float64 {
 }
 
 // Replicate runs scheme sc on model/est/loadPct once per seed (each with
-// its own independently generated workload) and aggregates metric.
+// its own independently generated workload) and aggregates each metric
+// over those runs, one Replication per metric in argument order.
 func Replicate(base Config, seeds []int64, model string, est workload.EstimateMode,
-	loadPct int, sc Scheme, oh bool, metric Metric) Replication {
+	loadPct int, sc Scheme, oh bool, ms ...Metric) []Replication {
 
-	values := make([]float64, len(seeds))
+	reps := make([]Replication, len(ms))
+	for m := range reps {
+		reps[m].Values = make([]float64, len(seeds))
+	}
 	// Each seed's runner observes into a registry of its own; they are
 	// folded into base.Counters in seed order once all have finished.
 	regs := make([]*obs.Registry, len(seeds))
@@ -63,7 +67,9 @@ func Replicate(base Config, seeds []int64, model string, est workload.EstimateMo
 			r := NewRunner(cfg)
 			res := r.Result(model, est, loadPct, sc, oh)
 			sum := r.Summary(model, est, loadPct, sc, oh, metrics.All)
-			values[i] = metric(sum, res)
+			for m, metric := range ms {
+				reps[m].Values[i] = metric(sum, res)
+			}
 		}(i, seed)
 	}
 	wg.Wait()
@@ -72,26 +78,31 @@ func Replicate(base Config, seeds []int64, model string, est workload.EstimateMo
 			base.Counters.Merge(reg)
 		}
 	}
-
-	rep := Replication{Values: values}
-	n := float64(len(values))
-	if n == 0 {
-		return rep
+	for m := range reps {
+		reps[m].aggregate()
 	}
-	for _, v := range values {
+	return reps
+}
+
+// aggregate sets the mean, deviation and 95% interval of rep.Values.
+func (rep *Replication) aggregate() {
+	n := float64(len(rep.Values))
+	if n == 0 {
+		return
+	}
+	for _, v := range rep.Values {
 		rep.Mean += v
 	}
 	rep.Mean /= n
-	if len(values) > 1 {
+	if len(rep.Values) > 1 {
 		ss := 0.0
-		for _, v := range values {
+		for _, v := range rep.Values {
 			d := v - rep.Mean
 			ss += d * d
 		}
 		rep.Std = math.Sqrt(ss / (n - 1))
-		rep.CI95 = tCrit95(len(values)-1) * rep.Std / math.Sqrt(n)
+		rep.CI95 = tCrit95(len(rep.Values)-1) * rep.Std / math.Sqrt(n)
 	}
-	return rep
 }
 
 // tCrit95 returns the two-sided 95% Student's t critical value for the

@@ -12,8 +12,8 @@ import (
 func TestReplicateDeterministic(t *testing.T) {
 	base := Config{Jobs: 300}
 	seeds := []int64{1, 2, 3}
-	a := Replicate(base, seeds, "SDSC", workload.EstimateAccurate, 100, NS(), false, OverallMeanSlowdown)
-	b := Replicate(base, seeds, "SDSC", workload.EstimateAccurate, 100, NS(), false, OverallMeanSlowdown)
+	a := Replicate(base, seeds, "SDSC", workload.EstimateAccurate, 100, NS(), false, OverallMeanSlowdown)[0]
+	b := Replicate(base, seeds, "SDSC", workload.EstimateAccurate, 100, NS(), false, OverallMeanSlowdown)[0]
 	for i := range a.Values {
 		if a.Values[i] != b.Values[i] {
 			t.Fatalf("seed %d: %v vs %v", seeds[i], a.Values[i], b.Values[i])
@@ -22,11 +22,18 @@ func TestReplicateDeterministic(t *testing.T) {
 	if a.Mean != b.Mean || a.CI95 != b.CI95 {
 		t.Error("aggregates differ between identical replications")
 	}
+	// Two metrics from one set of runs equal each from runs of its own.
+	both := Replicate(base, seeds, "SDSC", workload.EstimateAccurate, 100, NS(), false,
+		OverallMeanSlowdown, LoadedUtilizationPct)
+	ut := Replicate(base, seeds, "SDSC", workload.EstimateAccurate, 100, NS(), false, LoadedUtilizationPct)[0]
+	if len(both) != 2 || !reflect.DeepEqual(both[0], a) || !reflect.DeepEqual(both[1], ut) {
+		t.Errorf("two-metric replication %+v, want %+v and %+v", both, a, ut)
+	}
 }
 
 func TestReplicateSeedsDiffer(t *testing.T) {
 	base := Config{Jobs: 300}
-	rep := Replicate(base, []int64{1, 2, 3, 4}, "SDSC", workload.EstimateAccurate, 100, NS(), false, OverallMeanSlowdown)
+	rep := Replicate(base, []int64{1, 2, 3, 4}, "SDSC", workload.EstimateAccurate, 100, NS(), false, OverallMeanSlowdown)[0]
 	same := true
 	for _, v := range rep.Values[1:] {
 		if v != rep.Values[0] {
@@ -44,14 +51,14 @@ func TestReplicateSeedsDiffer(t *testing.T) {
 func TestReplicateAggregates(t *testing.T) {
 	// Hand-check the math on a fixed metric via a fake: use one seed
 	// (degenerate statistics).
-	rep := Replicate(Config{Jobs: 200}, []int64{7}, "SDSC", workload.EstimateAccurate, 100, NS(), false, OverallMeanSlowdown)
+	rep := Replicate(Config{Jobs: 200}, []int64{7}, "SDSC", workload.EstimateAccurate, 100, NS(), false, OverallMeanSlowdown)[0]
 	if len(rep.Values) != 1 || rep.Mean != rep.Values[0] {
 		t.Errorf("single-seed aggregate wrong: %+v", rep)
 	}
 	if rep.Std != 0 || rep.CI95 != 0 {
 		t.Error("single seed has no dispersion")
 	}
-	empty := Replicate(Config{Jobs: 200}, nil, "SDSC", workload.EstimateAccurate, 100, NS(), false, OverallMeanSlowdown)
+	empty := Replicate(Config{Jobs: 200}, nil, "SDSC", workload.EstimateAccurate, 100, NS(), false, OverallMeanSlowdown)[0]
 	if empty.Mean != 0 || len(empty.Values) != 0 {
 		t.Error("empty seeds should aggregate to zero")
 	}

@@ -14,13 +14,8 @@ import (
 	"pjs/internal/metrics"
 	"pjs/internal/obs"
 	"pjs/internal/overhead"
+	"pjs/internal/policy"
 	"pjs/internal/sched"
-	"pjs/internal/sched/conservative"
-	"pjs/internal/sched/depthbf"
-	"pjs/internal/sched/easy"
-	"pjs/internal/sched/fcfs"
-	"pjs/internal/sched/gang"
-	"pjs/internal/sched/is"
 	"pjs/internal/sched/ss"
 	"pjs/internal/workload"
 )
@@ -99,19 +94,13 @@ type sumKey struct {
 	filter metrics.Filter
 }
 
-// limitKey identifies a memoized TSS limit table.
-type limitKey struct {
-	tk   traceKey
-	seed string
-}
-
 // Runner executes and memoizes simulations for the experiment suite.
 type Runner struct {
 	cfg       Config
 	traces    map[traceKey]*workload.Trace
 	results   map[runKey]*sched.Result
 	summaries map[sumKey]*metrics.Summary
-	limits    map[limitKey]*core.StaticLimits
+	limits    map[runKey]*core.StaticLimits // TSS limits by seed run
 
 	// eventsSimulated totals the engine events of the fresh simulations
 	// this runner executed — memoized recalls (memory or disk) add
@@ -127,7 +116,7 @@ func NewRunner(cfg Config) *Runner {
 		traces:    make(map[traceKey]*workload.Trace),
 		results:   make(map[runKey]*sched.Result),
 		summaries: make(map[sumKey]*metrics.Summary),
-		limits:    make(map[limitKey]*core.StaticLimits),
+		limits:    make(map[runKey]*core.StaticLimits),
 	}
 }
 
@@ -170,44 +159,39 @@ type Scheme struct {
 	// "SF = 2", "SF = 2 Tuned", …).
 	Label string
 	make  func(r *Runner, tk traceKey) sched.Scheduler
-	// migrates marks schemes exempt from the local-restart invariant.
-	migrates bool
 }
 
-// Paper scheme constructors.
-
-// NS is the non-preemptive aggressive-backfilling baseline.
-func NS() Scheme {
-	return Scheme{Label: "No Suspension", make: func(*Runner, traceKey) sched.Scheduler {
-		return easy.New()
-	}}
+// tableScheme is row p of the policy table with argument arg, under
+// the row's figure label.
+func tableScheme(p *policy.Policy, arg float64) Scheme {
+	return Scheme{Label: p.Label(arg), make: func(*Runner, traceKey) sched.Scheduler { return p.New(arg) }}
 }
 
-// IS is the Immediate Service comparison scheme.
-func IS() Scheme {
-	return Scheme{Label: "IS", make: func(*Runner, traceKey) sched.Scheduler {
-		return is.New()
-	}}
-}
+// The single-policy schemes: each is its row of the policy table, with
+// the given argument, under the row's figure label. TSSAdaptive is the
+// single-pass "tss" row (an ablation of the two-pass TSS), SSMig prices
+// the local-restart constraint, Gang takes its quantum in seconds and
+// DepthBF spans EASY (1) to near-conservative (the paper's [16]).
+func NS() Scheme                    { return tableScheme(policy.NS, 0) }
+func IS() Scheme                    { return tableScheme(policy.IS, 0) }
+func FCFS() Scheme                  { return tableScheme(policy.FCFS, 0) }
+func Conservative() Scheme          { return tableScheme(policy.Conservative, 0) }
+func SS(sf float64) Scheme          { return tableScheme(policy.SS, sf) }
+func TSSAdaptive(sf float64) Scheme { return tableScheme(policy.TSS, sf) }
+func SSMig(sf float64) Scheme       { return tableScheme(policy.SSMig, sf) }
+func Gang(quantum int64) Scheme     { return tableScheme(policy.Gang, float64(quantum)) }
+func DepthBF(depth int) Scheme      { return tableScheme(policy.DepthBF, float64(depth)) }
 
-// FCFS is plain first-come-first-served (background baseline).
-func FCFS() Scheme {
-	return Scheme{Label: "FCFS", make: func(*Runner, traceKey) sched.Scheduler {
-		return fcfs.New()
-	}}
-}
-
-// Conservative is conservative backfilling (background baseline).
-func Conservative() Scheme {
-	return Scheme{Label: "Conservative", make: func(*Runner, traceKey) sched.Scheduler {
-		return conservative.New()
-	}}
-}
-
-// SS is plain Selective Suspension with the given factor.
-func SS(sf float64) Scheme {
-	return Scheme{Label: fmt.Sprintf("SF = %g", sf), make: func(*Runner, traceKey) sched.Scheduler {
-		return ss.New(ss.Config{SF: sf})
+// ssScheme is an SS configuration that only the experiments use. With
+// a seed scheme (not the zero Scheme), its limits come from a pre-pass
+// of seed on the same trace (limitsFor).
+func ssScheme(label string, cfg ss.Config, seed Scheme) Scheme {
+	return Scheme{Label: label, make: func(r *Runner, tk traceKey) sched.Scheduler {
+		c := cfg
+		if seed.make != nil {
+			c.Limits = r.limitsFor(tk, seed)
+		}
+		return ss.New(c)
 	}}
 }
 
@@ -220,93 +204,46 @@ func SS(sf float64) Scheme {
 // over-protect long runners and blow up short-category worst cases, see
 // the ablation-tss-seed experiment.
 func TSS(sf float64) Scheme {
-	return Scheme{Label: fmt.Sprintf("SF = %g Tuned", sf), make: func(r *Runner, tk traceKey) sched.Scheduler {
-		return ss.New(ss.Config{SF: sf, Limits: r.limitsFor(tk, SS(sf))})
-	}}
+	return ssScheme(fmt.Sprintf("SF = %g Tuned", sf), ss.Config{SF: sf}, SS(sf))
 }
 
 // TSSFromNS is the NS-seeded limit variant kept for the ablation.
 func TSSFromNS(sf float64) Scheme {
-	return Scheme{Label: fmt.Sprintf("SF = %g Tuned(NS)", sf), make: func(r *Runner, tk traceKey) sched.Scheduler {
-		return ss.New(ss.Config{SF: sf, Limits: r.limitsFor(tk, NS())})
-	}}
-}
-
-// TSSAdaptive is the single-pass TSS variant with online limits
-// (an ablation of the two-pass table).
-func TSSAdaptive(sf float64) Scheme {
-	return Scheme{Label: fmt.Sprintf("SF = %g Adaptive", sf), make: func(*Runner, traceKey) sched.Scheduler {
-		return ss.New(ss.Config{SF: sf, Adaptive: &core.AdaptiveLimits{}})
-	}}
-}
-
-// SSMig is SS under the migratable preemption model (a suspended job
-// may restart anywhere): the ablation that prices the paper's
-// local-restart constraint.
-func SSMig(sf float64) Scheme {
-	return Scheme{Label: fmt.Sprintf("SF = %g Migratable", sf), migrates: true,
-		make: func(*Runner, traceKey) sched.Scheduler {
-			return ss.New(ss.Config{SF: sf, Migration: true})
-		}}
-}
-
-// Gang is gang scheduling with the given time quantum in seconds
-// (0 = the 600 s default) — the Section II alternative to backfilling.
-func Gang(quantum int64) Scheme {
-	label := "Gang"
-	if quantum > 0 {
-		label = fmt.Sprintf("Gang Q=%ds", quantum)
-	}
-	return Scheme{Label: label, make: func(*Runner, traceKey) sched.Scheduler {
-		return gang.New(gang.Config{Quantum: quantum})
-	}}
-}
-
-// DepthBF is reservation-depth backfilling: depth 1 is EASY, large
-// depth approaches conservative (the paper's reference [16] spectrum).
-func DepthBF(depth int) Scheme {
-	return Scheme{Label: fmt.Sprintf("Depth %d", depth), make: func(*Runner, traceKey) sched.Scheduler {
-		return depthbf.New(depth)
-	}}
+	return ssScheme(fmt.Sprintf("SF = %g Tuned(NS)", sf), ss.Config{SF: sf}, NS())
 }
 
 // SSOnce is SS with at most one suspension per job — the related-work
 // mechanism (Chiang et al.) the paper contrasts with SF rate control.
 func SSOnce(sf float64) Scheme {
-	return Scheme{Label: fmt.Sprintf("SF = %g Once", sf), make: func(*Runner, traceKey) sched.Scheduler {
-		return ss.New(ss.Config{SF: sf, MaxSuspensions: 1})
-	}}
+	return ssScheme(fmt.Sprintf("SF = %g Once", sf), ss.Config{SF: sf, MaxSuspensions: 1}, Scheme{})
 }
 
 // SSNoWidthRule is SS without the half-width fairness rule (ablation of
 // the Section IV-B design choice).
 func SSNoWidthRule(sf float64) Scheme {
-	return Scheme{Label: fmt.Sprintf("SF = %g NoWidthRule", sf), make: func(*Runner, traceKey) sched.Scheduler {
-		return ss.New(ss.Config{SF: sf, DisableHalfWidthRule: true})
-	}}
+	return ssScheme(fmt.Sprintf("SF = %g NoWidthRule", sf), ss.Config{SF: sf, DisableHalfWidthRule: true}, Scheme{})
 }
 
 // limitsFor computes (and memoizes) a TSS limit table from a pre-pass
 // of the given seed scheme on the given trace.
 func (r *Runner) limitsFor(tk traceKey, seed Scheme) *core.StaticLimits {
-	lk := limitKey{tk: tk, seed: seed.Label}
-	if l, ok := r.limits[lk]; ok {
+	rk := runKey{tk: tk, scheme: seed.Label}
+	if l, ok := r.limits[rk]; ok {
 		return l
 	}
-	res := r.resultFor(runKey{tk: tk, scheme: seed.Label}, seed, false)
-	sum := metrics.FromResult(res, metrics.All)
+	sum := metrics.FromResult(r.resultFor(rk, seed), metrics.All)
 	l := core.LimitsFromSlowdowns(sum.SlowdownTable())
-	r.limits[lk] = l
+	r.limits[rk] = l
 	return l
 }
 
 // Result runs (or recalls) a simulation.
 func (r *Runner) Result(model string, est workload.EstimateMode, loadPct int, sc Scheme, oh bool) *sched.Result {
 	tk := traceKey{model, est, loadPct}
-	return r.resultFor(runKey{tk: tk, scheme: sc.Label, overhead: oh}, sc, oh)
+	return r.resultFor(runKey{tk: tk, scheme: sc.Label, overhead: oh}, sc)
 }
 
-func (r *Runner) resultFor(rk runKey, sc Scheme, oh bool) *sched.Result {
+func (r *Runner) resultFor(rk runKey, sc Scheme) *sched.Result {
 	if res, ok := r.results[rk]; ok {
 		return res
 	}
@@ -319,38 +256,41 @@ func (r *Runner) resultFor(rk runKey, sc Scheme, oh bool) *sched.Result {
 			return res
 		}
 	}
-	t := r.Trace(rk.tk.model, rk.tk.est, rk.tk.loadPct)
-	opt := sched.Options{
-		MaxSteps:  r.cfg.MaxSteps,
-		Audit:     r.cfg.Verify,
-		Faults:    r.cfg.Faults,
-		Transient: r.cfg.Transient,
-	}
-	if oh {
+	opt := sched.Options{Faults: r.cfg.Faults, Transient: r.cfg.Transient}
+	if rk.overhead {
 		opt.Overhead = overhead.Disk{}
 	}
-	if r.cfg.Counters != nil {
-		opt.Observer = r.cfg.Counters.For(rk.scheme, t.Procs)
+	res, err := r.run(sc, rk.tk, rk.scheme, opt)
+	if err != nil {
+		panic(err)
 	}
-	res := sched.Run(t, sc.make(r, rk.tk), opt)
 	r.eventsSimulated += res.Events
-	if r.cfg.Verify {
-		// Transient read retries pad run segments with backoff time, so
-		// exact work conservation only holds without them.
-		copt := check.Options{
-			ZeroOverhead:   !oh && !r.cfg.Transient.Enabled(),
-			AllowMigration: sc.migrates,
-		}
-		if err := check.Check(res.Audit, copt); err != nil {
-			panic(fmt.Sprintf("experiment: %s on %s: %v", sc.Label, t.Name, err))
-		}
-		res.Audit = nil // free the memory once checked
-	}
 	r.results[rk] = res
 	if r.cfg.MemoDir != "" {
 		r.saveMemo(r.memoKey(rk), res)
 	}
 	return res
+}
+
+// run simulates scheme sc on trace tk under opt, observed under key
+// when counting. Under Verify it replays the audit log through the
+// invariant checker and panics on a violation.
+func (r *Runner) run(sc Scheme, tk traceKey, key string, opt sched.Options) (*sched.Result, error) {
+	t := r.Trace(tk.model, tk.est, tk.loadPct)
+	opt.MaxSteps, opt.Audit = r.cfg.MaxSteps, r.cfg.Verify
+	if r.cfg.Counters != nil {
+		opt.Observer = r.cfg.Counters.For(key, t.Procs)
+	}
+	s := sc.make(r, tk)
+	res, err := sched.RunChecked(t, s, opt)
+	if err != nil || !r.cfg.Verify {
+		return res, err
+	}
+	if err := check.Check(res.Audit, check.OptionsFor(s, opt)); err != nil {
+		panic(fmt.Sprintf("experiment: %s on %s: %v", sc.Label, t.Name, err))
+	}
+	res.Audit = nil // free the memory once checked
+	return res, nil
 }
 
 // Summary runs a simulation and summarizes it under a filter.
@@ -361,7 +301,7 @@ func (r *Runner) Summary(model string, est workload.EstimateMode, loadPct int, s
 	if s, ok := r.summaries[sk]; ok {
 		return s
 	}
-	s := metrics.FromResult(r.resultFor(rk, sc, oh), f)
+	s := metrics.FromResult(r.resultFor(rk, sc), f)
 	r.summaries[sk] = s
 	return s
 }

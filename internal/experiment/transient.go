@@ -3,13 +3,9 @@ package experiment
 import (
 	"fmt"
 
-	"pjs/internal/check"
 	"pjs/internal/fault"
-	"pjs/internal/metrics"
 	"pjs/internal/overhead"
-	"pjs/internal/report"
 	"pjs/internal/sched"
-	"pjs/internal/workload"
 )
 
 // registerTransientSweep adds the transient-I/O sensitivity study: the
@@ -43,59 +39,20 @@ var transientPoints = []float64{0, 0.05, 0.2, 0.5}
 // being injected against would be instantaneous).
 func transientTable(r *Runner, sc Scheme) Renderable {
 	rows := make([]string, len(transientPoints))
+	opts := make([]sched.Options, len(transientPoints))
 	for i, p := range transientPoints {
-		if p == 0 {
-			rows[i] = "no faults"
-		} else {
-			rows[i] = fmt.Sprintf("fail p=%.2f", p)
-		}
-	}
-	title := fmt.Sprintf("transient-I/O sweep: %s (SDSC, disk overhead)", sc.Label)
-	t := report.NewTable(title, rows,
-		[]string{"mean sd", "worst sd", "util %", "io retries",
-			"io exhausted", "degradations", "resubmits"})
-	tk := traceKey{"SDSC", workload.EstimateAccurate, 100}
-	trace := r.Trace(tk.model, tk.est, tk.loadPct)
-	for i, p := range transientPoints {
-		opt := sched.Options{
-			MaxSteps: r.Config().MaxSteps,
-			Audit:    r.Config().Verify,
-			Overhead: overhead.Disk{},
-		}
+		rows[i] = "no faults"
+		opts[i].Overhead = overhead.Disk{}
 		if p > 0 {
-			opt.Transient = fault.TransientConfig{
-				WriteFailProb: p, ReadFailProb: p, Seed: transientSweepSeed,
-			}
+			rows[i] = fmt.Sprintf("fail p=%.2f", p)
+			opts[i].Transient = fault.TransientConfig{WriteFailProb: p, ReadFailProb: p, Seed: transientSweepSeed}
 		}
-		if reg := r.Config().Counters; reg != nil {
-			opt.Observer = reg.For(fmt.Sprintf("%s %s", sc.Label, rows[i]), trace.Procs)
-		}
-		res, err := sched.RunChecked(trace, sc.make(r, tk), opt)
-		if err != nil {
-			// Degrade gracefully: a point that cannot finish reports
-			// itself instead of aborting the suite.
-			return Text(fmt.Sprintf("%s\n  %s: %v\n", title, rows[i], err))
-		}
-		if r.Config().Verify {
-			if cerr := check.Check(res.Audit, check.Options{}); cerr != nil {
-				panic(fmt.Sprintf("experiment: %s under transient I/O faults: %v", sc.Label, cerr))
-			}
-			res.Audit = nil
-		}
-		sum := metrics.FromResult(res, metrics.All)
-		resubmits := 0
-		for _, j := range res.Jobs {
-			resubmits += j.Resubmits
-		}
-		t.Set(i, 0, sum.Overall.MeanSlowdown)
-		t.Set(i, 1, sum.Overall.WorstSlowdown)
-		t.Set(i, 2, 100*res.Utilization)
-		t.Set(i, 3, float64(res.IORetries))
-		t.Set(i, 4, float64(res.IOExhaustions))
-		t.Set(i, 5, float64(res.IODegradations))
-		t.Set(i, 6, float64(resubmits))
 	}
-	t.Note = fmt.Sprintf("per-processor transient write/read faults, I/O seed %d, jobs=%d",
-		transientSweepSeed, r.Config().Jobs)
-	return t
+	return sweepTable(r, sc, fmt.Sprintf("transient-I/O sweep: %s (SDSC, disk overhead)", sc.Label),
+		fmt.Sprintf("per-processor transient write/read faults, I/O seed %d, jobs=%d", transientSweepSeed, r.Config().Jobs),
+		rows, []string{"io retries", "io exhausted", "degradations", "resubmits"}, opts,
+		func(res *sched.Result, resubmits int) []float64 {
+			return []float64{float64(res.IORetries), float64(res.IOExhaustions), float64(res.IODegradations),
+				float64(resubmits)}
+		})
 }

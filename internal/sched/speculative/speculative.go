@@ -22,7 +22,7 @@ import (
 type Config struct {
 	// SpecFactor gates which jobs may gamble: a job is started
 	// speculatively in a hole of length H only if estimate ≤
-	// SpecFactor × H. Zero means the default of 5.
+	// SpecFactor × H. Zero means DefaultFactor.
 	SpecFactor float64
 	// MaxKills is how many failed gambles a job may suffer before it
 	// is only scheduled conventionally. Zero means the default of 2.
@@ -44,10 +44,13 @@ type Sched struct {
 	deadline map[int]int64 // jobID → must-vacate time for spec runs
 }
 
+// DefaultFactor is the SpecFactor of a zero Config.
+const DefaultFactor = 5
+
 // New returns a speculative backfilling scheduler.
 func New(cfg Config) *Sched {
 	if cfg.SpecFactor == 0 {
-		cfg.SpecFactor = 5
+		cfg.SpecFactor = DefaultFactor
 	}
 	if cfg.MaxKills == 0 {
 		cfg.MaxKills = 2

@@ -16,31 +16,31 @@
 //	sum := pjs.Summarize(res, pjs.All)
 //	fmt.Printf("overall slowdown: %.2f\n", sum.Overall.MeanSlowdown)
 //
-// The named scheduler specs accepted by NewScheduler:
+// NewScheduler accepts the specs of the policy table (internal/policy),
+// one row per line: the spec form, what the policy does, the argument's
+// bound and default, and aliases.
 //
-//	fcfs               first-come-first-served
-//	conservative       conservative backfilling
-//	ns | easy          aggressive (EASY) backfilling, the NS baseline
-//	is                 Immediate Service (Chiang & Vernon)
-//	ss:SF              Selective Suspension, e.g. ss:2 or ss:1.5
-//	tss:SF             Tunable SS with online-adaptive limits
-//	ssmig:SF           SS under the migratable-restart model (ablation)
-//	gang[:quantum]     gang scheduling, optional quantum in seconds
-//	spec[:factor]      speculative backfilling (kill & requeue on a
-//	                   failed gamble), optional estimate/hole factor
-//	depth[:N]          reservation-depth backfilling (1 = EASY)
+//	fcfs          first-come-first-served
+//	conservative  conservative backfilling; also cons
+//	ns            aggressive (EASY) backfilling, the paper's NS baseline; also easy, aggressive
+//	is            Immediate Service (Chiang & Vernon)
+//	ss[:SF]       Selective Suspension; SF ≥ 1, default 2
+//	tss[:SF]      single-pass Tunable SS with online-adaptive limits (the paper's two-pass TSS is pexp's "SF = 2 Tuned"); SF ≥ 1, default 2
+//	ssmig[:SF]    SS under the migratable-restart model (ablation); SF ≥ 1, default 2; also ss-mig
+//	gang[:Q]      gang scheduling with a quantum of Q seconds; Q ≥ 1, default 600
+//	spec[:F]      speculative backfilling: gamble when estimate ≤ F × hole, kill & requeue on a loss; F > 1, default 5; also specbf
+//	depth[:N]     reservation-depth backfilling, N reservations (1 = EASY); N ≥ 1, default 1; also depthbf
 //
-// (The experiment harness instead builds TSS limits from an NS pre-pass
-// on the identical trace, the paper's two-pass construction; use
-// pjs.NewTSS for explicit control.)
+// The experiment harness's two-pass TSS seeds its limits from an SS
+// pre-pass on the identical trace; the NS-seeded variant is the
+// ablation-tss-seed experiment's "Tuned(NS)" column. Use pjs.NewTSS for
+// explicit control.
 package pjs
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"pjs/internal/core"
 	"pjs/internal/experiment"
@@ -48,14 +48,8 @@ import (
 	"pjs/internal/job"
 	"pjs/internal/metrics"
 	"pjs/internal/overhead"
+	"pjs/internal/policy"
 	"pjs/internal/sched"
-	"pjs/internal/sched/conservative"
-	"pjs/internal/sched/depthbf"
-	"pjs/internal/sched/easy"
-	"pjs/internal/sched/fcfs"
-	"pjs/internal/sched/gang"
-	"pjs/internal/sched/is"
-	"pjs/internal/sched/speculative"
 	"pjs/internal/sched/ss"
 	"pjs/internal/workload"
 )
@@ -176,91 +170,22 @@ func Summarize(r *Result, f Filter) *Summary { return metrics.FromResult(r, f) }
 // NewScheduler builds a policy from a spec string (see the package
 // comment for the grammar).
 func NewScheduler(spec string) (Scheduler, error) {
-	name, arg, hasArg := strings.Cut(strings.TrimSpace(strings.ToLower(spec)), ":")
-	sf := 2.0
-	if hasArg {
-		v, err := strconv.ParseFloat(arg, 64)
-		if err != nil {
-			return nil, fmt.Errorf("pjs: bad suspension factor %q in %q", arg, spec)
-		}
-		sf = v
+	p, arg, err := policy.Parse(spec)
+	if err != nil {
+		return nil, fmt.Errorf("pjs: %w", err)
 	}
-	switch name {
-	case "fcfs":
-		return fcfs.New(), nil
-	case "conservative", "cons":
-		return conservative.New(), nil
-	case "ns", "easy", "aggressive":
-		return easy.New(), nil
-	case "is":
-		return is.New(), nil
-	case "ss":
-		if sf < 1 {
-			return nil, fmt.Errorf("pjs: suspension factor %v must be ≥ 1", sf)
-		}
-		return ss.New(ss.Config{SF: sf}), nil
-	case "tss":
-		if sf < 1 {
-			return nil, fmt.Errorf("pjs: suspension factor %v must be ≥ 1", sf)
-		}
-		return ss.New(ss.Config{SF: sf, Adaptive: &core.AdaptiveLimits{}}), nil
-	case "ssmig", "ss-mig":
-		if sf < 1 {
-			return nil, fmt.Errorf("pjs: suspension factor %v must be ≥ 1", sf)
-		}
-		return ss.New(ss.Config{SF: sf, Migration: true}), nil
-	case "gang":
-		quantum := int64(0)
-		if hasArg {
-			q, err := strconv.ParseInt(arg, 10, 64)
-			if err != nil || q < 1 {
-				return nil, fmt.Errorf("pjs: bad gang quantum %q in %q", arg, spec)
-			}
-			quantum = q
-		}
-		return gang.New(gang.Config{Quantum: quantum}), nil
-	case "depth", "depthbf":
-		depth := 1
-		if hasArg {
-			d, err := strconv.Atoi(arg)
-			if err != nil || d < 1 {
-				return nil, fmt.Errorf("pjs: bad reservation depth %q in %q", arg, spec)
-			}
-			depth = d
-		}
-		return depthbf.New(depth), nil
-	case "spec", "specbf":
-		factor := 0.0
-		if hasArg {
-			if sf <= 1 {
-				return nil, fmt.Errorf("pjs: bad speculation factor %q in %q", arg, spec)
-			}
-			factor = sf
-		}
-		return speculative.New(speculative.Config{SpecFactor: factor}), nil
-	}
-	return nil, fmt.Errorf("pjs: unknown scheduler %q (want fcfs|conservative|ns|is|ss:SF|tss:SF|ssmig:SF|gang[:Q])", spec)
+	return p.New(arg), nil
 }
 
-// SchedulerSpecs returns one canonical spec string per registered
-// policy — every constructor branch NewScheduler accepts, in stable
-// order. It is the scheduler registry used by the determinism
-// regression suite (every policy is run twice over the same seeded
-// trace and must produce byte-identical audit logs) and by tooling that
-// wants to sweep all policies.
+// SchedulerSpecs returns the canonical spec of every policy in table
+// order: the registry that the determinism and golden suites and
+// policy sweeps run.
 func SchedulerSpecs() []string {
-	return []string{
-		"fcfs",
-		"conservative",
-		"ns",
-		"is",
-		"ss:2",
-		"tss:2",
-		"ssmig:2",
-		"gang",
-		"spec",
-		"depth:2",
+	specs := make([]string, len(policy.All))
+	for i, p := range policy.All {
+		specs[i] = p.Spec
 	}
+	return specs
 }
 
 // NewSS returns a plain Selective Suspension scheduler.

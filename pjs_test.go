@@ -2,8 +2,11 @@ package pjs
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
+
+	"pjs/internal/policy"
 )
 
 func TestNewSchedulerSpecs(t *testing.T) {
@@ -39,10 +42,54 @@ func TestNewSchedulerSpecs(t *testing.T) {
 }
 
 func TestNewSchedulerErrors(t *testing.T) {
-	for _, spec := range []string{"", "bogus", "ss:abc", "ss:0.5", "tss:0", "gang:0", "gang:x", "depth:0", "spec:1"} {
-		if _, err := NewScheduler(spec); err == nil {
+	// Each bad spec and a substring its error must contain: the
+	// argument the policy takes, or that it takes none.
+	cases := map[string]string{
+		"":                       "unknown scheduler",
+		"bogus":                  "unknown scheduler",
+		"ss:abc":                 `bad suspension factor "abc"`,
+		"ss:0.5":                 "suspension factor 0.5 must be ≥ 1",
+		"tss:0":                  "suspension factor 0 must be ≥ 1",
+		"gang:0":                 "gang quantum 0 must be ≥ 1",
+		"gang:x":                 `bad gang quantum "x"`,
+		"gang:1.5":               `bad gang quantum "1.5"`,
+		"depth:0":                "reservation depth 0 must be ≥ 1",
+		"spec:1":                 "speculation factor 1 must be > 1",
+		"fcfs:3":                 "fcfs takes no argument",
+		"ns:7":                   "ns takes no argument",
+		"conservative:-1":        "conservative takes no argument",
+		"is:x":                   "is takes no argument",
+		"ss:nan":                 `bad suspension factor "nan"`,
+		"tss:NaN":                `bad suspension factor "nan"`,
+		"ss:inf":                 `bad suspension factor "inf"`,
+		"spec:inf":               `bad speculation factor "inf"`,
+		"spec:abc":               `bad speculation factor "abc"`,
+		"depth:9007199254740993": `bad reservation depth`,
+	}
+	for spec, want := range cases {
+		_, err := NewScheduler(spec)
+		if err == nil {
 			t.Errorf("NewScheduler(%q) should fail", spec)
+		} else if !strings.Contains(err.Error(), want) {
+			t.Errorf("NewScheduler(%q) error %q, want it to contain %q", spec, err, want)
 		}
+	}
+}
+
+// TestPackageDocGrammar holds the spec table in the package comment to
+// the rendering of the policy table.
+func TestPackageDocGrammar(t *testing.T) {
+	src, err := os.ReadFile("pjs.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := "//\t" + strings.ReplaceAll(policy.Usage(), "\n", "\n//\t") + "\n//\n"
+	if !strings.Contains(string(src), block) {
+		t.Errorf("pjs.go's package comment lacks the rendered policy table:\n%s", block)
+	}
+	_, err = NewScheduler("lottery")
+	if want := "(want " + policy.Grammar() + ")"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("unknown-scheduler error %v, want it to list %s", err, want)
 	}
 }
 
