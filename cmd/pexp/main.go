@@ -61,12 +61,7 @@ func pexp(args []string, stdout, stderr *cli.W) int {
 		verify   = fs.Bool("verify", false, "replay every simulation through the invariant checker")
 		counters = fs.Bool("counters", false, "print per-experiment engine counter tables")
 		memoDir  = fs.String("memo-dir", "", "cache finished simulations here; interrupted sweeps resume from the cache")
-		mtbf     = fs.Float64("mtbf", 0, "per-processor mean time between failures in hours, applied to every run (0 disables)")
-		mttr     = fs.Float64("mttr", 0, "mean time to repair in hours (with -mtbf)")
-		fseed    = fs.Int64("fault-seed", 1, "fault-injection seed (with -mtbf)")
-		ioWrite  = fs.Float64("io-write-fail", 0, "transient suspend-write failure probability, applied to every run (0 disables)")
-		ioRead   = fs.Float64("io-read-fail", 0, "transient restart-read failure probability (0 disables)")
-		ioSeed   = fs.Int64("io-seed", 1, "transient I/O fault stream seed")
+		faults   = cli.FaultFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -100,19 +95,11 @@ func pexp(args []string, stdout, stderr *cli.W) int {
 		}
 	}
 
-	if *mtbf < 0 || *mttr < 0 {
-		return fail(fmt.Errorf("-mtbf and -mttr must be ≥ 0 hours, got %g/%g", *mtbf, *mttr))
+	fc, tc, err := faults()
+	if err != nil {
+		return fail(err)
 	}
-	if *ioWrite < 0 || *ioWrite > 1 || *ioRead < 0 || *ioRead > 1 {
-		return fail(fmt.Errorf("-io-write-fail and -io-read-fail must be in [0,1], got %g/%g", *ioWrite, *ioRead))
-	}
-	cfg := pjs.ExpConfig{Jobs: *jobs, Seed: *seed, Verify: *verify}
-	if *mtbf > 0 {
-		cfg.Faults = pjs.FaultConfig{MTBF: int64(*mtbf * 3600), MTTR: int64(*mttr * 3600), Seed: *fseed}
-	}
-	if *ioWrite > 0 || *ioRead > 0 {
-		cfg.Transient = pjs.TransientFaultConfig{WriteFailProb: *ioWrite, ReadFailProb: *ioRead, Seed: *ioSeed}
-	}
+	cfg := pjs.ExpConfig{Jobs: *jobs, Seed: *seed, Verify: *verify, Faults: fc, Transient: tc}
 	ctx := context.Background()
 	if *memoDir != "" {
 		if err := os.MkdirAll(*memoDir, 0o755); err != nil {

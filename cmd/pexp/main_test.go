@@ -19,6 +19,9 @@ func TestRunErrorPaths(t *testing.T) {
 		{"no experiment selected", nil, 1, "-exp required"},
 		{"unknown experiment", []string{"-exp", "fig99"}, 1, `unknown experiment "fig99"`},
 		{"unknown in list", []string{"-exp", "table2,fig99"}, 1, `unknown experiment "fig99"`},
+		{"negative mtbf", []string{"-exp", "table2", "-mtbf", "-1"}, 1, "-mtbf and -mttr must be ≥ 0 hours, got -1/0"},
+		{"write-fail probability above 1", []string{"-exp", "table2", "-io-write-fail", "2"}, 1,
+			"-io-write-fail and -io-read-fail must be in [0,1], got 2/0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

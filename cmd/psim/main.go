@@ -86,12 +86,6 @@ func psim(args []string, stdout, stderr *cli.W) int {
 		traceOut  = fs.String("trace-out", "", "write a Perfetto/Chrome trace-event JSON file of the run")
 		tsOut     = fs.String("timeseries-out", "", "write a utilization/queue time series as CSV to this file")
 		counters  = fs.Bool("counters", false, "print engine event counters after the run")
-		mtbf      = fs.Float64("mtbf", 0, "per-processor mean time between failures in hours (0 disables fault injection)")
-		mttr      = fs.Float64("mttr", 0, "mean time to repair in hours (with -mtbf; 0 means failures are permanent)")
-		faultSeed = fs.Int64("fault-seed", 1, "fault-injection seed (with -mtbf)")
-		ioWrite   = fs.Float64("io-write-fail", 0, "probability a suspend-image write fails transiently (0 disables)")
-		ioRead    = fs.Float64("io-read-fail", 0, "probability a restart-image read fails transiently (0 disables)")
-		ioSeed    = fs.Int64("io-seed", 1, "transient I/O fault stream seed")
 		ioMaxAtt  = fs.Int("io-max-attempts", 0, "I/O attempts per operation before kill-and-requeue (0 = default 4)")
 		ioBase    = fs.Int64("io-backoff-base", 0, "first I/O retry backoff in seconds of virtual time (0 = default 30)")
 		ioCap     = fs.Int64("io-backoff-cap", 0, "I/O retry backoff ceiling in seconds (0 = default 480)")
@@ -102,6 +96,7 @@ func psim(args []string, stdout, stderr *cli.W) int {
 		resume    = fs.String("resume", "", "resume from this checkpoint file (workload/scheduler/options come from it)")
 		maxWall   = fs.Duration("max-wall", 0, "wall-clock budget; an exceeded budget checkpoints (if enabled) and exits 3")
 		perfFlag  = fs.Bool("perf", false, "profile the scheduler hot path and print a per-phase summary to stderr")
+		faults    = cli.FaultFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -134,15 +129,15 @@ func psim(args []string, stdout, stderr *cli.W) int {
 		stderr.Printf("psim: resuming %s under %s from event %d (t=%d)\n",
 			spec, schedName, c.Events, c.Now)
 	} else {
-		if *mtbf < 0 || *mttr < 0 {
-			return fail(fmt.Errorf("-mtbf and -mttr must be ≥ 0 hours, got %g/%g", *mtbf, *mttr))
-		}
-		if *ioWrite < 0 || *ioWrite > 1 || *ioRead < 0 || *ioRead > 1 {
-			return fail(fmt.Errorf("-io-write-fail and -io-read-fail must be in [0,1], got %g/%g", *ioWrite, *ioRead))
+		fc, tc, err := faults()
+		if err != nil {
+			return fail(err)
 		}
 		if *ioMaxAtt < 0 || *ioBase < 0 || *ioCap < 0 || *ioWindow < 0 || *ioThresh < 0 {
 			return fail(fmt.Errorf("transient I/O flags must be ≥ 0"))
 		}
+		tc.MaxAttempts, tc.BackoffBase, tc.BackoffCap = *ioMaxAtt, *ioBase, *ioCap
+		tc.HealthWindow, tc.HealthThreshold = *ioWindow, *ioThresh
 		spec = &ckpt.WorkloadSpec{Kind: ckpt.KindSynthetic, Model: *model, Jobs: *jobs,
 			Seed: *seed, Estimates: *estimates, Load: *loadF}
 		if *traceFile != "" {
@@ -150,23 +145,7 @@ func psim(args []string, stdout, stderr *cli.W) int {
 				Estimates: *estimates, Load: *loadF}
 		}
 		schedName = *schedSpec
-		optSpec = ckpt.OptSpec{
-			Overhead:       *oh,
-			Contiguous:     *contig,
-			MTBF:           int64(*mtbf * 3600),
-			MTTR:           int64(*mttr * 3600),
-			FaultSeed:      *faultSeed,
-			IOWriteFail:    *ioWrite,
-			IOReadFail:     *ioRead,
-			IOMaxAttempts:  *ioMaxAtt,
-			IOBackoffBase:  *ioBase,
-			IOBackoffCap:   *ioCap,
-			IOHealthWindow: *ioWindow,
-			IOHealthThresh: *ioThresh,
-		}
-		if *ioWrite > 0 || *ioRead > 0 {
-			optSpec.IOSeed = *ioSeed
-		}
+		optSpec = ckpt.OptSpec{Overhead: *oh, Contiguous: *contig, Config: fc, TransientConfig: tc}
 		if *ckptEvery > 0 {
 			if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 				return fail(err)
@@ -322,11 +301,11 @@ func psim(args []string, stdout, stderr *cli.W) int {
 	for _, j := range res.Jobs {
 		resubmits += j.Resubmits
 	}
-	if optSpec.MTBF > 0 {
+	if optSpec.Config.Enabled() {
 		stdout.Printf("faults: failures=%d repairs=%d fail-kills=%d images-lost=%d resubmissions=%d lost-work=%ds\n",
 			res.Failures, res.Repairs, res.FailKills, res.ImagesLost, resubmits, res.LostWorkSeconds)
 	}
-	if optSpec.IOWriteFail > 0 || optSpec.IOReadFail > 0 {
+	if optSpec.TransientConfig.Enabled() {
 		stdout.Printf("transient-io: retries=%d exhausted=%d degradations=%d restores=%d resubmissions=%d lost-work=%ds\n",
 			res.IORetries, res.IOExhaustions, res.IODegradations, res.IORestores, resubmits, res.LostWorkSeconds)
 	}

@@ -108,41 +108,63 @@ func TestVerifyMigratable(t *testing.T) {
 // TestInterruptCheckpointResume is the CLI-level crash-equivalence
 // check: a run killed by the -max-wall watchdog exits 3 with a saved
 // checkpoint, and resuming it reproduces the uninterrupted run's
-// stdout byte for byte.
+// stdout byte for byte — with and without fault injection, whose
+// options the checkpoint must carry.
 func TestInterruptCheckpointResume(t *testing.T) {
-	dir := t.TempDir()
-	common := []string{"-jobs", "150", "-seed", "3", "-sched", "ss:2", "-overhead", "-verify"}
+	cases := []struct {
+		name  string
+		extra []string
+		lines []string // stdout lines the run must print
+	}{
+		{"no faults", nil, nil},
+		{"faults and transient io", []string{"-mtbf", "500", "-mttr", "2", "-fault-seed", "3",
+			"-io-write-fail", "0.3", "-io-read-fail", "0.3", "-io-seed", "3",
+			"-io-max-attempts", "3", "-io-backoff-base", "20", "-io-backoff-cap", "200",
+			"-io-health-window", "1800", "-io-health-thresh", "2"},
+			[]string{"faults: ", "transient-io: "}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			common := append([]string{"-jobs", "150", "-seed", "3", "-sched", "ss:2", "-overhead", "-verify"}, tc.extra...)
 
-	var fullOut, fullErr strings.Builder
-	if code := run(common, &fullOut, &fullErr); code != 0 {
-		t.Fatalf("reference run: exit %d, stderr: %s", code, fullErr.String())
-	}
+			var fullOut, fullErr strings.Builder
+			if code := run(common, &fullOut, &fullErr); code != 0 {
+				t.Fatalf("reference run: exit %d, stderr: %s", code, fullErr.String())
+			}
+			for _, l := range tc.lines {
+				if !strings.Contains(fullOut.String(), "\n"+l) {
+					t.Errorf("reference run prints no %q line:\n%s", l, fullOut.String())
+				}
+			}
 
-	var intOut, intErr strings.Builder
-	args := append(append([]string{}, common...),
-		"-ckpt-every", "500", "-ckpt-dir", dir, "-max-wall", "1ns")
-	if code := run(args, &intOut, &intErr); code != 3 {
-		t.Fatalf("interrupted run: exit %d, want 3 (stderr: %s)", code, intErr.String())
-	}
-	ckptPath := filepath.Join(dir, "psim.ckpt")
-	if !strings.Contains(intErr.String(), "checkpoint saved") ||
-		!strings.Contains(intErr.String(), "-resume "+ckptPath) {
-		t.Errorf("interrupt diagnostics missing resume hint:\n%s", intErr.String())
-	}
-	if fi, err := os.Stat(ckptPath); err != nil || fi.Size() == 0 {
-		t.Fatalf("checkpoint file missing or empty: %v", err)
-	}
+			var intOut, intErr strings.Builder
+			args := append(append([]string{}, common...),
+				"-ckpt-every", "500", "-ckpt-dir", dir, "-max-wall", "1ns")
+			if code := run(args, &intOut, &intErr); code != 3 {
+				t.Fatalf("interrupted run: exit %d, want 3 (stderr: %s)", code, intErr.String())
+			}
+			ckptPath := filepath.Join(dir, "psim.ckpt")
+			if !strings.Contains(intErr.String(), "checkpoint saved") ||
+				!strings.Contains(intErr.String(), "-resume "+ckptPath) {
+				t.Errorf("interrupt diagnostics missing resume hint:\n%s", intErr.String())
+			}
+			if fi, err := os.Stat(ckptPath); err != nil || fi.Size() == 0 {
+				t.Fatalf("checkpoint file missing or empty: %v", err)
+			}
 
-	var resOut, resErr strings.Builder
-	if code := run([]string{"-resume", ckptPath, "-verify"}, &resOut, &resErr); code != 0 {
-		t.Fatalf("resumed run: exit %d, stderr: %s", code, resErr.String())
-	}
-	if !strings.Contains(resErr.String(), "resuming") {
-		t.Errorf("no resume notice on stderr:\n%s", resErr.String())
-	}
-	if resOut.String() != fullOut.String() {
-		t.Errorf("resumed stdout differs from uninterrupted run:\n--- full ---\n%s\n--- resumed ---\n%s",
-			fullOut.String(), resOut.String())
+			var resOut, resErr strings.Builder
+			if code := run([]string{"-resume", ckptPath, "-verify"}, &resOut, &resErr); code != 0 {
+				t.Fatalf("resumed run: exit %d, stderr: %s", code, resErr.String())
+			}
+			if !strings.Contains(resErr.String(), "resuming") {
+				t.Errorf("no resume notice on stderr:\n%s", resErr.String())
+			}
+			if resOut.String() != fullOut.String() {
+				t.Errorf("resumed stdout differs from uninterrupted run:\n--- full ---\n%s\n--- resumed ---\n%s",
+					fullOut.String(), resOut.String())
+			}
+		})
 	}
 }
 

@@ -5,9 +5,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"pjs/internal/fault"
+	"pjs/internal/overhead"
+	"pjs/internal/sched"
 	"pjs/internal/workload"
 )
 
@@ -56,7 +60,7 @@ func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
 	c := &Checkpoint{
 		Workload: WorkloadSpec{Kind: KindSynthetic, Model: "SDSC", Jobs: 500, Seed: 7, Estimates: "accurate", Load: 1.3},
 		Sched:    "ss:2",
-		Opt:      OptSpec{Overhead: true, MTBF: 3600, MTTR: 600, FaultSeed: 5},
+		Opt:      OptSpec{Overhead: true, Config: fault.Config{MTBF: 3600, MTTR: 600, Seed: 5}},
 		Events:   123456,
 		Now:      987654321,
 		// Extremes prove the uint64 hash survives the JSON round trip
@@ -216,7 +220,7 @@ func TestWorkloadSpecSWFFingerprint(t *testing.T) {
 }
 
 func TestOptSpecOptions(t *testing.T) {
-	opt := OptSpec{Overhead: true, Contiguous: true, MaxSteps: 99, MTBF: 100, MTTR: 7, FaultSeed: 3}.Options()
+	opt := OptSpec{Overhead: true, Contiguous: true, MaxSteps: 99, Config: fault.Config{MTBF: 100, MTTR: 7, Seed: 3}}.Options()
 	if opt.Overhead == nil || !opt.ContiguousAlloc || opt.MaxSteps != 99 {
 		t.Errorf("options not expanded: %+v", opt)
 	}
@@ -231,13 +235,129 @@ func TestOptSpecOptions(t *testing.T) {
 		t.Errorf("zero spec expanded to enabled transient faults: %+v", none.Transient)
 	}
 
-	trans := OptSpec{
-		IOWriteFail: 0.2, IOReadFail: 0.1, IOSeed: 4, IOMaxAttempts: 6,
-		IOBackoffBase: 10, IOBackoffCap: 90, IOHealthWindow: 1200, IOHealthThresh: 2,
-	}.Options().Transient
+	trans := OptSpec{TransientConfig: fault.TransientConfig{
+		WriteFailProb: 0.2, ReadFailProb: 0.1, Seed: 4, MaxAttempts: 6,
+		BackoffBase: 10, BackoffCap: 90, HealthWindow: 1200, HealthThreshold: 2,
+	}}.Options().Transient
 	if !trans.Enabled() || trans.WriteFailProb != 0.2 || trans.ReadFailProb != 0.1 ||
 		trans.Seed != 4 || trans.MaxAttempts != 6 || trans.BackoffBase != 10 ||
 		trans.BackoffCap != 90 || trans.HealthWindow != 1200 || trans.HealthThreshold != 2 {
 		t.Errorf("transient config not expanded: %+v", trans)
+	}
+}
+
+// psimCheckpoint is the checkpoint psim writes for
+//
+//	psim -model SDSC -jobs 300 -sched ss:2 -overhead -mtbf 500 -mttr 2 \
+//	  -fault-seed 7 -io-write-fail 0.3 -io-read-fail 0.2 -io-seed 5 \
+//	  -io-max-attempts 6 -io-backoff-base 10 -io-backoff-cap 90 \
+//	  -io-health-window 1200 -io-health-thresh 2
+//
+// at a made-up watermark, and psimCheckpointBytes its encoding when
+// OptSpec still spelled every fault knob as a flat field of its own.
+var psimCheckpoint = Checkpoint{
+	Workload: WorkloadSpec{Kind: KindSynthetic, Model: "SDSC", Jobs: 300, Seed: 1, Estimates: "accurate", Load: 1},
+	Sched:    "ss:2",
+	Opt: OptSpec{
+		Overhead: true,
+		Config:   fault.Config{MTBF: 500 * 3600, MTTR: 2 * 3600, Seed: 7},
+		TransientConfig: fault.TransientConfig{WriteFailProb: 0.3, ReadFailProb: 0.2, Seed: 5,
+			MaxAttempts: 6, BackoffBase: 10, BackoffCap: 90, HealthWindow: 1200, HealthThreshold: 2},
+	},
+	Events: 1234, Now: 5678, AuditHash: 42, AuditEntries: 99,
+}
+
+const psimCheckpointBytes = `pjsckpt v1
+{
+  "workload": {
+    "kind": "synthetic",
+    "model": "SDSC",
+    "jobs": 300,
+    "seed": 1,
+    "estimates": "accurate",
+    "load": 1
+  },
+  "sched": "ss:2",
+  "opt": {
+    "overhead": true,
+    "mtbf": 1800000,
+    "mttr": 7200,
+    "fault_seed": 7,
+    "io_write_fail": 0.3,
+    "io_read_fail": 0.2,
+    "io_seed": 5,
+    "io_max_attempts": 6,
+    "io_backoff_base": 10,
+    "io_backoff_cap": 90,
+    "io_health_window": 1200,
+    "io_health_thresh": 2
+  },
+  "events": 1234,
+  "now": 5678,
+  "audit_hash": 42,
+  "audit_entries": 99
+}
+crc32 9588a211
+`
+
+// The embedded fault configurations keep the byte format of the flat
+// fields they replaced: a psim-shaped checkpoint encodes to the same
+// bytes, and those bytes decode to the same runnable options.
+func TestOptSpecKeepsCheckpointBytes(t *testing.T) {
+	got, err := psimCheckpoint.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != psimCheckpointBytes {
+		t.Errorf("checkpoint bytes changed:\n got:\n%s\nwant:\n%s", got, psimCheckpointBytes)
+	}
+	back, err := Decode([]byte(psimCheckpointBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sched.Options{
+		Overhead: overhead.Disk{},
+		Faults:   fault.Config{MTBF: 1800000, MTTR: 7200, Seed: 7},
+		Transient: fault.TransientConfig{WriteFailProb: 0.3, ReadFailProb: 0.2, Seed: 5,
+			MaxAttempts: 6, BackoffBase: 10, BackoffCap: 90, HealthWindow: 1200, HealthThreshold: 2},
+	}
+	if opt := back.Opt.Options(); !reflect.DeepEqual(opt, want) {
+		t.Errorf("decoded options:\n got %+v\nwant %+v", opt, want)
+	}
+
+	// psim used to record -fault-seed without -mtbf; such a checkpoint
+	// still expands to options with fault injection off.
+	old := Seal(checkpointKind, checkpointVersion, []byte(`{"workload":{"kind":"synthetic","model":"SDSC","jobs":300},
+		"sched":"ns","opt":{"overhead":true,"fault_seed":1},"events":0,"now":0,"audit_hash":0,"audit_entries":0}`))
+	c, err := Decode(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt := c.Opt.Options(); !reflect.DeepEqual(opt, sched.Options{Overhead: overhead.Disk{}}) {
+		t.Errorf("fault_seed without mtbf expanded to %+v", opt)
+	}
+}
+
+// FailFirst, the deterministic test mode of transient faults, survives
+// a checkpoint like every other fault knob.
+func TestCheckpointCarriesFailFirst(t *testing.T) {
+	c := psimCheckpoint
+	c.Opt.FailFirst = 3
+	data, err := c.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"io_fail_first": 3`) {
+		t.Errorf("encoding lacks io_fail_first:\n%s", data)
+	}
+	back, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *back != c {
+		t.Errorf("round trip:\n got %+v\nwant %+v", back, c)
+	}
+	if got := back.Opt.Options().Transient.FailFirst; got != 3 {
+		t.Errorf("resumed options FailFirst = %d, want 3", got)
 	}
 }

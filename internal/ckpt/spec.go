@@ -124,7 +124,9 @@ func HashBytes(data []byte) uint64 {
 // simulation-affecting knobs, in plain serializable form. Output and
 // instrumentation options (Audit, Observer) are deliberately absent:
 // they do not influence the deterministic event stream, so a resumed
-// run may pick its own.
+// run may pick its own. The fault configurations are embedded whole;
+// their omitempty JSON tags (package fault) keep a checkpoint without
+// faults in the byte format it had before fault injection existed.
 type OptSpec struct {
 	// Overhead enables the paper's disk suspension/restart cost model.
 	Overhead bool `json:"overhead,omitempty"`
@@ -132,22 +134,8 @@ type OptSpec struct {
 	Contiguous bool `json:"contiguous,omitempty"`
 	// MaxSteps bounds the run (0 = no limit).
 	MaxSteps int64 `json:"max_steps,omitempty"`
-	// MTBF/MTTR/FaultSeed configure fault injection, in seconds of
-	// virtual time (MTBF 0 disables).
-	MTBF      int64 `json:"mtbf,omitempty"`
-	MTTR      int64 `json:"mttr,omitempty"`
-	FaultSeed int64 `json:"fault_seed,omitempty"`
-	// Transient I/O fault injection (both probabilities 0 disables).
-	// Every field is omitempty so checkpoints written before the
-	// transient-fault feature keep their byte format and hash path.
-	IOWriteFail    float64 `json:"io_write_fail,omitempty"`
-	IOReadFail     float64 `json:"io_read_fail,omitempty"`
-	IOSeed         int64   `json:"io_seed,omitempty"`
-	IOMaxAttempts  int     `json:"io_max_attempts,omitempty"`
-	IOBackoffBase  int64   `json:"io_backoff_base,omitempty"`
-	IOBackoffCap   int64   `json:"io_backoff_cap,omitempty"`
-	IOHealthWindow int64   `json:"io_health_window,omitempty"`
-	IOHealthThresh int     `json:"io_health_thresh,omitempty"`
+	fault.Config
+	fault.TransientConfig
 }
 
 // Options expands the spec into runnable sched.Options.
@@ -155,22 +143,15 @@ func (o OptSpec) Options() sched.Options {
 	opt := sched.Options{
 		ContiguousAlloc: o.Contiguous,
 		MaxSteps:        o.MaxSteps,
+		Transient:       o.TransientConfig,
 	}
 	if o.Overhead {
 		opt.Overhead = overhead.Disk{}
 	}
-	if o.MTBF > 0 {
-		opt.Faults = fault.Config{MTBF: o.MTBF, MTTR: o.MTTR, Seed: o.FaultSeed}
-	}
-	opt.Transient = fault.TransientConfig{
-		WriteFailProb:   o.IOWriteFail,
-		ReadFailProb:    o.IOReadFail,
-		Seed:            o.IOSeed,
-		MaxAttempts:     o.IOMaxAttempts,
-		BackoffBase:     o.IOBackoffBase,
-		BackoffCap:      o.IOBackoffCap,
-		HealthWindow:    o.IOHealthWindow,
-		HealthThreshold: o.IOHealthThresh,
+	// Older psim checkpoints carry fault_seed even with fault injection
+	// off; a disabled Config expands to the zero value either way.
+	if o.Config.Enabled() {
+		opt.Faults = o.Config
 	}
 	return opt
 }

@@ -1,5 +1,6 @@
 // Package cli is shared plumbing for the command-line front ends: an
-// error-latching output writer and the exit-code policy built on it.
+// error-latching output writer, the exit-code policy built on it, and
+// the fault-injection flags the simulating commands share (FaultFlags).
 //
 // The repo's INV-errwrite invariant says result-persisting code must
 // consume write errors — a truncated table that looks plausible is

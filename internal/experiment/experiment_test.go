@@ -1,11 +1,13 @@
 package experiment
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"pjs/internal/job"
 	"pjs/internal/metrics"
+	"pjs/internal/obs"
 	"pjs/internal/workload"
 )
 
@@ -265,5 +267,33 @@ func TestSchemeLabels(t *testing.T) {
 		if got := c.sc.make(r, tk).Name(); got != c.name {
 			t.Errorf("%s builds %q, want %q", c.label, got, c.name)
 		}
+	}
+}
+
+// ablation-alloc and ablation-speculative simulate traces of their own
+// (a load-scaled SDSC trace, the abort-stress workload) with per-run
+// options, through the Runner like every other experiment: Verify
+// replays their audit logs and Counters counts them.
+func TestTraceSpecificAblationsRunThroughRunner(t *testing.T) {
+	reg := obs.NewRegistry()
+	r := NewRunner(Config{Jobs: 300, Verify: true, Counters: reg})
+	for _, id := range []string{"ablation-alloc", "ablation-speculative"} {
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("no experiment %s", id)
+		}
+		e.Run(r)
+	}
+	var got []string
+	for _, c := range reg.Snapshot() {
+		if c.Arrivals == 0 {
+			t.Errorf("%s: no arrivals counted", c.Scheduler)
+		}
+		got = append(got, c.Scheduler)
+	}
+	want := []string{"SF = 2 first-fit", "SF = 2 best-fit contiguous",
+		"abort-stress EASY", "abort-stress SpecBF", "abort-stress TSS(SF=2 adaptive)"}
+	if !slices.Equal(got, want) {
+		t.Errorf("counted runs = %q, want %q", got, want)
 	}
 }

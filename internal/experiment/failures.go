@@ -66,8 +66,9 @@ func sweepTable(r *Runner, sc Scheme, title, note string, rows, extra []string, 
 	cells func(res *sched.Result, resubmits int) []float64) Renderable {
 	t := report.NewTable(title, rows, append([]string{"mean sd", "worst sd", "util %"}, extra...))
 	tk := traceKey{"SDSC", workload.EstimateAccurate, 100}
+	tr := r.Trace(tk.model, tk.est, tk.loadPct)
 	for i, opt := range opts {
-		res, err := r.run(sc, tk, sc.Label+" "+rows[i], opt)
+		res, err := r.run(tr, sc.make(r, tk), sc.Label+" "+rows[i], opt)
 		if err != nil {
 			return Text(fmt.Sprintf("%s\n  %s: %v\n", title, rows[i], err))
 		}

@@ -175,9 +175,10 @@ func registerAblations() {
 			[]string{"overall mean slowdown", "loaded utilization %", "full-span utilization %", "suspensions"},
 			[]string{"first-fit", "best-fit contiguous"})
 		for col, contig := range []bool{false, true} {
-			res := sched.Run(tr, policy.SS.New(2), sched.Options{
-				MaxSteps: r.Config().MaxSteps, ContiguousAlloc: contig,
-			})
+			res, err := r.run(tr, policy.SS.New(2), policy.SS.Label(2)+" "+t.ColLabels[col], sched.Options{ContiguousAlloc: contig})
+			if err != nil {
+				panic(err)
+			}
 			sum := metrics.FromResult(res, metrics.All)
 			t.Set(0, col, sum.Overall.MeanSlowdown)
 			t.Set(1, col, 100*res.UtilizationLoaded)
@@ -292,7 +293,10 @@ func registerAblations() {
 		for col, s := range []sched.Scheduler{
 			policy.NS.New(0), policy.SpecBF.New(policy.SpecBF.Arg.Default), policy.TSS.New(2),
 		} {
-			res := sched.Run(tr, s, sched.Options{MaxSteps: 20_000_000})
+			res, err := r.run(tr, s, tr.Name+" "+t.ColLabels[col], sched.Options{})
+			if err != nil {
+				panic(err)
+			}
 			var a, n stats.Acc
 			for _, j := range res.Jobs {
 				sd := metrics.BoundedSlowdown(j)

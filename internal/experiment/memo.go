@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"pjs/internal/ckpt"
+	"pjs/internal/fault"
 	"pjs/internal/job"
 	"pjs/internal/sched"
 )
@@ -41,23 +42,13 @@ type memoKey struct {
 	Jobs     int    `json:"jobs"`
 	Seed     int64  `json:"seed"`
 	MaxSteps int64  `json:"max_steps"`
-	// Fault-injection parameters. Every field is omitempty so the key
-	// JSON (and hence the filename hash) of a no-fault run is
-	// byte-identical to the pre-fault schema — existing caches stay
-	// valid — while two configurations differing in any fault knob get
-	// distinct paths and fail the in-file key comparison.
-	MTBF           int64   `json:"mtbf,omitempty"`
-	MTTR           int64   `json:"mttr,omitempty"`
-	FaultSeed      int64   `json:"fault_seed,omitempty"`
-	IOWriteFail    float64 `json:"io_write_fail,omitempty"`
-	IOReadFail     float64 `json:"io_read_fail,omitempty"`
-	IOSeed         int64   `json:"io_seed,omitempty"`
-	IOMaxAttempts  int     `json:"io_max_attempts,omitempty"`
-	IOBackoffBase  int64   `json:"io_backoff_base,omitempty"`
-	IOBackoffCap   int64   `json:"io_backoff_cap,omitempty"`
-	IOFailFirst    int     `json:"io_fail_first,omitempty"`
-	IOHealthWindow int64   `json:"io_health_window,omitempty"`
-	IOHealthThresh int     `json:"io_health_thresh,omitempty"`
+	// The fault configurations. Their fields are omitempty (package
+	// fault), so the key JSON (and hence the filename hash) of a
+	// no-fault run is byte-identical to the pre-fault schema — existing
+	// caches stay valid — while two configurations differing in any
+	// fault knob get distinct paths and fail the in-file key comparison.
+	fault.Config
+	fault.TransientConfig
 }
 
 // memoJob is the serialized form of a finished job: the static
@@ -95,26 +86,16 @@ type memoFile struct {
 
 func (r *Runner) memoKey(rk runKey) memoKey {
 	return memoKey{
-		Model:          rk.tk.model,
-		Est:            int(rk.tk.est),
-		LoadPct:        rk.tk.loadPct,
-		Scheme:         rk.scheme,
-		Overhead:       rk.overhead,
-		Jobs:           r.cfg.Jobs,
-		Seed:           r.cfg.Seed,
-		MaxSteps:       r.cfg.MaxSteps,
-		MTBF:           r.cfg.Faults.MTBF,
-		MTTR:           r.cfg.Faults.MTTR,
-		FaultSeed:      r.cfg.Faults.Seed,
-		IOWriteFail:    r.cfg.Transient.WriteFailProb,
-		IOReadFail:     r.cfg.Transient.ReadFailProb,
-		IOSeed:         r.cfg.Transient.Seed,
-		IOMaxAttempts:  r.cfg.Transient.MaxAttempts,
-		IOBackoffBase:  r.cfg.Transient.BackoffBase,
-		IOBackoffCap:   r.cfg.Transient.BackoffCap,
-		IOFailFirst:    r.cfg.Transient.FailFirst,
-		IOHealthWindow: r.cfg.Transient.HealthWindow,
-		IOHealthThresh: r.cfg.Transient.HealthThreshold,
+		Model:           rk.tk.model,
+		Est:             int(rk.tk.est),
+		LoadPct:         rk.tk.loadPct,
+		Scheme:          rk.scheme,
+		Overhead:        rk.overhead,
+		Jobs:            r.cfg.Jobs,
+		Seed:            r.cfg.Seed,
+		MaxSteps:        r.cfg.MaxSteps,
+		Config:          r.cfg.Faults,
+		TransientConfig: r.cfg.Transient,
 	}
 }
 
@@ -123,7 +104,7 @@ func (r *Runner) memoKey(rk runKey) memoKey {
 func (r *Runner) memoPath(mk memoKey) string {
 	keyJSON, err := json.Marshal(mk)
 	if err != nil {
-		// memoKey is a flat struct of marshalable fields; this cannot
+		// memoKey holds only marshalable fields; this cannot
 		// fail at runtime and a zero hash would only weaken the name,
 		// not correctness (the in-file key check still guards).
 		keyJSON = nil

@@ -204,6 +204,30 @@ func TestMemoKeyJSONBackCompat(t *testing.T) {
 	}
 }
 
+// TestMemoKeyJSONWithFaults pins the key of a run with every fault
+// knob set to the bytes, and the file name, it had when the key spelled
+// each knob as a flat field of its own: caches written then stay valid.
+func TestMemoKeyJSONWithFaults(t *testing.T) {
+	r := NewRunner(Config{Jobs: 120, Seed: 5, MemoDir: "cache",
+		Faults: fault.Config{MTBF: 1800000, MTTR: 7200, Seed: 7},
+		Transient: fault.TransientConfig{WriteFailProb: 0.3, ReadFailProb: 0.2, Seed: 5, MaxAttempts: 6,
+			BackoffBase: 10, BackoffCap: 90, FailFirst: 2, HealthWindow: 1200, HealthThreshold: 2}})
+	mk := r.memoKey(runKey{tk: traceKey{"SDSC", workload.EstimateAccurate, 100}, scheme: "SF = 2", overhead: true})
+	got, err := json.Marshal(mk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"model":"SDSC","est":0,"load_pct":100,"scheme":"SF = 2","overhead":true,"jobs":120,"seed":5,"max_steps":200000000,` +
+		`"mtbf":1800000,"mttr":7200,"fault_seed":7,"io_write_fail":0.3,"io_read_fail":0.2,"io_seed":5,"io_max_attempts":6,` +
+		`"io_backoff_base":10,"io_backoff_cap":90,"io_fail_first":2,"io_health_window":1200,"io_health_thresh":2}`
+	if string(got) != want {
+		t.Errorf("fault memo key JSON changed (existing caches invalidated):\n got:  %s\n want: %s", got, want)
+	}
+	if p, want := r.memoPath(mk), filepath.Join("cache", "SDSC_SF---2_683eb58bd3cc46ee.memo"); p != want {
+		t.Errorf("memo path = %s, want %s", p, want)
+	}
+}
+
 func TestMemoSaveFailureWarnsButSucceeds(t *testing.T) {
 	warned := false
 	r := NewRunner(Config{

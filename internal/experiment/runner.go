@@ -260,7 +260,7 @@ func (r *Runner) resultFor(rk runKey, sc Scheme) *sched.Result {
 	if rk.overhead {
 		opt.Overhead = overhead.Disk{}
 	}
-	res, err := r.run(sc, rk.tk, rk.scheme, opt)
+	res, err := r.run(r.Trace(rk.tk.model, rk.tk.est, rk.tk.loadPct), sc.make(r, rk.tk), rk.scheme, opt)
 	if err != nil {
 		panic(err)
 	}
@@ -272,22 +272,20 @@ func (r *Runner) resultFor(rk runKey, sc Scheme) *sched.Result {
 	return res
 }
 
-// run simulates scheme sc on trace tk under opt, observed under key
-// when counting. Under Verify it replays the audit log through the
+// run simulates s on trace t under opt, observed under key when
+// counting. Under Verify it replays the audit log through the
 // invariant checker and panics on a violation.
-func (r *Runner) run(sc Scheme, tk traceKey, key string, opt sched.Options) (*sched.Result, error) {
-	t := r.Trace(tk.model, tk.est, tk.loadPct)
+func (r *Runner) run(t *workload.Trace, s sched.Scheduler, key string, opt sched.Options) (*sched.Result, error) {
 	opt.MaxSteps, opt.Audit = r.cfg.MaxSteps, r.cfg.Verify
 	if r.cfg.Counters != nil {
 		opt.Observer = r.cfg.Counters.For(key, t.Procs)
 	}
-	s := sc.make(r, tk)
 	res, err := sched.RunChecked(t, s, opt)
 	if err != nil || !r.cfg.Verify {
 		return res, err
 	}
 	if err := check.Check(res.Audit, check.OptionsFor(s, opt)); err != nil {
-		panic(fmt.Sprintf("experiment: %s on %s: %v", sc.Label, t.Name, err))
+		panic(fmt.Sprintf("experiment: %s on %s: %v", key, t.Name, err))
 	}
 	res.Audit = nil // free the memory once checked
 	return res, nil

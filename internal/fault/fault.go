@@ -16,18 +16,20 @@ package fault
 import "math/rand"
 
 // Config parameterizes fault injection for one run. The zero value
-// disables injection entirely.
+// disables injection entirely. The JSON names are the serialized form
+// of the knobs in checkpoints and experiment memo keys; every field is
+// omitempty, so a configuration without faults encodes to nothing.
 type Config struct {
 	// MTBF is the mean time between failures of one processor, in
 	// seconds of virtual time. Zero (or negative) disables injection.
-	MTBF int64
+	MTBF int64 `json:"mtbf,omitempty"`
 	// MTTR is the mean time to repair a failed processor, in seconds.
 	// When MTBF is set and MTTR <= 0, failures are permanent: the
 	// processor never returns to service.
-	MTTR int64
+	MTTR int64 `json:"mttr,omitempty"`
 	// Seed seeds the per-processor PRNG streams. Two runs with equal
 	// Config sample identical fault schedules.
-	Seed int64
+	Seed int64 `json:"fault_seed,omitempty"`
 }
 
 // Enabled reports whether the configuration injects any faults.

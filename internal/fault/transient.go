@@ -35,36 +35,38 @@ const (
 // TransientConfig parameterizes transient suspend/restart I/O fault
 // injection for one run. The zero value disables injection entirely and
 // leaves the engine byte-identical to a build without the subsystem.
+// Like Config, its JSON names are the serialized form of the knobs, all
+// omitempty.
 type TransientConfig struct {
 	// WriteFailProb is the per-processor probability that one
 	// suspend-image write operation fails on that processor.
-	WriteFailProb float64
+	WriteFailProb float64 `json:"io_write_fail,omitempty"`
 	// ReadFailProb is the per-processor probability that one
 	// restart-image read operation fails on that processor.
-	ReadFailProb float64
+	ReadFailProb float64 `json:"io_read_fail,omitempty"`
 	// Seed seeds the per-processor draw streams. Two runs with equal
 	// TransientConfig sample identical fault patterns.
-	Seed int64
+	Seed int64 `json:"io_seed,omitempty"`
 	// MaxAttempts caps attempts per operation (initial try + retries);
 	// 0 means DefaultMaxAttempts. An operation failing on its final
 	// attempt is terminal: the job is killed and requeued.
-	MaxAttempts int
+	MaxAttempts int `json:"io_max_attempts,omitempty"`
 	// BackoffBase is the delay before the first retry in seconds of
 	// virtual time (0 = DefaultBackoffBase); each retry doubles it.
-	BackoffBase int64
+	BackoffBase int64 `json:"io_backoff_base,omitempty"`
 	// BackoffCap bounds the backoff delay (0 = DefaultBackoffCap).
-	BackoffCap int64
+	BackoffCap int64 `json:"io_backoff_cap,omitempty"`
 	// FailFirst makes the first FailFirst draws of every processor fail
 	// deterministically before the probabilistic regime begins — a test
 	// mode for pinning exact retry/exhaustion sequences (e.g. "the
 	// fault stream dries up mid-retry").
-	FailFirst int
+	FailFirst int `json:"io_fail_first,omitempty"`
 	// HealthWindow is the sliding failure-count window in seconds
 	// (0 = DefaultHealthWindow).
-	HealthWindow int64
+	HealthWindow int64 `json:"io_health_window,omitempty"`
 	// HealthThreshold is the windowed failure count marking a processor
 	// I/O-degraded (0 = DefaultHealthThreshold).
-	HealthThreshold int
+	HealthThreshold int `json:"io_health_thresh,omitempty"`
 }
 
 // Enabled reports whether the configuration injects any transient

@@ -297,6 +297,28 @@ func (j *Job) Turnaround() int64 {
 	return j.FinishTime - j.SubmitTime
 }
 
+// SlowdownThreshold is the bounded-slowdown clamp of Eq. 1: run times
+// below 10 seconds are treated as 10 seconds "to limit the influence of
+// very short jobs on the metric".
+const SlowdownThreshold = 10
+
+// BoundedSlowdown returns the paper's Eq. 1 for a finished job:
+//
+//	max( (wait + run) / max(run, 10), 1 )
+//
+// where wait+run is the turnaround time (suspended time counts as wait).
+func (j *Job) BoundedSlowdown() float64 {
+	run := j.RunTime
+	if run < SlowdownThreshold {
+		run = SlowdownThreshold
+	}
+	sd := float64(j.Turnaround()) / float64(run)
+	if sd < 1 {
+		sd = 1
+	}
+	return sd
+}
+
 // WellEstimated reports whether the user estimate is no more than twice
 // the actual run time — the estimate-quality split of Section V.
 func (j *Job) WellEstimated() bool { return j.Estimate <= 2*j.RunTime }

@@ -13,30 +13,9 @@ import (
 	"pjs/internal/stats"
 )
 
-// SlowdownThreshold is the bounded-slowdown clamp of Eq. 1: run times
-// below 10 seconds are treated as 10 seconds "to limit the influence of
-// very short jobs on the metric".
-const SlowdownThreshold = 10
-
-// Turnaround returns the job's turnaround (response) time in seconds.
-func Turnaround(j *job.Job) int64 { return j.Turnaround() }
-
-// BoundedSlowdown returns Eq. 1:
-//
-//	max( (wait + run) / max(run, 10), 1 )
-//
-// where wait+run is the turnaround time (suspended time counts as wait).
-func BoundedSlowdown(j *job.Job) float64 {
-	run := j.RunTime
-	if run < SlowdownThreshold {
-		run = SlowdownThreshold
-	}
-	sd := float64(j.Turnaround()) / float64(run)
-	if sd < 1 {
-		sd = 1
-	}
-	return sd
-}
+// BoundedSlowdown returns the job's bounded slowdown, Eq. 1 (see
+// job.Job.BoundedSlowdown).
+func BoundedSlowdown(j *job.Job) float64 { return j.BoundedSlowdown() }
 
 // Filter selects the estimate-quality subset of Section V.
 type Filter int

@@ -22,11 +22,6 @@ type reservation struct {
 	start int64
 }
 
-// farFuture anchors a reservation for a job wider than the surviving
-// machine: it cannot be profiled (subtracting it would underflow), so
-// it parks at an unreachable start until a repair restores capacity.
-const farFuture = int64(1) << 60
-
 // Sched is the conservative-backfilling policy.
 type Sched struct {
 	env     *sched.Env
@@ -51,13 +46,13 @@ func (s *Sched) TickInterval() int64 { return 0 }
 func (s *Sched) OnArrival(j *job.Job) {
 	now := s.env.Now()
 	if j.Procs > s.env.Cluster.UpCount() {
-		s.insertResv(reservation{j: j, start: farFuture})
+		s.insertResv(reservation{j: j, start: sched.FarFuture})
 		return
 	}
 	span := s.env.Probe().Begin()
-	p := s.profile(now)
+	p := sched.RunningProfile(now, s.env.Cluster.UpCount(), s.running)
 	for _, r := range s.resvs {
-		if r.start >= farFuture {
+		if r.start >= sched.FarFuture {
 			continue // wider than the surviving machine, not in the profile
 		}
 		p.Sub(r.start, r.start+r.j.Estimate, r.j.Procs)
@@ -82,11 +77,11 @@ func (s *Sched) OnCompletion(j *job.Job) {
 	now := s.env.Now()
 	old := s.resvs
 	s.resvs = nil
-	p := s.profile(now)
+	p := sched.RunningProfile(now, s.env.Cluster.UpCount(), s.running)
 	capacity := s.env.Cluster.UpCount()
 	for _, r := range old {
 		if r.j.Procs > capacity {
-			s.insertResv(reservation{j: r.j, start: farFuture})
+			s.insertResv(reservation{j: r.j, start: sched.FarFuture})
 			continue
 		}
 		anchor := p.FindStart(now, r.j.Procs, r.j.Estimate)
@@ -117,7 +112,7 @@ func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 }
 
 // OnRepair implements sched.Scheduler: the recovered processor may pull
-// every anchor earlier (and re-admit jobs parked at farFuture), so the
+// every anchor earlier (and re-admit jobs parked at sched.FarFuture), so the
 // schedule is rebuilt just like after a failure.
 func (s *Sched) OnRepair(int) { s.rebuild(nil) }
 
@@ -144,11 +139,11 @@ func (s *Sched) rebuild(extra []*job.Job) {
 		return jobs[i].ID < jobs[k].ID
 	})
 	s.resvs = nil
-	p := s.profile(now)
+	p := sched.RunningProfile(now, s.env.Cluster.UpCount(), s.running)
 	capacity := s.env.Cluster.UpCount()
 	for _, j := range jobs {
 		if j.Procs > capacity {
-			s.insertResv(reservation{j: j, start: farFuture})
+			s.insertResv(reservation{j: j, start: sched.FarFuture})
 			continue
 		}
 		anchor := p.FindStart(now, j.Procs, j.Estimate)
@@ -159,19 +154,6 @@ func (s *Sched) rebuild(extra []*job.Job) {
 		}
 		p.Sub(anchor, anchor+j.Estimate, j.Procs)
 	}
-}
-
-// profile builds the availability timeline from the running jobs only,
-// over the processors currently in service.
-func (s *Sched) profile(now int64) *sched.Profile {
-	p := sched.NewProfile(now, s.env.Cluster.UpCount())
-	for _, r := range s.running {
-		end := r.ProjectedEnd()
-		if end > now {
-			p.Sub(now, end, r.Procs)
-		}
-	}
-	return p
 }
 
 // mustStart launches a job whose anchor is now; the profile guarantees

@@ -13,6 +13,8 @@
 package depthbf
 
 import (
+	"strconv"
+
 	"pjs/internal/job"
 	"pjs/internal/perf"
 	"pjs/internal/sched"
@@ -37,21 +39,7 @@ func New(depth int) *Sched {
 
 // Name implements sched.Scheduler.
 func (s *Sched) Name() string {
-	return "DepthBF(" + itoa(s.depth) + ")"
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return "DepthBF(" + strconv.Itoa(s.depth) + ")"
 }
 
 // Init implements sched.Scheduler.
@@ -105,25 +93,6 @@ func (s *Sched) start(j *job.Job) bool {
 	return true
 }
 
-// farFuture is the pseudo-anchor of a job wider than the surviving
-// machine: it cannot be profiled (subtracting it would underflow), so
-// its reservation parks unreachably far out until a repair restores
-// capacity.
-const farFuture = int64(1) << 60
-
-// profile builds the availability timeline from the running jobs, over
-// the processors currently in service.
-func (s *Sched) profile(now int64) *sched.Profile {
-	p := sched.NewProfile(now, s.env.Cluster.UpCount())
-	for _, r := range s.running {
-		end := r.ProjectedEnd()
-		if end > now {
-			p.Sub(now, end, r.Procs)
-		}
-	}
-	return p
-}
-
 // anchors computes the reservation start times of the first depth queued
 // jobs against a copy of the given profile (which is consumed).
 func (s *Sched) anchors(p *sched.Profile, now int64) []int64 {
@@ -138,7 +107,7 @@ func (s *Sched) anchors(p *sched.Profile, now int64) []int64 {
 	for i := 0; i < n; i++ {
 		j := s.queue[i]
 		if j.Procs > capacity {
-			out[i] = farFuture
+			out[i] = sched.FarFuture
 			continue
 		}
 		a := p.FindStart(now, j.Procs, j.Estimate)
@@ -156,7 +125,7 @@ func (s *Sched) schedule() {
 		now := s.env.Now()
 		// Reserved jobs whose anchor is now start directly (in queue
 		// order; the profile already accounts for the earlier ones).
-		base := s.anchors(s.profile(now), now)
+		base := s.anchors(sched.RunningProfile(now, s.env.Cluster.UpCount(), s.running), now)
 		started := false
 		for i := 0; i < len(base); i++ {
 			if base[i] == now && s.queue[i].Procs <= s.env.Cluster.FreeUnclaimed() {
@@ -204,7 +173,7 @@ func (s *Sched) depthOrLen() int {
 func (s *Sched) backfillLegal(c *job.Job, now int64, base []int64) bool {
 	span := s.env.Probe().Begin()
 	defer s.env.Probe().End(perf.PhaseBackfillWindow, span)
-	p := s.profile(now)
+	p := sched.RunningProfile(now, s.env.Cluster.UpCount(), s.running)
 	p.Sub(now, now+c.Estimate, c.Procs)
 	capacity := s.env.Cluster.UpCount()
 	n := len(base)
@@ -215,7 +184,7 @@ func (s *Sched) backfillLegal(c *job.Job, now int64, base []int64) bool {
 			continue
 		}
 		if j.Procs > capacity {
-			// Parked at farFuture in base too; the candidate cannot
+			// Parked at sched.FarFuture in base too; the candidate cannot
 			// delay it further.
 			idx++
 			continue

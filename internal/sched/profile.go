@@ -3,6 +3,8 @@ package sched
 import (
 	"fmt"
 	"sort"
+
+	"pjs/internal/job"
 )
 
 // Profile is a piecewise-constant timeline of free processor counts,
@@ -21,6 +23,25 @@ type profileStep struct {
 // time now on.
 func NewProfile(now int64, free int) *Profile {
 	return &Profile{steps: []profileStep{{t: now, free: free}}}
+}
+
+// FarFuture is the pseudo-anchor of a reservation for a job wider than
+// the surviving machine: it cannot be profiled (subtracting it would
+// underflow), so it parks unreachably far out until a repair restores
+// capacity.
+const FarFuture = int64(1) << 60
+
+// RunningProfile builds the availability timeline from time now over
+// up processors in service, minus each running job until its projected
+// end.
+func RunningProfile(now int64, up int, running []*job.Job) *Profile {
+	p := NewProfile(now, up)
+	for _, r := range running {
+		if end := r.ProjectedEnd(); end > now {
+			p.Sub(now, end, r.Procs)
+		}
+	}
+	return p
 }
 
 // ensureBoundary splits the profile so that a step starts exactly at t

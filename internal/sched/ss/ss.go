@@ -134,7 +134,7 @@ func (s *Sched) OnArrival(j *job.Job) {
 func (s *Sched) OnCompletion(j *job.Job) {
 	s.running = sched.Remove(s.running, j)
 	if s.cfg.Adaptive != nil {
-		s.cfg.Adaptive.Observe(j.EstimateCategory(), boundedSlowdown(j))
+		s.cfg.Adaptive.Observe(j.EstimateCategory(), j.BoundedSlowdown())
 	}
 	s.schedulePass()
 }
@@ -404,19 +404,4 @@ func (s *Sched) commit(j *job.Job, victims []*job.Job, claim []int) {
 	s.queue = sched.Remove(s.queue, j)
 	s.running = append(s.running, j)
 	s.env.PreemptAndStart(j, victims, claim)
-}
-
-// boundedSlowdown is the Eq. 1 metric with the 10 s threshold, computed
-// on a finished job (duplicated from package metrics to keep the
-// scheduler free of a metrics dependency).
-func boundedSlowdown(j *job.Job) float64 {
-	run := j.RunTime
-	if run < 10 {
-		run = 10
-	}
-	sd := float64(j.Turnaround()) / float64(run)
-	if sd < 1 {
-		sd = 1
-	}
-	return sd
 }

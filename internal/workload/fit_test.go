@@ -3,8 +3,6 @@ package workload
 import (
 	"math"
 	"testing"
-
-	"pjs/internal/job"
 )
 
 // Round trip: fitting a model to a trace generated from known parameters
@@ -65,7 +63,12 @@ func TestFitModelCapsRunBand(t *testing.T) {
 	// A log with no very-long jobs still yields a usable VL band.
 	m := CTC()
 	tr := Generate(m, GenOptions{Jobs: 3000, Seed: 34})
-	short := tr.Filter(func(j *job.Job) bool { return j.RunTime <= 3600 })
+	short := &Trace{Name: tr.Name, Procs: tr.Procs}
+	for _, j := range tr.Jobs {
+		if j.RunTime <= 3600 {
+			short.Jobs = append(short.Jobs, j)
+		}
+	}
 	fit := FitModel(short)
 	lo, hi := fit.classRunRange(3) // VeryLong
 	if hi <= lo {

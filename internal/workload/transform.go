@@ -1,45 +1,5 @@
 package workload
 
-import "pjs/internal/job"
-
-// Head returns a copy of the trace truncated to its first n jobs (all
-// jobs if n exceeds the trace). Useful for scaling down real logs.
-func (t *Trace) Head(n int) *Trace {
-	out := t.Clone()
-	if n < len(out.Jobs) {
-		out.Jobs = out.Jobs[:n]
-	}
-	return out
-}
-
-// Window returns a copy containing only jobs submitted in [from, to),
-// with submit times rebased so the window starts at zero.
-func (t *Trace) Window(from, to int64) *Trace {
-	out := &Trace{Name: t.Name, Procs: t.Procs}
-	for _, j := range t.Jobs {
-		if j.SubmitTime >= from && j.SubmitTime < to {
-			c := job.New(j.ID, j.SubmitTime-from, j.RunTime, j.Estimate, j.Procs)
-			c.MemPerProc = j.MemPerProc
-			out.Jobs = append(out.Jobs, c)
-		}
-	}
-	return out
-}
-
-// Filter returns a copy containing only jobs for which keep returns
-// true.
-func (t *Trace) Filter(keep func(*job.Job) bool) *Trace {
-	out := &Trace{Name: t.Name, Procs: t.Procs}
-	for _, j := range t.Jobs {
-		if keep(j) {
-			c := job.New(j.ID, j.SubmitTime, j.RunTime, j.Estimate, j.Procs)
-			c.MemPerProc = j.MemPerProc
-			out.Jobs = append(out.Jobs, c)
-		}
-	}
-	return out
-}
-
 // HourHistogram returns the fraction of arrivals per hour of the
 // (simulated) day — the diurnal pattern that drives transient backlogs.
 func (t *Trace) HourHistogram() [24]float64 {

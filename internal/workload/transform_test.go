@@ -7,41 +7,6 @@ import (
 	"pjs/internal/job"
 )
 
-func TestHead(t *testing.T) {
-	tr := tinyTrace()
-	h := tr.Head(2)
-	if len(h.Jobs) != 2 || h.Jobs[0].ID != 1 || h.Jobs[1].ID != 2 {
-		t.Errorf("Head(2) = %d jobs", len(h.Jobs))
-	}
-	if len(tr.Head(99).Jobs) != 3 {
-		t.Error("Head beyond length should keep all")
-	}
-	// Head must clone, not alias.
-	h.Jobs[0].Dispatch(0, 0)
-	if tr.Jobs[0].State != job.Queued {
-		t.Error("Head aliased the original jobs")
-	}
-}
-
-func TestWindow(t *testing.T) {
-	tr := tinyTrace() // submits at 0, 50, 100
-	w := tr.Window(50, 100)
-	if len(w.Jobs) != 1 || w.Jobs[0].ID != 2 {
-		t.Fatalf("Window = %v", w.Jobs)
-	}
-	if w.Jobs[0].SubmitTime != 0 {
-		t.Errorf("submit = %d, want rebased 0", w.Jobs[0].SubmitTime)
-	}
-}
-
-func TestFilter(t *testing.T) {
-	tr := tinyTrace()
-	f := tr.Filter(func(j *job.Job) bool { return j.Procs >= 4 })
-	if len(f.Jobs) != 2 {
-		t.Errorf("Filter kept %d jobs, want 2", len(f.Jobs))
-	}
-}
-
 func TestHourHistogramSumsToOne(t *testing.T) {
 	tr := Generate(CTC(), GenOptions{Jobs: 5000, Seed: 8})
 	h := tr.HourHistogram()
