@@ -25,16 +25,13 @@ func benchExperiment(b *testing.B, id string) {
 	if !ok {
 		b.Fatalf("experiment %s not registered", id)
 	}
-	var events int64
 	for i := 0; i < b.N; i++ {
 		r := experiment.NewRunner(experiment.Config{Jobs: benchJobs, Seed: 1})
 		out := e.Run(r)
 		if out.Render() == "" {
 			b.Fatalf("%s produced no output", id)
 		}
-		events += r.EventsSimulated()
 	}
-	reportEventsPerSec(b, events)
 }
 
 // reportEventsPerSec attaches simulation throughput — engine events per

@@ -337,18 +337,6 @@ func (c *Cluster) ListFreeUnclaimed(k int) []int {
 	return out
 }
 
-// FreeUnclaimedIn returns the processors of set that are unowned and
-// unclaimed (or claimed by id).
-func (c *Cluster) FreeUnclaimedIn(id int, set []int) []int {
-	var out []int
-	for _, p := range set {
-		if c.owner[p] == none && !c.down[p] && (c.claim[p] == none || c.claim[p] == id) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // BusyIntegral returns the accumulated processor-seconds of ownership up
 // to time now.
 func (c *Cluster) BusyIntegral(now int64) int64 {
@@ -362,40 +350,4 @@ func (c *Cluster) Utilization(start, end int64) float64 {
 		return 0
 	}
 	return float64(c.BusyIntegral(end)) / float64(int64(c.n)*(end-start))
-}
-
-// CheckInvariants validates internal consistency; tests call it after
-// mutation sequences. It returns an error describing the first violation.
-func (c *Cluster) CheckInvariants() error {
-	free := 0
-	busy := 0
-	up := 0
-	for p := 0; p < c.n; p++ {
-		want := c.owner[p] == none && c.claim[p] == none && !c.down[p]
-		if want {
-			free++
-		}
-		if c.isFree(p) != want {
-			return fmt.Errorf("cluster: free bit of processor %d is %v, want %v", p, !want, want)
-		}
-		if c.owner[p] != none {
-			busy++
-		}
-		if !c.down[p] {
-			up++
-		}
-	}
-	if tail := c.n & 63; tail != 0 && c.free[len(c.free)-1]>>tail != 0 {
-		return fmt.Errorf("cluster: free bitmap has bits set beyond processor %d", c.n-1)
-	}
-	if free != c.freeUnclaimed {
-		return fmt.Errorf("cluster: freeUnclaimed=%d, recount=%d", c.freeUnclaimed, free)
-	}
-	if busy != c.busyCount {
-		return fmt.Errorf("cluster: busyCount=%d, recount=%d", c.busyCount, busy)
-	}
-	if up != c.upCount {
-		return fmt.Errorf("cluster: upCount=%d, recount=%d", c.upCount, up)
-	}
-	return nil
 }

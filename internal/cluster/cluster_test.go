@@ -159,21 +159,6 @@ func TestSetFreeRespectsForeignClaims(t *testing.T) {
 	}
 }
 
-func TestFreeUnclaimedIn(t *testing.T) {
-	c := New(6)
-	c.AllocFree(0, 1, 2) // owns 0,1
-	c.Claim(9, []int{2})
-	got := c.FreeUnclaimedIn(5, []int{0, 1, 2, 3, 4})
-	if len(got) != 2 || got[0] != 3 || got[1] != 4 {
-		t.Errorf("FreeUnclaimedIn = %v, want [3 4]", got)
-	}
-	// The claimant itself sees its claimed proc as available.
-	got = c.FreeUnclaimedIn(9, []int{2, 3})
-	if len(got) != 2 {
-		t.Errorf("claimant view = %v, want both", got)
-	}
-}
-
 func TestUtilizationIntegral(t *testing.T) {
 	c := New(10)
 	set := c.AllocFree(0, 1, 5) // 5 busy from t=0

@@ -69,18 +69,6 @@ func naivePlace(c *Cluster, policy AllocPolicy, k int) []int {
 	return naiveList(c, k)
 }
 
-// naiveIn returns the processors of set that are up, unowned, and
-// unclaimed or claimed by id.
-func naiveIn(c *Cluster, id int, set []int) []int {
-	var out []int
-	for _, p := range set {
-		if c.owner[p] == none && !c.down[p] && (c.claim[p] == none || c.claim[p] == id) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // clone returns an independent copy of c.
 func clone(c *Cluster) *Cluster {
 	d := *c
@@ -112,9 +100,8 @@ func pick(c *Cluster, start, step, k int, ok func(p int) bool) []int {
 // 1, 63, 64, 65, 128 or 430 processors, the sizes at and around the
 // bitmap's word edges plus CTC's. Each operation is made valid for the
 // current state. After each one, AllocFree on a copy under both
-// policies, ListFreeUnclaimed and FreeUnclaimedIn must match a naive
-// scan of the owner, claim and down arrays, and CheckInvariants must
-// hold.
+// policies and ListFreeUnclaimed must match a naive scan of the owner,
+// claim and down arrays, and CheckInvariants must hold.
 func checkOps(t *testing.T, data []byte) {
 	if len(data) < 1 {
 		return
@@ -195,11 +182,6 @@ func checkOps(t *testing.T, data []byte) {
 		for _, k := range []int{0, 1 + x%n, n} {
 			if got, want := c.ListFreeUnclaimed(k), naiveList(c, k); !slices.Equal(got, want) {
 				t.Fatalf("op %d: ListFreeUnclaimed(%d) = %v, want %v", op, k, got, want)
-			}
-		}
-		for _, g := range append(slices.Clip(owned), claimed...) {
-			if got, want := c.FreeUnclaimedIn(g.id, g.set), naiveIn(c, g.id, g.set); !slices.Equal(got, want) {
-				t.Fatalf("op %d: FreeUnclaimedIn(%d, %v) = %v, want %v", op, g.id, g.set, got, want)
 			}
 		}
 		if len(free) == 0 {

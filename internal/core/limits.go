@@ -53,7 +53,7 @@ type AdaptiveLimits struct {
 
 // Observe folds the bounded slowdown of a completed job into the table.
 // The category is the scheduler-visible one (estimate-based), matching
-// the lookup in Policy.CanPreempt.
+// the lookup in Policy.Suspendable.
 func (a *AdaptiveLimits) Observe(c job.Category, slowdown float64) {
 	a.accs[c.Index()].Add(slowdown)
 }

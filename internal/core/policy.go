@@ -1,14 +1,19 @@
-// Package core implements the paper's primary contribution: the
+// Package core holds the rules of the paper's primary contribution, the
 // Selective Suspension (SS) preemption policy and its Tunable (TSS)
-// variant, as pure decision logic (Section IV). An idle job may preempt
+// variant (Section IV), as pure decision logic. An idle job may preempt
 // running jobs whose suspension priority — the expansion factor of
 // Eq. 2 — is lower than its own by at least the suspension factor SF.
 //
-// The policy functions here are independent of the event loop; package
-// sched/ss wires them into the simulator. Keeping them pure makes the
-// preemption rules directly testable against the paper's claims (e.g.
-// the s = (n+2)/(n+1) suspension-count boundary of Section IV-A, see
-// package theory).
+// Policy carries the rule's tunables; Suspendable says which running
+// jobs any idle job may suspend at all (TSS limits, the suspension
+// cap), Crossing when an idle job's xfactor reaches SF times the
+// xfactor it needs, and SelectVictims is the largest-first trim of the
+// fresh-job branch. Package sched/ss applies them to the state its
+// quiet-tick horizon keeps — who holds which processor, and the
+// suspendable jobs in ascending xfactor — and commits each preemption
+// from that state. Keeping the rules pure makes them directly testable
+// against the paper's claims (e.g. the s = (n+2)/(n+1) suspension-count
+// boundary of Section IV-A, see package theory).
 package core
 
 import (
@@ -30,9 +35,7 @@ type LimitSource interface {
 	Limit(c job.Category) (limit float64, ok bool)
 }
 
-// Policy holds the tunables of the SS/TSS preemption rule. The victim
-// selectors reuse scratch held in the value, so one Policy must not be
-// used from several goroutines at once.
+// Policy holds the tunables of the SS/TSS preemption rule.
 type Policy struct {
 	// SF is the suspension factor: the minimum ratio of the idle job's
 	// priority to the running job's priority for preemption (the paper
@@ -53,12 +56,6 @@ type Policy struct {
 	// at most once" (MaxVictimSuspensions = 1), whereas SS controls the
 	// *rate* of suspensions without limiting their number.
 	MaxVictimSuspensions int
-
-	// Scratch reused across calls so that victim selection allocates
-	// only for the victims it returns.
-	order job.Order
-	cands []*job.Job
-	seen  []*job.Job
 }
 
 // Validate reports whether the policy parameters are usable.
@@ -67,23 +64,6 @@ func (p *Policy) Validate() error {
 		return fmt.Errorf("core: suspension factor %v < 1 would let lower-priority jobs preempt", p.SF)
 	}
 	return nil
-}
-
-// CanPreempt reports whether idle may suspend the running victim at time
-// now. reentry marks a previously suspended idle job trying to reacquire
-// its exact processor set; the half-width rule is waived there
-// (Section IV-C: "Here we remove the restriction…"), because a wide
-// reentering job might otherwise wait for the full completion of a
-// narrow job sitting on one of its processors.
-func (p *Policy) CanPreempt(now int64, idle, victim *job.Job, reentry bool) bool {
-	vx := victim.XFactor(now)
-	if !p.Suspendable(victim, vx) {
-		return false
-	}
-	if !reentry && !p.DisableHalfWidthRule && victim.Procs > 2*idle.Procs {
-		return false
-	}
-	return idle.XFactor(now) >= p.SF*vx
 }
 
 // Suspendable reports whether the running victim, whose xfactor is xf,
@@ -107,8 +87,9 @@ func (p *Policy) Suspendable(victim *job.Job, xf float64) bool {
 
 // Crossing returns how many seconds after now the xfactor of idle — a
 // Queued or Suspended job, whose wait grows one second per second —
-// reaches SF·need, the point from which the SF condition of CanPreempt
-// can hold against a victim whose xfactor is need:
+// reaches SF·need, the point from which the SF condition — idle's
+// xfactor at least SF times the victim's — can hold against a victim
+// whose xfactor is need:
 //
 //	d = ceil(SF·need·est) − Wait(now) − est
 //
@@ -131,110 +112,22 @@ func (p *Policy) Crossing(now int64, idle *job.Job, need float64) int64 {
 	return int64(f) - idle.Wait(now) - est
 }
 
-// SelectVictims implements the fresh-idle-job branch of the paper's
-// pseudocode (suspend_jobs_1): scan running jobs in ascending priority
-// collecting preemptible candidates until, together with the free
-// processors, they cover the idle job's request; then suspend candidates
-// in descending width, largest first, only as many as needed. It returns
-// the victims to suspend and ok=false when the request cannot be covered.
-//
-// running may be in any order and may contain non-Running jobs; both are
-// handled here so callers can pass their bookkeeping lists directly.
-func (p *Policy) SelectVictims(now int64, idle *job.Job, running []*job.Job, freeProcs int) (victims []*job.Job, ok bool) {
-	if freeProcs >= idle.Procs {
-		return nil, true // nothing to suspend
-	}
-	// Ascending suspension priority, deterministic ties.
-	cands := p.cands[:0]
-	for _, r := range running {
-		if r.State == job.Running {
-			cands = append(cands, r)
-		}
-	}
-	p.cands = cands
-	p.order.Sort(cands, func(j *job.Job) (float64, int64) { return j.XFactor(now), 0 })
-	avail := freeProcs
-	chosen := cands[:0]
-	for _, v := range cands {
-		if avail >= idle.Procs {
-			break
-		}
-		if !p.CanPreempt(now, idle, v, false) {
-			continue
-		}
-		chosen = append(chosen, v)
-		avail += v.Procs
-	}
-	if avail < idle.Procs {
-		return nil, false
-	}
-	// Largest width first; suspend only until the request is covered.
+// SelectVictims is the last step of the fresh-idle-job branch of the
+// paper's pseudocode (suspend_jobs_1). chosen are the running jobs that,
+// taken in ascending suspension priority, cover a request of w
+// processors together with the free ones. It returns the victims to
+// suspend: chosen in descending width, largest first, only as many as
+// needed. It reorders chosen and returns a prefix of it.
+func SelectVictims(chosen []*job.Job, w, free int) []*job.Job {
 	slices.SortFunc(chosen, func(a, b *job.Job) int {
 		if c := cmp.Compare(b.Procs, a.Procs); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.ID, b.ID)
 	})
-	avail = freeProcs
-	for _, v := range chosen {
-		if avail >= idle.Procs {
-			break
-		}
-		victims = append(victims, v)
-		avail += v.Procs
+	n := 0
+	for ; n < len(chosen) && free < w; n++ {
+		free += chosen[n].Procs
 	}
-	return victims, true
-}
-
-// ReentryBlocked classifies one processor of a reentering job's
-// remembered set.
-type ReentryBlocked int
-
-const (
-	// ReentryFree: the processor is available to the reentering job.
-	ReentryFree ReentryBlocked = iota
-	// ReentryPreemptible: the processor is held by a running job the
-	// policy allows suspending.
-	ReentryPreemptible
-	// ReentryHard: the processor is held by a job that cannot be
-	// preempted (policy refusal, or a non-running holder).
-	ReentryHard
-)
-
-// SelectReentryVictims implements the already_suspended branch
-// (suspend_jobs_2): the idle job needs exactly its remembered processor
-// set back, so every processor must be either free or held by a running
-// job that the SF condition (without the half-width rule) allows
-// suspending. classify reports each processor's status and, for
-// preemptible ones, its holder. It returns the distinct victims in order
-// of first appearance and ok=false if any processor is hard-blocked.
-//
-// A holder spanning several processors is judged once: CanPreempt is a
-// pure function of (now, idle, holder), so its first answer stands.
-func (p *Policy) SelectReentryVictims(now int64, idle *job.Job, classify func(proc int) (ReentryBlocked, *job.Job)) (victims []*job.Job, ok bool) {
-	p.seen = p.seen[:0]
-	for _, proc := range idle.ProcSet {
-		status, holder := classify(proc)
-		switch status {
-		case ReentryFree:
-			continue
-		case ReentryHard:
-			return nil, false
-		case ReentryPreemptible:
-			if slices.Contains(p.seen, holder) {
-				continue
-			}
-			if holder == nil || holder.State != job.Running {
-				return nil, false
-			}
-			if !p.CanPreempt(now, idle, holder, true) {
-				return nil, false
-			}
-			p.seen = append(p.seen, holder)
-		}
-	}
-	if len(p.seen) == 0 {
-		return nil, true
-	}
-	return slices.Clone(p.seen), true
+	return chosen[:n]
 }

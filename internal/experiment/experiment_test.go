@@ -26,8 +26,8 @@ func TestRegistryComplete(t *testing.T) {
 		want = append(want, "fig"+itoa(i))
 	}
 	have := map[string]bool{}
-	for _, id := range IDs() {
-		have[id] = true
+	for _, e := range registry {
+		have[e.ID] = true
 	}
 	for _, id := range want {
 		if !have[id] {

@@ -85,15 +85,6 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// IDs lists all experiment IDs.
-func IDs() []string {
-	ids := make([]string, len(registry))
-	for i, e := range registry {
-		ids[i] = e.ID
-	}
-	return ids
-}
-
 // schemeLabels extracts column labels from schemes.
 func schemeLabels(schemes []Scheme) []string {
 	out := make([]string, len(schemes))

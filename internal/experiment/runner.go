@@ -101,12 +101,6 @@ type Runner struct {
 	results   map[runKey]*sched.Result
 	summaries map[sumKey]*metrics.Summary
 	limits    map[runKey]*core.StaticLimits // TSS limits by seed run
-
-	// eventsSimulated totals the engine events of the fresh simulations
-	// this runner executed — memoized recalls (memory or disk) add
-	// nothing, so the count reflects work actually done, the
-	// denominator benchmarks report events/s against.
-	eventsSimulated int64
 }
 
 // NewRunner returns a Runner with the given configuration.
@@ -122,10 +116,6 @@ func NewRunner(cfg Config) *Runner {
 
 // Config returns the effective configuration.
 func (r *Runner) Config() Config { return r.cfg }
-
-// EventsSimulated returns the total engine events of the fresh
-// (non-memoized) simulations this runner has executed.
-func (r *Runner) EventsSimulated() int64 { return r.eventsSimulated }
 
 // Trace returns the (memoized) workload for a model, estimate mode and
 // load factor in percent (100 = the original trace).
@@ -264,7 +254,6 @@ func (r *Runner) resultFor(rk runKey, sc Scheme) *sched.Result {
 	if err != nil {
 		panic(err)
 	}
-	r.eventsSimulated += res.Events
 	r.results[rk] = res
 	if r.cfg.MemoDir != "" {
 		r.saveMemo(r.memoKey(rk), res)

@@ -22,8 +22,9 @@ const (
 	// shadow time and extra nodes, the profile anchoring of
 	// conservative and depth-BF.
 	PhaseBackfillWindow
-	// PhaseVictimSelect is the preemption-victim selection of the
-	// SS/TSS preemption routine (SelectVictims/SelectReentryVictims).
+	// PhaseVictimSelect is the preemption-victim selection of a
+	// preemptive policy: SS/TSS choosing a commit's victims from the
+	// state its horizon keeps, IS collecting its victims.
 	PhaseVictimSelect
 
 	// NumPhases is the sentinel counting the phases above.

@@ -173,7 +173,3 @@ func (s *Sched) insertResv(r reservation) {
 	copy(s.resvs[i+1:], s.resvs[i:])
 	s.resvs[i] = r
 }
-
-// Reservations returns the current number of queued reservations (for
-// tests).
-func (s *Sched) Reservations() int { return len(s.resvs) }

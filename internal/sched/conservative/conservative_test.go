@@ -96,7 +96,7 @@ func TestReservationsDrainToZero(t *testing.T) {
 		job.New(3, 2, 10, 10, 2),
 	}}
 	sched.Run(tr, s, sched.Options{MaxSteps: 1_000_000})
-	if s.Reservations() != 0 {
-		t.Errorf("reservations left = %d, want 0", s.Reservations())
+	if n := conservative.Reservations(s); n != 0 {
+		t.Errorf("reservations left = %d, want 0", n)
 	}
 }

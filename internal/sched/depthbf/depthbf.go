@@ -198,6 +198,3 @@ func (s *Sched) backfillLegal(c *job.Job, now int64, base []int64) bool {
 	}
 	return true
 }
-
-// Depth returns the configured reservation depth (for tests).
-func (s *Sched) Depth() int { return s.depth }

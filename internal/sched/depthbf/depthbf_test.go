@@ -110,11 +110,10 @@ func TestDepthInvariants(t *testing.T) {
 }
 
 func TestNameAndDepth(t *testing.T) {
-	s := depthbf.New(4)
-	if s.Name() != "DepthBF(4)" || s.Depth() != 4 {
-		t.Errorf("Name=%q Depth=%d", s.Name(), s.Depth())
+	if got := depthbf.New(4).Name(); got != "DepthBF(4)" {
+		t.Errorf("Name=%q, want DepthBF(4)", got)
 	}
-	if depthbf.New(0).Depth() != 1 {
-		t.Error("depth floors at 1")
+	if got := depthbf.New(0).Name(); got != "DepthBF(1)" {
+		t.Errorf("Name=%q: depth floors at 1", got)
 	}
 }

@@ -40,14 +40,14 @@ func (s *killScript) OnArrival(j *job.Job) {
 		// and j3 holds a pending claim on j1's processor.
 		claim := append([]int(nil), s.j1.ProcSet...)
 		s.env.PreemptAndStart(j, []*job.Job{s.j1}, claim)
-		if !s.env.IsPending(j) {
+		if s.env.Cluster.Claimant(claim[0]) != j.ID || j.State != job.Queued {
 			panic("killscript: j3 should be pending behind j1's write")
 		}
 		// Race under test: kill j2 while j1 is Suspending. The claim on
 		// j1's processor must NOT activate (j1 still owns it), and j2's
 		// processor must come back to the free pool immediately.
 		s.env.Kill(s.j2)
-		if !s.env.IsPending(j) {
+		if s.env.Cluster.Claimant(claim[0]) != j.ID || j.State != job.Queued {
 			panic("killscript: pending claim activated by an unrelated kill")
 		}
 		// Restart the killed job on the processor the kill freed.

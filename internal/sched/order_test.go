@@ -30,18 +30,6 @@ func refSS(jobs []*job.Job, now int64) {
 	})
 }
 
-// refCore is core.SelectVictims' candidate order: ascending xfactor,
-// then lower ID.
-func refCore(jobs []*job.Job, now int64) {
-	sort.SliceStable(jobs, func(i, k int) bool {
-		xi, xk := jobs[i].XFactor(now), jobs[k].XFactor(now)
-		if xi != xk {
-			return xi < xk
-		}
-		return jobs[i].ID < jobs[k].ID
-	})
-}
-
 // refIS is the Immediate Service order by instantaneous xfactor, then
 // lower ID: descending for the idle queue, ascending for victims.
 func refIS(jobs []*job.Job, now int64, desc bool) {
@@ -78,7 +66,7 @@ func tieJobs(r *rand.Rand, n int) []*job.Job {
 
 // TestOrderMatchesStableReference is the differential test of the
 // decorated sort: on job sets dense in key ties, every call-site shape
-// (SS, core victims, IS queue and IS victims) must yield exactly the
+// (SS, IS queue and IS victims) must yield exactly the
 // permutation of the stable-sort comparator it replaced. One Order is
 // reused throughout, as the policies reuse theirs.
 func TestOrderMatchesStableReference(t *testing.T) {
@@ -90,9 +78,6 @@ func TestOrderMatchesStableReference(t *testing.T) {
 		got  func([]*job.Job, int64)
 	}{
 		{"ss", refSS, func(js []*job.Job, now int64) { sched.OrderByXFactor(&ord, js, now) }},
-		{"core", refCore, func(js []*job.Job, now int64) {
-			ord.Sort(js, func(j *job.Job) (float64, int64) { return j.XFactor(now), 0 })
-		}},
 		{"is-queue", func(js []*job.Job, now int64) { refIS(js, now, true) }, func(js []*job.Job, now int64) {
 			ord.Sort(js, func(j *job.Job) (float64, int64) { return -j.InstantaneousXFactor(now), 0 })
 		}},

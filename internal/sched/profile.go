@@ -129,6 +129,3 @@ func (p *Profile) FindStart(after int64, procs int, dur int64) int64 {
 	}
 	panic("sched: FindStart found no anchor (unreachable: last step is infinite)")
 }
-
-// Len returns the number of steps (for tests).
-func (p *Profile) Len() int { return len(p.steps) }

@@ -292,19 +292,6 @@ func (e *Env) QuietUntil(t int64) bool {
 // JobByID returns the job with the given ID, or nil.
 func (e *Env) JobByID(id int) *job.Job { return e.byID[id] }
 
-// IsPending reports whether j is committed to a claimed pending start.
-func (e *Env) IsPending(j *job.Job) bool {
-	for _, p := range e.pending {
-		if p.j == j {
-			return true
-		}
-	}
-	return false
-}
-
-// PendingCount returns the number of jobs waiting on claimed sets.
-func (e *Env) PendingCount() int { return len(e.pending) }
-
 // StartFresh starts queued job j on any free processors if enough are
 // available right now; it reports whether the job was started. A job is
 // Queued only when it holds no suspended image — including after a kill
@@ -659,11 +646,6 @@ func (e *Env) sweepIOHealth() {
 	}
 }
 
-// IOHealthActive reports whether per-processor I/O health tracking is
-// running (i.e. transient I/O faults are enabled). Policies use it to
-// skip the health filter entirely on the common no-fault path.
-func (e *Env) IOHealthActive() bool { return e.health != nil }
-
 // SetIOHealthy reports whether every processor in set is currently
 // clear of the transient-I/O degradation threshold. Preemptive
 // policies consult it during victim selection so they stop suspending
@@ -811,15 +793,10 @@ func (e *Env) tick() {
 	e.sched.OnTick()
 }
 
-// SortByXFactor sorts jobs by descending xfactor at time now, breaking
-// ties by earlier submission then lower ID for determinism. Policies
-// that sort on every pass call OrderByXFactor with scratch they keep.
-func SortByXFactor(jobs []*job.Job, now int64) {
-	OrderByXFactor(new(job.Order), jobs, now)
-}
-
-// OrderByXFactor is SortByXFactor reusing ord's scratch: each job's
-// xfactor is computed once, not once per comparison.
+// OrderByXFactor sorts jobs by descending xfactor at time now, breaking
+// ties by earlier submission then lower ID for determinism. It reuses
+// ord's scratch, and computes each job's xfactor once, not once per
+// comparison.
 func OrderByXFactor(ord *job.Order, jobs []*job.Job, now int64) {
 	ord.Sort(jobs, func(j *job.Job) (float64, int64) { return -j.XFactor(now), j.SubmitTime })
 }

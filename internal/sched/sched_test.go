@@ -184,7 +184,7 @@ func TestSortByXFactor(t *testing.T) {
 	b := job.New(2, 0, 5000, 5000, 1) // xf = 1.2
 	c := job.New(3, 500, 100, 100, 1) // xf = 6
 	jobs := []*job.Job{b, c, a}
-	sched.SortByXFactor(jobs, now)
+	sched.OrderByXFactor(new(job.Order), jobs, now)
 	if jobs[0] != a || jobs[1] != c || jobs[2] != b {
 		t.Errorf("order = %d,%d,%d want 1,3,2", jobs[0].ID, jobs[1].ID, jobs[2].ID)
 	}
@@ -195,7 +195,7 @@ func TestSortByXFactorTieBreak(t *testing.T) {
 	a := job.New(5, 0, 100, 100, 1)
 	b := job.New(2, 0, 100, 100, 1) // same xf; lower ID wins
 	jobs := []*job.Job{a, b}
-	sched.SortByXFactor(jobs, now)
+	sched.OrderByXFactor(new(job.Order), jobs, now)
 	if jobs[0] != b {
 		t.Error("ties should break by ID")
 	}

@@ -10,17 +10,22 @@ import (
 	"pjs/internal/job"
 )
 
-// horizonState is the quiet-tick state SS keeps from one horizon to the
-// next, so that a horizon rewrites only what changed since the last
-// one (see horizon):
+// horizonState is the state SS keeps from one horizon to the next, so
+// that a horizon rewrites only what changed since the last one (see
+// horizon). It is the one record of who may suspend whom:
 //
 //   - the block map: per processor, -1 when free, the xfactor of its
 //     holder when that holder is Running, suspendable and I/O-healthy,
 //     +Inf for any other holder, a Suspending owner or a claim;
 //   - the reentry need of each suspended idle job: the largest block
 //     value over its remembered set, -1 when the whole set is free;
-//   - the victims (the suspendable Running jobs) and the free
-//     processors at the horizon, which the fresh-job need reads.
+//   - the victims: the suspendable, I/O-healthy Running jobs, whose
+//     prefixes in ascending xfactor the fresh jobs need.
+//
+// The preemption routine of a tick reads the state the tick's horizon
+// kept (shortOf) and commits its preemptions from it (choose). Each
+// commit holds the needs its claim and its victims' sets cover
+// (committed), so that every need stays exact through the pass.
 //
 // The map is written only from three kinds of contributor: a Running
 // job (ownerRec, found again through its first processor) and a
@@ -28,7 +33,8 @@ import (
 // commit until it ends). Reentry needs are kept exact through a
 // per-processor cover index, one bit per needRec.
 type horizonState struct {
-	// gen stamps the ownerRecs seen by the current reconcile.
+	// gen numbers the reconciles: it stamps the ownerRecs seen by the
+	// current one and the needs held since it.
 	gen uint32
 
 	block  []float64 // per processor, the block map
@@ -45,15 +51,14 @@ type horizonState struct {
 	cw      int
 	cover   []uint64
 
-	// victims are the suspendable Running jobs, in ascending xfactor
-	// once sorted is set; minX is their least xfactor; free is the
-	// number of free unclaimed processors; widths memoizes freshNeed
-	// while sorted is set.
+	// victims are the suspendable, I/O-healthy Running jobs, in
+	// ascending xfactor once sorted is set; minX is their least
+	// xfactor; widths memoizes cover while sorted is set, until a
+	// commit.
 	victims []victimX
 	sorted  bool
 	minX    float64
-	free    int
-	widths  []widthNeed
+	widths  []widthCover
 }
 
 // victimX is a suspendable running job with its xfactor at the horizon.
@@ -62,17 +67,17 @@ type victimX struct {
 	j *job.Job
 }
 
-// widthNeed is a memoized freshNeed.
-type widthNeed struct {
-	w    int
-	need float64
+// widthCover is a memoized cover.
+type widthCover struct {
+	w, at int
 }
 
-// ownerRec is a Running job's contribution to the block map at the
+// ownerRec is Running job j's contribution to the block map at the
 // last horizon: the set it holds and the value written there, its
 // xfactor or +Inf. The set slice names the job: each start gives a job
 // a set of its own, and a resume keeps it.
 type ownerRec struct {
+	j   *job.Job
 	set []int
 	x   float64
 	gen uint32
@@ -90,12 +95,15 @@ type hardRec struct {
 
 // needRec is one suspended idle job's reentry need. stale marks a need
 // that a fall in the block map may have lowered; the reconcile
-// recomputes it from the set.
+// recomputes it from the set. held is the gen of the reconcile after
+// which a commit claimed a processor of the set or suspended its
+// holder: until the next reconcile the need is +Inf.
 type needRec struct {
 	j     *job.Job
 	set   []int
 	need  float64
 	stale bool
+	held  uint32
 }
 
 // horizon returns a virtual time before which no tick's preemption
@@ -110,9 +118,9 @@ type needRec struct {
 // to start either: the pass after the last event started all that fit.
 //
 // The horizon is one tick before that crossing, so float rounding in
-// CanPreempt can never make a skipped tick one that would have acted.
-// It first reconciles the kept state (reconcile), which the preemption
-// routine of the same tick then reads through shortOf.
+// the SF comparison can never make a skipped tick one that would have
+// acted. It first reconciles the kept state (reconcile), from which the
+// preemption routine of the same tick then commits.
 //
 //lint:allocfree storage already sized for the machine, the running jobs and the suspended ones
 func (s *Sched) horizon(now int64) int64 {
@@ -136,6 +144,7 @@ func (s *Sched) horizon(now int64) int64 {
 func (s *Sched) earliestCrossing(now int64) int64 {
 	h := &s.hz
 	tick := s.TickInterval()
+	free := s.env.Cluster.FreeUnclaimed()
 	best := int64(math.MaxInt64)
 	for i := range h.needs {
 		n := &h.needs[i]
@@ -150,7 +159,7 @@ func (s *Sched) earliestCrossing(now int64) int64 {
 		}
 	}
 	for _, j := range s.queue {
-		if s.reenters(j) || j.Procs <= h.free {
+		if s.reenters(j) || j.Procs <= free {
 			continue // a need above, or fits without preemption
 		}
 		if s.pol.Crossing(now, j, h.minX) >= best {
@@ -187,7 +196,6 @@ func (s *Sched) reconcile(now int64) {
 	h.victims = h.victims[:0]
 	h.sorted = false
 	h.minX = math.Inf(1)
-	h.free = cl.FreeUnclaimed()
 	kept := 0
 	for _, r := range s.running {
 		if r.State != job.Running {
@@ -272,7 +280,7 @@ func (h *horizonState) keepOwner(r *job.Job, v float64, cl *cluster.Cluster) {
 	} else {
 		h.owners = grow(h.owners)
 		i := int32(len(h.owners) - 1)
-		h.owners[i] = ownerRec{set: set, x: v, gen: h.gen}
+		h.owners[i] = ownerRec{j: r, set: set, x: v, gen: h.gen}
 		for _, p := range set {
 			h.ownRec[p] = i
 		}
@@ -465,20 +473,46 @@ func (h *horizonState) refreshNeeds() {
 	}
 }
 
+// committed records a commit of idle job j with victims and claim for
+// the rest of the preemption pass. The claim's processors, and the
+// victims' sets, which turn Suspending, now block every reentry need
+// covering them: those needs are held (+Inf) until the next reconcile,
+// which writes the commit into the block map through the hardRecs. The
+// pass reads the block map only for the sets of jobs whose need is not
+// held, which no commit touched. The memoized covers are forgotten, so
+// the victims suspended here no longer count.
+func (h *horizonState) committed(j *job.Job, victims []*job.Job, claim []int) {
+	for _, v := range victims {
+		h.hold(v.ProcSet)
+		h.hard = append(h.hard, hardRec{j: v, set: v.ProcSet})
+	}
+	h.hold(claim)
+	h.hard = append(h.hard, hardRec{j: j, set: claim, claim: true})
+	h.widths = h.widths[:0]
+}
+
+// hold marks held the needs covering a processor of set.
+func (h *horizonState) hold(set []int) {
+	for _, p := range set {
+		for k, w := range h.cover[p*h.cw : (p+1)*h.cw] {
+			for ; w != 0; w &= w - 1 {
+				h.needs[k<<6|bits.TrailingZeros64(w)].held = h.gen
+			}
+		}
+	}
+}
+
 // shortOf reports whether idle job j falls short, at this tick, of the
 // xfactor any preemption it could commit requires: j.XFactor(now) <
-// SF·need, the float expression of core.Policy.CanPreempt, against the
-// need the horizon of this tick kept. The preemption routine skips such
-// a job without selecting victims. That is sound because the routine's
-// commits only raise block values (victims turn Suspending, claims
-// appear) and shrink the free processors and the victims, so a job
-// short of its need at the horizon stays short during the pass.
+// SF·need, against the need the kept state holds now. The preemption
+// routine commits no such job; it commits every other one that does
+// not fit (choose). A commit only holds needs and takes free processors
+// and victims away, so a job short of its need at the horizon stays
+// short during the pass.
 func (s *Sched) shortOf(j *job.Job, now int64) bool {
 	need := math.Inf(1)
 	if s.reenters(j) {
-		if i := s.hz.find(j); i < 0 {
-			need = 0 // no kept need: let the selection decide
-		} else if n := s.hz.needs[i].need; n >= 0 {
+		if n := s.reentryNeed(j); n >= 0 {
 			need = n
 		}
 	} else {
@@ -487,12 +521,33 @@ func (s *Sched) shortOf(j *job.Job, now int64) bool {
 	return j.XFactor(now) < s.pol.SF*need
 }
 
+// reentryNeed returns the kept reentry need of suspended idle job j,
+// +Inf while a commit of the pass holds it. Every suspended idle job has
+// one from the reconcile after it entered the queue (passMaximal checks
+// this at every tick), so find does not return -1 here.
+func (s *Sched) reentryNeed(j *job.Job) float64 {
+	h := &s.hz
+	if n := &h.needs[h.find(j)]; n.held != h.gen {
+		return n.need
+	}
+	return math.Inf(1)
+}
+
 // freshNeed returns the xfactor an idle job of width w that does not
 // fit in the free processors needs to commit a preemption: that of the
-// victim at which, in ascending xfactor, the free processors plus the
-// victims the half-width rule lets it suspend first cover w; +Inf when
-// they never do. The first call after a reconcile sorts the victims.
+// victim at which its cover ends, +Inf when there is none.
 func (s *Sched) freshNeed(w int) float64 {
+	if i := s.cover(w); i >= 0 {
+		return s.hz.victims[i].x
+	}
+	return math.Inf(1)
+}
+
+// cover returns the index of the victim at which, in ascending xfactor,
+// the free processors plus the victims an idle job of width w may
+// suspend (mayTake) first cover w, or -1 when they never do. The first
+// call after a reconcile sorts the victims.
+func (s *Sched) cover(w int) int {
 	h := &s.hz
 	if !h.sorted {
 		slices.SortFunc(h.victims, byXThenID)
@@ -501,24 +556,32 @@ func (s *Sched) freshNeed(w int) float64 {
 	}
 	for _, m := range h.widths {
 		if m.w == w {
-			return m.need
+			return m.at
 		}
 	}
-	need := math.Inf(1)
-	avail := h.free
-	for _, v := range h.victims {
-		if !s.cfg.DisableHalfWidthRule && v.j.Procs > 2*w {
+	at := -1
+	avail := s.env.Cluster.FreeUnclaimed()
+	for i, v := range h.victims {
+		if !s.mayTake(w, v.j) {
 			continue
 		}
 		avail += v.j.Procs
 		if avail >= w {
-			need = v.x
+			at = i
 			break
 		}
 	}
 	h.widths = grow(h.widths)
-	h.widths[len(h.widths)-1] = widthNeed{w: w, need: need}
-	return need
+	h.widths[len(h.widths)-1] = widthCover{w: w, at: at}
+	return at
+}
+
+// mayTake reports whether a fresh idle job of width w may suspend
+// victim v: v is still Running — not suspended by an earlier commit of
+// the pass — and the half-width rule (Section IV-B) does not protect
+// it.
+func (s *Sched) mayTake(w int, v *job.Job) bool {
+	return v.State == job.Running && (s.pol.DisableHalfWidthRule || v.Procs <= 2*w)
 }
 
 // byXThenID orders victims by ascending xfactor, then job ID.

@@ -22,10 +22,14 @@ import (
 // processors. The rule is written out here rather than shared with the
 // policy, so that a wrong filter in the pass cannot agree with itself.
 //
-// At every tick it also checks the kept quiet-tick state: the horizon
-// must equal the one refHorizon computes from nothing, and no idle job
-// that the tick's filter drops may be one that can start without
-// preemption or whose victim selection would commit.
+// At every tick it also checks the kept state against references that
+// work from nothing: every suspended idle job under local restart must
+// have a kept reentry need, the horizon must equal the one refHorizon
+// computes, no idle job that the tick's filter drops may be one that
+// can start without preemption or one the reference selectors
+// (refVictims) would commit, and each commit of the preemption routine
+// must suspend exactly the victims the reference selectors choose on
+// the live state, in the same order.
 type passMaximal struct {
 	*Sched
 	t     testing.TB
@@ -33,26 +37,38 @@ type passMaximal struct {
 	ticks int
 	drops int
 	ref   refHorizon
+
+	// fresh and reentry count the commits compared, by branch.
+	fresh, reentry int
 }
 
+// OnTick checks the horizon and the tick's filter, then runs the tick
+// as Sched.OnTick does, with the preemption routine of checkPass.
 func (m *passMaximal) OnTick() {
 	m.ticks++
 	now := m.env.Now()
-	want := m.ref.horizon(m.Sched, now)
-	if got := m.horizon(now); got != want {
-		m.t.Fatalf("at %d: horizon %d, reference %d", now, got, want)
+	h := m.horizon(now)
+	if want := m.ref.horizon(m.Sched, now); h != want {
+		m.t.Fatalf("at %d: horizon %d, reference %d", now, h, want)
 	}
+	for _, j := range m.queue {
+		if m.reenters(j) && m.hz.find(j) < 0 {
+			m.t.Fatalf("at %d: suspended idle %v has no kept reentry need", now, j)
+		}
+	}
+	m.sortIdle()
 	m.checkDropped(now)
-	m.Sched.OnTick()
+	if now < h && m.env.QuietUntil(h) {
+		return
+	}
+	m.checkPass(now)
+	m.serveIdle()
 }
 
-// checkDropped runs the tick's filter (sortIdle) and fails t if it
-// drops an idle job that can start without preemption, or one for
-// which the victim selection of the preemption routine, run now, would
-// commit.
+// checkDropped fails t if the tick's filter (sortIdle) dropped an idle
+// job that can start without preemption, or one that the reference
+// selectors, run now, would commit.
 func (m *passMaximal) checkDropped(now int64) {
-	m.sortIdle()
-	free := m.env.Cluster.FreeUnclaimed()
 	for _, j := range m.queue {
 		if slices.Contains(m.idle, j) {
 			continue
@@ -61,17 +77,45 @@ func (m *passMaximal) checkDropped(now int64) {
 		if m.canStart(j) {
 			m.t.Fatalf("at %d: the tick drops %v, which can start without preemption", now, j)
 		}
-		var victims []*job.Job
-		var ok bool
-		if m.reenters(j) {
-			victims, ok = m.reentryVictims(j, now)
-		} else {
-			victims, ok = m.freshVictims(j, now, free)
-		}
-		if ok && len(victims) > 0 {
-			m.t.Fatalf("at %d: the tick drops %v, but its selection would suspend %d jobs", now, j, len(victims))
+		if victims := refVictims(m.Sched, j, now); len(victims) > 0 {
+			m.t.Fatalf("at %d: the tick drops %v, but the reference would suspend %d jobs", now, j, len(victims))
 		}
 	}
+}
+
+// checkPass is preemptionPass with a check before each job: the
+// victims the kept state commits the job with (choose) must be the
+// ones the reference selectors choose on the live state, and a job
+// that commits nothing must be one the reference would not commit.
+func (m *passMaximal) checkPass(now int64) {
+	kept := m.idle[:0]
+	for _, j := range m.idle {
+		want := refVictims(m.Sched, j, now)
+		victims, claim := m.choose(j, now)
+		if !slices.Equal(victims, want) {
+			m.t.Fatalf("at %d: %v commits with victims %v, the reference with %v", now, j, jobIDs(victims), jobIDs(want))
+		}
+		if len(victims) == 0 {
+			kept = append(kept, j)
+			continue
+		}
+		if m.reenters(j) {
+			m.reentry++
+		} else {
+			m.fresh++
+		}
+		m.commit(j, victims, claim)
+	}
+	m.idle = kept
+}
+
+// jobIDs returns the IDs of jobs.
+func jobIDs(jobs []*job.Job) []int {
+	ids := make([]int, len(jobs))
+	for i, j := range jobs {
+		ids[i] = j.ID
+	}
+	return ids
 }
 
 // canStart reports whether idle job j can start without preemption: a
@@ -127,8 +171,10 @@ var maximalModes = []struct {
 // started every idle job that fits: the pass sorts and serves only the
 // jobs that fit when it begins, and this is the property that makes
 // that exact. At every tick it checks the kept horizon against the
-// reference and runs the victim selection on every job the tick drops;
-// it fails if the tick drops none.
+// reference, runs the reference selectors on every job the tick drops
+// and compares every commit with them. It fails if the tick drops no
+// job, or if no fresh commit — under local restart, no reentry commit
+// either — was compared.
 func TestPassMaximal(t *testing.T) {
 	tr := ctcAtLoad(1000, 1, 2)
 	configs := []struct {
@@ -164,36 +210,53 @@ func TestPassMaximal(t *testing.T) {
 				if m.drops == 0 {
 					t.Fatal("the tick dropped no job; its filter is untested")
 				}
-				t.Logf("%d hooks and %d ticks checked, %d jobs dropped at ticks", m.hooks, m.ticks, m.drops)
+				if m.fresh == 0 || m.reentry == 0 && !m.cfg.Migration {
+					t.Fatalf("compared %d fresh and %d reentry commits; a branch is untested", m.fresh, m.reentry)
+				}
+				t.Logf("%d hooks and %d ticks checked, %d jobs dropped at ticks, %d fresh and %d reentry commits compared",
+					m.hooks, m.ticks, m.drops, m.fresh, m.reentry)
 			})
 		}
 	}
 }
 
 // FuzzPassMaximal runs an SS variant over a small trace decoded from
-// the input, optionally under processor failures, and requires that the
-// run finishes within its step bound, that its audit log passes the
-// invariant checker, that every event's schedule pass is maximal, and
-// that every tick's horizon agrees with the reference and drops no job
-// whose victim selection would commit (passMaximal).
+// the input, optionally under processor failures and transient I/O
+// faults, and requires that the run finishes within its step bound,
+// that its audit log passes the invariant checker, that every event's
+// schedule pass is maximal, and that at every tick the horizon agrees
+// with the reference, the filter drops no job the reference selectors
+// would commit, and each commit suspends the victims they choose
+// (passMaximal).
 //
 // The input is a header of three bytes — machine size (1..16), variant
-// (kind in the low two bits, suspension factor above them), and fault
-// setting (odd enables failures; the rest scales MTBF and suspension
-// overhead) — then four bytes per job: submit gap, run time, estimate
-// slack and width. At most 48 jobs are decoded.
+// (kind in the low two bits, suspension factor in the next five, bit 7
+// disables the half-width rule), and fault setting (odd enables
+// failures; bit 3 enables transient I/O faults with a one-hour health
+// window, so degraded processors recover; the rest scales MTBF, fault
+// seeds and suspension overhead) — then four bytes per job: submit
+// gap, run time, estimate slack and width. At most 48 jobs are
+// decoded.
 func FuzzPassMaximal(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 0, 100, 0, 3, 1, 9, 0, 3})
 	f.Add([]byte{8, 1, 0x47, 0, 200, 50, 7, 2, 10, 0, 2, 0, 30, 10, 5, 1, 5, 0, 8})
 	f.Add([]byte{6, 2, 0x80, 0, 90, 0, 5, 1, 10, 20, 4, 0, 1, 0, 6, 3, 20, 5, 1})
 	f.Add([]byte{16, 7, 33, 0, 250, 0, 16, 0, 2, 2, 3, 0, 2, 2, 13, 9, 90, 0, 7, 1, 40, 40, 16})
+	// A 2-wide job suspends an 8-wide one only without the half-width rule.
+	f.Add([]byte{8, 0x84, 0, 0, 200, 0, 7, 2, 0, 0, 1})
+	// Image writes fail, degrade processors and recover an hour later.
+	f.Add([]byte{4, 0x04, 0x48, 0, 100, 0, 3, 2, 0, 0, 1, 2, 0, 0, 1, 4, 100, 0, 3, 2, 0, 0, 1, 2, 0, 0, 1,
+		4, 100, 0, 3, 2, 0, 0, 1, 2, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3+4 {
 			return
 		}
 		procs := 1 + int(data[0]%16)
 		variant, faults := data[1], data[2]
-		cfg := Config{SF: []float64{1.5, 2, 5}[int(variant>>2)%3]}
+		cfg := Config{
+			SF:                   []float64{1.5, 2, 5}[int(variant>>2&31)%3],
+			DisableHalfWidthRule: variant&0x80 != 0,
+		}
 		switch variant & 3 {
 		case 1:
 			cfg.Adaptive = &core.AdaptiveLimits{}
@@ -205,6 +268,12 @@ func FuzzPassMaximal(f *testing.F) {
 		opt := sched.Options{Audit: true, Overhead: overhead.Disk{}, MaxSteps: 2_000_000}
 		if faults&1 != 0 {
 			opt.Faults = fault.Config{MTBF: int64(100+int(faults>>1)) * 3600, MTTR: 3600, Seed: int64(faults)}
+		}
+		if faults&8 != 0 {
+			opt.Transient = fault.TransientConfig{
+				WriteFailProb: 0.3, ReadFailProb: 0.3, Seed: int64(faults),
+				HealthWindow: 3600, HealthThreshold: 1,
+			}
 		}
 		mem := int64(faults>>6) * 20 * overhead.PaperRateBps // up to 60 s of suspension write
 		tr := &workload.Trace{Name: "fuzz", Procs: procs}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"pjs/internal/core"
 	"pjs/internal/job"
 )
 
@@ -156,4 +157,161 @@ func (r *refHorizon) reentryNeed(s *Sched, j *job.Job, now, best int64) float64 
 		return math.Inf(1)
 	}
 	return need
+}
+
+// refVictims returns the victims with which idle job j commits at time
+// now according to the selectors below, run from nothing on the live
+// running list and cluster, or nil when it commits none. It is the
+// differential reference for Sched.choose and shares no state with it.
+// Jobs on I/O-degraded processors are no victim candidates, and a
+// holder of a reentering job's set on such processors blocks the set.
+func refVictims(s *Sched, j *job.Job, now int64) []*job.Job {
+	var victims []*job.Job
+	var ok bool
+	if s.reenters(j) {
+		victims, ok = refReentryVictims(s, j, now)
+	} else {
+		var cands []*job.Job
+		for _, r := range s.running {
+			if s.env.SetIOHealthy(r.ProcSet) {
+				cands = append(cands, r)
+			}
+		}
+		victims, ok = selectVictims(&s.pol, now, j, cands, s.env.Cluster.FreeUnclaimed())
+	}
+	if !ok {
+		return nil
+	}
+	return victims
+}
+
+// refReentryVictims classifies each processor of suspended job j's
+// remembered set from the live cluster and selects its holders.
+func refReentryVictims(s *Sched, j *job.Job, now int64) ([]*job.Job, bool) {
+	cl := s.env.Cluster
+	classify := func(proc int) (reentryBlocked, *job.Job) {
+		owner := cl.Owner(proc)
+		if owner == -1 {
+			if c := cl.Claimant(proc); c != -1 && c != j.ID {
+				return reentryHard, nil // reserved for a pending start
+			}
+			return reentryFree, nil
+		}
+		holder := s.env.JobByID(owner)
+		if holder.State != job.Running || !s.env.SetIOHealthy(holder.ProcSet) {
+			return reentryHard, nil // suspending, or its image write would likely fail
+		}
+		return reentryPreemptible, holder
+	}
+	return selectReentryVictims(&s.pol, now, j, classify)
+}
+
+// canPreempt reports whether idle may suspend the running victim at
+// time now under policy p. reentry marks a previously suspended idle job
+// trying to reacquire its exact processor set; the half-width rule is
+// waived there (Section IV-C: "Here we remove the restriction…").
+func canPreempt(p *core.Policy, now int64, idle, victim *job.Job, reentry bool) bool {
+	vx := victim.XFactor(now)
+	if !p.Suspendable(victim, vx) {
+		return false
+	}
+	if !reentry && !p.DisableHalfWidthRule && victim.Procs > 2*idle.Procs {
+		return false
+	}
+	return idle.XFactor(now) >= p.SF*vx
+}
+
+// selectVictims is the fresh-idle-job branch of the paper's pseudocode
+// (suspend_jobs_1) as a selection from nothing: scan running jobs in
+// ascending priority collecting preemptible candidates until, together
+// with the free processors, they cover the idle job's request; then
+// suspend candidates in descending width, largest first, only as many
+// as needed. It returns ok=false when the request cannot be covered.
+// running may be in any order and may hold non-Running jobs.
+func selectVictims(p *core.Policy, now int64, idle *job.Job, running []*job.Job, freeProcs int) (victims []*job.Job, ok bool) {
+	if freeProcs >= idle.Procs {
+		return nil, true // nothing to suspend
+	}
+	var cands []*job.Job
+	for _, r := range running {
+		if r.State == job.Running {
+			cands = append(cands, r)
+		}
+	}
+	var ord job.Order
+	ord.Sort(cands, func(j *job.Job) (float64, int64) { return j.XFactor(now), 0 })
+	avail := freeProcs
+	var chosen []*job.Job
+	for _, v := range cands {
+		if avail >= idle.Procs {
+			break
+		}
+		if !canPreempt(p, now, idle, v, false) {
+			continue
+		}
+		chosen = append(chosen, v)
+		avail += v.Procs
+	}
+	if avail < idle.Procs {
+		return nil, false
+	}
+	slices.SortFunc(chosen, func(a, b *job.Job) int {
+		if c := cmp.Compare(b.Procs, a.Procs); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	avail = freeProcs
+	for _, v := range chosen {
+		if avail >= idle.Procs {
+			break
+		}
+		victims = append(victims, v)
+		avail += v.Procs
+	}
+	return victims, true
+}
+
+// reentryBlocked classifies one processor of a reentering job's
+// remembered set.
+type reentryBlocked int
+
+const (
+	// reentryFree: the processor is available to the reentering job.
+	reentryFree reentryBlocked = iota
+	// reentryPreemptible: the processor is held by a running job the
+	// policy allows suspending.
+	reentryPreemptible
+	// reentryHard: the processor is held by a job that cannot be
+	// preempted (policy refusal, or a non-running holder).
+	reentryHard
+)
+
+// selectReentryVictims is the already_suspended branch (suspend_jobs_2)
+// as a selection from nothing: the idle job needs exactly its
+// remembered processor set back, so every processor must be either free
+// or held by a running job that the SF condition (without the
+// half-width rule) allows suspending. classify reports each processor's
+// status and, for preemptible ones, its holder. It returns the distinct
+// victims in order of first appearance and ok=false if any processor
+// is hard-blocked.
+func selectReentryVictims(p *core.Policy, now int64, idle *job.Job, classify func(proc int) (reentryBlocked, *job.Job)) (victims []*job.Job, ok bool) {
+	for _, proc := range idle.ProcSet {
+		status, holder := classify(proc)
+		switch status {
+		case reentryFree:
+			continue
+		case reentryHard:
+			return nil, false
+		case reentryPreemptible:
+			if slices.Contains(victims, holder) {
+				continue
+			}
+			if holder == nil || holder.State != job.Running || !canPreempt(p, now, idle, holder, true) {
+				return nil, false
+			}
+			victims = append(victims, holder)
+		}
+	}
+	return victims, true
 }

@@ -13,10 +13,17 @@
 //   - TSS additionally disables preemption of any job whose xfactor
 //     exceeds 1.5× its category's average slowdown (Section IV-E),
 //     bounding worst-case slowdowns.
+//
+// Who may suspend whom is one record, the state the quiet-tick horizon
+// keeps between ticks (horizon.go): per processor, the xfactor of a
+// holder that may be suspended, and the suspendable running jobs in
+// ascending xfactor. The horizon reads it to skip ticks on which no
+// preemption can happen, and the preemption routine commits from it.
 package ss
 
 import (
 	"fmt"
+	"slices"
 
 	"pjs/internal/core"
 	"pjs/internal/job"
@@ -61,12 +68,13 @@ type Sched struct {
 	running []*job.Job // running or committed (pending starts)
 
 	// idle holds the jobs a pass serves, in serving order (descending
-	// xfactor): the jobs that fit or pass the precheck at a tick
-	// (sortIdle), the jobs that fit at an event (schedulePass). ord and healthy are scratch reused
-	// across passes.
-	idle    []*job.Job
-	ord     job.Order
-	healthy []*job.Job
+	// xfactor): the jobs that fit or that shortOf does not reject at a
+	// tick (sortIdle), the jobs that fit at an event (schedulePass). ord
+	// and chosen (the victims of a commit) are scratch reused across
+	// passes.
+	idle   []*job.Job
+	ord    job.Order
+	chosen []*job.Job
 
 	// hz is the quiet-tick state kept between horizons (horizon.go).
 	hz horizonState
@@ -281,38 +289,44 @@ func (s *Sched) preemptionPass() {
 	now := s.env.Now()
 	kept := s.idle[:0]
 	for _, j := range s.idle {
-		var committed bool
-		if s.reenters(j) {
-			committed = s.tryReentry(j, now)
+		if victims, claim := s.choose(j, now); len(victims) > 0 {
+			s.commit(j, victims, claim)
 		} else {
-			// Under migration a suspended job competes for any
-			// processors, exactly like a fresh one (the half-width
-			// rule applies again — it exists to protect wide jobs and
-			// the exact-set justification for waiving it is gone).
-			committed = s.tryPreempt(j, now)
-		}
-		if !committed {
 			kept = append(kept, j)
 		}
 	}
 	s.idle = kept
 }
 
-// tryPreempt attempts to start fresh idle job j by suspending victims
-// (the pseudocode's suspend_jobs_1 path) and reports whether it did.
-func (s *Sched) tryPreempt(j *job.Job, now int64) bool {
-	free := s.env.Cluster.FreeUnclaimed()
-	if free >= j.Procs {
-		return false // schedulePass will start it without suspending anyone
-	}
-	if s.shortOf(j, now) {
-		return false // no victims this tick can cover j
+// choose returns the victims and the claim with which idle job j
+// commits a preemption now, or no victims when it commits none: a fresh
+// job that fits starts in the schedule pass instead, and no job that
+// shortOf rejects can commit. Any other job commits, and the kept state
+// names its victims:
+//
+//   - a fresh job (suspend_jobs_1) takes the victims it may suspend up
+//     to its cover, all within the SF ratio because shortOf passed,
+//     trimmed largest first, and claims the free processors and as
+//     many of the victims' as it needs. Under migration a suspended job
+//     competes the same way: the half-width rule applies again, since
+//     the exact-set reason for waiving it is gone;
+//   - a reentering job (suspend_jobs_2) takes the distinct holders of
+//     its remembered set, in set order, and claims the set.
+func (s *Sched) choose(j *job.Job, now int64) ([]*job.Job, []int) {
+	reentry := s.reenters(j)
+	if !reentry && j.Procs <= s.env.Cluster.FreeUnclaimed() || s.shortOf(j, now) {
+		return nil, nil
 	}
 	span := s.env.Probe().Begin()
-	victims, ok := s.freshVictims(j, now, free)
+	var victims []*job.Job
+	if reentry {
+		victims = s.holders(j)
+	} else {
+		victims = s.coverVictims(j)
+	}
 	s.env.Probe().End(perf.PhaseVictimSelect, span)
-	if !ok || len(victims) == 0 {
-		return false
+	if reentry {
+		return victims, j.ProcSet
 	}
 	claim := s.env.Cluster.ListFreeUnclaimed(j.Procs)
 	for _, v := range victims {
@@ -323,85 +337,50 @@ func (s *Sched) tryPreempt(j *job.Job, now int64) bool {
 			claim = append(claim, p)
 		}
 	}
-	s.commit(j, victims, claim)
-	return true
+	return victims, claim
 }
 
-// freshVictims selects the victims whose suspension, with the free
-// processors, starts idle job j.
-func (s *Sched) freshVictims(j *job.Job, now int64, free int) ([]*job.Job, bool) {
-	cands := s.running
-	if s.env.IOHealthActive() {
-		// Degraded-mode preemption: jobs on processors over the
-		// transient-I/O failure threshold are not victim candidates —
-		// their image write would likely fail. As failure rates rise the
-		// candidate pool empties and SS degrades toward pure backfilling.
-		s.healthy = s.healthy[:0]
-		for _, r := range cands {
-			if s.env.SetIOHealthy(r.ProcSet) {
-				s.healthy = append(s.healthy, r)
-			}
+// coverVictims returns the victims of fresh idle job j: those of the
+// ascending victims up to j's cover that j may suspend, trimmed largest
+// first.
+func (s *Sched) coverVictims(j *job.Job) []*job.Job {
+	chosen := s.chosen[:0]
+	for _, v := range s.hz.victims[:s.cover(j.Procs)+1] {
+		if s.mayTake(j.Procs, v.j) {
+			chosen = append(chosen, v.j)
 		}
-		cands = s.healthy
 	}
-	return s.pol.SelectVictims(now, j, cands, free)
+	s.chosen = chosen
+	return core.SelectVictims(chosen, j.Procs, s.env.Cluster.FreeUnclaimed())
 }
 
-// tryReentry attempts to restart suspended job j on its remembered set
-// by suspending the set's current holders (suspend_jobs_2) and reports
-// whether it did.
-func (s *Sched) tryReentry(j *job.Job, now int64) bool {
-	if s.shortOf(j, now) {
-		return false // a holder of j's set is out of its reach this tick
-	}
-	span := s.env.Probe().Begin()
-	victims, ok := s.reentryVictims(j, now)
-	s.env.Probe().End(perf.PhaseVictimSelect, span)
-	if !ok || len(victims) == 0 {
-		return false // fully free sets are handled by schedulePass
-	}
-	s.commit(j, victims, j.ProcSet)
-	return true
-}
-
-// reentryVictims selects the holders of suspended job j's remembered
-// set to suspend so that j can restart on it.
-func (s *Sched) reentryVictims(j *job.Job, now int64) ([]*job.Job, bool) {
-	cl := s.env.Cluster
-	classify := func(proc int) (core.ReentryBlocked, *job.Job) {
-		owner := cl.Owner(proc)
-		if owner == -1 {
-			if c := cl.Claimant(proc); c != -1 && c != j.ID {
-				return core.ReentryHard, nil // reserved for a pending start
-			}
-			return core.ReentryFree, nil
+// holders returns the victims of reentering job j: the distinct
+// holders of its remembered set, in set order, through the owner
+// records of the block map.
+func (s *Sched) holders(j *job.Job) []*job.Job {
+	h := &s.hz
+	victims := s.chosen[:0]
+	for _, p := range j.ProcSet {
+		if h.block[p] < 0 {
+			continue // free
 		}
-		holder := s.env.JobByID(owner)
-		if holder.State != job.Running {
-			return core.ReentryHard, nil // already suspending for someone else
+		if v := h.owners[h.ownRec[p]].j; !slices.Contains(victims, v) {
+			victims = append(victims, v)
 		}
-		if !s.env.SetIOHealthy(holder.ProcSet) {
-			// The holder sits on I/O-degraded processors: suspending it
-			// would likely fail the image write, so the set is treated as
-			// hard-blocked until the health window clears.
-			return core.ReentryHard, nil
-		}
-		return core.ReentryPreemptible, holder
 	}
-	return s.pol.SelectReentryVictims(now, j, classify)
+	s.chosen = victims
+	return victims
 }
 
 // commit removes j from the idle queue, books the victims out of the
-// running list and hands the preemption to the environment. The claim
-// and the victims block their sets until the start and the suspensions
-// end; the next horizon writes them into the block map.
+// running list, hands the preemption to the environment and records it
+// in the kept state.
 func (s *Sched) commit(j *job.Job, victims []*job.Job, claim []int) {
 	for _, v := range victims {
 		s.running = sched.Remove(s.running, v)
-		s.hz.hard = append(s.hz.hard, hardRec{j: v, set: v.ProcSet})
 	}
-	s.hz.hard = append(s.hz.hard, hardRec{j: j, set: claim, claim: true})
 	s.queue = sched.Remove(s.queue, j)
 	s.running = append(s.running, j)
 	s.env.PreemptAndStart(j, victims, claim)
+	s.hz.committed(j, victims, claim)
 }

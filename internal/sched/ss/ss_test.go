@@ -255,26 +255,6 @@ func TestMaxSuspensionsCap(t *testing.T) {
 	}
 }
 
-// SS's reservation-free backfilling is work-conserving for fresh jobs:
-// at no instant does a queued never-started job fit the idle processors
-// without being started. Any idle capacity under SS is attributable to
-// suspended jobs' occupied processor sets — the structural cost of
-// local restart that the migration ablation removes.
-func TestSSIsWorkConserving(t *testing.T) {
-	m := workload.SDSC()
-	tr := workload.Generate(m, workload.GenOptions{Jobs: 1200, Seed: 13}).ScaleLoad(1.5)
-	_, lastArr := tr.Span()
-	res := sched.Run(tr, ss.New(ss.Config{SF: 2}), sched.Options{Audit: true, MaxSteps: 50_000_000})
-	rep, err := check.Waste(res.Audit, lastArr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ViolationSeconds != 0 {
-		t.Errorf("fit violations for %v s (%.2f%% of the loaded span)",
-			rep.ViolationSeconds, 100*rep.ViolationFraction())
-	}
-}
-
 // Scheduler names distinguish SS from TSS.
 func TestNames(t *testing.T) {
 	if got := ss.New(ss.Config{SF: 2}).Name(); got != "SS(SF=2)" {
