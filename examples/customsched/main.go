@@ -19,15 +19,16 @@ import (
 	"pjs/internal/sched"
 )
 
-// psjf is a minimal preemptive shortest-job-first policy. Embedding
+// psjf is a minimal preemptive shortest-job-first policy. It keeps its
+// own queue, because it serves waiting jobs in an order of its own, and
+// reads the running jobs from the driver (env.Running). Embedding
 // sched.IgnoreFailures opts out of the failure hooks (OnFailure /
 // OnRepair) with no-ops — fine here because this example never enables
 // fault injection; a fault-aware policy would implement them instead.
 type psjf struct {
 	sched.IgnoreFailures
-	env     *sched.Env
-	queue   []*job.Job
-	running []*job.Job
+	env   *sched.Env
+	queue []*job.Job
 }
 
 func (s *psjf) Name() string             { return "P-SJF" }
@@ -35,10 +36,7 @@ func (s *psjf) Init(env *sched.Env)      { s.env = env }
 func (s *psjf) TickInterval() int64      { return 60 }
 func (s *psjf) OnArrival(j *job.Job)     { s.queue = append(s.queue, j); s.pass() }
 func (s *psjf) OnSuspendDone(j *job.Job) { s.queue = append(s.queue, j); s.pass() }
-func (s *psjf) OnCompletion(j *job.Job) {
-	s.running = sched.Remove(s.running, j)
-	s.pass()
-}
+func (s *psjf) OnCompletion(*job.Job)    { s.pass() }
 
 // pass starts queued jobs shortest-first whenever they fit.
 func (s *psjf) pass() {
@@ -54,13 +52,12 @@ func (s *psjf) pass() {
 		}
 		if ok {
 			s.queue = sched.Remove(s.queue, j)
-			s.running = append(s.running, j)
 		}
 	}
 }
 
 // OnTick suspends the running job with the longest estimated remaining
-// time when a much shorter job waits.
+// time, the lowest ID among equals, when a much shorter job waits.
 func (s *psjf) OnTick() {
 	if len(s.queue) == 0 {
 		return
@@ -70,11 +67,9 @@ func (s *psjf) OnTick() {
 		return // reentry needs its exact set; keep it simple and wait
 	}
 	var victim *job.Job
-	for _, r := range s.running {
-		if r.State != job.Running {
-			continue
-		}
-		if victim == nil || r.EstimatedRemaining() > victim.EstimatedRemaining() {
+	for _, r := range s.env.Running() {
+		if victim == nil || r.EstimatedRemaining() > victim.EstimatedRemaining() ||
+			r.EstimatedRemaining() == victim.EstimatedRemaining() && r.ID < victim.ID {
 			victim = r
 		}
 	}
@@ -91,9 +86,7 @@ func (s *psjf) OnTick() {
 		}
 		claim = append(claim, p)
 	}
-	s.running = sched.Remove(s.running, victim)
 	s.queue = sched.Remove(s.queue, short)
-	s.running = append(s.running, short)
 	s.env.PreemptAndStart(short, []*job.Job{victim}, claim)
 	s.pass()
 }

@@ -297,22 +297,12 @@ func (c *Cluster) Unclaim(id int, set []int) {
 	}
 }
 
-// ClaimReady reports whether every processor in set is unowned and up
-// (so a pending start holding these claims can proceed). A down
-// processor in the set blocks activation until the driver aborts the
-// pending start as part of its failure handling.
-func (c *Cluster) ClaimReady(set []int) bool {
-	for _, p := range set {
-		if c.owner[p] != none || c.down[p] {
-			return false
-		}
-	}
-	return true
-}
-
 // SetFree reports whether every processor in set is up, unowned and not
 // claimed by another job — the condition for a suspended job (id) to
-// restart locally without preemption.
+// restart locally without preemption, and for a pending start (id),
+// which claims its whole set, to proceed. A down processor in a pending
+// claim blocks activation until the driver aborts the pending start as
+// part of its failure handling.
 func (c *Cluster) SetFree(id int, set []int) bool {
 	for _, p := range set {
 		if c.owner[p] != none || c.down[p] {

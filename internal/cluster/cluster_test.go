@@ -100,13 +100,13 @@ func TestClaimFlow(t *testing.T) {
 	if c.FreeUnclaimed() != 2 { // procs 6,7 remain
 		t.Errorf("free = %d, want 2", c.FreeUnclaimed())
 	}
-	if c.ClaimReady(append(append([]int{}, freeProcs...), victim...)) {
+	if c.SetFree(9, append(append([]int{}, freeProcs...), victim...)) {
 		t.Error("claim should not be ready while victim owns procs")
 	}
 	// Victim's suspension write completes: release.
 	c.Release(30, 1, victim)
 	all := append(append([]int{}, freeProcs...), victim...)
-	if !c.ClaimReady(all) {
+	if !c.SetFree(9, all) {
 		t.Fatal("claim should be ready after victim release")
 	}
 	// Released-but-claimed procs must NOT be in the free pool.

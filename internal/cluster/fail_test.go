@@ -47,14 +47,11 @@ func TestFailOfOwnedProcessorThenRelease(t *testing.T) {
 	}
 }
 
-func TestFailBlocksClaimReadyAndSetFree(t *testing.T) {
+func TestFailBlocksSetFree(t *testing.T) {
 	c := New(4)
 	set := []int{0, 1}
 	c.Claim(5, set)
 	c.Fail(0, 1)
-	if c.ClaimReady(set) {
-		t.Error("ClaimReady true over a down processor")
-	}
 	if c.SetFree(5, set) {
 		t.Error("SetFree true over a down processor")
 	}

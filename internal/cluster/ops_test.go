@@ -141,7 +141,7 @@ func checkOps(t *testing.T, data []byte) {
 		case 4: // AllocSet: a ready claim group, or free processors
 			if len(claimed) > 0 && x%2 == 0 {
 				i := y % len(claimed)
-				if g := claimed[i]; c.ClaimReady(g.set) {
+				if g := claimed[i]; c.SetFree(g.id, g.set) {
 					c.AllocSet(now, g.id, g.set)
 					owned = append(owned, g)
 					claimed = slices.Delete(claimed, i, i+1)

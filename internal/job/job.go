@@ -8,8 +8,9 @@ package job
 
 import "fmt"
 
-// State is the lifecycle state of a job inside the simulator.
-type State int
+// State is the lifecycle state of a job inside the simulator. It is a
+// byte so that Job.Slot packs beside it.
+type State uint8
 
 const (
 	// Queued jobs have arrived but hold no processors. A job returns to
@@ -63,6 +64,7 @@ type Job struct {
 
 	// Dynamic scheduling state.
 	State        State
+	Slot         int32 // the driver's: index in its running or idle list, -1 in neither
 	FirstStart   int64 // time of first dispatch, -1 until started
 	FinishTime   int64 // completion time, -1 until finished
 	LastDispatch int64 // time of most recent dispatch
@@ -91,6 +93,7 @@ func New(id int, submit, run, estimate int64, procs int) *Job {
 		Procs:      procs,
 		FirstStart: -1,
 		FinishTime: -1,
+		Slot:       -1,
 	}
 }
 

@@ -1,6 +1,8 @@
 package sched_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"pjs"
@@ -189,10 +191,8 @@ func (c *countTap) OnArrival(j *job.Job) {
 			n++
 		}
 	}
-	got, listed := sched.QueuedCount(c.env)
-	if got != n || listed {
-		c.t.Fatalf("arrival of job %d: driver counts %d queued (list kept: %v), recounted %d",
-			j.ID, got, listed, n)
+	if got := sched.QueuedCount(c.env); got != n {
+		c.t.Fatalf("arrival of job %d: driver counts %d queued, recounted %d", j.ID, got, n)
 	}
 	if n > 1 {
 		c.busy++
@@ -201,9 +201,8 @@ func (c *countTap) OnArrival(j *job.Job) {
 }
 
 // TestQueuedCountWithoutObserver covers the driver's unobserved path:
-// without an observer it keeps no queued list, only the count that the
-// postmortem reports, and the count stays right through starts, kills,
-// failures and requeues.
+// without an observer, the count of queued jobs that the postmortem
+// reports stays right through starts, kills, failures and requeues.
 func TestQueuedCountWithoutObserver(t *testing.T) {
 	trace := pjs.Generate(pjs.SDSC(), pjs.GenOptions{Jobs: 200, Seed: 21})
 	for _, spec := range pjs.SchedulerSpecs() {
@@ -222,5 +221,174 @@ func TestQueuedCountWithoutObserver(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// setsTap forwards every hook to a policy and, when the hook is entered
+// and when it returns, recounts the running and idle jobs from the
+// states of the arrived jobs and the driver's pending starts, and
+// requires that Env.Running and Env.Idle hold exactly those jobs, each
+// once.
+type setsTap struct {
+	sched.Scheduler
+	t       *testing.T
+	env     *sched.Env
+	live    []*job.Job // arrived and not seen finished
+	pending []*job.Job // the pending starts at the last check
+	checks  int
+	both    int // checks that found running and idle jobs
+	aborts  int // pending starts that a failure aborted
+}
+
+func (s *setsTap) Init(env *sched.Env) {
+	s.env = env
+	s.Scheduler.Init(env)
+}
+
+func (s *setsTap) OnArrival(j *job.Job) {
+	s.live = append(s.live, j)
+	s.around("arrival", func() { s.Scheduler.OnArrival(j) })
+}
+
+func (s *setsTap) OnCompletion(j *job.Job) {
+	s.around("completion", func() { s.Scheduler.OnCompletion(j) })
+}
+
+func (s *setsTap) OnSuspendDone(j *job.Job) {
+	s.around("suspend-done", func() { s.Scheduler.OnSuspendDone(j) })
+}
+
+func (s *setsTap) OnTick() { s.around("tick", s.Scheduler.OnTick) }
+
+// OnFailure also counts the displaced jobs that were pending starts at
+// the last check and are no longer: the failure aborted them. Every
+// event that can start a pending job ends in a hook, so none of them
+// started since that check.
+func (s *setsTap) OnFailure(p int, requeued []*job.Job) {
+	now := sched.PendingJobs(s.env)
+	for _, j := range requeued {
+		if slices.Contains(s.pending, j) && !slices.Contains(now, j) {
+			s.aborts++
+		}
+	}
+	s.around("failure", func() { s.Scheduler.OnFailure(p, requeued) })
+}
+
+func (s *setsTap) OnRepair(p int) { s.around("repair", func() { s.Scheduler.OnRepair(p) }) }
+
+// around checks the sets before and after hook.
+func (s *setsTap) around(name string, hook func()) {
+	s.check("entering " + name)
+	hook()
+	s.check("after " + name)
+}
+
+func (s *setsTap) check(at string) {
+	s.t.Helper()
+	s.pending = sched.PendingJobs(s.env)
+	var running, idle []*job.Job
+	live := s.live[:0]
+	for _, j := range s.live {
+		switch {
+		case j.State == job.Finished:
+			continue
+		case j.State == job.Running:
+			running = append(running, j)
+		case (j.State == job.Queued || j.State == job.Suspended) && !slices.Contains(s.pending, j):
+			idle = append(idle, j)
+		}
+		live = append(live, j)
+	}
+	s.live = live
+	s.checks++
+	if len(running) > 0 && len(idle) > 0 {
+		s.both++
+	}
+	sameJobs(s.t, fmt.Sprintf("at %d %s: Running()", s.env.Now(), at), s.env.Running(), running)
+	sameJobs(s.t, fmt.Sprintf("at %d %s: Idle()", s.env.Now(), at), s.env.Idle(), idle)
+}
+
+// sameJobs fails t unless got holds each job of want once and nothing
+// else.
+func sameJobs(t *testing.T, what string, got, want []*job.Job) {
+	t.Helper()
+	seen := make(map[*job.Job]bool, len(got))
+	for _, j := range got {
+		if seen[j] {
+			t.Fatalf("%s lists job %d twice", what, j.ID)
+		}
+		seen[j] = true
+	}
+	for _, j := range want {
+		if !seen[j] {
+			t.Fatalf("%s misses job %d (%v); it lists %d jobs, the recount %d", what, j.ID, j.State, len(got), len(want))
+		}
+	}
+	if len(got) != len(want) {
+		for _, j := range got {
+			if !slices.Contains(want, j) {
+				t.Fatalf("%s lists job %d (%v), which the recount does not", what, j.ID, j.State)
+			}
+		}
+	}
+}
+
+// runSets runs spec over trace under mode behind a setsTap, with OnTick
+// at every tick when every is set, and returns the tap.
+func runSets(t *testing.T, trace *pjs.Trace, spec string, mode int, every bool) *setsTap {
+	t.Helper()
+	tap := &setsTap{Scheduler: newSpec(t, spec), t: t}
+	var s sched.Scheduler = tap
+	if every {
+		s = sched.TickAlways(tap)
+	}
+	opt := pjs.DiskOverhead()
+	opt.MaxSteps = 50_000_000
+	opt.Faults = censusModes[mode].faults
+	opt.Transient = censusModes[mode].transient
+	if _, err := sched.RunChecked(trace, s, opt); err != nil {
+		t.Fatal(err)
+	}
+	return tap
+}
+
+// TestRunningAndIdleMatchRecount is the differential test of the sets
+// the driver keeps for the policies: for every registry policy, under
+// each fault mode, with quiet ticks and with OnTick at every tick, each
+// hook is entered and returns with Env.Running and Env.Idle holding the
+// jobs a recount from job states and pending starts gives.
+func TestRunningAndIdleMatchRecount(t *testing.T) {
+	trace := pjs.Generate(pjs.SDSC(), pjs.GenOptions{Jobs: 200, Seed: 21})
+	for _, spec := range pjs.SchedulerSpecs() {
+		for mode := range censusModes {
+			for _, every := range []bool{false, true} {
+				name := spec + "/" + censusModes[mode].name
+				if every {
+					name += "/every-tick"
+				}
+				t.Run(name, func(t *testing.T) {
+					if tap := runSets(t, trace, spec, mode, every); tap.both == 0 {
+						t.Fatalf("no check of %d found both running and idle jobs; the test lost its bite", tap.checks)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRunningAndIdleAfterAbortedStarts holds the sets to the recount
+// where a processor failure aborts pending starts, which then are idle
+// again. A failure aborts one only when it hits the claim before the
+// victims' images are written, so the policies that commit preemptions
+// run a trace long enough for that to happen under the processor
+// faults of censusModes.
+func TestRunningAndIdleAfterAbortedStarts(t *testing.T) {
+	trace := pjs.Generate(pjs.SDSC(), pjs.GenOptions{Jobs: 2000, Seed: 21})
+	for _, spec := range []string{"is", "ss:2", "tss:2", "ssmig:2"} {
+		t.Run(spec, func(t *testing.T) {
+			if tap := runSets(t, trace, spec, 1, false); tap.aborts == 0 {
+				t.Fatal("no failure aborted a pending start; the test lost its bite")
+			}
+		})
 	}
 }

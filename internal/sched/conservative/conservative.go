@@ -22,11 +22,11 @@ type reservation struct {
 	start int64
 }
 
-// Sched is the conservative-backfilling policy.
+// Sched is the conservative-backfilling policy. Its profiles start from
+// the driver's running jobs (sched.Env.Running).
 type Sched struct {
-	env     *sched.Env
-	running []*job.Job
-	resvs   []reservation // sorted by start, then queue order
+	env   *sched.Env
+	resvs []reservation // sorted by start, then queue order
 }
 
 // New returns a conservative backfilling scheduler.
@@ -50,7 +50,7 @@ func (s *Sched) OnArrival(j *job.Job) {
 		return
 	}
 	span := s.env.Probe().Begin()
-	p := sched.RunningProfile(now, s.env.Cluster.UpCount(), s.running)
+	p := sched.RunningProfile(now, s.env.Cluster.UpCount(), s.env.Running())
 	for _, r := range s.resvs {
 		if r.start >= sched.FarFuture {
 			continue // wider than the surviving machine, not in the profile
@@ -70,14 +70,13 @@ func (s *Sched) OnArrival(j *job.Job) {
 // reservations are released in order of increasing guaranteed start and
 // re-anchored against the shrunken profile; in the worst case each job
 // is reinserted where it was.
-func (s *Sched) OnCompletion(j *job.Job) {
-	s.running = sched.Remove(s.running, j)
+func (s *Sched) OnCompletion(*job.Job) {
 	span := s.env.Probe().Begin()
 	defer s.env.Probe().End(perf.PhaseQueueScan, span)
 	now := s.env.Now()
 	old := s.resvs
 	s.resvs = nil
-	p := sched.RunningProfile(now, s.env.Cluster.UpCount(), s.running)
+	p := sched.RunningProfile(now, s.env.Cluster.UpCount(), s.env.Running())
 	capacity := s.env.Cluster.UpCount()
 	for _, r := range old {
 		if r.j.Procs > capacity {
@@ -104,12 +103,7 @@ func (s *Sched) OnTick() {}
 // and every guarantee is recomputed from scratch against the surviving
 // machine — the capacity loss may push any anchor later, so nothing
 // short of a full rebuild keeps the profile sound.
-func (s *Sched) OnFailure(p int, requeued []*job.Job) {
-	for _, j := range requeued {
-		s.running = sched.Remove(s.running, j)
-	}
-	s.rebuild(requeued)
-}
+func (s *Sched) OnFailure(p int, requeued []*job.Job) { s.rebuild(requeued) }
 
 // OnRepair implements sched.Scheduler: the recovered processor may pull
 // every anchor earlier (and re-admit jobs parked at sched.FarFuture), so the
@@ -139,7 +133,7 @@ func (s *Sched) rebuild(extra []*job.Job) {
 		return jobs[i].ID < jobs[k].ID
 	})
 	s.resvs = nil
-	p := sched.RunningProfile(now, s.env.Cluster.UpCount(), s.running)
+	p := sched.RunningProfile(now, s.env.Cluster.UpCount(), s.env.Running())
 	capacity := s.env.Cluster.UpCount()
 	for _, j := range jobs {
 		if j.Procs > capacity {
@@ -162,7 +156,6 @@ func (s *Sched) mustStart(j *job.Job) {
 	if !s.env.StartFresh(j) {
 		panic(fmt.Sprintf("conservative: anchored job %v does not fit", j))
 	}
-	s.running = append(s.running, j)
 }
 
 // insertResv keeps reservations sorted by start time (stable in queue

@@ -20,12 +20,12 @@ import (
 	"pjs/internal/sched"
 )
 
-// Sched is the reservation-depth backfilling policy.
+// Sched is the reservation-depth backfilling policy. Its profiles start
+// from the driver's running jobs (sched.Env.Running).
 type Sched struct {
-	env     *sched.Env
-	depth   int
-	queue   []*job.Job
-	running []*job.Job
+	env   *sched.Env
+	depth int
+	queue []*job.Job
 }
 
 // New returns a scheduler holding reservations for the first depth
@@ -55,10 +55,7 @@ func (s *Sched) OnArrival(j *job.Job) {
 }
 
 // OnCompletion implements sched.Scheduler.
-func (s *Sched) OnCompletion(j *job.Job) {
-	s.running = sched.Remove(s.running, j)
-	s.schedule()
-}
+func (s *Sched) OnCompletion(*job.Job) { s.schedule() }
 
 // OnSuspendDone implements sched.Scheduler; never suspends.
 func (s *Sched) OnSuspendDone(*job.Job) {}
@@ -72,7 +69,6 @@ func (s *Sched) OnTick() {}
 // against the surviving machine.
 func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 	for _, j := range requeued {
-		s.running = sched.Remove(s.running, j)
 		if !sched.Contains(s.queue, j) {
 			s.queue = sched.InsertBySubmit(s.queue, j)
 		}
@@ -89,7 +85,6 @@ func (s *Sched) start(j *job.Job) bool {
 		return false
 	}
 	s.queue = sched.Remove(s.queue, j)
-	s.running = append(s.running, j)
 	return true
 }
 
@@ -125,7 +120,7 @@ func (s *Sched) schedule() {
 		now := s.env.Now()
 		// Reserved jobs whose anchor is now start directly (in queue
 		// order; the profile already accounts for the earlier ones).
-		base := s.anchors(sched.RunningProfile(now, s.env.Cluster.UpCount(), s.running), now)
+		base := s.anchors(sched.RunningProfile(now, s.env.Cluster.UpCount(), s.env.Running()), now)
 		started := false
 		for i := 0; i < len(base); i++ {
 			if base[i] == now && s.queue[i].Procs <= s.env.Cluster.FreeUnclaimed() {
@@ -173,7 +168,7 @@ func (s *Sched) depthOrLen() int {
 func (s *Sched) backfillLegal(c *job.Job, now int64, base []int64) bool {
 	span := s.env.Probe().Begin()
 	defer s.env.Probe().End(perf.PhaseBackfillWindow, span)
-	p := sched.RunningProfile(now, s.env.Cluster.UpCount(), s.running)
+	p := sched.RunningProfile(now, s.env.Cluster.UpCount(), s.env.Running())
 	p.Sub(now, now+c.Estimate, c.Procs)
 	capacity := s.env.Cluster.UpCount()
 	n := len(base)

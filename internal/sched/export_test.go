@@ -1,5 +1,7 @@
 package sched
 
+import "pjs/internal/job"
+
 // TickAlways wraps s so that the driver calls s.OnTick on every tick,
 // ignoring the policy's QuietUntil requests: the reference run the
 // quiet-tick differential test compares against.
@@ -12,6 +14,15 @@ func (t tickAlways) Init(env *Env) {
 	t.Scheduler.Init(env)
 }
 
-// QueuedCount returns the driver's count of jobs in state Queued and
-// whether it also keeps the census list of them.
-func QueuedCount(e *Env) (n int, listed bool) { return e.nQueued, e.queued != nil }
+// QueuedCount returns the driver's count of jobs in state Queued.
+func QueuedCount(e *Env) int { return e.nQueued }
+
+// PendingJobs returns the jobs of the driver's pending starts, in
+// commit order.
+func PendingJobs(e *Env) []*job.Job {
+	jobs := make([]*job.Job, len(e.pending))
+	for i, p := range e.pending {
+		jobs[i] = p.j
+	}
+	return jobs
+}

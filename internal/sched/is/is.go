@@ -11,6 +11,10 @@
 // placement constraint; in this paper's cluster setting suspended jobs
 // keep the local-restart requirement (same processor set), which is what
 // makes IS collapse for long and wide jobs in the evaluation.
+//
+// The policy keeps no list of idle or running jobs: it decides from the
+// driver's (sched.Env.Idle, sched.Env.Running) and keeps only the end of
+// each job's protected slice.
 package is
 
 import (
@@ -28,8 +32,6 @@ const SliceSeconds = 600
 // Sched is the IS policy.
 type Sched struct {
 	env      *sched.Env
-	queue    []*job.Job // idle: fresh and suspended, excluding pending
-	running  []*job.Job // running or committed-to-run (pending)
 	sliceEnd map[int]int64
 
 	// Scratch reused across passes: the jobs a pass serves (the actors,
@@ -57,23 +59,16 @@ func (s *Sched) Init(env *sched.Env) {
 func (s *Sched) TickInterval() int64 { return 60 }
 
 // OnArrival implements sched.Scheduler.
-func (s *Sched) OnArrival(j *job.Job) {
-	s.queue = append(s.queue, j)
-	s.schedule()
-}
+func (s *Sched) OnArrival(*job.Job) { s.schedule() }
 
 // OnCompletion implements sched.Scheduler.
 func (s *Sched) OnCompletion(j *job.Job) {
-	s.running = sched.Remove(s.running, j)
 	delete(s.sliceEnd, j.ID)
 	s.schedule()
 }
 
 // OnSuspendDone implements sched.Scheduler: the victim is idle again.
-func (s *Sched) OnSuspendDone(j *job.Job) {
-	s.queue = append(s.queue, j)
-	s.schedule()
-}
+func (s *Sched) OnSuspendDone(*job.Job) { s.schedule() }
 
 // OnTick implements sched.Scheduler. A tick whose pass has no actor
 // skips it until the horizon, before which none can appear.
@@ -87,18 +82,13 @@ func (s *Sched) OnTick() {
 	s.env.Probe().End(perf.PhaseQueueScan, span)
 }
 
-// OnFailure implements sched.Scheduler: displaced jobs leave the running
-// list (their protected slice, if any, is forfeit) and rejoin the idle
-// queue; schedule() then serves them by instantaneous xfactor like any
-// other idle job, resuming the still-Suspended ones and restarting the
-// rest from scratch.
+// OnFailure implements sched.Scheduler: displaced jobs are idle again
+// and forfeit their protected slice, if any; schedule() then serves them
+// by instantaneous xfactor like any other idle job, resuming the
+// still-Suspended ones and restarting the rest from scratch.
 func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 	for _, j := range requeued {
-		s.running = sched.Remove(s.running, j)
 		delete(s.sliceEnd, j.ID)
-		if !sched.Contains(s.queue, j) {
-			s.queue = append(s.queue, j)
-		}
 	}
 	s.schedule()
 }
@@ -107,8 +97,8 @@ func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 // the idle queue immediately.
 func (s *Sched) OnRepair(int) { s.schedule() }
 
-// actors collects into s.idle the idle jobs that can act now, in queue
-// order, and returns the horizon: the first time at which a pass could
+// actors collects into s.idle the idle jobs that can act now and
+// returns the horizon: the first time at which a pass could
 // start, resume or suspend a job if no event arrives before then. A job
 // acts when
 //
@@ -130,14 +120,15 @@ func (s *Sched) OnRepair(int) { s.schedule() }
 // horizon is the earliest end of a protected slice, when avail grows,
 // or never when no never-run job waits (only those preempt).
 //
-//lint:allocfree scratch already holds len(queue) entries
+//lint:allocfree scratch already holds as many entries as there are idle jobs
 func (s *Sched) actors(now int64) int64 {
 	c := s.env.Cluster
 	free := c.FreeUnclaimed()
 	avail, end := -1, int64(math.MaxInt64) // avail < 0: not yet computed
-	idle := slices.Grow(s.idle[:0], len(s.queue))[:len(s.queue)]
+	queue := s.env.Idle()
+	idle := slices.Grow(s.idle[:0], len(queue))[:len(queue)]
 	n := 0
-	for _, j := range s.queue {
+	for _, j := range queue {
 		acts := false
 		switch {
 		case j.State == job.Suspended:
@@ -168,13 +159,9 @@ func (s *Sched) actors(now int64) int64 {
 // capacity returns avail, the free processors plus the widths of the
 // Running, unprotected, I/O-healthy jobs a never-run job may suspend,
 // and the earliest end of a protected slice (math.MaxInt64 if none).
-// Pending starts are skipped: only an event can make them Running.
 func (s *Sched) capacity(now int64, free int) (avail int, end int64) {
 	avail, end = free, math.MaxInt64
-	for _, r := range s.running {
-		if r.State != job.Running {
-			continue
-		}
+	for _, r := range s.env.Running() {
 		if e, ok := s.sliceEnd[r.ID]; ok && now < e {
 			end = min(end, e)
 		} else if s.env.SetIOHealthy(r.ProcSet) {
@@ -190,11 +177,10 @@ func (s *Sched) protected(v *job.Job, now int64) bool {
 	return ok && now < end
 }
 
-// markStarted records bookkeeping for a job the policy just launched.
-// Only a job's very first start earns the protected timeslice; resumed
-// jobs run unprotected.
+// markStarted protects a job the policy just launched. Only a job's
+// very first start earns the protected timeslice; resumed jobs run
+// unprotected.
 func (s *Sched) markStarted(j *job.Job, now int64) {
-	s.running = append(s.running, j)
 	if j.Suspensions == 0 && (j.FirstStart == -1 || j.FirstStart == now) {
 		s.sliceEnd[j.ID] = now + SliceSeconds
 	}
@@ -214,7 +200,7 @@ func (s *Sched) schedule() {
 // resume suspended jobs whose set is free, start fresh jobs that fit,
 // and give never-run jobs their immediate slice by suspending the
 // lowest-ixf unprotected running jobs. The order is total, so serving
-// only the actors keeps the relative order a sort of the whole queue
+// only the actors keeps the relative order a sort of all the idle jobs
 // gives them.
 func (s *Sched) serve(now int64) {
 	if len(s.idle) == 0 {
@@ -225,11 +211,9 @@ func (s *Sched) serve(now int64) {
 		switch {
 		case j.State == job.Suspended:
 			if s.env.Resume(j) {
-				s.queue = sched.Remove(s.queue, j)
 				s.markStarted(j, now)
 			}
 		case s.env.StartFresh(j):
-			s.queue = sched.Remove(s.queue, j)
 			s.markStarted(j, now)
 		case j.FirstStart < 0:
 			// Immediate service: a job that has never run may obtain
@@ -252,8 +236,8 @@ func (s *Sched) tryImmediate(j *job.Job, now int64) {
 	// toward serving only what fits the free processors.
 	span := s.env.Probe().Begin()
 	s.cands = s.cands[:0]
-	for _, r := range s.running {
-		if r.State == job.Running && !s.protected(r, now) && s.env.SetIOHealthy(r.ProcSet) {
+	for _, r := range s.env.Running() {
+		if !s.protected(r, now) && s.env.SetIOHealthy(r.ProcSet) {
 			s.cands = append(s.cands, r)
 		}
 	}
@@ -279,10 +263,8 @@ func (s *Sched) tryImmediate(j *job.Job, now int64) {
 			}
 			claim = append(claim, p)
 		}
-		s.running = sched.Remove(s.running, v)
 		delete(s.sliceEnd, v.ID)
 	}
-	s.queue = sched.Remove(s.queue, j)
 	s.env.PreemptAndStart(j, victims, claim)
 	s.markStarted(j, now)
 }

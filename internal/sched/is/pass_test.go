@@ -27,7 +27,7 @@ func (w *passAllocs) OnTick()                  { w.Sched.OnTick(); w.measure("ti
 
 func (w *passAllocs) measure(hook string) {
 	w.t.Helper()
-	if len(w.queue) == 0 {
+	if len(w.env.Idle()) == 0 {
 		return
 	}
 	if w.actors(w.env.Now()); len(w.idle) > 0 {

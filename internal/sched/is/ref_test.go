@@ -15,11 +15,13 @@ import (
 	"pjs/internal/workload"
 )
 
-// refIS is IS as it was before its horizon became the pass filter:
-// every hook sorts the whole idle queue and walks it, and a tick first
-// asks refHorizon, a scan of its own, whether the pass could act. It
-// shares the walk (serve), the victim selection and the hooks'
-// bookkeeping with Sched, so a difference is the filter's.
+// refIS is IS as it was before its horizon became the pass filter and
+// before the driver kept the idle and running jobs: every hook sorts
+// its whole idle queue and walks it, and a tick first asks refHorizon,
+// a scan of its own, whether the pass could act. It keeps its own queue
+// and running list from the hooks, and never reads the driver's, so a
+// difference is the filter's or the driver's sets'. It shares the
+// protected slices (sliceEnd) with Sched.
 //
 // everyTick makes OnTick run the pass at every tick without asking the
 // driver to skip any, as sched.TickAlways does (that wrapper is only
@@ -27,6 +29,8 @@ import (
 type refIS struct {
 	*Sched
 	everyTick bool
+	queue     []*job.Job // idle: fresh and suspended, excluding pending
+	running   []*job.Job // running or committed-to-run (pending)
 }
 
 func (r *refIS) OnArrival(j *job.Job) {
@@ -66,10 +70,72 @@ func (r *refIS) OnTick() {
 	r.refSchedule()
 }
 
-// refSchedule serves the whole idle queue.
+// refSchedule serves the whole idle queue in descending
+// instantaneous-xfactor order, as Sched.serve does its actors.
 func (r *refIS) refSchedule() {
+	now := r.env.Now()
 	r.idle = append(r.idle[:0], r.queue...)
-	r.serve(r.env.Now())
+	r.ord.Sort(r.idle, func(j *job.Job) (float64, int64) { return -j.InstantaneousXFactor(now), 0 })
+	for _, j := range r.idle {
+		switch {
+		case j.State == job.Suspended:
+			if r.env.Resume(j) {
+				r.started(j, now)
+			}
+		case r.env.StartFresh(j):
+			r.started(j, now)
+		case j.FirstStart < 0:
+			r.tryImmediate(j, now)
+		}
+	}
+}
+
+// started moves j, which the pass just launched or committed, from the
+// queue to the running list.
+func (r *refIS) started(j *job.Job, now int64) {
+	r.queue = sched.Remove(r.queue, j)
+	r.running = append(r.running, j)
+	r.markStarted(j, now)
+}
+
+// tryImmediate is Sched.tryImmediate over the reference's running list.
+func (r *refIS) tryImmediate(j *job.Job, now int64) {
+	free := r.env.Cluster.FreeUnclaimed()
+	if free >= j.Procs {
+		return
+	}
+	var cands []*job.Job
+	for _, v := range r.running {
+		if v.State == job.Running && !r.protected(v, now) && r.env.SetIOHealthy(v.ProcSet) {
+			cands = append(cands, v)
+		}
+	}
+	r.ord.Sort(cands, func(j *job.Job) (float64, int64) { return j.InstantaneousXFactor(now), 0 })
+	var victims []*job.Job
+	avail := free
+	for _, v := range cands {
+		if avail >= j.Procs {
+			break
+		}
+		victims = append(victims, v)
+		avail += v.Procs
+	}
+	if avail < j.Procs {
+		return
+	}
+	claim := r.env.Cluster.ListFreeUnclaimed(j.Procs)
+	for _, v := range victims {
+		for _, p := range v.ProcSet {
+			if len(claim) == j.Procs {
+				break
+			}
+			claim = append(claim, p)
+		}
+		r.running = sched.Remove(r.running, v)
+		delete(r.sliceEnd, v.ID)
+	}
+	r.env.PreemptAndStart(j, victims, claim)
+	r.started(j, now)
 }
 
 // refHorizon is the quiet-tick horizon as a scan apart from the pass:

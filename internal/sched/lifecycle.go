@@ -188,7 +188,7 @@ func (e *Env) postmortem() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  t=%d events=%d\n", e.engine.Now(), e.engine.Steps())
 	fmt.Fprintf(&b, "  jobs: %d queued, %d running, %d suspended/suspending, %d pending starts\n",
-		e.nQueued, e.nRunning, e.nSuspended, len(e.pending))
+		e.nQueued, len(e.running), e.nSuspended, len(e.pending))
 	fmt.Fprintf(&b, "  cluster: %d/%d processors up, %d free+unclaimed, %d busy\n",
 		e.Cluster.UpCount(), e.Cluster.Size(), e.Cluster.FreeUnclaimed(), e.Cluster.Busy())
 	if e.hashOn {
@@ -253,7 +253,6 @@ func RunContext(ctx context.Context, t *workload.Trace, s Scheduler, opt Options
 		sched:    s,
 		byID:     make(map[int]*job.Job, len(t.Jobs)),
 		obs:      opt.Observer,
-		census:   opt.Observer != nil,
 		probe:    opt.Probe,
 	}
 	if opt.ContiguousAlloc {

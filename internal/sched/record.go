@@ -133,16 +133,27 @@ func (e *Env) record(ev Event) {
 		e.Audit.add(ev.Entry)
 	}
 	if e.obs != nil {
-		// The census scan (O(queued) for the max queued xfactor) runs
-		// only when a sink is attached.
-		for _, q := range e.queued {
-			if xf := q.XFactor(ev.Time); xf > ev.MaxQueuedXFactor {
-				ev.MaxQueuedXFactor = xf
-			}
+		// The census scan for the max queued xfactor — over the idle
+		// jobs and the pending starts in state Queued — runs only when a
+		// sink is attached.
+		for _, q := range e.idle {
+			ev.MaxQueuedXFactor = maxQueuedXFactor(ev.MaxQueuedXFactor, q, ev.Time)
+		}
+		for _, p := range e.pending {
+			ev.MaxQueuedXFactor = maxQueuedXFactor(ev.MaxQueuedXFactor, p.j, ev.Time)
 		}
 		ev.Busy = e.Cluster.Busy()
 		ev.Up = e.Cluster.UpCount()
-		ev.Queued, ev.Running, ev.Suspended = e.nQueued, e.nRunning, e.nSuspended
+		ev.Queued, ev.Running, ev.Suspended = e.nQueued, len(e.running), e.nSuspended
 		e.obs.Observe(ev)
 	}
+}
+
+// maxQueuedXFactor returns the larger of m and j's xfactor at now when
+// j is Queued, m otherwise.
+func maxQueuedXFactor(m float64, j *job.Job, now int64) float64 {
+	if j.State == job.Queued {
+		return max(m, j.XFactor(now))
+	}
+	return m
 }

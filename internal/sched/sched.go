@@ -54,11 +54,14 @@ type Scheduler interface {
 	// requeued lists every job the failure displaced, in deterministic
 	// order; each is Queued (restart from scratch) except aborted
 	// pending resumes whose image survives elsewhere, which stay
-	// Suspended. The policy must take these jobs back into its own
-	// bookkeeping — for a policy that tracks no per-job state, treating
-	// them like fresh arrivals is the correct default. The slice is the
-	// driver's reused buffer, valid only during the call: a policy that
-	// keeps the jobs copies them out.
+	// Suspended. The driver has already moved them into Env.Idle, so a
+	// policy that decides from Env.Idle and Env.Running (SS, IS) only
+	// forgets what it keeps per job and reschedules. A policy that keeps
+	// its own order of waiting jobs (FCFS, EASY, depth-limited,
+	// speculative, conservative, gang) must take the jobs back into it;
+	// treating them like fresh arrivals is the correct default. The
+	// slice is the driver's reused buffer, valid only during the call: a
+	// policy that keeps the jobs copies them out.
 	OnFailure(p int, requeued []*job.Job)
 	// OnRepair is called after processor p returned to service, so the
 	// policy can schedule onto the recovered capacity.
@@ -231,16 +234,15 @@ type Env struct {
 	// from one failure to the next.
 	requeued []*job.Job
 
-	// Job-state census for observer snapshots and the postmortem,
-	// maintained on every transition. nQueued counts the arrived jobs
-	// in state Queued; nSuspended counts Suspending and Suspended.
-	// queued lists the nQueued jobs, in no particular order, for the
-	// observer's max-xfactor scan; only a run with an observer keeps it
-	// (census), whether the observer is attached or muted until a
-	// resume watermark, since removing a job from it is a linear search.
-	queued                        []*job.Job
-	census                        bool
-	nQueued, nRunning, nSuspended int
+	// The two sets the policies decide from (Running, Idle), updated
+	// where a job changes state. running holds the jobs in state
+	// Running; idle holds the arrived jobs that hold neither processors
+	// nor a claim: Queued or Suspended, and not a pending start.
+	// nQueued counts the arrived jobs in state Queued, pending starts
+	// included; nSuspended counts Suspending and Suspended. The counts
+	// feed observer snapshots and the postmortem.
+	running, idle       jobList
+	nQueued, nSuspended int
 
 	// Snapshot of the busy-time integral at the most recent arrival,
 	// for the loaded-period utilization metric.
@@ -268,6 +270,43 @@ type pendingStart struct {
 
 // Now returns the current virtual time.
 func (e *Env) Now() int64 { return e.engine.Now() }
+
+// Running returns the jobs in state Running, in no particular order.
+// The slice is the driver's: a policy reads it and neither writes nor
+// keeps it. It stays valid until the policy next calls a primitive that
+// starts, resumes, commits, suspends or kills a job (StartFresh,
+// Resume, ResumeAnywhere, PreemptAndStart, Suspend, Kill), and at the
+// latest until the hook returns; a policy that calls one while walking
+// the slice walks a copy.
+func (e *Env) Running() []*job.Job { return e.running }
+
+// Idle returns the arrived jobs that hold neither processors nor a
+// claim — Queued, or Suspended and not a pending start — in no
+// particular order. The slice stays valid as long as Running's does.
+func (e *Env) Idle() []*job.Job { return e.idle }
+
+// jobList is a set of jobs in no particular order. Each member's Slot
+// holds its index, so add and remove are O(1): remove moves the last
+// member into the leaver's place. A job is in at most one list at a
+// time; its Slot is -1 while it is in none.
+type jobList []*job.Job
+
+// add appends j, which is in no list, to l.
+func (l *jobList) add(j *job.Job) {
+	j.Slot = int32(len(*l))
+	*l = append(*l, j)
+}
+
+// remove takes member j out of l.
+func (l *jobList) remove(j *job.Job) {
+	s := *l
+	last := len(s) - 1
+	s[j.Slot] = s[last]
+	s[j.Slot].Slot = j.Slot
+	s[last] = nil
+	*l = s[:last]
+	j.Slot = -1
+}
 
 // Probe returns the run's performance probe, nil when profiling is
 // disabled. Policies bracket their expensive phases with
@@ -356,9 +395,12 @@ func (e *Env) dispatch(j *job.Job, readOH int64) {
 	if wasSuspended {
 		e.nSuspended--
 	} else {
-		e.dequeue(j)
+		e.nQueued--
 	}
-	e.nRunning++
+	if j.Slot >= 0 {
+		e.idle.remove(j) // a pending start left the idle list at its commit
+	}
+	e.running.add(j)
 	// A dispatch out of Suspended is a resume; out of Queued it is a
 	// (re)start — even when the job was suspended in an earlier
 	// incarnation that a kill or processor failure discarded.
@@ -367,29 +409,6 @@ func (e *Env) dispatch(j *job.Job, readOH int64) {
 		act = ActResume
 	}
 	e.record(jobEvent(act, j, j.ProcSet))
-}
-
-// enqueue counts j, which is entering state Queued, and adds it to the
-// census list when the run keeps one.
-func (e *Env) enqueue(j *job.Job) {
-	e.nQueued++
-	if e.census {
-		e.queued = append(e.queued, j)
-	}
-}
-
-// dequeue counts j out of state Queued and, when the run keeps the
-// census list, removes it by swapping the last member into its place.
-func (e *Env) dequeue(j *job.Job) {
-	e.nQueued--
-	if !e.census {
-		return
-	}
-	i := slices.Index(e.queued, j)
-	last := len(e.queued) - 1
-	e.queued[i] = e.queued[last]
-	e.queued[last] = nil
-	e.queued = e.queued[:last]
 }
 
 // PreemptAndStart suspends the victim jobs and commits j to start on
@@ -402,12 +421,13 @@ func (e *Env) PreemptAndStart(j *job.Job, victims []*job.Job, claim []int) {
 	if len(claim) != j.Procs {
 		panic(fmt.Sprintf("sched: claim of %d processors for %v", len(claim), j))
 	}
-	if j.State != job.Queued && j.State != job.Suspended {
-		panic(fmt.Sprintf("sched: PreemptAndStart on %v", j))
+	if j.State != job.Queued && j.State != job.Suspended || j.Slot < 0 {
+		panic(fmt.Sprintf("sched: PreemptAndStart on %v, which is not idle", j))
 	}
 	for _, v := range victims {
 		e.beginSuspend(v)
 	}
+	e.idle.remove(j)
 	e.Cluster.Claim(j.ID, claim)
 	e.pending = append(e.pending, &pendingStart{j: j, claim: claim})
 	e.activatePending()
@@ -423,8 +443,9 @@ func (e *Env) Kill(j *job.Job) {
 	set := j.ProcSet
 	j.Kill(e.Now())
 	e.Cluster.Release(e.Now(), j.ID, set)
-	e.nRunning--
-	e.enqueue(j)
+	e.running.remove(j)
+	e.nQueued++
+	e.idle.add(j)
 	e.record(jobEvent(ActKill, j, set))
 	e.activatePending()
 }
@@ -442,7 +463,7 @@ func (e *Env) beginSuspend(v *job.Job) {
 		panic(fmt.Sprintf("sched: suspend of %v", v))
 	}
 	v.Preempt(e.Now())
-	e.nRunning--
+	e.running.remove(v)
 	e.nSuspended++
 	e.record(jobEvent(ActSuspendBegin, v, v.ProcSet))
 	if e.trans != nil {
@@ -452,23 +473,24 @@ func (e *Env) beginSuspend(v *job.Job) {
 }
 
 // activatePending starts every pending job whose claimed set is fully
-// released.
+// released, in commit order. Each leaves the pending list before its
+// start is recorded, so the record's census sees the list as it is.
 func (e *Env) activatePending() {
-	kept := e.pending[:0]
-	for _, p := range e.pending {
-		if e.Cluster.ClaimReady(p.claim) {
-			e.Cluster.AllocSet(e.Now(), p.j.ID, p.claim)
-			readOH := int64(0)
-			if p.j.State == job.Suspended {
-				readOH = e.Overhead.ReadTime(p.j)
-			}
-			p.j.ProcSet = p.claim
-			e.dispatch(p.j, readOH)
-		} else {
-			kept = append(kept, p)
+	for i := 0; i < len(e.pending); {
+		p := e.pending[i]
+		if !e.Cluster.SetFree(p.j.ID, p.claim) {
+			i++
+			continue
 		}
+		e.pending = slices.Delete(e.pending, i, i+1)
+		e.Cluster.AllocSet(e.Now(), p.j.ID, p.claim)
+		readOH := int64(0)
+		if p.j.State == job.Suspended {
+			readOH = e.Overhead.ReadTime(p.j)
+		}
+		p.j.ProcSet = p.claim
+		e.dispatch(p.j, readOH)
 	}
-	e.pending = kept
 }
 
 // Handle implements sim.Handler: it routes each engine event to the
@@ -503,7 +525,8 @@ func (e *Env) arrive(j *job.Job) {
 	e.sweepIOHealth()
 	e.lastArrival = e.Now()
 	e.busyAtLastArrival = e.Cluster.BusyIntegral(e.Now())
-	e.enqueue(j)
+	e.nQueued++
+	e.idle.add(j)
 	e.record(jobEvent(ActArrive, j, nil))
 	e.sched.OnArrival(j)
 }
@@ -515,7 +538,7 @@ func (e *Env) complete(j *job.Job) {
 	e.sweepIOHealth()
 	j.Complete(e.Now())
 	e.Cluster.Release(e.Now(), j.ID, j.ProcSet)
-	e.nRunning--
+	e.running.remove(j)
 	e.record(jobEvent(ActFinish, j, j.ProcSet))
 	e.activatePending()
 	e.sched.OnCompletion(j)
@@ -544,6 +567,7 @@ func (e *Env) suspendDone(j *job.Job) {
 	}
 	j.SuspendDone()
 	e.Cluster.Release(e.Now(), j.ID, j.ProcSet)
+	e.idle.add(j)
 	e.record(jobEvent(ActSuspendDone, j, j.ProcSet))
 	e.activatePending()
 	e.sched.OnSuspendDone(j)
@@ -613,9 +637,10 @@ func (e *Env) failKill(j *job.Job) {
 	if wasSuspending {
 		e.nSuspended--
 	} else {
-		e.nRunning--
+		e.running.remove(j)
 	}
-	e.enqueue(j)
+	e.nQueued++
+	e.idle.add(j)
 	ev := jobEvent(ActKill, j, set)
 	ev.LostWork = lost
 	e.record(ev)
@@ -672,7 +697,7 @@ func (e *Env) procFail(p int) {
 
 	requeued := e.requeued[:0]
 	// Abort pending starts whose claimed set includes p. The claim can
-	// never be satisfied while p is down (ClaimReady refuses down
+	// never be satisfied while p is down (SetFree refuses down
 	// processors), and after a repair the machine state has moved on —
 	// the policy re-decides. A pending job that was Suspended keeps its
 	// image (invalidated below only if the image itself sat on p).
@@ -683,6 +708,7 @@ func (e *Env) procFail(p int) {
 			continue
 		}
 		e.Cluster.Unclaim(ps.j.ID, ps.claim)
+		e.idle.add(ps.j)
 		requeued = append(requeued, ps.j)
 	}
 	e.pending = kept
@@ -710,7 +736,7 @@ func (e *Env) procFail(p int) {
 		lost := j.Fail(now)
 		j.ProcSet = nil
 		e.nSuspended--
-		e.enqueue(j)
+		e.nQueued++ // it stays idle, or a pending start
 		ev := jobEvent(ActImageLost, j, set)
 		ev.LostWork = lost
 		e.record(ev)

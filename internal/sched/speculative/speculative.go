@@ -14,6 +14,8 @@
 package speculative
 
 import (
+	"slices"
+
 	"pjs/internal/job"
 	"pjs/internal/sched"
 )
@@ -34,14 +36,21 @@ type Sched struct {
 	env   *sched.Env
 	cfg   Config
 	queue []*job.Job
-	// running holds the started jobs in start order, the order in which
-	// enforceDeadlines kills expired gambles; each kill is an audit
-	// entry, so this order cannot become the release order of rels.
-	running []*job.Job
-	// rels lists the same jobs in release order for the head's
+	// gambles holds the running speculative starts in start order, the
+	// order in which enforceDeadlines kills expired ones; each kill is
+	// an audit entry, so this order cannot become the release order of
+	// rels.
+	gambles []gamble
+	// rels lists the running jobs in release order for the head's
 	// reservation, each under its releaseEnd at start.
-	rels     sched.Releases
-	deadline map[int]int64 // jobID → must-vacate time for spec runs
+	rels sched.Releases
+}
+
+// gamble is a speculative start and the time by which it must vacate
+// its processors.
+type gamble struct {
+	j        *job.Job
+	deadline int64
 }
 
 // DefaultFactor is the SpecFactor of a zero Config.
@@ -55,7 +64,7 @@ func New(cfg Config) *Sched {
 	if cfg.MaxKills == 0 {
 		cfg.MaxKills = 2
 	}
-	return &Sched{cfg: cfg, deadline: make(map[int]int64)}
+	return &Sched{cfg: cfg}
 }
 
 // Name implements sched.Scheduler.
@@ -114,14 +123,13 @@ func (s *Sched) enforceDeadlines() {
 		return // nobody is delayed; let the gamble ride
 	}
 	now := s.env.Now()
-	for _, r := range append([]*job.Job(nil), s.running...) {
-		dl, spec := s.deadline[r.ID]
-		if !spec || now < dl || r.State != job.Running {
+	for _, g := range append([]gamble(nil), s.gambles...) {
+		if now < g.deadline {
 			continue
 		}
-		s.env.Kill(r)
-		s.stop(r)
-		s.queue = sched.InsertBySubmit(s.queue, r)
+		s.env.Kill(g.j)
+		s.stop(g.j)
+		s.queue = sched.InsertBySubmit(s.queue, g.j)
 	}
 }
 
@@ -131,9 +139,8 @@ func (s *Sched) start(j *job.Job, specDeadline int64) bool {
 		return false
 	}
 	s.queue = sched.Remove(s.queue, j)
-	s.running = append(s.running, j)
 	if specDeadline > 0 {
-		s.deadline[j.ID] = specDeadline
+		s.gambles = append(s.gambles, gamble{j: j, deadline: specDeadline})
 	}
 	s.rels.Insert(j, s.releaseEnd(j))
 	return true
@@ -142,9 +149,16 @@ func (s *Sched) start(j *job.Job, specDeadline int64) bool {
 // stop forgets j, which left the machine: completed, killed, or
 // displaced by a failure.
 func (s *Sched) stop(j *job.Job) {
-	s.running = sched.Remove(s.running, j)
 	s.rels.Remove(j, s.releaseEnd(j))
-	delete(s.deadline, j.ID)
+	if i := s.gambleOf(j); i >= 0 {
+		s.gambles = slices.Delete(s.gambles, i, i+1)
+	}
+}
+
+// gambleOf returns the index of j's gamble, or -1 when j does not
+// gamble.
+func (s *Sched) gambleOf(j *job.Job) int {
+	return slices.IndexFunc(s.gambles, func(g gamble) bool { return g.j == j })
 }
 
 // releaseEnd is when running job j is expected to vacate its
@@ -154,8 +168,8 @@ func (s *Sched) stop(j *job.Job) {
 // gives a job a restart read to extend.
 func (s *Sched) releaseEnd(j *job.Job) int64 {
 	end := j.ProjectedEnd()
-	if dl, spec := s.deadline[j.ID]; spec && dl < end {
-		end = dl
+	if i := s.gambleOf(j); i >= 0 {
+		end = min(end, s.gambles[i].deadline)
 	}
 	return end
 }

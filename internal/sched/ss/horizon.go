@@ -125,7 +125,7 @@ type needRec struct {
 //lint:allocfree storage already sized for the machine, the running jobs and the suspended ones
 func (s *Sched) horizon(now int64) int64 {
 	h := int64(math.MaxInt64) // nothing idle, or nothing to preempt, until an event
-	if len(s.queue) > 0 {
+	if len(s.env.Idle()) > 0 {
 		s.reconcile(now)
 		if best := s.earliestCrossing(now); best <= s.TickInterval() {
 			h = now
@@ -158,7 +158,7 @@ func (s *Sched) earliestCrossing(now int64) int64 {
 			best = d
 		}
 	}
-	for _, j := range s.queue {
+	for _, j := range s.env.Idle() {
 		if s.reenters(j) || j.Procs <= free {
 			continue // a need above, or fits without preemption
 		}
@@ -196,11 +196,8 @@ func (s *Sched) reconcile(now int64) {
 	h.victims = h.victims[:0]
 	h.sorted = false
 	h.minX = math.Inf(1)
-	kept := 0
-	for _, r := range s.running {
-		if r.State != job.Running {
-			continue // a committed pending start: its claim is a hardRec
-		}
+	running := s.env.Running()
+	for _, r := range running {
 		x := r.XFactor(now)
 		v := math.Inf(1)
 		if s.pol.Suspendable(r, x) && s.env.SetIOHealthy(r.ProcSet) {
@@ -210,9 +207,8 @@ func (s *Sched) reconcile(now int64) {
 			h.minX = min(h.minX, x)
 		}
 		h.keepOwner(r, v, cl)
-		kept++
 	}
-	if kept < len(h.owners) {
+	if len(running) < len(h.owners) {
 		h.sweepOwners(cl)
 	}
 	h.sweepHard(cl)
@@ -523,7 +519,7 @@ func (s *Sched) shortOf(j *job.Job, now int64) bool {
 
 // reentryNeed returns the kept reentry need of suspended idle job j,
 // +Inf while a commit of the pass holds it. Every suspended idle job has
-// one from the reconcile after it entered the queue (passMaximal checks
+// one from the reconcile after it became idle (passMaximal checks
 // this at every tick), so find does not return -1 here.
 func (s *Sched) reentryNeed(j *job.Job) float64 {
 	h := &s.hz

@@ -30,6 +30,10 @@ import (
 // (refVictims) would commit, and each commit of the preemption routine
 // must suspend exactly the victims the reference selectors choose on
 // the live state, in the same order.
+//
+// The checks read an idle queue and a running list that passMaximal
+// keeps from the hooks, as SS kept them before the driver did, and not
+// the driver's sets, so that they stay a cross-check of those too.
 type passMaximal struct {
 	*Sched
 	t     testing.TB
@@ -37,6 +41,9 @@ type passMaximal struct {
 	ticks int
 	drops int
 	ref   refHorizon
+
+	queue   []*job.Job // idle (fresh + suspended), excluding pending
+	running []*job.Job // running or committed (pending starts)
 
 	// fresh and reentry count the commits compared, by branch.
 	fresh, reentry int
@@ -48,7 +55,7 @@ func (m *passMaximal) OnTick() {
 	m.ticks++
 	now := m.env.Now()
 	h := m.horizon(now)
-	if want := m.ref.horizon(m.Sched, now); h != want {
+	if want := m.ref.horizon(m.Sched, m.queue, m.running, now); h != want {
 		m.t.Fatalf("at %d: horizon %d, reference %d", now, h, want)
 	}
 	for _, j := range m.queue {
@@ -63,6 +70,7 @@ func (m *passMaximal) OnTick() {
 	}
 	m.checkPass(now)
 	m.serveIdle()
+	m.started()
 }
 
 // checkDropped fails t if the tick's filter (sortIdle) dropped an idle
@@ -77,7 +85,7 @@ func (m *passMaximal) checkDropped(now int64) {
 		if m.canStart(j) {
 			m.t.Fatalf("at %d: the tick drops %v, which can start without preemption", now, j)
 		}
-		if victims := refVictims(m.Sched, j, now); len(victims) > 0 {
+		if victims := refVictims(m.Sched, m.running, j, now); len(victims) > 0 {
 			m.t.Fatalf("at %d: the tick drops %v, but the reference would suspend %d jobs", now, j, len(victims))
 		}
 	}
@@ -90,7 +98,7 @@ func (m *passMaximal) checkDropped(now int64) {
 func (m *passMaximal) checkPass(now int64) {
 	kept := m.idle[:0]
 	for _, j := range m.idle {
-		want := refVictims(m.Sched, j, now)
+		want := refVictims(m.Sched, m.running, j, now)
 		victims, claim := m.choose(j, now)
 		if !slices.Equal(victims, want) {
 			m.t.Fatalf("at %d: %v commits with victims %v, the reference with %v", now, j, jobIDs(victims), jobIDs(want))
@@ -104,9 +112,28 @@ func (m *passMaximal) checkPass(now int64) {
 		} else {
 			m.fresh++
 		}
+		for _, v := range victims {
+			m.running = sched.Remove(m.running, v)
+		}
+		m.queue = sched.Remove(m.queue, j)
+		m.running = append(m.running, j)
 		m.commit(j, victims, claim)
 	}
 	m.idle = kept
+}
+
+// started moves the jobs of the queue that a schedule pass started or
+// resumed to the running list.
+func (m *passMaximal) started() {
+	kept := m.queue[:0]
+	for _, j := range m.queue {
+		if j.State == job.Running {
+			m.running = append(m.running, j)
+		} else {
+			kept = append(kept, j)
+		}
+	}
+	m.queue = kept
 }
 
 // jobIDs returns the IDs of jobs.
@@ -129,17 +156,42 @@ func (m *passMaximal) canStart(j *job.Job) bool {
 	return j.Procs <= cl.FreeUnclaimed()
 }
 
-func (m *passMaximal) OnArrival(j *job.Job)     { m.Sched.OnArrival(j); m.check("arrival") }
-func (m *passMaximal) OnCompletion(j *job.Job)  { m.Sched.OnCompletion(j); m.check("completion") }
-func (m *passMaximal) OnSuspendDone(j *job.Job) { m.Sched.OnSuspendDone(j); m.check("suspend-done") }
-func (m *passMaximal) OnRepair(p int)           { m.Sched.OnRepair(p); m.check("repair") }
+func (m *passMaximal) OnArrival(j *job.Job) {
+	m.queue = append(m.queue, j)
+	m.Sched.OnArrival(j)
+	m.check("arrival")
+}
+
+func (m *passMaximal) OnCompletion(j *job.Job) {
+	m.running = sched.Remove(m.running, j)
+	m.Sched.OnCompletion(j)
+	m.check("completion")
+}
+
+func (m *passMaximal) OnSuspendDone(j *job.Job) {
+	m.queue = append(m.queue, j)
+	m.Sched.OnSuspendDone(j)
+	m.check("suspend-done")
+}
+
+func (m *passMaximal) OnRepair(p int) { m.Sched.OnRepair(p); m.check("repair") }
+
 func (m *passMaximal) OnFailure(p int, requeued []*job.Job) {
+	for _, j := range requeued {
+		m.running = sched.Remove(m.running, j)
+		if !sched.Contains(m.queue, j) {
+			m.queue = append(m.queue, j)
+		}
+	}
 	m.Sched.OnFailure(p, requeued)
 	m.check("failure")
 }
 
+// check books the jobs the hook's schedule pass started, then fails t
+// if the pass left an idle job that can start without preemption.
 func (m *passMaximal) check(hook string) {
 	m.t.Helper()
+	m.started()
 	m.hooks++
 	for _, j := range m.queue {
 		if m.canStart(j) {

@@ -1,6 +1,7 @@
 package ss
 
 import (
+	"slices"
 	"testing"
 
 	"pjs/internal/job"
@@ -36,19 +37,19 @@ func (w *tickAllocs) OnTick() {
 		w.worstQuiet = max(w.worstQuiet, testing.AllocsPerRun(5, w.Sched.OnTick))
 		return
 	}
-	queued, running := len(w.queue), len(w.running)
+	queued, running := len(w.env.Idle()), len(w.env.Running())
 	w.Sched.OnTick()
-	if len(w.queue) != queued || len(w.running) != running || queued == 0 {
+	if len(w.env.Idle()) != queued || len(w.env.Running()) != running || queued == 0 {
 		return
 	}
 	w.measured++
-	for _, j := range w.queue {
+	for _, j := range w.env.Idle() {
 		if j.State == job.Suspended {
 			w.withSuspended++
 			break
 		}
 	}
-	for _, j := range w.queue {
+	for _, j := range w.env.Idle() {
 		if j.State == job.Queued && j.Procs > w.env.Cluster.FreeUnclaimed() {
 			w.withQueued++
 			break
@@ -95,7 +96,7 @@ func (w *passAllocs) OnCompletion(j *job.Job)  { w.Sched.OnCompletion(j); w.meas
 func (w *passAllocs) OnSuspendDone(j *job.Job) { w.Sched.OnSuspendDone(j); w.measure() }
 
 func (w *passAllocs) measure() {
-	if len(w.queue) == 0 {
+	if len(w.env.Idle()) == 0 {
 		return
 	}
 	w.measured++
@@ -125,10 +126,11 @@ func TestPassWithoutStartAllocatesNothing(t *testing.T) {
 // resumed, which drops its reentry need and unlinks it from the cover
 // index, then a horizon after it is suspended again, which adds the
 // need back. The job's state is switched by hand, and restored, so the
-// run goes on unchanged.
+// run goes on unchanged. The driver's idle list still holds the job
+// while it passes for resumed; the horizon drops the need because the
+// job is no longer Suspended.
 type cycleAllocs struct {
 	*Sched
-	without  []*job.Job
 	measured int
 	dropped  bool
 	worst    float64
@@ -136,18 +138,16 @@ type cycleAllocs struct {
 
 func (w *cycleAllocs) OnSuspendDone(j *job.Job) {
 	w.Sched.OnSuspendDone(j)
-	if j.State != job.Suspended || !sched.Contains(w.queue, j) || len(w.queue) < 2 {
+	if j.State != job.Suspended || !slices.Contains(w.env.Idle(), j) || len(w.env.Idle()) < 2 {
 		return
 	}
 	now := w.env.Now()
 	w.horizon(now) // j's need now exists
-	queue := w.queue
-	w.without = sched.Remove(append(w.without[:0], queue...), j)
 	cycle := func() {
-		w.queue, j.State = w.without, job.Running // resumed
+		j.State = job.Running // resumed
 		w.horizon(now)
 		w.dropped = w.dropped || w.hz.find(j) < 0
-		w.queue, j.State = queue, job.Suspended // suspended again
+		j.State = job.Suspended // suspended again
 		w.enteredIdle(j)
 		w.horizon(now)
 	}

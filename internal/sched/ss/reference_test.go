@@ -14,7 +14,9 @@ import (
 // rebuilds a per-processor table of holder xfactors and the victims,
 // reentryNeed walks each suspended job's remembered set, and the scan
 // takes the least crossing. It is the differential reference for
-// Sched.horizon and shares no state with it.
+// Sched.horizon and shares no state with it: the idle queue and the
+// running list it reads are the caller's own (passMaximal's), not the
+// driver's sets.
 type refHorizon struct {
 	victims     []victimX
 	sorted      bool
@@ -22,12 +24,13 @@ type refHorizon struct {
 	needByWidth []float64
 }
 
-// horizon returns the reference horizon of s at time now.
-func (r *refHorizon) horizon(s *Sched, now int64) int64 {
-	if len(s.queue) == 0 {
+// horizon returns the reference horizon of s at time now, over the idle
+// jobs queue and the running or committed jobs running.
+func (r *refHorizon) horizon(s *Sched, queue, running []*job.Job, now int64) int64 {
+	if len(queue) == 0 {
 		return math.MaxInt64 // nothing idle until an event
 	}
-	r.scanRunning(s, now)
+	r.scanRunning(s, running, now)
 	if len(r.victims) == 0 {
 		return math.MaxInt64 // nothing to preempt until an event
 	}
@@ -38,7 +41,7 @@ func (r *refHorizon) horizon(s *Sched, now int64) int64 {
 		minX = min(minX, v.x)
 	}
 	best := int64(math.MaxInt64)
-	for _, j := range s.queue {
+	for _, j := range queue {
 		reentry := j.State == job.Suspended && !s.cfg.Migration
 		if !reentry && j.Procs <= free {
 			continue // fits without preemption, so takes no victims
@@ -67,7 +70,7 @@ func (r *refHorizon) horizon(s *Sched, now int64) int64 {
 
 // scanRunning rebuilds the holder table and the victims from the
 // running jobs at time now.
-func (r *refHorizon) scanRunning(s *Sched, now int64) {
+func (r *refHorizon) scanRunning(s *Sched, running []*job.Job, now int64) {
 	n := s.env.Cluster.Size()
 	if len(r.holderX) != n {
 		r.holderX = make([]float64, n)
@@ -78,7 +81,7 @@ func (r *refHorizon) scanRunning(s *Sched, now int64) {
 	}
 	r.victims = r.victims[:0]
 	r.sorted = false
-	for _, run := range s.running {
+	for _, run := range running {
 		if run.State != job.Running {
 			continue // a committed pending start holds nothing yet
 		}
@@ -160,19 +163,20 @@ func (r *refHorizon) reentryNeed(s *Sched, j *job.Job, now, best int64) float64 
 }
 
 // refVictims returns the victims with which idle job j commits at time
-// now according to the selectors below, run from nothing on the live
-// running list and cluster, or nil when it commits none. It is the
-// differential reference for Sched.choose and shares no state with it.
-// Jobs on I/O-degraded processors are no victim candidates, and a
-// holder of a reentering job's set on such processors blocks the set.
-func refVictims(s *Sched, j *job.Job, now int64) []*job.Job {
+// now according to the selectors below, run from nothing on the
+// caller's running list and the live cluster, or nil when it commits
+// none. It is the differential reference for Sched.choose and shares no
+// state with it. Jobs on I/O-degraded processors are no victim
+// candidates, and a holder of a reentering job's set on such processors
+// blocks the set.
+func refVictims(s *Sched, running []*job.Job, j *job.Job, now int64) []*job.Job {
 	var victims []*job.Job
 	var ok bool
 	if s.reenters(j) {
 		victims, ok = refReentryVictims(s, j, now)
 	} else {
 		var cands []*job.Job
-		for _, r := range s.running {
+		for _, r := range running {
 			if s.env.SetIOHealthy(r.ProcSet) {
 				cands = append(cands, r)
 			}

@@ -14,11 +14,14 @@
 //     exceeds 1.5× its category's average slowdown (Section IV-E),
 //     bounding worst-case slowdowns.
 //
-// Who may suspend whom is one record, the state the quiet-tick horizon
-// keeps between ticks (horizon.go): per processor, the xfactor of a
-// holder that may be suspended, and the suspendable running jobs in
-// ascending xfactor. The horizon reads it to skip ticks on which no
-// preemption can happen, and the preemption routine commits from it.
+// The policy keeps no list of idle or running jobs: it decides from the
+// driver's (sched.Env.Idle, sched.Env.Running), which the driver keeps
+// through starts, commits, suspensions and failures. Who may suspend
+// whom is one record, the state the quiet-tick horizon keeps between
+// ticks (horizon.go): per processor, the xfactor of a holder that may
+// be suspended, and the suspendable running jobs in ascending xfactor.
+// The horizon reads it to skip ticks on which no preemption can happen,
+// and the preemption routine commits from it.
 package ss
 
 import (
@@ -61,11 +64,9 @@ type Config struct {
 
 // Sched is the SS/TSS policy.
 type Sched struct {
-	env     *sched.Env
-	pol     core.Policy
-	cfg     Config
-	queue   []*job.Job // idle (fresh + suspended), excluding pending
-	running []*job.Job // running or committed (pending starts)
+	env *sched.Env
+	pol core.Policy
+	cfg Config
 
 	// idle holds the jobs a pass serves, in serving order (descending
 	// xfactor): the jobs that fit or that shortOf does not reject at a
@@ -133,33 +134,29 @@ func (s *Sched) TickInterval() int64 {
 }
 
 // OnArrival implements sched.Scheduler.
-func (s *Sched) OnArrival(j *job.Job) {
-	s.queue = append(s.queue, j)
-	s.schedulePass()
-}
+func (s *Sched) OnArrival(*job.Job) { s.schedulePass() }
 
 // OnCompletion implements sched.Scheduler.
 func (s *Sched) OnCompletion(j *job.Job) {
-	s.running = sched.Remove(s.running, j)
 	if s.cfg.Adaptive != nil {
 		s.cfg.Adaptive.Observe(j.EstimateCategory(), j.BoundedSlowdown())
 	}
 	s.schedulePass()
 }
 
-// OnSuspendDone implements sched.Scheduler: the victim rejoins the idle
-// queue and will reenter via the preemption routine or a free set.
+// OnSuspendDone implements sched.Scheduler: the victim is idle again
+// and will reenter via the preemption routine or a free set.
 func (s *Sched) OnSuspendDone(j *job.Job) {
-	s.queue = append(s.queue, j)
 	s.enteredIdle(j)
 	s.schedulePass()
 }
 
 // OnTick implements sched.Scheduler: the periodic preemption routine,
 // then a schedule pass over what it left idle. Both passes share one
-// xfactor order: an idle job's key is fixed at a fixed now, and the
-// queue only shrinks during the tick — the preemption pass commits jobs
-// out of it, and its victims rejoin it only at their later SuspendDone.
+// xfactor order: an idle job's key is fixed at a fixed now, and the idle
+// jobs only decrease during the tick — the preemption pass commits jobs
+// out of them, and its victims become idle only at their later
+// SuspendDone.
 //
 // The routine runs only once some idle job could commit a preemption:
 // before that, OnTick asks the driver to skip ticks until the horizon
@@ -177,23 +174,20 @@ func (s *Sched) OnTick() {
 }
 
 // OnFailure implements sched.Scheduler: displaced jobs (killed victims,
-// stranded images, aborted pending starts) rejoin the idle queue and
-// compete again by xfactor; their restarted wait pushes the xfactor up,
-// so SS naturally re-serves the most-hurt jobs first.
+// stranded images, aborted pending starts) are idle again and compete
+// by xfactor; their restarted wait pushes the xfactor up, so SS
+// naturally re-serves the most-hurt jobs first.
 func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 	for _, j := range requeued {
-		s.running = sched.Remove(s.running, j)
-		if !sched.Contains(s.queue, j) {
-			s.queue = append(s.queue, j)
-			s.enteredIdle(j)
-		}
+		s.enteredIdle(j)
 	}
 	s.schedulePass()
 }
 
 // enteredIdle notes idle job j for the next horizon when it is a
 // suspended job under local restart, whose reentry need the horizon
-// keeps.
+// keeps. Of the jobs a failure displaces, only an aborted pending
+// resume is one; the others are Queued.
 func (s *Sched) enteredIdle(j *job.Job) {
 	if s.reenters(j) {
 		s.hz.entered = append(s.hz.entered, j)
@@ -219,7 +213,7 @@ func (s *Sched) schedulePass() {
 	span := s.env.Probe().Begin()
 	defer s.env.Probe().End(perf.PhaseQueueScan, span)
 	s.idle = s.idle[:0]
-	for _, j := range s.queue {
+	for _, j := range s.env.Idle() {
 		if s.fits(j) {
 			s.idle = append(s.idle, j)
 		}
@@ -252,7 +246,7 @@ func (s *Sched) fits(j *job.Job) bool {
 func (s *Sched) sortIdle() {
 	now := s.env.Now()
 	s.idle = s.idle[:0]
-	for _, j := range s.queue {
+	for _, j := range s.env.Idle() {
 		if s.fits(j) || !s.shortOf(j, now) {
 			s.idle = append(s.idle, j)
 		}
@@ -264,18 +258,13 @@ func (s *Sched) sortIdle() {
 // preemption.
 func (s *Sched) serveIdle() {
 	for _, j := range s.idle {
-		started := false
 		switch {
 		case j.State != job.Suspended:
-			started = s.env.StartFresh(j)
+			s.env.StartFresh(j)
 		case s.cfg.Migration:
-			started = s.env.ResumeAnywhere(j)
+			s.env.ResumeAnywhere(j)
 		default:
-			started = s.env.Resume(j)
-		}
-		if started {
-			s.queue = sched.Remove(s.queue, j)
-			s.running = append(s.running, j)
+			s.env.Resume(j)
 		}
 	}
 }
@@ -372,15 +361,9 @@ func (s *Sched) holders(j *job.Job) []*job.Job {
 	return victims
 }
 
-// commit removes j from the idle queue, books the victims out of the
-// running list, hands the preemption to the environment and records it
-// in the kept state.
+// commit hands the preemption to the environment and records it in the
+// kept state.
 func (s *Sched) commit(j *job.Job, victims []*job.Job, claim []int) {
-	for _, v := range victims {
-		s.running = sched.Remove(s.running, v)
-	}
-	s.queue = sched.Remove(s.queue, j)
-	s.running = append(s.running, j)
 	s.env.PreemptAndStart(j, victims, claim)
 	s.hz.committed(j, victims, claim)
 }
