@@ -58,8 +58,7 @@ func TestListMode(t *testing.T) {
 	}
 	for _, name := range []string{
 		"wallclock", "detrand", "stablesort", "maporder", "errwrite",
-		"exhaustive", "actparity", "globalmut", "timetaint", "seedflow",
-		"allocfree", "staleignore",
+		"exhaustive", "globalmut", "seedflow", "allocfree", "staleignore",
 	} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing check %q", name)
@@ -151,8 +150,8 @@ func TestSARIFOutput(t *testing.T) {
 	if run0.Tool.Driver.Name != "pjslint" {
 		t.Errorf("driver name = %q, want pjslint", run0.Tool.Driver.Name)
 	}
-	if len(run0.Tool.Driver.Rules) != 12 {
-		t.Errorf("rule table has %d entries, want all 12 checks", len(run0.Tool.Driver.Rules))
+	if len(run0.Tool.Driver.Rules) != 10 {
+		t.Errorf("rule table has %d entries, want all 10 checks", len(run0.Tool.Driver.Rules))
 	}
 	if len(run0.Results) == 0 {
 		t.Fatal("no results for a dirty fixture tree")

@@ -299,8 +299,11 @@ func Check(log *sched.AuditLog, opt Options) error {
 				return fail("work conservation: segments sum to %d < run time %d", t.ran, t.runTime)
 			}
 
-		default:
-			return fail("unknown action")
+		case sched.ActProcFail, sched.ActProcRepair, sched.ActIODegraded, sched.ActIORestored:
+			// Handled before the job-track lookup above; never reached.
+
+		case sched.ActTick:
+			return fail("tick in the audit log")
 		}
 	}
 	// Terminal conditions.

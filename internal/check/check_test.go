@@ -156,6 +156,11 @@ func TestCheckIllegalTransitions(t *testing.T) {
 	b.add(0, sched.ActArrive, 1, nil, 2, 100, 0)
 	b.add(5, sched.ActArrive, 1, nil, 2, 100, 0)
 	mustFail(t, b, Options{}, "duplicate arrival")
+
+	// A tick is emitted to observers only; the log never holds one.
+	b = newLog(4)
+	b.add(0, sched.ActTick, -1, nil, 0, 0, 0)
+	mustFail(t, b, Options{}, "tick in the audit log")
 }
 
 // strandedLog suspends job 1 on {0,1} while job 2 runs on {2}, then

@@ -44,12 +44,14 @@ func LimitsFromSlowdowns(avg [16]float64) *StaticLimits {
 // AdaptiveLimits learns the per-category average slowdown online from
 // jobs completed so far in the same run — the single-pass alternative to
 // the two-pass StaticLimits, ablated in the benchmarks. A category
-// yields no limit until MinSamples of its jobs have completed.
+// yields no limit until AdaptiveMinSamples of its jobs have completed.
 type AdaptiveLimits struct {
-	// MinSamples gates the warm-up; 0 means the default of 10.
-	MinSamples int
-	accs       [16]stats.Acc
+	accs [16]stats.Acc
 }
+
+// AdaptiveMinSamples is the warm-up of AdaptiveLimits: how many of a
+// category's jobs must complete before it has a limit.
+const AdaptiveMinSamples = 10
 
 // Observe folds the bounded slowdown of a completed job into the table.
 // The category is the scheduler-visible one (estimate-based), matching
@@ -60,12 +62,8 @@ func (a *AdaptiveLimits) Observe(c job.Category, slowdown float64) {
 
 // Limit implements LimitSource.
 func (a *AdaptiveLimits) Limit(c job.Category) (float64, bool) {
-	minN := a.MinSamples
-	if minN == 0 {
-		minN = 10
-	}
 	acc := &a.accs[c.Index()]
-	if acc.N() < minN {
+	if acc.N() < AdaptiveMinSamples {
 		return 0, false
 	}
 	return TSSLimitFactor * acc.Mean(), true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -144,19 +145,24 @@ func TestLimitsFromSlowdowns(t *testing.T) {
 }
 
 func TestAdaptiveLimitsWarmup(t *testing.T) {
-	a := &AdaptiveLimits{MinSamples: 3}
+	a := &AdaptiveLimits{}
 	c := job.Category{Length: job.VeryShort, Width: job.Wide}
 	if _, ok := a.Limit(c); ok {
 		t.Error("no limit before warm-up")
 	}
-	a.Observe(c, 10)
-	a.Observe(c, 20)
-	if _, ok := a.Limit(c); ok {
-		t.Error("no limit with 2 of 3 samples")
-	}
-	a.Observe(c, 30)
-	l, ok := a.Limit(c)
-	if !ok || l != TSSLimitFactor*20 {
-		t.Errorf("limit = %v,%v want %v,true", l, ok, TSSLimitFactor*20)
+	// Samples 2, 4, ..., 20: the first nine give no limit, the tenth a
+	// limit of 1.5 × their mean of 11.
+	for i := 1; i <= AdaptiveMinSamples; i++ {
+		a.Observe(c, float64(2*i))
+		l, ok := a.Limit(c)
+		if i < AdaptiveMinSamples {
+			if ok {
+				t.Errorf("limit %v with %d of %d samples", l, i, AdaptiveMinSamples)
+			}
+			continue
+		}
+		if want := TSSLimitFactor * 11; !ok || math.Abs(l-want) > 1e-9 {
+			t.Errorf("limit = %v,%v want %v,true", l, ok, want)
+		}
 	}
 }

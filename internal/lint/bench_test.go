@@ -45,9 +45,8 @@ func BenchmarkLintRepo(b *testing.B) {
 // BenchmarkLintRepoParallel is the same full-repository sweep through a
 // bounded worker pool — the shape cmd/pjslint -j runs — so the
 // parallel runner's speedup over the serial baseline is pinned. The
-// loader's singleflight cache makes the concurrent Load calls (and the
-// cross-package loads actparity issues) share one type-check per
-// package.
+// loader's singleflight cache makes the concurrent Load calls share
+// one type-check per package.
 func BenchmarkLintRepoParallel(b *testing.B) {
 	root, err := FindModuleRoot(".")
 	if err != nil {

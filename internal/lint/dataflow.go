@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the intraprocedural dataflow substrate the taint checks
-// (timetaint, seedflow, maporder) are built on: a per-function
+// (seedflow, maporder) are built on: a per-function
 // basic-block flow graph, a generic forward worklist solver over a
 // client-supplied join lattice, and def-use chains over AST
 // identifiers. The flow graph is the package's only control-flow

@@ -396,35 +396,33 @@ func TestTaintFindingsThroughSinkSummary(t *testing.T) {
 	}
 }
 
-// TestCanFind pins the early return of timetaint and seedflow: a
-// package needs a source — a timing call, a pointer extraction, a map
-// range, even one nested in a closure — and a sink of the same check
-// before its taint analysis is built.
+// TestCanFind pins the early return of seedflow: a package needs a
+// source — a timing call or perf-clock read, a pointer extraction, a
+// map range, even one
+// nested in a closure — and an RNG seed before its taint analysis is
+// built.
 func TestCanFind(t *testing.T) {
 	for _, tc := range []struct {
-		name, body     string
-		time, seedflow bool
+		name, body string
+		want       bool
 	}{
 		{"no source", `import "math/rand"
-func f(xs []int) *rand.Rand { s := int64(0); for _, x := range xs { s += int64(x) }; return rand.New(rand.NewSource(s)) }`, false, false},
+func f(xs []int) *rand.Rand { s := int64(0); for _, x := range xs { s += int64(x) }; return rand.New(rand.NewSource(s)) }`, false},
 		{"clock, no sink", `import "time"
-func f() int64 { return time.Now().UnixNano() }`, false, false},
+func f() int64 { return time.Now().UnixNano() }`, false},
 		{"clock and seed", `import ("math/rand"; "time")
-func f() rand.Source { return rand.NewSource(time.Now().UnixNano()) }`, false, true},
-		{"clock and hash", `import "time"
-func mix64(h, v uint64) uint64 { return h ^ v }
-func f() uint64 { return mix64(1, uint64(time.Now().UnixNano())) }`, true, false},
+func f() rand.Source { return rand.NewSource(time.Now().UnixNano()) }`, true},
+		{"perf clock and seed", `import "math/rand"
+type Clock func() int64
+func f(c Clock) rand.Source { return rand.NewSource(c()) }`, true},
 		{"closure map range and seed", `import "math/rand"
-func f(m map[int]int64) func() rand.Source { return func() rand.Source { var s int64; for k := range m { s = int64(k) }; return rand.NewSource(s) } }`, false, true},
+func f(m map[int]int64) func() rand.Source { return func() rand.Source { var s int64; for k := range m { s = int64(k) }; return rand.NewSource(s) } }`, true},
 		{"pointer and seed", `import ("math/rand"; "unsafe")
-func f(p *int) rand.Source { return rand.NewSource(int64(uintptr(unsafe.Pointer(p)))) }`, false, true},
+func f(p *int) rand.Source { return rand.NewSource(int64(uintptr(unsafe.Pointer(p)))) }`, true},
 	} {
 		p := loadSrc(t, "package x\n"+tc.body+"\n", "pjs/internal/x")
-		if got := timetaintSpec.canFind(p); got != tc.time {
-			t.Errorf("%s: timetaint canFind = %v, want %v", tc.name, got, tc.time)
-		}
-		if got := seedflowSpec.canFind(p); got != tc.seedflow {
-			t.Errorf("%s: seedflow canFind = %v, want %v", tc.name, got, tc.seedflow)
+		if got := seedflowSpec.canFind(p); got != tc.want {
+			t.Errorf("%s: seedflow canFind = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

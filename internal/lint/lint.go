@@ -17,10 +17,15 @@
 // package and memoized, so every check analyzes the same type-checked
 // artifacts.
 //
-// Each rule is a Check. The shipped checks are wallclock, detrand,
+// Each rule is a Check. The ten shipped checks are wallclock, detrand,
 // stablesort, maporder (interprocedural), errwrite, exhaustive,
-// actparity, globalmut, staleignore, and the dataflow-backed timetaint,
-// seedflow and allocfree (see their files for the precise semantics).
+// globalmut, staleignore, and the dataflow-backed seedflow and
+// allocfree (see their files for the precise semantics). Two invariants
+// need no check of their own: exhaustive switches over sched.Action in
+// the checker, the counters and the trace builder make a new audit
+// action fail the build until all three handle it, and the wallclock
+// ban plus the opaque perf.Span keep every timing value out of
+// simulator code, so none can reach run identity.
 // Diagnostics carry exact file:line:col positions and can be
 // suppressed, one site at a time, with a justified directive:
 //
@@ -77,9 +82,7 @@ func AllChecks() []Check {
 		&MaporderCheck{},
 		&ErrwriteCheck{},
 		&ExhaustiveCheck{},
-		&ActparityCheck{},
 		&GlobalmutCheck{},
-		&TimetaintCheck{},
 		&SeedflowCheck{},
 		&AllocfreeCheck{},
 		&StaleignoreCheck{},
@@ -301,4 +304,18 @@ func pkgFunc(p *Package, call *ast.CallExpr) (path, name string, ok bool) {
 		return "", "", false
 	}
 	return pn.Imported().Path(), sel.Sel.Name, true
+}
+
+// derefNamed unwraps pointers down to a named type.
+func derefNamed(t types.Type) (*types.Named, bool) {
+	for {
+		switch tt := t.(type) {
+		case *types.Pointer:
+			t = tt.Elem()
+		case *types.Named:
+			return tt, true
+		default:
+			return nil, false
+		}
+	}
 }

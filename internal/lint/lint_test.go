@@ -94,7 +94,6 @@ var fixtureCases = []struct {
 	{check: "errwrite", dir: "errwrite_obs", asPath: "pjs/internal/obs/fixture"},
 	{check: "exhaustive", dir: "exhaustive", asPath: "pjs/internal/fixture/exhaustive"},
 	{check: "globalmut", dir: "globalmut", asPath: "pjs/internal/sim/fixture/globalmut"},
-	{check: "timetaint", dir: "timetaint", asPath: "pjs/internal/fixture/timetaint"},
 	{check: "seedflow", dir: "seedflow", asPath: "pjs/internal/fixture/seedflow"},
 	{check: "allocfree", dir: "allocfree", asPath: "pjs/internal/fixture/allocfree"},
 	{check: "staleignore", dir: "staleignore", asPath: "pjs/internal/fixture/staleignore", full: true},
@@ -378,89 +377,6 @@ func stamp() int64 {
 	}
 }
 
-// TestTimetaintCatchesClockIntoCheckpoint reproduces the acceptance
-// criterion end-to-end in miniature: a perf-clock reading flowing into
-// a checkpoint payload under a sched path must yield a timetaint
-// finding even under the full suite.
-func TestTimetaintCatchesClockIntoCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	src := `package ckpt
-
-type Clock func() int64
-
-type Snapshot struct {
-	Now int64
-}
-
-func capture(c Clock) Snapshot {
-	t := c()
-	return Snapshot{Now: t}
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "ckpt.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l := newTestLoader(t)
-	p, err := l.LoadDir(dir, "pjs/internal/sched/ckpt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Run(p, AllChecks())
-	if len(diags) != 1 {
-		t.Fatalf("want exactly 1 diagnostic, got %d: %v", len(diags), diags)
-	}
-	d := diags[0]
-	if d.Check != "timetaint" || !strings.Contains(d.Message, "timing value flows into a checkpoint payload") {
-		t.Errorf("want timetaint finding on the snapshot literal, got %s", d)
-	}
-}
-
-// TestTimetaintReportsCompositeArgumentOnce pins the de-duplication of
-// one leak: an audit entry literal passed straight to the audit log is
-// both a composite sink and a call-sink argument, and must be reported
-// once, at the argument.
-func TestTimetaintReportsCompositeArgumentOnce(t *testing.T) {
-	dir := t.TempDir()
-	src := `package audit
-
-import "time"
-
-type Entry struct {
-	T int64
-}
-
-type AuditLog struct {
-	entries []Entry
-}
-
-func (l *AuditLog) add(e Entry) { l.entries = append(l.entries, e) }
-
-func stamp(l *AuditLog) {
-	l.add(Entry{T: time.Now().UnixNano()})
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "audit.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	p, err := newTestLoader(t).LoadDir(dir, "pjs/internal/sched/audit")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []Diagnostic
-	for _, d := range Run(p, AllChecks()) {
-		if d.Check == "timetaint" {
-			got = append(got, d)
-		}
-	}
-	if len(got) != 1 {
-		t.Fatalf("want exactly 1 timetaint diagnostic, got %d: %v", len(got), got)
-	}
-	if d := got[0]; d.Pos.Line != 16 || d.Pos.Column != 8 ||
-		!strings.Contains(d.Message, "timing value flows into the audit log") {
-		t.Errorf("want the audit-log finding at 16:8, got %s", d)
-	}
-}
-
 // TestMaporderCatchesMapOrderedVictims seeds the bug maporder exists
 // for on a decision path: a helper of the SS package collects victims
 // by ranging over a map keyed by job ID and returns them unsorted, and
@@ -665,50 +581,6 @@ func unjustified() time.Time {
 	}
 	if !strings.Contains(diags[1].Message, "time.Now reads the wall clock") {
 		t.Errorf("second diagnostic should still ban the read: %s", diags[1])
-	}
-}
-
-// TestActparityFixture runs the cross-package parity check over a
-// three-package fixture loaded under the real import paths: a sched
-// fixture declaring the Action enum, a check fixture missing one replay
-// rule, and an obs fixture missing one counter and one trace mapping.
-// The sched fixture must be loaded first so the sibling packages'
-// `pjs/internal/sched` imports resolve to the fixture enum through the
-// loader cache, not to the real scheduler.
-func TestActparityFixture(t *testing.T) {
-	l := newTestLoader(t)
-	base := filepath.Join("testdata", "src", "actparity")
-	schedPkg, err := l.LoadDir(filepath.Join(base, "sched"), "pjs/internal/sched")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sub := range []struct{ dir, asPath string }{
-		{"check", "pjs/internal/check"},
-		{"obs", "pjs/internal/obs"},
-	} {
-		if _, err := l.LoadDir(filepath.Join(base, sub.dir), sub.asPath); err != nil {
-			t.Fatal(err)
-		}
-	}
-	matchWants(t, filepath.Join(base, "sched"),
-		Run(schedPkg, []Check{&ActparityCheck{}}))
-
-	// Cross-check hygiene: none of the three fixture packages may trip
-	// any other rule (the enum switches carry panicking defaults, etc.).
-	var others []Check
-	for _, c := range AllChecks() {
-		if c.Name() != "actparity" {
-			others = append(others, c)
-		}
-	}
-	for _, path := range []string{"pjs/internal/sched", "pjs/internal/check", "pjs/internal/obs"} {
-		p, err := l.Load(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range Run(p, others) {
-			t.Errorf("actparity fixture %s trips foreign check: %s", path, d)
-		}
 	}
 }
 

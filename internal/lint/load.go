@@ -28,23 +28,11 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	loader *Loader
-	// mu guards the lazily built per-package structures below. Checks
-	// running in parallel workers may touch a foreign package (actparity
-	// imports sched from check/obs) while its own worker analyzes it.
+	// mu guards the lazily built per-package structures below, so a
+	// Package stays safe to analyze from more than one goroutine.
 	mu  sync.Mutex
 	cg  *CallGraph
 	fgs map[*ast.FuncDecl]*FlowGraph
-}
-
-// Import resolves another module package through the loader that built
-// this one, so cross-package checks (actparity) analyze the same
-// type-checked artifacts as every other check instead of re-resolving.
-func (p *Package) Import(path string) (*Package, error) {
-	if p.loader == nil {
-		return nil, fmt.Errorf("lint: package %s has no loader", p.Path)
-	}
-	return p.loader.Load(path)
 }
 
 // Loader parses and type-checks packages of the enclosing module using
@@ -199,13 +187,12 @@ func (l *Loader) loadDir(dir, asPath string) (*Package, error) {
 		return nil, fmt.Errorf("lint: type-checking %s: %v", asPath, err)
 	}
 	return &Package{
-		Path:   asPath,
-		Dir:    dir,
-		Fset:   l.Fset,
-		Files:  files,
-		Types:  tpkg,
-		Info:   info,
-		loader: l,
+		Path:  asPath,
+		Dir:   dir,
+		Fset:  l.Fset,
+		Files: files,
+		Types: tpkg,
+		Info:  info,
 	}, nil
 }
 

@@ -397,3 +397,28 @@ func escapesUnsorted(p *Package, fd *ast.FuncDecl, stmt ast.Stmt, obj types.Obje
 	})
 	return escapes
 }
+
+// auditEmitSink matches the audit-log append: a method named add or Add
+// on a value whose named type is AuditLog. The driver's record funnel
+// makes that call, so auditCallers marks record and every function that
+// reaches it.
+func auditEmitSink(p *Package, call *ast.CallExpr) (string, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	switch sel.Sel.Name {
+	case "add", "Add":
+	default:
+		return "", false
+	}
+	tv, ok := p.Info.Types[sel.X]
+	if !ok || tv.Type == nil {
+		return "", false
+	}
+	named, ok := derefNamed(tv.Type)
+	if !ok || named.Obj().Name() != "AuditLog" {
+		return "", false
+	}
+	return "the audit log", true
+}

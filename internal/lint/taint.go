@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -12,9 +11,9 @@ import (
 // This file is the taint layer over the dataflow substrate: a bitmask
 // taint domain, a flow-sensitive intraprocedural propagation built on
 // Solve, and interprocedural function summaries computed to fixpoint
-// over the package call graph. The timetaint and seedflow checks are
-// thin configurations of this engine (a TaintSpec each); maporder takes
-// its carriers from the summaries under its own spec.
+// over the package call graph. The seedflow check is a thin
+// configuration of this engine (a TaintSpec); maporder takes its
+// carriers from the summaries under its own spec.
 //
 // Soundness posture: propagation over-approximates value flow (an
 // unknown call taints its results with the union of its argument
@@ -34,7 +33,7 @@ type Taint uint64
 
 const (
 	// TaintTime marks values derived from the wall clock or the perf
-	// clock: time.Now/Since/Until, a perf.Clock call, Probe.Begin/Snapshot.
+	// clock: time.Now/Since/Until, a perf.Clock call, Probe.Snapshot.
 	TaintTime Taint = 1 << iota
 	// TaintMapIter marks values derived from map iteration order.
 	TaintMapIter
@@ -101,8 +100,6 @@ type TaintSpec struct {
 	// positions whose values must stay clean (nil = not a sink), desc
 	// names the sink for diagnostics.
 	SinkCall func(p *Package, call *ast.CallExpr) (args []int, desc string)
-	// SinkComposite identifies composite-literal sinks.
-	SinkComposite func(p *Package, lit *ast.CompositeLit) (desc string, ok bool)
 	// Sanitize identifies calls that clean values in place: it returns
 	// an expression every variable of which the call leaves clean, or
 	// nil. It applies to calls made as statements.
@@ -179,10 +176,6 @@ func (spec *TaintSpec) canFind(p *Package) bool {
 				}
 			case *ast.RangeStmt:
 				source = source || spec.RangeSource != nil && spec.RangeSource(p, n) != 0
-			case *ast.CompositeLit:
-				if !sink && spec.SinkComposite != nil {
-					_, sink = spec.SinkComposite(p, n)
-				}
 			}
 			return !(source && sink)
 		})
@@ -361,18 +354,16 @@ func (ta *TaintAnalysis) returnTaint(env taintEnv, ret *ast.ReturnStmt, named []
 }
 
 // sinkScan is one scan's sink walker: node fires onSink for every
-// call-shaped or composite sink a block node evaluates, under env, the
-// environment as it stands when the node executes. sunk holds the
-// call-sink arguments reported in the current node.
+// call-shaped sink a block node evaluates, under env, the environment
+// as it stands when the node executes.
 type sinkScan struct {
 	ta     *TaintAnalysis
 	onSink func(token.Pos, Taint, string)
 	env    taintEnv
-	sunk   []ast.Expr
 }
 
 func (s *sinkScan) node(env taintEnv, n ast.Node) {
-	s.env, s.sunk = env, s.sunk[:0]
+	s.env = env
 	for _, root := range evaluatedExprs(n) {
 		if root != nil {
 			ast.Walk(s, root)
@@ -382,22 +373,11 @@ func (s *sinkScan) node(env taintEnv, n ast.Node) {
 
 // Visit implements ast.Visitor.
 func (s *sinkScan) Visit(n ast.Node) ast.Visitor {
-	ta := s.ta
 	switch n := n.(type) {
 	case *ast.FuncLit:
 		return nil // executes later; not analyzed here
 	case *ast.CallExpr:
-		s.sunk = append(s.sunk, ta.sinkCheck(s.env, n, s.onSink)...)
-	case *ast.CompositeLit:
-		// A literal passed straight to a call sink is one leak, already
-		// reported at the argument.
-		if ta.spec.SinkComposite != nil && !slices.Contains(s.sunk, ast.Expr(n)) {
-			if desc, ok := ta.spec.SinkComposite(ta.p, n); ok {
-				if t := ta.exprTaint(s.env, n); t != 0 {
-					s.onSink(n.Pos(), t, desc)
-				}
-			}
-		}
+		s.ta.sinkCheck(s.env, n, s.onSink)
 	}
 	return s
 }
@@ -431,9 +411,8 @@ func evaluatedExprs(n ast.Node) []ast.Node {
 }
 
 // sinkCheck tests one call against the spec's call sinks and against the
-// sink-parameter summaries of in-package callees, and returns the
-// arguments it reported.
-func (ta *TaintAnalysis) sinkCheck(env taintEnv, call *ast.CallExpr, onSink func(token.Pos, Taint, string)) (sunk []ast.Expr) {
+// sink-parameter summaries of in-package callees.
+func (ta *TaintAnalysis) sinkCheck(env taintEnv, call *ast.CallExpr, onSink func(token.Pos, Taint, string)) {
 	if ta.spec.SinkCall != nil {
 		if idx, desc := ta.spec.SinkCall(ta.p, call); idx != nil {
 			for _, i := range idx {
@@ -442,21 +421,20 @@ func (ta *TaintAnalysis) sinkCheck(env taintEnv, call *ast.CallExpr, onSink func
 				}
 				if t := ta.exprTaint(env, call.Args[i]); t != 0 {
 					onSink(call.Args[i].Pos(), t, desc)
-					sunk = append(sunk, ast.Unparen(call.Args[i]))
 				}
 			}
 			// A direct sink subsumes its own summary; reporting both
 			// would double-count the same arguments.
-			return sunk
+			return
 		}
 	}
 	callee := ta.p.CalleeOf(call)
 	if callee == nil {
-		return nil
+		return
 	}
 	sum := ta.sums[callee]
 	if sum == nil || sum.SinkParams == 0 {
-		return nil
+		return
 	}
 	args := ta.callParamTaints(env, call, callee)
 	for i, at := range args {
@@ -464,12 +442,10 @@ func (ta *TaintAnalysis) sinkCheck(env taintEnv, call *ast.CallExpr, onSink func
 			pos := call.Pos()
 			if ai := i - paramOffset(callee); ai >= 0 && ai < len(call.Args) {
 				pos = call.Args[ai].Pos()
-				sunk = append(sunk, ast.Unparen(call.Args[ai]))
 			}
 			onSink(pos, at, "a sink reached through "+callee.Name())
 		}
 	}
-	return sunk
 }
 
 // paramOffset is 1 for methods (the receiver occupies index 0).

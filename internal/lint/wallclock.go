@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -20,6 +21,13 @@ import (
 // lands in a result. Keeping the allowlist here, as check scope, means
 // cmd/ needs no per-call-site lint:ignore directives and a wall-clock
 // read accidentally introduced under internal/ still fails the build.
+//
+// The performance clock is the wall clock too. Outside
+// pjs/internal/perf the check also bans calling a perf.Clock value and
+// Probe.Snapshot, the two reads that turn probe timing into a number.
+// With perf.Span opaque, no timing value can then arise in simulator
+// code, so none can flow into an audit entry, the watermark hash, a
+// checkpoint or an observer event.
 //
 // One scoped exemption exists inside internal/: pjs/internal/perf is
 // the sanctioned performance-clock package, and a banned call there may
@@ -63,7 +71,7 @@ func (*WallclockCheck) Name() string { return "wallclock" }
 
 // Doc implements Check.
 func (*WallclockCheck) Doc() string {
-	return "no wall-clock reads (time.Now/Since/Sleep/...) inside internal/; use the virtual clock (//lint:perf-clock exempts internal/perf only)"
+	return "no wall-clock reads (time.Now/Since/Sleep/..., perf.Clock calls, Probe.Snapshot) inside internal/; use the virtual clock (internal/perf is exempt; its time calls need //lint:perf-clock)"
 }
 
 // Applies implements Check.
@@ -128,6 +136,13 @@ func (c *WallclockCheck) Run(p *Package, rep *Reporter) {
 			if !ok {
 				return true
 			}
+			if read, ok := perfClockRead(p, call); ok {
+				if !inPerf {
+					rep.Reportf(call.Pos(),
+						"%s; simulator code must use the virtual clock (Env.Now)", read)
+				}
+				return true
+			}
 			path, name, ok := pkgFunc(p, call)
 			if !ok || path != "time" || !wallclockBanned[name] {
 				return true
@@ -157,4 +172,37 @@ func (c *WallclockCheck) Run(p *Package, rep *Reporter) {
 				"//lint:perf-clock exempts nothing; delete the stale marker")
 		}
 	}
+}
+
+// perfClockRead names a read of the performance clock that is not a
+// time-package call: calling a value whose type is a named func type
+// "Clock", or the Snapshot method of a type named "Probe". Name-based
+// resolution (like the audit-sink rule, auditEmitSink) keeps fixtures
+// self-contained and survives package moves.
+func perfClockRead(p *Package, call *ast.CallExpr) (string, bool) {
+	if tv, ok := p.Info.Types[call.Fun]; ok && tv.Type != nil && !tv.IsType() {
+		if named, ok := derefNamed(tv.Type); ok && named.Obj().Name() == "Clock" {
+			if _, isFunc := named.Underlying().(*types.Signature); isFunc {
+				return "a perf.Clock call reads the wall clock", true
+			}
+		}
+	}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Snapshot" {
+		if tv, ok := p.Info.Types[sel.X]; ok && tv.Type != nil {
+			if named, ok := derefNamed(tv.Type); ok && named.Obj().Name() == "Probe" {
+				return "Probe.Snapshot reads wall-clock probe timings", true
+			}
+		}
+	}
+	return "", false
+}
+
+// isTimingCall classifies timing sources for seedflow: the banned
+// time-package readers and the perf-clock reads.
+func isTimingCall(p *Package, call *ast.CallExpr) bool {
+	if path, name, ok := pkgFunc(p, call); ok && path == "time" && wallclockBanned[name] {
+		return true
+	}
+	_, ok := perfClockRead(p, call)
+	return ok
 }

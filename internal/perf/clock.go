@@ -11,7 +11,12 @@
 // place under pjs/internal/ where the pjslint wallclock check accepts
 // a wall-clock read, and each such site must carry a justified
 // //lint:perf-clock marker. The marker is rejected everywhere else, so
-// the ban on time.Now in simulator code keeps its teeth.
+// the ban on time.Now in simulator code keeps its teeth. The same
+// check bans calling a Clock value and Probe.Snapshot outside this
+// package, and a Span is opaque: code outside this package can only
+// pass it from Begin to End. No timing value can therefore arise in
+// simulator code, so none can flow into an audit entry, the watermark
+// hash, a checkpoint or an observer event.
 package perf
 
 import "time"

@@ -80,28 +80,35 @@ func NewProbe(c Clock) *Probe {
 // Enabled reports whether the probe records anything.
 func (p *Probe) Enabled() bool { return p != nil }
 
-// Begin returns a clock reading opening a span; pass it to End. On a
-// nil probe it returns 0 without touching any clock.
+// Span is an open probe span: the clock reading Begin took. Its field
+// is unexported, so code outside this package can only hand a span
+// back to End, never read it as a number (see the package doc).
+type Span struct {
+	start int64
+}
+
+// Begin opens a span; pass it to End. On a nil probe it returns the
+// zero span without touching any clock.
 //
 //lint:allocfree nil probe
-func (p *Probe) Begin() int64 {
+func (p *Probe) Begin() Span {
 	if p == nil {
-		return 0
+		return Span{}
 	}
-	return p.clock()
+	return Span{p.clock()}
 }
 
 // End closes a span opened by Begin, attributing the elapsed time to
 // the phase. A no-op on a nil probe.
 //
 //lint:allocfree nil probe
-func (p *Probe) End(ph Phase, start int64) {
+func (p *Probe) End(ph Phase, span Span) {
 	if p == nil {
 		return
 	}
 	s := &p.stats[ph]
 	s.Calls++
-	s.Nanos += p.clock() - start
+	s.Nanos += p.clock() - span.start
 }
 
 // Snapshot returns a copy of the per-phase totals so far.

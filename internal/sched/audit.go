@@ -62,9 +62,9 @@ const (
 	ActIORestored
 	// ActTick is the periodic scheduler-tick heartbeat. It is emitted
 	// to observers only (Event.Job is nil) and never appears in the
-	// audit log, which records job actions exclusively.
-	//
-	// lint:observer-only — no checker replay rule exists by design.
+	// audit log, which records job actions exclusively, so the
+	// invariant checker has no replay rule for it: a tick in the log is
+	// an error there.
 	ActTick
 )
 

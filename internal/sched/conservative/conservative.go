@@ -70,28 +70,7 @@ func (s *Sched) OnArrival(j *job.Job) {
 // reservations are released in order of increasing guaranteed start and
 // re-anchored against the shrunken profile; in the worst case each job
 // is reinserted where it was.
-func (s *Sched) OnCompletion(*job.Job) {
-	span := s.env.Probe().Begin()
-	defer s.env.Probe().End(perf.PhaseQueueScan, span)
-	now := s.env.Now()
-	old := s.resvs
-	s.resvs = nil
-	p := sched.RunningProfile(now, s.env.Cluster.UpCount(), s.env.Running())
-	capacity := s.env.Cluster.UpCount()
-	for _, r := range old {
-		if r.j.Procs > capacity {
-			s.insertResv(reservation{j: r.j, start: sched.FarFuture})
-			continue
-		}
-		anchor := p.FindStart(now, r.j.Procs, r.j.Estimate)
-		if anchor == now && s.env.Cluster.FreeUnclaimed() >= r.j.Procs {
-			s.mustStart(r.j)
-		} else {
-			s.insertResv(reservation{j: r.j, start: anchor})
-		}
-		p.Sub(anchor, anchor+r.j.Estimate, r.j.Procs)
-	}
-}
+func (s *Sched) OnCompletion(*job.Job) { s.reanchor(s.resvs) }
 
 // OnSuspendDone implements sched.Scheduler; never suspends.
 func (s *Sched) OnSuspendDone(*job.Job) {}
@@ -112,30 +91,36 @@ func (s *Sched) OnRepair(int) { s.rebuild(nil) }
 
 // rebuild re-anchors every queued job — existing reservations plus any
 // newly displaced jobs — in (submit, id) order against the surviving
-// machine, starting those whose anchor is now.
-func (s *Sched) rebuild(extra []*job.Job) {
+// machine. Every displaced job was running (this policy never suspends),
+// so none of them holds a reservation already.
+func (s *Sched) rebuild(displaced []*job.Job) {
+	queue := s.resvs
+	for _, j := range displaced {
+		queue = append(queue, reservation{j: j})
+	}
+	sort.SliceStable(queue, func(i, k int) bool {
+		if queue[i].j.SubmitTime != queue[k].j.SubmitTime {
+			return queue[i].j.SubmitTime < queue[k].j.SubmitTime
+		}
+		return queue[i].j.ID < queue[k].j.ID
+	})
+	s.reanchor(queue)
+}
+
+// reanchor releases every reservation and anchors the jobs of queue, in
+// its order, against the running jobs on the surviving machine: a job
+// whose anchor is now starts, one wider than the machine waits at
+// sched.FarFuture, and each anchor is charged to the profile the later
+// jobs see.
+func (s *Sched) reanchor(queue []reservation) {
 	span := s.env.Probe().Begin()
 	defer s.env.Probe().End(perf.PhaseQueueScan, span)
 	now := s.env.Now()
-	jobs := make([]*job.Job, 0, len(s.resvs)+len(extra))
-	for _, r := range s.resvs {
-		jobs = append(jobs, r.j)
-	}
-	for _, j := range extra {
-		if !sched.Contains(jobs, j) {
-			jobs = append(jobs, j)
-		}
-	}
-	sort.SliceStable(jobs, func(i, k int) bool {
-		if jobs[i].SubmitTime != jobs[k].SubmitTime {
-			return jobs[i].SubmitTime < jobs[k].SubmitTime
-		}
-		return jobs[i].ID < jobs[k].ID
-	})
 	s.resvs = nil
 	p := sched.RunningProfile(now, s.env.Cluster.UpCount(), s.env.Running())
 	capacity := s.env.Cluster.UpCount()
-	for _, j := range jobs {
+	for _, r := range queue {
+		j := r.j
 		if j.Procs > capacity {
 			s.insertResv(reservation{j: j, start: sched.FarFuture})
 			continue

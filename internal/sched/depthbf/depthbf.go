@@ -66,12 +66,11 @@ func (s *Sched) OnTick() {}
 // OnFailure implements sched.Scheduler: displaced jobs rejoin the queue
 // at their submission-order position (restoring the arrival order the
 // reservation depth is defined over) and the schedule is recomputed
-// against the surviving machine.
+// against the surviving machine. Every displaced job was running (this
+// policy never suspends), so none of them is queued already.
 func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 	for _, j := range requeued {
-		if !sched.Contains(s.queue, j) {
-			s.queue = sched.InsertBySubmit(s.queue, j)
-		}
+		s.queue = sched.InsertBySubmit(s.queue, j)
 	}
 	s.schedule()
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"pjs/internal/fault"
@@ -40,7 +41,7 @@ func (r *refSched) OnCompletion(j *job.Job) {
 func (r *refSched) OnFailure(p int, requeued []*job.Job) {
 	for _, j := range requeued {
 		r.running.Remove(j, j.ProjectedEnd())
-		if !sched.Contains(r.queue, j) {
+		if !slices.Contains(r.queue, j) {
 			r.queue = sched.InsertBySubmit(r.queue, j)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,7 +54,7 @@ func (r *refIS) OnFailure(p int, requeued []*job.Job) {
 	for _, j := range requeued {
 		r.running = sched.Remove(r.running, j)
 		delete(r.sliceEnd, j.ID)
-		if !sched.Contains(r.queue, j) {
+		if !slices.Contains(r.queue, j) {
 			r.queue = append(r.queue, j)
 		}
 	}

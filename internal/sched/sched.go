@@ -827,17 +827,6 @@ func OrderByXFactor(ord *job.Order, jobs []*job.Job, now int64) {
 	ord.Sort(jobs, func(j *job.Job) (float64, int64) { return -j.XFactor(now), j.SubmitTime })
 }
 
-// Contains reports whether queue holds j — used by failure hooks to
-// requeue displaced jobs without duplicating ones already tracked.
-func Contains(queue []*job.Job, j *job.Job) bool {
-	for _, q := range queue {
-		if q == j {
-			return true
-		}
-	}
-	return false
-}
-
 // InsertBySubmit inserts j into queue at SubmitIndex and returns the
 // grown slice.
 func InsertBySubmit(queue []*job.Job, j *job.Job) []*job.Job {

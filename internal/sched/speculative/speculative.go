@@ -26,10 +26,11 @@ type Config struct {
 	// speculatively in a hole of length H only if estimate ≤
 	// SpecFactor × H. Zero means DefaultFactor.
 	SpecFactor float64
-	// MaxKills is how many failed gambles a job may suffer before it
-	// is only scheduled conventionally. Zero means the default of 2.
-	MaxKills int
 }
+
+// MaxKills is how many failed gambles a job may suffer before it is
+// only scheduled conventionally.
+const MaxKills = 2
 
 // Sched is the speculative-backfilling policy.
 type Sched struct {
@@ -60,9 +61,6 @@ const DefaultFactor = 5
 func New(cfg Config) *Sched {
 	if cfg.SpecFactor == 0 {
 		cfg.SpecFactor = DefaultFactor
-	}
-	if cfg.MaxKills == 0 {
-		cfg.MaxKills = 2
 	}
 	return &Sched{cfg: cfg}
 }
@@ -101,13 +99,13 @@ func (s *Sched) OnTick() {
 // OnFailure implements sched.Scheduler: a failure-killed job rejoins
 // the queue at its submission-order position; any speculative deadline
 // dies with the run (the kill was the machine's, not a lost gamble —
-// Kills is not charged, see Env.procFail).
+// Kills is not charged, see Env.procFail). Every displaced job was
+// running (this policy never suspends), so none of them is queued
+// already.
 func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 	for _, j := range requeued {
 		s.stop(j)
-		if !sched.Contains(s.queue, j) {
-			s.queue = sched.InsertBySubmit(s.queue, j)
-		}
+		s.queue = sched.InsertBySubmit(s.queue, j)
 	}
 	s.schedule()
 }
@@ -201,7 +199,7 @@ func (s *Sched) schedule() {
 			}
 			// Speculative: gamble on a hole of length shadow-now.
 			hole := shadow - now
-			if hole <= 0 || j.Kills >= s.cfg.MaxKills {
+			if hole <= 0 || j.Kills >= MaxKills {
 				continue
 			}
 			if float64(j.Estimate) <= s.cfg.SpecFactor*float64(hole) {

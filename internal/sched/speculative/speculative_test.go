@@ -94,10 +94,10 @@ func TestMaxKillsStopsThrashing(t *testing.T) {
 	tr := workload.Generate(m, workload.GenOptions{
 		Jobs: 400, Seed: 9, Estimates: workload.EstimateInaccurate,
 	})
-	byID, _ := run(t, tr, speculative.Config{MaxKills: 2})
+	byID, _ := run(t, tr, speculative.Config{})
 	for id, j := range byID {
-		if j.Kills > 2 {
-			t.Fatalf("job %d killed %d times, cap is 2", id, j.Kills)
+		if j.Kills > speculative.MaxKills {
+			t.Fatalf("job %d killed %d times, cap is %d", id, j.Kills, speculative.MaxKills)
 		}
 	}
 }

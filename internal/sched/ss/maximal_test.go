@@ -179,7 +179,7 @@ func (m *passMaximal) OnRepair(p int) { m.Sched.OnRepair(p); m.check("repair") }
 func (m *passMaximal) OnFailure(p int, requeued []*job.Job) {
 	for _, j := range requeued {
 		m.running = sched.Remove(m.running, j)
-		if !sched.Contains(m.queue, j) {
+		if !slices.Contains(m.queue, j) {
 			m.queue = append(m.queue, j)
 		}
 	}
