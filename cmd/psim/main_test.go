@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -243,6 +245,42 @@ func TestTransientFlagsSummaryLine(t *testing.T) {
 	}
 	if code := run([]string{"-jobs", "50", "-sched", "ns", "-io-write-fail", "1.5"}, &stdout, &stderr); code != 1 {
 		t.Errorf("out-of-range -io-write-fail accepted (exit %d)", code)
+	}
+}
+
+// TestTraceOutDigest pins the bytes of the Perfetto export: a plain
+// SS run with the counter tracks, and one under processor faults and
+// transient I/O faults, whose down and io-degraded spans (some still
+// open at the end of the run) are rendered too.
+func TestTraceOutDigest(t *testing.T) {
+	base := []string{"-model", "SDSC", "-jobs", "300", "-sched", "ss:2", "-overhead"}
+	cases := []struct {
+		name  string
+		extra []string
+		want  string
+	}{
+		{"counters", []string{"-counters"}, "94ef2fa8013bb9b613aba163f4442e2c4e627053474041e6f0cc5bcafe2a9ce8"},
+		{"faults and transient io", []string{"-mtbf", "500", "-mttr", "2", "-fault-seed", "7",
+			"-io-write-fail", "0.05", "-io-read-fail", "0.05", "-io-health-thresh", "1"},
+			"7786c16cd60e6695d99e7dc1734032d1400b1896ac74414a7efbb41ad00cb93f"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "trace.json")
+			args := append(append(append([]string(nil), base...), tc.extra...), "-trace-out", out)
+			var stdout, stderr strings.Builder
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit code = %d, stderr: %s", code, stderr.String())
+			}
+			data, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			if got := hex.EncodeToString(sum[:]); got != tc.want {
+				t.Errorf("trace sha256 = %s, want %s", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"os"
 
 	"pjs/internal/fault"
@@ -108,16 +109,9 @@ func (w *WorkloadSpec) Build() (*workload.Trace, error) {
 // HashBytes fingerprints a byte slice with FNV-1a (64-bit) — used for
 // SWF file identity in checkpoints.
 func HashBytes(data []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
+	h := fnv.New64a()
+	h.Write(data) // a hash.Hash never returns an error
+	return h.Sum64()
 }
 
 // OptSpec is the checkpointable subset of sched.Options — the

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"pjs/internal/check"
-	"pjs/internal/core"
 	"pjs/internal/fault"
 	"pjs/internal/metrics"
 	"pjs/internal/obs"
@@ -100,7 +99,7 @@ type Runner struct {
 	traces    map[traceKey]*workload.Trace
 	results   map[runKey]*sched.Result
 	summaries map[sumKey]*metrics.Summary
-	limits    map[runKey]*core.StaticLimits // TSS limits by seed run
+	limits    map[runKey]*ss.StaticLimits // TSS limits by seed run
 }
 
 // NewRunner returns a Runner with the given configuration.
@@ -110,7 +109,7 @@ func NewRunner(cfg Config) *Runner {
 		traces:    make(map[traceKey]*workload.Trace),
 		results:   make(map[runKey]*sched.Result),
 		summaries: make(map[sumKey]*metrics.Summary),
-		limits:    make(map[runKey]*core.StaticLimits),
+		limits:    make(map[runKey]*ss.StaticLimits),
 	}
 }
 
@@ -216,13 +215,13 @@ func SSNoWidthRule(sf float64) Scheme {
 
 // limitsFor computes (and memoizes) a TSS limit table from a pre-pass
 // of the given seed scheme on the given trace.
-func (r *Runner) limitsFor(tk traceKey, seed Scheme) *core.StaticLimits {
+func (r *Runner) limitsFor(tk traceKey, seed Scheme) *ss.StaticLimits {
 	rk := runKey{tk: tk, scheme: seed.Label}
 	if l, ok := r.limits[rk]; ok {
 		return l
 	}
 	sum := metrics.FromResult(r.resultFor(rk, seed), metrics.All)
-	l := core.LimitsFromSlowdowns(sum.SlowdownTable())
+	l := ss.LimitsFromSlowdowns(sum.SlowdownTable())
 	r.limits[rk] = l
 	return l
 }

@@ -294,7 +294,7 @@ func TestStablesortCatchesDroppedIDClause(t *testing.T) {
 			without: "\treturn cmp.Compare(a.tie, b.tie)\n",
 		},
 		{
-			pkg: "core", file: "policy.go", asPath: "pjs/internal/core",
+			pkg: "sched/ss", file: "ss.go", asPath: "pjs/internal/sched/ss",
 			clause: "\t\tif c := cmp.Compare(b.Procs, a.Procs); c != 0 {\n\t\t\treturn c\n\t\t}\n" +
 				"\t\treturn cmp.Compare(a.ID, b.ID)\n",
 			without: "\t\treturn cmp.Compare(b.Procs, a.Procs)\n",

@@ -30,10 +30,10 @@ import (
 type StablesortCheck struct{}
 
 // stablesortScopes are the import-path prefixes where scheduling
-// decisions are made and the rule is enforced: the policies and the
-// driver, the engine, the SS/TSS victim rules, and the job package's
-// shared priority sort.
-var stablesortScopes = []string{"pjs/internal/sched", "pjs/internal/sim", "pjs/internal/core", "pjs/internal/job"}
+// decisions are made and the rule is enforced: the policies (the SS/TSS
+// victim rules among them) and the driver, the engine, and the job
+// package's shared priority sort.
+var stablesortScopes = []string{"pjs/internal/sched", "pjs/internal/sim", "pjs/internal/job"}
 
 // Name implements Check.
 func (*StablesortCheck) Name() string { return "stablesort" }

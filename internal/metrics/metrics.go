@@ -185,7 +185,7 @@ func FromResult(r *sched.Result, f Filter) *Summary {
 
 // SlowdownTable returns the 16 per-category mean slowdowns in category
 // index order — the shape of the paper's Tables IV/V and the input to
-// core.LimitsFromSlowdowns.
+// ss.LimitsFromSlowdowns.
 func (s *Summary) SlowdownTable() [16]float64 {
 	var t [16]float64
 	for i, c := range s.ByCategory {

@@ -89,13 +89,25 @@ type metaArgs struct {
 }
 
 // counterEvent is a "C" counter sample rendered by Perfetto as a
-// stacked area track.
+// stacked area track. Args is busyArgs or jobsArgs.
 type counterEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"`
-	Pid  int            `json:"pid"`
-	Args map[string]int `json:"args"`
+	Name string `json:"name"`
+	Ph   string `json:"ph"`
+	Ts   int64  `json:"ts"`
+	Pid  int    `json:"pid"`
+	Args any    `json:"args"`
+}
+
+// busyArgs and jobsArgs are the series of the two counter tracks, their
+// fields in key order as a map would encode them.
+type busyArgs struct {
+	Busy int `json:"busy"`
+}
+
+type jobsArgs struct {
+	Queued    int `json:"queued"`
+	Running   int `json:"running"`
+	Suspended int `json:"suspended"`
 }
 
 // openSeg is a job's in-flight occupancy of its processor set: either a
@@ -119,30 +131,35 @@ type TraceBuilder struct {
 	// Procs is the machine size (number of tracks).
 	Procs int
 
-	meta     []any
-	slices   []any
-	counters []any
-	open     map[int]*openSeg // job ID -> in-flight segment
+	meta   []any
+	slices []any
+	open   map[int]*openSeg // job ID -> in-flight segment
 
-	lastCounterTs   int64
-	haveCounter     bool
-	countersPerInst int // trailing counter events of the last instant
+	// counts is the settled census of every instant, the source of the
+	// counter tracks.
+	counts Sampler
 
-	// Fault-injection state: processor -> failure time of the open
-	// down span, plus the last event time seen (to close spans still
-	// open at export). Untouched without faults.
-	downSince map[int]int64
-	lastTime  int64
+	// The open per-processor spans: down after a processor failure,
+	// io-degraded under transient I/O faults; plus the last event time
+	// seen, to close spans still open at export.
+	down, degraded procSpans
+	lastTime       int64
+}
 
-	// Transient-I/O health state: processor -> degradation time of the
-	// open io-degraded span. Untouched without transient faults.
-	degradedSince map[int]int64
+// procSpans is the open spans of one per-processor category: processor
+// -> the time its span opened. The map is made when a first span opens.
+type procSpans struct {
+	cat   string
+	since map[int]int64
 }
 
 // NewTraceBuilder returns a builder for a machine of the given size,
 // with the process and per-processor thread names pre-registered.
 func NewTraceBuilder(procs int) *TraceBuilder {
-	b := &TraceBuilder{Procs: procs, open: make(map[int]*openSeg)}
+	b := &TraceBuilder{
+		Procs: procs, open: make(map[int]*openSeg),
+		down: procSpans{cat: CatDown}, degraded: procSpans{cat: CatIODegraded},
+	}
 	b.meta = append(b.meta, metaEvent{
 		Name: "process_name", Ph: "M", Pid: tracePid,
 		Args: metaArgs{Name: "cluster"},
@@ -166,16 +183,16 @@ func procName(p int) string {
 
 // Observe implements sched.Observer.
 func (b *TraceBuilder) Observe(ev sched.Event) {
-	b.sampleCounters(ev)
+	b.counts.Observe(ev)
 	if ev.Time > b.lastTime {
 		b.lastTime = ev.Time
 	}
 	j := ev.Job
 	if j == nil {
 		if ev.Action == sched.ActProcFail || ev.Action == sched.ActProcRepair {
-			b.observeFault(ev)
+			b.observeSpan(&b.down, ev.Action == sched.ActProcFail, ev)
 		} else if ev.Action == sched.ActIODegraded || ev.Action == sched.ActIORestored {
-			b.observeIOHealth(ev)
+			b.observeSpan(&b.degraded, ev.Action == sched.ActIODegraded, ev)
 		}
 		return
 	}
@@ -228,49 +245,41 @@ func (b *TraceBuilder) Observe(ev sched.Event) {
 	}
 }
 
-// observeFault maintains the per-processor down spans. Only called for
-// ActProcFail and ActProcRepair (the caller dispatches).
-func (b *TraceBuilder) observeFault(ev sched.Event) {
+// observeSpan opens (open) or closes the span of category spans on
+// the processor of ev, a job-less processor event.
+func (b *TraceBuilder) observeSpan(spans *procSpans, open bool, ev sched.Event) {
 	p := ev.Procs[0]
-	if ev.Action == sched.ActProcFail {
-		if b.downSince == nil {
-			b.downSince = make(map[int]int64)
+	if open {
+		if spans.since == nil {
+			spans.since = make(map[int]int64)
 		}
-		b.downSince[p] = ev.Time
-	} else if start, ok := b.downSince[p]; ok {
-		delete(b.downSince, p)
-		b.emitDown(p, start, ev.Time)
+		spans.since[p] = ev.Time
+	} else if start, ok := spans.since[p]; ok {
+		delete(spans.since, p)
+		b.emitSpan(spans.cat, p, start, ev.Time)
 	}
 }
 
-// observeIOHealth maintains the per-processor io-degraded spans. Only
-// called for ActIODegraded and ActIORestored (the caller dispatches).
-func (b *TraceBuilder) observeIOHealth(ev sched.Event) {
-	p := ev.Procs[0]
-	if ev.Action == sched.ActIODegraded {
-		if b.degradedSince == nil {
-			b.degradedSince = make(map[int]int64)
-		}
-		b.degradedSince[p] = ev.Time
-	} else if start, ok := b.degradedSince[p]; ok {
-		delete(b.degradedSince, p)
-		b.emitDegraded(p, start, ev.Time)
+// closeSpans closes the spans of category spans still open at the end
+// of the run, in processor order for deterministic output.
+func (b *TraceBuilder) closeSpans(spans *procSpans) {
+	procs := make([]int, 0, len(spans.since))
+	for p := range spans.since {
+		procs = append(procs, p)
 	}
+	sort.Ints(procs)
+	for _, p := range procs {
+		start := spans.since[p]
+		b.emitSpan(spans.cat, p, start, max(b.lastTime, start))
+	}
+	spans.since = nil
 }
 
-// emitDegraded emits one io-degraded slice for processor p.
-func (b *TraceBuilder) emitDegraded(p int, start, end int64) {
+// emitSpan emits one slice of category cat, named after it, for
+// processor p over [start, end].
+func (b *TraceBuilder) emitSpan(cat string, p int, start, end int64) {
 	b.slices = append(b.slices, downSliceEvent{
-		Name: "io-degraded", Cat: CatIODegraded, Ph: "X",
-		Ts: start * tsScale, Dur: (end - start) * tsScale,
-		Pid: tracePid, Tid: p,
-	})
-}
-
-// emitDown emits one down slice for processor p over [start, end].
-func (b *TraceBuilder) emitDown(p int, start, end int64) {
-	b.slices = append(b.slices, downSliceEvent{
-		Name: "down", Cat: CatDown, Ph: "X",
+		Name: cat, Cat: cat, Ph: "X",
 		Ts: start * tsScale, Dur: (end - start) * tsScale,
 		Pid: tracePid, Tid: p,
 	})
@@ -359,68 +368,27 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
-// sampleCounters appends (or, within one virtual instant, replaces) the
-// counter samples so each instant keeps only its settled state.
-func (b *TraceBuilder) sampleCounters(ev sched.Event) {
-	if b.haveCounter && ev.Time == b.lastCounterTs {
-		b.counters = b.counters[:len(b.counters)-b.countersPerInst]
-	}
-	ts := ev.Time * tsScale
-	b.counters = append(b.counters,
-		counterEvent{Name: "busy procs", Ph: "C", Ts: ts, Pid: tracePid,
-			Args: map[string]int{"busy": ev.Busy}},
-		counterEvent{Name: "jobs", Ph: "C", Ts: ts, Pid: tracePid,
-			Args: map[string]int{
-				"queued":    ev.Queued,
-				"running":   ev.Running,
-				"suspended": ev.Suspended,
-			}},
-	)
-	b.lastCounterTs, b.haveCounter, b.countersPerInst = ev.Time, true, 2
-}
-
 // WriteJSON writes the trace in the JSON object format. Output is
 // deterministic: slices in closure order (a pure function of the event
-// stream), counters in instant order, and encoding/json's sorted map
-// keys. Write errors are propagated.
+// stream), then the spans still open, then the counters, one sample of
+// each track per instant (the Sampler's settled state) in instant
+// order. Write errors are propagated.
 func (b *TraceBuilder) WriteJSON(w io.Writer) error {
-	// Close down spans still open at the end of the run, in processor
-	// order for deterministic output.
-	if len(b.downSince) > 0 {
-		procs := make([]int, 0, len(b.downSince))
-		for p := range b.downSince {
-			procs = append(procs, p)
-		}
-		sort.Ints(procs)
-		for _, p := range procs {
-			end := b.lastTime
-			if end < b.downSince[p] {
-				end = b.downSince[p]
-			}
-			b.emitDown(p, b.downSince[p], end)
-		}
-		b.downSince = nil
-	}
-	// Likewise for io-degraded spans still open at the end of the run.
-	if len(b.degradedSince) > 0 {
-		procs := make([]int, 0, len(b.degradedSince))
-		for p := range b.degradedSince {
-			procs = append(procs, p)
-		}
-		sort.Ints(procs)
-		for _, p := range procs {
-			end := b.lastTime
-			if end < b.degradedSince[p] {
-				end = b.degradedSince[p]
-			}
-			b.emitDegraded(p, b.degradedSince[p], end)
-		}
-		b.degradedSince = nil
-	}
-	all := make([]any, 0, len(b.meta)+len(b.slices)+len(b.counters))
+	b.closeSpans(&b.down)
+	b.closeSpans(&b.degraded)
+	all := make([]any, 0, len(b.meta)+len(b.slices)+2*b.counts.Len())
 	all = append(all, b.meta...)
 	all = append(all, b.slices...)
-	all = append(all, b.counters...)
+	for i := range b.counts.Len() {
+		c := b.counts.At(i)
+		ts := c.Time * tsScale
+		all = append(all,
+			counterEvent{Name: "busy procs", Ph: "C", Ts: ts, Pid: tracePid,
+				Args: busyArgs{Busy: c.Busy}},
+			counterEvent{Name: "jobs", Ph: "C", Ts: ts, Pid: tracePid,
+				Args: jobsArgs{Queued: c.Queued, Running: c.Running, Suspended: c.Suspended}},
+		)
+	}
 	return json.NewEncoder(w).Encode(traceDoc{
 		DisplayTimeUnit: "ms",
 		TraceEvents:     all,

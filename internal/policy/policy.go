@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 
-	"pjs/internal/core"
 	"pjs/internal/sched"
 	"pjs/internal/sched/conservative"
 	"pjs/internal/sched/depthbf"
@@ -69,7 +68,7 @@ var (
 		New: func(sf float64) sched.Scheduler { return ss.New(ss.Config{SF: sf}) }}
 	TSS = &Policy{Name: "tss", Spec: "tss:2", label: "SF = %g Adaptive", Arg: suspensionFactor,
 		Doc: `single-pass Tunable SS with online-adaptive limits (the paper's two-pass TSS is pexp's "SF = 2 Tuned")`,
-		New: func(sf float64) sched.Scheduler { return ss.New(ss.Config{SF: sf, Adaptive: &core.AdaptiveLimits{}}) }}
+		New: func(sf float64) sched.Scheduler { return ss.New(ss.Config{SF: sf, Limits: &ss.AdaptiveLimits{}}) }}
 	SSMig = &Policy{Name: "ssmig", Spec: "ssmig:2", Doc: "SS under the migratable-restart model (ablation)",
 		label: "SF = %g Migratable", Arg: suspensionFactor, Aliases: []string{"ss-mig"},
 		New: func(sf float64) sched.Scheduler { return ss.New(ss.Config{SF: sf, Migration: true}) }}

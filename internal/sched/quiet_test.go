@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pjs"
-	"pjs/internal/core"
 	"pjs/internal/fault"
 	"pjs/internal/job"
 	"pjs/internal/overhead"
@@ -52,13 +51,13 @@ var quietSS = []struct {
 	name string
 	cfg  func() ss.Config
 }{
-	{"tss-adaptive:1.5", func() ss.Config { return ss.Config{SF: 1.5, Adaptive: &core.AdaptiveLimits{}} }},
+	{"tss-adaptive:1.5", func() ss.Config { return ss.Config{SF: 1.5, Limits: &ss.AdaptiveLimits{}} }},
 	{"tss-static:2", func() ss.Config {
 		var avg [16]float64
 		for i := range avg {
 			avg[i] = 1.5 + float64(i%4)
 		}
-		return ss.Config{SF: 2, Limits: core.LimitsFromSlowdowns(avg)}
+		return ss.Config{SF: 2, Limits: ss.LimitsFromSlowdowns(avg)}
 	}},
 	{"ss-maxsusp1:2", func() ss.Config { return ss.Config{SF: 2, MaxSuspensions: 1} }},
 	{"ss-nohalfwidth:2", func() ss.Config { return ss.Config{SF: 2, DisableHalfWidthRule: true} }},

@@ -553,15 +553,7 @@ func (e *Env) suspendDone(j *job.Job) {
 	e.sweepIOHealth()
 	if e.trans != nil {
 		if failing := e.trans.FailingWrite(j.ProcSet); len(failing) > 0 {
-			e.recordIOFailures(failing)
-			if attempt := e.ioAttempts[j.ID]; attempt < e.trans.Config().Attempts() {
-				e.record(jobEvent(ActIORetry, j, j.ProcSet))
-				e.ioAttempts[j.ID] = attempt + 1
-				e.engine.Schedule(sim.Event{Time: e.Now() + e.trans.Config().Backoff(attempt), Kind: sim.IORetry, Job: j})
-			} else {
-				e.record(jobEvent(ActIOExhausted, j, j.ProcSet))
-				e.failIOTerminal(j, failing[0])
-			}
+			e.ioFailed(j, failing)
 			return
 		}
 	}
@@ -580,22 +572,33 @@ func (e *Env) suspendDone(j *job.Job) {
 // failed attempt the job is killed back to the queue.
 func (e *Env) readDone(j *job.Job) {
 	if failing := e.trans.FailingRead(j.ProcSet); len(failing) > 0 {
-		e.recordIOFailures(failing)
-		if attempt := e.ioAttempts[j.ID]; attempt < e.trans.Config().Attempts() {
-			e.record(jobEvent(ActIORetry, j, j.ProcSet))
-			backoff := e.trans.Config().Backoff(attempt)
-			// The backoff wait plus the repeated read occupy the
-			// processors without compute progress.
-			j.ExtendRead(backoff + e.Overhead.ReadTime(j))
-			e.ioAttempts[j.ID] = attempt + 1
-			e.engine.Schedule(sim.Event{Time: e.Now() + backoff, Kind: sim.IORetry, Job: j})
-		} else {
-			e.record(jobEvent(ActIOExhausted, j, j.ProcSet))
-			e.failIOTerminal(j, failing[0])
-		}
+		e.ioFailed(j, failing)
 		return
 	}
 	e.engine.Schedule(sim.Event{Time: e.Now() + j.Remaining(), Kind: sim.Completion, Job: j})
+}
+
+// ioFailed handles j's image write (j Suspending) or restart-image read
+// (j Running) failing transiently on the processors failing: the
+// operation is retried after backoff, or — on the final permitted
+// attempt — the job is killed back to the queue.
+func (e *Env) ioFailed(j *job.Job, failing []int) {
+	e.recordIOFailures(failing)
+	attempt := e.ioAttempts[j.ID]
+	if attempt >= e.trans.Config().Attempts() {
+		e.record(jobEvent(ActIOExhausted, j, j.ProcSet))
+		e.failIOTerminal(j, failing[0])
+		return
+	}
+	e.record(jobEvent(ActIORetry, j, j.ProcSet))
+	backoff := e.trans.Config().Backoff(attempt)
+	if j.State == job.Running {
+		// The backoff wait plus the repeated read occupy the
+		// processors without compute progress.
+		j.ExtendRead(backoff + e.Overhead.ReadTime(j))
+	}
+	e.ioAttempts[j.ID] = attempt + 1
+	e.engine.Schedule(sim.Event{Time: e.Now() + backoff, Kind: sim.IORetry, Job: j})
 }
 
 // ioRetry starts j's backed-off I/O attempt. The operation restarts

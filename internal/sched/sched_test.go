@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pjs/internal/check"
-	"pjs/internal/core"
 	"pjs/internal/job"
 	"pjs/internal/overhead"
 	"pjs/internal/sched"
@@ -31,7 +30,7 @@ func allSchedulers() []sched.Scheduler {
 		gang.New(gang.Config{}),
 		ss.New(ss.Config{SF: 2}),
 		ss.New(ss.Config{SF: 1.5}),
-		ss.New(ss.Config{SF: 2, Adaptive: &core.AdaptiveLimits{}}),
+		ss.New(ss.Config{SF: 2, Limits: &ss.AdaptiveLimits{}}),
 	}
 }
 

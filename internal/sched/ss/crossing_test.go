@@ -1,4 +1,4 @@
-package core
+package ss
 
 import (
 	"math"
@@ -24,8 +24,8 @@ func TestCrossingTable(t *testing.T) {
 		{"beyond float seconds", 2, 1e30, 100, 7, 1<<52 - 7 - 100},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := Policy{SF: tc.sf}
-			if got := p.Crossing(tc.wait, waitingJob(1, 1, tc.est, 0), tc.need); got != tc.want {
+			p := Config{SF: tc.sf}
+			if got := p.crossing(tc.wait, waitingJob(1, 1, tc.est, 0), tc.need); got != tc.want {
 				t.Errorf("Crossing = %d, want %d", got, tc.want)
 			}
 		})
@@ -36,7 +36,7 @@ func TestCrossingTable(t *testing.T) {
 // relies on, over random SF values, estimates from one second to 2^40
 // and waits placed on and around exact crossings: with a margin of one
 // second, the idle job's xfactor stays below SF·need — compared the way
-// CanPreempt compares it — at every time before now + d − 1, and it has
+// canPreempt compares it — at every time before now + d − 1, and it has
 // reached SF·need one second after now + d, so d is not early either.
 func TestCrossingNeverLate(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 1))
@@ -55,7 +55,7 @@ func TestCrossingNeverLate(t *testing.T) {
 	}
 	checked, exact := 0, 0
 	for i := 0; i < 20_000; i++ {
-		p := Policy{SF: sfs[rng.IntN(len(sfs))]}
+		p := Config{SF: sfs[rng.IntN(len(sfs))]}
 		if rng.IntN(4) == 0 {
 			p.SF = 1 + 9*rng.Float64()
 		}
@@ -70,7 +70,7 @@ func TestCrossingNeverLate(t *testing.T) {
 		threshold := p.SF * need
 
 		idle := waitingJob(2, 1, randEst(), 0)
-		d0 := p.Crossing(0, idle, need)
+		d0 := p.crossing(0, idle, need)
 		// Place now around the crossing: far before it, just before,
 		// on it and after it.
 		var now int64
@@ -84,7 +84,7 @@ func TestCrossingNeverLate(t *testing.T) {
 		default:
 			now = max(d0, 0) + rng.Int64N(100)
 		}
-		d := p.Crossing(now, idle, need)
+		d := p.crossing(now, idle, need)
 		if d != d0-now {
 			t.Fatalf("Crossing moved by %d over %d s of wait", d0-d, now)
 		}

@@ -151,7 +151,7 @@ func (s *Sched) earliestCrossing(now int64) int64 {
 		if n.need < 0 {
 			continue // a free set, which the schedule pass serves
 		}
-		if d := s.pol.Crossing(now, n.j, n.need); d < best {
+		if d := s.cfg.crossing(now, n.j, n.need); d < best {
 			if d <= tick {
 				return d
 			}
@@ -162,10 +162,10 @@ func (s *Sched) earliestCrossing(now int64) int64 {
 		if s.reenters(j) || j.Procs <= free {
 			continue // a need above, or fits without preemption
 		}
-		if s.pol.Crossing(now, j, h.minX) >= best {
+		if s.cfg.crossing(now, j, h.minX) >= best {
 			continue // cannot beat the best crossing so far
 		}
-		if d := s.pol.Crossing(now, j, s.freshNeed(j.Procs)); d < best {
+		if d := s.cfg.crossing(now, j, s.freshNeed(j.Procs)); d < best {
 			if d <= tick {
 				return d
 			}
@@ -200,7 +200,7 @@ func (s *Sched) reconcile(now int64) {
 	for _, r := range running {
 		x := r.XFactor(now)
 		v := math.Inf(1)
-		if s.pol.Suspendable(r, x) && s.env.SetIOHealthy(r.ProcSet) {
+		if s.cfg.suspendable(r, x) && s.env.SetIOHealthy(r.ProcSet) {
 			v = x
 			h.victims = grow(h.victims)
 			h.victims[len(h.victims)-1] = victimX{x: x, j: r}
@@ -514,7 +514,7 @@ func (s *Sched) shortOf(j *job.Job, now int64) bool {
 	} else {
 		need = s.freshNeed(j.Procs)
 	}
-	return j.XFactor(now) < s.pol.SF*need
+	return j.XFactor(now) < s.cfg.SF*need
 }
 
 // reentryNeed returns the kept reentry need of suspended idle job j,
@@ -577,7 +577,7 @@ func (s *Sched) cover(w int) int {
 // the pass — and the half-width rule (Section IV-B) does not protect
 // it.
 func (s *Sched) mayTake(w int, v *job.Job) bool {
-	return v.State == job.Running && (s.pol.DisableHalfWidthRule || v.Procs <= 2*w)
+	return v.State == job.Running && (s.cfg.DisableHalfWidthRule || v.Procs <= 2*w)
 }
 
 // byXThenID orders victims by ascending xfactor, then job ID.

@@ -1,9 +1,19 @@
-package core
+package ss
 
 import (
 	"pjs/internal/job"
 	"pjs/internal/stats"
 )
+
+// LimitSource supplies the TSS per-category preemption-disable limits
+// (Section IV-E): preemption of a running job is disabled once its
+// xfactor exceeds the limit of its category, which bounds the worst-case
+// slowdown. A nil LimitSource disables the mechanism (plain SS).
+type LimitSource interface {
+	// Limit returns the xfactor ceiling for category c; returns
+	// ok=false when no limit is known (e.g. during adaptive warm-up).
+	Limit(c job.Category) (limit float64, ok bool)
+}
 
 // TSSLimitFactor is the paper's multiplier: a job's preemption-disable
 // limit is 1.5 times the average slowdown of its category (Section IV-E).
@@ -43,8 +53,10 @@ func LimitsFromSlowdowns(avg [16]float64) *StaticLimits {
 
 // AdaptiveLimits learns the per-category average slowdown online from
 // jobs completed so far in the same run — the single-pass alternative to
-// the two-pass StaticLimits, ablated in the benchmarks. A category
-// yields no limit until AdaptiveMinSamples of its jobs have completed.
+// the two-pass StaticLimits, ablated in the benchmarks. A scheduler
+// whose Config.Limits is an *AdaptiveLimits feeds it every completed
+// job. A category yields no limit until AdaptiveMinSamples of its jobs
+// have completed.
 type AdaptiveLimits struct {
 	accs [16]stats.Acc
 }
@@ -55,7 +67,7 @@ const AdaptiveMinSamples = 10
 
 // Observe folds the bounded slowdown of a completed job into the table.
 // The category is the scheduler-visible one (estimate-based), matching
-// the lookup in Policy.Suspendable.
+// the lookup in Config.suspendable.
 func (a *AdaptiveLimits) Observe(c job.Category, slowdown float64) {
 	a.accs[c.Index()].Add(slowdown)
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pjs/internal/check"
-	"pjs/internal/core"
 	"pjs/internal/fault"
 	"pjs/internal/job"
 	"pjs/internal/overhead"
@@ -234,7 +233,7 @@ func TestPassMaximal(t *testing.T) {
 		cfg  func() Config
 	}{
 		{"ss:2", func() Config { return Config{SF: 2} }},
-		{"tss:2", func() Config { return Config{SF: 2, Adaptive: &core.AdaptiveLimits{}} }},
+		{"tss:2", func() Config { return Config{SF: 2, Limits: &AdaptiveLimits{}} }},
 		{"ssmig:2", func() Config { return Config{SF: 2, Migration: true} }},
 	}
 	for _, c := range configs {
@@ -311,7 +310,7 @@ func FuzzPassMaximal(f *testing.F) {
 		}
 		switch variant & 3 {
 		case 1:
-			cfg.Adaptive = &core.AdaptiveLimits{}
+			cfg.Limits = &AdaptiveLimits{}
 		case 2:
 			cfg.Migration = true
 		case 3:

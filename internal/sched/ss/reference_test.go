@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"pjs/internal/core"
 	"pjs/internal/job"
 )
 
@@ -46,7 +45,7 @@ func (r *refHorizon) horizon(s *Sched, queue, running []*job.Job, now int64) int
 		if !reentry && j.Procs <= free {
 			continue // fits without preemption, so takes no victims
 		}
-		if s.pol.Crossing(now, j, minX) >= best {
+		if s.cfg.crossing(now, j, minX) >= best {
 			continue // cannot beat the best crossing so far
 		}
 		var need float64
@@ -55,7 +54,7 @@ func (r *refHorizon) horizon(s *Sched, queue, running []*job.Job, now int64) int
 		} else {
 			need = r.freshNeed(s, j.Procs, free)
 		}
-		if d := s.pol.Crossing(now, j, need); d < best {
+		if d := s.cfg.crossing(now, j, need); d < best {
 			if d <= tick {
 				return now
 			}
@@ -87,7 +86,7 @@ func (r *refHorizon) scanRunning(s *Sched, running []*job.Job, now int64) {
 		}
 		x := run.XFactor(now)
 		hx := math.Inf(1)
-		if s.pol.Suspendable(run, x) && s.env.SetIOHealthy(run.ProcSet) {
+		if s.cfg.suspendable(run, x) && s.env.SetIOHealthy(run.ProcSet) {
 			hx = x
 			r.victims = append(r.victims, victimX{x: x, j: run})
 		}
@@ -151,7 +150,7 @@ func (r *refHorizon) reentryNeed(s *Sched, j *job.Job, now, best int64) float64 
 		}
 		if x > need {
 			need = x
-			if s.pol.Crossing(now, j, need) >= best {
+			if s.cfg.crossing(now, j, need) >= best {
 				return need
 			}
 		}
@@ -181,7 +180,7 @@ func refVictims(s *Sched, running []*job.Job, j *job.Job, now int64) []*job.Job 
 				cands = append(cands, r)
 			}
 		}
-		victims, ok = selectVictims(&s.pol, now, j, cands, s.env.Cluster.FreeUnclaimed())
+		victims, ok = selectVictims(&s.cfg, now, j, cands, s.env.Cluster.FreeUnclaimed())
 	}
 	if !ok {
 		return nil
@@ -207,16 +206,16 @@ func refReentryVictims(s *Sched, j *job.Job, now int64) ([]*job.Job, bool) {
 		}
 		return reentryPreemptible, holder
 	}
-	return selectReentryVictims(&s.pol, now, j, classify)
+	return selectReentryVictims(&s.cfg, now, j, classify)
 }
 
 // canPreempt reports whether idle may suspend the running victim at
 // time now under policy p. reentry marks a previously suspended idle job
 // trying to reacquire its exact processor set; the half-width rule is
 // waived there (Section IV-C: "Here we remove the restriction…").
-func canPreempt(p *core.Policy, now int64, idle, victim *job.Job, reentry bool) bool {
+func canPreempt(p *Config, now int64, idle, victim *job.Job, reentry bool) bool {
 	vx := victim.XFactor(now)
-	if !p.Suspendable(victim, vx) {
+	if !p.suspendable(victim, vx) {
 		return false
 	}
 	if !reentry && !p.DisableHalfWidthRule && victim.Procs > 2*idle.Procs {
@@ -232,7 +231,7 @@ func canPreempt(p *core.Policy, now int64, idle, victim *job.Job, reentry bool) 
 // suspend candidates in descending width, largest first, only as many
 // as needed. It returns ok=false when the request cannot be covered.
 // running may be in any order and may hold non-Running jobs.
-func selectVictims(p *core.Policy, now int64, idle *job.Job, running []*job.Job, freeProcs int) (victims []*job.Job, ok bool) {
+func selectVictims(p *Config, now int64, idle *job.Job, running []*job.Job, freeProcs int) (victims []*job.Job, ok bool) {
 	if freeProcs >= idle.Procs {
 		return nil, true // nothing to suspend
 	}
@@ -299,7 +298,7 @@ const (
 // status and, for preemptible ones, its holder. It returns the distinct
 // victims in order of first appearance and ok=false if any processor
 // is hard-blocked.
-func selectReentryVictims(p *core.Policy, now int64, idle *job.Job, classify func(proc int) (reentryBlocked, *job.Job)) (victims []*job.Job, ok bool) {
+func selectReentryVictims(p *Config, now int64, idle *job.Job, classify func(proc int) (reentryBlocked, *job.Job)) (victims []*job.Job, ok bool) {
 	for _, proc := range idle.ProcSet {
 		status, holder := classify(proc)
 		switch status {

@@ -1,4 +1,4 @@
-package core
+package ss
 
 import (
 	"math"
@@ -8,74 +8,60 @@ import (
 	"pjs/internal/job"
 )
 
-// runningJob returns a job that started at time 0 with the given width
-// and estimate and has been running ever since (xfactor 1).
-func runningJob(id int, procs int, est int64) *job.Job {
-	j := job.New(id, 0, est, est, procs)
-	j.Dispatch(0, 0)
-	return j
-}
-
-// waitingJob returns a job submitted at 0 that has waited `wait` seconds
-// with the given estimate: xfactor = (wait+est)/est at time `wait`.
-func waitingJob(id int, procs int, est, wait int64) *job.Job {
-	return job.New(id, -wait, est, est, procs) // submit in the past
-}
-
 func TestCanPreemptTSSLimit(t *testing.T) {
 	var limits StaticLimits
 	// The victim's estimate is 1000s (Short), 4 procs (Narrow).
 	limits[job.Category{Length: job.Short, Width: job.Narrow}.Index()] = 3.0
-	p := Policy{SF: 2, Limits: &limits}
+	p := Config{SF: 2, Limits: &limits}
 	victim := job.New(1, 0, 1000, 1000, 4)
 	victim.Dispatch(5000, 0) // waited 5000s: xfactor = 6 > limit 3
-	if p.Suspendable(victim, victim.XFactor(6000)) {
+	if p.suspendable(victim, victim.XFactor(6000)) {
 		t.Error("victim above its category limit must not be preempted")
 	}
 	// A victim from a category with no limit entry is preemptible.
 	victim2 := job.New(3, 0, 90000, 90000, 4) // VeryLong
 	victim2.Dispatch(5000, 0)
-	if !p.Suspendable(victim2, victim2.XFactor(6000)) {
+	if !p.suspendable(victim2, victim2.XFactor(6000)) {
 		t.Error("category without a limit should behave like plain SS")
 	}
 }
 
 func TestCanPreemptMaxSuspensions(t *testing.T) {
-	p := Policy{SF: 2, MaxVictimSuspensions: 1}
+	p := Config{SF: 2, MaxSuspensions: 1}
 	victim := job.New(1, 0, 10000, 10000, 4)
 	victim.Dispatch(0, 0)
-	if !p.Suspendable(victim, victim.XFactor(0)) {
+	if !p.suspendable(victim, victim.XFactor(0)) {
 		t.Fatal("fresh victim should be preemptible")
 	}
 	// Suspend and resume the victim once: now it is protected.
 	victim.Preempt(10)
 	victim.SuspendDone()
 	victim.Dispatch(20, 0)
-	if p.Suspendable(victim, victim.XFactor(30)) {
+	if p.suspendable(victim, victim.XFactor(30)) {
 		t.Error("victim at the suspension cap must not be preempted")
 	}
 	// Unlimited (0) keeps it preemptible.
-	p.MaxVictimSuspensions = 0
-	if !p.Suspendable(victim, victim.XFactor(30)) {
+	p.MaxSuspensions = 0
+	if !p.suspendable(victim, victim.XFactor(30)) {
 		t.Error("cap 0 must mean unlimited")
 	}
 }
 
 func TestValidate(t *testing.T) {
-	if err := (&Policy{SF: 1}).Validate(); err != nil {
+	if err := (&Config{SF: 1}).validate(); err != nil {
 		t.Errorf("SF=1 should validate: %v", err)
 	}
-	if err := (&Policy{SF: 0.5}).Validate(); err == nil {
+	if err := (&Config{SF: 0.5}).validate(); err == nil {
 		t.Error("SF<1 must fail validation")
 	}
 }
 
 func TestSelectVictimsNoneNeeded(t *testing.T) {
-	if victims := SelectVictims(nil, 4, 8); len(victims) != 0 {
+	if victims := trimLargestFirst(nil, 4, 8); len(victims) != 0 {
 		t.Error("enough free processors should need no victims")
 	}
 	v := runningJob(1, 4, 10000)
-	if victims := SelectVictims([]*job.Job{v}, 4, 4); len(victims) != 0 {
+	if victims := trimLargestFirst([]*job.Job{v}, 4, 4); len(victims) != 0 {
 		t.Errorf("victims = %v, want none: the free processors cover the request", victims)
 	}
 }
@@ -86,12 +72,12 @@ func TestSelectVictimsTrimAvoidsOverSuspension(t *testing.T) {
 	v3 := runningJob(3, 8, 10000)
 	// The candidates v1+v2+v3 = 12 cover 8; the largest-first trim picks
 	// just v3 (8 procs) — suspending v1/v2 as well would be waste.
-	victims := SelectVictims([]*job.Job{v1, v2, v3}, 8, 0)
+	victims := trimLargestFirst([]*job.Job{v1, v2, v3}, 8, 0)
 	if len(victims) != 1 || victims[0] != v3 {
 		t.Errorf("victims = %v, want just job 3", victims)
 	}
 	// Equal widths go by ID; with 1 free, both 2-processor jobs are needed.
-	victims = SelectVictims([]*job.Job{v2, v1}, 5, 1)
+	victims = trimLargestFirst([]*job.Job{v2, v1}, 5, 1)
 	if len(victims) != 2 || victims[0] != v1 || victims[1] != v2 {
 		t.Errorf("victims = %v, want jobs 1 and 2", victims)
 	}
@@ -110,7 +96,7 @@ func TestSelectVictimsProperty(t *testing.T) {
 			chosen = append(chosen, runningJob(i+1, int(x%16)+1, 5000))
 			total += int(x%16) + 1
 		}
-		victims := SelectVictims(chosen, want, fr)
+		victims := trimLargestFirst(chosen, want, fr)
 		sum, last := fr, 1<<30
 		for _, v := range victims {
 			if v.Procs > last {

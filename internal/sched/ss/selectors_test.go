@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"pjs/internal/core"
 	"pjs/internal/job"
 )
 
@@ -26,7 +25,7 @@ func waitingJob(id int, procs int, est, wait int64) *job.Job {
 }
 
 func TestCanPreemptSFThreshold(t *testing.T) {
-	p := core.Policy{SF: 2}
+	p := Config{SF: 2}
 	victim := runningJob(1, 4, 10000) // xfactor 1
 	// Idle job with xfactor exactly 2 may preempt; below 2 may not.
 	idle := waitingJob(2, 4, 1000, 1000) // xf(0) = 2
@@ -40,7 +39,7 @@ func TestCanPreemptSFThreshold(t *testing.T) {
 }
 
 func TestCanPreemptHalfWidthRule(t *testing.T) {
-	p := core.Policy{SF: 2}
+	p := Config{SF: 2}
 	wideVictim := runningJob(1, 10, 10000)
 	narrowIdle := waitingJob(2, 4, 100, 10000) // huge xfactor, but too narrow
 	if canPreempt(&p, 0, narrowIdle, wideVictim, false) {
@@ -62,7 +61,7 @@ func TestCanPreemptHalfWidthRule(t *testing.T) {
 }
 
 func TestSelectVictimsPicksLowestPriorityThenTrimsLargest(t *testing.T) {
-	p := core.Policy{SF: 2, DisableHalfWidthRule: true}
+	p := Config{SF: 2, DisableHalfWidthRule: true}
 	// Three running jobs, all preemptible; idle needs 6, 0 free.
 	v1 := runningJob(1, 4, 10000)
 	v2 := runningJob(2, 3, 10000)
@@ -84,7 +83,7 @@ func TestSelectVictimsPicksLowestPriorityThenTrimsLargest(t *testing.T) {
 }
 
 func TestSelectVictimsRespectsPriority(t *testing.T) {
-	p := core.Policy{SF: 2, DisableHalfWidthRule: true}
+	p := Config{SF: 2, DisableHalfWidthRule: true}
 	// High-priority running job (recently a long waiter) is not taken.
 	lowPrio := runningJob(1, 4, 10000) // xf 1 at t=0
 	highPrio := job.New(2, -9000, 1000, 1000, 4)
@@ -102,7 +101,7 @@ func TestSelectVictimsRespectsPriority(t *testing.T) {
 }
 
 func TestSelectVictimsIgnoresNonRunning(t *testing.T) {
-	p := core.Policy{SF: 2, DisableHalfWidthRule: true}
+	p := Config{SF: 2, DisableHalfWidthRule: true}
 	v := runningJob(1, 4, 10000)
 	v.Preempt(0) // suspending: not a candidate
 	idle := waitingJob(9, 4, 100, 100000)
@@ -112,7 +111,7 @@ func TestSelectVictimsIgnoresNonRunning(t *testing.T) {
 }
 
 func TestSelectReentryVictims(t *testing.T) {
-	p := core.Policy{SF: 2}
+	p := Config{SF: 2}
 	holder := runningJob(1, 3, 10000)
 	idle := waitingJob(9, 4, 100, 100000)
 	idle.ProcSet = []int{0, 1, 2, 3}
@@ -129,7 +128,7 @@ func TestSelectReentryVictims(t *testing.T) {
 }
 
 func TestSelectReentryVictimsHardBlock(t *testing.T) {
-	p := core.Policy{SF: 2}
+	p := Config{SF: 2}
 	idle := waitingJob(9, 2, 100, 100000)
 	idle.ProcSet = []int{0, 1}
 	classify := func(proc int) (reentryBlocked, *job.Job) {
@@ -144,7 +143,7 @@ func TestSelectReentryVictimsHardBlock(t *testing.T) {
 }
 
 func TestSelectReentryVictimsPriorityBlock(t *testing.T) {
-	p := core.Policy{SF: 2}
+	p := Config{SF: 2}
 	holder := job.New(1, 0, 100, 100, 2)
 	holder.Dispatch(900, 0)              // xf 10
 	idle := waitingJob(9, 2, 1000, 1500) // xf 2.5 < 2*10
@@ -156,7 +155,7 @@ func TestSelectReentryVictimsPriorityBlock(t *testing.T) {
 }
 
 func TestSelectReentryVictimsDedupes(t *testing.T) {
-	p := core.Policy{SF: 2}
+	p := Config{SF: 2}
 	holder := runningJob(1, 4, 10000)
 	idle := waitingJob(9, 4, 100, 100000)
 	idle.ProcSet = []int{0, 1, 2, 3}
@@ -170,7 +169,7 @@ func TestSelectReentryVictimsDedupes(t *testing.T) {
 // mapReentryVictims is a second, map-based reentry selection: it
 // re-runs canPreempt for every processor of a holder and deduplicates
 // by ID.
-func mapReentryVictims(p *core.Policy, now int64, idle *job.Job, classify func(proc int) (reentryBlocked, *job.Job)) (victims []*job.Job, ok bool) {
+func mapReentryVictims(p *Config, now int64, idle *job.Job, classify func(proc int) (reentryBlocked, *job.Job)) (victims []*job.Job, ok bool) {
 	seen := make(map[int]bool)
 	for _, proc := range idle.ProcSet {
 		status, holder := classify(proc)
@@ -200,18 +199,18 @@ func mapReentryVictims(p *core.Policy, now int64, idle *job.Job, classify func(p
 // appearance, and the same ok.
 func TestSelectReentryVictimsTable(t *testing.T) {
 	const now = 500
-	var limits core.StaticLimits
+	var limits StaticLimits
 	limits[job.Category{Length: job.Short, Width: job.Narrow}.Index()] = 3.0
-	plain := &core.Policy{SF: 2}
-	tss := &core.Policy{SF: 2, Limits: &limits}
-	capped := &core.Policy{SF: 2, MaxVictimSuspensions: 1}
+	plain := &Config{SF: 2}
+	tss := &Config{SF: 2, Limits: &limits}
+	capped := &Config{SF: 2, MaxSuspensions: 1}
 
 	a := runningJob(1, 4, 1000) // xf 1 at now
 	b := runningJob(2, 4, 1000)
 	hot := job.New(3, -3000, 1000, 1000, 4) // waited 3000 s: xf 4 > TSS limit 3
 	hot.Dispatch(0, 0)
 	once := runningJob(4, 4, 1000)
-	once.Suspensions = 1 // at the MaxVictimSuspensions cap
+	once.Suspensions = 1 // at the MaxSuspensions cap
 	idle := waitingJob(9, 8, 100, 100000)
 
 	F := func() (reentryBlocked, *job.Job) { return reentryFree, nil }
@@ -221,7 +220,7 @@ func TestSelectReentryVictimsTable(t *testing.T) {
 	}
 	cases := []struct {
 		name  string
-		pol   *core.Policy
+		pol   *Config
 		procs []func() (reentryBlocked, *job.Job)
 		want  []*job.Job
 		ok    bool
@@ -232,8 +231,8 @@ func TestSelectReentryVictimsTable(t *testing.T) {
 		{"hard block after a preemptible processor", plain, []func() (reentryBlocked, *job.Job){P(a), H, P(b)}, nil, false},
 		{"TSS limit refuses the second holder", tss, []func() (reentryBlocked, *job.Job){P(a), P(a), P(hot)}, nil, false},
 		{"TSS limit admits holders below it", tss, []func() (reentryBlocked, *job.Job){P(b), P(a), P(b)}, []*job.Job{b, a}, true},
-		{"MaxVictimSuspensions refuses a capped holder", capped, []func() (reentryBlocked, *job.Job){P(a), P(once)}, nil, false},
-		{"MaxVictimSuspensions admits uncapped holders", capped, []func() (reentryBlocked, *job.Job){P(b), P(a)}, []*job.Job{b, a}, true},
+		{"MaxSuspensions refuses a capped holder", capped, []func() (reentryBlocked, *job.Job){P(a), P(once)}, nil, false},
+		{"MaxSuspensions admits uncapped holders", capped, []func() (reentryBlocked, *job.Job){P(b), P(a)}, []*job.Job{b, a}, true},
 	}
 	for _, tc := range cases {
 		idle.ProcSet = make([]int, len(tc.procs))

@@ -1,6 +1,6 @@
 // Package ss implements the paper's Selective Suspension (SS) scheduler
-// and its Tunable variant (TSS), wiring the core preemption policy into
-// the event loop (Section IV):
+// and its Tunable variant (TSS), the paper's primary contribution
+// (Section IV):
 //
 //   - Idle jobs are served in descending xfactor order without
 //     reservation guarantees; freedom from starvation comes from the
@@ -14,6 +14,13 @@
 //     exceeds 1.5× its category's average slowdown (Section IV-E),
 //     bounding worst-case slowdowns.
 //
+// Config holds every knob of the rule, and its methods state the rule
+// itself: which running jobs any idle job may suspend at all
+// (suspendable) and when an idle job's xfactor reaches SF times the
+// xfactor it needs (crossing). Keeping them pure makes them directly
+// testable against the paper's claims (e.g. the s = (n+2)/(n+1)
+// suspension-count boundary of Section IV-A, see package theory).
+//
 // The policy keeps no list of idle or running jobs: it decides from the
 // driver's (sched.Env.Idle, sched.Env.Running), which the driver keeps
 // through starts, commits, suspensions and failures. Who may suspend
@@ -25,10 +32,11 @@
 package ss
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
-	"pjs/internal/core"
 	"pjs/internal/job"
 	"pjs/internal/perf"
 	"pjs/internal/sched"
@@ -36,16 +44,20 @@ import (
 
 // Config parameterizes an SS/TSS scheduler.
 type Config struct {
-	// SF is the suspension factor (paper: 1.5, 2, 5).
+	// SF is the suspension factor: the minimum ratio of the idle job's
+	// priority to the running job's priority for preemption (the paper
+	// evaluates 1.5, 2 and 5; values below 2 allow repeated swapping
+	// of equal jobs, Section IV-A).
 	SF float64
 	// Limits enables TSS with the given limit source; nil is plain SS.
-	Limits core.LimitSource
-	// Adaptive, if non-nil, is an online limit source that the
-	// scheduler feeds with completed-job slowdowns (single-pass TSS).
-	// When set it is also used as Limits.
-	Adaptive *core.AdaptiveLimits
-	// DisableHalfWidthRule turns off the wide-job fairness rule (for
-	// ablation).
+	// An *AdaptiveLimits is fed the slowdown of every completed job
+	// (single-pass TSS).
+	Limits LimitSource
+	// DisableHalfWidthRule turns off the Section IV-B fairness rule
+	// that a fresh idle job may only suspend running jobs at most
+	// twice its own width (the rule protects wide jobs from being
+	// suspended by narrow ones; for ablation). The rule never applies
+	// to reentry.
 	DisableHalfWidthRule bool
 	// Migration switches to the *migratable* preemption model of
 	// Parsons & Sevcik: a suspended job may restart on any free
@@ -53,19 +65,75 @@ type Config struct {
 	// paper's local-restart constraint — not available on the paper's
 	// clusters, where process migration is not feasible.
 	Migration bool
-	// MaxSuspensions caps per-job suspensions (0 = unlimited), the
-	// related-work mechanism of Chiang et al. ("at most once") that the
-	// paper contrasts with its suspension-factor rate control.
+	// MaxSuspensions caps how many times a job may be suspended over
+	// its lifetime (0 = unlimited). The paper contrasts its
+	// suspension-factor control against exactly this mechanism: Chiang
+	// et al.'s run-to-completion policy "allows a job to be suspended
+	// at most once" (MaxSuspensions = 1), whereas SS controls the
+	// *rate* of suspensions without limiting their number.
 	MaxSuspensions int
 	// TickSeconds is the preemption-routine period; 0 means the
 	// paper's 60 s.
 	TickSeconds int64
 }
 
+// validate reports whether the configuration is usable.
+func (c *Config) validate() error {
+	if c.SF < 1 {
+		return fmt.Errorf("ss: suspension factor %v < 1 would let lower-priority jobs preempt", c.SF)
+	}
+	return nil
+}
+
+// suspendable reports whether the running victim, whose xfactor is xf,
+// may be suspended by any idle job: it is under MaxSuspensions and,
+// under TSS, within its category's limit.
+func (c *Config) suspendable(victim *job.Job, xf float64) bool {
+	if c.MaxSuspensions > 0 && victim.Suspensions >= c.MaxSuspensions {
+		return false
+	}
+	if c.Limits != nil {
+		// TSS: preemption of a job is disabled when its priority
+		// exceeds 1.5× the average slowdown of its category. The
+		// scheduler has no oracle for the true run time, so the
+		// category is the one implied by the user estimate.
+		if lim, ok := c.Limits.Limit(victim.EstimateCategory()); ok && xf > lim {
+			return false
+		}
+	}
+	return true
+}
+
+// crossing returns how many seconds after now the xfactor of idle — a
+// Queued or Suspended job, whose wait grows one second per second —
+// reaches SF·need, the point from which the SF condition — idle's
+// xfactor at least SF times the victim's — can hold against a victim
+// whose xfactor is need:
+//
+//	d = ceil(SF·need·est) − Wait(now) − est
+//
+// with est the estimate clamped to at least one second, as in XFactor.
+// d ≤ 0 means idle is already there; an infinite need gives
+// math.MaxInt64. SF·need·est is rounded in floating point, which can
+// make d a second late, so a caller that skips work before the crossing
+// keeps a margin. The ceiling is clamped to 2^52 s, where a float stops
+// resolving single seconds; the clamp only makes d earlier.
+func (c *Config) crossing(now int64, idle *job.Job, need float64) int64 {
+	est := idle.Estimate
+	if est < 1 {
+		est = 1
+	}
+	f := math.Ceil(c.SF * need * float64(est))
+	if math.IsInf(f, 1) {
+		return math.MaxInt64
+	}
+	f = min(f, 1<<52)
+	return int64(f) - idle.Wait(now) - est
+}
+
 // Sched is the SS/TSS policy.
 type Sched struct {
 	env *sched.Env
-	pol core.Policy
 	cfg Config
 
 	// idle holds the jobs a pass serves, in serving order (descending
@@ -81,24 +149,13 @@ type Sched struct {
 	hz horizonState
 }
 
-// New returns an SS or TSS scheduler for the given configuration.
+// New returns an SS or TSS scheduler for the given configuration. It
+// panics on a suspension factor below 1.
 func New(cfg Config) *Sched {
-	if cfg.Adaptive != nil {
-		cfg.Limits = cfg.Adaptive
-	}
-	s := &Sched{
-		cfg: cfg,
-		pol: core.Policy{
-			SF:                   cfg.SF,
-			DisableHalfWidthRule: cfg.DisableHalfWidthRule,
-			Limits:               cfg.Limits,
-			MaxVictimSuspensions: cfg.MaxSuspensions,
-		},
-	}
-	if err := s.pol.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	return s
+	return &Sched{cfg: cfg}
 }
 
 // Name implements sched.Scheduler, e.g. "SS(SF=2)" or "TSS(SF=2)".
@@ -138,8 +195,8 @@ func (s *Sched) OnArrival(*job.Job) { s.schedulePass() }
 
 // OnCompletion implements sched.Scheduler.
 func (s *Sched) OnCompletion(j *job.Job) {
-	if s.cfg.Adaptive != nil {
-		s.cfg.Adaptive.Observe(j.EstimateCategory(), j.BoundedSlowdown())
+	if a, ok := s.cfg.Limits.(*AdaptiveLimits); ok {
+		a.Observe(j.EstimateCategory(), j.BoundedSlowdown())
 	}
 	s.schedulePass()
 }
@@ -340,7 +397,27 @@ func (s *Sched) coverVictims(j *job.Job) []*job.Job {
 		}
 	}
 	s.chosen = chosen
-	return core.SelectVictims(chosen, j.Procs, s.env.Cluster.FreeUnclaimed())
+	return trimLargestFirst(chosen, j.Procs, s.env.Cluster.FreeUnclaimed())
+}
+
+// trimLargestFirst is the last step of the fresh-idle-job branch of the
+// paper's pseudocode (suspend_jobs_1). chosen are the running jobs that,
+// taken in ascending suspension priority, cover a request of w
+// processors together with the free ones. It returns the victims to
+// suspend: chosen in descending width, largest first, only as many as
+// needed. It reorders chosen and returns a prefix of it.
+func trimLargestFirst(chosen []*job.Job, w, free int) []*job.Job {
+	slices.SortFunc(chosen, func(a, b *job.Job) int {
+		if c := cmp.Compare(b.Procs, a.Procs); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	n := 0
+	for ; n < len(chosen) && free < w; n++ {
+		free += chosen[n].Procs
+	}
+	return chosen[:n]
 }
 
 // holders returns the victims of reentering job j: the distinct

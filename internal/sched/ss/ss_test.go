@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pjs/internal/check"
-	"pjs/internal/core"
 	"pjs/internal/job"
 	"pjs/internal/metrics"
 	"pjs/internal/overhead"
@@ -110,7 +109,7 @@ func TestMultiVictimPreemption(t *testing.T) {
 
 // TSS: a victim whose xfactor exceeds its category limit is protected.
 func TestTSSLimitDisablesPreemption(t *testing.T) {
-	var limits core.StaticLimits
+	var limits ss.StaticLimits
 	// Job 1's estimate is 10000 s (Long) on 4 procs (Narrow). Any
 	// xfactor above 0.5 — i.e. always — disables its preemption.
 	limits[job.Category{Length: job.Long, Width: job.Narrow}.Index()] = 0.5
@@ -260,11 +259,11 @@ func TestNames(t *testing.T) {
 	if got := ss.New(ss.Config{SF: 2}).Name(); got != "SS(SF=2)" {
 		t.Errorf("Name = %q", got)
 	}
-	var limits core.StaticLimits
+	var limits ss.StaticLimits
 	if got := ss.New(ss.Config{SF: 1.5, Limits: &limits}).Name(); got != "TSS(SF=1.5)" {
 		t.Errorf("Name = %q", got)
 	}
-	if got := ss.New(ss.Config{SF: 2, Adaptive: &core.AdaptiveLimits{}}).Name(); got != "TSS(SF=2)" {
+	if got := ss.New(ss.Config{SF: 2, Limits: &ss.AdaptiveLimits{}}).Name(); got != "TSS(SF=2)" {
 		t.Errorf("Name = %q", got)
 	}
 }

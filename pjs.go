@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"io"
 
-	"pjs/internal/core"
 	"pjs/internal/experiment"
 	"pjs/internal/fault"
 	"pjs/internal/job"
@@ -196,7 +195,7 @@ func NewSS(sf float64) Scheduler { return ss.New(ss.Config{SF: sf}) }
 // slowdowns (typically measured from an NS baseline run via
 // Summary.SlowdownTable).
 func NewTSS(sf float64, avgSlowdowns [16]float64) Scheduler {
-	return ss.New(ss.Config{SF: sf, Limits: core.LimitsFromSlowdowns(avgSlowdowns)})
+	return ss.New(ss.Config{SF: sf, Limits: ss.LimitsFromSlowdowns(avgSlowdowns)})
 }
 
 // Experiment harness re-exports.
