@@ -72,11 +72,7 @@ func TestCrashEquivalenceMatrix(t *testing.T) {
 					resOpt.MaxSteps = 50_000_000
 					resOpt.Faults = fm.faults
 					resOpt.Transient = fm.transient
-					resOpt.Resume = &sched.ResumeSpec{
-						Events:       snap.Events,
-						AuditHash:    snap.AuditHash,
-						AuditEntries: snap.AuditEntries,
-					}
+					resOpt.Resume = &snap
 					res, err := pjs.SimulateChecked(trace, newSched(), resOpt)
 					if err != nil {
 						t.Fatalf("resume from event %d: %v", snap.Events, err)

@@ -115,7 +115,7 @@ func psim(args []string, stdout, stderr *cli.W) int {
 		spec       *ckpt.WorkloadSpec
 		schedName  string
 		optSpec    ckpt.OptSpec
-		resumeSpec *sched.ResumeSpec
+		resumeFrom *sched.Snapshot
 		ckptPath   string
 	)
 	if *resume != "" {
@@ -124,7 +124,7 @@ func psim(args []string, stdout, stderr *cli.W) int {
 			return fail(err)
 		}
 		spec, schedName, optSpec = &c.Workload, c.Sched, c.Opt
-		resumeSpec = &sched.ResumeSpec{Events: c.Events, AuditHash: c.AuditHash, AuditEntries: c.AuditEntries}
+		resumeFrom = &c.Snapshot
 		ckptPath = *resume
 		stderr.Printf("psim: resuming %s under %s from event %d (t=%d)\n",
 			spec, schedName, c.Events, c.Now)
@@ -178,7 +178,7 @@ func psim(args []string, stdout, stderr *cli.W) int {
 
 	opt := optSpec.Options()
 	opt.Audit = *verify || *ganttW > 0
-	opt.Resume = resumeSpec
+	opt.Resume = resumeFrom
 	var lastSaveErr error
 	if ckptPath != "" {
 		path := ckptPath
@@ -186,9 +186,7 @@ func psim(args []string, stdout, stderr *cli.W) int {
 		opt.Checkpoint = &sched.CheckpointConfig{
 			Every: *ckptEvery,
 			Save: func(snap sched.Snapshot) error {
-				c := &ckpt.Checkpoint{Workload: *spec, Sched: schedName, Opt: optSpec,
-					Events: snap.Events, Now: snap.Now,
-					AuditHash: snap.AuditHash, AuditEntries: snap.AuditEntries}
+				c := &ckpt.Checkpoint{Workload: *spec, Sched: schedName, Opt: optSpec, Snapshot: snap}
 				// A failed save must not abort an otherwise healthy run:
 				// warn once, remember the error and keep simulating. Only
 				// the interrupt path, which depends on the checkpoint being
@@ -202,30 +200,30 @@ func psim(args []string, stdout, stderr *cli.W) int {
 			},
 		}
 	}
+	// Sinks are collected as they are made: a typed-nil *TraceBuilder
+	// boxed into the Observer interface would not be interface-nil.
 	var (
 		traceB  *obs.TraceBuilder
 		sampler *obs.Sampler
 		counts  *obs.Counters
+		sinks   []pjs.Observer
 	)
 	if *traceOut != "" {
 		traceB = obs.NewTraceBuilder(trace.Procs)
+		sinks = append(sinks, traceB)
 	}
-	if *tsOut != "" {
+	switch {
+	case *tsOut == "":
+	case traceB != nil:
+		// The trace's counter tracks are rendered from a census of
+		// every instant; the time series is that census too.
+		sampler = traceB.Census()
+	default:
 		sampler = obs.NewSampler(trace.Procs)
+		sinks = append(sinks, sampler)
 	}
 	if *counters {
 		counts = obs.NewCounters(s.Name(), trace.Procs)
-	}
-	// Collect non-nil sinks explicitly: a typed-nil *TraceBuilder boxed
-	// into the Observer interface would not be interface-nil.
-	var sinks []pjs.Observer
-	if traceB != nil {
-		sinks = append(sinks, traceB)
-	}
-	if sampler != nil {
-		sinks = append(sinks, sampler)
-	}
-	if counts != nil {
 		sinks = append(sinks, counts)
 	}
 	if len(sinks) > 0 {

@@ -284,6 +284,35 @@ func TestTraceOutDigest(t *testing.T) {
 	}
 }
 
+// TestTimeSeriesOutDigest pins the bytes of the -timeseries-out CSV of
+// a plain SS run, written alone and written beside -trace-out, where
+// it comes from the trace builder's census instead of a sampler of its
+// own; the trace is pinned by TestTraceOutDigest.
+func TestTimeSeriesOutDigest(t *testing.T) {
+	const want = "028f68f6778e5f3a08c94f0603a18fa21f9c40ecbee93d459437d53e485fa9bf"
+	base := []string{"-model", "SDSC", "-jobs", "300", "-sched", "ss:2", "-overhead", "-counters"}
+	for _, withTrace := range []bool{false, true} {
+		dir := t.TempDir()
+		csv := filepath.Join(dir, "ts.csv")
+		args := append(append([]string(nil), base...), "-timeseries-out", csv)
+		if withTrace {
+			args = append(args, "-trace-out", filepath.Join(dir, "trace.json"))
+		}
+		var stdout, stderr strings.Builder
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("trace %v: exit code = %d, stderr: %s", withTrace, code, stderr.String())
+		}
+		data, err := os.ReadFile(csv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("trace %v: time series sha256 = %s, want %s", withTrace, got, want)
+		}
+	}
+}
+
 // TestSchedUsageListsTable checks that -h renders every policy row in
 // the -sched help, with psim's default spec.
 func TestSchedUsageListsTable(t *testing.T) {

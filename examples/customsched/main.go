@@ -11,47 +11,54 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pjs"
 	"pjs/internal/job"
 	"pjs/internal/sched"
 )
 
-// psjf is a minimal preemptive shortest-job-first policy. It keeps its
-// own queue, because it serves waiting jobs in an order of its own, and
-// reads the running jobs from the driver (env.Running). Embedding
-// sched.IgnoreFailures opts out of the failure hooks (OnFailure /
-// OnRepair) with no-ops — fine here because this example never enables
-// fault injection; a fault-aware policy would implement them instead.
+// psjf is a minimal preemptive shortest-job-first policy. It reads the
+// waiting and the running jobs from the driver (env.Idle, env.Running)
+// and keeps no list of its own. Embedding sched.IgnoreFailures opts out
+// of the failure hooks (OnFailure / OnRepair) with no-ops — fine here
+// because this example never enables fault injection; a fault-aware
+// policy would implement them instead.
 type psjf struct {
 	sched.IgnoreFailures
-	env   *sched.Env
-	queue []*job.Job
+	env     *sched.Env
+	waiting []*job.Job // scratch for shortest()
 }
 
-func (s *psjf) Name() string             { return "P-SJF" }
-func (s *psjf) Init(env *sched.Env)      { s.env = env }
-func (s *psjf) TickInterval() int64      { return 60 }
-func (s *psjf) OnArrival(j *job.Job)     { s.queue = append(s.queue, j); s.pass() }
-func (s *psjf) OnSuspendDone(j *job.Job) { s.queue = append(s.queue, j); s.pass() }
-func (s *psjf) OnCompletion(*job.Job)    { s.pass() }
+func (s *psjf) Name() string           { return "P-SJF" }
+func (s *psjf) Init(env *sched.Env)    { s.env = env }
+func (s *psjf) TickInterval() int64    { return 60 }
+func (s *psjf) OnArrival(*job.Job)     { s.pass() }
+func (s *psjf) OnSuspendDone(*job.Job) { s.pass() }
+func (s *psjf) OnCompletion(*job.Job)  { s.pass() }
 
-// pass starts queued jobs shortest-first whenever they fit.
-func (s *psjf) pass() {
-	sort.SliceStable(s.queue, func(i, k int) bool {
-		return s.queue[i].Estimate < s.queue[k].Estimate
+// shortest returns the waiting jobs shortest estimate first, ties by
+// submission then ID. The driver keeps them in FCFS order and its slice
+// is only valid until the next start, so a policy with an order of its
+// own sorts a copy.
+func (s *psjf) shortest() []*job.Job {
+	s.waiting = append(s.waiting[:0], s.env.Idle()...)
+	slices.SortFunc(s.waiting, func(a, b *job.Job) int {
+		return cmp.Or(cmp.Compare(a.Estimate, b.Estimate),
+			cmp.Compare(a.SubmitTime, b.SubmitTime), cmp.Compare(a.ID, b.ID))
 	})
-	for _, j := range append([]*job.Job(nil), s.queue...) {
-		ok := false
+	return s.waiting
+}
+
+// pass starts waiting jobs shortest-first whenever they fit.
+func (s *psjf) pass() {
+	for _, j := range s.shortest() {
 		if j.State == job.Suspended {
-			ok = s.env.Resume(j)
+			s.env.Resume(j)
 		} else {
-			ok = s.env.StartFresh(j)
-		}
-		if ok {
-			s.queue = sched.Remove(s.queue, j)
+			s.env.StartFresh(j)
 		}
 	}
 }
@@ -59,10 +66,11 @@ func (s *psjf) pass() {
 // OnTick suspends the running job with the longest estimated remaining
 // time, the lowest ID among equals, when a much shorter job waits.
 func (s *psjf) OnTick() {
-	if len(s.queue) == 0 {
+	waiting := s.shortest()
+	if len(waiting) == 0 {
 		return
 	}
-	short := s.queue[0] // shortest estimate after pass()'s sort
+	short := waiting[0]
 	if short.State == job.Suspended {
 		return // reentry needs its exact set; keep it simple and wait
 	}
@@ -86,7 +94,6 @@ func (s *psjf) OnTick() {
 		}
 		claim = append(claim, p)
 	}
-	s.queue = sched.Remove(s.queue, short)
 	s.env.PreemptAndStart(short, []*job.Job{victim}, claim)
 	s.pass()
 }

@@ -11,8 +11,8 @@
 // never serializes engine or policy state; it records the inputs plus
 // the watermark, and restore replays the run from the start with
 // observers muted until the watermark, verifying that the replayed
-// audit prefix hashes to the checkpointed value (see
-// sched.ResumeSpec). A corrupt, truncated, version-skewed or
+// audit prefix hashes to the checkpointed value (see sched.Snapshot
+// and sched.Options.Resume). A corrupt, truncated, version-skewed or
 // wrong-run checkpoint is detected and rejected — never trusted.
 package ckpt
 

@@ -9,6 +9,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"pjs/internal/sched"
 )
 
 // Failure modes of Open/Load, distinguishable with errors.Is so the
@@ -95,19 +97,15 @@ const (
 )
 
 // Checkpoint is a complete resumable description of one simulation
-// run: its inputs (workload provenance, scheduler spec, options) and a
-// watermark of deterministic progress. Events counts processed engine
-// events; AuditHash/AuditEntries fingerprint the audit-action prefix
-// the run emitted up to that point (sched.Snapshot). Now is the
-// virtual clock at the watermark, kept for diagnostics only.
+// run: its inputs (workload provenance, scheduler spec, options) and the
+// watermark of deterministic progress the run saved (sched.Snapshot,
+// whose fields encode inline after the inputs). The watermark is what
+// the resumed run takes as sched.Options.Resume.
 type Checkpoint struct {
-	Workload     WorkloadSpec `json:"workload"`
-	Sched        string       `json:"sched"`
-	Opt          OptSpec      `json:"opt"`
-	Events       int64        `json:"events"`
-	Now          int64        `json:"now"`
-	AuditHash    uint64       `json:"audit_hash"`
-	AuditEntries int64        `json:"audit_entries"`
+	Workload WorkloadSpec `json:"workload"`
+	Sched    string       `json:"sched"`
+	Opt      OptSpec      `json:"opt"`
+	sched.Snapshot
 }
 
 // Encode renders the checkpoint in the sealed container format.

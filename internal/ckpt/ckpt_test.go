@@ -61,12 +61,14 @@ func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
 		Workload: WorkloadSpec{Kind: KindSynthetic, Model: "SDSC", Jobs: 500, Seed: 7, Estimates: "accurate", Load: 1.3},
 		Sched:    "ss:2",
 		Opt:      OptSpec{Overhead: true, Config: fault.Config{MTBF: 3600, MTTR: 600, Seed: 5}},
-		Events:   123456,
-		Now:      987654321,
-		// Extremes prove the uint64 hash survives the JSON round trip
-		// without float truncation.
-		AuditHash:    0xfedcba9876543210,
-		AuditEntries: 4242,
+		Snapshot: sched.Snapshot{
+			Events: 123456,
+			Now:    987654321,
+			// Extremes prove the uint64 hash survives the JSON round trip
+			// without float truncation.
+			AuditHash:    0xfedcba9876543210,
+			AuditEntries: 4242,
+		},
 	}
 	if err := c.Save(path); err != nil {
 		t.Fatal(err)
@@ -82,7 +84,7 @@ func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadRejectsTamperedCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	c := &Checkpoint{Workload: WorkloadSpec{Kind: KindSynthetic, Model: "KTH", Jobs: 10}, Sched: "fcfs", Events: 9}
+	c := &Checkpoint{Workload: WorkloadSpec{Kind: KindSynthetic, Model: "KTH", Jobs: 10}, Sched: "fcfs", Snapshot: sched.Snapshot{Events: 9}}
 	if err := c.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +266,7 @@ var psimCheckpoint = Checkpoint{
 		TransientConfig: fault.TransientConfig{WriteFailProb: 0.3, ReadFailProb: 0.2, Seed: 5,
 			MaxAttempts: 6, BackoffBase: 10, BackoffCap: 90, HealthWindow: 1200, HealthThreshold: 2},
 	},
-	Events: 1234, Now: 5678, AuditHash: 42, AuditEntries: 99,
+	Snapshot: sched.Snapshot{Events: 1234, Now: 5678, AuditHash: 42, AuditEntries: 99},
 }
 
 const psimCheckpointBytes = `pjsckpt v1

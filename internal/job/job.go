@@ -64,7 +64,7 @@ type Job struct {
 
 	// Dynamic scheduling state.
 	State        State
-	Slot         int32 // the driver's: index in its running or idle list, -1 in neither
+	Slot         int32 // the driver's: index in its running list, -1 when not running
 	FirstStart   int64 // time of first dispatch, -1 until started
 	FinishTime   int64 // completion time, -1 until finished
 	LastDispatch int64 // time of most recent dispatch

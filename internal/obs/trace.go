@@ -136,7 +136,7 @@ type TraceBuilder struct {
 	open   map[int]*openSeg // job ID -> in-flight segment
 
 	// counts is the settled census of every instant, the source of the
-	// counter tracks.
+	// counter tracks (see Census).
 	counts Sampler
 
 	// The open per-processor spans: down after a processor failure,
@@ -157,7 +157,7 @@ type procSpans struct {
 // with the process and per-processor thread names pre-registered.
 func NewTraceBuilder(procs int) *TraceBuilder {
 	b := &TraceBuilder{
-		Procs: procs, open: make(map[int]*openSeg),
+		Procs: procs, open: make(map[int]*openSeg), counts: Sampler{Procs: procs},
 		down: procSpans{cat: CatDown}, degraded: procSpans{cat: CatIODegraded},
 	}
 	b.meta = append(b.meta, metaEvent{
@@ -180,6 +180,12 @@ func procName(p int) string {
 		digits[p/100%10], digits[p/10%10], digits[p%10],
 	})
 }
+
+// Census returns the sampler the counter tracks are rendered from. It
+// observes every event the builder does, so a caller that also wants
+// the time series writes it from here (Sampler.WriteCSV) rather than
+// attaching a second Sampler to the run.
+func (b *TraceBuilder) Census() *Sampler { return &b.counts }
 
 // Observe implements sched.Observer.
 func (b *TraceBuilder) Observe(ev sched.Event) {

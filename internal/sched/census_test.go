@@ -139,9 +139,7 @@ func TestQueuedCensusAfterResume(t *testing.T) {
 	snap := snaps[len(snaps)/2]
 	o := newCensusOracle(t)
 	opt.Observer = o
-	opt.Resume = &sched.ResumeSpec{
-		Events: snap.Events, AuditHash: snap.AuditHash, AuditEntries: snap.AuditEntries,
-	}
+	opt.Resume = &snap
 	if _, err := sched.RunChecked(trace, arrivalTap{newSpec(t, "ss:2"), o}, opt); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +226,7 @@ func TestQueuedCountWithoutObserver(t *testing.T) {
 // and when it returns, recounts the running and idle jobs from the
 // states of the arrived jobs and the driver's pending starts, and
 // requires that Env.Running and Env.Idle hold exactly those jobs, each
-// once.
+// once, and that Env.Idle is in FCFS order with its widths in step.
 type setsTap struct {
 	sched.Scheduler
 	t       *testing.T
@@ -306,6 +304,27 @@ func (s *setsTap) check(at string) {
 	}
 	sameJobs(s.t, fmt.Sprintf("at %d %s: Running()", s.env.Now(), at), s.env.Running(), running)
 	sameJobs(s.t, fmt.Sprintf("at %d %s: Idle()", s.env.Now(), at), s.env.Idle(), idle)
+	inFCFSOrder(s.t, fmt.Sprintf("at %d %s", s.env.Now(), at), s.env.Idle(), sched.IdleWidths(s.env))
+}
+
+// inFCFSOrder fails t unless queue is strictly increasing in
+// (SubmitTime, ID) and widths holds its jobs' widths.
+func inFCFSOrder(t *testing.T, what string, queue []*job.Job, widths []int32) {
+	t.Helper()
+	if len(widths) != len(queue) {
+		t.Fatalf("%s: %d widths for %d idle jobs", what, len(widths), len(queue))
+	}
+	for i, j := range queue {
+		if int(widths[i]) != j.Procs {
+			t.Fatalf("%s: width %d at index %d, job %d is %d wide", what, widths[i], i, j.ID, j.Procs)
+		}
+		if i == 0 {
+			continue
+		}
+		if p := queue[i-1]; p.SubmitTime > j.SubmitTime || p.SubmitTime == j.SubmitTime && p.ID >= j.ID {
+			t.Fatalf("%s: idle job %d (submit %d) before job %d (submit %d)", what, p.ID, p.SubmitTime, j.ID, j.SubmitTime)
+		}
+	}
 }
 
 // sameJobs fails t unless got holds each job of want once and nothing

@@ -22,7 +22,8 @@ type reservation struct {
 	start int64
 }
 
-// Sched is the conservative-backfilling policy. Its profiles start from
+// Sched is the conservative-backfilling policy. Its reservations cover
+// the driver's wait queue (sched.Env.Idle), and its profiles start from
 // the driver's running jobs (sched.Env.Running).
 type Sched struct {
 	env   *sched.Env
@@ -82,28 +83,23 @@ func (s *Sched) OnTick() {}
 // and every guarantee is recomputed from scratch against the surviving
 // machine — the capacity loss may push any anchor later, so nothing
 // short of a full rebuild keeps the profile sound.
-func (s *Sched) OnFailure(p int, requeued []*job.Job) { s.rebuild(requeued) }
+func (s *Sched) OnFailure(int, []*job.Job) { s.rebuild() }
 
 // OnRepair implements sched.Scheduler: the recovered processor may pull
 // every anchor earlier (and re-admit jobs parked at sched.FarFuture), so the
 // schedule is rebuilt just like after a failure.
-func (s *Sched) OnRepair(int) { s.rebuild(nil) }
+func (s *Sched) OnRepair(int) { s.rebuild() }
 
-// rebuild re-anchors every queued job — existing reservations plus any
-// newly displaced jobs — in (submit, id) order against the surviving
-// machine. Every displaced job was running (this policy never suspends),
-// so none of them holds a reservation already.
-func (s *Sched) rebuild(displaced []*job.Job) {
-	queue := s.resvs
-	for _, j := range displaced {
-		queue = append(queue, reservation{j: j})
+// rebuild re-anchors every queued job — the reserved ones and the
+// jobs a failure displaced — in the FCFS order of the driver's wait
+// queue against the surviving machine. It walks a copy, because the
+// starts of reanchor shrink the queue.
+func (s *Sched) rebuild() {
+	idle := s.env.Idle()
+	queue := make([]reservation, len(idle))
+	for i, j := range idle {
+		queue[i].j = j
 	}
-	sort.SliceStable(queue, func(i, k int) bool {
-		if queue[i].j.SubmitTime != queue[k].j.SubmitTime {
-			return queue[i].j.SubmitTime < queue[k].j.SubmitTime
-		}
-		return queue[i].j.ID < queue[k].j.ID
-	})
 	s.reanchor(queue)
 }
 

@@ -20,12 +20,13 @@ import (
 	"pjs/internal/sched"
 )
 
-// Sched is the reservation-depth backfilling policy. Its profiles start
-// from the driver's running jobs (sched.Env.Running).
+// Sched is the reservation-depth backfilling policy. It serves the
+// driver's wait queue (sched.Env.Idle), whose FCFS order is the order
+// the reservation depth counts in, and its profiles start from the
+// driver's running jobs (sched.Env.Running).
 type Sched struct {
 	env   *sched.Env
 	depth int
-	queue []*job.Job
 }
 
 // New returns a scheduler holding reservations for the first depth
@@ -49,10 +50,7 @@ func (s *Sched) Init(env *sched.Env) { s.env = env }
 func (s *Sched) TickInterval() int64 { return 0 }
 
 // OnArrival implements sched.Scheduler.
-func (s *Sched) OnArrival(j *job.Job) {
-	s.queue = append(s.queue, j)
-	s.schedule()
-}
+func (s *Sched) OnArrival(*job.Job) { s.schedule() }
 
 // OnCompletion implements sched.Scheduler.
 func (s *Sched) OnCompletion(*job.Job) { s.schedule() }
@@ -63,43 +61,26 @@ func (s *Sched) OnSuspendDone(*job.Job) {}
 // OnTick implements sched.Scheduler.
 func (s *Sched) OnTick() {}
 
-// OnFailure implements sched.Scheduler: displaced jobs rejoin the queue
-// at their submission-order position (restoring the arrival order the
-// reservation depth is defined over) and the schedule is recomputed
-// against the surviving machine. Every displaced job was running (this
-// policy never suspends), so none of them is queued already.
-func (s *Sched) OnFailure(p int, requeued []*job.Job) {
-	for _, j := range requeued {
-		s.queue = sched.InsertBySubmit(s.queue, j)
-	}
-	s.schedule()
-}
+// OnFailure implements sched.Scheduler: the displaced jobs are back in
+// the queue at their submission-order places, and the schedule is
+// recomputed against the surviving machine.
+func (s *Sched) OnFailure(int, []*job.Job) { s.schedule() }
 
 // OnRepair implements sched.Scheduler: recovered capacity may advance
 // any reservation.
 func (s *Sched) OnRepair(int) { s.schedule() }
 
-func (s *Sched) start(j *job.Job) bool {
-	if !s.env.StartFresh(j) {
-		return false
-	}
-	s.queue = sched.Remove(s.queue, j)
-	return true
-}
-
 // anchors computes the reservation start times of the first depth queued
-// jobs against a copy of the given profile (which is consumed).
+// jobs against the given profile (which is consumed).
 func (s *Sched) anchors(p *sched.Profile, now int64) []int64 {
 	span := s.env.Probe().Begin()
 	defer s.env.Probe().End(perf.PhaseBackfillWindow, span)
-	n := s.depth
-	if n > len(s.queue) {
-		n = len(s.queue)
-	}
+	queue := s.env.Idle()
+	n := min(s.depth, len(queue))
 	capacity := s.env.Cluster.UpCount()
 	out := make([]int64, n)
 	for i := 0; i < n; i++ {
-		j := s.queue[i]
+		j := queue[i]
 		if j.Procs > capacity {
 			out[i] = sched.FarFuture
 			continue
@@ -120,10 +101,11 @@ func (s *Sched) schedule() {
 		// Reserved jobs whose anchor is now start directly (in queue
 		// order; the profile already accounts for the earlier ones).
 		base := s.anchors(sched.RunningProfile(now, s.env.Cluster.UpCount(), s.env.Running()), now)
+		queue := s.env.Idle()
 		started := false
 		for i := 0; i < len(base); i++ {
-			if base[i] == now && s.queue[i].Procs <= s.env.Cluster.FreeUnclaimed() {
-				if s.start(s.queue[i]) {
+			if base[i] == now && queue[i].Procs <= s.env.Cluster.FreeUnclaimed() {
+				if s.env.StartFresh(queue[i]) {
 					started = true
 					break
 				}
@@ -132,34 +114,22 @@ func (s *Sched) schedule() {
 		if started {
 			continue
 		}
-		if len(s.queue) == 0 {
+		if len(queue) == 0 {
 			return
 		}
-		// Backfill: any other queued job may start iff the reserved
-		// anchors do not regress.
-		for i := s.depthOrLen(); i < len(s.queue); i++ {
-			c := s.queue[i]
-			if c.Procs > s.env.Cluster.FreeUnclaimed() {
-				continue
-			}
-			if s.backfillLegal(c, now, base) {
-				if s.start(c) {
-					started = true
-					break
-				}
+		// Backfill: any other queued job that fits in the free
+		// processors may start iff the reserved anchors do not regress.
+		free := s.env.Cluster.FreeUnclaimed()
+		for i := s.env.Fitting(len(base), free); i < len(queue); i = s.env.Fitting(i+1, free) {
+			if c := queue[i]; s.backfillLegal(c, now, base) && s.env.StartFresh(c) {
+				started = true
+				break
 			}
 		}
 		if !started {
 			return
 		}
 	}
-}
-
-func (s *Sched) depthOrLen() int {
-	if s.depth < len(s.queue) {
-		return s.depth
-	}
-	return len(s.queue)
 }
 
 // backfillLegal reports whether starting candidate c now leaves every
@@ -170,10 +140,11 @@ func (s *Sched) backfillLegal(c *job.Job, now int64, base []int64) bool {
 	p := sched.RunningProfile(now, s.env.Cluster.UpCount(), s.env.Running())
 	p.Sub(now, now+c.Estimate, c.Procs)
 	capacity := s.env.Cluster.UpCount()
+	queue := s.env.Idle()
 	n := len(base)
 	idx := 0
-	for i := 0; i < len(s.queue) && idx < n; i++ {
-		j := s.queue[i]
+	for i := 0; i < len(queue) && idx < n; i++ {
+		j := queue[i]
 		if j == c {
 			continue
 		}

@@ -8,21 +8,15 @@
 package easy
 
 import (
-	"slices"
-
 	"pjs/internal/job"
 	"pjs/internal/perf"
 	"pjs/internal/sched"
 )
 
-// Sched is the aggressive-backfilling policy.
+// Sched is the aggressive-backfilling policy. It serves the driver's
+// wait queue (sched.Env.Idle), which is in FCFS order.
 type Sched struct {
-	env   *sched.Env
-	queue []*job.Job
-	// widths[i] is queue[i].Procs, kept in step with queue so that the
-	// backfill scan passes over jobs wider than the free processors
-	// without loading them.
-	widths []int32
+	env *sched.Env
 	// running lists the started jobs in release order, each under the
 	// ProjectedEnd it had at its start. That end cannot change while the
 	// job is listed: EASY never suspends, so every start is fresh with
@@ -45,32 +39,30 @@ func (s *Sched) Init(env *sched.Env) { s.env = env }
 func (s *Sched) TickInterval() int64 { return 0 }
 
 // OnArrival implements sched.Scheduler. Every other hook ends in a full
-// schedule, so the queue ahead of j already holds no job that can
+// schedule, so the queue without j already holds no job that can
 // start: its head does not fit, and nothing behind it passes the
 // backfill test. Free processors and the release list have not changed
 // since, and a later now only makes the shadow-time test harder. So
-// the pass is run only when j itself may start.
+// the pass is run only when j itself may start: when it is the head,
+// or when it passes the backfill test.
 func (s *Sched) OnArrival(j *job.Job) {
-	s.queue = append(s.queue, j)
-	s.widths = append(s.widths, int32(j.Procs))
-	if len(s.queue) > 1 && !s.mayBackfill() {
+	if s.env.Idle()[0] != j && !s.mayBackfill(j) {
 		return
 	}
 	s.schedule()
 }
 
-// mayBackfill reports whether the job at the tail of the queue passes
-// the backfill test against the reservation of the head, which does
-// not fit.
-func (s *Sched) mayBackfill() bool {
-	last, free := len(s.queue)-1, s.env.Cluster.FreeUnclaimed()
-	if int(s.widths[last]) > free {
+// mayBackfill reports whether queued job j passes the backfill test
+// against the reservation of the head, which does not fit.
+func (s *Sched) mayBackfill(j *job.Job) bool {
+	free := s.env.Cluster.FreeUnclaimed()
+	if j.Procs > free {
 		return false
 	}
 	span := s.env.Probe().Begin()
 	defer s.env.Probe().End(perf.PhaseQueueScan, span)
-	shadow, extra := s.shadow(s.queue[0])
-	return s.backfills(last, s.env.Now(), free, shadow, extra)
+	shadow, extra := s.shadow(s.env.Idle()[0])
+	return backfills(j, s.env.Now(), shadow, extra)
 }
 
 // OnCompletion implements sched.Scheduler.
@@ -85,17 +77,13 @@ func (s *Sched) OnSuspendDone(*job.Job) {}
 // OnTick implements sched.Scheduler.
 func (s *Sched) OnTick() {}
 
-// OnFailure implements sched.Scheduler: displaced jobs rejoin the queue
-// at their submission-order position and the whole schedule (head
-// reservation included) is recomputed against the surviving machine.
-// Each displaced job was running (Remove panics otherwise), so none is
-// queued yet.
+// OnFailure implements sched.Scheduler: displaced jobs leave the
+// release list, and the whole schedule (head reservation included) is
+// recomputed against the surviving machine. Each displaced job was
+// running (Remove panics otherwise).
 func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 	for _, j := range requeued {
 		s.running.Remove(j, j.ProjectedEnd())
-		at := sched.SubmitIndex(s.queue, j)
-		s.queue = slices.Insert(s.queue, at, j)
-		s.widths = slices.Insert(s.widths, at, int32(j.Procs))
 	}
 	s.schedule()
 }
@@ -113,13 +101,6 @@ func (s *Sched) start(j *job.Job) bool {
 	return true
 }
 
-// dequeue deletes queue positions [i, k) in place, keeping the
-// backing arrays' capacity for later arrivals.
-func (s *Sched) dequeue(i, k int) {
-	s.queue = slices.Delete(s.queue, i, k)
-	s.widths = slices.Delete(s.widths, i, k)
-}
-
 // schedule starts queue heads while they fit, then backfills in one
 // pass over the rest of the queue. After each backfill start the head's
 // reservation is walked again. Every job the pass has left behind
@@ -134,28 +115,29 @@ func (s *Sched) dequeue(i, k int) {
 func (s *Sched) schedule() {
 	span := s.env.Probe().Begin()
 	defer s.env.Probe().End(perf.PhaseQueueScan, span)
-	heads := 0
-	for heads < len(s.queue) && s.start(s.queue[heads]) {
-		heads++
+	queue := s.env.Idle()
+	for len(queue) > 0 && s.start(queue[0]) {
+		queue = s.env.Idle()
 	}
-	s.dequeue(0, heads)
 	free := s.env.Cluster.FreeUnclaimed()
-	if len(s.queue) == 0 || free == 0 {
+	if len(queue) == 0 || free == 0 {
 		return // every job needs a processor
 	}
 	// The head does not fit: compute its reservation.
-	shadow, extra := s.shadow(s.queue[0])
+	shadow, extra := s.shadow(queue[0])
 	now := s.env.Now()
-	for i := fitting(s.widths, 1, free); i < len(s.queue); i = fitting(s.widths, i, free) {
-		if !s.backfills(i, now, free, shadow, extra) || !s.start(s.queue[i]) {
+	// The scan passes over the jobs wider than the free processors
+	// (Env.Fitting), so every job it tests fits in them.
+	for i := s.env.Fitting(1, free); i < len(queue); i = s.env.Fitting(i, free) {
+		if !backfills(queue[i], now, shadow, extra) || !s.start(queue[i]) {
 			i++
 			continue
 		}
-		s.dequeue(i, i+1) // the next job moves into position i
+		queue = s.env.Idle() // the next job moves into position i
 		if free = s.env.Cluster.FreeUnclaimed(); free == 0 {
 			return
 		}
-		nextShadow, nextExtra := s.shadow(s.queue[0])
+		nextShadow, nextExtra := s.shadow(queue[0])
 		if nextShadow != shadow || nextExtra > extra {
 			i = 1
 		}
@@ -163,23 +145,12 @@ func (s *Sched) schedule() {
 	}
 }
 
-// fitting returns the first index from i on whose width is at most
-// free, or len(widths). Most queued jobs are wider than the free
-// processors, and this loop passes over them.
-func fitting(widths []int32, i, free int) int {
-	for i < len(widths) && int(widths[i]) > free {
-		i++
-	}
-	return i
-}
-
-// backfills reports whether the queued job at index i may start now
-// ahead of a head whose reservation is (shadow, extra): it fits in the
-// free processors and either finishes before the head starts or fits
+// backfills reports whether queued job j, which fits in the free
+// processors, may start now ahead of a head whose reservation is
+// (shadow, extra): it either finishes before the head starts or fits
 // in the processors the head leaves unused.
-func (s *Sched) backfills(i int, now int64, free int, shadow int64, extra int) bool {
-	w := int(s.widths[i])
-	return w <= free && (now+s.queue[i].Estimate <= shadow || w <= extra)
+func backfills(j *job.Job, now, shadow int64, extra int) bool {
+	return now+j.Estimate <= shadow || j.Procs <= extra
 }
 
 // shadow computes the head job's reservation: the earliest time enough

@@ -42,15 +42,16 @@ func (c *checked) check(hook string) {
 // cannot agree with itself.
 func (c *checked) checkMaximal(hook string) {
 	c.t.Helper()
-	if len(c.queue) == 0 {
+	queue := c.env.Idle()
+	if len(queue) == 0 {
 		return
 	}
-	now, free, head := c.env.Now(), c.env.Cluster.FreeUnclaimed(), c.queue[0]
+	now, free, head := c.env.Now(), c.env.Cluster.FreeUnclaimed(), queue[0]
 	if head.Procs <= free {
 		c.t.Fatalf("at %d after %s: head %v fits in %d free processors", now, hook, head, free)
 	}
 	shadow, extra := c.running.Shadow(free, head.Procs)
-	for _, j := range c.queue[1:] {
+	for _, j := range queue[1:] {
 		if j.Procs <= free && (now+j.Estimate <= shadow || j.Procs <= extra) {
 			c.t.Fatalf("at %d after %s: %v can backfill (%d free, shadow %d, extra %d)",
 				now, hook, j, free, shadow, extra)

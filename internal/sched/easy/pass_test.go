@@ -58,8 +58,9 @@ func TestPassMaximal(t *testing.T) {
 
 // arrivalAllocs wraps the policy and, after each arrival that leaves the
 // arriving job queued behind the head, measures the allocations of
-// repeating that arrival: the job is taken off the queue's tail and
-// delivered again, which restores the same state.
+// repeating that arrival: the job is still in the driver's queue, where
+// the driver put it before the hook, so delivering it again meets the
+// same state.
 type arrivalAllocs struct {
 	*Sched
 	measured, withFree int
@@ -68,8 +69,7 @@ type arrivalAllocs struct {
 
 func (w *arrivalAllocs) OnArrival(j *job.Job) {
 	w.Sched.OnArrival(j)
-	n := len(w.queue)
-	if n < 2 || w.queue[n-1] != j {
+	if j.State != job.Queued || w.env.Idle()[0] == j {
 		return
 	}
 	w.measured++
@@ -77,7 +77,6 @@ func (w *arrivalAllocs) OnArrival(j *job.Job) {
 		w.withFree++
 	}
 	w.worst = max(w.worst, testing.AllocsPerRun(5, func() {
-		w.queue, w.widths = w.queue[:n-1], w.widths[:n-1]
 		w.Sched.OnArrival(j)
 	}))
 }
@@ -99,11 +98,13 @@ func TestArrivalWithoutBackfillAllocatesNothing(t *testing.T) {
 	}
 }
 
-// queueGrowth wraps the policy and counts the hooks after which the
-// queue's or the widths' backing array had grown.
+// queueGrowth wraps the policy and counts how often the backing array
+// of the driver's queue grew, looking at it when each hook is entered
+// (the driver inserts arrivals and displaced jobs before the hook) and
+// when it returns. The driver grows its widths array in step with it.
 type queueGrowth struct {
 	*Sched
-	peak, grows int
+	cap, peak, grows int
 }
 
 func (g *queueGrowth) OnArrival(j *job.Job)    { g.hook(func() { g.Sched.OnArrival(j) }) }
@@ -114,16 +115,21 @@ func (g *queueGrowth) OnFailure(p int, requeued []*job.Job) {
 }
 
 func (g *queueGrowth) hook(call func()) {
-	capQ, capW := cap(g.queue), cap(g.widths)
+	g.look()
 	call()
-	if cap(g.queue) > capQ || cap(g.widths) > capW {
-		g.grows++
-	}
-	g.peak = max(g.peak, len(g.queue))
+	g.look()
 }
 
-// TestQueueKeepsCapacity pins that started jobs leave the queue in
-// place: on a loaded 10k-job CTC run, with and without processor
+func (g *queueGrowth) look() {
+	if c := cap(g.env.Idle()); c != g.cap {
+		g.cap = c
+		g.grows++
+	}
+	g.peak = max(g.peak, len(g.env.Idle()))
+}
+
+// TestQueueKeepsCapacity pins that started jobs leave the driver's
+// queue in place: on a loaded 10k-job CTC run, with and without processor
 // failures, the queue reallocates only as its length reaches new
 // peaks, a number of times logarithmic in the peak length, not every
 // time it drains and refills.

@@ -16,11 +16,13 @@ import (
 
 // refSched is EASY as it was before the one-pass scan: every hook runs
 // refSchedule, which goes back to the head after each backfill start and
-// rescans the queue from index 1. It keeps no widths and reads each
-// job's width from the job, so a widths slice out of step with the
-// queue shows as a difference too.
+// rescans the queue from index 1. It keeps a queue of its own in
+// (submit, ID) order instead of reading the driver's, and reads each
+// job's width from the job, so a driver queue out of order or widths
+// out of step with it show as a difference too.
 type refSched struct {
 	*Sched
+	queue []*job.Job
 	// resumes counts the rescans after a backfill start that met the
 	// head's reservation at the same shadow time with no more extra
 	// processors, so a one-pass scan may go on where it stopped;
@@ -29,7 +31,7 @@ type refSched struct {
 }
 
 func (r *refSched) OnArrival(j *job.Job) {
-	r.queue = append(r.queue, j)
+	r.queue = insertBySubmit(r.queue, j)
 	r.refSchedule()
 }
 
@@ -42,13 +44,24 @@ func (r *refSched) OnFailure(p int, requeued []*job.Job) {
 	for _, j := range requeued {
 		r.running.Remove(j, j.ProjectedEnd())
 		if !slices.Contains(r.queue, j) {
-			r.queue = sched.InsertBySubmit(r.queue, j)
+			r.queue = insertBySubmit(r.queue, j)
 		}
 	}
 	r.refSchedule()
 }
 
 func (r *refSched) OnRepair(int) { r.refSchedule() }
+
+// insertBySubmit inserts j into queue before the first job that comes
+// after it in (submit time, ID) order.
+func insertBySubmit(queue []*job.Job, j *job.Job) []*job.Job {
+	i := 0
+	for i < len(queue) && (queue[i].SubmitTime < j.SubmitTime ||
+		queue[i].SubmitTime == j.SubmitTime && queue[i].ID < j.ID) {
+		i++
+	}
+	return slices.Insert(queue, i, j)
+}
 
 // refSchedule starts queue heads while they fit, then backfills the
 // first eligible job and recomputes everything.
@@ -96,12 +109,13 @@ type hookRecord struct {
 	digest  uint64
 }
 
-// recorder wraps a scheduler whose state is s and records a hookRecord
-// after every hook that schedules.
+// recorder wraps a scheduler whose release list is s's and whose queue
+// is queue's, and records a hookRecord after every hook that schedules.
 type recorder struct {
 	sched.Scheduler
-	s   *Sched
-	log []hookRecord
+	s     *Sched
+	queue func() []*job.Job
+	log   []hookRecord
 }
 
 func (r *recorder) OnArrival(j *job.Job)    { r.Scheduler.OnArrival(j); r.record("arrival") }
@@ -114,7 +128,8 @@ func (r *recorder) OnFailure(p int, requeued []*job.Job) {
 
 func (r *recorder) record(hook string) {
 	h := fnv.New64a()
-	for _, j := range r.s.queue {
+	queue := r.queue()
+	for _, j := range queue {
 		fmt.Fprint(h, j.ID, " ")
 	}
 	fmt.Fprint(h, "| ")
@@ -124,7 +139,7 @@ func (r *recorder) record(hook string) {
 	}
 	r.log = append(r.log, hookRecord{
 		now: r.s.env.Now(), hook: hook,
-		queued: len(r.s.queue), running: r.s.running.Len(), digest: h.Sum64(),
+		queued: len(queue), running: r.s.running.Len(), digest: h.Sum64(),
 	})
 }
 
@@ -133,8 +148,8 @@ func (r *recorder) record(hook string) {
 // returns the reference, whose counts say which rescans the trace made.
 func comparePasses(t testing.TB, tr *workload.Trace, opt sched.Options) *refSched {
 	t.Helper()
-	run := func(s sched.Scheduler, inner *Sched) []hookRecord {
-		rec := &recorder{Scheduler: s, s: inner}
+	run := func(s sched.Scheduler, inner *Sched, queue func() []*job.Job) []hookRecord {
+		rec := &recorder{Scheduler: s, s: inner, queue: queue}
 		_, err := sched.RunChecked(tr, rec, opt)
 		if errors.Is(err, sim.ErrMaxSteps) {
 			t.Fatalf("run did not finish within %d steps", opt.MaxSteps)
@@ -145,9 +160,9 @@ func comparePasses(t testing.TB, tr *workload.Trace, opt sched.Options) *refSche
 		return rec.log
 	}
 	s := New()
-	got := run(s, s)
+	got := run(s, s, func() []*job.Job { return s.env.Idle() })
 	ref := &refSched{Sched: New()}
-	want := run(ref, ref.Sched)
+	want := run(ref, ref.Sched, func() []*job.Job { return ref.queue })
 	for i := range min(len(got), len(want)) {
 		if got[i] != want[i] {
 			t.Fatalf("hook %d differs:\n one pass:  %+v\n reference: %+v", i, got[i], want[i])

@@ -26,3 +26,7 @@ func PendingJobs(e *Env) []*job.Job {
 	}
 	return jobs
 }
+
+// IdleWidths returns the widths array the driver keeps in step with
+// its wait queue.
+func IdleWidths(e *Env) []int32 { return e.idle.widths }

@@ -9,10 +9,10 @@ import (
 	"pjs/internal/sched"
 )
 
-// Sched is the FCFS policy.
+// Sched is the FCFS policy. It serves the driver's wait queue
+// (sched.Env.Idle), which is in FCFS order.
 type Sched struct {
-	env   *sched.Env
-	queue []*job.Job
+	env *sched.Env
 }
 
 // New returns an FCFS scheduler.
@@ -28,10 +28,7 @@ func (s *Sched) Init(env *sched.Env) { s.env = env }
 func (s *Sched) TickInterval() int64 { return 0 }
 
 // OnArrival implements sched.Scheduler.
-func (s *Sched) OnArrival(j *job.Job) {
-	s.queue = append(s.queue, j)
-	s.tryStart()
-}
+func (s *Sched) OnArrival(*job.Job) { s.tryStart() }
 
 // OnCompletion implements sched.Scheduler.
 func (s *Sched) OnCompletion(*job.Job) { s.tryStart() }
@@ -42,24 +39,22 @@ func (s *Sched) OnSuspendDone(*job.Job) {}
 // OnTick implements sched.Scheduler.
 func (s *Sched) OnTick() {}
 
-// OnFailure implements sched.Scheduler: displaced jobs rejoin the queue
-// at their submission-order position (FCFS has no other state to fix)
-// and the head is retried against the surviving machine.
-func (s *Sched) OnFailure(p int, requeued []*job.Job) {
-	for _, j := range requeued {
-		s.queue = sched.InsertBySubmit(s.queue, j)
-	}
-	s.tryStart()
-}
+// OnFailure implements sched.Scheduler: the displaced jobs are back in
+// the queue (FCFS has no state of its own to fix), and the head is
+// retried against the surviving machine.
+func (s *Sched) OnFailure(int, []*job.Job) { s.tryStart() }
 
 // OnRepair implements sched.Scheduler: recovered capacity may unblock
 // the head of the queue.
 func (s *Sched) OnRepair(int) { s.tryStart() }
 
-// tryStart launches jobs strictly in arrival order until the head no
+// tryStart launches jobs strictly in queue order until the head no
 // longer fits.
 func (s *Sched) tryStart() {
-	for len(s.queue) > 0 && s.env.StartFresh(s.queue[0]) {
-		s.queue = s.queue[1:]
+	for {
+		q := s.env.Idle()
+		if len(q) == 0 || !s.env.StartFresh(q[0]) {
+			return
+		}
 	}
 }

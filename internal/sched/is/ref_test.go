@@ -40,7 +40,7 @@ func (r *refIS) OnArrival(j *job.Job) {
 }
 
 func (r *refIS) OnCompletion(j *job.Job) {
-	r.running = sched.Remove(r.running, j)
+	r.running = remove(r.running, j)
 	delete(r.sliceEnd, j.ID)
 	r.refSchedule()
 }
@@ -52,7 +52,7 @@ func (r *refIS) OnSuspendDone(j *job.Job) {
 
 func (r *refIS) OnFailure(p int, requeued []*job.Job) {
 	for _, j := range requeued {
-		r.running = sched.Remove(r.running, j)
+		r.running = remove(r.running, j)
 		delete(r.sliceEnd, j.ID)
 		if !slices.Contains(r.queue, j) {
 			r.queue = append(r.queue, j)
@@ -94,7 +94,7 @@ func (r *refIS) refSchedule() {
 // started moves j, which the pass just launched or committed, from the
 // queue to the running list.
 func (r *refIS) started(j *job.Job, now int64) {
-	r.queue = sched.Remove(r.queue, j)
+	r.queue = remove(r.queue, j)
 	r.running = append(r.running, j)
 	r.markStarted(j, now)
 }
@@ -132,7 +132,7 @@ func (r *refIS) tryImmediate(j *job.Job, now int64) {
 			}
 			claim = append(claim, p)
 		}
-		r.running = sched.Remove(r.running, v)
+		r.running = remove(r.running, v)
 		delete(r.sliceEnd, v.ID)
 	}
 	r.env.PreemptAndStart(j, victims, claim)
@@ -362,4 +362,14 @@ func FuzzISPass(f *testing.F) {
 		}
 		compareIS(t, tr, opt)
 	})
+}
+
+// remove deletes j from list, keeping the order of the rest; a job not
+// in list leaves it unchanged. The reference keeps its own lists and
+// this helper rather than reading the driver's.
+func remove(list []*job.Job, j *job.Job) []*job.Job {
+	if i := slices.Index(list, j); i >= 0 {
+		return slices.Delete(list, i, i+1)
+	}
+	return list
 }

@@ -29,15 +29,17 @@ import (
 	"pjs/internal/workload"
 )
 
-// Snapshot is a watermark of deterministic run progress, handed to
-// CheckpointConfig.Save. Events is the number of engine events
-// processed; AuditHash/AuditEntries fingerprint the audit-action
-// prefix emitted so far; Now is the virtual clock, for diagnostics.
+// Snapshot is a watermark of deterministic run progress: handed to
+// CheckpointConfig.Save, taken back as Options.Resume, and embedded in
+// the checkpoint file, whose field names the JSON tags are. Events is
+// the number of engine events processed; AuditHash/AuditEntries
+// fingerprint the audit-action prefix emitted so far; Now is the
+// virtual clock, for diagnostics only — resume does not check it.
 type Snapshot struct {
-	Events       int64
-	Now          int64
-	AuditHash    uint64
-	AuditEntries int64
+	Events       int64  `json:"events"`
+	Now          int64  `json:"now"`
+	AuditHash    uint64 `json:"audit_hash"`
+	AuditEntries int64  `json:"audit_entries"`
 }
 
 // CheckpointConfig enables periodic checkpointing: Save is called with
@@ -48,15 +50,6 @@ type Snapshot struct {
 type CheckpointConfig struct {
 	Every int64
 	Save  func(Snapshot) error
-}
-
-// ResumeSpec asks RunContext to fast-forward to a previous run's
-// watermark before un-muting observers and continuing. The fields come
-// from a Snapshot the previous run saved.
-type ResumeSpec struct {
-	Events       int64
-	AuditHash    uint64
-	AuditEntries int64
 }
 
 // Lifecycle failure modes, matchable with errors.Is.

@@ -67,7 +67,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			Audit:    true,
 			Overhead: overhead.Disk{},
 			Observer: resObs,
-			Resume:   &sched.ResumeSpec{Events: snap.Events, AuditHash: snap.AuditHash, AuditEntries: snap.AuditEntries},
+			Resume:   &snap,
 		})
 		if err != nil {
 			t.Fatalf("resume from event %d: %v", snap.Events, err)
@@ -109,7 +109,7 @@ func TestResumeRejectsWrongHash(t *testing.T) {
 	bad := snaps[0]
 	bad.AuditHash ^= 1 // a stale or foreign checkpoint hashes differently
 	_, err = sched.RunChecked(tr, newSS(), sched.Options{
-		Resume: &sched.ResumeSpec{Events: bad.Events, AuditHash: bad.AuditHash, AuditEntries: bad.AuditEntries},
+		Resume: &bad,
 	})
 	if !errors.Is(err, sched.ErrCheckpointMismatch) {
 		t.Fatalf("corrupted watermark hash: err = %v, want ErrCheckpointMismatch", err)
@@ -119,7 +119,7 @@ func TestResumeRejectsWrongHash(t *testing.T) {
 func TestResumeRejectsWatermarkBeyondEnd(t *testing.T) {
 	tr := lifecycleTrace(20)
 	_, err := sched.RunChecked(tr, newSS(), sched.Options{
-		Resume: &sched.ResumeSpec{Events: 1 << 40},
+		Resume: &sched.Snapshot{Events: 1 << 40},
 	})
 	if !errors.Is(err, sched.ErrCheckpointMismatch) {
 		t.Fatalf("watermark beyond run end: err = %v, want ErrCheckpointMismatch", err)

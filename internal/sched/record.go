@@ -136,7 +136,7 @@ func (e *Env) record(ev Event) {
 		// The census scan for the max queued xfactor — over the idle
 		// jobs and the pending starts in state Queued — runs only when a
 		// sink is attached.
-		for _, q := range e.idle {
+		for _, q := range e.idle.jobs {
 			ev.MaxQueuedXFactor = maxQueuedXFactor(ev.MaxQueuedXFactor, q, ev.Time)
 		}
 		for _, p := range e.pending {

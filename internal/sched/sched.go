@@ -54,14 +54,12 @@ type Scheduler interface {
 	// requeued lists every job the failure displaced, in deterministic
 	// order; each is Queued (restart from scratch) except aborted
 	// pending resumes whose image survives elsewhere, which stay
-	// Suspended. The driver has already moved them into Env.Idle, so a
-	// policy that decides from Env.Idle and Env.Running (SS, IS) only
-	// forgets what it keeps per job and reschedules. A policy that keeps
-	// its own order of waiting jobs (FCFS, EASY, depth-limited,
-	// speculative, conservative, gang) must take the jobs back into it;
-	// treating them like fresh arrivals is the correct default. The
-	// slice is the driver's reused buffer, valid only during the call: a
-	// policy that keeps the jobs copies them out.
+	// Suspended. The driver has already put them back into Env.Idle at
+	// their FCFS places, so the policy only forgets what it keeps per
+	// job (a release list, a protected slice) and reschedules against
+	// the surviving machine. The slice is the driver's reused buffer,
+	// valid only during the call: a policy that keeps the jobs copies
+	// them out.
 	OnFailure(p int, requeued []*job.Job)
 	// OnRepair is called after processor p returned to service, so the
 	// policy can schedule onto the recovered capacity.
@@ -70,8 +68,9 @@ type Scheduler interface {
 
 // IgnoreFailures is an embeddable no-op implementation of the failure
 // hooks for policies and test schedulers that never run under a fault
-// model. Embedding it under fault injection silently drops displaced
-// jobs — only use it when Options.Faults is unset.
+// model. The displaced jobs are idle again, but nothing starts them
+// until the policy's next event — only use it when Options.Faults is
+// unset.
 type IgnoreFailures struct{}
 
 // OnFailure implements Scheduler by ignoring the failure.
@@ -117,9 +116,9 @@ type Options struct {
 	// Checkpoint enables periodic watermark checkpointing (see
 	// lifecycle.go); nil disables it at zero cost.
 	Checkpoint *CheckpointConfig
-	// Resume fast-forwards the run to a previously saved watermark,
+	// Resume fast-forwards the run to a watermark a previous run saved,
 	// verifying the audit-prefix hash there; nil runs from the start.
-	Resume *ResumeSpec
+	Resume *Snapshot
 }
 
 // Result is the outcome of one simulation run.
@@ -234,14 +233,15 @@ type Env struct {
 	// from one failure to the next.
 	requeued []*job.Job
 
-	// The two sets the policies decide from (Running, Idle), updated
+	// The two lists the policies decide from (Running, Idle), updated
 	// where a job changes state. running holds the jobs in state
-	// Running; idle holds the arrived jobs that hold neither processors
-	// nor a claim: Queued or Suspended, and not a pending start.
-	// nQueued counts the arrived jobs in state Queued, pending starts
-	// included; nSuspended counts Suspending and Suspended. The counts
-	// feed observer snapshots and the postmortem.
-	running, idle       jobList
+	// Running; idle is the wait queue, the arrived jobs that hold
+	// neither processors nor a claim: Queued or Suspended, and not a
+	// pending start. nQueued counts the arrived jobs in state Queued,
+	// pending starts included; nSuspended counts Suspending and
+	// Suspended. The counts feed observer snapshots and the postmortem.
+	running             jobList
+	idle                waitQueue
 	nQueued, nSuspended int
 
 	// Snapshot of the busy-time integral at the most recent arrival,
@@ -256,7 +256,7 @@ type Env struct {
 	hashOn      bool
 	hash        uint64
 	hashEntries int64
-	resume      *ResumeSpec
+	resume      *Snapshot
 	resumeDone  bool
 	obsSaved    Observer
 }
@@ -280,18 +280,99 @@ func (e *Env) Now() int64 { return e.engine.Now() }
 // the slice walks a copy.
 func (e *Env) Running() []*job.Job { return e.running }
 
-// Idle returns the arrived jobs that hold neither processors nor a
-// claim — Queued, or Suspended and not a pending start — in no
-// particular order. The slice stays valid as long as Running's does.
-func (e *Env) Idle() []*job.Job { return e.idle }
+// Idle returns the wait queue: the arrived jobs that hold neither
+// processors nor a claim — Queued, or Suspended and not a pending start
+// — in FCFS order, ascending (SubmitTime, ID). A job displaced by a
+// kill, a failure or a suspension goes back to its submission-order
+// place. The slice stays valid as long as Running's does; a policy that
+// serves waiting jobs in an order of its own sorts a copy.
+func (e *Env) Idle() []*job.Job { return e.idle.jobs }
 
-// jobList is a set of jobs in no particular order. Each member's Slot
-// holds its index, so add and remove are O(1): remove moves the last
-// member into the leaver's place. A job is in at most one list at a
-// time; its Slot is -1 while it is in none.
+// Fitting returns the index of the first job of Idle from index i on
+// that is at most free processors wide, or len(Idle()). It reads a
+// widths array kept in step with the queue, so a backfill scan passes
+// over the jobs wider than the free processors, on a loaded machine
+// most of the queue, without loading them.
+func (e *Env) Fitting(i, free int) int {
+	w := e.idle.widths
+	for i < len(w) && int(w[i]) > free {
+		i++
+	}
+	return i
+}
+
+// waitQueue is the driver's idle list in FCFS order: jobs ascending in
+// (SubmitTime, ID), which is a strict order because the IDs of a run are
+// unique, so a binary search on that key finds any member. widths[i] is
+// jobs[i].Procs.
+type waitQueue struct {
+	jobs   []*job.Job
+	widths []int32
+}
+
+// before reports whether a comes before b in FCFS order.
+func before(a, b *job.Job) bool {
+	return a.SubmitTime < b.SubmitTime || a.SubmitTime == b.SubmitTime && a.ID < b.ID
+}
+
+// search returns the index of the first member that j does not come
+// after: j's index if it is a member, its place otherwise.
+func (q *waitQueue) search(j *job.Job) int {
+	lo, hi := 0, len(q.jobs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if before(q.jobs[mid], j) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// insert puts j, which is not a member, at its place. Arrivals come in
+// submission order, so an arriving job goes after the tail; a job
+// displaced back into the queue is searched for.
+func (q *waitQueue) insert(j *job.Job) {
+	i := len(q.jobs)
+	if i > 0 && before(j, q.jobs[i-1]) {
+		i = q.search(j)
+	}
+	q.jobs = slices.Insert(q.jobs, i, j)
+	q.widths = slices.Insert(q.widths, i, int32(j.Procs))
+}
+
+// index returns member j's index, or -1 when j is not a member.
+func (q *waitQueue) index(j *job.Job) int {
+	if i := q.search(j); i < len(q.jobs) && q.jobs[i] == j {
+		return i
+	}
+	return -1
+}
+
+// remove takes j out of the queue, which keeps its order; j must be a
+// member.
+func (q *waitQueue) remove(j *job.Job) {
+	i := q.index(j)
+	if i < 0 {
+		panic(fmt.Sprintf("sched: %v is not idle", j))
+	}
+	q.delete(i)
+}
+
+// delete removes the member at index i.
+func (q *waitQueue) delete(i int) {
+	q.jobs = slices.Delete(q.jobs, i, i+1)
+	q.widths = slices.Delete(q.widths, i, i+1)
+}
+
+// jobList is the running list, a set of jobs in no particular order.
+// Each member's Slot holds its index, so add and remove are O(1):
+// remove moves the last member into the leaver's place. A job's Slot is
+// -1 while it is not a member.
 type jobList []*job.Job
 
-// add appends j, which is in no list, to l.
+// add appends j, which is not a member, to l.
 func (l *jobList) add(j *job.Job) {
 	j.Slot = int32(len(*l))
 	*l = append(*l, j)
@@ -342,8 +423,8 @@ func (e *Env) StartFresh(j *job.Job) bool {
 	if e.Cluster.FreeUnclaimed() < j.Procs {
 		return false
 	}
-	procs := e.Cluster.AllocFree(e.Now(), j.ID, j.Procs)
-	j.ProcSet = procs
+	e.idle.remove(j)
+	j.ProcSet = e.Cluster.AllocFree(e.Now(), j.ID, j.Procs)
 	e.dispatch(j, 0)
 	return true
 }
@@ -358,6 +439,7 @@ func (e *Env) Resume(j *job.Job) bool {
 	if !e.Cluster.SetFree(j.ID, j.ProcSet) {
 		return false
 	}
+	e.idle.remove(j)
 	e.Cluster.AllocSet(e.Now(), j.ID, j.ProcSet)
 	e.dispatch(j, e.Overhead.ReadTime(j))
 	return true
@@ -374,15 +456,17 @@ func (e *Env) ResumeAnywhere(j *job.Job) bool {
 	if e.Cluster.FreeUnclaimed() < j.Procs {
 		return false
 	}
+	e.idle.remove(j)
 	j.ProcSet = e.Cluster.AllocFree(e.Now(), j.ID, j.Procs)
 	e.dispatch(j, e.Overhead.ReadTime(j))
 	return true
 }
 
-// dispatch records the (re)start, schedules completion and audits.
-// Under transient I/O faults a resume's restart read becomes its own
-// ReadDone event so the read can fail and be retried; without them the
-// read is folded into the completion time exactly as before.
+// dispatch records the (re)start of j, which has left the idle list
+// (a pending start left it at its commit), schedules completion and
+// audits. Under transient I/O faults a resume's restart read becomes
+// its own ReadDone event so the read can fail and be retried; without
+// them the read is folded into the completion time exactly as before.
 func (e *Env) dispatch(j *job.Job, readOH int64) {
 	wasSuspended := j.State == job.Suspended
 	done := j.Dispatch(e.Now(), readOH)
@@ -396,9 +480,6 @@ func (e *Env) dispatch(j *job.Job, readOH int64) {
 		e.nSuspended--
 	} else {
 		e.nQueued--
-	}
-	if j.Slot >= 0 {
-		e.idle.remove(j) // a pending start left the idle list at its commit
 	}
 	e.running.add(j)
 	// A dispatch out of Suspended is a resume; out of Queued it is a
@@ -421,13 +502,14 @@ func (e *Env) PreemptAndStart(j *job.Job, victims []*job.Job, claim []int) {
 	if len(claim) != j.Procs {
 		panic(fmt.Sprintf("sched: claim of %d processors for %v", len(claim), j))
 	}
-	if j.State != job.Queued && j.State != job.Suspended || j.Slot < 0 {
+	at := e.idle.index(j)
+	if at < 0 {
 		panic(fmt.Sprintf("sched: PreemptAndStart on %v, which is not idle", j))
 	}
 	for _, v := range victims {
 		e.beginSuspend(v)
 	}
-	e.idle.remove(j)
+	e.idle.delete(at)
 	e.Cluster.Claim(j.ID, claim)
 	e.pending = append(e.pending, &pendingStart{j: j, claim: claim})
 	e.activatePending()
@@ -435,7 +517,7 @@ func (e *Env) PreemptAndStart(j *job.Job, victims []*job.Job, claim []int) {
 
 // Kill aborts running job j, releasing its processors immediately and
 // discarding all of its work (speculative backfilling's failed gamble).
-// The caller is responsible for requeueing the job.
+// The job goes back to its place in the wait queue.
 func (e *Env) Kill(j *job.Job) {
 	if j.State != job.Running {
 		panic(fmt.Sprintf("sched: Kill on %v", j))
@@ -445,7 +527,7 @@ func (e *Env) Kill(j *job.Job) {
 	e.Cluster.Release(e.Now(), j.ID, set)
 	e.running.remove(j)
 	e.nQueued++
-	e.idle.add(j)
+	e.idle.insert(j)
 	e.record(jobEvent(ActKill, j, set))
 	e.activatePending()
 }
@@ -526,7 +608,7 @@ func (e *Env) arrive(j *job.Job) {
 	e.lastArrival = e.Now()
 	e.busyAtLastArrival = e.Cluster.BusyIntegral(e.Now())
 	e.nQueued++
-	e.idle.add(j)
+	e.idle.insert(j)
 	e.record(jobEvent(ActArrive, j, nil))
 	e.sched.OnArrival(j)
 }
@@ -559,7 +641,7 @@ func (e *Env) suspendDone(j *job.Job) {
 	}
 	j.SuspendDone()
 	e.Cluster.Release(e.Now(), j.ID, j.ProcSet)
-	e.idle.add(j)
+	e.idle.insert(j)
 	e.record(jobEvent(ActSuspendDone, j, j.ProcSet))
 	e.activatePending()
 	e.sched.OnSuspendDone(j)
@@ -643,7 +725,7 @@ func (e *Env) failKill(j *job.Job) {
 		e.running.remove(j)
 	}
 	e.nQueued++
-	e.idle.add(j)
+	e.idle.insert(j)
 	ev := jobEvent(ActKill, j, set)
 	ev.LostWork = lost
 	e.record(ev)
@@ -711,7 +793,7 @@ func (e *Env) procFail(p int) {
 			continue
 		}
 		e.Cluster.Unclaim(ps.j.ID, ps.claim)
-		e.idle.add(ps.j)
+		e.idle.insert(ps.j)
 		requeued = append(requeued, ps.j)
 	}
 	e.pending = kept
@@ -828,34 +910,4 @@ func (e *Env) tick() {
 // comparison.
 func OrderByXFactor(ord *job.Order, jobs []*job.Job, now int64) {
 	ord.Sort(jobs, func(j *job.Job) (float64, int64) { return -j.XFactor(now), j.SubmitTime })
-}
-
-// InsertBySubmit inserts j into queue at SubmitIndex and returns the
-// grown slice.
-func InsertBySubmit(queue []*job.Job, j *job.Job) []*job.Job {
-	return slices.Insert(queue, SubmitIndex(queue, j), j)
-}
-
-// SubmitIndex returns the position of the first job in queue that comes
-// after j in (submit time, ID) order, or len(queue). It scans from the
-// head, so a queue that keeps arrivals in delivery order keeps that
-// order even where same-submit IDs arrived out of order.
-func SubmitIndex(queue []*job.Job, j *job.Job) int {
-	for i, q := range queue {
-		if j.SubmitTime < q.SubmitTime || (j.SubmitTime == q.SubmitTime && j.ID < q.ID) {
-			return i
-		}
-	}
-	return len(queue)
-}
-
-// Remove deletes j from queue, preserving order, and returns the
-// shortened slice.
-func Remove(queue []*job.Job, j *job.Job) []*job.Job {
-	for i, q := range queue {
-		if q == j {
-			return append(queue[:i], queue[i+1:]...)
-		}
-	}
-	return queue
 }

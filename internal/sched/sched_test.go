@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"pjs"
 	"pjs/internal/check"
 	"pjs/internal/job"
 	"pjs/internal/overhead"
@@ -200,49 +201,40 @@ func TestSortByXFactorTieBreak(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	a := job.New(1, 0, 1, 1, 1)
-	b := job.New(2, 0, 1, 1, 1)
-	c := job.New(3, 0, 1, 1, 1)
-	q := []*job.Job{a, b, c}
-	q = sched.Remove(q, b)
-	if len(q) != 2 || q[0] != a || q[1] != c {
-		t.Errorf("Remove broke order: %v", q)
+// TestEqualSubmitServedInIDOrder runs a trace that lists two jobs with
+// the same submit time out of ID order: on a 4-processor machine job 10
+// runs until t = 100, and jobs 3 and 2, both submitted at t = 1, each
+// need the whole machine. The policies that serve the driver's wait
+// queue start job 2 first, because the queue is in (submit, ID) order;
+// conservative backfilling reserves at arrival, in trace order, and so
+// anchors job 3 first.
+func TestEqualSubmitServedInIDOrder(t *testing.T) {
+	const swf = "10 0 0 100 4 -1 -1 4 100 -1 1 1 1 -1 1 -1 -1 -1\n" +
+		"3 1 0 100 4 -1 -1 4 100 -1 1 1 1 -1 1 -1 -1 -1\n" +
+		"2 1 0 50 4 -1 -1 4 50 -1 1 1 1 -1 1 -1 -1 -1\n"
+	tr, err := workload.ReadSWF(strings.NewReader(swf), "equal-submit")
+	if err != nil {
+		t.Fatal(err)
 	}
-	q = sched.Remove(q, b) // not present: no-op
-	if len(q) != 2 {
-		t.Error("Remove of absent job changed the queue")
-	}
-}
-
-// TestInsertBySubmit: a job goes before the first queued job that
-// follows it in (submit, ID) order, scanning from the head — so an
-// out-of-order run of same-submit arrivals ahead of it is left alone.
-func TestInsertBySubmit(t *testing.T) {
-	j := func(id int, submit int64) *job.Job { return job.New(id, submit, 1, 1, 1) }
-	ids := func(q []*job.Job) []int {
-		out := make([]int, len(q))
-		for i, x := range q {
-			out[i] = x.ID
-		}
-		return out
-	}
-	cases := []struct {
-		name  string
-		queue []*job.Job
-		add   *job.Job
-		want  []int
+	for _, c := range []struct {
+		spec  string
+		first int
 	}{
-		{"empty", nil, j(1, 0), []int{1}},
-		{"tail", []*job.Job{j(1, 0), j(2, 5)}, j(3, 9), []int{1, 2, 3}},
-		{"head", []*job.Job{j(1, 5), j(2, 9)}, j(3, 0), []int{3, 1, 2}},
-		{"submit before ID", []*job.Job{j(1, 0), j(2, 5)}, j(9, 3), []int{1, 9, 2}},
-		{"ID breaks submit ties", []*job.Job{j(1, 5), j(4, 5)}, j(3, 5), []int{1, 3, 4}},
-		{"first later job wins", []*job.Job{j(5, 0), j(2, 0), j(7, 0)}, j(4, 0), []int{4, 5, 2, 7}},
-	}
-	for _, c := range cases {
-		if got := ids(sched.InsertBySubmit(c.queue, c.add)); fmt.Sprint(got) != fmt.Sprint(c.want) {
-			t.Errorf("%s: queue %v, want %v", c.name, got, c.want)
+		{"fcfs", 2}, {"ns", 2}, {"depth:1", 2}, {"spec", 2}, {"conservative", 3},
+	} {
+		s, err := pjs.NewScheduler(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := sched.Run(tr, s, sched.Options{})
+		starts := map[int]int64{}
+		for _, j := range res.Jobs {
+			starts[j.ID] = j.FirstStart
+		}
+		second := 5 - c.first // the other of jobs 2 and 3
+		if starts[c.first] != 100 || starts[second] <= 100 {
+			t.Errorf("%s starts job 2 at %d and job 3 at %d, want job %d first at 100",
+				c.spec, starts[2], starts[3], c.first)
 		}
 	}
 }

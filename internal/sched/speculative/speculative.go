@@ -32,11 +32,11 @@ type Config struct {
 // only scheduled conventionally.
 const MaxKills = 2
 
-// Sched is the speculative-backfilling policy.
+// Sched is the speculative-backfilling policy. It serves the driver's
+// wait queue (sched.Env.Idle), which is in FCFS order.
 type Sched struct {
-	env   *sched.Env
-	cfg   Config
-	queue []*job.Job
+	env *sched.Env
+	cfg Config
 	// gambles holds the running speculative starts in start order, the
 	// order in which enforceDeadlines kills expired ones; each kill is
 	// an audit entry, so this order cannot become the release order of
@@ -76,10 +76,7 @@ func (s *Sched) Init(env *sched.Env) { s.env = env }
 func (s *Sched) TickInterval() int64 { return 60 }
 
 // OnArrival implements sched.Scheduler.
-func (s *Sched) OnArrival(j *job.Job) {
-	s.queue = sched.InsertBySubmit(s.queue, j)
-	s.schedule()
-}
+func (s *Sched) OnArrival(*job.Job) { s.schedule() }
 
 // OnCompletion implements sched.Scheduler.
 func (s *Sched) OnCompletion(j *job.Job) {
@@ -96,16 +93,14 @@ func (s *Sched) OnTick() {
 	s.schedule()
 }
 
-// OnFailure implements sched.Scheduler: a failure-killed job rejoins
-// the queue at its submission-order position; any speculative deadline
-// dies with the run (the kill was the machine's, not a lost gamble —
-// Kills is not charged, see Env.procFail). Every displaced job was
-// running (this policy never suspends), so none of them is queued
-// already.
+// OnFailure implements sched.Scheduler: a failure-killed job leaves
+// the release list, and any speculative deadline dies with the run (the
+// kill was the machine's, not a lost gamble — Kills is not charged, see
+// Env.procFail). Every displaced job was running (this policy never
+// suspends).
 func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 	for _, j := range requeued {
 		s.stop(j)
-		s.queue = sched.InsertBySubmit(s.queue, j)
 	}
 	s.schedule()
 }
@@ -117,7 +112,7 @@ func (s *Sched) OnRepair(int) { s.schedule() }
 // enforceDeadlines kills speculative runs that outlived their hole while
 // the queue head is still waiting for processors.
 func (s *Sched) enforceDeadlines() {
-	if len(s.queue) == 0 {
+	if len(s.env.Idle()) == 0 {
 		return // nobody is delayed; let the gamble ride
 	}
 	now := s.env.Now()
@@ -127,7 +122,6 @@ func (s *Sched) enforceDeadlines() {
 		}
 		s.env.Kill(g.j)
 		s.stop(g.j)
-		s.queue = sched.InsertBySubmit(s.queue, g.j)
 	}
 }
 
@@ -136,7 +130,6 @@ func (s *Sched) start(j *job.Job, specDeadline int64) bool {
 	if !s.env.StartFresh(j) {
 		return false
 	}
-	s.queue = sched.Remove(s.queue, j)
 	if specDeadline > 0 {
 		s.gambles = append(s.gambles, gamble{j: j, deadline: specDeadline})
 	}
@@ -175,20 +168,20 @@ func (s *Sched) releaseEnd(j *job.Job) int64 {
 // schedule is EASY backfilling plus the speculative rule.
 func (s *Sched) schedule() {
 	for {
-		for len(s.queue) > 0 && s.start(s.queue[0], 0) {
+		queue := s.env.Idle()
+		for len(queue) > 0 && s.start(queue[0], 0) {
+			queue = s.env.Idle()
 		}
-		if len(s.queue) == 0 {
+		if len(queue) == 0 {
 			return
 		}
 		// The head's reservation, as in EASY.
-		shadow, extra := s.rels.Shadow(s.env.Cluster.FreeUnclaimed(), s.queue[0].Procs)
+		free := s.env.Cluster.FreeUnclaimed()
+		shadow, extra := s.rels.Shadow(free, queue[0].Procs)
 		now := s.env.Now()
 		started := false
-		for i := 1; i < len(s.queue); i++ {
-			j := s.queue[i]
-			if j.Procs > s.env.Cluster.FreeUnclaimed() {
-				continue
-			}
+		for i := s.env.Fitting(1, free); i < len(queue); i = s.env.Fitting(i+1, free) {
+			j := queue[i]
 			// Conventional EASY legality.
 			if now+j.Estimate <= shadow || j.Procs <= extra {
 				if s.start(j, 0) {

@@ -112,9 +112,9 @@ func (m *passMaximal) checkPass(now int64) {
 			m.fresh++
 		}
 		for _, v := range victims {
-			m.running = sched.Remove(m.running, v)
+			m.running = remove(m.running, v)
 		}
-		m.queue = sched.Remove(m.queue, j)
+		m.queue = remove(m.queue, j)
 		m.running = append(m.running, j)
 		m.commit(j, victims, claim)
 	}
@@ -162,7 +162,7 @@ func (m *passMaximal) OnArrival(j *job.Job) {
 }
 
 func (m *passMaximal) OnCompletion(j *job.Job) {
-	m.running = sched.Remove(m.running, j)
+	m.running = remove(m.running, j)
 	m.Sched.OnCompletion(j)
 	m.check("completion")
 }
@@ -177,7 +177,7 @@ func (m *passMaximal) OnRepair(p int) { m.Sched.OnRepair(p); m.check("repair") }
 
 func (m *passMaximal) OnFailure(p int, requeued []*job.Job) {
 	for _, j := range requeued {
-		m.running = sched.Remove(m.running, j)
+		m.running = remove(m.running, j)
 		if !slices.Contains(m.queue, j) {
 			m.queue = append(m.queue, j)
 		}
@@ -348,4 +348,14 @@ func FuzzPassMaximal(f *testing.F) {
 			t.Fatalf("audit log: %v", err)
 		}
 	})
+}
+
+// remove deletes j from list, keeping the order of the rest; a job not
+// in list leaves it unchanged. The reference keeps its own lists and
+// this helper rather than reading the driver's.
+func remove(list []*job.Job, j *job.Job) []*job.Job {
+	if i := slices.Index(list, j); i >= 0 {
+		return slices.Delete(list, i, i+1)
+	}
+	return list
 }
