@@ -766,6 +766,14 @@ func (e *Env) SetIOHealthy(set []int) bool {
 	return e.health == nil || e.health.Healthy(set)
 }
 
+// IOHealthFlips returns how many times a processor has crossed the
+// transient-I/O degradation threshold or been restored, so far in the
+// run: SetIOHealthy can answer differently for some set only after it
+// moved. It reads the tally, so it costs nothing to keep.
+func (e *Env) IOHealthFlips() int {
+	return e.tally.IODegradations + e.tally.IORestores
+}
+
 // procFail takes processor p down. The driver performs the mechanical
 // fallout in a fixed order before the policy reacts — (1) the cluster
 // marks p down, (2) pending preemptive starts claiming p are aborted,

@@ -18,9 +18,10 @@ import (
 //     holder when that holder is Running, suspendable and I/O-healthy,
 //     +Inf for any other holder, a Suspending owner or a claim;
 //   - the reentry need of each suspended idle job: the largest block
-//     value over its remembered set, -1 when the whole set is free;
-//   - the victims: the suspendable, I/O-healthy Running jobs, whose
-//     prefixes in ascending xfactor the fresh jobs need.
+//     value over its remembered set, -1 when the whole set is free, and
+//     the instant its xfactor crosses SF times that need;
+//   - the victims: the suspendable, I/O-healthy Running jobs, in
+//     ascending (xfactor, ID) order, whose prefixes the fresh jobs need.
 //
 // The preemption routine of a tick reads the state the tick's horizon
 // kept (shortOf) and commits its preemptions from it (choose). Each
@@ -32,9 +33,15 @@ import (
 // pending start's claim or a suspending victim (hardRec, kept from the
 // commit until it ends). Reentry needs are kept exact through a
 // per-processor cover index, one bit per needRec.
+//
+// Nothing is rescanned: every change reaches the state through the
+// change log SS fills from its own hooks and primitives (started, left,
+// entered, cats) and through the few records whose value moves with
+// time or with the machine (reading, flips), and a reconcile applies
+// only those.
 type horizonState struct {
-	// gen numbers the reconciles: it stamps the ownerRecs seen by the
-	// current one and the needs held since it.
+	// gen numbers the reconciles: it stamps the needs held since the
+	// current one.
 	gen uint32
 
 	block  []float64 // per processor, the block map
@@ -43,25 +50,41 @@ type horizonState struct {
 	owners []ownerRec
 	hard   []hardRec // claims and suspending victims, in commit order
 
-	// needs are the reentry needs; entered lists the jobs that became
-	// suspended idle jobs since the last reconcile; bit i of processor
-	// p's cw cover words is set when needs[i] covers p.
-	needs   []needRec
+	// reading lists the Running jobs whose restart read was in progress
+	// when their value was last taken: their xfactor still grows.
+	reading []incarnation
+
+	// The change log since the last reconcile: started lists the jobs
+	// SS started or resumed, left the first processor of each Running
+	// job SS saw stop running, entered the jobs that became suspended
+	// idle jobs, and bit c of cats is set when category c's TSS limit
+	// may have moved. flips is the driver's I/O health flip count at the
+	// last reconcile.
+	started []*job.Job
+	left    []int
+	ended   []int32 // scratch: the ownerRecs left names, while a reconcile drops them
 	entered []*job.Job
+	cats    uint16
+	flips   int
+
+	// needs are the reentry needs; changed lists those whose value or
+	// crossing the current reconcile must recompute; heap orders them by
+	// crossing instant; bit i of processor p's cw cover words is set
+	// when needs[i] covers p.
+	needs   []needRec
+	changed []int32
+	heap    []int32
 	cw      int
 	cover   []uint64
 
-	// victims are the suspendable, I/O-healthy Running jobs, in
-	// ascending xfactor once sorted is set; minX is their least
-	// xfactor; widths memoizes cover while sorted is set, until a
-	// commit.
+	// victims are the suspendable, I/O-healthy Running jobs in
+	// ascending (xfactor, ID) order; widths memoizes cover until the
+	// next reconcile or commit.
 	victims []victimX
-	sorted  bool
-	minX    float64
 	widths  []widthCover
 }
 
-// victimX is a suspendable running job with its xfactor at the horizon.
+// victimX is a suspendable running job with its xfactor.
 type victimX struct {
 	x float64
 	j *job.Job
@@ -72,38 +95,51 @@ type widthCover struct {
 	w, at int
 }
 
-// ownerRec is Running job j's contribution to the block map at the
-// last horizon: the set it holds and the value written there, its
-// xfactor or +Inf. The set slice names the job: each start gives a job
-// a set of its own, and a resume keeps it.
+// incarnation names one dispatch of a job: its Epoch changes whenever
+// the job starts, resumes, is suspended, killed or finishes.
+type incarnation struct {
+	j     *job.Job
+	epoch int
+}
+
+// ownerRec is Running job j's contribution to the block map: the set it
+// holds and the value written there, its xfactor or +Inf. It lives as
+// long as the incarnation it was made for.
 type ownerRec struct {
-	j   *job.Job
+	incarnation
 	set []int
 	x   float64
-	gen uint32
 }
 
 // hardRec is a claim of a pending start, or the set of a suspending
 // victim, from its commit until the start or the suspension ends.
 // seen records that a reconcile has applied its set since the commit.
 type hardRec struct {
-	j     *job.Job
+	incarnation
 	set   []int
 	claim bool
 	seen  bool
 }
 
-// needRec is one suspended idle job's reentry need. stale marks a need
-// that a fall in the block map may have lowered; the reconcile
-// recomputes it from the set. held is the gen of the reconcile after
-// which a commit claimed a processor of the set or suspended its
-// holder: until the next reconcile the need is +Inf.
+// needRec is one suspended idle job's reentry need, kept for the
+// incarnation whose suspension left the job idle. at is the instant the
+// job's xfactor reaches SF·need, math.MaxInt64 when it never does (a
+// free set, an infinite need): an idle job's wait grows one second per
+// second, so the instant is fixed while the need is. fell marks a need
+// that a fall in the block map may have lowered, so the reconcile
+// recomputes it from the set; queued marks it listed in changed. held
+// is the gen of the reconcile after which a commit claimed a processor
+// of the set or suspended its holder: until the next reconcile the need
+// is +Inf. pos is its index in heap.
 type needRec struct {
-	j     *job.Job
-	set   []int
-	need  float64
-	stale bool
-	held  uint32
+	incarnation
+	set    []int
+	need   float64
+	at     int64
+	held   uint32
+	pos    int32
+	fell   bool
+	queued bool
 }
 
 // horizon returns a virtual time before which no tick's preemption
@@ -125,8 +161,11 @@ type needRec struct {
 //lint:allocfree storage already sized for the machine, the running jobs and the suspended ones
 func (s *Sched) horizon(now int64) int64 {
 	h := int64(math.MaxInt64) // nothing idle, or nothing to preempt, until an event
-	if len(s.env.Idle()) > 0 {
-		s.reconcile(now)
+	idle := len(s.env.Idle()) > 0
+	if idle || len(s.hz.left)+len(s.hz.started) > len(s.hz.block) {
+		s.reconcile(now) // with nothing idle, to keep the change log within the machine's size
+	}
+	if idle {
 		if best := s.earliestCrossing(now); best <= s.TickInterval() {
 			h = now
 		} else if best != math.MaxInt64 {
@@ -138,31 +177,31 @@ func (s *Sched) horizon(now int64) int64 {
 
 // earliestCrossing returns the least crossing over the idle jobs, or a
 // value of at most one tick as soon as one job is within a tick. The
-// minimum does not depend on the order of the jobs; the suspended ones
-// go first because their needs are at hand and a low best lets the
-// fresh jobs skip the sort of the victims.
+// kept needs give theirs at once, the least kept instant; a fresh job
+// that does not fit is skipped when its crossing at the least victim
+// xfactor cannot beat the best so far.
 func (s *Sched) earliestCrossing(now int64) int64 {
 	h := &s.hz
 	tick := s.TickInterval()
-	free := s.env.Cluster.FreeUnclaimed()
 	best := int64(math.MaxInt64)
-	for i := range h.needs {
-		n := &h.needs[i]
-		if n.need < 0 {
-			continue // a free set, which the schedule pass serves
-		}
-		if d := s.cfg.crossing(now, n.j, n.need); d < best {
-			if d <= tick {
-				return d
-			}
-			best = d
+	if len(h.heap) > 0 {
+		if at := h.needs[h.heap[0]].at; at != math.MaxInt64 {
+			best = at - now
 		}
 	}
+	if best <= tick {
+		return best
+	}
+	minX := math.Inf(1)
+	if len(h.victims) > 0 {
+		minX = h.victims[0].x
+	}
+	free := s.env.Cluster.FreeUnclaimed()
 	for _, j := range s.env.Idle() {
 		if s.reenters(j) || j.Procs <= free {
 			continue // a need above, or fits without preemption
 		}
-		if s.cfg.crossing(now, j, h.minX) >= best {
+		if s.cfg.crossing(now, j, minX) >= best {
 			continue // cannot beat the best crossing so far
 		}
 		if d := s.cfg.crossing(now, j, s.freshNeed(j.Procs)); d < best {
@@ -181,37 +220,39 @@ func (s *Sched) reenters(j *job.Job) bool {
 	return j.State == job.Suspended && !s.cfg.Migration
 }
 
-// reconcile brings the kept state up to date at time now: it rewrites
-// the block values of the sets whose contributor appeared, ended or
-// changed value since the last reconcile, adjusts the needs those
-// changes reach, and rebuilds the victims. A rise at a processor raises
-// the needs covering it in place; a fall marks stale only the needs
-// that equalled the old value, and those are recomputed at the end.
+// reconcile brings the kept state up to date at time now from the
+// change log: it adds a record for each job that started, drops those
+// of the jobs that stopped running, applies the claims and victims that
+// began or ended, re-values the records whose value may have moved,
+// adds the needs of the jobs that became suspended idle jobs, and
+// recomputes the needs and crossings those changes reached.
+// A rise at a processor raises the needs covering it in place; a fall
+// marks only the needs that equalled the old value, and those are
+// recomputed from their sets at the end.
 func (s *Sched) reconcile(now int64) {
 	h := &s.hz
 	cl := s.env.Cluster
 	h.size(cl.Size())
-	h.sweepNeeds(cl) // before the applies, which then skip the dropped needs
 	h.gen++
-	h.victims = h.victims[:0]
-	h.sorted = false
-	h.minX = math.Inf(1)
-	running := s.env.Running()
-	for _, r := range running {
-		x := r.XFactor(now)
-		v := math.Inf(1)
-		if s.cfg.suspendable(r, x) && s.env.SetIOHealthy(r.ProcSet) {
-			v = x
-			h.victims = grow(h.victims)
-			h.victims[len(h.victims)-1] = victimX{x: x, j: r}
-			h.minX = min(h.minX, x)
+	h.widths = h.widths[:0]
+	// The records of the jobs that stopped go after those of the jobs
+	// that started are in, so that a processor passed from one job to
+	// the next moves from the old value straight to the new one, without
+	// a fall to free in between that would have its needs recomputed.
+	h.findEnded()
+	for _, r := range h.hard {
+		if r.claim && cl.Claimant(r.set[0]) != r.j.ID {
+			s.keepOwner(r.j, now) // the pending start may have begun
 		}
-		h.keepOwner(r, v, cl)
 	}
-	if len(running) < len(h.owners) {
-		h.sweepOwners(cl)
+	for _, j := range h.started {
+		s.keepOwner(j, now)
 	}
+	clear(h.started)
+	h.started = h.started[:0]
+	h.dropEnded(cl)
 	h.sweepHard(cl)
+	s.revalue(now)
 	for _, j := range h.entered {
 		if s.reenters(j) && suspendedIdle(j, cl) && h.find(j) < 0 {
 			h.addNeed(j)
@@ -219,7 +260,7 @@ func (s *Sched) reconcile(now int64) {
 	}
 	clear(h.entered)
 	h.entered = h.entered[:0]
-	h.refreshNeeds()
+	s.refreshNeeds(now)
 }
 
 // suspendedIdle reports whether suspended job j waits in the idle queue
@@ -253,58 +294,83 @@ func grow[T any](s []T) []T {
 	return append(s, zero)
 }
 
-// sameSet reports whether a and b are the same processor-set slice.
-// A job's set is never written in place, so a job that still holds the
-// slice a record saw still holds the same processors.
-func sameSet(a, b []int) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// keepOwner stamps the ownerRec of Running job r, whose block value is
-// now v, applying its set when the record is new or the value changed.
-// Running jobs hold disjoint sets, so r's record, if any, is the one
-// its first processor names.
-func (h *horizonState) keepOwner(r *job.Job, v float64, cl *cluster.Cluster) {
-	set := r.ProcSet
-	if i := h.ownRec[set[0]]; i >= 0 && sameSet(h.owners[i].set, set) {
-		o := &h.owners[i]
-		o.gen = h.gen
-		if o.x != v {
-			o.x = v
-			h.apply(set, cl)
-		}
-	} else {
-		h.owners = grow(h.owners)
-		i := int32(len(h.owners) - 1)
-		h.owners[i] = ownerRec{j: r, set: set, x: v, gen: h.gen}
-		for _, p := range set {
-			h.ownRec[p] = i
-		}
-		h.apply(set, cl)
+// value returns Running job r's block value at time now: its xfactor
+// when r is suspendable and on I/O-healthy processors, +Inf otherwise.
+func (s *Sched) value(r *job.Job, now int64) float64 {
+	if x := r.XFactor(now); s.cfg.suspendable(r, x) && s.env.SetIOHealthy(r.ProcSet) {
+		return x
 	}
+	return math.Inf(1)
 }
 
-// sweepOwners removes the ownerRecs this reconcile did not stamp —
-// their job stopped running, moved, or changed value — and applies
-// their sets. A processor already taken over by a newer record keeps
-// it. The last record fills each hole, so the records stay dense.
-func (h *horizonState) sweepOwners(cl *cluster.Cluster) {
-	for i := 0; i < len(h.owners); {
-		o := h.owners[i]
-		if o.gen == h.gen {
-			i++
-			continue
+// keepOwner adds the ownerRec of job r when r runs and its incarnation
+// has none yet, and applies its set. Running jobs hold disjoint sets, so
+// r's record, if any, is the one its first processor names.
+func (s *Sched) keepOwner(r *job.Job, now int64) {
+	h := &s.hz
+	if r.State != job.Running {
+		return // stopped again before this reconcile
+	}
+	set := r.ProcSet
+	if i := h.ownRec[set[0]]; i >= 0 && h.owners[i].incarnation == (incarnation{r, r.Epoch}) {
+		return
+	}
+	v := s.value(r, now)
+	h.owners = grow(h.owners)
+	i := int32(len(h.owners) - 1)
+	h.owners[i] = ownerRec{incarnation: incarnation{r, r.Epoch}, set: set, x: v}
+	for _, p := range set {
+		h.ownRec[p] = i
+	}
+	h.addVictim(v, r)
+	if mayGrow(r, now) {
+		h.reading = grow(h.reading)
+		h.reading[len(h.reading)-1] = incarnation{r, r.Epoch}
+	}
+	h.apply(set, s.env.Cluster)
+}
+
+// mayGrow reports whether Running job r's xfactor may still grow after
+// now: its restart read has not ended, or ends now and a failed read may
+// still extend it.
+func mayGrow(r *job.Job, now int64) bool {
+	return r.PendingRead > 0 && now <= r.LastDispatch+r.PendingRead
+}
+
+// findEnded lists in ended, in ascending order and once each, the
+// ownerRecs that the processors in left name and whose job has stopped
+// running since.
+func (h *horizonState) findEnded() {
+	for _, p := range h.left {
+		if i := h.ownRec[p]; i >= 0 && h.owners[i].j.Epoch != h.owners[i].epoch {
+			h.ended = grow(h.ended)
+			h.ended[len(h.ended)-1] = i
 		}
-		h.relabel(o.set, int32(i), -1)
-		last := len(h.owners) - 1
+	}
+	h.left = h.left[:0]
+	slices.Sort(h.ended)
+	h.ended = slices.Compact(h.ended)
+}
+
+// dropEnded removes the ownerRecs listed in ended and applies their
+// sets. The last record fills each hole, so the records stay dense;
+// removing the highest index first leaves the others in place.
+func (h *horizonState) dropEnded(cl *cluster.Cluster) {
+	for k := len(h.ended) - 1; k >= 0; k-- {
+		i := h.ended[k]
+		o := h.owners[i]
+		h.relabel(o.set, i, -1)
+		last := int32(len(h.owners) - 1)
 		if i != last {
 			h.owners[i] = h.owners[last]
-			h.relabel(h.owners[i].set, int32(last), int32(i))
+			h.relabel(h.owners[i].set, last, i)
 		}
 		h.owners[last] = ownerRec{}
 		h.owners = h.owners[:last]
+		h.dropVictim(o.x, o.j)
 		h.apply(o.set, cl)
 	}
+	h.ended = h.ended[:0]
 }
 
 // relabel points the processors of set that ownRec maps to from at to.
@@ -316,14 +382,87 @@ func (h *horizonState) relabel(set []int, from, to int32) {
 	}
 }
 
+// revalue takes the value of every ownerRec whose value may have moved
+// since the last reconcile: those of jobs still in their restart read,
+// those of the categories whose TSS limit moved, and all of them after
+// a processor's I/O health flipped.
+func (s *Sched) revalue(now int64) {
+	h := &s.hz
+	if flips := s.env.IOHealthFlips(); flips != h.flips {
+		h.flips = flips
+		h.cats = math.MaxUint16 // every category
+	}
+	if h.cats != 0 {
+		for i := range h.owners {
+			if h.cats&(1<<h.owners[i].j.EstimateCategory().Index()) != 0 {
+				s.revalueOwner(i, now)
+			}
+		}
+		h.cats = 0
+	}
+	n := 0
+	for _, r := range h.reading {
+		if r.j.Epoch != r.epoch {
+			continue // stopped running; its record went with it
+		}
+		s.revalueOwner(int(h.ownRec[r.j.ProcSet[0]]), now)
+		if mayGrow(r.j, now) {
+			h.reading[n] = r
+			n++
+		}
+	}
+	clear(h.reading[n:])
+	h.reading = h.reading[:n]
+}
+
+// revalueOwner rewrites owners[i] and its set when its job's value at
+// now differs from the one kept.
+func (s *Sched) revalueOwner(i int, now int64) {
+	h := &s.hz
+	o := &h.owners[i]
+	v := s.value(o.j, now)
+	if v == o.x {
+		return
+	}
+	h.dropVictim(o.x, o.j)
+	h.addVictim(v, o.j)
+	o.x = v
+	h.apply(o.set, s.env.Cluster)
+}
+
+// addVictim inserts running job j, whose block value is x, at its
+// (x, ID) place among the victims when x is finite.
+func (h *horizonState) addVictim(x float64, j *job.Job) {
+	if math.IsInf(x, 1) {
+		return
+	}
+	i, _ := slices.BinarySearchFunc(h.victims, victimX{x: x, j: j}, byXThenID)
+	h.victims = grow(h.victims)
+	copy(h.victims[i+1:], h.victims[i:])
+	h.victims[i] = victimX{x: x, j: j}
+}
+
+// dropVictim removes running job j, whose block value was x, from the
+// victims when x is finite.
+func (h *horizonState) dropVictim(x float64, j *job.Job) {
+	if math.IsInf(x, 1) {
+		return
+	}
+	i, _ := slices.BinarySearchFunc(h.victims, victimX{x: x, j: j}, byXThenID)
+	last := len(h.victims) - 1
+	copy(h.victims[i:], h.victims[i+1:])
+	h.victims[last] = victimX{}
+	h.victims = h.victims[:last]
+}
+
 // sweepHard applies the sets of the hardRecs that began or ended since
 // the last reconcile and drops the ended ones. A claim lives while its
 // job still claims its first processor (claims are taken and dropped
-// whole); a victim lives while it is Suspending.
+// whole); a victim lives while its suspension is under way.
 func (h *horizonState) sweepHard(cl *cluster.Cluster) {
 	n := 0
 	for _, r := range h.hard {
-		live := r.j.State == job.Suspending
+		live := r.j.Epoch == r.epoch && r.j.State == job.Suspending
 		if r.claim {
 			live = cl.Claimant(r.set[0]) == r.j.ID
 		}
@@ -344,9 +483,8 @@ func (h *horizonState) sweepHard(cl *cluster.Cluster) {
 // contributor just appeared, ended or changed value, and carries each
 // change to the needs that cover it. A processor not held by a Running
 // job is blocked when the cluster shows an owner (a suspending victim)
-// or a claim on it. The records of a snapshot hold disjoint sets, and
-// every stale record is swept before the claims and victims are
-// applied, so each processor ends at its value in the current state.
+// or a claim on it. Applying reads the current state, so each processor
+// ends at its value in it whatever the order of the applies.
 func (h *horizonState) apply(set []int, cl *cluster.Cluster) {
 	for _, p := range set {
 		nb := -1.0
@@ -363,29 +501,83 @@ func (h *horizonState) apply(set []int, cl *cluster.Cluster) {
 }
 
 // carry updates the needs covering processor p for its block value
-// moving from ob to nb: a rise raises each below nb, a fall marks stale
-// each that equalled ob (p may have been its maximum).
+// moving from ob to nb: a rise raises each below nb, a fall marks each
+// that equalled ob (p may have been its maximum). Both list the need
+// for refreshNeeds.
 func (h *horizonState) carry(p int, ob, nb float64) {
 	for k, w := range h.cover[p*h.cw : (p+1)*h.cw] {
 		for ; w != 0; w &= w - 1 {
-			n := &h.needs[k<<6|bits.TrailingZeros64(w)]
-			if nb > ob {
-				n.need = max(n.need, nb)
-			} else if n.need == ob {
-				n.stale = true
+			i := k<<6 | bits.TrailingZeros64(w)
+			n := &h.needs[i]
+			switch {
+			case nb > ob && nb > n.need:
+				n.need = nb
+			case nb < ob && n.need == ob:
+				n.fell = true
+			default:
+				continue
 			}
+			h.mark(i)
 		}
 	}
+}
+
+// mark lists needs[i] for refreshNeeds, once.
+func (h *horizonState) mark(i int) {
+	if n := &h.needs[i]; !n.queued {
+		n.queued = true
+		h.changed = grow(h.changed)
+		h.changed[len(h.changed)-1] = int32(i)
+	}
+}
+
+// refreshNeeds recomputes the listed needs: from the block map those
+// that fell, and the crossing instant of each.
+func (s *Sched) refreshNeeds(now int64) {
+	h := &s.hz
+	for _, i := range h.changed {
+		n := &h.needs[i]
+		if n.fell {
+			n.need = h.maxBlock(n.set)
+		}
+		n.fell, n.queued = false, false
+		n.at = math.MaxInt64
+		if n.need >= 0 {
+			if d := s.cfg.crossing(now, n.j, n.need); d != math.MaxInt64 {
+				n.at = now + d
+			}
+		}
+		h.fix(int(n.pos))
+	}
+	h.changed = h.changed[:0]
+}
+
+// maxBlock returns the largest block value over set, -1 when it is all
+// free. Block values are never NaN, so plain comparisons suffice, and
+// the walk stops at the first +Inf, which nothing exceeds.
+func (h *horizonState) maxBlock(set []int) float64 {
+	need := -1.0
+	for _, p := range set {
+		if b := h.block[p]; b > need {
+			if math.IsInf(b, 1) {
+				return b
+			}
+			need = b
+		}
+	}
+	return need
 }
 
 // find returns the needRec index of suspended job j, or -1. The record,
 // if any, covers the first processor of j's set.
 func (h *horizonState) find(j *job.Job) int {
+	if len(h.needs) == 0 || len(j.ProcSet) == 0 {
+		return -1
+	}
 	p := j.ProcSet[0]
 	for k, w := range h.cover[p*h.cw : (p+1)*h.cw] {
 		for ; w != 0; w &= w - 1 {
-			i := k<<6 | bits.TrailingZeros64(w)
-			if n := &h.needs[i]; n.j == j && sameSet(n.set, j.ProcSet) {
+			if i := k<<6 | bits.TrailingZeros64(w); h.needs[i].j == j {
 				return i
 			}
 		}
@@ -394,13 +586,68 @@ func (h *horizonState) find(j *job.Job) int {
 }
 
 // addNeed adds a needRec for suspended idle job j, linked into the
-// cover index and stale, so that refreshNeeds computes it.
+// cover index and the heap and listed as fallen, so that refreshNeeds
+// computes it.
 func (h *horizonState) addNeed(j *job.Job) {
 	h.needs = grow(h.needs)
 	h.fitCover()
 	i := len(h.needs) - 1
-	h.needs[i] = needRec{j: j, set: j.ProcSet, stale: true}
+	h.needs[i] = needRec{incarnation: incarnation{j, j.Epoch}, set: j.ProcSet, at: math.MaxInt64, fell: true}
 	h.link(j.ProcSet, i, true)
+	h.heap = grow(h.heap)
+	h.heap[len(h.heap)-1] = int32(i)
+	h.needs[i].pos = int32(len(h.heap) - 1)
+	h.mark(i)
+}
+
+// dropNeed removes the needRec of job j, if any: it resumed, or a commit
+// took it out of the idle queue.
+func (h *horizonState) dropNeed(j *job.Job) {
+	if i := h.find(j); i >= 0 {
+		h.removeNeed(i)
+	}
+}
+
+// dropLost removes the needRecs covering processor p whose job lost its
+// image: a failure of p invalidates every suspended job whose remembered
+// set holds p.
+func (h *horizonState) dropLost(p int) {
+	for i := h.lostAt(p); i >= 0; i = h.lostAt(p) {
+		h.removeNeed(i)
+	}
+}
+
+// lostAt returns the index of a needRec covering processor p whose job
+// has left the incarnation it was kept for, or -1.
+func (h *horizonState) lostAt(p int) int {
+	if len(h.needs) == 0 {
+		return -1
+	}
+	for k, w := range h.cover[p*h.cw : (p+1)*h.cw] {
+		for ; w != 0; w &= w - 1 {
+			if i := k<<6 | bits.TrailingZeros64(w); h.needs[i].j.Epoch != h.needs[i].epoch {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// removeNeed unlinks needs[i] from the cover index and the heap. The
+// last record fills the hole, so the records stay dense.
+func (h *horizonState) removeNeed(i int) {
+	n := &h.needs[i]
+	h.link(n.set, i, false)
+	h.heapRemove(int(n.pos))
+	last := len(h.needs) - 1
+	if i != last {
+		h.needs[i] = h.needs[last]
+		h.link(h.needs[i].set, last, false)
+		h.link(h.needs[i].set, i, true)
+		h.heap[h.needs[i].pos] = int32(i)
+	}
+	h.needs[last] = needRec{}
+	h.needs = h.needs[:last]
 }
 
 // link sets (on) or clears the cover bit of needs[i] on the processors
@@ -431,60 +678,87 @@ func (h *horizonState) fitCover() {
 	h.cover = cover
 }
 
-// sweepNeeds removes the needRecs whose job is no longer a suspended
-// idle job on the same set: it resumed, was committed, or lost its
-// image. The last record fills each hole, so the records stay dense.
-func (h *horizonState) sweepNeeds(cl *cluster.Cluster) {
-	for i := 0; i < len(h.needs); {
-		n := &h.needs[i]
-		if sameSet(n.set, n.j.ProcSet) && suspendedIdle(n.j, cl) {
-			i++
-			continue
-		}
-		h.link(n.set, i, false)
-		last := len(h.needs) - 1
-		if i != last {
-			h.needs[i] = h.needs[last]
-			h.link(h.needs[i].set, last, false)
-			h.link(h.needs[i].set, i, true)
-		}
-		h.needs[last] = needRec{}
-		h.needs = h.needs[:last]
+// The heap is a binary min-heap of need indices on their crossing
+// instants; needs[i].pos is the place of i in it.
+
+// fix restores the heap order after the key at place k changed.
+func (h *horizonState) fix(k int) {
+	if !h.up(k) {
+		h.down(k)
 	}
 }
 
-// refreshNeeds recomputes the stale needs from the block map.
-func (h *horizonState) refreshNeeds() {
-	for i := range h.needs {
-		n := &h.needs[i]
-		if !n.stale {
-			continue
-		}
-		need := -1.0
-		for _, p := range n.set {
-			need = max(need, h.block[p])
-		}
-		n.need = need
-		n.stale = false
+// heapRemove takes the entry at place k out of the heap.
+func (h *horizonState) heapRemove(k int) {
+	last := len(h.heap) - 1
+	if k != last {
+		h.swap(k, last)
 	}
+	h.heap = h.heap[:last]
+	if k != last {
+		h.fix(k)
+	}
+}
+
+// up moves the entry at place k towards the root while it is less than
+// its parent, and reports whether it moved.
+func (h *horizonState) up(k int) bool {
+	moved := false
+	for k > 0 {
+		parent := (k - 1) / 2
+		if h.needs[h.heap[k]].at >= h.needs[h.heap[parent]].at {
+			break
+		}
+		h.swap(k, parent)
+		k, moved = parent, true
+	}
+	return moved
+}
+
+// down moves the entry at place k towards the leaves while a child is
+// less than it.
+func (h *horizonState) down(k int) {
+	for {
+		c := 2*k + 1
+		if c >= len(h.heap) {
+			return
+		}
+		if r := c + 1; r < len(h.heap) && h.needs[h.heap[r]].at < h.needs[h.heap[c]].at {
+			c = r
+		}
+		if h.needs[h.heap[c]].at >= h.needs[h.heap[k]].at {
+			return
+		}
+		h.swap(k, c)
+		k = c
+	}
+}
+
+// swap exchanges the heap entries at places a and b.
+func (h *horizonState) swap(a, b int) {
+	h.heap[a], h.heap[b] = h.heap[b], h.heap[a]
+	h.needs[h.heap[a]].pos = int32(a)
+	h.needs[h.heap[b]].pos = int32(b)
 }
 
 // committed records a commit of idle job j with victims and claim for
 // the rest of the preemption pass. The claim's processors, and the
 // victims' sets, which turn Suspending, now block every reentry need
 // covering them: those needs are held (+Inf) until the next reconcile,
-// which writes the commit into the block map through the hardRecs. The
-// pass reads the block map only for the sets of jobs whose need is not
-// held, which no commit touched. The memoized covers are forgotten, so
-// the victims suspended here no longer count.
+// which writes the commit into the block map through the hardRecs and
+// drops the victims' owner records. j, no longer idle, loses its own
+// need. The memoized covers are forgotten, so the victims suspended
+// here no longer count.
 func (h *horizonState) committed(j *job.Job, victims []*job.Job, claim []int) {
 	for _, v := range victims {
 		h.hold(v.ProcSet)
-		h.hard = append(h.hard, hardRec{j: v, set: v.ProcSet})
+		h.hard = append(h.hard, hardRec{incarnation: incarnation{v, v.Epoch}, set: v.ProcSet})
+		h.left = append(h.left, v.ProcSet[0])
 	}
 	h.hold(claim)
-	h.hard = append(h.hard, hardRec{j: j, set: claim, claim: true})
+	h.hard = append(h.hard, hardRec{incarnation: incarnation{j, j.Epoch}, set: claim, claim: true})
 	h.widths = h.widths[:0]
+	h.dropNeed(j)
 }
 
 // hold marks held the needs covering a processor of set.
@@ -541,15 +815,9 @@ func (s *Sched) freshNeed(w int) float64 {
 
 // cover returns the index of the victim at which, in ascending xfactor,
 // the free processors plus the victims an idle job of width w may
-// suspend (mayTake) first cover w, or -1 when they never do. The first
-// call after a reconcile sorts the victims.
+// suspend (mayTake) first cover w, or -1 when they never do.
 func (s *Sched) cover(w int) int {
 	h := &s.hz
-	if !h.sorted {
-		slices.SortFunc(h.victims, byXThenID)
-		h.widths = h.widths[:0]
-		h.sorted = true
-	}
 	for _, m := range h.widths {
 		if m.w == w {
 			return m.at

@@ -8,7 +8,10 @@ import (
 // LimitSource supplies the TSS per-category preemption-disable limits
 // (Section IV-E): preemption of a running job is disabled once its
 // xfactor exceeds the limit of its category, which bounds the worst-case
-// slowdown. A nil LimitSource disables the mechanism (plain SS).
+// slowdown. A nil LimitSource disables the mechanism (plain SS). SS
+// keeps which running jobs are suspendable from one tick to the next,
+// so a source's limits must not change during a run, except those of an
+// *AdaptiveLimits through the Observe calls SS makes itself.
 type LimitSource interface {
 	// Limit returns the xfactor ceiling for category c; returns
 	// ok=false when no limit is known (e.g. during adaptive warm-up).

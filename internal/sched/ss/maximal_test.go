@@ -22,13 +22,13 @@ import (
 // policy, so that a wrong filter in the pass cannot agree with itself.
 //
 // At every tick it also checks the kept state against references that
-// work from nothing: every suspended idle job under local restart must
-// have a kept reentry need, the horizon must equal the one refHorizon
-// computes, no idle job that the tick's filter drops may be one that
-// can start without preemption or one the reference selectors
-// (refVictims) would commit, and each commit of the preemption routine
-// must suspend exactly the victims the reference selectors choose on
-// the live state, in the same order.
+// work from nothing: every kept record must equal the one checkKept
+// rebuilds, the horizon must equal the one refHorizon computes, no idle
+// job that the tick's filter drops may be one that can start without
+// preemption or one the reference selectors (refVictims) would commit,
+// and each commit of the preemption routine must suspend exactly the
+// victims the reference selectors choose on the live state, in the same
+// order.
 //
 // The checks read an idle queue and a running list that passMaximal
 // keeps from the hooks, as SS kept them before the driver did, and not
@@ -54,13 +54,13 @@ func (m *passMaximal) OnTick() {
 	m.ticks++
 	now := m.env.Now()
 	h := m.horizon(now)
+	if len(m.queue) > 0 {
+		if err := checkKept(m.Sched, m.queue, m.running, now); err != nil {
+			m.t.Fatalf("at %d: kept state: %v", now, err)
+		}
+	}
 	if want := m.ref.horizon(m.Sched, m.queue, m.running, now); h != want {
 		m.t.Fatalf("at %d: horizon %d, reference %d", now, h, want)
-	}
-	for _, j := range m.queue {
-		if m.reenters(j) && m.hz.find(j) < 0 {
-			m.t.Fatalf("at %d: suspended idle %v has no kept reentry need", now, j)
-		}
 	}
 	m.sortIdle()
 	m.checkDropped(now)
@@ -221,8 +221,9 @@ var maximalModes = []struct {
 // migratable SS:2 under each fault mode, that the event's schedule pass
 // started every idle job that fits: the pass sorts and serves only the
 // jobs that fit when it begins, and this is the property that makes
-// that exact. At every tick it checks the kept horizon against the
-// reference, runs the reference selectors on every job the tick drops
+// that exact. At every tick it checks every kept record against a
+// rebuild from nothing and the horizon against the reference, runs the
+// reference selectors on every job the tick drops
 // and compares every commit with them. It fails if the tick drops no
 // job, or if no fresh commit — under local restart, no reentry commit
 // either — was compared.
@@ -275,10 +276,10 @@ func TestPassMaximal(t *testing.T) {
 // the input, optionally under processor failures and transient I/O
 // faults, and requires that the run finishes within its step bound,
 // that its audit log passes the invariant checker, that every event's
-// schedule pass is maximal, and that at every tick the horizon agrees
-// with the reference, the filter drops no job the reference selectors
-// would commit, and each commit suspends the victims they choose
-// (passMaximal).
+// schedule pass is maximal, and that at every tick every kept record
+// equals a rebuild from nothing, the horizon agrees with the reference,
+// the filter drops no job the reference selectors would commit, and
+// each commit suspends the victims they choose (passMaximal).
 //
 // The input is a header of three bytes — machine size (1..16), variant
 // (kind in the low two bits, suspension factor in the next five, bit 7

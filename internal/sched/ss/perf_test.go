@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pjs/internal/job"
+	"pjs/internal/overhead"
 	"pjs/internal/sched"
 	"pjs/internal/workload"
 )
@@ -122,13 +123,11 @@ func TestPassWithoutStartAllocatesNothing(t *testing.T) {
 // cycleAllocs wraps an SS scheduler and, after each suspend-done hook
 // that leaves the job suspended and idle beside other idle jobs,
 // measures the allocations of the kept quiet-tick state's part of a
-// resume and suspend-done cycle of that job: a horizon after the job
-// resumed, which drops its reentry need and unlinks it from the cover
-// index, then a horizon after it is suspended again, which adds the
-// need back. The job's state is switched by hand, and restored, so the
-// run goes on unchanged. The driver's idle list still holds the job
-// while it passes for resumed; the horizon drops the need because the
-// job is no longer Suspended.
+// resume and suspend-done cycle of that job: the drop of its reentry
+// need, which unlinks it from the cover index and the heap, as a resume
+// or a commit drops it, a horizon, then the entry a suspend-done makes
+// and a horizon, which adds the need back. The job itself stays
+// suspended, so the run goes on unchanged.
 type cycleAllocs struct {
 	*Sched
 	measured int
@@ -144,11 +143,10 @@ func (w *cycleAllocs) OnSuspendDone(j *job.Job) {
 	now := w.env.Now()
 	w.horizon(now) // j's need now exists
 	cycle := func() {
-		j.State = job.Running // resumed
+		w.hz.dropNeed(j) // resumed
 		w.horizon(now)
 		w.dropped = w.dropped || w.hz.find(j) < 0
-		j.State = job.Suspended // suspended again
-		w.enteredIdle(j)
+		w.enteredIdle(j) // suspended again
 		w.horizon(now)
 	}
 	w.measured++
@@ -221,6 +219,26 @@ func BenchmarkRunSS2CTC(b *testing.B) {
 	var events int64
 	for i := 0; i < b.N; i++ {
 		events += sched.Run(tr, New(Config{SF: 2}), sched.Options{}).Events
+	}
+	if s := b.Elapsed().Seconds(); s > 0 {
+		b.ReportMetric(float64(events)/s, "events/s")
+	}
+}
+
+// BenchmarkRunTSS2CTCDisk is BenchmarkRunSS2CTC under the single-pass
+// TSS with the disk overhead model: each completion feeds the adaptive
+// limits, which may change which running jobs are suspendable, and
+// each resume reads its image back, during which its xfactor grows.
+// These are the two paths on which the kept horizon state re-values
+// running jobs; no pjsperf workload runs either.
+func BenchmarkRunTSS2CTCDisk(b *testing.B) {
+	tr := ctcAtLoad(1000, 1, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events int64
+	for i := 0; i < b.N; i++ {
+		cfg := Config{SF: 2, Limits: &AdaptiveLimits{}}
+		events += sched.Run(tr, New(cfg), sched.Options{Overhead: overhead.Disk{}}).Events
 	}
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(events)/s, "events/s")

@@ -2,7 +2,9 @@ package ss
 
 import (
 	"cmp"
+	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"pjs/internal/job"
@@ -317,4 +319,144 @@ func selectReentryVictims(p *Config, now int64, idle *job.Job, classify func(pro
 		}
 	}
 	return victims, true
+}
+
+// checkKept compares every record of the state s's last reconcile kept
+// with one rebuilt from nothing at time now, over the idle jobs queue
+// and the running or committed jobs running (the caller's own lists):
+// the block map and owner records, the victims in order, each reentry
+// need with its value, hold and crossing instant, the cover index and
+// the crossing heap. It returns the first difference.
+func checkKept(s *Sched, queue, running []*job.Job, now int64) error {
+	h := &s.hz
+	cl := s.env.Cluster
+	block := make([]float64, cl.Size())
+	holder := make([]*job.Job, cl.Size())
+	var victims []victimX
+	nRunning := 0
+	for _, r := range running {
+		if r.State != job.Running {
+			continue // a committed pending start holds nothing yet
+		}
+		nRunning++
+		x := r.XFactor(now)
+		v := math.Inf(1)
+		if s.cfg.suspendable(r, x) && s.env.SetIOHealthy(r.ProcSet) {
+			v = x
+			victims = append(victims, victimX{x: x, j: r})
+		}
+		for _, p := range r.ProcSet {
+			block[p], holder[p] = v, r
+		}
+	}
+	for p := range block {
+		switch {
+		case holder[p] != nil:
+		case cl.Owner(p) != -1 || cl.Claimant(p) != -1:
+			block[p] = math.Inf(1)
+		default:
+			block[p] = -1
+		}
+	}
+	for p, want := range block {
+		if h.block[p] != want {
+			return fmt.Errorf("processor %d blocks at %v, rebuilt %v", p, h.block[p], want)
+		}
+		i := h.ownRec[p]
+		if holder[p] == nil {
+			if i != -1 {
+				return fmt.Errorf("processor %d names owner record %d but no job runs on it", p, i)
+			}
+			continue
+		}
+		if i < 0 || int(i) >= len(h.owners) {
+			return fmt.Errorf("processor %d of running %v names owner record %d", p, holder[p], i)
+		}
+		o := h.owners[i]
+		if o.incarnation != (incarnation{holder[p], holder[p].Epoch}) || !slices.Equal(o.set, holder[p].ProcSet) || o.x != want {
+			return fmt.Errorf("processor %d: owner record of %v (epoch %d, value %v), rebuilt %v (epoch %d, value %v)",
+				p, o.j, o.epoch, o.x, holder[p], holder[p].Epoch, want)
+		}
+	}
+	if len(h.owners) != nRunning {
+		return fmt.Errorf("%d owner records for %d running jobs", len(h.owners), nRunning)
+	}
+	slices.SortFunc(victims, byXThenID)
+	if !slices.Equal(h.victims, victims) {
+		return fmt.Errorf("victims %v, rebuilt %v", victimIDs(h.victims), victimIDs(victims))
+	}
+	nIdle := 0
+	for _, j := range queue {
+		if !s.reenters(j) {
+			continue
+		}
+		nIdle++
+		i := h.find(j)
+		if i < 0 {
+			return fmt.Errorf("suspended idle %v has no kept reentry need", j)
+		}
+		n := h.needs[i]
+		need := -1.0
+		for _, p := range j.ProcSet {
+			need = max(need, block[p])
+		}
+		at := int64(math.MaxInt64)
+		if d := s.cfg.crossing(now, j, need); need >= 0 && d != math.MaxInt64 {
+			at = now + d
+		}
+		switch {
+		case n.incarnation != (incarnation{j, j.Epoch}) || !slices.Equal(n.set, j.ProcSet):
+			return fmt.Errorf("the need of %v is kept for epoch %d on %v", j, n.epoch, n.set)
+		case n.need != need:
+			return fmt.Errorf("the need of %v is %v, rebuilt %v", j, n.need, need)
+		case n.held == h.gen:
+			return fmt.Errorf("the need of %v is held before any commit", j)
+		case n.at != at:
+			return fmt.Errorf("the need of %v crosses at %d, rebuilt %d", j, n.at, at)
+		case n.fell || n.queued:
+			return fmt.Errorf("the need of %v is still listed for a recompute", j)
+		}
+	}
+	if len(h.needs) != nIdle {
+		return fmt.Errorf("%d reentry needs for %d suspended idle jobs", len(h.needs), nIdle)
+	}
+	if len(h.changed) != 0 {
+		return fmt.Errorf("%d needs still listed for a recompute", len(h.changed))
+	}
+	links := 0
+	for i, n := range h.needs {
+		links += len(n.set)
+		for _, p := range n.set {
+			if h.cover[p*h.cw+i>>6]&(1<<(i&63)) == 0 {
+				return fmt.Errorf("the need of %v does not cover processor %d", n.j, p)
+			}
+		}
+	}
+	for _, w := range h.cover {
+		links -= bits.OnesCount64(w)
+	}
+	if links != 0 {
+		return fmt.Errorf("the cover index holds %d links more than the needs' sets", -links)
+	}
+	if len(h.heap) != len(h.needs) {
+		return fmt.Errorf("%d needs in the heap of %d", len(h.heap), len(h.needs))
+	}
+	for k, i := range h.heap {
+		if int(h.needs[i].pos) != k {
+			return fmt.Errorf("heap place %d holds need %d, whose place is %d", k, i, h.needs[i].pos)
+		}
+		if k > 0 && h.needs[h.heap[(k-1)/2]].at > h.needs[i].at {
+			return fmt.Errorf("heap place %d crosses before its parent", k)
+		}
+	}
+	return nil
+}
+
+// victimIDs returns the job IDs of victims, in order.
+func victimIDs(victims []victimX) []int {
+	ids := make([]int, len(victims))
+	for i, v := range victims {
+		ids[i] = v.j.ID
+	}
+	return ids
 }

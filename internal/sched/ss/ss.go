@@ -193,10 +193,16 @@ func (s *Sched) TickInterval() int64 {
 // OnArrival implements sched.Scheduler.
 func (s *Sched) OnArrival(*job.Job) { s.schedulePass() }
 
-// OnCompletion implements sched.Scheduler.
+// OnCompletion implements sched.Scheduler. The finished job's owner
+// record goes at the next horizon; under single-pass TSS its slowdown
+// moves its category's limit, so the records of that category are
+// re-valued there too.
 func (s *Sched) OnCompletion(j *job.Job) {
+	s.hz.left = append(s.hz.left, j.ProcSet[0])
 	if a, ok := s.cfg.Limits.(*AdaptiveLimits); ok {
-		a.Observe(j.EstimateCategory(), j.BoundedSlowdown())
+		c := j.EstimateCategory()
+		a.Observe(c, j.BoundedSlowdown())
+		s.hz.cats |= 1 << c.Index()
 	}
 	s.schedulePass()
 }
@@ -233,9 +239,15 @@ func (s *Sched) OnTick() {
 // OnFailure implements sched.Scheduler: displaced jobs (killed victims,
 // stranded images, aborted pending starts) are idle again and compete
 // by xfactor; their restarted wait pushes the xfactor up, so SS
-// naturally re-serves the most-hurt jobs first.
+// naturally re-serves the most-hurt jobs first. The kept state drops
+// the reentry needs of the images lost with p at once, and the owner
+// records of the killed jobs at the next horizon.
 func (s *Sched) OnFailure(p int, requeued []*job.Job) {
+	s.hz.dropLost(p)
 	for _, j := range requeued {
+		if len(j.ProcSet) > 0 {
+			s.hz.left = append(s.hz.left, j.ProcSet[0])
+		}
 		s.enteredIdle(j)
 	}
 	s.schedulePass()
@@ -312,16 +324,23 @@ func (s *Sched) sortIdle() {
 }
 
 // serveIdle starts every job of s.idle, in order, that fits without
-// preemption.
+// preemption, and logs each start for the next horizon; a resumed job
+// loses its reentry need at once.
 func (s *Sched) serveIdle() {
 	for _, j := range s.idle {
+		var started bool
 		switch {
 		case j.State != job.Suspended:
-			s.env.StartFresh(j)
+			started = s.env.StartFresh(j)
 		case s.cfg.Migration:
-			s.env.ResumeAnywhere(j)
+			started = s.env.ResumeAnywhere(j)
 		default:
-			s.env.Resume(j)
+			if started = s.env.Resume(j); started {
+				s.hz.dropNeed(j)
+			}
+		}
+		if started {
+			s.hz.started = append(s.hz.started, j)
 		}
 	}
 }
