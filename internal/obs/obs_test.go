@@ -207,11 +207,18 @@ func (f *failAfter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// TestSamplerWriteCSVPropagatesErrors fails each write of a series
+// that spans at least three blocks in turn.
 func TestSamplerWriteCSVPropagatesErrors(t *testing.T) {
-	s := NewSampler(4)
-	s.Observe(sched.Event{Entry: sched.Entry{Time: 0}, Busy: 1})
-	s.Observe(sched.Event{Entry: sched.Entry{Time: 5}, Busy: 2})
-	for n := 0; n <= 2; n++ {
+	s := csvSampler(5000)
+	var w writeCounter
+	if err := s.WriteCSV(&w); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes < 3 {
+		t.Fatalf("%d writes for %d bytes, want a series of at least three blocks", w.writes, w.bytes)
+	}
+	for n := range w.writes {
 		if err := s.WriteCSV(&failAfter{n: n}); !errors.Is(err, errSink) {
 			t.Errorf("write failing at chunk %d: err = %v, want errSink", n, err)
 		}

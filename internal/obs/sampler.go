@@ -25,9 +25,14 @@ type Sample struct {
 // row is a Sample as the Sampler stores it: 32 bytes, the counts as
 // int32.
 type row struct {
-	time                             int64
+	time int64
+	census
+	xfactor float64
+}
+
+// census is a row's counts, from which its utilization follows.
+type census struct {
 	busy, queued, running, suspended int32
-	xfactor                          float64
 }
 
 // chunkRows is the number of rows in one chunk: 1024 rows of 32 bytes,
@@ -47,6 +52,10 @@ type Sampler struct {
 
 	chunks []*[chunkRows]row
 	n      int // rows recorded
+
+	// block is WriteCSV's output buffer for a writer that does not
+	// lend its own, made at the first such call and reused after it.
+	block []byte
 }
 
 // NewSampler returns an empty sampler for a machine of the given size.
@@ -78,12 +87,14 @@ func (s *Sampler) slot(i int) *row {
 // not fit in int32 rather than record a wrong one.
 func (s *Sampler) Observe(ev sched.Event) {
 	r := row{
-		time:      ev.Time,
-		busy:      count("busy", ev.Busy),
-		queued:    count("queued", ev.Queued),
-		running:   count("running", ev.Running),
-		suspended: count("suspended", ev.Suspended),
-		xfactor:   ev.MaxQueuedXFactor,
+		time: ev.Time,
+		census: census{
+			busy:      count("busy", ev.Busy),
+			queued:    count("queued", ev.Queued),
+			running:   count("running", ev.Running),
+			suspended: count("suspended", ev.Suspended),
+		},
+		xfactor: ev.MaxQueuedXFactor,
 	}
 	if s.n > 0 && s.slot(s.n-1).time == ev.Time {
 		*s.slot(s.n - 1) = r
@@ -107,58 +118,110 @@ func count(name string, v int) int32 {
 // csvHeader is the first line of WriteCSV's output.
 const csvHeader = "time,busy,utilization,queued,running,suspended,max_queued_xfactor\n"
 
-// WriteCSV emits the series as CSV, one Write per row. A writer with a
-// Grow(int) method (bytes.Buffer, strings.Builder) is first grown by
-// the exact byte count. Every write error is propagated: a truncated
-// time series must fail loudly, not plot plausibly.
+// csvBlock is the byte count WriteCSV gathers before each Write.
+const csvBlock = 32 << 10
+
+// WriteCSV emits the series as CSV in blocks of about 32 KB, so a
+// plain writer such as a file sees a few large writes, not one per
+// row. A writer with a Grow(int) method (bytes.Buffer,
+// strings.Builder) is first grown by the exact byte count; if it also
+// lends its free capacity through AvailableBuffer (bytes.Buffer), the
+// rows are appended there, and any other writer gets them through a
+// block the Sampler keeps, so calls on one Sampler must not overlap.
+// A row repeats the previous row's census columns when its counts are
+// the same, which most tick rows' are. Every write error is
+// propagated: a truncated time series must fail loudly, not plot
+// plausibly.
 func (s *Sampler) WriteCSV(w io.Writer) error {
+	var lend interface{ AvailableBuffer() []byte }
 	if g, ok := w.(interface{ Grow(int) }); ok {
 		g.Grow(s.csvLen())
+		lend, _ = w.(interface{ AvailableBuffer() []byte })
 	}
-	if _, err := io.WriteString(w, csvHeader); err != nil {
-		return err
+	next := func() []byte {
+		if lend != nil {
+			return lend.AvailableBuffer()
+		}
+		if s.block == nil {
+			s.block = make([]byte, 0, csvBlock+512)
+		}
+		return s.block[:0]
 	}
-	line := make([]byte, 0, 128)
-	for i := range s.n {
-		r := s.slot(i)
-		line = strconv.AppendInt(line[:0], r.time, 10)
-		line = append(line, ',')
-		line = strconv.AppendInt(line, int64(r.busy), 10)
-		line = append(line, ',')
-		line = appendFixed6(line, s.utilization(r))
-		line = append(line, ',')
-		line = strconv.AppendInt(line, int64(r.queued), 10)
-		line = append(line, ',')
-		line = strconv.AppendInt(line, int64(r.running), 10)
-		line = append(line, ',')
-		line = strconv.AppendInt(line, int64(r.suspended), 10)
-		line = append(line, ',')
-		line = appendFixed6(line, r.xfactor)
-		line = append(line, '\n')
-		if _, err := w.Write(line); err != nil {
-			return err
+	buf := append(next(), csvHeader...)
+	var last census
+	from, to := 0, 0 // last's columns in buf; empty when not there
+	for c := range s.chunks {
+		for k := range s.rowsIn(c) {
+			r := &s.chunks[c][k]
+			if len(buf) >= csvBlock {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf, from, to = next(), 0, 0
+			}
+			buf = strconv.AppendInt(buf, r.time, 10)
+			if to == 0 || r.census != last {
+				last, from = r.census, len(buf)
+				buf = s.appendCensus(buf, r.census)
+				to = len(buf)
+			} else {
+				buf = append(buf, buf[from:to]...)
+			}
+			buf = appendFixed6(buf, r.xfactor)
+			buf = append(buf, '\n')
 		}
 	}
-	return nil
+	_, err := w.Write(buf)
+	return err
 }
 
-// utilization is row r's busy share of the machine, 0 without a
+// rowsIn returns the number of rows recorded in chunk c.
+func (s *Sampler) rowsIn(c int) int {
+	return min(chunkRows, s.n-c*chunkRows)
+}
+
+// appendCensus appends the columns between a row's time and its
+// xfactor: ",busy,utilization,queued,running,suspended,".
+func (s *Sampler) appendCensus(dst []byte, c census) []byte {
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(c.busy), 10)
+	dst = append(dst, ',')
+	dst = appendFixed6(dst, s.utilization(c))
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(c.queued), 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(c.running), 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(c.suspended), 10)
+	return append(dst, ',')
+}
+
+// utilization is census c's busy share of the machine, 0 without a
 // machine size.
-func (s *Sampler) utilization(r *row) float64 {
+func (s *Sampler) utilization(c census) float64 {
 	if s.Procs > 0 {
-		return float64(r.busy) / float64(s.Procs)
+		return float64(c.busy) / float64(s.Procs)
 	}
 	return 0
 }
 
-// csvLen is the byte count of WriteCSV's output.
+// csvLen is the byte count of WriteCSV's output. Like WriteCSV, it
+// counts a row's census columns only when they differ from the
+// previous row's.
 func (s *Sampler) csvLen() int {
 	n := len(csvHeader)
-	for i := range s.n {
-		r := s.slot(i)
-		n += len(",,,,,,\n") + decimal.Len(r.time) + decimal.Len(int64(r.busy)) +
-			fixed6Len(s.utilization(r)) + decimal.Len(int64(r.queued)) +
-			decimal.Len(int64(r.running)) + decimal.Len(int64(r.suspended)) + fixed6Len(r.xfactor)
+	var last census
+	cols := 0 // last's column bytes; 0 before the first row
+	for c := range s.chunks {
+		for k := range s.rowsIn(c) {
+			r := &s.chunks[c][k]
+			if cols == 0 || r.census != last {
+				last = r.census
+				cols = len(",,,,,,") + decimal.Len(int64(r.busy)) + fixed6Len(s.utilization(r.census)) +
+					decimal.Len(int64(r.queued)) + decimal.Len(int64(r.running)) + decimal.Len(int64(r.suspended))
+			}
+			n += decimal.Len(r.time) + cols + fixed6Len(r.xfactor) + len("\n")
+		}
 	}
 	return n
 }

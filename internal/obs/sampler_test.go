@@ -211,6 +211,34 @@ func TestSamplerWriteCSVAllocsFlat(t *testing.T) {
 	}
 }
 
+// writeCounter is a plain writer that counts its writes and bytes.
+type writeCounter struct{ writes, bytes int }
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	w.bytes += len(p)
+	return len(p), nil
+}
+
+// TestSamplerWriteCSVWritesInBlocks pins the block writes: a writer
+// that neither grows nor lends its buffer, such as psim's file, gets at
+// most ⌈bytes/block⌉+1 writes, not one per row.
+func TestSamplerWriteCSVWritesInBlocks(t *testing.T) {
+	for _, n := range []int{0, 1, chunkRows, 10_000} {
+		s := csvSampler(n)
+		var w writeCounter
+		if err := s.WriteCSV(&w); err != nil {
+			t.Fatal(err)
+		}
+		if w.bytes != s.csvLen() {
+			t.Fatalf("%d rows: %d bytes written, csvLen %d", n, w.bytes, s.csvLen())
+		}
+		if limit := (w.bytes+csvBlock-1)/csvBlock + 1; w.writes > limit {
+			t.Errorf("%d rows: %d writes for %d bytes, want at most %d", n, w.writes, w.bytes, limit)
+		}
+	}
+}
+
 func BenchmarkSamplerWriteCSV(b *testing.B) {
 	s := csvSampler(10_000)
 	b.ReportAllocs()
@@ -241,7 +269,7 @@ func (r *refSampler) Observe(ev sched.Event) {
 
 // requireMatchesReference checks the sampler's rows against the
 // reference's, and its CSV (into a growable buffer and into a plain
-// writer) against the fmt rendering of the reference rows.
+// writer) and csvLen against the fmt rendering of the reference rows.
 func requireMatchesReference(t *testing.T, s *Sampler, ref *refSampler) {
 	t.Helper()
 	if s.Len() != len(ref.rows) {
@@ -264,27 +292,58 @@ func requireMatchesReference(t *testing.T, s *Sampler, ref *refSampler) {
 	if buf.String() != want || plain.String() != want {
 		t.Fatalf("CSV differs from the reference's fmt rendering (%d rows)", len(ref.rows))
 	}
+	if s.csvLen() != len(want) {
+		t.Fatalf("csvLen() = %d, the fmt rendering has %d bytes (%d rows)", s.csvLen(), len(want), len(ref.rows))
+	}
 }
 
 // FuzzSamplerMatchesReference feeds the chunked sampler and the
 // flat-slice reference the same event stream: n events whose instants
 // advance by 0 (a same-instant burst) to 3 seconds, so bursts land on
-// every chunk boundary. Rows and CSV bytes must be equal.
+// every chunk boundary. The census counts are drawn anew at every
+// event, or with every > 0 one count only at every every-th event, so
+// that runs of rows repeat them as tick rows do, across block
+// boundaries; with no bursts and every = chunkRows they change exactly
+// where a chunk begins. Rows and CSV bytes must be equal.
 func FuzzSamplerMatchesReference(f *testing.F) {
 	for _, n := range []uint16{0, 1, 2, chunkRows - 1, chunkRows, chunkRows + 1, 3*chunkRows + 7} {
-		f.Add(int64(n), n, uint8(3), uint8(16))
+		f.Add(int64(n), n, uint8(3), uint8(16), uint16(0))
 	}
-	f.Add(int64(5), uint16(50), uint8(0), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, burst, procs uint8) {
+	f.Add(int64(5), uint16(50), uint8(0), uint8(1), uint16(0))
+	for _, every := range []uint16{chunkRows - 1, chunkRows, chunkRows + 1, 3000} {
+		f.Add(int64(every), uint16(3*chunkRows+7), uint8(0), uint8(16), every)
+	}
+	f.Add(int64(6), uint16(4*chunkRows-1), uint8(3), uint8(128), uint16(700))
+	f.Add(int64(7), uint16(4*chunkRows-1), uint8(2), uint8(64), uint16(1))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, burst, procs uint8, every uint16) {
 		rng := rand.New(rand.NewSource(seed))
 		s, ref := NewSampler(int(procs)), &refSampler{}
 		now := rng.Int63n(1000)
-		for range int(n) % (4 * chunkRows) {
+		var ev sched.Event
+		for i := range int(n) % (4 * chunkRows) {
 			if burst == 0 || rng.Intn(int(burst)+1) != 0 {
 				now += 1 + rng.Int63n(3)
 			}
-			ev := sched.Event{Entry: sched.Entry{Time: now}, Busy: rng.Intn(int(procs) + 1),
-				Queued: rng.Intn(300), Running: rng.Intn(40), Suspended: rng.Intn(9)}
+			ev.Time = now
+			switch {
+			case every == 0 || i == 0:
+				ev.Busy, ev.Queued = rng.Intn(int(procs)+1), rng.Intn(300)
+				ev.Running, ev.Suspended = rng.Intn(40), rng.Intn(9)
+			case i%int(every) == 0:
+				// One count at a time, so that a row differing from
+				// the previous one in a single column is common.
+				switch rng.Intn(4) {
+				case 0:
+					ev.Busy = (ev.Busy + 1) % (int(procs) + 1)
+				case 1:
+					ev.Queued = (ev.Queued + 1) % 300
+				case 2:
+					ev.Running = (ev.Running + 1) % 40
+				default:
+					ev.Suspended = (ev.Suspended + 1) % 9
+				}
+			}
+			ev.MaxQueuedXFactor = 0
 			if ev.Queued > 0 {
 				ev.MaxQueuedXFactor = 1 + rng.ExpFloat64()
 			}

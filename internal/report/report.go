@@ -7,7 +7,9 @@ package report
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a labelled 2-D grid of values. NaN cells render as "-".
@@ -42,55 +44,90 @@ func (t *Table) prec() int {
 	return t.Precision
 }
 
-func (t *Table) fmtCell(v float64) string {
+// appendCell appends v's cell text: "-" for NaN, no decimals for large
+// and integral values (they read better without), the table's
+// precision otherwise.
+func (t *Table) appendCell(dst []byte, v float64) []byte {
 	if math.IsNaN(v) {
-		return "-"
+		return append(dst, '-')
 	}
-	// Large and integral values read better without decimals.
 	if math.Abs(v) >= 1000 || v == math.Trunc(v) {
-		return fmt.Sprintf("%.0f", v)
+		return strconv.AppendFloat(dst, v, 'f', 0, 64)
 	}
-	return fmt.Sprintf("%.*f", t.prec(), v)
+	return strconv.AppendFloat(dst, v, 'f', t.prec(), 64)
 }
 
-// Render draws the table with aligned columns.
+// Render draws the table with aligned columns. Each cell is formatted
+// once, into one buffer, before the widths are known. A column is as
+// wide as its longest label or cell in bytes; labels are padded to it
+// by their rune count, as fmt's %*s pads.
 func (t *Table) Render() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "%s\n", t.Title)
-	}
-	// Compute column widths.
-	rowW := 0
-	for _, r := range t.RowLabels {
-		if len(r) > rowW {
-			rowW = len(r)
+	cells := len(t.RowLabels) * len(t.ColLabels)
+	at := make([]int, 1, cells+1) // cell k is text[at[k]:at[k+1]]
+	text := make([]byte, 0, 8*cells)
+	for r := range t.RowLabels {
+		for c := range t.ColLabels {
+			text = t.appendCell(text, t.Cells[r][c])
+			at = append(at, len(text))
 		}
 	}
+	rowW := 0
+	for _, r := range t.RowLabels {
+		rowW = max(rowW, len(r))
+	}
 	colW := make([]int, len(t.ColLabels))
+	line := rowW + len("\n")
 	for c, lbl := range t.ColLabels {
 		colW[c] = len(lbl)
 		for r := range t.RowLabels {
-			if w := len(t.fmtCell(t.Cells[r][c])); w > colW[c] {
-				colW[c] = w
-			}
+			k := r*len(t.ColLabels) + c
+			colW[c] = max(colW[c], at[k+1]-at[k])
 		}
+		line += len("  ") + colW[c]
 	}
-	fmt.Fprintf(&b, "%-*s", rowW, "")
+	n := line * (len(t.RowLabels) + 1) // exact when every label is ASCII
+	if t.Title != "" {
+		n += len(t.Title) + len("\n")
+	}
+	if t.Note != "" {
+		n += len("note: \n") + len(t.Note)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	if t.Title != "" {
+		b.WriteString(t.Title)
+		b.WriteByte('\n')
+	}
+	pad(&b, rowW)
 	for c, lbl := range t.ColLabels {
-		fmt.Fprintf(&b, "  %*s", colW[c], lbl)
+		pad(&b, len("  ")+colW[c]-utf8.RuneCountInString(lbl))
+		b.WriteString(lbl)
 	}
 	b.WriteByte('\n')
 	for r, lbl := range t.RowLabels {
-		fmt.Fprintf(&b, "%-*s", rowW, lbl)
+		b.WriteString(lbl)
+		pad(&b, rowW-utf8.RuneCountInString(lbl))
 		for c := range t.ColLabels {
-			fmt.Fprintf(&b, "  %*s", colW[c], t.fmtCell(t.Cells[r][c]))
+			k := r*len(t.ColLabels) + c
+			cell := text[at[k]:at[k+1]]
+			pad(&b, len("  ")+colW[c]-len(cell))
+			b.Write(cell)
 		}
 		b.WriteByte('\n')
 	}
 	if t.Note != "" {
-		fmt.Fprintf(&b, "note: %s\n", t.Note)
+		b.WriteString("note: ")
+		b.WriteString(t.Note)
+		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// pad writes n spaces to b, none when n is not positive.
+func pad(b *strings.Builder, n int) {
+	for range n {
+		b.WriteByte(' ')
+	}
 }
 
 // CSV emits the table as comma-separated values with the row label in

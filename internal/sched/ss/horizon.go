@@ -82,6 +82,11 @@ type horizonState struct {
 	// next reconcile or commit.
 	victims []victimX
 	widths  []widthCover
+
+	// commitOf is per processor the number of the last commit whose
+	// victims' sets hold it; commits counts the commits.
+	commitOf []uint64
+	commits  uint64
 }
 
 // victimX is a suspendable running job with its xfactor.
@@ -277,6 +282,7 @@ func (h *horizonState) size(n int) {
 	}
 	h.block = make([]float64, n)
 	h.ownRec = make([]int32, n)
+	h.commitOf = make([]uint64, n)
 	for p := range h.block {
 		h.block[p] = -1
 		h.ownRec[p] = -1
@@ -749,25 +755,39 @@ func (h *horizonState) swap(a, b int) {
 // drops the victims' owner records. j, no longer idle, loses its own
 // need. The memoized covers are forgotten, so the victims suspended
 // here no longer count.
+//
+// The claim mostly overlaps the victims' sets: a fresh job claims the
+// free processors and then its victims', a reentering job its set, most
+// of which its victims hold. Each processor of the union is held once:
+// the victims' processors record the commit's number in commitOf, and
+// the claim's processors that carry it are skipped. The sets decide,
+// not the cluster, which under zero overhead already gives the claim
+// to j.
 func (h *horizonState) committed(j *job.Job, victims []*job.Job, claim []int) {
+	h.commits++
 	for _, v := range victims {
-		h.hold(v.ProcSet)
+		for _, p := range v.ProcSet {
+			h.commitOf[p] = h.commits
+			h.hold(p)
+		}
 		h.hard = append(h.hard, hardRec{incarnation: incarnation{v, v.Epoch}, set: v.ProcSet})
 		h.left = append(h.left, v.ProcSet[0])
 	}
-	h.hold(claim)
+	for _, p := range claim {
+		if h.commitOf[p] != h.commits {
+			h.hold(p)
+		}
+	}
 	h.hard = append(h.hard, hardRec{incarnation: incarnation{j, j.Epoch}, set: claim, claim: true})
 	h.widths = h.widths[:0]
 	h.dropNeed(j)
 }
 
-// hold marks held the needs covering a processor of set.
-func (h *horizonState) hold(set []int) {
-	for _, p := range set {
-		for k, w := range h.cover[p*h.cw : (p+1)*h.cw] {
-			for ; w != 0; w &= w - 1 {
-				h.needs[k<<6|bits.TrailingZeros64(w)].held = h.gen
-			}
+// hold marks held the needs covering processor p.
+func (h *horizonState) hold(p int) {
+	for k, w := range h.cover[p*h.cw : (p+1)*h.cw] {
+		for ; w != 0; w &= w - 1 {
+			h.needs[k<<6|bits.TrailingZeros64(w)].held = h.gen
 		}
 	}
 }
