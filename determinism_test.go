@@ -13,10 +13,11 @@ import (
 // TestSchedulerRegistryDoubleRunDeterminism runs every registered
 // policy twice over the same seeded synthetic workload and asserts the
 // two audit logs are byte-identical. This is the dynamic complement to
-// the pjslint static checks: stablesort/maporder prove the absence of
-// known nondeterminism *patterns*, while this test catches any source
-// the analyses cannot see (map-order leaks through interfaces, hidden
-// global state, allocator-address comparisons, ...).
+// the pjslint static checks: stablesort/maporder ban the code shapes
+// of known nondeterminism (unstable sorts, map iteration), while this
+// test catches any source the checks cannot see (hidden global state,
+// order that arrives through an interface from outside their scope,
+// ...).
 func TestSchedulerRegistryDoubleRunDeterminism(t *testing.T) {
 	trace := pjs.Generate(pjs.SDSC(), pjs.GenOptions{Jobs: 300, Seed: 7})
 	for _, spec := range pjs.SchedulerSpecs() {

@@ -381,3 +381,86 @@ func isPointerShaped(t types.Type) bool {
 	}
 	return false
 }
+
+// DefUse records every definition and use of each identifier-addressed
+// object in one function: Defs are the *ast.Ident sites where the object
+// is (re)bound — declarations, parameters, assignment left-hand sides,
+// range iteration variables — and Uses are every other mention.
+// allocfree reads it to tell a slice declared in the function from a
+// captured one. Anything not addressable by a plain identifier (fields,
+// elements) is tracked at the granularity of its base identifier.
+type DefUse struct {
+	Defs map[types.Object][]*ast.Ident
+	Uses map[types.Object][]*ast.Ident
+}
+
+// DefUse builds the def-use chains of a function declared in this
+// package. Sites appear in source order.
+func (p *Package) DefUse(fd *ast.FuncDecl) *DefUse {
+	du := &DefUse{
+		Defs: map[types.Object][]*ast.Ident{},
+		Uses: map[types.Object][]*ast.Ident{},
+	}
+	assignLHS := map[*ast.Ident]bool{}
+	ast.Inspect(fd, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
+					assignLHS[id] = true
+				}
+			}
+		case *ast.RangeStmt:
+			for _, v := range []ast.Expr{n.Key, n.Value} {
+				if id, ok := v.(*ast.Ident); ok {
+					assignLHS[id] = true
+				}
+			}
+		case *ast.Ident:
+			if n.Name == "_" {
+				return true
+			}
+			if obj := p.Info.Defs[n]; obj != nil && isVarObj(obj) {
+				du.Defs[obj] = append(du.Defs[obj], n)
+				return true
+			}
+			if obj := p.Info.Uses[n]; obj != nil && isVarObj(obj) {
+				if assignLHS[n] {
+					du.Defs[obj] = append(du.Defs[obj], n)
+				} else {
+					du.Uses[obj] = append(du.Uses[obj], n)
+				}
+			}
+		}
+		return true
+	})
+	return du
+}
+
+func isVarObj(obj types.Object) bool {
+	_, ok := obj.(*types.Var)
+	return ok
+}
+
+// baseIdent strips selectors, indexing, slicing, dereferences and parens
+// down to the base identifier, or nil.
+func baseIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}

@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// BenchmarkLintRepo pins the wall time of a full-repository pjslint run
-// — exactly what the tier-1 gate executes — so the flow-graph, call-graph
-// and taint passes cannot silently regress verify latency. Each iteration builds
+// BenchmarkLintRepo measures the wall time of a full-repository pjslint
+// run — exactly what the tier-1 gate executes — type-check, call graph
+// and every check. It asserts no time budget; compare its ns/op and
+// allocs/op across a change by hand. Each iteration builds
 // a fresh Loader (the per-run cost a CI invocation pays); the stdlib
 // type-check is shared process-wide and amortizes across iterations the
 // same way it amortizes across the test suite.

@@ -16,8 +16,8 @@ import (
 // The graph is deliberately static: calls through function values,
 // interface methods, go/defer thunks and closures are not edges.
 // Clients using the graph to *suppress* findings must not rely on
-// absent edges; clients using it to *propagate* taints (the maporder
-// audit-sink closure) accept the under-approximation and say so.
+// absent edges; its clients (stablesort's comparator helpers, allocfree's
+// callee walk) follow the edges that exist and say so.
 type CallGraph struct {
 	nodes map[*types.Func]*CallNode
 }
@@ -73,14 +73,6 @@ func (p *Package) CallGraph() *CallGraph {
 // or nil for external or undeclared functions.
 func (g *CallGraph) Node(fn *types.Func) *CallNode { return g.nodes[fn] }
 
-// Nodes visits every node in unspecified (map) order; callers needing
-// deterministic output must sort what they collect by position.
-func (g *CallGraph) Nodes(visit func(*CallNode)) {
-	for _, n := range g.nodes {
-		visit(n)
-	}
-}
-
 // CalleeOf resolves the statically-known target of a call expression:
 // a plain function, a package-qualified function, or a method reached
 // through a selector. Calls through function values, type conversions
@@ -95,31 +87,4 @@ func (p *Package) CalleeOf(call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// transitiveClosure marks every function from which some function in
-// seed is statically reachable through in-package edges — the
-// "transitively calls a seed" set. The fixpoint only follows edges to
-// declared in-package functions, so the closure is package-local.
-func (g *CallGraph) transitiveClosure(seed map[*types.Func]bool) map[*types.Func]bool {
-	out := make(map[*types.Func]bool, len(seed))
-	for fn := range seed {
-		out[fn] = true
-	}
-	for changed := true; changed; {
-		changed = false
-		for fn, node := range g.nodes {
-			if out[fn] {
-				continue
-			}
-			for _, callee := range node.Callees {
-				if out[callee] {
-					out[fn] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return out
 }

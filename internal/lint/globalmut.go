@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // GlobalmutCheck forbids mutable package-level state in the decision
@@ -33,12 +32,7 @@ var globalmutScopes = []string{
 }
 
 func (*GlobalmutCheck) Applies(pkgPath string) bool {
-	for _, s := range globalmutScopes {
-		if pkgPath == s || strings.HasPrefix(pkgPath, s+"/") {
-			return true
-		}
-	}
-	return false
+	return inScope(pkgPath, globalmutScopes)
 }
 
 func (*GlobalmutCheck) Run(p *Package, rep *Reporter) {

@@ -9,18 +9,18 @@
 //
 // The suite is built on go/parser, go/ast and go/types with a
 // module-aware loader (see Loader) so that go.mod stays dependency-free.
-// On top of the loader sit shared whole-program structures — a
-// type-resolved call graph (CallGraph, callgraph.go) and a dataflow
-// framework (dataflow.go: basic-block flow graphs, a generic forward
-// worklist solver, def-use chains) carrying a taint engine with
-// interprocedural function summaries (taint.go) — built lazily per
+// On top of the loader sits one shared whole-package structure, a
+// type-resolved call graph (CallGraph, callgraph.go), built lazily per
 // package and memoized, so every check analyzes the same type-checked
-// artifacts.
+// artifacts; allocfree adds per-function def-use chains (DefUse).
 //
-// Each rule is a Check. The ten shipped checks are wallclock, detrand,
-// stablesort, maporder (interprocedural), errwrite, exhaustive,
-// globalmut, staleignore, and the dataflow-backed seedflow and
-// allocfree (see their files for the precise semantics). Two invariants
+// Each rule is a Check. The nine shipped checks are wallclock, detrand,
+// stablesort, maporder, errwrite, exhaustive, globalmut, allocfree and
+// staleignore (see their files for the precise semantics). Every rule
+// is a property the code shows at the site: determinism is guarded by
+// what may be written where (no clock read, no global or stray RNG, no
+// unsafe or reflect, no map iteration in the decision paths), not by
+// tracing values. Two invariants
 // need no check of their own: exhaustive switches over sched.Action in
 // the checker, the counters and the trace builder make a new audit
 // action fail the build until all three handle it, and the wallclock
@@ -83,7 +83,6 @@ func AllChecks() []Check {
 		&ErrwriteCheck{},
 		&ExhaustiveCheck{},
 		&GlobalmutCheck{},
-		&SeedflowCheck{},
 		&AllocfreeCheck{},
 		&StaleignoreCheck{},
 	}
@@ -304,6 +303,16 @@ func pkgFunc(p *Package, call *ast.CallExpr) (path, name string, ok bool) {
 		return "", "", false
 	}
 	return pn.Imported().Path(), sel.Sel.Name, true
+}
+
+// inScope reports whether pkgPath is one of scopes or below one.
+func inScope(pkgPath string, scopes []string) bool {
+	for _, s := range scopes {
+		if pkgPath == s || strings.HasPrefix(pkgPath, s+"/") {
+			return true
+		}
+	}
+	return false
 }
 
 // derefNamed unwraps pointers down to a named type.

@@ -86,15 +86,14 @@ var fixtureCases = []struct {
 	{check: "wallclock", dir: "wallclock", asPath: "pjs/internal/fixture/wallclock"},
 	{check: "wallclock", dir: "perfclock", asPath: "pjs/internal/perf"},
 	{check: "wallclock", dir: "perfclock_sched", asPath: "pjs/internal/sched/fixture/perfclock"},
-	{check: "detrand", dir: "detrand", asPath: "pjs/fixture/detrand"},
+	{check: "detrand", dir: "detrand", asPath: "pjs/internal/workload/fixture/detrand"},
+	{check: "detrand", dir: "detrand_stream", asPath: "pjs/cmd/fixture/detrand"},
 	{check: "stablesort", dir: "stablesort", asPath: "pjs/internal/sched/fixture/stablesort"},
 	{check: "maporder", dir: "maporder", asPath: "pjs/internal/sim/fixture/maporder"},
-	{check: "maporder", dir: "maporder_interproc", asPath: "pjs/internal/sched/fixture/interproc"},
 	{check: "errwrite", dir: "errwrite", asPath: "pjs/internal/report/fixture"},
 	{check: "errwrite", dir: "errwrite_obs", asPath: "pjs/internal/obs/fixture"},
 	{check: "exhaustive", dir: "exhaustive", asPath: "pjs/internal/fixture/exhaustive"},
 	{check: "globalmut", dir: "globalmut", asPath: "pjs/internal/sim/fixture/globalmut"},
-	{check: "seedflow", dir: "seedflow", asPath: "pjs/internal/fixture/seedflow"},
 	{check: "allocfree", dir: "allocfree", asPath: "pjs/internal/fixture/allocfree"},
 	{check: "staleignore", dir: "staleignore", asPath: "pjs/internal/fixture/staleignore", full: true},
 }
@@ -377,14 +376,25 @@ func stamp() int64 {
 	}
 }
 
-// TestMaporderCatchesMapOrderedVictims seeds the bug maporder exists
-// for on a decision path: a helper of the SS package collects victims
-// by ranging over a map keyed by job ID and returns them unsorted, and
-// its caller appends them to the victim list. Both the helper's range
-// and the caller's assignment must be reported.
-func TestMaporderCatchesMapOrderedVictims(t *testing.T) {
-	dir := t.TempDir()
-	src := `package ss
+// wantOne runs the full suite over one synthetic source file loaded
+// under asPath and demands exactly one finding, of the given check, on
+// the given line, whose message contains msg.
+func wantOne(t *testing.T, src, asPath, check string, line int, msg string) {
+	t.Helper()
+	diags := Run(loadSrc(t, src, asPath), AllChecks())
+	if len(diags) != 1 {
+		t.Fatalf("want exactly 1 diagnostic, got %d: %v", len(diags), diags)
+	}
+	if d := diags[0]; d.Check != check || d.Pos.Line != line || !strings.Contains(d.Message, msg) {
+		t.Errorf("want %s finding %q at line %d, got %s", check, msg, line, d)
+	}
+}
+
+// victimsSrc is a helper of the SS package that collects victims by
+// ranging over a map keyed by job ID; tail is what follows the loop.
+const victimsSrc = `package ss
+
+import "sort"
 
 type Job struct {
 	ID    int
@@ -398,48 +408,100 @@ func heldVictims(held map[int]*Job, need int) []*Job {
 			out = append(out, j)
 		}
 	}
+	%s
 	return out
 }
 
-func selectVictims(held map[int]*Job, need int, victims []*Job) []*Job {
-	cands := heldVictims(held, need)
-	victims = append(victims, cands...)
-	return victims
-}
+var _ = sort.SliceStable
 `
-	if err := os.WriteFile(filepath.Join(dir, "victims.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	p, err := newTestLoader(t).LoadDir(dir, "pjs/internal/sched/ss")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Run(p, AllChecks())
-	if len(diags) != 2 {
-		t.Fatalf("want exactly 2 diagnostics, got %d: %v", len(diags), diags)
-	}
-	for i, want := range []struct {
-		line int
-		msg  string
-	}{
-		{10, "map iteration order leaks into a slice accumulated across iterations"},
-		{19, "helper heldVictims returns a slice in map-iteration order"},
+
+// TestMaporderCatchesMapOrderedVictims seeds the bug maporder exists
+// for on a decision path: SS victims collected in map order. The range
+// is the finding, whether the slice is returned as it is or
+// stable-sorted by width afterwards — the sort keeps the map's order
+// among jobs of equal width, so it fixes nothing.
+func TestMaporderCatchesMapOrderedVictims(t *testing.T) {
+	for name, tail := range map[string]string{
+		"unsorted":        "",
+		"stable by width": "sort.SliceStable(out, func(i, k int) bool { return out[i].Procs > out[k].Procs })",
 	} {
-		d := diags[i]
-		if d.Check != "maporder" || d.Pos.Line != want.line || !strings.Contains(d.Message, want.msg) {
-			t.Errorf("want maporder finding %q at line %d, got %s", want.msg, want.line, d)
-		}
+		t.Run(name, func(t *testing.T) {
+			wantOne(t, fmt.Sprintf(victimsSrc, tail), "pjs/internal/sched/ss",
+				"maporder", 12, "range over a map visits keys in random order")
+		})
 	}
 }
 
+// TestMaporderCatchesMapRangeInSim pins a map-range accumulation in the
+// engine package.
+func TestMaporderCatchesMapRangeInSim(t *testing.T) {
+	wantOne(t, `package sim
+
+func pending(byTime map[int64]int) []int {
+	var ids []int
+	for _, id := range byTime {
+		ids = append(ids, id)
+	}
+	return ids
+}
+`, "pjs/internal/sim/queue", "maporder", 5, "range over a map")
+}
+
+// TestMaporderCatchesMapKeySeed pins a seed taken from a map key in a
+// stream package, where the RNG constructor itself is allowed.
+func TestMaporderCatchesMapKeySeed(t *testing.T) {
+	wantOne(t, `package workload
+
+import "math/rand"
+
+func fromWeights(weights map[int64]float64) *rand.Rand {
+	var first int64
+	for k := range weights {
+		first = k
+		break
+	}
+	return rand.New(rand.NewSource(first))
+}
+`, "pjs/internal/workload/seeds", "maporder", 7, "range over a map")
+}
+
+// TestMaporderCatchesCollectedKeys pins map order leaked without a
+// range statement.
+func TestMaporderCatchesCollectedKeys(t *testing.T) {
+	wantOne(t, `package easy
+
+import (
+	"maps"
+	"slices"
+)
+
+func ids(held map[int]bool) []int {
+	return slices.Collect(maps.Keys(held))
+}
+`, "pjs/internal/sched/easy", "maporder", 9, "maps.Keys yields in random map order")
+}
+
+// TestDetrandCatchesPointerSeed pins a seed taken from an address: the
+// unsafe import is the finding, even in a stream package.
+func TestDetrandCatchesPointerSeed(t *testing.T) {
+	wantOne(t, `package workload
+
+import (
+	"math/rand"
+	"unsafe"
+)
+
+func fromAddress(p *int) *rand.Rand {
+	return rand.New(rand.NewSource(int64(uintptr(unsafe.Pointer(p)))))
+}
+`, "pjs/internal/workload/seeds", "detrand", 5, "import of unsafe")
+}
+
 // TestSeedflowCatchesTimeSeed reproduces the canonical seed bug: an RNG
-// seeded from the wall clock. The fixture corpus cannot carry this
-// shape (it sits under pjs/internal/, where importing time trips
-// wallclock), so the time-derived seed is pinned here under a path
-// outside the wallclock scope.
+// seeded from the wall clock under a cmd-style path, where wallclock
+// does not reach. detrand's constructor rule reports both constructors.
 func TestSeedflowCatchesTimeSeed(t *testing.T) {
-	dir := t.TempDir()
-	src := `package seedtool
+	diags := Run(loadSrc(t, `package seedtool
 
 import (
 	"math/rand"
@@ -449,22 +511,14 @@ import (
 func fresh() *rand.Rand {
 	return rand.New(rand.NewSource(time.Now().UnixNano()))
 }
-`
-	if err := os.WriteFile(filepath.Join(dir, "seed.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
+`, "pjs/cmd/seedtool"), AllChecks())
+	if len(diags) != 2 {
+		t.Fatalf("want exactly 2 diagnostics, got %d: %v", len(diags), diags)
 	}
-	l := newTestLoader(t)
-	p, err := l.LoadDir(dir, "pjs/tools/seedtool")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Run(p, AllChecks())
-	if len(diags) != 1 {
-		t.Fatalf("want exactly 1 diagnostic, got %d: %v", len(diags), diags)
-	}
-	d := diags[0]
-	if d.Check != "seedflow" || !strings.Contains(d.Message, "flows into an RNG seed (math/rand.NewSource)") {
-		t.Errorf("want seedflow finding on the seeded source, got %s", d)
+	for i, name := range []string{"rand.New ", "rand.NewSource "} {
+		if d := diags[i]; d.Check != "detrand" || d.Pos.Line != 9 || !strings.Contains(d.Message, name+"builds an RNG outside") {
+			t.Errorf("want detrand constructor finding on %s at line 9, got %s", name, d)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 
 // Package is one loaded, type-checked package ready for analysis. A
 // package is type-checked exactly once per loader and the result —
-// including the lazily built call graph and per-function flow graphs —
+// including the lazily built call graph —
 // is shared by every check that inspects it.
 type Package struct {
 	// Path is the import path the checks scope on. For fixture packages
@@ -28,11 +28,10 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	// mu guards the lazily built per-package structures below, so a
-	// Package stays safe to analyze from more than one goroutine.
-	mu  sync.Mutex
-	cg  *CallGraph
-	fgs map[*ast.FuncDecl]*FlowGraph
+	// mu guards the lazily built call graph, so a Package stays safe to
+	// analyze from more than one goroutine.
+	mu sync.Mutex
+	cg *CallGraph
 }
 
 // Loader parses and type-checks packages of the enclosing module using

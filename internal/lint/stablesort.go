@@ -45,12 +45,7 @@ func (*StablesortCheck) Doc() string {
 
 // Applies implements Check.
 func (*StablesortCheck) Applies(pkgPath string) bool {
-	for _, s := range stablesortScopes {
-		if pkgPath == s || strings.HasPrefix(pkgPath, s+"/") {
-			return true
-		}
-	}
-	return false
+	return inScope(pkgPath, stablesortScopes)
 }
 
 // Run implements Check.

@@ -196,13 +196,3 @@ func perfClockRead(p *Package, call *ast.CallExpr) (string, bool) {
 	}
 	return "", false
 }
-
-// isTimingCall classifies timing sources for seedflow: the banned
-// time-package readers and the perf-clock reads.
-func isTimingCall(p *Package, call *ast.CallExpr) bool {
-	if path, name, ok := pkgFunc(p, call); ok && path == "time" && wallclockBanned[name] {
-		return true
-	}
-	_, ok := perfClockRead(p, call)
-	return ok
-}
