@@ -87,7 +87,7 @@ func (s *psjf) OnTick() {
 	if victim.EstimatedRemaining() < 2*short.EstimatedRemaining() {
 		return
 	}
-	claim := s.env.Cluster.ListFreeUnclaimed(short.Procs)
+	claim := s.env.Cluster.ListFreeUnclaimed(short.Procs, nil)
 	for _, p := range victim.ProcSet {
 		if len(claim) == short.Procs {
 			break

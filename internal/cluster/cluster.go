@@ -171,32 +171,34 @@ func (c *Cluster) Repair(now int64, p int) {
 }
 
 // AllocFree allocates k processors for job id from the free-unclaimed
-// pool (lowest indices first) and returns them. It panics if fewer than
-// k are available — callers must check FreeUnclaimed first.
-func (c *Cluster) AllocFree(now int64, id, k int) []int {
+// pool and appends them to dst, in ascending order, returning the
+// extended slice: the lowest-indexed ones under FirstFit, the smallest
+// contiguous run that holds k under BestFitContiguous. It allocates
+// nothing when dst has room for k more. It panics if fewer than k are
+// available — callers must check FreeUnclaimed first.
+func (c *Cluster) AllocFree(now int64, id, k int, dst []int) []int {
 	if k > c.freeUnclaimed {
 		panic(fmt.Sprintf("cluster: job %d wants %d processors, %d free", id, k, c.freeUnclaimed))
 	}
 	c.advance(now)
-	var procs []int
+	n := len(dst)
 	if c.policy == BestFitContiguous {
 		if start := c.bestFitRun(k); start >= 0 {
-			procs = make([]int, k)
-			for i := range procs {
-				procs[i] = start + i
+			for p := start; p < start+k; p++ {
+				dst = append(dst, p)
 			}
 		}
 	}
-	if procs == nil {
-		procs = c.ListFreeUnclaimed(k)
+	if len(dst) == n {
+		dst = c.ListFreeUnclaimed(k, dst)
 	}
-	for _, p := range procs {
+	for _, p := range dst[n:] {
 		c.owner[p] = id
 		c.clearFree(p)
 	}
 	c.freeUnclaimed -= k
 	c.busyCount += k
-	return procs
+	return dst
 }
 
 // bestFitRun returns the start of the smallest contiguous free-unclaimed
@@ -315,16 +317,17 @@ func (c *Cluster) SetFree(id int, set []int) bool {
 	return true
 }
 
-// ListFreeUnclaimed returns up to k processors that are unowned and
-// unclaimed, lowest indices first, without allocating them.
-func (c *Cluster) ListFreeUnclaimed(k int) []int {
-	out := make([]int, 0, k)
-	for i := 0; i < len(c.free) && len(out) < k; i++ {
-		for w := c.free[i]; w != 0 && len(out) < k; w &= w - 1 {
-			out = append(out, i<<6+bits.TrailingZeros64(w))
+// ListFreeUnclaimed appends to dst up to k processors that are
+// unowned and unclaimed, lowest indices first, without allocating them,
+// and returns the extended slice.
+func (c *Cluster) ListFreeUnclaimed(k int, dst []int) []int {
+	n := len(dst)
+	for i := 0; i < len(c.free) && len(dst)-n < k; i++ {
+		for w := c.free[i]; w != 0 && len(dst)-n < k; w &= w - 1 {
+			dst = append(dst, i<<6+bits.TrailingZeros64(w))
 		}
 	}
-	return out
+	return dst
 }
 
 // BusyIntegral returns the accumulated processor-seconds of ownership up

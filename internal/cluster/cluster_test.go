@@ -26,7 +26,7 @@ func TestNewPanicsOnZero(t *testing.T) {
 
 func TestAllocFreeAndRelease(t *testing.T) {
 	c := New(8)
-	set := c.AllocFree(0, 1, 3)
+	set := c.AllocFree(0, 1, 3, nil)
 	if len(set) != 3 {
 		t.Fatalf("got %d procs", len(set))
 	}
@@ -49,18 +49,18 @@ func TestAllocFreeAndRelease(t *testing.T) {
 
 func TestAllocFreePanicsWhenShort(t *testing.T) {
 	c := New(4)
-	c.AllocFree(0, 1, 3)
+	c.AllocFree(0, 1, 3, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
 		}
 	}()
-	c.AllocFree(0, 2, 2)
+	c.AllocFree(0, 2, 2, nil)
 }
 
 func TestAllocSetLocalRestart(t *testing.T) {
 	c := New(8)
-	set := c.AllocFree(0, 1, 4)
+	set := c.AllocFree(0, 1, 4, nil)
 	c.Release(5, 1, set)
 	// Job 1 restarts on exactly its old set.
 	if !c.SetFree(1, set) {
@@ -79,7 +79,7 @@ func TestAllocSetLocalRestart(t *testing.T) {
 
 func TestAllocSetPanicsWhenOwned(t *testing.T) {
 	c := New(8)
-	set := c.AllocFree(0, 1, 2)
+	set := c.AllocFree(0, 1, 2, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
@@ -90,8 +90,8 @@ func TestAllocSetPanicsWhenOwned(t *testing.T) {
 
 func TestClaimFlow(t *testing.T) {
 	c := New(8)
-	victim := c.AllocFree(0, 1, 4) // job 1 running on 4 procs
-	free := c.AllocFree(0, 2, 0)
+	victim := c.AllocFree(0, 1, 4, nil) // job 1 running on 4 procs
+	free := c.AllocFree(0, 2, 0, nil)
 	_ = free
 	// Job 9 claims 2 free procs and job 1's 4 procs (being suspended).
 	freeProcs := []int{4, 5}
@@ -161,8 +161,8 @@ func TestSetFreeRespectsForeignClaims(t *testing.T) {
 
 func TestUtilizationIntegral(t *testing.T) {
 	c := New(10)
-	set := c.AllocFree(0, 1, 5) // 5 busy from t=0
-	c.Release(100, 1, set)      // ... to t=100
+	set := c.AllocFree(0, 1, 5, nil) // 5 busy from t=0
+	c.Release(100, 1, set)           // ... to t=100
 	u := c.Utilization(0, 200)
 	want := 5.0 * 100 / (10 * 200)
 	if diff := u - want; diff > 1e-12 || diff < -1e-12 {
@@ -179,30 +179,30 @@ func TestUtilizationEmptyWindow(t *testing.T) {
 
 func TestTimeBackwardsPanics(t *testing.T) {
 	c := New(4)
-	c.AllocFree(100, 1, 1)
+	c.AllocFree(100, 1, 1, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
 		}
 	}()
-	c.AllocFree(50, 2, 1)
+	c.AllocFree(50, 2, 1, nil)
 }
 
 func TestBestFitContiguousAllocation(t *testing.T) {
 	c := New(16)
 	c.SetAllocPolicy(BestFitContiguous)
 	// Occupy [4,8) and [12,14): free runs are [0,4), [8,12), [14,16).
-	c.AllocFree(0, 1, 0) // no-op
+	c.AllocFree(0, 1, 0, nil) // no-op
 	c.AllocSet(0, 10, []int{4, 5, 6, 7})
 	c.AllocSet(0, 11, []int{12, 13})
 	// A 2-proc job best-fits the smallest run ≥ 2: [14,16).
-	got := c.AllocFree(0, 2, 2)
+	got := c.AllocFree(0, 2, 2, nil)
 	if got[0] != 14 || got[1] != 15 {
 		t.Errorf("2-proc best-fit = %v, want [14 15]", got)
 	}
 	// A 4-proc job now best-fits [0,4) or [8,12): both length 4; the
 	// scan returns the first.
-	got = c.AllocFree(0, 3, 4)
+	got = c.AllocFree(0, 3, 4, nil)
 	if got[0] != 0 || got[3] != 3 {
 		t.Errorf("4-proc best-fit = %v, want [0..3]", got)
 	}
@@ -216,7 +216,7 @@ func TestBestFitFallsBackToScatter(t *testing.T) {
 	c.SetAllocPolicy(BestFitContiguous)
 	// Fragment: occupy 1, 3, 5 → free runs all length ≤ 2.
 	c.AllocSet(0, 10, []int{1, 3, 5})
-	got := c.AllocFree(0, 2, 4) // no contiguous run of 4: scatter
+	got := c.AllocFree(0, 2, 4, nil) // no contiguous run of 4: scatter
 	want := []int{0, 2, 4, 6}
 	for i := range want {
 		if got[i] != want[i] {
@@ -229,7 +229,7 @@ func TestBestFitRespectsClaims(t *testing.T) {
 	c := New(8)
 	c.SetAllocPolicy(BestFitContiguous)
 	c.Claim(9, []int{0, 1, 2, 3})
-	got := c.AllocFree(0, 1, 4)
+	got := c.AllocFree(0, 1, 4, nil)
 	if got[0] != 4 {
 		t.Errorf("claimed processors must not be allocated: %v", got)
 	}
@@ -253,7 +253,7 @@ func TestRandomizedInvariants(t *testing.T) {
 		switch op := rng.Intn(4); {
 		case op == 0 && c.FreeUnclaimed() > 0: // alloc
 			k := 1 + rng.Intn(c.FreeUnclaimed())
-			set := c.AllocFree(now, nextID, k)
+			set := c.AllocFree(now, nextID, k, nil)
 			running = append(running, held{nextID, set})
 			nextID++
 		case op == 1 && len(running) > 0: // release

@@ -14,7 +14,7 @@ func TestFailExcludesProcessorFromAllocation(t *testing.T) {
 	if c.FreeUnclaimed() != 3 {
 		t.Fatalf("FreeUnclaimed=%d, want 3", c.FreeUnclaimed())
 	}
-	got := c.AllocFree(0, 7, 3)
+	got := c.AllocFree(0, 7, 3, nil)
 	for _, p := range got {
 		if p == 1 {
 			t.Fatalf("AllocFree handed out down processor 1: %v", got)
@@ -27,7 +27,7 @@ func TestFailExcludesProcessorFromAllocation(t *testing.T) {
 
 func TestFailOfOwnedProcessorThenRelease(t *testing.T) {
 	c := New(4)
-	set := c.AllocFree(0, 9, 2) // procs 0,1
+	set := c.AllocFree(0, 9, 2, nil) // procs 0,1
 	c.Fail(10, set[0])
 	// The owner still holds the set until the driver kills it.
 	if c.Owner(set[0]) != 9 {
@@ -60,7 +60,7 @@ func TestFailBlocksSetFree(t *testing.T) {
 	if c.FreeUnclaimed() != 3 {
 		t.Fatalf("FreeUnclaimed=%d after unclaim, want 3", c.FreeUnclaimed())
 	}
-	if got := c.ListFreeUnclaimed(4); !slices.Equal(got, []int{0, 2, 3}) {
+	if got := c.ListFreeUnclaimed(4, nil); !slices.Equal(got, []int{0, 2, 3}) {
 		t.Fatalf("ListFreeUnclaimed=%v, want the up procs [0 2 3]", got)
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -72,7 +72,7 @@ func TestBestFitSkipsDownProcessors(t *testing.T) {
 	c := New(8)
 	c.SetAllocPolicy(BestFitContiguous)
 	c.Fail(0, 2) // splits [0..7] into runs [0,1] and [3..7]
-	got := c.AllocFree(0, 3, 2)
+	got := c.AllocFree(0, 3, 2, nil)
 	if got[0] != 0 || got[1] != 1 {
 		t.Fatalf("best fit chose %v, want the exact [0 1] run", got)
 	}

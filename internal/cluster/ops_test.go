@@ -95,13 +95,50 @@ func pick(c *Cluster, start, step, k int, ok func(p int) bool) []int {
 	return out
 }
 
+// callerBuf returns a buffer for a call that appends k processors,
+// shaped by sel: nil, empty with room for k, or holding a prefix of
+// sentinels with room for k more or, for k > 0, one too few.
+func callerBuf(sel, k int) []int {
+	pre := sel % 3
+	room := k
+	switch sel / 3 % 4 {
+	case 0:
+		return nil
+	case 1:
+		pre = 0
+	case 3:
+		room = max(k-1, 0)
+	}
+	buf := make([]int, pre, pre+room)
+	for i := range buf {
+		buf[i] = -2 - i
+	}
+	return buf
+}
+
+// appended checks that out, what call returned for buf, is buf
+// extended: the prefix kept and, when buf had room for what was
+// appended, buf's own storage. It returns the appended processors.
+func appended(t *testing.T, op int, call string, buf, out []int) []int {
+	t.Helper()
+	if len(out) < len(buf) || !slices.Equal(out[:len(buf)], buf) {
+		t.Fatalf("op %d: %s into %v returned %v, which does not extend it", op, call, buf, out)
+	}
+	if len(out) > len(buf) && len(out) <= cap(buf) && &out[0] != &buf[:1][0] {
+		t.Fatalf("op %d: %s reallocated a buffer with room for %d processors", op, call, len(out)-len(buf))
+	}
+	return out[len(buf):]
+}
+
 // checkOps decodes data into a sequence of Fail, Repair, AllocFree
 // (both policies), AllocSet, Release, Claim and Unclaim on a machine of
 // 1, 63, 64, 65, 128 or 430 processors, the sizes at and around the
 // bitmap's word edges plus CTC's. Each operation is made valid for the
 // current state. After each one, AllocFree on a copy under both
 // policies and ListFreeUnclaimed must match a naive scan of the owner,
-// claim and down arrays, and CheckInvariants must hold.
+// claim and down arrays, and CheckInvariants must hold. Every AllocFree
+// and ListFreeUnclaimed appends into a caller's buffer (callerBuf),
+// which it must extend in place when it has room.
 func checkOps(t *testing.T, data []byte) {
 	if len(data) < 1 {
 		return
@@ -132,7 +169,8 @@ func checkOps(t *testing.T, data []byte) {
 			c.SetAllocPolicy(policy)
 			k := 1 + x%c.FreeUnclaimed()
 			want := naivePlace(c, policy, k)
-			got := c.AllocFree(now, nextID, k)
+			buf := callerBuf(y, k)
+			got := appended(t, op, "AllocFree", buf, c.AllocFree(now, nextID, k, buf))
 			if !slices.Equal(got, want) {
 				t.Fatalf("op %d: AllocFree(%d) under policy %d = %v, want %v", op, k, policy, got, want)
 			}
@@ -180,7 +218,8 @@ func checkOps(t *testing.T, data []byte) {
 			t.Fatalf("op %d: FreeUnclaimed = %d, naive count %d", op, c.FreeUnclaimed(), len(free))
 		}
 		for _, k := range []int{0, 1 + x%n, n} {
-			if got, want := c.ListFreeUnclaimed(k), naiveList(c, k); !slices.Equal(got, want) {
+			buf := callerBuf(x^y, k)
+			if got, want := appended(t, op, "ListFreeUnclaimed", buf, c.ListFreeUnclaimed(k, buf)), naiveList(c, k); !slices.Equal(got, want) {
 				t.Fatalf("op %d: ListFreeUnclaimed(%d) = %v, want %v", op, k, got, want)
 			}
 		}
@@ -194,7 +233,8 @@ func checkOps(t *testing.T, data []byte) {
 			for _, policy := range []AllocPolicy{FirstFit, BestFitContiguous} {
 				trial := clone(c)
 				trial.SetAllocPolicy(policy)
-				if got, want := trial.AllocFree(now, nextID, k), naivePlace(c, policy, k); !slices.Equal(got, want) {
+				buf := callerBuf(x+k, k)
+				if got, want := appended(t, op, "AllocFree", buf, trial.AllocFree(now, nextID, k, buf)), naivePlace(c, policy, k); !slices.Equal(got, want) {
 					t.Fatalf("op %d: AllocFree(%d) on a copy under policy %d = %v, want %v", op, k, policy, got, want)
 				}
 				if err := trial.CheckInvariants(); err != nil {

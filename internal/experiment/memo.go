@@ -172,8 +172,10 @@ func (r *Runner) loadMemo(mk memoKey) (*sched.Result, bool) {
 		Tally:             m.Tally,
 		Jobs:              make([]*job.Job, len(m.Jobs)),
 	}
+	slab := make([]job.Job, len(m.Jobs))
 	for i, mj := range m.Jobs {
-		j := job.New(mj.ID, mj.Submit, mj.Run, mj.Estimate, mj.Procs)
+		j := &slab[i]
+		j.Init(mj.ID, mj.Submit, mj.Run, mj.Estimate, mj.Procs)
 		j.MemPerProc = mj.MemPerProc
 		j.State = job.Finished
 		j.FirstStart = mj.FirstStart

@@ -74,7 +74,13 @@ type Job struct {
 	Kills        int   // number of speculative executions aborted
 	Resubmits    int   // number of processor-failure restarts from scratch
 	Epoch        int   // invalidates stale completion/suspend events
-	ProcSet      []int // processors currently held or held before suspension
+	// ProcSet holds the processors the job holds, claims as a queued
+	// pending start, or held before its suspension; it is empty while
+	// the job has no set. A simulation run gives each job a region of exactly
+	// Procs ints in one slab as its capacity, and every set of the job
+	// is written there, so a start allocates nothing: the contents are
+	// those of the job's current incarnation only.
+	ProcSet []int
 }
 
 // New returns a queued job with the given static attributes and dynamic
@@ -82,19 +88,17 @@ type Job struct {
 // models wall-clock limits as never killing a job, matching the paper's
 // treatment where estimates are lower-bounded by the true run time.
 func New(id int, submit, run, estimate int64, procs int) *Job {
-	if estimate < run {
-		estimate = run
-	}
-	return &Job{
-		ID:         id,
-		SubmitTime: submit,
-		RunTime:    run,
-		Estimate:   estimate,
-		Procs:      procs,
-		FirstStart: -1,
-		FinishTime: -1,
-		Slot:       -1,
-	}
+	j := new(Job)
+	j.Init(id, submit, run, estimate, procs)
+	return j
+}
+
+// Init sets *j, in place, to the job New returns: for callers that
+// keep jobs in slabs of their own.
+func (j *Job) Init(id int, submit, run, estimate int64, procs int) {
+	*j = Job{} // then field by field: a composite literal would be built aside and copied
+	j.ID, j.SubmitTime, j.RunTime, j.Estimate, j.Procs = id, submit, run, max(estimate, run), procs
+	j.FirstStart, j.FinishTime, j.Slot = -1, -1, -1
 }
 
 // Remaining returns the compute seconds the job still needs.
@@ -264,7 +268,7 @@ func (j *Job) Kill(now int64) {
 // restart): in every case the job returns to the queue with all
 // progress discarded, because batch jobs cannot be checkpointed and a
 // partial or stranded image is worthless. The caller releases
-// processors and clears ProcSet as appropriate.
+// processors and truncates ProcSet to its region as appropriate.
 func (j *Job) Fail(now int64) (lost int64) {
 	switch j.State {
 	case Running, Suspending, Suspended:

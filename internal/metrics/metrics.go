@@ -6,8 +6,6 @@
 package metrics
 
 import (
-	"sort"
-
 	"pjs/internal/job"
 	"pjs/internal/sched"
 	"pjs/internal/stats"
@@ -94,14 +92,14 @@ func (a *catAcc) carve(buf []float64, n int) []float64 {
 	return buf[n:]
 }
 
-// stats sorts the slowdown samples in place, once, for both percentiles.
+// stats selects the order statistics of both percentiles from the
+// slowdown samples, which it reorders in place; it sorts nothing.
 func (a *catAcc) stats() CatStats {
-	sort.Float64s(a.sdSamples)
 	return CatStats{
 		Count:           a.sd.N(),
 		MeanSlowdown:    a.sd.Mean(),
-		MedianSlowdown:  stats.SortedPercentile(a.sdSamples, 50),
-		P95Slowdown:     stats.SortedPercentile(a.sdSamples, 95),
+		MedianSlowdown:  stats.SelectPercentile(a.sdSamples, 50),
+		P95Slowdown:     stats.SelectPercentile(a.sdSamples, 95),
 		WorstSlowdown:   a.sd.Max(),
 		MeanTurnaround:  a.tat.Mean(),
 		WorstTurnaround: a.tat.Max(),

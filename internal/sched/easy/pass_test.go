@@ -2,6 +2,7 @@ package easy
 
 import (
 	"math/bits"
+	"runtime"
 	"testing"
 
 	"pjs/internal/fault"
@@ -143,5 +144,65 @@ func TestQueueKeepsCapacity(t *testing.T) {
 				faults.Enabled(), g.grows, limit, g.peak)
 		}
 		t.Logf("faults %v: %d growths, peak length %d", faults.Enabled(), g.grows, g.peak)
+	}
+}
+
+// startAllocs wraps the policy and counts the allocations of each
+// arrival and completion hook whose pass starts jobs. A hook that lifts
+// the number of running jobs to a new peak is left out: the running
+// list, the engine's event heap (one completion per running job under
+// NS) and the policy's release list grow their backing arrays then.
+type startAllocs struct {
+	*Sched
+	ms              runtime.MemStats
+	idle            []*job.Job
+	peak            int
+	measured, peaks int
+	worst           uint64
+}
+
+func (w *startAllocs) OnArrival(j *job.Job)    { w.measure(func() { w.Sched.OnArrival(j) }) }
+func (w *startAllocs) OnCompletion(j *job.Job) { w.measure(func() { w.Sched.OnCompletion(j) }) }
+
+func (w *startAllocs) measure(call func()) {
+	w.idle = append(w.idle[:0], w.env.Idle()...)
+	runtime.ReadMemStats(&w.ms)
+	before := w.ms.Mallocs
+	call()
+	runtime.ReadMemStats(&w.ms)
+	allocs := w.ms.Mallocs - before
+	started := 0
+	for _, j := range w.idle {
+		if j.State == job.Running {
+			started++
+		}
+	}
+	if n := len(w.env.Running()); n > w.peak {
+		w.peak = n
+		w.peaks++
+		return
+	}
+	if started > 0 {
+		w.measured++
+		w.worst = max(w.worst, allocs)
+	}
+}
+
+// TestStartingPassAllocatesNothing pins that a pass that starts jobs
+// allocates 0: each start writes the job's processors into the region
+// the run gave it, and the driver's lists keep their capacity.
+func TestStartingPassAllocatesNothing(t *testing.T) {
+	w := &startAllocs{Sched: New()}
+	// As in testing.AllocsPerRun, one P: the stop-the-world of
+	// ReadMemStats could otherwise start an OS thread for an idle P, and
+	// the process-wide count would charge its allocations to the hook.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sched.Run(loadedCTC(), w, sched.Options{})
+	if w.measured < 100 {
+		t.Fatalf("measured %d hooks that started jobs; the trace no longer exercises starts", w.measured)
+	}
+	t.Logf("measured %d hooks that started jobs, skipped %d that set a new peak of running jobs", w.measured, w.peaks)
+	if w.worst != 0 {
+		t.Fatalf("a pass that started jobs allocated %d times, want 0", w.worst)
 	}
 }

@@ -14,6 +14,10 @@ func (t tickAlways) Init(env *Env) {
 	t.Scheduler.Init(env)
 }
 
+// RegionChunk is the most ints one allocation of processor-set regions
+// holds.
+const RegionChunk = regionChunk
+
 // QueuedCount returns the driver's count of jobs in state Queued.
 func QueuedCount(e *Env) int { return e.nQueued }
 

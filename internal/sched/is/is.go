@@ -35,11 +35,13 @@ type Sched struct {
 	sliceEnd map[int]int64
 
 	// Scratch reused across passes: the jobs a pass serves (the actors,
-	// in serving order), the victim candidates, and the sort that orders
-	// both.
-	idle  []*job.Job
-	cands []*job.Job
-	ord   job.Order
+	// in serving order), the victim candidates, the sort that orders
+	// both, and a commit's victims and claim, which the driver copies.
+	idle    []*job.Job
+	cands   []*job.Job
+	ord     job.Order
+	victims []*job.Job
+	claim   []int
 }
 
 // New returns an Immediate Service scheduler.
@@ -242,7 +244,7 @@ func (s *Sched) tryImmediate(j *job.Job, now int64) {
 		}
 	}
 	s.ord.Sort(s.cands, func(j *job.Job) (float64, int64) { return j.InstantaneousXFactor(now), 0 })
-	var victims []*job.Job
+	victims := s.victims[:0]
 	avail := free
 	for _, v := range s.cands {
 		if avail >= j.Procs {
@@ -251,11 +253,12 @@ func (s *Sched) tryImmediate(j *job.Job, now int64) {
 		victims = append(victims, v)
 		avail += v.Procs
 	}
+	s.victims = victims
 	s.env.Probe().End(perf.PhaseVictimSelect, span)
 	if avail < j.Procs {
 		return // not enough suspendable capacity; retry on later events
 	}
-	claim := s.env.Cluster.ListFreeUnclaimed(j.Procs)
+	claim := s.env.Cluster.ListFreeUnclaimed(j.Procs, s.claim[:0])
 	for _, v := range victims {
 		for _, p := range v.ProcSet {
 			if len(claim) == j.Procs {
@@ -265,6 +268,7 @@ func (s *Sched) tryImmediate(j *job.Job, now int64) {
 		}
 		delete(s.sliceEnd, v.ID)
 	}
+	s.claim = claim
 	s.env.PreemptAndStart(j, victims, claim)
 	s.markStarted(j, now)
 }

@@ -124,7 +124,7 @@ func (r *refIS) tryImmediate(j *job.Job, now int64) {
 	if avail < j.Procs {
 		return
 	}
-	claim := r.env.Cluster.ListFreeUnclaimed(j.Procs)
+	claim := r.env.Cluster.ListFreeUnclaimed(j.Procs, nil)
 	for _, v := range victims {
 		for _, p := range v.ProcSet {
 			if len(claim) == j.Procs {

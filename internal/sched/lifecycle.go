@@ -14,10 +14,12 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"strings"
 
 	"pjs/internal/cluster"
@@ -201,6 +203,60 @@ func (e *Env) postmortem() string {
 	return b.String()
 }
 
+// regionChunk is the most ints one allocation of processor-set regions
+// holds: 32 KB, the largest object the allocator rounds up to a size
+// class rather than to whole 8 KB pages.
+const regionChunk = 4096
+
+// carveRegions gives each job its processor-set region: job j's ProcSet
+// becomes its own j.Procs ints of a slab, empty. A job's width is fixed,
+// so every set it will hold fits there. The slab comes in chunks of
+// regionChunk ints, the last one only as large as what is left; a chunk
+// too short for the next job leaves its tail unused.
+func carveRegions(jobs []*job.Job) {
+	rest := 0
+	for _, j := range jobs {
+		rest += j.Procs
+	}
+	var chunk []int
+	for _, j := range jobs {
+		if len(chunk) < j.Procs {
+			chunk = make([]int, max(min(rest, regionChunk), j.Procs))
+		}
+		j.ProcSet = chunk[:0:j.Procs]
+		chunk = chunk[j.Procs:]
+		rest -= j.Procs
+	}
+}
+
+// indexIDs fills byID, the run's jobs in ascending ID order: the jobs
+// themselves when their submission order already is, a sorted copy
+// otherwise. When some ID is used more than once it reports the one
+// whose first job comes earliest in submission order.
+func (e *Env) indexIDs() (id int, dup bool) {
+	e.byID = e.jobs
+	byID := func(a, b *job.Job) int { return cmp.Compare(a.ID, b.ID) }
+	if !slices.IsSortedFunc(e.byID, byID) {
+		e.byID = slices.Clone(e.jobs)
+		slices.SortStableFunc(e.byID, byID)
+	}
+	for i := 1; i < len(e.byID); i++ {
+		if e.byID[i].ID == e.byID[i-1].ID {
+			dup = true
+			break
+		}
+	}
+	if !dup {
+		return 0, false
+	}
+	for _, j := range e.jobs {
+		if i, _ := slices.BinarySearchFunc(e.byID, j.ID, cmpID); i+1 < len(e.byID) && e.byID[i+1].ID == j.ID {
+			return j.ID, true
+		}
+	}
+	panic("sched: a duplicate ID without two jobs")
+}
+
 // runEngine drives the simulation with panic containment: a panic
 // anywhere in the policy, driver or engine becomes a *PanicError
 // carrying a postmortem of the deterministic state at death.
@@ -244,7 +300,6 @@ func RunContext(ctx context.Context, t *workload.Trace, s Scheduler, opt Options
 		Cluster:  cluster.New(t.Procs),
 		Overhead: oh,
 		sched:    s,
-		byID:     make(map[int]*job.Job, len(t.Jobs)),
 		obs:      opt.Observer,
 		probe:    opt.Probe,
 	}
@@ -280,19 +335,11 @@ func RunContext(ctx context.Context, t *workload.Trace, s Scheduler, opt Options
 		env.engine.SetStepHook(env.lifecycleHook(opt.Checkpoint))
 	}
 	jobs := t.CloneJobs()
+	carveRegions(jobs)
 	env.jobs = jobs
-	for _, j := range jobs {
-		env.engine.AddJob(j)
-		env.byID[j.ID] = j
-	}
-	if len(env.byID) != len(jobs) {
-		// A later job under a reused ID replaced an earlier one in byID:
-		// name the first job that lost its entry.
-		for _, j := range jobs {
-			if env.byID[j.ID] != j {
-				return nil, fmt.Errorf("sched: invalid trace: trace %q has more than one job with ID %d", t.Name, j.ID)
-			}
-		}
+	env.engine.AddJob(jobs...)
+	if id, dup := env.indexIDs(); dup {
+		return nil, fmt.Errorf("sched: invalid trace: trace %q has more than one job with ID %d", t.Name, id)
 	}
 	if opt.Transient.Enabled() {
 		env.trans = fault.NewTransientInjector(opt.Transient)

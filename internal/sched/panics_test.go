@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"strings"
 	"testing"
 
 	"pjs/internal/job"
@@ -99,5 +100,40 @@ func TestJobByIDAndPendingCount(t *testing.T) {
 	res := sched.Run(tr, probe, sched.Options{MaxSteps: 1000})
 	if res.Jobs[0].FinishTime != 10 {
 		t.Errorf("finish = %d", res.Jobs[0].FinishTime)
+	}
+}
+
+// TestJobByIDOutOfIDOrder looks every job up by ID in a trace whose IDs
+// are not in submit order, where the driver searches a sorted copy, and
+// checks that of two reused IDs the error names the one whose first job
+// comes first.
+func TestJobByIDOutOfIDOrder(t *testing.T) {
+	ids := []int{30, 10, 20, 5}
+	tr := &workload.Trace{Name: "t", Procs: 4}
+	for i, id := range ids {
+		tr.Jobs = append(tr.Jobs, job.New(id, int64(i), 10, 10, 1))
+	}
+	probe := &panicProbe{do: func(env *sched.Env, j *job.Job) {
+		for _, id := range ids {
+			if got := env.JobByID(id); got == nil || got.ID != id {
+				t.Errorf("JobByID(%d) = %v", id, got)
+			}
+		}
+		for _, id := range []int{0, 7, 31} {
+			if got := env.JobByID(id); got != nil {
+				t.Errorf("JobByID(%d) = %v, want nil", id, got)
+			}
+		}
+		env.StartFresh(j)
+	}}
+	sched.Run(tr, probe, sched.Options{MaxSteps: 1000})
+
+	dup := &workload.Trace{Name: "dup", Procs: 4}
+	for i, id := range []int{5, 3, 9, 3, 5} {
+		dup.Jobs = append(dup.Jobs, job.New(id, int64(i), 10, 10, 1))
+	}
+	_, err := sched.RunChecked(dup, &panicProbe{do: func(env *sched.Env, j *job.Job) { env.StartFresh(j) }}, sched.Options{})
+	if err == nil || !strings.Contains(err.Error(), "more than one job with ID 5") {
+		t.Errorf("RunChecked error %v, want one naming duplicate ID 5", err)
 	}
 }

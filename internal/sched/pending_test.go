@@ -34,7 +34,7 @@ func (s *scriptSched) OnArrival(j *job.Job) {
 			victims = append(victims, r)
 		}
 	}
-	claim := s.env.Cluster.ListFreeUnclaimed(j.Procs)
+	claim := s.env.Cluster.ListFreeUnclaimed(j.Procs, nil)
 	for _, v := range victims {
 		for _, p := range v.ProcSet {
 			if len(claim) == j.Procs {

@@ -8,6 +8,7 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -199,9 +200,9 @@ type Env struct {
 
 	engine  *sim.Engine
 	sched   Scheduler
-	byID    map[int]*job.Job
 	jobs    []*job.Job // all jobs of the run, submission order
-	pending []*pendingStart
+	byID    []*job.Job // the same jobs in ascending ID order, for JobByID
+	pending []pendingStart
 	obs     Observer
 	probe   *perf.Probe              // nil without profiling
 	faults  *fault.Injector          // nil without fault injection
@@ -262,7 +263,9 @@ type Env struct {
 }
 
 // pendingStart is a job committed to start on a claimed processor set as
-// soon as the suspension writes of its victims complete.
+// soon as the suspension writes of its victims complete. The claim is
+// the job's own ProcSet, except for a suspended job that migrates, which
+// keeps its image's set there until it starts.
 type pendingStart struct {
 	j     *job.Job
 	claim []int
@@ -409,8 +412,17 @@ func (e *Env) QuietUntil(t int64) bool {
 	return !e.tickAlways
 }
 
-// JobByID returns the job with the given ID, or nil.
-func (e *Env) JobByID(id int) *job.Job { return e.byID[id] }
+// JobByID returns the job with the given ID, or nil. It binary-searches
+// the run's jobs in ID order.
+func (e *Env) JobByID(id int) *job.Job {
+	if i, ok := slices.BinarySearchFunc(e.byID, id, cmpID); ok {
+		return e.byID[i]
+	}
+	return nil
+}
+
+// cmpID orders a job against an ID by the job's ID.
+func cmpID(j *job.Job, id int) int { return cmp.Compare(j.ID, id) }
 
 // StartFresh starts queued job j on any free processors if enough are
 // available right now; it reports whether the job was started. A job is
@@ -424,7 +436,7 @@ func (e *Env) StartFresh(j *job.Job) bool {
 		return false
 	}
 	e.idle.remove(j)
-	j.ProcSet = e.Cluster.AllocFree(e.Now(), j.ID, j.Procs)
+	j.ProcSet = e.Cluster.AllocFree(e.Now(), j.ID, j.Procs, j.ProcSet[:0])
 	e.dispatch(j, 0)
 	return true
 }
@@ -457,7 +469,7 @@ func (e *Env) ResumeAnywhere(j *job.Job) bool {
 		return false
 	}
 	e.idle.remove(j)
-	j.ProcSet = e.Cluster.AllocFree(e.Now(), j.ID, j.Procs)
+	j.ProcSet = e.Cluster.AllocFree(e.Now(), j.ID, j.Procs, j.ProcSet[:0])
 	e.dispatch(j, e.Overhead.ReadTime(j))
 	return true
 }
@@ -498,7 +510,15 @@ func (e *Env) dispatch(j *job.Job, readOH int64) {
 // the victims. The victims begin their suspension writes immediately; j
 // starts when the last claimed processor is released. The caller is
 // responsible for having validated the preemption policy conditions.
-func (e *Env) PreemptAndStart(j *job.Job, victims []*job.Job, claim []int) {
+//
+// The driver keeps its own copy of the claim, so the caller may reuse
+// the slice it passed: a queued job's claim is written into its
+// ProcSet region at once, a suspended job reclaiming its remembered
+// set claims its ProcSet, and only a suspended job that migrates gets a
+// copy of its own, because its ProcSet still names its image until it
+// starts. PreemptAndStart returns the claim as the driver keeps it,
+// valid until the start begins or is aborted.
+func (e *Env) PreemptAndStart(j *job.Job, victims []*job.Job, claim []int) []int {
 	if len(claim) != j.Procs {
 		panic(fmt.Sprintf("sched: claim of %d processors for %v", len(claim), j))
 	}
@@ -510,9 +530,19 @@ func (e *Env) PreemptAndStart(j *job.Job, victims []*job.Job, claim []int) {
 		e.beginSuspend(v)
 	}
 	e.idle.delete(at)
+	switch {
+	case j.State == job.Queued:
+		j.ProcSet = append(j.ProcSet[:0], claim...)
+		claim = j.ProcSet
+	case slices.Equal(claim, j.ProcSet):
+		claim = j.ProcSet
+	default:
+		claim = slices.Clone(claim)
+	}
 	e.Cluster.Claim(j.ID, claim)
-	e.pending = append(e.pending, &pendingStart{j: j, claim: claim})
+	e.pending = append(e.pending, pendingStart{j: j, claim: claim})
 	e.activatePending()
+	return claim
 }
 
 // Kill aborts running job j, releasing its processors immediately and
@@ -525,6 +555,7 @@ func (e *Env) Kill(j *job.Job) {
 	set := j.ProcSet
 	j.Kill(e.Now())
 	e.Cluster.Release(e.Now(), j.ID, set)
+	j.ProcSet = set[:0]
 	e.running.remove(j)
 	e.nQueued++
 	e.idle.insert(j)
@@ -570,7 +601,7 @@ func (e *Env) activatePending() {
 		if p.j.State == job.Suspended {
 			readOH = e.Overhead.ReadTime(p.j)
 		}
-		p.j.ProcSet = p.claim
+		p.j.ProcSet = append(p.j.ProcSet[:0], p.claim...)
 		e.dispatch(p.j, readOH)
 	}
 }
@@ -719,6 +750,7 @@ func (e *Env) failKill(j *job.Job) {
 	set := j.ProcSet
 	lost := j.Fail(e.Now())
 	e.Cluster.Release(e.Now(), j.ID, set)
+	j.ProcSet = set[:0]
 	if wasSuspending {
 		e.nSuspended--
 	} else {
@@ -801,6 +833,9 @@ func (e *Env) procFail(p int) {
 			continue
 		}
 		e.Cluster.Unclaim(ps.j.ID, ps.claim)
+		if ps.j.State == job.Queued {
+			ps.j.ProcSet = ps.j.ProcSet[:0]
+		}
 		e.idle.insert(ps.j)
 		requeued = append(requeued, ps.j)
 	}
@@ -808,7 +843,7 @@ func (e *Env) procFail(p int) {
 
 	// Kill the job computing (or writing its suspension image) on p.
 	if id := e.Cluster.Owner(p); id != -1 {
-		v := e.byID[id]
+		v := e.JobByID(id)
 		e.failKill(v)
 		requeued = append(requeued, v)
 	}
@@ -827,7 +862,7 @@ func (e *Env) procFail(p int) {
 		}
 		set := j.ProcSet
 		lost := j.Fail(now)
-		j.ProcSet = nil
+		j.ProcSet = set[:0]
 		e.nSuspended--
 		e.nQueued++ // it stays idle, or a pending start
 		ev := jobEvent(ActImageLost, j, set)

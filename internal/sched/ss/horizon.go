@@ -36,7 +36,7 @@ import (
 //
 // Nothing is rescanned: every change reaches the state through the
 // change log SS fills from its own hooks and primitives (started, left,
-// entered, cats) and through the few records whose value moves with
+// stale, entered, cats) and through the few records whose value moves with
 // time or with the machine (reading, flips), and a reconcile applies
 // only those.
 type horizonState struct {
@@ -56,13 +56,15 @@ type horizonState struct {
 
 	// The change log since the last reconcile: started lists the jobs
 	// SS started or resumed, left the first processor of each Running
-	// job SS saw stop running, entered the jobs that became suspended
+	// job SS saw stop running, stale the processors of the records
+	// dropped early (forget), entered the jobs that became suspended
 	// idle jobs, and bit c of cats is set when category c's TSS limit
 	// may have moved. flips is the driver's I/O health flip count at the
 	// last reconcile.
 	started []*job.Job
 	left    []int
 	ended   []int32 // scratch: the ownerRecs left names, while a reconcile drops them
+	stale   []int   // the processors of the records forget dropped
 	entered []*job.Job
 	cats    uint16
 	flips   int
@@ -167,7 +169,7 @@ type needRec struct {
 func (s *Sched) horizon(now int64) int64 {
 	h := int64(math.MaxInt64) // nothing idle, or nothing to preempt, until an event
 	idle := len(s.env.Idle()) > 0
-	if idle || len(s.hz.left)+len(s.hz.started) > len(s.hz.block) {
+	if idle || len(s.hz.left)+len(s.hz.started)+len(s.hz.stale) > len(s.hz.block) {
 		s.reconcile(now) // with nothing idle, to keep the change log within the machine's size
 	}
 	if idle {
@@ -257,6 +259,8 @@ func (s *Sched) reconcile(now int64) {
 	h.started = h.started[:0]
 	h.dropEnded(cl)
 	h.sweepHard(cl)
+	h.apply(h.stale, cl)
+	h.stale = h.stale[:0]
 	s.revalue(now)
 	for _, j := range h.entered {
 		if s.reenters(j) && suspendedIdle(j, cl) && h.find(j) < 0 {
@@ -363,20 +367,51 @@ func (h *horizonState) findEnded() {
 // removing the highest index first leaves the others in place.
 func (h *horizonState) dropEnded(cl *cluster.Cluster) {
 	for k := len(h.ended) - 1; k >= 0; k-- {
-		i := h.ended[k]
-		o := h.owners[i]
-		h.relabel(o.set, i, -1)
-		last := int32(len(h.owners) - 1)
-		if i != last {
-			h.owners[i] = h.owners[last]
-			h.relabel(h.owners[i].set, last, i)
-		}
-		h.owners[last] = ownerRec{}
-		h.owners = h.owners[:last]
-		h.dropVictim(o.x, o.j)
-		h.apply(o.set, cl)
+		h.apply(h.dropOwner(h.ended[k]), cl)
 	}
 	h.ended = h.ended[:0]
+}
+
+// dropOwner removes owners[i] and its victim entry and returns its set,
+// which the caller applies. The last record fills the hole.
+func (h *horizonState) dropOwner(i int32) []int {
+	o := h.owners[i]
+	h.relabel(o.set, i, -1)
+	last := int32(len(h.owners) - 1)
+	if i != last {
+		h.owners[i] = h.owners[last]
+		h.relabel(h.owners[i].set, last, i)
+	}
+	h.owners[last] = ownerRec{}
+	h.owners = h.owners[:last]
+	h.dropVictim(o.x, o.j)
+	return o.set
+}
+
+// forget drops the records of idle job j that a reconcile would drop,
+// its ownerRecs and its ended hardRecs, and keeps their processors in
+// stale for the next reconcile to apply: the driver writes every set of
+// a job into the same region, so a job that starts again would rewrite
+// the sets the records name. A live claim stays: it is a migrating
+// job's own copy, which no start rewrites. The needs change only in a
+// reconcile, as the block map does.
+func (h *horizonState) forget(j *job.Job, cl *cluster.Cluster) {
+	for i := int32(len(h.owners)) - 1; i >= 0; i-- {
+		if h.owners[i].j == j {
+			h.stale = append(h.stale, h.dropOwner(i)...)
+		}
+	}
+	n := 0
+	for _, r := range h.hard {
+		if r.j == j && !r.live(cl) {
+			h.stale = append(h.stale, r.set...)
+			continue
+		}
+		h.hard[n] = r
+		n++
+	}
+	clear(h.hard[n:])
+	h.hard = h.hard[:n]
 }
 
 // relabel points the processors of set that ownRec maps to from at to.
@@ -461,17 +496,22 @@ func (h *horizonState) dropVictim(x float64, j *job.Job) {
 	h.victims = h.victims[:last]
 }
 
-// sweepHard applies the sets of the hardRecs that began or ended since
-// the last reconcile and drops the ended ones. A claim lives while its
+// live reports whether hardRec r has not ended. A claim lives while its
 // job still claims its first processor (claims are taken and dropped
 // whole); a victim lives while its suspension is under way.
+func (r *hardRec) live(cl *cluster.Cluster) bool {
+	if r.claim {
+		return cl.Claimant(r.set[0]) == r.j.ID
+	}
+	return r.j.Epoch == r.epoch && r.j.State == job.Suspending
+}
+
+// sweepHard applies the sets of the hardRecs that began or ended since
+// the last reconcile and drops the ended ones.
 func (h *horizonState) sweepHard(cl *cluster.Cluster) {
 	n := 0
 	for _, r := range h.hard {
-		live := r.j.Epoch == r.epoch && r.j.State == job.Suspending
-		if r.claim {
-			live = cl.Claimant(r.set[0]) == r.j.ID
-		}
+		live := r.live(cl)
 		if !live || !r.seen {
 			h.apply(r.set, cl)
 		}

@@ -138,12 +138,13 @@ type Sched struct {
 
 	// idle holds the jobs a pass serves, in serving order (descending
 	// xfactor): the jobs that fit or that shortOf does not reject at a
-	// tick (sortIdle), the jobs that fit at an event (schedulePass). ord
-	// and chosen (the victims of a commit) are scratch reused across
-	// passes.
+	// tick (sortIdle), the jobs that fit at an event (schedulePass). ord,
+	// chosen (the victims of a commit) and claim (a fresh job's claim,
+	// which the driver copies) are scratch reused across passes.
 	idle   []*job.Job
 	ord    job.Order
 	chosen []*job.Job
+	claim  []int
 
 	// hz is the quiet-tick state kept between horizons (horizon.go).
 	hz horizonState
@@ -239,15 +240,14 @@ func (s *Sched) OnTick() {
 // OnFailure implements sched.Scheduler: displaced jobs (killed victims,
 // stranded images, aborted pending starts) are idle again and compete
 // by xfactor; their restarted wait pushes the xfactor up, so SS
-// naturally re-serves the most-hurt jobs first. The kept state drops
-// the reentry needs of the images lost with p at once, and the owner
-// records of the killed jobs at the next horizon.
+// naturally re-serves the most-hurt jobs first. The kept state drops at
+// once the reentry needs of the images lost with p and every record of
+// a displaced job: the pass below may restart one, which rewrites its
+// set in place.
 func (s *Sched) OnFailure(p int, requeued []*job.Job) {
 	s.hz.dropLost(p)
 	for _, j := range requeued {
-		if len(j.ProcSet) > 0 {
-			s.hz.left = append(s.hz.left, j.ProcSet[0])
-		}
+		s.hz.forget(j, s.env.Cluster)
 		s.enteredIdle(j)
 	}
 	s.schedulePass()
@@ -325,7 +325,8 @@ func (s *Sched) sortIdle() {
 
 // serveIdle starts every job of s.idle, in order, that fits without
 // preemption, and logs each start for the next horizon; a resumed job
-// loses its reentry need at once.
+// loses its reentry need at once. A job that migrates loses its records
+// before it resumes, because the resume rewrites its set in place.
 func (s *Sched) serveIdle() {
 	for _, j := range s.idle {
 		var started bool
@@ -333,7 +334,10 @@ func (s *Sched) serveIdle() {
 		case j.State != job.Suspended:
 			started = s.env.StartFresh(j)
 		case s.cfg.Migration:
-			started = s.env.ResumeAnywhere(j)
+			if j.Procs <= s.env.Cluster.FreeUnclaimed() {
+				s.hz.forget(j, s.env.Cluster)
+				started = s.env.ResumeAnywhere(j)
+			}
 		default:
 			if started = s.env.Resume(j); started {
 				s.hz.dropNeed(j)
@@ -393,7 +397,7 @@ func (s *Sched) choose(j *job.Job, now int64) ([]*job.Job, []int) {
 	if reentry {
 		return victims, j.ProcSet
 	}
-	claim := s.env.Cluster.ListFreeUnclaimed(j.Procs)
+	claim := s.env.Cluster.ListFreeUnclaimed(j.Procs, s.claim[:0])
 	for _, v := range victims {
 		for _, p := range v.ProcSet {
 			if len(claim) == j.Procs {
@@ -402,6 +406,7 @@ func (s *Sched) choose(j *job.Job, now int64) ([]*job.Job, []int) {
 			claim = append(claim, p)
 		}
 	}
+	s.claim = claim
 	return victims, claim
 }
 
@@ -458,8 +463,7 @@ func (s *Sched) holders(j *job.Job) []*job.Job {
 }
 
 // commit hands the preemption to the environment and records it in the
-// kept state.
+// kept state, with the claim as the driver keeps it.
 func (s *Sched) commit(j *job.Job, victims []*job.Job, claim []int) {
-	s.env.PreemptAndStart(j, victims, claim)
-	s.hz.committed(j, victims, claim)
+	s.hz.committed(j, victims, s.env.PreemptAndStart(j, victims, claim))
 }

@@ -183,13 +183,21 @@ func (e *Engine) Abort(err error) {
 	}
 }
 
-// AddJob schedules the arrival of j at its SubmitTime, which must not
-// change before Run delivers it. All jobs must be added before Run;
-// arrivals never enter the heap (Schedule refuses them). Jobs with equal
-// submit times arrive in AddJob order.
-func (e *Engine) AddJob(j *job.Job) {
-	e.totalJobs++
-	e.arrivals = append(e.arrivals, j)
+// AddJob schedules the arrival of each of jobs at its SubmitTime, which
+// must not change before Run delivers it. All jobs must be added before
+// Run; arrivals never enter the heap (Schedule refuses them). Jobs with
+// equal submit times arrive in AddJob order. The first call keeps the
+// slice it is given as the arrival list instead of copying it, so a
+// caller passing a slice with ... must not change it until Run returns;
+// Run sorts it in place, stably by SubmitTime, when it is out of submit
+// order.
+func (e *Engine) AddJob(jobs ...*job.Job) {
+	e.totalJobs += len(jobs)
+	if e.arrivals == nil {
+		e.arrivals = slices.Clip(jobs) // a later call appends to a copy
+		return
+	}
+	e.arrivals = append(e.arrivals, jobs...)
 }
 
 // Schedule queues ev for delivery at ev.Time. A job event is bound to

@@ -127,7 +127,7 @@ func (e *refEngine) Run() (int64, error) {
 type engineCase struct {
 	tick     int64
 	jobs     []struct{ submit, run int64 }
-	pre      []Event // ProcFail/ProcRepair, scheduled after the AddJobs
+	pre      []Event // ProcFail/ProcRepair, scheduled after the arrivals are added
 	maxSteps int64
 	hookStop int64 // the step hook stops the run at this step; 0 never
 	canceled bool  // the context is canceled before Run

@@ -712,3 +712,31 @@ func TestRunStepHook(t *testing.T) {
 		t.Errorf("run continued past the hook error: %d events", len(h2.events))
 	}
 }
+
+// TestAddJobTakesTheSlice pins AddJob with a slice: the engine runs the
+// jobs of the slice it was given, in submit order, without copying it,
+// and a later AddJob appends to a copy instead of writing into the
+// caller's spare capacity.
+func TestAddJobTakesTheSlice(t *testing.T) {
+	h := &recordingHandler{}
+	e := New(h, 0)
+	h.eng = e
+	spare := job.New(9, 0, 1, 1, 1)
+	jobs := make([]*job.Job, 2, 3)
+	jobs[0], jobs[1] = job.New(1, 0, 100, 100, 1), job.New(2, 50, 10, 10, 1)
+	jobs = append(jobs, spare)[:2]
+	e.AddJob(jobs...)
+	if &e.arrivals[0] != &jobs[0] {
+		t.Error("AddJob copied the slice")
+	}
+	e.AddJob(job.New(3, 70, 10, 10, 1))
+	if jobs[:3][2] != spare {
+		t.Fatal("a second AddJob wrote into the caller's slice")
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got := strings.Join(h.events, " "); got != "arrive arrive complete arrive complete complete" {
+		t.Errorf("events %q", got)
+	}
+}

@@ -2,7 +2,9 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -97,5 +99,53 @@ func TestPercentileMonotone(t *testing.T) {
 			t.Fatalf("percentile not monotone at p=%v: %v < %v", p, v, prev)
 		}
 		prev = v
+	}
+}
+
+// TestSelectMatchesSort holds Select and SelectPercentile to a sort, bit
+// for bit, on random, duplicate-heavy, sorted and reversed samples of
+// many lengths, also when the partition budget runs out at once or
+// after one pass.
+func TestSelectMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	shapes := map[string]func(i, n int) float64{
+		"random":   func(int, int) float64 { return rng.Float64() * 100 },
+		"few":      func(int, int) float64 { return float64(rng.Intn(3)) },
+		"equal":    func(int, int) float64 { return 1 },
+		"sorted":   func(i, _ int) float64 { return float64(i) },
+		"reversed": func(i, n int) float64 { return float64(n - i) },
+	}
+	for _, name := range []string{"random", "few", "equal", "sorted", "reversed"} {
+		for _, n := range []int{1, 2, 3, 12, 13, 14, 50, 257, 5000} {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = shapes[name](i, n)
+			}
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			for _, k := range []int{0, n / 2, n * 95 / 100, n - 1} {
+				for _, budget := range []int{0, 1, 2 * bits.Len(uint(n))} {
+					ys := append([]float64(nil), xs...)
+					if got := selectBudget(ys, k, budget); got != sorted[k] {
+						t.Fatalf("%s n=%d budget=%d: select(%d) = %v, want %v", name, n, budget, k, got, sorted[k])
+					}
+					for i, y := range ys {
+						if i < k && y > ys[k] || i > k && y < ys[k] {
+							t.Fatalf("%s n=%d budget=%d k=%d: xs[%d] = %v on the wrong side of %v", name, n, budget, k, i, y, ys[k])
+						}
+					}
+				}
+			}
+			for _, p := range []float64{0, 50, 95, 99.9, 100} {
+				ys := append([]float64(nil), xs...)
+				got, want := SelectPercentile(ys, p), SortedPercentile(sorted, p)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s n=%d: SelectPercentile(%v) = %v, sort gives %v", name, n, p, got, want)
+				}
+			}
+		}
+	}
+	if SelectPercentile(nil, 50) != 0 {
+		t.Error("SelectPercentile of no samples is not 0")
 	}
 }

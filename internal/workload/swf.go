@@ -7,8 +7,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"pjs/internal/job"
 )
 
 // The Standard Workload Format (SWF) of the Parallel Workloads Archive
@@ -51,7 +49,8 @@ const maxSWFDigits = 15
 // path (parseSWFRecord); every other line — comments, blank or short
 // lines, floats, inf/nan, 16+ digits, non-ASCII bytes — takes the
 // string path (parseSWFLine), so headers and error messages are those
-// of the string parser alone.
+// of the string parser alone. The jobs are stored in chunks of up to
+// 4096 (jobChunks), not one allocation each.
 func ReadSWF(r io.Reader, name string) (*Trace, error) {
 	t := &Trace{Name: name}
 	sc := bufio.NewScanner(r)
@@ -59,6 +58,7 @@ func ReadSWF(r io.Reader, name string) (*Trace, error) {
 	lineNo := 0
 	maxSeen := 0
 	var vals [swfFields]int64
+	var chunks jobChunks
 	for sc.Scan() {
 		lineNo++
 		if !parseSWFRecord(sc.Bytes(), &vals) {
@@ -91,7 +91,8 @@ func ReadSWF(r io.Reader, name string) (*Trace, error) {
 		if run <= 0 || procs <= 0 {
 			continue // cancelled or malformed job
 		}
-		j := job.New(id, submit, run, est, procs)
+		j := chunks.next()
+		j.Init(id, submit, run, est, procs)
 		// Used memory: average per processor, KB. The 2^40 KB (petabyte)
 		// bound keeps the <<10 conversion from overflowing int64 bytes.
 		if m := vals[6]; m > 0 && m <= 1<<40 {

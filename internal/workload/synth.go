@@ -89,7 +89,7 @@ const (
 // modulated by a diurnal cycle) whose rate is calibrated so the trace
 // offers Model.OfferedLoad of the machine's capacity. Every job gets a
 // per-processor memory size uniform in [100 MB, 1 GB] for the overhead
-// model.
+// model. The jobs share one slab: two allocations for all of them.
 func Generate(m Model, opt GenOptions) *Trace {
 	if opt.Jobs <= 0 {
 		panic("workload: Generate needs a positive job count")
@@ -135,7 +135,8 @@ func Generate(m Model, opt GenOptions) *Trace {
 	// offered = expWork / (interarrival * Procs)  =>  interarrival:
 	meanGap := expWork / (m.OfferedLoad * float64(m.Procs))
 
-	jobs := make([]*job.Job, 0, opt.Jobs)
+	jobs := make([]*job.Job, opt.Jobs)
+	slab := make([]job.Job, opt.Jobs)
 	now := 0.0
 	for i := 0; i < opt.Jobs; i++ {
 		// Pick a category.
@@ -157,9 +158,10 @@ func Generate(m Model, opt GenOptions) *Trace {
 		procs = clampInt(procs, wlo, whi)
 
 		est := estimateFor(rng, run, opt)
-		j := job.New(i+1, int64(now), run, est, procs)
+		j := &slab[i]
+		j.Init(i+1, int64(now), run, est, procs)
 		j.MemPerProc = memLo + int64(rng.Float64()*float64(memHi-memLo))
-		jobs = append(jobs, j)
+		jobs[i] = j
 
 		gap := rng.ExpFloat64() * meanGap
 		if m.DailyCycle > 0 {

@@ -22,18 +22,42 @@ type Trace struct {
 
 // CloneJobs returns fresh Job values with the same static attributes and
 // reset dynamic state. Simulations mutate jobs, so every run must work
-// on its own copies. The copies share one backing slab: two allocations
-// per call instead of one per job.
+// on its own copies. The copies are written in place into one backing
+// slab: two allocations per call, the slab and the pointer slice,
+// instead of one per job.
 func (t *Trace) CloneJobs() []*job.Job {
 	out := make([]*job.Job, len(t.Jobs))
 	slab := make([]job.Job, len(t.Jobs))
 	for i, j := range t.Jobs {
 		c := &slab[i]
-		*c = *job.New(j.ID, j.SubmitTime, j.RunTime, j.Estimate, j.Procs)
+		c.Init(j.ID, j.SubmitTime, j.RunTime, j.Estimate, j.Procs)
 		c.MemPerProc = j.MemPerProc
 		out[i] = c
 	}
 	return out
+}
+
+// jobChunk is the most jobs a jobChunks allocation holds.
+const jobChunk = 4096
+
+// jobChunks hands out jobs from fixed-size slabs, for a reader that does
+// not know how many jobs it will make: one allocation per chunk instead
+// of one per job, and the jobs never move. The chunks double from 64
+// jobs up to jobChunk, so a short trace does not pay for a whole one.
+type jobChunks struct {
+	free []job.Job
+	size int
+}
+
+// next returns a pointer to the next zero job.
+func (c *jobChunks) next() *job.Job {
+	if len(c.free) == 0 {
+		c.size = min(max(2*c.size, 64), jobChunk)
+		c.free = make([]job.Job, c.size)
+	}
+	j := &c.free[0]
+	c.free = c.free[1:]
+	return j
 }
 
 // Clone returns a deep copy of the trace.
